@@ -394,51 +394,6 @@ impl EppAnalysis {
             on_path_gates: gates,
         }
     }
-
-    /// Analyzes every node of the circuit (the paper's "we consider all
-    /// circuit nodes as possible error sites").
-    ///
-    /// Convenience wrapper over the batched [`sweep`](Self::sweep)
-    /// engine, converting into owned per-site results. Callers that
-    /// only read the results should prefer `sweep` itself — it keeps
-    /// everything in one flat arena.
-    #[must_use]
-    pub fn all_sites(&self) -> Vec<SiteEpp> {
-        let pool = WorkspacePool::new();
-        self.all_sites_parallel_with_pool(1, &pool)
-    }
-
-    /// Analyzes every node using `threads` worker threads (sites are
-    /// independent, so this is embarrassingly parallel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn all_sites_parallel(&self, threads: usize) -> Vec<SiteEpp> {
-        let pool = WorkspacePool::new();
-        self.all_sites_parallel_with_pool(threads, &pool)
-    }
-
-    /// Like [`all_sites_parallel`](Self::all_sites_parallel), but
-    /// checking per-thread scratch out of a caller-owned
-    /// [`WorkspacePool`] and returning it afterwards — so a session
-    /// running repeated sweeps (re-ranking after an input-probability
-    /// change, ablations over polarity modes) allocates its workspaces
-    /// exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn all_sites_parallel_with_pool(
-        &self,
-        threads: usize,
-        pool: &WorkspacePool,
-    ) -> Vec<SiteEpp> {
-        self.sweep_with(PolarityMode::Tracked, threads, pool)
-            .to_site_epps()
-    }
 }
 
 /// A checkout pool of per-thread scratch shared across sweeps and
@@ -649,11 +604,14 @@ H = OR(C, D, G)
     fn all_sites_sequential_equals_parallel() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c, &InputProbs::default());
-        let seq = epp.all_sites();
-        let par = epp.all_sites_parallel(4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a, b);
+        let pool = WorkspacePool::new();
+        let seq = epp.sweep(1, &pool).to_site_epps();
+        let par = epp.sweep(4, &pool).to_site_epps();
+        assert_eq!(seq.len(), c.len());
+        assert_eq!(seq, par);
+        // Both match the per-site reference path.
+        for (id, r) in c.node_ids().zip(&seq) {
+            assert_eq!(r, &epp.site(id));
         }
     }
 
@@ -678,12 +636,15 @@ H = OR(C, D, G)
         assert_eq!(pool.idle(), 1, "stale scratch dropped, fresh one pooled");
 
         // And full sweeps can share one pool across circuits.
-        let r_big = epp_big.all_sites_parallel_with_pool(2, &pool);
-        let r_small = epp_small.all_sites_parallel_with_pool(2, &pool);
+        let r_big = epp_big.sweep(2, &pool).to_site_epps();
+        let r_small = epp_small.sweep(2, &pool).to_site_epps();
         assert_eq!(r_big.len(), big.len());
         assert_eq!(r_small.len(), small.len());
         // Results are unaffected by the pool's history.
-        assert_eq!(r_small, epp_small.all_sites());
+        assert_eq!(
+            r_small,
+            epp_small.sweep(1, &WorkspacePool::new()).to_site_epps()
+        );
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub use hardening::{HardeningChoice, HardeningCost, HardeningPlan};
 pub use matrix::VulnerabilityMatrix;
 pub use multi_cycle::{
     multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential,
-    multi_cycle_monte_carlo_sequential_cancellable, multi_cycle_monte_carlo_sequential_observed,
-    MultiCycleEpp, MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult,
+    multi_cycle_monte_carlo_sequential_cancellable, MultiCycleEpp, MultiCycleMcAbort,
+    MultiCycleMcEstimate, MultiCycleResult,
 };
 pub use rules::propagate;
 pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};

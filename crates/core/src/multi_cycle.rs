@@ -332,56 +332,19 @@ pub fn multi_cycle_monte_carlo_sequential(
     ))
 }
 
-/// [`multi_cycle_monte_carlo_sequential`] with a progress observer:
-/// after every 64-run block, `observer(runs_done, observed_final)`
+/// [`multi_cycle_monte_carlo_sequential`] with a progress observer and
+/// a cooperative [`CancelToken`].
+///
+/// After every 64-run block, `observer(runs_done, observed_final)`
 /// reports the runs spent so far and the final-cycle success count —
 /// the raw tick a service throttles (e.g. at doubling thresholds) into
-/// wire `progress` frames. The observer is pure telemetry: the RNG
-/// stream, stopping decisions, and estimate are bit-identical to the
-/// unobserved call.
+/// wire `progress` frames. The token is polled at the same Mendo
+/// observation-block boundaries. A trip aborts with
+/// [`MultiCycleMcAbort::Cancelled`] and drops all partial counts.
 ///
-/// # Errors
-///
-/// Returns [`ser_netlist::NetlistError`] if the circuit cannot be
-/// simulated.
-///
-/// # Panics
-///
-/// Panics if `cycles` or `max_runs` is 0 or `target_error` is outside
-/// `(0, 1)`.
-pub fn multi_cycle_monte_carlo_sequential_observed(
-    circuit: impl Into<Arc<Circuit>>,
-    site: NodeId,
-    cycles: usize,
-    target_error: f64,
-    max_runs: u64,
-    seed: u64,
-    observer: &mut dyn FnMut(u64, u64),
-) -> Result<MultiCycleMcEstimate, ser_netlist::NetlistError> {
-    assert!(
-        target_error.is_finite() && target_error > 0.0 && target_error < 1.0,
-        "target error {target_error} outside (0,1)"
-    );
-    assert!(max_runs > 0, "at least one run");
-    let needed = (1.0 / (target_error * target_error)).ceil() as u64 + 2;
-    expect_uncancelled(run_multi_cycle_mc(
-        circuit.into(),
-        site,
-        cycles,
-        max_runs,
-        Some(needed),
-        seed,
-        Some(observer),
-        None,
-    ))
-}
-
-/// [`multi_cycle_monte_carlo_sequential_observed`] with a cooperative
-/// [`CancelToken`], polled at every Mendo observation-block boundary
-/// (the same 64-run granularity the observer ticks at). A trip aborts
-/// with [`MultiCycleMcAbort::Cancelled`] and drops all partial counts;
-/// with a live token the estimate is **bit-identical** to the
-/// token-less call.
+/// The observer is pure telemetry and a live token changes nothing:
+/// the RNG stream, stopping decisions, and estimate are
+/// **bit-identical** to [`multi_cycle_monte_carlo_sequential`].
 ///
 /// # Errors
 ///
@@ -393,7 +356,7 @@ pub fn multi_cycle_monte_carlo_sequential_observed(
 ///
 /// Panics if `cycles` or `max_runs` is 0 or `target_error` is outside
 /// `(0, 1)`.
-// The token-less signature plus the one cancel argument; bundling
+// The plain signature plus the observer and the cancel token; bundling
 // would break the mirror between the two entry points.
 #[allow(clippy::too_many_arguments)]
 pub fn multi_cycle_monte_carlo_sequential_cancellable(
@@ -623,7 +586,7 @@ y = NOT(q)
         let u = c.find("u").unwrap();
         let plain = multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7).unwrap();
         let mut ticks: Vec<(u64, u64)> = Vec::new();
-        let observed = multi_cycle_monte_carlo_sequential_observed(
+        let observed = multi_cycle_monte_carlo_sequential_cancellable(
             &c,
             u,
             3,
@@ -631,6 +594,7 @@ y = NOT(q)
             1 << 20,
             7,
             &mut |runs, seen| ticks.push((runs, seen)),
+            None,
         )
         .unwrap();
         assert_eq!(observed, plain, "the observer is pure telemetry");

@@ -337,21 +337,6 @@ impl AnalysisSession {
         result
     }
 
-    /// Analytical EPP for every node (the whole-circuit sweep), using
-    /// `threads` workers and the session's workspace pool.
-    ///
-    /// Compatibility wrapper over [`sweep`](Self::sweep) producing
-    /// owned per-site results; prefer `sweep` itself in hot paths — it
-    /// keeps everything in one flat arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn all_sites(&self, threads: usize) -> Vec<SiteEpp> {
-        self.epp().all_sites_parallel_with_pool(threads, &self.pool)
-    }
-
     /// The batched whole-circuit sweep over the session's cached cone
     /// plans: every node as an error site, results in one flat
     /// [`SweepResults`] arena. The cone plans are compiled on first use
@@ -581,9 +566,9 @@ mod tests {
         assert_eq!(session.workspace_pool().idle(), 0);
         assert_eq!(session.workspace_pool().idle_sweep(), 0);
         // Sweeps use pooled sweep scratch…
-        let _ = session.all_sites(1);
+        let _ = session.sweep(1);
         assert_eq!(session.workspace_pool().idle_sweep(), 1);
-        let _ = session.all_sites(1);
+        let _ = session.sweep(1);
         assert_eq!(
             session.workspace_pool().idle_sweep(),
             1,

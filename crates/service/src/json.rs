@@ -1,14 +1,13 @@
 //! The service's hand-rolled JSON layer.
 //!
 //! The suite is offline (no serde), so the wire protocol carries its
-//! own parser and writer. PR 3's job dialect only needed flat objects
-//! of scalars; the versioned protocol needs **nested containers** —
-//! `set_inputs` ships an input-distribution object, `multi_cycle` a
-//! nested simulation config, sweeps an explicit site array — so this
-//! module speaks full JSON: strict (no trailing garbage, no trailing
-//! commas, no NaN/Inf, duplicate keys rejected at every level), with a
-//! nesting-depth guard because a line deeper than a few levels is
-//! corrupt input, not a request.
+//! own parser and writer. The versioned protocol needs **nested
+//! containers** — `set_inputs` ships an input-distribution object,
+//! `multi_cycle` a nested simulation config, sweeps an explicit site
+//! array — so this module speaks full JSON: strict (no trailing
+//! garbage, no trailing commas, no NaN/Inf, duplicate keys rejected at
+//! every level), with a nesting-depth guard because a line deeper than
+//! a few levels is corrupt input, not a request.
 //!
 //! Rendering goes through [`fmt::Display`]: `JsonValue` prints as
 //! compact single-line JSON, and numbers use Rust's shortest
@@ -95,12 +94,6 @@ impl JsonValue {
             JsonValue::Arr(_) => "array",
             JsonValue::Obj(_) => "object",
         }
-    }
-
-    /// `true` for the scalar shapes the v1 job dialect allows.
-    #[must_use]
-    pub fn is_scalar(&self) -> bool {
-        !matches!(self, JsonValue::Arr(_) | JsonValue::Obj(_))
     }
 }
 

@@ -12,7 +12,7 @@
 //!   with typed requests ([`SweepRequest`], [`SiteRequest`],
 //!   [`MultiCycleRequest`], [`MonteCarloRequest`]), arena-backed
 //!   responses, cross-request response caching, streaming
-//!   [`Progress`] events ([`SerService::submit_streaming`]), and warm
+//!   [`Progress`] events ([`SerService::submit_cancellable`]), and warm
 //!   per-netlist what-if stacks ([`SerService::whatif_apply`] /
 //!   [`SerService::whatif_revert`]) for the interactive
 //!   rank → harden → re-rank loop.
@@ -36,11 +36,8 @@
 //!   ([`ChaosTransport`]): torn writes, mid-frame disconnects,
 //!   injected read errors — the harness the robustness tests drive the
 //!   whole stack through.
-//! - [`jobs`] — the v1 compatibility shim: PR 3's flat JSONL job
-//!   dialect, still served (a line without a `"v"` field), answered in
-//!   its original shape.
-//! - [`json`] — the hand-rolled nested JSON layer both dialects parse
-//!   and render with (the suite is offline; no serde).
+//! - [`json`] — the hand-rolled nested JSON layer the protocol parses
+//!   and renders with (the suite is offline; no serde).
 //!
 //! All of it rides on the owned-session redesign: sessions are
 //! `Send + Sync + 'static` `Arc` handles, so caching them, sharing them
@@ -92,8 +89,8 @@
 
 pub mod chaos;
 mod executor;
-pub mod jobs;
 pub mod json;
+mod lru;
 pub mod net;
 pub mod protocol;
 mod request;
@@ -102,14 +99,13 @@ mod sync;
 
 pub use chaos::{ChaosLines, ChaosSchedule, ChaosTransport, ChaosWriter};
 pub use executor::Executor;
-pub use jobs::{json_escape, parse_flat_object, parse_job_line, v1_response_json, JobOp, JobSpec};
-pub use json::JsonValue;
+pub use json::{json_escape, JsonValue};
 pub use net::{TcpShutdownHandle, TcpTransport};
 pub use protocol::{
     parse_wire_line, serve, BatchOp, CancelOp, Connection, EngineConfig, ErrorCode, FrameSink,
-    LineStream, MonteCarloOp, MultiCycleMcOp, MultiCycleOp, ParsedLine, ProtocolEngine,
-    SetInputsOp, SiteOp, StdioTransport, SweepOp, Transport, WhatIfEditOp, WhatIfOp,
-    WhatIfRevertOp, WireError, WireOp, WireRequest, PROTOCOL_VERSION, WIRE_OPS,
+    LineStream, MonteCarloOp, MultiCycleMcOp, MultiCycleOp, ProtocolEngine, SetInputsOp, SiteOp,
+    StdioTransport, SweepOp, Transport, WhatIfEditOp, WhatIfOp, WhatIfRevertOp, WireError, WireOp,
+    WireRequest, PROTOCOL_VERSION, WIRE_OPS,
 };
 pub use request::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, Response, ResponseMeta,

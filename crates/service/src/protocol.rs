@@ -1,11 +1,6 @@
 //! The versioned wire protocol: envelopes, frames, and the
 //! transport-agnostic request engine.
 //!
-//! PR 3's job dialect was a flat JSONL object bound to stdin/stdout —
-//! no request ids, no version field, no way to express `set_inputs`,
-//! and errors were bare strings. This module redesigns the service's
-//! public protocol layer from the ground up:
-//!
 //! - **Envelopes** — every request is one JSON object line carrying a
 //!   protocol version (`"v": 2`), an optional client-chosen request
 //!   id (echoed on every frame of the reply), a typed `"op"`, and
@@ -28,9 +23,14 @@
 //!   protocol has no opinion about sockets, and progress frames can be
 //!   written from executor workers mid-request through the shared,
 //!   lock-protected [`FrameSink`].
-//! - **v1 shim** — a line with no `"v"` field is the old dialect; it
-//!   parses through [`crate::jobs`] and is answered in the old shape,
-//!   so recorded PR 3 job lines keep working against the new server.
+//! - **One dialect** — a line without `"v": 2` is refused with an
+//!   `unsupported_version` error frame. The unversioned flat dialect
+//!   of earlier releases is no longer served; a `batch` envelope
+//!   covers its multi-job use.
+//! - **Unique in-flight ids** — a request id names exactly one
+//!   in-flight request (a `batch` names its jobs too), so a `cancel`
+//!   can never reach another client's work. A request reusing a live
+//!   id is refused with `bad_request` before any work.
 //!
 //! Numbers in v2 frames render in shortest round-trip form, so a
 //! client parsing a `result` frame recovers **bit-identical** `f64`s
@@ -38,7 +38,7 @@
 //! TCP in `tests/net.rs`.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -48,8 +48,8 @@ use ser_netlist::{
 };
 use ser_sp::InputProbs;
 
-use crate::jobs::{self, JobSpec};
 use crate::json::{self, fmt_f64, json_escape, JsonValue};
+use crate::lru::Lru;
 use crate::request::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, Response, ResponsePayload,
     ServiceError, SiteRequest, SweepRequest,
@@ -57,18 +57,22 @@ use crate::request::{
 use crate::service::{Progress, ProgressFn, SerService};
 use crate::sync::{lock_clean, wait_clean};
 
-/// The protocol version this engine speaks. Version 1 is the
-/// unversioned flat dialect, recognized by the *absence* of a `"v"`
-/// field and served through the compatibility shim.
+/// The protocol version this engine speaks — the only one it serves.
 pub const PROTOCOL_VERSION: u64 = 2;
 
+/// Monte-Carlo vector budget when a request does not set one.
+const DEFAULT_VECTORS: u64 = 10_000;
+/// PRNG seed when a request does not set one (the simulator crate's
+/// customary seed).
+const DEFAULT_SEED: u64 = 0xE5EED;
+
 /// Every `"op"` spelling [`parse_wire_line`] accepts in a v2 envelope,
-/// v1-compat aliases included. This table is load-bearing twice over:
-/// `ser-lint`'s `wire-doc-sync` rule reads it to check that each op is
-/// documented in README's wire-protocol section, and the protocol
-/// tests parse a minimal envelope per entry to prove the table matches
-/// what `parse_v2` actually dispatches (so it cannot drift from the
-/// `match`).
+/// the `epp`/`mc` aliases included. This table is load-bearing twice
+/// over: `ser-lint`'s `wire-doc-sync` rule reads it to check that each
+/// op is documented in README's wire-protocol section, and the
+/// protocol tests parse a minimal envelope per entry to prove the
+/// table matches what `parse_v2` actually dispatches (so it cannot
+/// drift from the `match`).
 pub const WIRE_OPS: &[&str] = &[
     "hello",
     "stats",
@@ -174,7 +178,7 @@ impl WireError {
     }
 
     /// Renders the error *object* (`{"code": ..., "message": ...}`) —
-    /// the payload both dialects embed in their error lines.
+    /// the payload of an `error` frame.
     #[must_use]
     pub fn render(&self) -> String {
         format!(
@@ -217,22 +221,13 @@ impl From<ServiceError> for WireError {
 // Envelope parsing
 // ---------------------------------------------------------------------
 
-/// A parsed request line: a versioned envelope, or a v1 job line
-/// recognized by the absence of a `"v"` field.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedLine {
-    /// A v2 envelope.
-    V2(WireRequest),
-    /// An old-dialect job line, to be served through the shim.
-    V1(JobSpec),
-}
-
 /// One parsed v2 envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRequest {
     /// The client's request id, echoed on every frame of the reply —
     /// and, while the request is in flight, the handle a concurrent
-    /// `cancel` op (from any connection) targets.
+    /// `cancel` op (from any connection) targets. Unique among
+    /// in-flight requests: a request reusing a live id is refused.
     pub id: Option<String>,
     /// The operation.
     pub op: WireOp,
@@ -453,31 +448,26 @@ pub struct SetInputsOp {
     pub overrides: Vec<(String, f64)>,
 }
 
-/// Parses one request line into a v2 envelope or a v1 job spec.
+/// Parses one request line into a v2 envelope.
 ///
 /// # Errors
 ///
 /// Returns a structured [`WireError`]: `parse` for malformed JSON,
-/// `unsupported_version` for a `"v"` this server cannot serve,
-/// `unknown_op` / `bad_request` for envelope-level problems.
-pub fn parse_wire_line(line: &str) -> Result<ParsedLine, WireError> {
+/// `unsupported_version` for a missing `"v"` or one this server cannot
+/// serve, `unknown_op` / `bad_request` for envelope-level problems.
+pub fn parse_wire_line(line: &str) -> Result<WireRequest, WireError> {
     let pairs = json::parse_object(line).map_err(|e| WireError::new(ErrorCode::Parse, e))?;
     let Some(version) = pairs.iter().find(|(k, _)| k == "v").map(|(_, v)| v) else {
-        // No version field: the v1 dialect. Flatness is enforced the
-        // way PR 3 enforced it (one shared rule in `jobs`).
-        return jobs::reject_nested(&pairs)
-            .and_then(|()| jobs::spec_from_pairs(pairs))
-            .map(ParsedLine::V1)
-            .map_err(|e| WireError::new(ErrorCode::BadRequest, e));
+        return Err(WireError::new(
+            ErrorCode::UnsupportedVersion,
+            format!(
+                "missing \"v\": this server speaks v{PROTOCOL_VERSION} envelopes only \
+                 (unversioned lines are no longer served)"
+            ),
+        ));
     };
     match version.as_count() {
         Some(v) if v == PROTOCOL_VERSION => {}
-        Some(1) => {
-            return Err(WireError::new(
-                ErrorCode::UnsupportedVersion,
-                "protocol v1 lines are unversioned — drop the \"v\" field to use the shim",
-            ))
-        }
         Some(v) => {
             return Err(WireError::new(
                 ErrorCode::UnsupportedVersion,
@@ -491,12 +481,12 @@ pub fn parse_wire_line(line: &str) -> Result<ParsedLine, WireError> {
             ))
         }
     }
-    parse_v2(pairs).map(ParsedLine::V2)
+    parse_v2(pairs)
 }
 
 /// Field cursor over an envelope's pairs: every field must be taken by
-/// the op's parser, or the envelope is rejected — the v1 dialect's
-/// "unknown keys fail loudly" contract, kept under v2.
+/// the op's parser, or the envelope is rejected — unknown keys fail
+/// loudly rather than silently falling back to a default.
 struct Fields {
     pairs: Vec<(String, Option<JsonValue>)>,
 }
@@ -915,9 +905,8 @@ pub fn render_progress_frame(id: Option<&str>, progress: &Progress) -> String {
     }
 }
 
-/// Formats one probability for the wire: v1 keeps its historical
-/// 6-decimal form; v2 uses shortest round-trip (bit-identical on
-/// parse).
+/// Formats one probability: shortest round-trip (bit-identical on
+/// parse) in full precision, else a fixed 6-decimal form.
 fn fmt_prob(p: f64, full_precision: bool) -> String {
     if full_precision {
         fmt_f64(p)
@@ -927,10 +916,10 @@ fn fmt_prob(p: f64, full_precision: bool) -> String {
 }
 
 /// Renders a served [`Response`]'s meta + payload as the *fields* of a
-/// response object (no surrounding braces): both dialects share this —
-/// the v1 line wraps it in `{}`, the v2 `result` frame prefixes the
-/// envelope head. `top` caps a sweep's ranking (`None` = 5);
-/// `full_precision` selects the v2 float form.
+/// response object (no surrounding braces) — a `result` frame prefixes
+/// the envelope head. `top` caps a sweep's ranking (`None` = 5);
+/// `full_precision` selects the round-trip float form every frame
+/// uses (`false` gives 6 decimals, for human-facing output).
 #[must_use]
 pub fn response_fields(
     top: Option<usize>,
@@ -1141,7 +1130,7 @@ impl std::fmt::Debug for Connection {
 
 /// A source of client connections — the I/O half the protocol engine
 /// is decoupled from. Two implementations ship: [`StdioTransport`]
-/// (one connection over stdin/stdout, the PR 3 framing) and
+/// (one connection over stdin/stdout) and
 /// [`TcpTransport`](crate::net::TcpTransport).
 pub trait Transport {
     /// Blocks for the next client; `Ok(None)` when the transport is
@@ -1150,8 +1139,8 @@ pub trait Transport {
 }
 
 /// The stdin/stdout transport: exactly one connection, then end of
-/// transport. Keeps `ser-cli serve` wire-compatible with PR 3 while
-/// sharing every byte of protocol logic with the TCP front door.
+/// transport. `ser-cli serve` shares every byte of protocol logic with
+/// the TCP front door through it.
 #[derive(Debug, Default)]
 pub struct StdioTransport {
     served: bool,
@@ -1165,12 +1154,12 @@ impl StdioTransport {
     }
 }
 
-struct StdinLines;
-
-impl LineStream for StdinLines {
+/// Any buffered reader is a line source: stdin for `ser-cli serve`, a
+/// request file for `ser-cli batch`.
+impl<R: BufRead + Send> LineStream for R {
     fn next_line(&mut self) -> io::Result<Option<String>> {
         let mut buf = String::new();
-        if io::stdin().lock().read_line(&mut buf)? == 0 {
+        if self.read_line(&mut buf)? == 0 {
             return Ok(None);
         }
         while buf.ends_with('\n') || buf.ends_with('\r') {
@@ -1187,7 +1176,7 @@ impl Transport for StdioTransport {
         }
         self.served = true;
         Ok(Some(Connection {
-            lines: Box::new(StdinLines),
+            lines: Box::new(io::BufReader::new(io::stdin())),
             sink: FrameSink::new(io::stdout()),
             peer: "stdio".to_owned(),
         }))
@@ -1276,8 +1265,6 @@ impl Drop for InflightPermit<'_> {
 /// Per-connection protocol state.
 #[derive(Debug, Default)]
 struct ConnState {
-    /// 1-based line counter (for v1 error lines).
-    line: usize,
     /// Lines served (for the quota).
     served: u64,
     /// Whether the shared secret has been presented.
@@ -1292,8 +1279,8 @@ enum Flow {
     Close,
 }
 
-/// The transport-agnostic request engine: parses envelope (or v1) job
-/// lines, dispatches them onto a shared [`SerService`], and writes the
+/// The transport-agnostic request engine: parses envelope lines,
+/// dispatches them onto a shared [`SerService`], and writes the
 /// framed reply — including mid-request progress frames — through the
 /// connection's [`FrameSink`]. One engine serves every connection of a
 /// server, so the session/response caches and the netlist cache are
@@ -1302,53 +1289,73 @@ enum Flow {
 pub struct ProtocolEngine {
     service: Arc<SerService>,
     config: EngineConfig,
-    circuits: Mutex<NetlistCache>,
+    /// Parsed netlists by path, shared by every connection.
+    circuits: Mutex<Lru<String, Arc<Circuit>>>,
     inflight: InflightGate,
     /// In-flight cancel handles, keyed by client request id. Engine-
     /// wide on purpose: a connection's serve loop is sequential, so a
     /// `cancel` necessarily arrives on a *different* connection than
-    /// the request it targets. Ids map to a `Vec` because a batch
-    /// registers every job token under the batch id, and because
-    /// nothing stops two clients from picking the same id.
+    /// the request it targets. An id belongs to exactly one in-flight
+    /// request — a reuse is refused at registration — so the `Vec`
+    /// holds one request's tokens: a single token, or under a batch id
+    /// every job of that batch.
     cancels: Mutex<HashMap<String, Vec<CancelToken>>>,
 }
 
-/// RAII deregistration of cancel-registry entries: however a request
-/// ends — result, error, panic unwinding past the dispatch — its
-/// tokens leave the registry, so a late `cancel` for a reused id can
-/// never trip a *future* request. Removal is by token identity
-/// ([`CancelToken::ptr_eq`]), not by id, so a concurrent request that
-/// chose the same id keeps its own registration.
+/// Engine-wide netlist cache bound: a daemon legitimately serving more
+/// distinct netlists than this at once is running a batch workload
+/// through the wrong front end; re-parsing the overflow is correct,
+/// just slower. Eviction only drops the cache's own handle; sessions
+/// already compiled from an evicted circuit keep their `Arc`s.
+const NETLIST_CACHE_CAPACITY: usize = 64;
+
+/// One request's claim on its ids in the cancel registry. Registering
+/// checks and inserts every id in one critical section, so two racing
+/// requests with the same id cannot both pass. Dropping the guard —
+/// however the request ends: result, error, panic unwinding past the
+/// dispatch — releases the ids, so a late `cancel` can never trip a
+/// *future* request that reuses one.
 struct CancelGuard<'a> {
     registry: &'a Mutex<HashMap<String, Vec<CancelToken>>>,
-    entries: Vec<(String, CancelToken)>,
+    ids: Vec<String>,
 }
 
 impl<'a> CancelGuard<'a> {
+    /// Claims every id in `entries` for one request.
+    ///
+    /// # Errors
+    ///
+    /// A `bad_request` [`WireError`] naming the first id that is live
+    /// in the registry or repeated within `entries`; nothing is
+    /// registered then.
     fn register(
         registry: &'a Mutex<HashMap<String, Vec<CancelToken>>>,
-        entries: Vec<(String, CancelToken)>,
-    ) -> Self {
-        {
-            let mut map = lock_clean(registry);
-            for (id, token) in &entries {
-                map.entry(id.clone()).or_default().push(token.clone());
-            }
+        entries: Vec<(String, Vec<CancelToken>)>,
+    ) -> Result<Self, WireError> {
+        let mut map = lock_clean(registry);
+        for (i, (id, _)) in entries.iter().enumerate() {
+            let clash = if map.contains_key(id) {
+                "is already in flight"
+            } else if entries[..i].iter().any(|(seen, _)| seen == id) {
+                "appears twice in this request"
+            } else {
+                continue;
+            };
+            return Err(bad(format!(
+                "request id `{id}` {clash}; ids must be unique among in-flight requests"
+            )));
         }
-        CancelGuard { registry, entries }
+        let ids = entries.iter().map(|(id, _)| id.clone()).collect();
+        map.extend(entries);
+        Ok(CancelGuard { registry, ids })
     }
 }
 
 impl Drop for CancelGuard<'_> {
     fn drop(&mut self) {
         let mut map = lock_clean(self.registry);
-        for (id, token) in &self.entries {
-            if let Some(tokens) = map.get_mut(id) {
-                tokens.retain(|t| !t.ptr_eq(token));
-                if tokens.is_empty() {
-                    map.remove(id);
-                }
-            }
+        for id in &self.ids {
+            map.remove(id);
         }
     }
 }
@@ -1365,7 +1372,7 @@ impl ProtocolEngine {
             },
             service,
             config,
-            circuits: Mutex::new(NetlistCache::default()),
+            circuits: Mutex::new(Lru::new(NETLIST_CACHE_CAPACITY)),
             cancels: Mutex::new(HashMap::new()),
         }
     }
@@ -1404,7 +1411,6 @@ impl ProtocolEngine {
         let sink = conn.sink;
         let mut state = ConnState::default();
         while let Some(line) = lines.next_line()? {
-            state.line += 1;
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
@@ -1428,11 +1434,11 @@ impl ProtocolEngine {
         // must be a valid hello, and anything else (including a line
         // that does not parse) closes the connection.
         if self.config.auth_token.is_some() && !state.authed {
-            if let Ok(ParsedLine::V2(WireRequest {
+            if let Ok(WireRequest {
                 id,
                 op: WireOp::Hello { token },
                 ..
-            })) = &parsed
+            }) = &parsed
             {
                 if token.as_deref() == self.config.auth_token.as_deref() {
                     state.authed = true;
@@ -1459,11 +1465,11 @@ impl ProtocolEngine {
         // The first hello is the quota-free handshake; repeats fall
         // through to the quota gate like any other op, so a hello loop
         // cannot elicit unlimited replies.
-        if let Ok(ParsedLine::V2(WireRequest {
+        if let Ok(WireRequest {
             id,
             op: WireOp::Hello { .. },
             ..
-        })) = &parsed
+        }) = &parsed
         {
             if !state.greeted {
                 state.authed = true;
@@ -1477,12 +1483,9 @@ impl ProtocolEngine {
         // not — a quota that garbage lines bypassed would be no quota.
         if let Some(quota) = self.config.quota {
             if state.served >= quota {
-                let id = match &parsed {
-                    Ok(ParsedLine::V2(req)) => req.id.clone(),
-                    _ => None,
-                };
+                let id = parsed.as_ref().ok().and_then(|req| req.id.as_deref());
                 sink.send(&render_error_frame(
-                    id.as_deref(),
+                    id,
                     &WireError::new(
                         ErrorCode::QuotaExceeded,
                         format!("request quota ({quota}) exhausted for this connection"),
@@ -1493,55 +1496,21 @@ impl ProtocolEngine {
         }
         state.served += 1;
 
-        let parsed = match parsed {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                // Dialect unknown when the line didn't parse: the v2
-                // error frame carries the same `error` key v1 clients
-                // look for.
-                sink.send(&render_error_frame(None, &e))?;
-                return Ok(Flow::Continue);
-            }
-        };
-
         match parsed {
-            ParsedLine::V1(spec) => {
-                let line_no = state.line;
-                match self.dispatch_v1(&spec) {
-                    Ok(reply) => sink.send(&reply)?,
-                    Err(e) => sink.send(&format!(
-                        "{{\"line\": {line_no}, \"error\": {}}}",
-                        e.render()
-                    ))?,
+            Ok(req) => {
+                if let Err(e) = self.dispatch(&req, sink)? {
+                    sink.send(&render_error_frame(req.id.as_deref(), &e))?;
                 }
             }
-            ParsedLine::V2(req) => {
-                let id = req.id.as_deref();
-                if let Err(e) = self.dispatch_v2(&req, sink)? {
-                    sink.send(&render_error_frame(id, &e))?;
-                }
-            }
+            Err(e) => sink.send(&render_error_frame(None, &e))?,
         }
         Ok(Flow::Continue)
     }
 
-    /// Serves a v1 job line; the reply is the old one-line response.
-    fn dispatch_v1(&self, spec: &JobSpec) -> Result<String, WireError> {
-        let circuit = self.load_circuit(&spec.netlist)?;
-        let request = spec.to_request(&circuit).map_err(classify_request_error)?;
-        let _permit = self.inflight.acquire();
-        let response = self.service.submit(&circuit, request)?;
-        Ok(jobs::v1_response_json(spec.top, &circuit, &response))
-    }
-
-    /// Serves a v2 op, writing progress/chunk/result frames. The outer
+    /// Serves one op, writing progress/chunk/result frames. The outer
     /// `io::Result` is transport failure; the inner result reports a
     /// protocol-level error for the caller to frame.
-    fn dispatch_v2(
-        &self,
-        req: &WireRequest,
-        sink: &FrameSink,
-    ) -> io::Result<Result<(), WireError>> {
+    fn dispatch(&self, req: &WireRequest, sink: &FrameSink) -> io::Result<Result<(), WireError>> {
         let id = req.id.as_deref();
         // A token exists whenever the request carries an id (so a
         // concurrent `cancel` can find it) or a deadline; ops that
@@ -1551,11 +1520,16 @@ impl ProtocolEngine {
             (_, Some(ms)) => Some(CancelToken::with_timeout(Duration::from_millis(ms))),
             (Some(_), None) => Some(CancelToken::new()),
         };
-        let _guard = match (&req.id, &token) {
-            (Some(rid), Some(token)) => Some(CancelGuard::register(
-                &self.cancels,
-                vec![(rid.clone(), token.clone())],
-            )),
+        let _guard = match (&req.id, &token, &req.op) {
+            // A batch claims its ids together with its jobs' tokens.
+            (_, _, WireOp::Batch(_)) => None,
+            (Some(rid), Some(token), _) => {
+                match CancelGuard::register(&self.cancels, vec![(rid.clone(), vec![token.clone()])])
+                {
+                    Ok(guard) => Some(guard),
+                    Err(e) => return Ok(Err(e)),
+                }
+            }
             _ => None,
         };
         if let Some(token) = &token {
@@ -1775,9 +1749,9 @@ impl ProtocolEngine {
         };
         let request = Request::MonteCarlo(MonteCarloRequest {
             site,
-            vectors: op.vectors.unwrap_or(JobSpec::DEFAULT_VECTORS),
+            vectors: op.vectors.unwrap_or(DEFAULT_VECTORS),
             target_error: op.target_error,
-            seed: op.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+            seed: op.seed.unwrap_or(DEFAULT_SEED),
         });
         let _permit = self.inflight.acquire();
         let streaming = op.progress && op.target_error.is_some();
@@ -1825,7 +1799,7 @@ impl ProtocolEngine {
             monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
                 runs: mc.runs,
                 target_error: mc.target_error,
-                seed: mc.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+                seed: mc.seed.unwrap_or(DEFAULT_SEED),
             }),
         });
         let _permit = self.inflight.acquire();
@@ -1966,9 +1940,11 @@ impl ProtocolEngine {
     /// is one wire request.
     ///
     /// Cancellation: each job's token registers under the job's own id
-    /// *and* under the batch envelope's id, so a client can cancel one
-    /// job surgically or the whole batch at once; a batch-level
-    /// `deadline_ms` combines with per-job deadlines (earlier wins).
+    /// and every job's token under the batch envelope's id, so a client
+    /// can cancel one job surgically or the whole batch at once; a
+    /// batch-level `deadline_ms` combines with per-job deadlines
+    /// (earlier wins). The ids are claimed before any job is resolved,
+    /// so a live or repeated id refuses the batch before any work.
     fn run_batch(
         &self,
         id: Option<&str>,
@@ -1976,23 +1952,37 @@ impl ProtocolEngine {
         deadline_ms: Option<u64>,
         sink: &FrameSink,
     ) -> io::Result<Result<(), WireError>> {
+        let tokens: Vec<CancelToken> = op
+            .jobs
+            .iter()
+            .map(|job| match (deadline_ms, job.deadline_ms) {
+                (Some(a), Some(b)) => CancelToken::with_timeout(Duration::from_millis(a.min(b))),
+                (Some(ms), None) | (None, Some(ms)) => {
+                    CancelToken::with_timeout(Duration::from_millis(ms))
+                }
+                (None, None) => CancelToken::new(),
+            })
+            .collect();
+        let mut entries = Vec::new();
+        if let Some(bid) = id {
+            entries.push((bid.to_owned(), tokens.clone()));
+        }
+        for (job, token) in op.jobs.iter().zip(&tokens) {
+            if let Some(jid) = &job.id {
+                entries.push((jid.clone(), vec![token.clone()]));
+            }
+        }
+        let _guard = match CancelGuard::register(&self.cancels, entries) {
+            Ok(guard) => guard,
+            Err(e) => return Ok(Err(e)),
+        };
         let mut jobs = Vec::with_capacity(op.jobs.len());
-        for job in &op.jobs {
-            match self.resolve_batch_job(job, deadline_ms, sink) {
+        for (job, token) in op.jobs.iter().zip(tokens) {
+            match self.resolve_batch_job(job, token, sink) {
                 Ok(j) => jobs.push(j),
                 Err(e) => return Ok(Err(e)),
             }
         }
-        let mut entries = Vec::new();
-        for (job, spec) in op.jobs.iter().zip(&jobs) {
-            if let Some(jid) = &job.id {
-                entries.push((jid.clone(), spec.token.clone()));
-            }
-            if let Some(bid) = id {
-                entries.push((bid.to_owned(), spec.token.clone()));
-            }
-        }
-        let _guard = CancelGuard::register(&self.cancels, entries);
         let _permit = self.inflight.acquire();
         let results = self.service.submit_batch_cancellable(
             jobs.iter()
@@ -2047,17 +2037,9 @@ impl ProtocolEngine {
     fn resolve_batch_job(
         &self,
         job: &WireRequest,
-        batch_deadline_ms: Option<u64>,
+        token: CancelToken,
         sink: &FrameSink,
     ) -> Result<BatchJob, WireError> {
-        let effective_ms = match (batch_deadline_ms, job.deadline_ms) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let token = match effective_ms {
-            Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
-            None => CancelToken::new(),
-        };
         let progress_sink = |want: bool| -> Option<ProgressFn> {
             want.then(|| -> ProgressFn {
                 let sink = sink.clone();
@@ -2110,9 +2092,9 @@ impl ProtocolEngine {
                 Ok(BatchJob {
                     request: Request::MonteCarlo(MonteCarloRequest {
                         site,
-                        vectors: op.vectors.unwrap_or(JobSpec::DEFAULT_VECTORS),
+                        vectors: op.vectors.unwrap_or(DEFAULT_VECTORS),
                         target_error: op.target_error,
-                        seed: op.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+                        seed: op.seed.unwrap_or(DEFAULT_SEED),
                     }),
                     progress: progress_sink(op.progress && op.target_error.is_some()),
                     top: None,
@@ -2136,7 +2118,7 @@ impl ProtocolEngine {
                         monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
                             runs: mc.runs,
                             target_error: mc.target_error,
-                            seed: mc.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+                            seed: mc.seed.unwrap_or(DEFAULT_SEED),
                         }),
                     }),
                     progress: progress_sink(streaming),
@@ -2159,7 +2141,7 @@ impl ProtocolEngine {
     /// consistently.
     fn load_circuit(&self, path: &str) -> Result<Arc<Circuit>, WireError> {
         if let Some(c) = lock_clean(&self.circuits).get(path) {
-            return Ok(c);
+            return Ok(Arc::clone(c));
         }
         let text = std::fs::read_to_string(path).map_err(|e| {
             WireError::new(ErrorCode::NotFound, format!("cannot read `{path}`: {e}"))
@@ -2177,49 +2159,8 @@ impl ProtocolEngine {
             WireError::new(ErrorCode::BadRequest, format!("cannot parse `{path}`: {e}"))
         })?;
         let circuit = Arc::new(circuit);
-        lock_clean(&self.circuits).insert(path, &circuit);
+        lock_clean(&self.circuits).insert(path.to_owned(), Arc::clone(&circuit));
         Ok(circuit)
-    }
-}
-
-/// The engine-wide netlist cache: one parse and one `Arc<Circuit>`
-/// per path, shared by every connection — **bounded**, with the same
-/// LRU discipline as the service's session/response caches, so a
-/// daemon fed ever-fresh paths cannot grow without limit. Eviction
-/// only drops the cache's own handle; sessions already compiled from
-/// an evicted circuit keep their `Arc`s.
-#[derive(Debug, Default)]
-struct NetlistCache {
-    entries: HashMap<String, (Arc<Circuit>, u64)>,
-    tick: u64,
-}
-
-impl NetlistCache {
-    /// A daemon legitimately serving more distinct netlists than this
-    /// at once is running a batch workload through the wrong front
-    /// end; re-parsing the overflow is correct, just slower.
-    const CAPACITY: usize = 64;
-
-    fn get(&mut self, path: &str) -> Option<Arc<Circuit>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (circuit, last_used) = self.entries.get_mut(path)?;
-        *last_used = tick;
-        Some(Arc::clone(circuit))
-    }
-
-    fn insert(&mut self, path: &str, circuit: &Arc<Circuit>) {
-        self.tick += 1;
-        let tick = self.tick;
-        crate::service::evict_lru_at_capacity(
-            &mut self.entries,
-            &path.to_owned(),
-            Self::CAPACITY,
-            |&(_, last_used)| last_used,
-        );
-        self.entries
-            .entry(path.to_owned())
-            .or_insert((Arc::clone(circuit), tick));
     }
 }
 
@@ -2304,15 +2245,4 @@ fn resolve_node(circuit: &Circuit, name: &str) -> Result<NodeId, WireError> {
             format!("no node named `{name}` in `{}`", circuit.name()),
         )
     })
-}
-
-/// v1 request-conversion errors are "not found" when they name a
-/// missing node, "bad request" otherwise — the split the structured
-/// codes need from the shim's prose errors.
-fn classify_request_error(message: String) -> WireError {
-    if message.starts_with("no node named") {
-        WireError::new(ErrorCode::NotFound, message)
-    } else {
-        WireError::new(ErrorCode::BadRequest, message)
-    }
 }

@@ -29,6 +29,7 @@ use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
 use ser_sp::{InputProbs, SpVector};
 
 use crate::executor::Executor;
+use crate::lru::Lru;
 use crate::request::{
     MultiCycleRequest, Request, Response, ResponseMeta, ResponsePayload, ServiceError, SiteRequest,
 };
@@ -148,17 +149,6 @@ pub struct ServiceStats {
     pub idle_reaped: u64,
 }
 
-struct CacheEntry {
-    session: Arc<AnalysisSession>,
-    last_used: u64,
-}
-
-struct SessionCache {
-    entries: HashMap<u64, CacheEntry>,
-    /// Logical clock for LRU recency.
-    tick: u64,
-}
-
 /// Cross-request sweep-response cache key: `(netlist hash, polarity)`.
 /// The *inputs* dimension is not part of the key — every entry pins
 /// the exact `Arc<SpVector>` its sweep was computed under, and lookups
@@ -177,41 +167,6 @@ struct SweepCacheEntry {
     /// the validity check — see [`SweepKey`]).
     sp: Arc<SpVector>,
     results: Arc<SweepResults>,
-    last_used: u64,
-}
-
-/// Evicts the least-recently-used entry when `entries` sits at
-/// `capacity` and does not already contain `key`. Shared by the
-/// session cache, the sweep-response cache, `set_inputs` and the
-/// protocol engine's netlist cache — one eviction policy, written
-/// once. Returns whether an entry was evicted.
-pub(crate) fn evict_lru_at_capacity<K: std::hash::Hash + Eq + Clone, V>(
-    entries: &mut HashMap<K, V>,
-    key: &K,
-    capacity: usize,
-    last_used: impl Fn(&V) -> u64,
-) -> bool {
-    if entries.contains_key(key) || entries.len() < capacity {
-        return false;
-    }
-    let lru = entries
-        .iter()
-        .min_by_key(|(_, e)| last_used(e))
-        .map(|(k, _)| k.clone());
-    match lru {
-        Some(lru) => {
-            entries.remove(&lru);
-            true
-        }
-        // Capacity 0 with an empty map: there is nothing to evict and
-        // nothing to make room for — inserting is the caller's call.
-        None => false,
-    }
-}
-
-struct SweepCache {
-    entries: HashMap<SweepKey, SweepCacheEntry>,
-    tick: u64,
 }
 
 /// One warm what-if session per base netlist. The entry is an
@@ -219,6 +174,7 @@ struct SweepCache {
 /// netlist**: a long re-sweep of one circuit's what-if stack never
 /// blocks edits against another circuit (the outer map lock is held
 /// only for the lookup).
+#[derive(Clone)]
 struct WhatIfEntry {
     /// The *base* (unedited) circuit the stack grew from — the
     /// collision guard, exactly like the session cache's `same_circuit`
@@ -226,20 +182,6 @@ struct WhatIfEntry {
     /// another circuit's edit stack.
     base: Arc<Circuit>,
     session: Arc<Mutex<WhatIfSession>>,
-    last_used: u64,
-}
-
-struct WhatIfCache {
-    entries: HashMap<u64, WhatIfEntry>,
-    tick: u64,
-}
-
-impl std::fmt::Debug for WhatIfCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WhatIfCache")
-            .field("sessions", &self.entries.len())
-            .finish()
-    }
 }
 
 /// The multi-circuit SER service. See the [module docs](self).
@@ -267,8 +209,8 @@ impl std::fmt::Debug for WhatIfCache {
 pub struct SerService {
     config: SerServiceConfig,
     executor: Executor,
-    cache: Mutex<SessionCache>,
-    sweep_cache: Mutex<SweepCache>,
+    cache: Mutex<Lru<u64, Arc<AnalysisSession>>>,
+    sweep_cache: Mutex<Lru<SweepKey, SweepCacheEntry>>,
     /// Last `set_inputs` distribution per netlist hash — consulted when
     /// a session is (re)compiled, so eviction cannot silently revert a
     /// circuit to default inputs.
@@ -276,7 +218,7 @@ pub struct SerService {
     /// Persistent compile-artifact cache (`None` when not configured).
     plan_cache: Option<PlanCache>,
     /// Warm what-if sessions, one per base netlist hash.
-    whatif: Mutex<WhatIfCache>,
+    whatif: Mutex<Lru<u64, WhatIfEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -290,22 +232,6 @@ pub struct SerService {
     /// they bump it when an idle connection is reaped, the service
     /// only reads it for [`stats`](Self::stats).
     idle_reaped: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for SessionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCache")
-            .field("sessions", &self.entries.len())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for SweepCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepCache")
-            .field("responses", &self.entries.len())
-            .finish()
-    }
 }
 
 /// A progress event emitted while a streaming-capable request runs —
@@ -403,23 +329,14 @@ impl SerService {
         );
         SerService {
             executor: Executor::new(config.threads),
+            cache: Mutex::new(Lru::new(config.max_sessions)),
+            sweep_cache: Mutex::new(Lru::new(config.max_sweep_responses)),
+            whatif: Mutex::new(Lru::new(config.max_whatif_sessions)),
             plan_cache: config
                 .plan_cache_dir
                 .clone()
                 .map(|dir| PlanCache::new(dir).with_max_bytes(config.plan_cache_max_bytes)),
             config,
-            cache: Mutex::new(SessionCache {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            sweep_cache: Mutex::new(SweepCache {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            whatif: Mutex::new(WhatIfCache {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
             inputs_overrides: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -453,14 +370,14 @@ impl SerService {
             session_hits: self.hits.load(Ordering::Relaxed),
             session_misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            sessions_cached: lock_clean(&self.cache).entries.len(),
+            sessions_cached: lock_clean(&self.cache).len(),
             sweep_cache_hits: self.sweep_hits.load(Ordering::Relaxed),
             sweep_cache_misses: self.sweep_misses.load(Ordering::Relaxed),
-            sweep_responses_cached: lock_clean(&self.sweep_cache).entries.len(),
+            sweep_responses_cached: lock_clean(&self.sweep_cache).len(),
             plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_misses.load(Ordering::Relaxed),
             plan_cache_evictions: self.plan_evictions.load(Ordering::Relaxed),
-            whatif_sessions_cached: lock_clean(&self.whatif).entries.len(),
+            whatif_sessions_cached: lock_clean(&self.whatif).len(),
             requests_cancelled: self.cancelled.load(Ordering::Relaxed),
             idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
         }
@@ -478,41 +395,12 @@ impl SerService {
     /// LRU recency on hit. `sp` must be the resolved session's current
     /// SP vector: an entry computed under any other vector — stale
     /// inputs, a diverged clone, even a hash-colliding circuit — fails
-    /// the pointer-identity check and reads as a miss.
+    /// the pointer-identity check and reads as a miss (the miss's own
+    /// insert then replaces the stale entry).
     fn sweep_cache_get(&self, key: &SweepKey, sp: &Arc<SpVector>) -> Option<Arc<SweepResults>> {
         let mut cache = lock_clean(&self.sweep_cache);
-        cache.tick += 1;
-        let tick = cache.tick;
-        let entry = cache.entries.get_mut(key)?;
-        if !Arc::ptr_eq(&entry.sp, sp) {
-            return None;
-        }
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.results))
-    }
-
-    /// Inserts a whole-circuit sweep response pinned to the SP vector
-    /// it was computed under, evicting the least-recently-used entry
-    /// at capacity.
-    fn sweep_cache_put(&self, key: SweepKey, sp: Arc<SpVector>, results: Arc<SweepResults>) {
-        if self.config.max_sweep_responses == 0 {
-            return;
-        }
-        let mut cache = lock_clean(&self.sweep_cache);
-        cache.tick += 1;
-        let tick = cache.tick;
-        let SweepCache { entries, .. } = &mut *cache;
-        evict_lru_at_capacity(entries, &key, self.config.max_sweep_responses, |e| {
-            e.last_used
-        });
-        entries.insert(
-            key,
-            SweepCacheEntry {
-                sp,
-                results,
-                last_used: tick,
-            },
-        );
+        let entry = cache.get(key)?;
+        Arc::ptr_eq(&entry.sp, sp).then(|| Arc::clone(&entry.results))
     }
 
     /// Re-derives the signal probabilities of `circuit`'s warm session
@@ -548,26 +436,13 @@ impl SerService {
         lock_clean(&self.inputs_overrides).insert(key, inputs);
 
         // …purge this netlist's cached sweep responses…
-        lock_clean(&self.sweep_cache)
-            .entries
-            .retain(|&(hash, _), _| hash != key);
+        lock_clean(&self.sweep_cache).retain(|&(hash, _), _| hash != key);
 
         // …then swap the updated session in (same eviction discipline
         // as `session`, in case the entry vanished between the locks).
-        let mut cache = lock_clean(&self.cache);
-        cache.tick += 1;
-        let tick = cache.tick;
-        let SessionCache { entries, .. } = &mut *cache;
-        if evict_lru_at_capacity(entries, &key, self.config.max_sessions, |e| e.last_used) {
+        if lock_clean(&self.cache).insert(key, Arc::new(updated)) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        entries.insert(
-            key,
-            CacheEntry {
-                session: Arc::new(updated),
-                last_used: tick,
-            },
-        );
         Ok(revision)
     }
 
@@ -586,19 +461,8 @@ impl SerService {
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<Mutex<WhatIfSession>>, ServiceError> {
         let key = circuit.structural_hash();
-        {
-            let mut cache = lock_clean(&self.whatif);
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.entries.get_mut(&key) {
-                if same_circuit(&entry.base, circuit) {
-                    entry.last_used = tick;
-                    return Ok(Arc::clone(&entry.session));
-                }
-                // Hash collision between different netlists: the slot
-                // is contended, never shared (see the session cache).
-                cache.entries.remove(&key);
-            }
+        if let Some(entry) = lookup(&mut lock_clean(&self.whatif), key, circuit, |e| &e.base) {
+            return Ok(entry.session);
         }
 
         // Build outside the lock — the base sweep can be expensive.
@@ -613,27 +477,16 @@ impl SerService {
         let wf = Arc::new(Mutex::new(wf));
 
         let mut cache = lock_clean(&self.whatif);
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(entry) = cache.entries.get_mut(&key) {
-            if same_circuit(&entry.base, circuit) {
-                // Lost a build race; adopt the winner (its stack may
-                // already hold edits this caller wants to extend).
-                entry.last_used = tick;
-                return Ok(Arc::clone(&entry.session));
-            }
-            cache.entries.remove(&key);
+        if let Some(winner) = lookup(&mut cache, key, circuit, |e| &e.base) {
+            // Lost a build race; adopt the winner (its stack may
+            // already hold edits this caller wants to extend).
+            return Ok(winner.session);
         }
-        let WhatIfCache { entries, .. } = &mut *cache;
-        evict_lru_at_capacity(entries, &key, self.config.max_whatif_sessions, |e| {
-            e.last_used
-        });
-        entries.insert(
+        cache.insert(
             key,
             WhatIfEntry {
                 base: Arc::clone(circuit),
                 session: Arc::clone(&wf),
-                last_used: tick,
             },
         );
         Ok(wf)
@@ -706,13 +559,8 @@ impl SerService {
         let key = circuit.structural_hash();
         let wf = {
             let mut cache = lock_clean(&self.whatif);
-            cache.tick += 1;
-            let tick = cache.tick;
-            match cache.entries.get_mut(&key) {
-                Some(entry) if same_circuit(&entry.base, circuit) => {
-                    entry.last_used = tick;
-                    Arc::clone(&entry.session)
-                }
+            match cache.get(&key) {
+                Some(entry) if same_circuit(&entry.base, circuit) => Arc::clone(&entry.session),
                 _ => {
                     return Err(ServiceError::InvalidRequest(
                         "no what-if session for this netlist — apply an edit first".into(),
@@ -767,22 +615,12 @@ impl SerService {
         cancel: Option<&CancelToken>,
     ) -> Result<(Arc<AnalysisSession>, bool), ServiceError> {
         let key = circuit.structural_hash();
-        {
-            let mut cache = lock_clean(&self.cache);
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.entries.get_mut(&key) {
-                if same_circuit(entry.session.circuit_arc(), circuit) {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&entry.session), true));
-                }
-                // A 64-bit hash collision between two *different*
-                // netlists: never serve the wrong session. The colliding
-                // circuits contend for one slot (correct, just not warm
-                // for both); fall through and recompile.
-                cache.entries.remove(&key);
-            }
+        let warm = lookup(&mut lock_clean(&self.cache), key, circuit, |s| {
+            s.circuit_arc()
+        });
+        if let Some(session) = warm {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((session, true));
         }
 
         // Miss: compile outside the lock, under the last distribution
@@ -840,27 +678,13 @@ impl SerService {
         }
 
         let mut cache = lock_clean(&self.cache);
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(entry) = cache.entries.get_mut(&key) {
-            if same_circuit(entry.session.circuit_arc(), circuit) {
-                // Lost a compile race; adopt the winner.
-                entry.last_used = tick;
-                return Ok((Arc::clone(&entry.session), true));
-            }
-            cache.entries.remove(&key);
+        if let Some(winner) = lookup(&mut cache, key, circuit, |s| s.circuit_arc()) {
+            // Lost a compile race; adopt the winner.
+            return Ok((winner, true));
         }
-        let SessionCache { entries, .. } = &mut *cache;
-        if evict_lru_at_capacity(entries, &key, self.config.max_sessions, |e| e.last_used) {
+        if cache.insert(key, Arc::clone(&session)) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        entries.insert(
-            key,
-            CacheEntry {
-                session: Arc::clone(&session),
-                last_used: tick,
-            },
-        );
         Ok((session, false))
     }
 
@@ -885,33 +709,22 @@ impl SerService {
             })
     }
 
-    /// Serves one request, streaming [`Progress`] events into
-    /// `on_progress` while it runs: sweep part completions as they are
-    /// collected, and — for sequential Monte-Carlo requests — interim
-    /// trial counters from the worker at doubling vector thresholds
-    /// (first at [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT),
-    /// so short runs stay quiet and long runs emit O(log n) events).
-    ///
-    /// The response is **identical** to [`submit`](Self::submit) with
-    /// the same arguments: progress reporting observes the run, it
-    /// never reshapes it. Requests served straight from the response
-    /// cache complete without any progress events.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceError`].
-    pub fn submit_streaming(
-        &self,
-        circuit: &Arc<Circuit>,
-        request: Request,
-        on_progress: ProgressFn,
-    ) -> Result<Response, ServiceError> {
-        self.submit_cancellable(circuit, request, Some(on_progress), None)
-    }
-
     /// Serves one request under an optional progress sink and an
     /// optional cooperative [`CancelToken`] — the fully general single
-    /// submit. The token is polled between executor parts (sweep site
+    /// submit.
+    ///
+    /// The sink receives [`Progress`] events while the request runs:
+    /// sweep part completions as they are collected, and — for
+    /// sequential Monte-Carlo requests — interim trial counters from
+    /// the worker at doubling vector thresholds (first at
+    /// [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT), so short
+    /// runs stay quiet and long runs emit O(log n) events). Progress
+    /// reporting observes the run, it never reshapes it: the response
+    /// is **identical** to [`submit`](Self::submit). Requests served
+    /// straight from the response cache complete without any progress
+    /// events.
+    ///
+    /// The token is polled between executor parts (sweep site
     /// batches), between Monte-Carlo observation blocks, at the
     /// multi-cycle simulation's block boundaries and inside a cold
     /// session's plan compile; a trip aborts the request with
@@ -952,29 +765,15 @@ impl SerService {
         &self,
         jobs: Vec<(Arc<Circuit>, Request)>,
     ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_with(
+        self.submit_batch_cancellable(
             jobs.into_iter()
-                .map(|(circuit, request)| (circuit, request, None))
+                .map(|(circuit, request)| (circuit, request, None, None))
                 .collect(),
         )
     }
 
     /// [`submit_batch`](Self::submit_batch) with an optional progress
-    /// sink per job (see [`submit_streaming`](Self::submit_streaming)).
-    #[must_use]
-    pub fn submit_batch_with(
-        &self,
-        jobs: Vec<(Arc<Circuit>, Request, Option<ProgressFn>)>,
-    ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_cancellable(
-            jobs.into_iter()
-                .map(|(circuit, request, progress)| (circuit, request, progress, None))
-                .collect(),
-        )
-    }
-
-    /// [`submit_batch_with`](Self::submit_batch_with) with an optional
-    /// cooperative [`CancelToken`] per job (see
+    /// sink and an optional cooperative [`CancelToken`] per job (see
     /// [`submit_cancellable`](Self::submit_cancellable)). Tokens are
     /// independent: cancelling one job of a batch never disturbs its
     /// neighbours — their parts keep running and their responses stay
@@ -1062,7 +861,13 @@ impl SerService {
                         if let (Some((key, sp)), ResponsePayload::Sweep(results)) =
                             (prep.cache_key, &payload)
                         {
-                            self.sweep_cache_put(key, sp, Arc::clone(results));
+                            lock_clean(&self.sweep_cache).insert(
+                                key,
+                                SweepCacheEntry {
+                                    sp,
+                                    results: Arc::clone(results),
+                                },
+                            );
                         }
                         payload
                     }
@@ -1285,6 +1090,27 @@ fn same_circuit(cached: &Arc<Circuit>, submitted: &Arc<Circuit>) -> bool {
     Arc::ptr_eq(cached, submitted) || cached == submitted
 }
 
+/// The cache entry under `key` when it was built from `circuit`, marked
+/// most recently used. An entry from a *different* netlist under the
+/// same 64-bit hash is dropped instead: never serve the wrong circuit's
+/// state. The colliding circuits contend for one slot (correct, just
+/// not warm for both).
+fn lookup<V: Clone>(
+    cache: &mut Lru<u64, V>,
+    key: u64,
+    circuit: &Arc<Circuit>,
+    built_from: impl Fn(&V) -> &Arc<Circuit>,
+) -> Option<V> {
+    match cache.get(&key) {
+        Some(entry) if same_circuit(built_from(entry), circuit) => Some(entry.clone()),
+        Some(_) => {
+            cache.remove(&key);
+            None
+        }
+        None => None,
+    }
+}
+
 /// The multi-cycle leg runs analytic + optional simulation in one job
 /// (both are single-site and cheap relative to a sweep). With a
 /// progress sink, the sequential (Mendo-rule) simulation reports its
@@ -1466,49 +1292,5 @@ fn single(parts: Vec<(usize, Result<Part, ServiceError>)>) -> Result<Part, Servi
         None => Err(ServiceError::Internal(
             "single-part request reported no parts".into(),
         )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression: with `capacity == 0` and an empty map there is
-    /// nothing to evict — this used to `.expect("non-empty cache")`
-    /// on the empty LRU scan and panic the daemon's collector thread.
-    #[test]
-    fn evict_at_zero_capacity_on_empty_map_does_not_panic() {
-        let mut entries: HashMap<String, u64> = HashMap::new();
-        assert!(!evict_lru_at_capacity(
-            &mut entries,
-            &"fresh".to_owned(),
-            0,
-            |&t| t
-        ));
-        assert!(entries.is_empty());
-    }
-
-    /// The normal path still evicts the least-recently-used entry
-    /// when the map is at capacity and the key is new.
-    #[test]
-    fn evict_drops_lru_at_capacity() {
-        let mut entries: HashMap<String, u64> = HashMap::new();
-        entries.insert("old".into(), 1);
-        entries.insert("new".into(), 2);
-        assert!(evict_lru_at_capacity(
-            &mut entries,
-            &"fresh".to_owned(),
-            2,
-            |&t| t
-        ));
-        assert!(!entries.contains_key("old"));
-        assert!(entries.contains_key("new"));
-        // Present keys never evict, regardless of capacity pressure.
-        assert!(!evict_lru_at_capacity(
-            &mut entries,
-            &"new".to_owned(),
-            1,
-            |&t| t
-        ));
     }
 }

@@ -244,35 +244,24 @@ impl SequentialMonteCarlo {
     /// `SiteEstimate::vectors` reports the trials actually spent.
     #[must_use]
     pub fn estimate_site(&self, sim: &BitSim, site: NodeId) -> SiteEstimate {
-        self.estimate_site_observed(sim, site, |_, _| {})
-    }
-
-    /// [`estimate_site`](Self::estimate_site) with a progress observer:
-    /// `observe(vectors_run, sensitized_so_far)` is called after every
-    /// simulated block (64 vectors, fewer on the capped final block), so
-    /// a long-running sequential estimate can stream interim counts —
-    /// the service's wire protocol turns these into progress frames.
-    ///
-    /// The observer cannot influence the run: the estimate is
-    /// **bit-identical** to `estimate_site` whatever it does.
-    #[must_use]
-    pub fn estimate_site_observed(
-        &self,
-        sim: &BitSim,
-        site: NodeId,
-        observe: impl FnMut(u64, u64),
-    ) -> SiteEstimate {
-        match self.estimate_site_cancellable(sim, site, None, observe) {
+        match self.estimate_site_cancellable(sim, site, None, |_, _| {}) {
             Ok(est) => est,
             Err(_) => unreachable!("an estimate without a token cannot be cancelled"),
         }
     }
 
-    /// [`estimate_site_observed`](Self::estimate_site_observed) with a
-    /// cooperative [`CancelToken`], polled at every 64-vector block
-    /// boundary — the same granularity the observer ticks at. A trip
-    /// aborts the loop and discards the partial counts; with a live
-    /// token the estimate is **bit-identical** to the plain call.
+    /// [`estimate_site`](Self::estimate_site) with a cooperative
+    /// [`CancelToken`] and a progress observer.
+    ///
+    /// `observe(vectors_run, sensitized_so_far)` is called after every
+    /// simulated block (64 vectors, fewer on the capped final block), so
+    /// a long-running sequential estimate can stream interim counts —
+    /// the service's wire protocol turns these into progress frames.
+    /// The token is polled at the same block boundaries. A trip aborts
+    /// the loop and discards the partial counts.
+    ///
+    /// Neither the observer nor a live token can influence the run: the
+    /// estimate is **bit-identical** to `estimate_site`.
     ///
     /// # Errors
     ///
@@ -549,7 +538,9 @@ mod tests {
         let mc = SequentialMonteCarlo::new(0.1).with_seed(3);
         let plain = mc.estimate_site(&sim, a);
         let mut calls: Vec<(u64, u64)> = Vec::new();
-        let observed = mc.estimate_site_observed(&sim, a, |ran, hits| calls.push((ran, hits)));
+        let observed = mc
+            .estimate_site_cancellable(&sim, a, None, |ran, hits| calls.push((ran, hits)))
+            .unwrap();
         assert_eq!(observed, plain, "observer must not perturb the run");
         // One call per 64-vector block, counts non-decreasing, final
         // call reports the totals the estimate is built from.

@@ -5,8 +5,7 @@
 //! ser-cli analyze <netlist> [--top N]         whole-circuit SER report
 //! ser-cli epp     <netlist> <node>            per-site EPP detail
 //! ser-cli advise  <netlist> [--rounds N]      iterative hardening advisor
-
-//! ser-cli batch   <jobs.jsonl>                run a v1 JSONL job file through the service
+//! ser-cli batch   <requests.jsonl>            serve a file of v2 envelopes, one per line
 //! ser-cli serve   [--tcp ADDR]                protocol server on stdin/stdout or TCP
 //! ser-cli gen     <profile> [--seed S] [-o F] emit a synthetic benchmark
 //! ser-cli convert <in> <out>                  .bench <-> .v conversion
@@ -18,13 +17,14 @@
 //!
 //! `serve` speaks the versioned wire protocol documented in
 //! [`ser_suite::service::protocol`] — envelope requests, framed
-//! streaming replies, structured errors — plus the v1 flat-job shim,
-//! on stdin/stdout by default or as a TCP daemon with `--tcp ADDR`
-//! (optional `--auth-token`, per-client `--quota`, server-wide
-//! `--max-inflight`, idle-connection reaping with `--idle-timeout`).
-//! `batch` runs a v1 JSONL job file as one
-//! interleaved batch, prints one response line per job, and exits
-//! non-zero if any job failed.
+//! streaming replies, structured errors — on stdin/stdout by default
+//! or as a TCP daemon with `--tcp ADDR` (optional `--auth-token`,
+//! per-client `--quota`, server-wide `--max-inflight`, idle-connection
+//! reaping with `--idle-timeout`). `batch` serves a file of the same
+//! envelopes, one per line, exactly as `serve` would serve them on
+//! stdin: the reply frames go to stdout, and the exit code is non-zero
+//! if any `error` frame was written. Put a `batch` envelope in the
+//! file to interleave jobs on the executor.
 //!
 //! `batch` and `serve` accept `--cache-dir DIR` to persist compiled
 //! cone plans across processes (see [`ser_suite::netlist::PlanCache`])
@@ -32,9 +32,10 @@
 //! entries are evicted at store time); `cache stats` / `cache clear`
 //! inspect and empty the directory.
 
-use std::collections::HashMap;
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,8 +47,8 @@ use ser_suite::netlist::{
     parse_bench, parse_verilog, write_bench, write_verilog, Circuit, CircuitStats, PlanCache,
 };
 use ser_suite::service::{
-    parse_job_line, serve, v1_response_json, EngineConfig, JobSpec, ProtocolEngine, SerService,
-    SerServiceConfig, StdioTransport, TcpTransport, WireError,
+    serve, Connection, EngineConfig, FrameSink, ProtocolEngine, SerService, SerServiceConfig,
+    StdioTransport, TcpTransport,
 };
 
 fn load(path: &str) -> Result<Circuit, String> {
@@ -229,35 +230,6 @@ fn cmd_advise(
     Ok(())
 }
 
-/// Loads netlists for the service commands, caching by path so a job
-/// file naming one netlist many times parses (and hashes) it once.
-struct CircuitCache {
-    by_path: HashMap<String, Arc<Circuit>>,
-}
-
-impl CircuitCache {
-    fn new() -> Self {
-        CircuitCache {
-            by_path: HashMap::new(),
-        }
-    }
-
-    fn load(&mut self, path: &str) -> Result<Arc<Circuit>, String> {
-        if let Some(c) = self.by_path.get(path) {
-            return Ok(Arc::clone(c));
-        }
-        let circuit: Arc<Circuit> = Arc::new(load(path)?);
-        self.by_path.insert(path.to_owned(), Arc::clone(&circuit));
-        Ok(circuit)
-    }
-}
-
-/// Renders a failed job as a v1 error line with a structured
-/// `{code, message}` error object.
-fn error_json(line_no: usize, error: &WireError) -> String {
-    format!("{{\"line\": {line_no}, \"error\": {}}}", error.render())
-}
-
 fn service_config(args: &[String]) -> Result<SerServiceConfig, String> {
     let mut config = SerServiceConfig::default();
     if let Some(threads) = flag_value(args, "--threads") {
@@ -315,57 +287,53 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `batch`: parse the whole job file, submit it as one interleaved
-/// batch, print one response line per job in file order. Exits
-/// non-zero when any job failed (the error lines still print, so a
-/// pipeline sees both the partial results and the failure).
-fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
-    use std::io::Write as _;
+/// Standard output for `batch` frames, counting the `error` frames that
+/// pass through. The frame sink hands over each frame line in one
+/// write, and ids and messages are JSON-escaped, so the bare
+/// `"frame": "error"` key can only be a frame's own kind.
+struct ErrorTally {
+    out: io::Stdout,
+    errors: Arc<AtomicUsize>,
+}
 
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let service = SerService::new(config);
-    let mut cache = CircuitCache::new();
-    // Parse every line first; a bad line fails the whole batch up front
-    // (jobs may take minutes — better to reject early).
-    let mut specs: Vec<(usize, JobSpec, Arc<Circuit>)> = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() || line.trim_start().starts_with('#') {
-            continue;
+impl Write for ErrorTally {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        const ERROR_FRAME: &[u8] = b"\"frame\": \"error\"";
+        if buf.windows(ERROR_FRAME.len()).any(|w| w == ERROR_FRAME) {
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let spec = parse_job_line(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-        let circuit = cache
-            .load(&spec.netlist)
-            .map_err(|e| format!("line {}: {e}", line_no + 1))?;
-        specs.push((line_no + 1, spec, circuit));
+        self.out.write_all(buf)?;
+        Ok(buf.len())
     }
-    let jobs = specs
-        .iter()
-        .map(|(line_no, spec, circuit)| {
-            let request = spec
-                .to_request(circuit)
-                .map_err(|e| format!("line {line_no}: {e}"))?;
-            Ok((Arc::clone(circuit), request))
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// `batch`: serves a request file's envelope lines through the same
+/// engine path `serve` uses on stdin, printing every reply frame.
+/// Exits non-zero when any `error` frame was written (the other frames
+/// still print, so a pipeline sees both the partial results and the
+/// failure).
+fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
+    let file = fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let service = Arc::new(SerService::new(config));
+    let engine = ProtocolEngine::new(Arc::clone(&service), EngineConfig::default());
+    let errors = Arc::new(AtomicUsize::new(0));
+    engine
+        .serve_connection(Connection {
+            lines: Box::new(io::BufReader::new(file)),
+            sink: FrameSink::new(ErrorTally {
+                out: io::stdout(),
+                errors: Arc::clone(&errors),
+            }),
+            peer: path.to_owned(),
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    let responses = service.submit_batch(jobs);
-    let stdout = std::io::stdout();
-    let mut w = stdout.lock();
-    let mut failed = 0usize;
-    for ((line_no, spec, circuit), response) in specs.iter().zip(responses) {
-        let line = match response {
-            Ok(r) => v1_response_json(spec.top, circuit, &r),
-            Err(e) => {
-                failed += 1;
-                error_json(*line_no, &WireError::from(e))
-            }
-        };
-        writeln!(w, "{line}").map_err(|e| e.to_string())?;
-    }
-    drop(w);
+        .map_err(|e| format!("batch: {e}"))?;
     let stats = service.stats();
     eprintln!(
-        "served {} jobs ({} warm hits, {} compiles, {} evictions, {} sessions cached; sweep cache {} hits / {} misses, {} cached; plan cache {} hits / {} misses / {} evicted)",
-        specs.len(),
+        "{} warm hits, {} compiles, {} evictions, {} sessions cached; sweep cache {} hits / {} misses, {} cached; plan cache {} hits / {} misses / {} evicted",
         stats.session_hits,
         stats.session_misses,
         stats.evictions,
@@ -377,14 +345,14 @@ fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
         stats.plan_cache_misses,
         stats.plan_cache_evictions
     );
-    if failed > 0 {
-        return Err(format!("{failed} of {} jobs failed", specs.len()));
+    match errors.load(Ordering::Relaxed) {
+        0 => Ok(()),
+        n => Err(format!("{n} error frame(s) written")),
     }
-    Ok(())
 }
 
 /// `serve`: the protocol server — versioned envelopes with streaming
-/// frames plus the v1 shim — on stdin/stdout, or on TCP with `--tcp`.
+/// frames — on stdin/stdout, or on TCP with `--tcp`.
 /// Compiled circuits stay warm in the shared session LRU across
 /// requests (and, on TCP, across client connections).
 fn cmd_serve(
@@ -473,7 +441,7 @@ fn cmd_gen(name: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  ser-cli info    <netlist>\n  ser-cli analyze <netlist> [--top N] [--threads N]\n  ser-cli epp     <netlist> <node>\n  ser-cli advise  <netlist> [--rounds N] [--budget B] [--cost unit|area] [--threads N]\n  ser-cli batch   <jobs.jsonl> [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N]\n  ser-cli serve   [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N] [--tcp ADDR] [--auth-token TOKEN] [--quota N] [--max-inflight N] [--idle-timeout SECS]\n  ser-cli gen     <profile> [--seed S] [-o out.bench]\n  ser-cli convert <in.bench|in.v> <out.bench|out.v>\n  ser-cli cache   <stats|clear> --cache-dir DIR"
+    "usage:\n  ser-cli info    <netlist>\n  ser-cli analyze <netlist> [--top N] [--threads N]\n  ser-cli epp     <netlist> <node>\n  ser-cli advise  <netlist> [--rounds N] [--budget B] [--cost unit|area] [--threads N]\n  ser-cli batch   <requests.jsonl> [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N]\n  ser-cli serve   [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N] [--tcp ADDR] [--auth-token TOKEN] [--quota N] [--max-inflight N] [--idle-timeout SECS]\n  ser-cli gen     <profile> [--seed S] [-o out.bench]\n  ser-cli convert <in.bench|in.v> <out.bench|out.v>\n  ser-cli cache   <stats|clear> --cache-dir DIR"
         .to_owned()
 }
 

@@ -119,13 +119,17 @@ fn frame_kind(line: &str) -> Option<String> {
         .map(str::to_owned)
 }
 
-/// The deterministic frames of a reply: chunk frames carry only wire
-/// values (no wall-clock field), so they compare bit-for-bit.
+/// The deterministic frames of a reply, from the frame kind on: chunk
+/// frames carry only wire values (no wall-clock field), so they compare
+/// bit-for-bit — across requests too, since the request id is cut off.
 fn chunk_frames(lines: &[String]) -> Vec<String> {
     lines
         .iter()
         .filter(|l| frame_kind(l).as_deref() == Some("chunk"))
-        .cloned()
+        .filter_map(|l| {
+            l.split_once(", \"frame\": ")
+                .map(|(_, rest)| rest.to_owned())
+        })
         .collect()
 }
 
@@ -150,14 +154,19 @@ fn serve_with_faults(
 fn disconnects_at_every_frame_boundary_never_leak_or_taint_survivors() {
     let netlist = write_netlist("boundaries");
     let path = netlist.to_str().unwrap();
-    let request = format!(
-        r#"{{"v": 2, "id": "q", "op": "sweep", "netlist": "{path}", "top": 0, "chunk_sites": 2}}"#
-    );
+    // Ids are unique among in-flight requests, so every connection gets
+    // its own — one character long, so every reply has the reference's
+    // frame byte boundaries.
+    let request = |id: char| {
+        format!(
+            r#"{{"v": 2, "id": "{id}", "op": "sweep", "netlist": "{path}", "top": 0, "chunk_sites": 2}}"#
+        )
+    };
 
     // Reference reply from an unfaulted engine: 3 chunk frames + result.
     let reference = {
         let engine = engine();
-        let (c, buffer) = conn(vec![request.clone()]);
+        let (c, buffer) = conn(vec![request('q')]);
         serve_with_faults(&engine, vec![c], Vec::new());
         lines_of(&buffer)
     };
@@ -178,8 +187,8 @@ fn disconnects_at_every_frame_boundary_never_leak_or_taint_survivors() {
         let mut conns = Vec::new();
         let mut schedules = Vec::new();
         let mut buffers = Vec::new();
-        for &at in &boundaries {
-            let (c, buffer) = conn(vec![request.clone()]);
+        for (&at, id) in boundaries.iter().zip('a'..) {
+            let (c, buffer) = conn(vec![request(id)]);
             conns.push(c);
             buffers.push(buffer);
             schedules.push(
@@ -188,7 +197,7 @@ fn disconnects_at_every_frame_boundary_never_leak_or_taint_survivors() {
                     .tear_write_after_bytes(at),
             );
         }
-        let (survivor, survivor_buffer) = conn(vec![request.clone()]);
+        let (survivor, survivor_buffer) = conn(vec![request('s')]);
         conns.push(survivor);
         serve_with_faults(&engine, conns, schedules);
 
@@ -203,7 +212,7 @@ fn disconnects_at_every_frame_boundary_never_leak_or_taint_survivors() {
             reference_chunks,
             "seed {seed}: survivor tainted"
         );
-        let (rerun, rerun_buffer) = conn(vec![request.clone()]);
+        let (rerun, rerun_buffer) = conn(vec![request('q')]);
         serve_with_faults(&engine, vec![rerun], Vec::new());
         assert_eq!(
             chunk_frames(&lines_of(&rerun_buffer)),
@@ -313,13 +322,15 @@ fn cancel_races_under_chaos_leave_no_leaks_and_clean_survivors() {
     path.push(format!("ser_chaos_{}_race.bench", std::process::id()));
     std::fs::write(&path, ser_suite::netlist::write_bench(&circuit)).unwrap();
     let bench = path.to_str().unwrap();
-    let sweep = format!(
-        r#"{{"v": 2, "id": "raced", "op": "sweep", "netlist": "{bench}", "top": 0, "chunk_sites": 4096}}"#
-    );
+    let sweep = |id: &str| {
+        format!(
+            r#"{{"v": 2, "id": "{id}", "op": "sweep", "netlist": "{bench}", "top": 0, "chunk_sites": 4096}}"#
+        )
+    };
 
     let reference = {
         let engine = engine();
-        let (c, buffer) = conn(vec![sweep.clone()]);
+        let (c, buffer) = conn(vec![sweep("raced")]);
         serve_with_faults(&engine, vec![c], Vec::new());
         chunk_frames(&lines_of(&buffer))
     };
@@ -330,14 +341,15 @@ fn cancel_races_under_chaos_leave_no_leaks_and_clean_survivors() {
         // cancels for A's id (connections run concurrently under
         // `serve`, so the cancel lands at a seed-and-scheduler-chosen
         // point: before, during, or after the sweep). C: a clean
-        // survivor.
-        let (a, a_buffer) = conn(vec![sweep.clone()]);
+        // survivor under its own id — an id names one in-flight
+        // request, so the cancels can only ever reach A.
+        let (a, a_buffer) = conn(vec![sweep("raced")]);
         let (b, b_buffer) = conn(
             (0..8)
                 .map(|i| format!(r#"{{"v": 2, "id": "c{i}", "op": "cancel", "target": "raced"}}"#))
                 .collect(),
         );
-        let (c, c_buffer) = conn(vec![sweep.clone()]);
+        let (c, c_buffer) = conn(vec![sweep("survivor")]);
         serve_with_faults(
             &engine,
             vec![a, b, c],
@@ -371,7 +383,7 @@ fn cancel_races_under_chaos_leave_no_leaks_and_clean_survivors() {
         }
         // The survivor and a warm rerun are never tainted by the race.
         assert_eq!(chunk_frames(&lines_of(&c_buffer)), reference, "seed {seed}");
-        let (rerun, rerun_buffer) = conn(vec![sweep.clone()]);
+        let (rerun, rerun_buffer) = conn(vec![sweep("raced")]);
         serve_with_faults(&engine, vec![rerun], Vec::new());
         assert_eq!(
             chunk_frames(&lines_of(&rerun_buffer)),

@@ -113,7 +113,7 @@ fn bad_usage_fails_with_message() {
 }
 
 #[test]
-fn batch_serves_jsonl_jobs_with_warm_reuse() {
+fn batch_serves_envelope_lines_with_warm_reuse() {
     let bench = temp_path("batch_s298.bench");
     let jobs = temp_path("jobs.jsonl");
     let out = cli()
@@ -128,10 +128,12 @@ fn batch_serves_jsonl_jobs_with_warm_reuse() {
         &jobs,
         format!(
             "# a comment line\n\
-             {{\"op\": \"sweep\", \"netlist\": \"{netlist}\", \"top\": 2}}\n\
+             {{\"v\": 2, \"id\": \"s\", \"op\": \"sweep\", \"netlist\": \"{netlist}\", \"top\": 2}}\n\
              \n\
-             {{\"op\": \"site\", \"netlist\": \"{netlist}\", \"node\": \"G0\"}}\n\
-             {{\"op\": \"monte_carlo\", \"netlist\": \"{netlist}\", \"node\": \"G0\", \"vectors\": 1000}}\n"
+             {{\"v\": 2, \"id\": \"e\", \"op\": \"site\", \"netlist\": \"{netlist}\", \"node\": \"G0\"}}\n\
+             {{\"v\": 2, \"id\": \"b\", \"op\": \"batch\", \"jobs\": [\
+               {{\"id\": \"m\", \"op\": \"monte_carlo\", \"netlist\": \"{netlist}\", \"node\": \"G0\", \"vectors\": 1000}}, \
+               {{\"id\": \"e2\", \"op\": \"site\", \"netlist\": \"{netlist}\", \"node\": \"G1\"}}]}}\n"
         ),
     )
     .unwrap();
@@ -145,21 +147,28 @@ fn batch_serves_jsonl_jobs_with_warm_reuse() {
     assert!(out.status.success(), "batch failed: {out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "one response per job: {text}");
+    // Sweep and site: one result frame each; the batch envelope: one
+    // result frame per job, then its summary frame.
+    assert_eq!(lines.len(), 5, "one frame per reply: {text}");
+    assert!(lines[0].contains("\"id\": \"s\""), "{}", lines[0]);
     assert!(lines[0].contains("\"op\": \"sweep\""), "{}", lines[0]);
     assert!(lines[0].contains("\"warm\": false"), "first compiles");
     assert!(lines[1].contains("\"op\": \"site\""), "{}", lines[1]);
     assert!(lines[1].contains("\"warm\": true"), "second is warm");
     assert!(lines[2].contains("\"vectors\": 1000"), "{}", lines[2]);
+    assert!(lines[3].contains("\"id\": \"e2\""), "{}", lines[3]);
+    assert!(lines[4].contains("\"op\": \"batch\""), "{}", lines[4]);
+    assert!(lines[4].contains("\"errors\": 0"), "{}", lines[4]);
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("2 warm hits"), "stats on stderr: {err}");
+    assert!(err.contains("3 warm hits"), "stats on stderr: {err}");
 
-    // A malformed job file is rejected before anything runs.
-    std::fs::write(&jobs, "{\"op\": \"warp\", \"netlist\": \"x\"}\n").unwrap();
+    // A malformed line is answered with a structured error frame and
+    // fails the exit code.
+    std::fs::write(&jobs, "{\"v\": 2, \"op\": \"warp\", \"netlist\": \"x\"}\n").unwrap();
     let out = cli().args(["batch"]).arg(&jobs).output().unwrap();
     assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown op"), "stderr: {err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\"code\": \"unknown_op\""), "stdout: {text}");
 
     for p in [&bench, &jobs] {
         let _ = std::fs::remove_file(p);
@@ -178,8 +187,8 @@ fn batch_exits_nonzero_when_a_job_fails() {
     std::fs::write(
         &jobs,
         format!(
-            "{{\"op\": \"sweep\", \"netlist\": \"{path}\", \"top\": 1}}\n\
-             {{\"op\": \"monte_carlo\", \"netlist\": \"{path}\", \"node\": \"y\", \"vectors\": 0}}\n"
+            "{{\"v\": 2, \"id\": \"a\", \"op\": \"sweep\", \"netlist\": \"{path}\", \"top\": 1}}\n\
+             {{\"v\": 2, \"id\": \"b\", \"op\": \"monte_carlo\", \"netlist\": \"{path}\", \"node\": \"y\", \"vectors\": 0}}\n"
         ),
     )
     .unwrap();
@@ -192,15 +201,15 @@ fn batch_exits_nonzero_when_a_job_fails() {
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 2, "both jobs still answered: {text}");
     assert!(lines[0].contains("\"op\": \"sweep\""), "{}", lines[0]);
-    // The failure is a structured {code, message} object, not a bare
-    // string.
+    // The failure is a structured {code, message} error frame.
+    assert!(lines[1].contains("\"frame\": \"error\""), "{}", lines[1]);
     assert!(
         lines[1].contains("\"error\": {\"code\": \"bad_request\""),
         "{}",
         lines[1]
     );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("1 of 2 jobs failed"), "stderr: {err}");
+    assert!(err.contains("1 error frame"), "stderr: {err}");
 
     for p in [&good, &jobs] {
         let _ = std::fs::remove_file(p);
@@ -208,7 +217,7 @@ fn batch_exits_nonzero_when_a_job_fails() {
 }
 
 #[test]
-fn serve_speaks_both_dialects_on_stdio() {
+fn serve_speaks_the_envelope_protocol_on_stdio() {
     use std::io::{BufRead, BufReader, Write};
     use std::process::Stdio;
 
@@ -235,18 +244,18 @@ fn serve_speaks_both_dialects_on_stdio() {
         line
     };
 
-    // A v1 job line: answered in the v1 shape.
+    // A site envelope compiles the session.
     writeln!(
         stdin,
-        "{{\"op\": \"site\", \"netlist\": \"{path}\", \"node\": \"y\"}}"
+        "{{\"v\": 2, \"id\": \"r0\", \"op\": \"site\", \"netlist\": \"{path}\", \"node\": \"y\"}}"
     )
     .unwrap();
     stdin.flush().unwrap();
-    let v1 = read_line(&mut stdout);
-    assert!(v1.contains("\"op\": \"site\""), "{v1}");
-    assert!(!v1.contains("\"frame\""), "v1 reply has no envelope: {v1}");
+    let site = read_line(&mut stdout);
+    assert!(site.contains("\"op\": \"site\""), "{site}");
+    assert!(site.contains("\"warm\": false"), "{site}");
 
-    // A v2 envelope: framed result with the echoed id.
+    // A sweep envelope: framed result with the echoed id.
     writeln!(
         stdin,
         "{{\"v\": 2, \"id\": \"r1\", \"op\": \"sweep\", \"netlist\": \"{path}\", \"top\": 1}}"
@@ -258,8 +267,16 @@ fn serve_speaks_both_dialects_on_stdio() {
     assert!(v2.contains("\"id\": \"r1\""), "{v2}");
     assert!(v2.contains("\"warm\": true"), "session stayed warm: {v2}");
 
-    // A structured error for a bad line.
+    // Structured errors for a bad version and for an unversioned line.
     writeln!(stdin, "{{\"v\": 3, \"op\": \"stats\"}}").unwrap();
+    stdin.flush().unwrap();
+    let err = read_line(&mut stdout);
+    assert!(err.contains("\"code\": \"unsupported_version\""), "{err}");
+    writeln!(
+        stdin,
+        "{{\"op\": \"site\", \"netlist\": \"{path}\", \"node\": \"y\"}}"
+    )
+    .unwrap();
     stdin.flush().unwrap();
     let err = read_line(&mut stdout);
     assert!(err.contains("\"code\": \"unsupported_version\""), "{err}");

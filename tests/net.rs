@@ -282,9 +282,9 @@ fn sequential_monte_carlo_streams_over_tcp() {
     let _ = std::fs::remove_file(&toy);
 }
 
-/// Auth handshake, per-client quota, and the v1 shim over TCP.
+/// Auth handshake and per-client quota over TCP.
 #[test]
-fn auth_quota_and_v1_shim_over_tcp() {
+fn auth_and_quota_over_tcp() {
     let toy = write_netlist("authq", TOY);
     let path = toy.to_str().unwrap();
     let server = Server::start(EngineConfig {
@@ -306,18 +306,20 @@ fn auth_quota_and_v1_shim_over_tcp() {
     );
     assert!(client.at_eof(), "connection closed after auth failure");
 
-    // Hello + two ops (the quota), third refused and closed. The v1
-    // shim works over TCP too once authed.
+    // Hello + two ops (the quota), third refused and closed.
     let mut client = server.connect();
     client.send(r#"{"v": 2, "op": "hello", "token": "sesame"}"#);
     let (_, hello) = client.recv_reply();
     assert_eq!(hello.get("op").and_then(JsonValue::as_str), Some("hello"));
     client.send(&format!(
-        r#"{{"op": "site", "netlist": "{path}", "node": "y"}}"#
+        r#"{{"v": 2, "id": "s", "op": "site", "netlist": "{path}", "node": "y"}}"#
     ));
-    let v1 = client.recv();
-    assert!(v1.get("frame").is_none(), "v1 reply has no envelope: {v1}");
-    assert_eq!(v1.get("op").and_then(JsonValue::as_str), Some("site"));
+    let (_, site) = client.recv_reply();
+    assert_eq!(
+        site.get("frame").and_then(JsonValue::as_str),
+        Some("result")
+    );
+    assert_eq!(site.get("op").and_then(JsonValue::as_str), Some("site"));
     client.send(r#"{"v": 2, "op": "stats"}"#);
     let (_, stats) = client.recv_reply();
     assert_eq!(stats.get("op").and_then(JsonValue::as_str), Some("stats"));

@@ -1,8 +1,8 @@
-//! Wire-protocol tests: envelope parsing (including the nested
-//! containers the v2 dialect adds), structured error codes, the v1
-//! compatibility shim against recorded PR-3 job lines, streaming
-//! frames through an in-memory connection, and proptests over
-//! malformed / truncated / version-mismatched lines.
+//! Wire-protocol tests: envelope parsing (including nested
+//! containers), structured error codes, the refusal of unversioned
+//! lines, streaming frames through an in-memory connection, unique
+//! in-flight ids, and proptests over malformed / truncated /
+//! version-mismatched lines.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use ser_suite::epp::{AnalysisSession, PolarityMode};
 use ser_suite::service::json::{self, JsonValue};
 use ser_suite::service::{
-    parse_job_line, parse_wire_line, Connection, EngineConfig, ErrorCode, FrameSink, JobOp,
-    LineStream, ParsedLine, ProtocolEngine, SerService, SerServiceConfig, WireOp, PROTOCOL_VERSION,
+    parse_wire_line, Connection, EngineConfig, ErrorCode, FrameSink, LineStream, ProtocolEngine,
+    SerService, SerServiceConfig, WireOp, PROTOCOL_VERSION,
 };
 use ser_suite::sim::SequentialMonteCarlo;
 use ser_suite::sp::InputProbs;
@@ -113,12 +113,10 @@ fn error_code(line: &str) -> Option<String> {
 
 #[test]
 fn v2_envelope_parses_each_op_with_nested_containers() {
-    let ParsedLine::V2(req) = parse_wire_line(
+    let req = parse_wire_line(
         r#"{"v": 2, "id": "r1", "op": "sweep", "netlist": "x.bench", "sites": ["a", "y"], "polarity": "merged", "top": 3, "chunk_sites": 2}"#,
     )
-    .unwrap() else {
-        panic!("v2 expected");
-    };
+    .unwrap();
     assert_eq!(req.id.as_deref(), Some("r1"));
     let WireOp::Sweep(sweep) = req.op else {
         panic!("sweep expected");
@@ -131,12 +129,10 @@ fn v2_envelope_parses_each_op_with_nested_containers() {
     assert_eq!(sweep.top, Some(3));
     assert_eq!(sweep.chunk_sites, Some(2));
 
-    let ParsedLine::V2(req) = parse_wire_line(
+    let req = parse_wire_line(
         r#"{"v": 2, "op": "multi_cycle", "netlist": "x.bench", "node": "y", "cycles": 4, "monte_carlo": {"runs": 1000, "target_error": 0.2, "seed": 9}}"#,
     )
-    .unwrap() else {
-        panic!("v2 expected");
-    };
+    .unwrap();
     let WireOp::MultiCycle(mcy) = req.op else {
         panic!("multi_cycle expected");
     };
@@ -147,12 +143,10 @@ fn v2_envelope_parses_each_op_with_nested_containers() {
         (1000, Some(0.2), Some(9))
     );
 
-    let ParsedLine::V2(req) = parse_wire_line(
+    let req = parse_wire_line(
         r#"{"v": 2, "op": "set_inputs", "netlist": "x.bench", "inputs": {"default": 0.3, "overrides": {"a": 0.9, "b": 0.25}}}"#,
     )
-    .unwrap() else {
-        panic!("v2 expected");
-    };
+    .unwrap();
     let WireOp::SetInputs(si) = req.op else {
         panic!("set_inputs expected");
     };
@@ -163,12 +157,14 @@ fn v2_envelope_parses_each_op_with_nested_containers() {
     );
 
     assert!(matches!(
-        parse_wire_line(r#"{"v": 2, "op": "stats"}"#).unwrap(),
-        ParsedLine::V2(r) if matches!(r.op, WireOp::Stats)
+        parse_wire_line(r#"{"v": 2, "op": "stats"}"#).unwrap().op,
+        WireOp::Stats
     ));
     assert!(matches!(
-        parse_wire_line(r#"{"v": 2, "op": "hello", "token": "s"}"#).unwrap(),
-        ParsedLine::V2(r) if matches!(r.op, WireOp::Hello { token: Some(_) })
+        parse_wire_line(r#"{"v": 2, "op": "hello", "token": "s"}"#)
+            .unwrap()
+            .op,
+        WireOp::Hello { token: Some(_) }
     ));
 }
 
@@ -199,7 +195,7 @@ fn v2_rejects_unknown_ops_unread_fields_and_bad_probabilities() {
     let err = parse_wire_line(r#"{"v": 2, "op": "warp", "netlist": "x"}"#).unwrap_err();
     assert_eq!(err.code, ErrorCode::UnknownOp);
 
-    // Unread fields fail loudly, exactly like the v1 dialect.
+    // Unread fields fail loudly.
     let err = parse_wire_line(r#"{"v": 2, "op": "stats", "netlist": "x.bench"}"#).unwrap_err();
     assert_eq!(err.code, ErrorCode::BadRequest, "{err}");
     assert!(err.message.contains("netlist"), "{err}");
@@ -225,14 +221,13 @@ fn v2_rejects_unknown_ops_unread_fields_and_bad_probabilities() {
 
 #[test]
 fn version_gate_is_strict() {
-    for (line, expect_shim_hint) in [
-        (r#"{"v": 1, "op": "sweep", "netlist": "x"}"#, true),
-        (r#"{"v": 3, "op": "sweep", "netlist": "x"}"#, false),
-        (r#"{"v": 99, "op": "stats"}"#, false),
+    for line in [
+        r#"{"v": 1, "op": "sweep", "netlist": "x"}"#,
+        r#"{"v": 3, "op": "sweep", "netlist": "x"}"#,
+        r#"{"v": 99, "op": "stats"}"#,
     ] {
         let err = parse_wire_line(line).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{line}");
-        assert_eq!(err.message.contains("unversioned"), expect_shim_hint);
     }
     let err = parse_wire_line(r#"{"v": "two", "op": "stats"}"#).unwrap_err();
     assert_eq!(err.code, ErrorCode::BadRequest);
@@ -240,90 +235,32 @@ fn version_gate_is_strict() {
     assert_eq!(err.code, ErrorCode::BadRequest);
 }
 
-// ---------------------------------------------------------------------
-// The v1 shim
-// ---------------------------------------------------------------------
-
-/// The exact job lines PR 3 documented and tested — recorded here so
-/// the shim is measured against the dialect as it actually shipped.
-const RECORDED_V1_LINES: &[&str] = &[
-    r#"{"op": "sweep", "netlist": "s953.bench", "top": 5}"#,
-    r#"{"op": "site", "netlist": "s953.bench", "node": "G125"}"#,
-    r#"{"op": "monte_carlo", "netlist": "s953.bench", "node": "G125", "vectors": 20000, "target_error": 0.1}"#,
-    r#"{"op": "multi_cycle", "netlist": "s953.bench", "node": "G125", "cycles": 4, "runs": 10000}"#,
-    r#"{"op": "epp", "netlist": "a.bench", "node": "y"}"#,
-    r#"{"op": "mc", "netlist": "a.bench", "node": "y", "seed": 7}"#,
-];
-
 #[test]
-fn recorded_v1_job_lines_parse_through_the_shim() {
-    for line in RECORDED_V1_LINES {
-        let ParsedLine::V1(spec) = parse_wire_line(line).unwrap() else {
-            panic!("v1 expected for `{line}`");
-        };
-        // The shim must agree with the original v1 parser, field for
-        // field.
-        assert_eq!(spec, parse_job_line(line).unwrap(), "`{line}`");
-    }
-    // Spot-check the op mapping.
-    let ParsedLine::V1(spec) = parse_wire_line(RECORDED_V1_LINES[2]).unwrap() else {
-        panic!("v1");
-    };
-    assert_eq!(spec.op, JobOp::MonteCarlo);
-    assert_eq!(spec.vectors, Some(20000));
-    assert_eq!(spec.target_error, Some(0.1));
+fn unversioned_lines_get_unsupported_version() {
+    // The flat, unversioned job shape is refused, parsed or served.
+    let line = r#"{"op": "site", "netlist": "x.bench", "node": "y"}"#;
+    let err = parse_wire_line(line).unwrap_err();
+    assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{err}");
+    assert!(err.message.contains("\"v\""), "{err}");
 
-    // v1 rejections keep their codes: unknown op, nested containers.
-    let err = parse_wire_line(r#"{"op": "warp", "netlist": "x"}"#).unwrap_err();
-    assert_eq!(err.code, ErrorCode::BadRequest);
-    assert!(err.message.contains("unknown op"), "{err}");
-    let err = parse_wire_line(r#"{"op": "sweep", "netlist": "x", "sites": ["a"]}"#).unwrap_err();
-    assert!(err.message.contains("nested containers"), "{err}");
-}
-
-#[test]
-fn v1_lines_are_served_in_the_v1_response_shape() {
-    let netlist = write_netlist("v1shape");
+    let netlist = write_netlist("unversioned");
     let path = netlist.to_str().unwrap();
     let engine = engine();
     let replies = run_lines(
         &engine,
         vec![
-            "# a comment line".to_owned(),
-            String::new(),
             format!(r#"{{"op": "sweep", "netlist": "{path}", "top": 2}}"#),
-            format!(r#"{{"op": "site", "netlist": "{path}", "node": "y"}}"#),
-            format!(r#"{{"op": "site", "netlist": "{path}", "node": "zz"}}"#),
+            // The connection stays usable after the refusal.
+            format!(r#"{{"v": 2, "id": "ok", "op": "site", "netlist": "{path}", "node": "y"}}"#),
         ],
     );
-    assert_eq!(replies.len(), 3, "{replies:?}");
-    // v1 responses: no envelope, no frame key, the old field layout.
-    let sweep = json::parse_value(&replies[0]).unwrap();
-    assert!(sweep.get("v").is_none() && sweep.get("frame").is_none());
-    assert_eq!(sweep.get("op").and_then(JsonValue::as_str), Some("sweep"));
-    assert_eq!(sweep.get("warm"), Some(&JsonValue::Bool(false)));
-    assert_eq!(sweep.get("nodes").and_then(JsonValue::as_count), Some(5));
-    let JsonValue::Arr(top) = sweep.get("top").unwrap() else {
-        panic!("ranking array");
-    };
-    assert_eq!(top.len(), 2, "top: 2 honoured");
-    let site = json::parse_value(&replies[1]).unwrap();
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert_eq!(frame_kind(&replies[0]).as_deref(), Some("error"));
     assert_eq!(
-        site.get("warm"),
-        Some(&JsonValue::Bool(true)),
-        "session warm"
+        error_code(&replies[0]).as_deref(),
+        Some("unsupported_version")
     );
-    // v1 errors now carry the structured object (the one deliberate
-    // change to the dialect).
-    let err = json::parse_value(&replies[2]).unwrap();
-    assert_eq!(err.get("line").and_then(JsonValue::as_count), Some(5));
-    assert_eq!(
-        err.get("error")
-            .unwrap()
-            .get("code")
-            .and_then(JsonValue::as_str),
-        Some("not_found")
-    );
+    assert_eq!(frame_kind(&replies[1]).as_deref(), Some("result"));
     let _ = std::fs::remove_file(&netlist);
 }
 
@@ -965,7 +902,7 @@ const CANONICAL_LINES: &[&str] = &[
     r#"{"v": 2, "id": "r1", "op": "sweep", "netlist": "x.bench", "sites": ["a", "y"], "chunk_sites": 2}"#,
     r#"{"v": 2, "op": "set_inputs", "netlist": "x.bench", "inputs": {"default": 0.5, "overrides": {"a": 0.9}}}"#,
     r#"{"v": 2, "op": "multi_cycle", "netlist": "x.bench", "node": "y", "cycles": 4, "monte_carlo": {"runs": 1000}}"#,
-    r#"{"op": "monte_carlo", "netlist": "s953.bench", "node": "G125", "vectors": 20000}"#,
+    r#"{"v": 2, "op": "monte_carlo", "netlist": "s953.bench", "node": "G125", "vectors": 20000}"#,
 ];
 
 proptest! {
@@ -1002,7 +939,7 @@ proptest! {
         match parse_wire_line(&line) {
             Ok(parsed) => {
                 prop_assert_eq!(v, PROTOCOL_VERSION);
-                prop_assert!(matches!(parsed, ParsedLine::V2(_)));
+                prop_assert!(matches!(parsed.op, WireOp::Stats));
             }
             Err(e) => {
                 prop_assert_ne!(v, PROTOCOL_VERSION);
@@ -1019,20 +956,14 @@ proptest! {
 #[test]
 fn cancel_batch_and_deadline_envelopes_parse() {
     // Every op accepts a deadline.
-    let ParsedLine::V2(req) = parse_wire_line(
+    let req = parse_wire_line(
         r#"{"v": 2, "id": "s", "op": "site", "netlist": "x.bench", "node": "y", "deadline_ms": 250}"#,
     )
-    .unwrap() else {
-        panic!("v2 expected");
-    };
+    .unwrap();
     assert_eq!(req.deadline_ms, Some(250));
 
     // The cancel op names its target.
-    let ParsedLine::V2(req) =
-        parse_wire_line(r#"{"v": 2, "id": "c1", "op": "cancel", "target": "r42"}"#).unwrap()
-    else {
-        panic!("v2 expected");
-    };
+    let req = parse_wire_line(r#"{"v": 2, "id": "c1", "op": "cancel", "target": "r42"}"#).unwrap();
     let WireOp::Cancel(op) = req.op else {
         panic!("cancel expected");
     };
@@ -1043,12 +974,10 @@ fn cancel_batch_and_deadline_envelopes_parse() {
 
     // Batch: nested jobs parse recursively, with their own ids and
     // deadlines.
-    let ParsedLine::V2(req) = parse_wire_line(
+    let req = parse_wire_line(
         r#"{"v": 2, "id": "b", "op": "batch", "deadline_ms": 9000, "jobs": [{"id": "j1", "op": "sweep", "netlist": "x.bench"}, {"id": "j2", "op": "site", "netlist": "x.bench", "node": "y", "deadline_ms": 100}]}"#,
     )
-    .unwrap() else {
-        panic!("v2 expected");
-    };
+    .unwrap();
     assert_eq!(req.deadline_ms, Some(9000));
     let WireOp::Batch(op) = req.op else {
         panic!("batch expected");
@@ -1521,4 +1450,165 @@ fn error_paths_never_leak_permits_or_registrations() {
         );
     }
     let _ = std::fs::remove_file(&netlist);
+}
+
+/// Like [`FrameTap`], but parks the writing thread on the first
+/// `progress` frame until the test opens the gate — which holds that
+/// request in flight deterministically, with no timing assumptions.
+struct GatedTap {
+    buf: Vec<u8>,
+    out: std::sync::mpsc::Sender<String>,
+    gate: Option<std::sync::mpsc::Receiver<()>>,
+}
+
+impl Write for GatedTap {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.buf.extend_from_slice(buf);
+        while let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = self.buf.drain(..=nl).collect();
+            let line = String::from_utf8(line).unwrap().trim_end().to_owned();
+            let progress = frame_kind(&line).as_deref() == Some("progress");
+            let _ = self.out.send(line);
+            if progress {
+                if let Some(gate) = self.gate.take() {
+                    let _ = gate.recv();
+                }
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_live_request_id_is_refused_until_its_request_ends() {
+    let circuit = ser_suite::gen::synthesize(&ser_suite::gen::profile("s9234").unwrap(), 1);
+    let mut path = std::env::temp_dir();
+    path.push(format!("ser_protocol_{}_sameid.bench", std::process::id()));
+    std::fs::write(&path, ser_suite::netlist::write_bench(&circuit)).unwrap();
+    let bench = path.to_str().unwrap().to_owned();
+    let node = circuit.node(circuit.node_ids().next().unwrap()).name();
+    let sweep = format!(
+        r#"{{"v": 2, "id": "X", "op": "sweep", "netlist": "{bench}", "top": 3, "chunk_sites": 8192, "progress": true}}"#
+    );
+    let site =
+        format!(r#"{{"v": 2, "id": "X", "op": "site", "netlist": "{bench}", "node": "{node}"}}"#);
+
+    // A: a long sweep under id X, held in flight at its first progress
+    // frame. A permit limit makes the gate count holders.
+    let engine = Arc::new(engine_with(EngineConfig {
+        max_inflight: 4,
+        ..EngineConfig::default()
+    }));
+    let (line_tx, line_rx) = std::sync::mpsc::channel::<Option<String>>();
+    let (frame_tx, frame_rx) = std::sync::mpsc::channel::<String>();
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let server = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            engine
+                .serve_connection(Connection {
+                    lines: Box::new(ChannelLines(line_rx)),
+                    sink: FrameSink::new(GatedTap {
+                        buf: Vec::new(),
+                        out: frame_tx,
+                        gate: Some(gate_rx),
+                    }),
+                    peer: "same-id-a".to_owned(),
+                })
+                .expect("in-memory I/O");
+        })
+    };
+    line_tx.send(Some(sweep.clone())).unwrap();
+    let mut a_frames = Vec::new();
+    loop {
+        let frame = frame_rx.recv().expect("sweep produced no frames");
+        let kind = frame_kind(&frame);
+        a_frames.push(frame);
+        match kind.as_deref() {
+            Some("progress") => break,
+            Some("result") | Some("error") => {
+                panic!("finished before first progress: {a_frames:?}")
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(engine.cancel_registrations(), 1, "A holds X");
+
+    // B reuses X — alone, and as a batch job id — and is refused with a
+    // structured error before any work.
+    let refused = run_lines(
+        &engine,
+        vec![
+            site.clone(),
+            format!(
+                r#"{{"v": 2, "id": "Y", "op": "batch", "jobs": [{{"id": "X", "op": "site", "netlist": "{bench}", "node": "{node}"}}]}}"#
+            ),
+        ],
+    );
+    assert_eq!(refused.len(), 2, "{refused:?}");
+    for (line, id) in refused.iter().zip(["X", "Y"]) {
+        assert_eq!(error_code(line).as_deref(), Some("bad_request"), "{line}");
+        let v = json::parse_value(line).unwrap();
+        assert_eq!(v.get("id").and_then(JsonValue::as_str), Some(id));
+    }
+    assert_eq!(
+        engine.cancel_registrations(),
+        1,
+        "refusals register nothing"
+    );
+    assert_eq!(engine.inflight_active(), 1, "refusals take no permit");
+
+    // Release A; it completes untouched.
+    gate_tx.send(()).unwrap();
+    let terminal = loop {
+        let frame = frame_rx.recv().expect("sweep must answer");
+        let kind = frame_kind(&frame);
+        a_frames.push(frame.clone());
+        if matches!(kind.as_deref(), Some("result") | Some("error")) {
+            break frame;
+        }
+    };
+    assert_eq!(
+        frame_kind(&terminal).as_deref(),
+        Some("result"),
+        "{terminal}"
+    );
+    line_tx.send(None).unwrap();
+    server.join().unwrap();
+
+    // A's values are bit-identical to the same sweep run solo.
+    let solo = run_lines(&engine_with(EngineConfig::default()), vec![sweep]);
+    let chunks = |frames: &[String]| -> Vec<String> {
+        frames
+            .iter()
+            .filter(|l| frame_kind(l).as_deref() == Some("chunk"))
+            .cloned()
+            .collect()
+    };
+    assert!(!chunks(&a_frames).is_empty());
+    assert_eq!(chunks(&a_frames), chunks(&solo), "A was perturbed");
+    let total = |line: &str| {
+        json::parse_value(line)
+            .unwrap()
+            .get("total_p_sensitized")
+            .and_then(JsonValue::as_f64)
+            .unwrap()
+            .to_bits()
+    };
+    assert_eq!(total(&terminal), total(solo.last().unwrap()));
+
+    // X is free again once A has finished.
+    let again = run_lines(&engine, vec![site]);
+    assert_eq!(
+        frame_kind(&again[0]).as_deref(),
+        Some("result"),
+        "{again:?}"
+    );
+    assert_eq!(engine.cancel_registrations(), 0);
+    assert_eq!(engine.inflight_active(), 0);
+    let _ = std::fs::remove_file(&path);
 }

@@ -420,7 +420,8 @@ fn set_inputs_survives_session_eviction() {
     );
 }
 
-/// `submit_streaming` reports progress without perturbing results:
+/// A progress sink on `submit_cancellable` reports progress without
+/// perturbing results:
 /// sweep part completions arrive monotonically, sequential Monte-Carlo
 /// counters stream from the worker, and the responses are identical to
 /// plain `submit`.
@@ -448,7 +449,12 @@ fn streaming_progress_observes_without_perturbing() {
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
     let streamed = service
-        .submit_streaming(&circuit, Request::Sweep(SweepRequest::default()), sink)
+        .submit_cancellable(
+            &circuit,
+            Request::Sweep(SweepRequest::default()),
+            Some(sink),
+            None,
+        )
         .unwrap();
     let direct = service
         .submit(&circuit, Request::Sweep(SweepRequest::default()))
@@ -487,7 +493,7 @@ fn streaming_progress_observes_without_perturbing() {
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
     let streamed = service
-        .submit_streaming(&circuit, request.clone(), sink)
+        .submit_cancellable(&circuit, request.clone(), Some(sink), None)
         .unwrap();
     let direct = service.submit(&circuit, request).unwrap();
     assert_eq!(

@@ -36,9 +36,10 @@ fn session_reuse_is_bit_identical_to_fresh_construction() {
             assert_eq!(cached, session.site(id), "{}: re-query {id}", c.name());
         }
 
-        let sweep_fresh = fresh.all_sites();
+        // The per-site reference path is the sweep's oracle.
+        let sweep_fresh: Vec<_> = c.node_ids().map(|id| fresh.site(id)).collect();
         for threads in [1, 4] {
-            let sweep_cached = session.all_sites(threads);
+            let sweep_cached = session.sweep(threads).to_site_epps();
             assert_eq!(
                 sweep_cached,
                 sweep_fresh,

@@ -216,14 +216,14 @@ proptest! {
         }
     }
 
-    /// The owned-conversion compatibility path (`all_sites*`) inherits
-    /// the same identity.
+    /// The owned conversion (`sweep(..).to_site_epps()`) inherits the
+    /// same identity.
     #[test]
     fn all_sites_matches_reference((inputs, gates, reconv, xf, seed) in dag_strategy()) {
         let c = build(inputs, gates, reconv, xf, seed);
         let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let owned = analysis.all_sites_parallel(3);
+        let owned = analysis.sweep(3, &WorkspacePool::new()).to_site_epps();
         let mut ws = SiteWorkspace::new(&analysis);
         for (id, got) in c.node_ids().zip(&owned) {
             let reference = analysis.site_with_workspace(id, PolarityMode::Tracked, &mut ws);

@@ -70,7 +70,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "no-panic-path",
-        scope: "crates/service/src/{protocol,service,net,jobs}.rs (non-test code)",
+        scope: "crates/service/src/{protocol,service,net,lru}.rs (non-test code)",
         rationale: "a panic on the request path kills a connection thread and poisons \
                     shared engine locks; a daemon serving millions of users answers \
                     with a structured ErrorCode frame instead. unwrap/expect/panic!/ \
@@ -146,7 +146,7 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/service/src/protocol.rs",
     "crates/service/src/service.rs",
     "crates/service/src/net.rs",
-    "crates/service/src/jobs.rs",
+    "crates/service/src/lru.rs",
 ];
 
 // ---------------------------------------------------------------------

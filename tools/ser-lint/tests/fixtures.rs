@@ -209,7 +209,7 @@ mod tests {
     }
 }
 ";
-    assert!(lint_file("crates/service/src/jobs.rs", src).is_empty());
+    assert!(lint_file("crates/service/src/lru.rs", src).is_empty());
 }
 
 #[test]
