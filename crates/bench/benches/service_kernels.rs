@@ -20,7 +20,7 @@ fn warm_service(threads: usize) -> (SerService, Arc<ser_netlist::Circuit>) {
         plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
-    service.session(&circuit).unwrap();
+    service.session(&circuit, None).unwrap();
     (service, circuit)
 }
 

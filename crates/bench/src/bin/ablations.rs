@@ -34,9 +34,10 @@ fn epp_error_vs_exact_with(
 ) -> f64 {
     let probs = InputProbs::default();
     let session = AnalysisSession::with_engine(circuit, probs, sp_engine).expect("valid circuit");
+    let sites: Vec<_> = circuit.node_ids().collect();
     let sweep = session
         .epp()
-        .sweep_with(polarity, 1, session.workspace_pool());
+        .sweep_sites_with(&sites, polarity, 1, session.workspace_pool());
     let oracle = ExactEpp::new();
     let pairs: Vec<SitePair> = sweep
         .iter()

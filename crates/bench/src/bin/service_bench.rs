@@ -199,8 +199,8 @@ fn main() {
     // --- Interleaving: two sweeps, serialized vs one batch. -----------
     let (a, b) = (&circuits[0], circuits.get(1).unwrap_or(&circuits[0]));
     let service = fresh_service(threads);
-    service.session(a).expect("compiles");
-    service.session(b).expect("compiles");
+    service.session(a, None).expect("compiles");
+    service.session(b, None).expect("compiles");
     // Serialized: one sweep fully drains before the next is submitted.
     let t = Instant::now();
     let ra = service
@@ -213,8 +213,18 @@ fn main() {
     // Interleaved: both sweeps' batches share the executor queue.
     let t = Instant::now();
     let both = service.submit_batch(vec![
-        (Arc::clone(a), Request::Sweep(SweepRequest::default())),
-        (Arc::clone(b), Request::Sweep(SweepRequest::default())),
+        (
+            Arc::clone(a),
+            Request::Sweep(SweepRequest::default()),
+            None,
+            None,
+        ),
+        (
+            Arc::clone(b),
+            Request::Sweep(SweepRequest::default()),
+            None,
+            None,
+        ),
     ]);
     let interleaved_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(

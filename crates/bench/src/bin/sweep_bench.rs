@@ -21,9 +21,6 @@
 //! - `plan_build_ms`: one-time cone-plan compilation cost of the
 //!   **reverse-topological** builder (what production pays, amortized
 //!   across every subsequent sweep of the session).
-//! - `plan_build_dfs_ms` / `plan_speedup`: the retained per-site-DFS
-//!   reference builder's cost on the same circuit, and the ratio — the
-//!   cold-start win of the merge builder.
 //! - `whatif_resweep_ms` / `whatif_dirty_site_fraction` /
 //!   `whatif_full_recompute_ms`: the incremental what-if engine on a
 //!   single-gate TMR — dirty-region re-sweep cost and dirty fraction
@@ -36,7 +33,7 @@ use std::time::Instant;
 
 use ser_epp::{AnalysisSession, Edit, KernelBackend, PolarityMode, SiteWorkspace, WhatIfSession};
 use ser_gen::synthesize;
-use ser_netlist::{ConePlans, FlatConePlans, NodeId};
+use ser_netlist::{ConePlans, NodeId};
 
 /// Number of nodes with a DFF-free path into `root` — the what-if
 /// engine's dirty region for an edit at a fanout-free gate.
@@ -135,40 +132,21 @@ fn main() {
             p99_us: percentile_us(&ref_lat, 0.99),
         };
 
-        // --- Plan build: both builders, explicitly timed. -------------
-        // The suffix-shared reverse-topological merge builder (the
-        // production path) is timed first, with nothing else resident —
-        // the flat reference arena is an order of magnitude larger and
-        // keeping it alive during the merge build distorts the timing
-        // through allocator and cache pressure.
-        let topo = epp.artifacts();
+        // --- Plan build, explicitly timed. ----------------------------
+        // `tests/plan_builder.rs` checks these plans against the flat
+        // per-site-DFS reference builder.
         let plan_start = Instant::now();
-        let merged_plans =
-            ConePlans::build_bounded_with_threads(&circuit, topo, usize::MAX, threads)
-                .expect("unbounded build cannot decline");
+        let merged_plans = ConePlans::build(&circuit, epp.artifacts(), usize::MAX, threads, None)
+            .expect("no cancel token to trip")
+            .expect("unbudgeted build cannot decline");
         let plan_build_ms = plan_start.elapsed().as_secs_f64() * 1e3;
-        // …then the reference (per-site DFS + sort, flat-materialized)
-        // builder, which must plan the identical cones.
-        let plan_start = Instant::now();
-        let dfs_plans =
-            FlatConePlans::build_bounded_with_threads(&circuit, topo, usize::MAX, threads)
-                .expect("unbounded build cannot decline");
-        let plan_build_dfs_ms = plan_start.elapsed().as_secs_f64() * 1e3;
-        for &site in &sites {
-            assert_eq!(
-                merged_plans.plan(site).materialize(&circuit),
-                dfs_plans.plan(site).materialize(),
-                "suffix-shared and flat builders disagree at {site}"
-            );
-        }
         // The dedup win: how many members the arena actually stores
         // versus the logical sum-of-cones the flat layout would store.
         let arena_members = merged_plans.stored_members();
         let arena_bytes = merged_plans.arena_bytes();
         let logical_members = merged_plans.logical_members();
         let dedup_factor = logical_members as f64 / arena_members.max(1) as f64;
-        drop((merged_plans, dfs_plans));
-        let plan_speedup = plan_build_dfs_ms / plan_build_ms;
+        drop(merged_plans);
         // Warm the session's own cached plans so the sweeps below pay
         // no build.
         assert!(
@@ -269,7 +247,7 @@ fn main() {
         let speedup_1t = batched_1t.sites_per_sec / reference.sites_per_sec;
         let speedup_mt = (n as f64 / batched_mt_total) / reference.sites_per_sec;
         eprintln!(
-            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms (dfs {plan_build_dfs_ms:.1}ms, {plan_speedup:.1}x) | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms)",
+            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms)",
             reference.sites_per_sec,
             batched_1t.sites_per_sec,
             n as f64 / batched_mt_total,
@@ -280,7 +258,7 @@ fn main() {
         let mut rec = String::from("  {");
         let _ = write!(
             rec,
-            "\"circuit\": \"{name}\", \"nodes\": {n}, \"plan_build_ms\": {plan_build_ms:.3}, \"plan_build_dfs_ms\": {plan_build_dfs_ms:.3}, \"plan_speedup\": {plan_speedup:.3}, \"arena_members\": {arena_members}, \"arena_bytes\": {arena_bytes}, \"logical_members\": {logical_members}, \"dedup_factor\": {dedup_factor:.3}, "
+            "\"circuit\": \"{name}\", \"nodes\": {n}, \"plan_build_ms\": {plan_build_ms:.3}, \"arena_members\": {arena_members}, \"arena_bytes\": {arena_bytes}, \"logical_members\": {logical_members}, \"dedup_factor\": {dedup_factor:.3}, "
         );
         rec.push_str(&json_engine("reference", &reference));
         rec.push_str(", ");

@@ -137,10 +137,16 @@ pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Table2Row {
     let sim = session.bit_sim();
     let mc_start = Instant::now();
     let estimates = match cfg.mc_target_error {
-        Some(eps) => SequentialMonteCarlo::new(eps)
-            .with_seed(cfg.seed)
-            .with_max_vectors(cfg.mc_vectors)
-            .estimate_sites(sim, &sites),
+        Some(eps) => {
+            let rule = SequentialMonteCarlo::new(eps)
+                .with_seed(cfg.seed)
+                .with_max_vectors(cfg.mc_vectors);
+            sites
+                .iter()
+                .map(|&site| rule.estimate_site(sim, site, None, |_, _| {}))
+                .collect::<Result<_, _>>()
+                .expect("a run without a cancel token always completes")
+        }
         None => MonteCarlo::new(cfg.mc_vectors)
             .with_seed(cfg.seed)
             .estimate_sites(sim, &sites),

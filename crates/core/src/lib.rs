@@ -83,8 +83,7 @@ pub use four_value::{FourValue, SUM_TOLERANCE};
 pub use hardening::{HardeningChoice, HardeningCost, HardeningPlan};
 pub use matrix::VulnerabilityMatrix;
 pub use multi_cycle::{
-    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential,
-    multi_cycle_monte_carlo_sequential_cancellable, MultiCycleEpp, MultiCycleMcAbort,
+    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, MultiCycleEpp, MultiCycleMcAbort,
     MultiCycleMcEstimate, MultiCycleResult,
 };
 pub use rules::propagate;

@@ -206,30 +206,13 @@ pub fn multi_cycle_monte_carlo(
     seed: u64,
 ) -> Result<Vec<f64>, ser_netlist::NetlistError> {
     assert!(runs > 0, "at least one run");
-    let est = expect_uncancelled(run_multi_cycle_mc(
-        circuit.into(),
-        site,
-        cycles,
-        runs,
-        None,
-        seed,
-        None,
-        None,
-    ))?;
-    Ok(est.cumulative)
-}
-
-/// Maps the cancellable core's abort back to a plain simulation error
-/// for the token-less entry points, where cancellation is impossible.
-fn expect_uncancelled(
-    result: Result<MultiCycleMcEstimate, MultiCycleMcAbort>,
-) -> Result<MultiCycleMcEstimate, ser_netlist::NetlistError> {
-    result.map_err(|e| match e {
-        MultiCycleMcAbort::Simulation(e) => e,
-        MultiCycleMcAbort::Cancelled(_) => {
+    match run_multi_cycle_mc(circuit.into(), site, cycles, runs, None, seed, None, None) {
+        Ok(est) => Ok(est.cumulative),
+        Err(MultiCycleMcAbort::Simulation(e)) => Err(e),
+        Err(MultiCycleMcAbort::Cancelled(_)) => {
             unreachable!("a run without a token cannot be cancelled")
         }
-    })
+    }
 }
 
 /// Result of a sequential-stopping multi-cycle Monte-Carlo run.
@@ -297,54 +280,16 @@ impl From<CancelCause> for MultiCycleMcAbort {
 /// The stop is checked at block granularity and a hard `max_runs` cap
 /// bounds never-observed sites, exactly as in the single-cycle rule.
 ///
-/// # Errors
-///
-/// Returns [`ser_netlist::NetlistError`] if the circuit cannot be
-/// simulated.
-///
-/// # Panics
-///
-/// Panics if `cycles` or `max_runs` is 0 or `target_error` is outside
-/// `(0, 1)`.
-pub fn multi_cycle_monte_carlo_sequential(
-    circuit: impl Into<Arc<Circuit>>,
-    site: NodeId,
-    cycles: usize,
-    target_error: f64,
-    max_runs: u64,
-    seed: u64,
-) -> Result<MultiCycleMcEstimate, ser_netlist::NetlistError> {
-    assert!(
-        target_error.is_finite() && target_error > 0.0 && target_error < 1.0,
-        "target error {target_error} outside (0,1)"
-    );
-    assert!(max_runs > 0, "at least one run");
-    let needed = (1.0 / (target_error * target_error)).ceil() as u64 + 2;
-    expect_uncancelled(run_multi_cycle_mc(
-        circuit.into(),
-        site,
-        cycles,
-        max_runs,
-        Some(needed),
-        seed,
-        None,
-        None,
-    ))
-}
-
-/// [`multi_cycle_monte_carlo_sequential`] with a progress observer and
-/// a cooperative [`CancelToken`].
-///
 /// After every 64-run block, `observer(runs_done, observed_final)`
 /// reports the runs spent so far and the final-cycle success count —
 /// the raw tick a service throttles (e.g. at doubling thresholds) into
-/// wire `progress` frames. The token is polled at the same Mendo
-/// observation-block boundaries. A trip aborts with
+/// wire `progress` frames. `cancel` is polled at the same Mendo
+/// observation-block boundaries; a trip aborts with
 /// [`MultiCycleMcAbort::Cancelled`] and drops all partial counts.
 ///
 /// The observer is pure telemetry and a live token changes nothing:
 /// the RNG stream, stopping decisions, and estimate are
-/// **bit-identical** to [`multi_cycle_monte_carlo_sequential`].
+/// **bit-identical** whatever is passed for either.
 ///
 /// # Errors
 ///
@@ -356,10 +301,9 @@ pub fn multi_cycle_monte_carlo_sequential(
 ///
 /// Panics if `cycles` or `max_runs` is 0 or `target_error` is outside
 /// `(0, 1)`.
-// The plain signature plus the observer and the cancel token; bundling
-// would break the mirror between the two entry points.
+// The simulation parameters plus the observer and the cancel token.
 #[allow(clippy::too_many_arguments)]
-pub fn multi_cycle_monte_carlo_sequential_cancellable(
+pub fn multi_cycle_monte_carlo_sequential(
     circuit: impl Into<Arc<Circuit>>,
     site: NodeId,
     cycles: usize,
@@ -560,7 +504,9 @@ y = NOT(q)
         // blocks, far under the cap.
         let c = parse_bench(PIPE, "pipe").unwrap();
         let u = c.find("u").unwrap();
-        let est = multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7).unwrap();
+        let est =
+            multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7, &mut |_, _| {}, None)
+                .unwrap();
         assert!(est.stopped_by_rule);
         assert!(est.runs <= 256, "stopped after {} runs", est.runs);
         assert_eq!(est.cumulative.len(), 3);
@@ -572,7 +518,8 @@ y = NOT(q)
         // Deterministic per seed.
         assert_eq!(
             est,
-            multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7).unwrap()
+            multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7, &mut |_, _| {}, None)
+                .unwrap()
         );
         // Monotone after the debias scaling.
         for w in est.cumulative.windows(2) {
@@ -584,9 +531,11 @@ y = NOT(q)
     fn sequential_observer_ticks_without_perturbing_the_estimate() {
         let c = parse_bench(PIPE, "pipe").unwrap();
         let u = c.find("u").unwrap();
-        let plain = multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7).unwrap();
+        let plain =
+            multi_cycle_monte_carlo_sequential(&c, u, 3, 0.1, 1 << 20, 7, &mut |_, _| {}, None)
+                .unwrap();
         let mut ticks: Vec<(u64, u64)> = Vec::new();
-        let observed = multi_cycle_monte_carlo_sequential_cancellable(
+        let observed = multi_cycle_monte_carlo_sequential(
             &c,
             u,
             3,
@@ -616,7 +565,8 @@ y = NOT(q)
         // terminates the run, and the plain frequency (0) is reported.
         let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(b)\nu = NOT(a)\n", "dead").unwrap();
         let u = c.find("u").unwrap();
-        let est = multi_cycle_monte_carlo_sequential(&c, u, 2, 0.2, 512, 3).unwrap();
+        let est = multi_cycle_monte_carlo_sequential(&c, u, 2, 0.2, 512, 3, &mut |_, _| {}, None)
+            .unwrap();
         assert!(!est.stopped_by_rule);
         assert_eq!(est.runs, 512, "ran to the cap");
         assert!(est.cumulative.iter().all(|&p| p == 0.0));
@@ -629,7 +579,8 @@ y = NOT(q)
         let c = parse_bench(PIPE, "pipe").unwrap();
         let u = c.find("u").unwrap();
         let fixed = multi_cycle_monte_carlo(&c, u, 3, 256, 11).unwrap();
-        let seq = multi_cycle_monte_carlo_sequential(&c, u, 3, 0.9, 256, 11).unwrap();
+        let seq = multi_cycle_monte_carlo_sequential(&c, u, 3, 0.9, 256, 11, &mut |_, _| {}, None)
+            .unwrap();
         // 0.9 target -> k = 4 successes: stops in the first block; the
         // first block of the fixed run saw the same patterns, so the
         // raw frequencies agree up to the debias factor.

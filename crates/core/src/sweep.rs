@@ -62,7 +62,7 @@ const PREFETCH_DISTANCE: usize = 8;
 
 /// Per-thread scratch for the batched sweep: the `(Pa, Pā, P0, P1)`
 /// value planes indexed by cone-local position, stored as one
-/// 32-byte-aligned 4-wide lane array ([`Lane4`]) per position — so
+/// 32-byte-aligned 4-wide lane array per position — so
 /// reading or writing one tuple is a single bounds check and one
 /// aligned 32-byte access: a `vmovapd` for the AVX2 backend, a plain
 /// `[f64; 4]` copy for the scalar twin. Grows to the largest cone it
@@ -626,23 +626,8 @@ impl EppAnalysis {
     /// Panics if `threads` is 0.
     #[must_use]
     pub fn sweep(&self, threads: usize, pool: &WorkspacePool) -> SweepResults {
-        self.sweep_with(PolarityMode::Tracked, threads, pool)
-    }
-
-    /// Like [`sweep`](Self::sweep) with an explicit polarity mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn sweep_with(
-        &self,
-        polarity: PolarityMode,
-        threads: usize,
-        pool: &WorkspacePool,
-    ) -> SweepResults {
         let sites: Vec<NodeId> = self.circuit().node_ids().collect();
-        self.sweep_sites_with(&sites, polarity, threads, pool)
+        self.sweep_sites_with(&sites, PolarityMode::Tracked, threads, pool)
     }
 
     /// The batched sweep over an explicit site list (e.g. only the
@@ -1162,8 +1147,9 @@ H = OR(C, D, G)
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
+        let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let sweep = epp.sweep_with(polarity, 1, &pool);
+            let sweep = epp.sweep_sites_with(&sites, polarity, 1, &pool);
             assert_eq!(sweep.len(), c.len());
             for id in c.node_ids() {
                 let reference = epp.site_with(id, polarity);
@@ -1314,7 +1300,7 @@ H = OR(C, D, G)
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let planned = epp.sweep_with(polarity, 1, &pool);
+            let planned = epp.sweep_sites_with(&sites, polarity, 1, &pool);
             for threads in [1usize, 4] {
                 for backend in [KernelBackend::Scalar, KernelBackend::Avx2.sanitized()] {
                     let planless = epp.sweep_impl(&sites, polarity, threads, &pool, None, backend);

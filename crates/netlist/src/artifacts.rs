@@ -11,7 +11,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::cancel::{CancelCause, CancelToken};
 use crate::circuit::{Circuit, NodeId, ObservePoint};
 use crate::error::NetlistError;
 use crate::gate::GateKind;
@@ -162,7 +161,7 @@ impl TopoArtifacts {
     /// from below (an edge *into* a DFF is not a combinational edge, so
     /// a DFF seed is only ever in its own cone).
     ///
-    /// Equivalent to testing every site's [`ConePlan`] position list
+    /// Equivalent to testing every site's [`ConePlan`](crate::ConePlan) position list
     /// against the seed set (see
     /// [`ConePlan::intersects`](crate::ConePlan::intersects)),
     /// but O(ancestors + edges) instead of O(sum of cones).
@@ -243,8 +242,9 @@ impl TopoArtifacts {
     /// every consumer of these artifacts (the batched sweep engine reads
     /// them instead of re-running a DFS + sort per site per sweep).
     /// Compilation uses the reverse-topological merge builder
-    /// ([`ConePlans::build_bounded`]), which derives each cone from its
-    /// successors' instead of rediscovering it by DFS.
+    /// ([`ConePlans::build`]) on every available core, which derives
+    /// each cone from its successors' instead of rediscovering it by
+    /// DFS.
     ///
     /// Returns `None` — once, cached — when the circuit's plan arena
     /// would exceed [`ConePlans::DEFAULT_MEMBER_BUDGET`] total cone
@@ -264,70 +264,38 @@ impl TopoArtifacts {
         );
         self.plans
             .get_or_init(|| {
-                ConePlans::build_bounded(circuit, self, ConePlans::DEFAULT_MEMBER_BUDGET)
-                    .map(Arc::new)
+                let threads = std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1);
+                // Without a token the build cannot be cancelled, so
+                // `Err` never occurs here.
+                ConePlans::build(
+                    circuit,
+                    self,
+                    ConePlans::DEFAULT_MEMBER_BUDGET,
+                    threads,
+                    None,
+                )
+                .ok()
+                .flatten()
+                .map(Arc::new)
             })
             .as_ref()
     }
 
-    /// [`cone_plans`](Self::cone_plans) with a cooperative cancel
-    /// checkpoint inside the compile.
-    ///
-    /// A tripped token aborts the build and returns the cause — and,
-    /// critically, leaves the plan slot *empty*: the build runs outside
-    /// the `OnceLock` initializer, so a cancelled compile never poisons
-    /// the cache and the next caller compiles from scratch. If two
-    /// callers race, the loser's freshly-built plans are discarded and
-    /// the winner's are returned (same single-winner semantics as
-    /// `OnceLock`, paid only on a cold concurrent miss).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`CancelCause`] when `cancel` trips mid-build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `circuit` is not the circuit these artifacts were
-    /// computed from.
-    pub fn cone_plans_cancellable(
-        &self,
-        circuit: &Circuit,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<&Arc<ConePlans>>, CancelCause> {
-        assert_eq!(
-            circuit.len(),
-            self.len(),
-            "cone plans require the artifacts' own circuit"
-        );
-        if let Some(slot) = self.plans.get() {
-            return Ok(slot.as_ref());
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let built = ConePlans::build_bounded_cancellable(
-            circuit,
-            self,
-            ConePlans::DEFAULT_MEMBER_BUDGET,
-            threads,
-            cancel,
-        )?
-        .map(Arc::new);
-        Ok(self.plans.get_or_init(|| built).as_ref())
-    }
-
-    /// Seeds the plan cache with already-compiled plans (e.g. loaded
-    /// from a persistent [`crate::PlanCache`] entry), so the first
-    /// [`cone_plans`](Self::cone_plans) call returns them instead of
-    /// compiling. Returns `false` — and changes nothing — if plans
-    /// were already built or primed for these artifacts.
+    /// Seeds the plan cache with an already-settled outcome — plans
+    /// loaded from a persistent [`PlanCache`](crate::PlanCache) entry
+    /// or built under a cancel token, or `None` for a build the member
+    /// budget declined — so [`cone_plans`](Self::cone_plans) returns it
+    /// instead of compiling. Returns `false` — and changes nothing — if
+    /// the slot was already built or primed for these artifacts.
     ///
     /// The caller is responsible for `plans` belonging to the same
     /// circuit as these artifacts (the service keys cache entries by
     /// [`Circuit::structural_hash`] and verifies circuit equality
     /// before reuse, exactly like its session cache).
-    pub fn prime_cone_plans(&self, plans: Arc<ConePlans>) -> bool {
-        self.plans.set(Some(plans)).is_ok()
+    pub fn prime_cone_plans(&self, plans: Option<Arc<ConePlans>>) -> bool {
+        self.plans.set(plans).is_ok()
     }
 
     /// Number of nodes covered.

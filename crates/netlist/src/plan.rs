@@ -78,8 +78,7 @@
 //!
 //! The original per-site-DFS builder is retained as
 //! [`FlatConePlans`] — the semantic definition the suffix-shared
-//! builder is checked against bit for bit, and the baseline the sweep
-//! benchmark reports `plan_build_ms` against.
+//! builder is checked against bit for bit.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -152,7 +151,8 @@ pub struct SitePlan {
 }
 
 /// The compiled cone plans of every site of one circuit in the
-/// suffix-shared arena (see the [module docs](self)).
+/// suffix-shared arena (the `plan.rs` module docs describe the layout
+/// and the builder).
 ///
 /// Per-node tables hold each chain node's O(1) entry (next hop, tail
 /// id, path length, suffix counts); the tail table stores each
@@ -252,8 +252,8 @@ impl ConePlans {
     /// one circuit's plan arena: one entry per chain node plus the
     /// shared tail arena. Stored members are Θ(n²) in the worst case
     /// (densely reconvergent anchor-heavy circuits), so consumers must
-    /// be prepared for [`build_bounded`](Self::build_bounded) to
-    /// decline and fall back to per-site traversal.
+    /// be prepared for [`build`](Self::build) to decline and fall back
+    /// to per-site traversal.
     ///
     /// Earlier revisions budgeted *logical* members (sum of cone
     /// sizes); chain-dominated circuits whose logical total blew that
@@ -266,83 +266,31 @@ impl ConePlans {
     /// unknown cone sizes).
     const CHUNKS_PER_THREAD: usize = 8;
 
-    /// Builds the suffix-shared plans for every node of `circuit`.
-    /// `topo` supplies the positions and the DFF-clipped fanout
-    /// adjacency. The result is identical whatever the thread count,
-    /// and decodes site-for-site identically to [`FlatConePlans`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` was not computed from `circuit`.
-    #[must_use]
-    pub fn build(circuit: &Circuit, topo: &TopoArtifacts) -> Self {
-        Self::build_bounded(circuit, topo, usize::MAX).expect("unbounded build cannot decline")
-    }
-
-    /// Like [`build`](Self::build), but returns `None` as soon as the
-    /// arena would exceed `max_members` **stored** members (chain
-    /// entries plus the shared tail arena) — the guard that keeps
-    /// pathological Θ(n²) circuits from exhausting memory (the
-    /// per-site reference path handles them in O(n) scratch instead).
-    /// Uses every available core on large circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` was not computed from `circuit`.
-    #[must_use]
-    pub fn build_bounded(
-        circuit: &Circuit,
-        topo: &TopoArtifacts,
-        max_members: usize,
-    ) -> Option<Self> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_bounded_with_threads(circuit, topo, max_members, threads)
-    }
-
-    /// [`build_bounded`](Self::build_bounded) with an explicit worker
-    /// count.
-    ///
-    /// Phase 1 (sequential, reverse-topological) merges cones for
-    /// anchors only and enforces the stored-member budget — the
-    /// decision is deterministic and thread-count independent by
-    /// construction. Phase 2 packs the tail table over contiguous
-    /// anchor ranges claimed through an atomic cursor and stitched
-    /// back in anchor order, so the arena is bit-identical to a
-    /// single-threaded build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or `topo` was not computed from
-    /// `circuit`.
-    #[must_use]
-    pub fn build_bounded_with_threads(
-        circuit: &Circuit,
-        topo: &TopoArtifacts,
-        max_members: usize,
-        threads: usize,
-    ) -> Option<Self> {
-        match Self::build_bounded_cancellable(circuit, topo, max_members, threads, None) {
-            Ok(plans) => plans,
-            Err(_) => unreachable!("a build without a token cannot be cancelled"),
-        }
-    }
-
     /// How many phase-1 anchor merges / phase-2 tail packings run
     /// between cooperative cancellation checkpoints. Small enough that
     /// a trip lands within a few milliseconds even on the largest
     /// benches, large enough that the poll is free.
     pub(crate) const CANCEL_CHECK_EVERY: usize = 4096;
 
-    /// [`build_bounded_with_threads`](Self::build_bounded_with_threads)
-    /// with a cooperative [`CancelToken`]: the phase-1
-    /// reverse-topological merge and the phase-2 tail packing poll the
-    /// token every few thousand anchors and abort mid-compile when it
-    /// trips, dropping all partial state. `Ok(None)` still means the
-    /// stored-member budget declined the build (the two outcomes stay
-    /// distinguishable: a declined build falls back to per-site
-    /// traversal, a cancelled one aborts the request).
+    /// Builds the suffix-shared plans for every node of `circuit`.
+    /// `topo` supplies the positions and the DFF-clipped fanout
+    /// adjacency. The result is identical whatever `threads` is, and
+    /// decodes site-for-site identically to [`FlatConePlans`].
+    ///
+    /// Returns `Ok(None)` as soon as the arena would exceed
+    /// `max_members` **stored** members (chain entries plus the shared
+    /// tail arena) — the guard that keeps pathological Θ(n²) circuits
+    /// from exhausting memory (the per-site reference path handles
+    /// them in O(n) scratch instead). Pass `usize::MAX` for no budget.
+    ///
+    /// Phase 1 (sequential, reverse-topological) merges cones for
+    /// anchors only and enforces the budget — the decision is
+    /// deterministic by construction. Phase 1 and the phase-2 tail
+    /// packing poll `cancel` every few thousand anchors and abort
+    /// mid-compile when it trips, dropping all partial state; a
+    /// declined build and a cancelled one stay distinguishable (the
+    /// first falls back to per-site traversal, the second aborts the
+    /// request).
     ///
     /// # Errors
     ///
@@ -353,7 +301,7 @@ impl ConePlans {
     ///
     /// Panics if `threads` is 0 or `topo` was not computed from
     /// `circuit`.
-    pub fn build_bounded_cancellable(
+    pub fn build(
         circuit: &Circuit,
         topo: &TopoArtifacts,
         max_members: usize,
@@ -1276,8 +1224,7 @@ impl TailCones {
 /// (members, kinds, per-member packed refs, observe refs), with no
 /// suffix sharing. The suffix-shared [`ConePlans`] is proptest-checked
 /// to [`materialize`](ConePlan::materialize) site-for-site identically
-/// to [`FlatConePlan::materialize`], and the sweep benchmark reports
-/// `plan_build_ms` for both builders.
+/// to [`FlatConePlan::materialize`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatConePlans {
     member_off: Vec<u32>,
@@ -1291,26 +1238,12 @@ pub struct FlatConePlans {
 }
 
 impl FlatConePlans {
-    /// Builds the flat plans with per-site DFS discovery on every
-    /// available core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` was not computed from `circuit`.
-    #[must_use]
-    pub fn build(circuit: &Circuit, topo: &TopoArtifacts) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_bounded_with_threads(circuit, topo, usize::MAX, threads)
-            .expect("unbounded build cannot decline")
-    }
-
-    /// [`build`](Self::build) with an explicit **logical**-member
-    /// budget (the flat arena stores every site's full cone, so its
-    /// memory is proportional to the logical total, unlike
-    /// [`ConePlans::build_bounded`]'s stored-member budget) and worker
-    /// count. The per-site DFS loop is embarrassingly parallel:
+    /// Builds the flat plans with per-site DFS discovery on `threads`
+    /// workers, or `None` past a **logical**-member budget (the flat
+    /// arena stores every site's full cone, so its memory is
+    /// proportional to the logical total, unlike
+    /// [`ConePlans::build`]'s stored-member budget; pass `usize::MAX`
+    /// for none). The per-site DFS loop is embarrassingly parallel:
     /// workers claim contiguous site ranges through an atomic cursor
     /// and the fragments are stitched back in site order; the budget
     /// is a shared counter whose decline decision is deterministic
@@ -1321,7 +1254,7 @@ impl FlatConePlans {
     /// Panics if `threads` is 0 or `topo` was not computed from
     /// `circuit`.
     #[must_use]
-    pub fn build_bounded_with_threads(
+    pub fn build(
         circuit: &Circuit,
         topo: &TopoArtifacts,
         max_members: usize,
@@ -1825,11 +1758,24 @@ G = AND(E, F)
 H = OR(C, D, G)
 ";
 
+    /// The unbudgeted, uncancelled build.
+    fn build_all(c: &Circuit, topo: &TopoArtifacts) -> ConePlans {
+        build_with_budget(c, topo, usize::MAX).expect("no budget to decline")
+    }
+
+    fn build_with_budget(
+        c: &Circuit,
+        topo: &TopoArtifacts,
+        max_members: usize,
+    ) -> Option<ConePlans> {
+        ConePlans::build(c, topo, max_members, 1, None).expect("no token to trip")
+    }
+
     /// Decodes every site of both builders and asserts they agree.
     fn assert_matches_flat(c: &Circuit) {
         let topo = TopoArtifacts::compute(c).unwrap();
-        let shared = ConePlans::build(c, &topo);
-        let flat = FlatConePlans::build(c, &topo);
+        let shared = build_all(c, &topo);
+        let flat = FlatConePlans::build(c, &topo, usize::MAX, 1).unwrap();
         for id in c.node_ids() {
             assert_eq!(
                 shared.plan(id).materialize(c),
@@ -1857,7 +1803,7 @@ H = OR(C, D, G)
     fn plans_match_fanout_cones() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         assert_eq!(plans.len(), c.len());
         for id in c.node_ids() {
             let plan = plans.plan(id);
@@ -1891,7 +1837,7 @@ H = OR(C, D, G)
     fn fanin_classification_is_exact() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         let a = c.find("A").unwrap();
         let decoded = plans.plan(a).materialize(&c);
         let cone = FanoutCone::extract(&c, a);
@@ -1932,7 +1878,7 @@ H = OR(C, D, G)
     fn intersects_agrees_with_membership() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         // Every (site, single-node seed) pair: intersects == membership.
         for site in c.node_ids() {
             let plan = plans.plan(site);
@@ -1958,7 +1904,7 @@ H = OR(C, D, G)
         // y = AND(a, a): the plan must carry two references to `a`.
         let c = parse_bench("INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n", "dup").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         let a = c.find("a").unwrap();
         let decoded = plans.plan(a).materialize(&c);
         assert_eq!(decoded.members.len(), 2);
@@ -1978,7 +1924,7 @@ H = OR(C, D, G)
         )
         .unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         let x = c.find("x").unwrap();
         let decoded = plans.plan(x).materialize(&c);
         let member_names: Vec<&str> = decoded.members.iter().map(|&m| c.node(m).name()).collect();
@@ -1994,7 +1940,7 @@ H = OR(C, D, G)
     fn cost_counts_members_and_fanins() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         let a = c.find("A").unwrap();
         // Cone {A, E, D, G, H}: 5 members; fanins E:1, D:2, G:2, H:3 = 8.
         assert_eq!(plans.plan(a).cost(), 13);
@@ -2021,7 +1967,7 @@ H = OR(C, D, G)
         // tail cones {A,E,D,G,H} and {H} = 12, against 19 logical.
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         assert_eq!(plans.tail_count(), 2);
         assert_eq!(plans.stored_members(), 12);
         assert_eq!(
@@ -2038,17 +1984,17 @@ H = OR(C, D, G)
     fn bounded_build_counts_stored_members() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let full = ConePlans::build(&c, &topo);
+        let full = build_all(&c, &topo);
         let stored = full.stored_members();
         // The stored (deduplicated) total is what the budget bounds:
         // a budget below it declines, at it the build is identical.
-        assert!(ConePlans::build_bounded(&c, &topo, stored - 1).is_none());
-        let bounded = ConePlans::build_bounded(&c, &topo, stored).unwrap();
+        assert!(build_with_budget(&c, &topo, stored - 1).is_none());
+        let bounded = build_with_budget(&c, &topo, stored).unwrap();
         assert_eq!(bounded, full);
         // The logical total no longer matters: FIG1 stores 12 of 19
         // logical members, so a budget between the two still fits.
         assert!(stored < full.logical_members() as usize);
-        assert!(ConePlans::build_bounded(&c, &topo, stored + 1).is_some());
+        assert!(build_with_budget(&c, &topo, stored + 1).is_some());
     }
 
     #[test]
@@ -2071,17 +2017,24 @@ H = OR(C, D, G)
         }
         let c = parse_bench(&src, "chain").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let sequential = ConePlans::build_bounded_with_threads(&c, &topo, usize::MAX, 1).unwrap();
+        let sequential = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+            .unwrap()
+            .unwrap();
         for threads in [2, 4, 7] {
-            let parallel =
-                ConePlans::build_bounded_with_threads(&c, &topo, usize::MAX, threads).unwrap();
+            let parallel = ConePlans::build(&c, &topo, usize::MAX, threads, None)
+                .unwrap()
+                .unwrap();
             assert_eq!(parallel, sequential, "{threads} threads");
         }
         // The budget decision is deterministic in parallel too: decline
         // below the stored total, accept at it.
         let stored = sequential.stored_members();
-        assert!(ConePlans::build_bounded_with_threads(&c, &topo, stored - 1, 4).is_none());
-        let at_budget = ConePlans::build_bounded_with_threads(&c, &topo, stored, 4).unwrap();
+        assert!(ConePlans::build(&c, &topo, stored - 1, 4, None)
+            .unwrap()
+            .is_none());
+        let at_budget = ConePlans::build(&c, &topo, stored, 4, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(at_budget, sequential);
         // Every chain node shares the suffix: the stored total is
         // linear while the logical total is quadratic.
@@ -2108,14 +2061,13 @@ H = OR(C, D, G)
     fn cancelled_build_aborts_and_live_token_is_identical() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let reference = ConePlans::build(&c, &topo);
+        let reference = build_all(&c, &topo);
 
         // A live token changes nothing: the build is bit-identical.
         let live = crate::CancelToken::new();
-        let with_token =
-            ConePlans::build_bounded_cancellable(&c, &topo, usize::MAX, 1, Some(&live))
-                .unwrap()
-                .unwrap();
+        let with_token = ConePlans::build(&c, &topo, usize::MAX, 1, Some(&live))
+            .unwrap()
+            .unwrap();
         assert_eq!(with_token, reference);
 
         // A tripped token aborts at the first checkpoint with its
@@ -2123,18 +2075,15 @@ H = OR(C, D, G)
         let tripped = crate::CancelToken::new();
         tripped.cancel();
         assert_eq!(
-            ConePlans::build_bounded_cancellable(&c, &topo, usize::MAX, 1, Some(&tripped)),
+            ConePlans::build(&c, &topo, usize::MAX, 1, Some(&tripped)),
             Err(crate::CancelCause::Cancelled)
         );
         let expired = crate::CancelToken::with_deadline(std::time::Instant::now());
         assert_eq!(
-            ConePlans::build_bounded_cancellable(&c, &topo, usize::MAX, 1, Some(&expired)),
+            ConePlans::build(&c, &topo, usize::MAX, 1, Some(&expired)),
             Err(crate::CancelCause::DeadlineExceeded)
         );
-        assert_eq!(
-            ConePlans::build_bounded_cancellable(&c, &topo, 1, 1, Some(&live)),
-            Ok(None)
-        );
+        assert_eq!(ConePlans::build(&c, &topo, 1, 1, Some(&live)), Ok(None));
     }
 
     #[test]
@@ -2143,11 +2092,11 @@ H = OR(C, D, G)
             .finish()
             .unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = build_all(&c, &topo);
         assert!(plans.is_empty());
         assert_eq!(plans.max_cone_len(), 0);
         assert_eq!(plans.stored_members(), 0);
-        let flat = FlatConePlans::build(&c, &topo);
+        let flat = FlatConePlans::build(&c, &topo, usize::MAX, 1).unwrap();
         assert!(flat.is_empty());
     }
 }

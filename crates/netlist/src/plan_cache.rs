@@ -74,8 +74,8 @@ pub struct PlanCacheStats {
     pub bytes: u64,
 }
 
-/// A persistent compile-artifact cache rooted at one directory (see
-/// the [module docs](self) for the file format).
+/// A persistent compile-artifact cache rooted at one directory (the
+/// `plan_cache.rs` module docs specify the file format).
 ///
 /// # Examples
 ///
@@ -645,7 +645,9 @@ mod tests {
         )
         .unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+            .unwrap()
+            .unwrap();
         (c, plans)
     }
 
@@ -818,7 +820,9 @@ mod tests {
         src.push_str(&format!("z = NOT({prev})\n"));
         let c = parse_bench(&src, &format!("chain{depth}")).unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo);
+        let plans = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+            .unwrap()
+            .unwrap();
         (c.structural_hash(), plans)
     }
 

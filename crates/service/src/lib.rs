@@ -12,7 +12,7 @@
 //!   with typed requests ([`SweepRequest`], [`SiteRequest`],
 //!   [`MultiCycleRequest`], [`MonteCarloRequest`]), arena-backed
 //!   responses, cross-request response caching, streaming
-//!   [`Progress`] events ([`SerService::submit_cancellable`]), and warm
+//!   [`Progress`] events ([`SerService::submit_batch`]), and warm
 //!   per-netlist what-if stacks ([`SerService::whatif_apply`] /
 //!   [`SerService::whatif_revert`]) for the interactive
 //!   rank → harden → re-rank loop.
@@ -59,8 +59,8 @@
 //!     parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n", "or2")?.into();
 //! let service = SerService::with_defaults();
 //! let responses = service.submit_batch(vec![
-//!     (Arc::clone(&and2), Request::Sweep(SweepRequest::default())),
-//!     (Arc::clone(&or2), Request::Sweep(SweepRequest::default())),
+//!     (Arc::clone(&and2), Request::Sweep(SweepRequest::default()), None, None),
+//!     (Arc::clone(&or2), Request::Sweep(SweepRequest::default()), None, None),
 //! ]);
 //! for r in &responses {
 //!     assert_eq!(r.as_ref().unwrap().as_sweep().unwrap().len(), 3);

@@ -27,6 +27,11 @@
 //!   `unsupported_version` error frame. The unversioned flat dialect
 //!   of earlier releases is no longer served; a `batch` envelope
 //!   covers its multi-job use.
+//! - **A solo op is a batch of one** — a `sweep`, `site`,
+//!   `monte_carlo` or `multi_cycle` envelope is served exactly like a
+//!   one-job `batch` minus the summary frame: one resolver, one
+//!   service submit, one reply writer. A solo op therefore answers
+//!   byte for byte like the same job inside a `batch`.
 //! - **Unique in-flight ids** — a request id names exactly one
 //!   in-flight request (a `batch` names its jobs too), so a `cancel`
 //!   can never reach another client's work. A request reusing a live
@@ -1537,7 +1542,6 @@ impl ProtocolEngine {
                 return Ok(Err((&ServiceError::Cancelled(cause)).into()));
             }
         }
-        let cancel = token.as_ref();
         match &req.op {
             // Only *repeated* hellos land here (the first is answered
             // quota-free before dispatch); they count like any op.
@@ -1578,26 +1582,18 @@ impl ProtocolEngine {
                 }
                 Err(e) => Ok(Err(e)),
             },
-            WireOp::Sweep(op) => self.run_sweep(id, op, sink, cancel),
-            WireOp::Site(op) => match self.run_simple(
-                id,
-                &op.netlist,
-                |circuit| {
-                    Ok(Request::Site(SiteRequest {
-                        site: resolve_node(circuit, &op.node)?,
-                    }))
-                },
-                cancel,
-            ) {
-                Ok(frame) => {
-                    sink.send(&frame)?;
-                    Ok(Ok(()))
+            // A solo compute op is a batch of one without the summary
+            // frame: same resolver, same submit, same reply writer.
+            WireOp::Sweep(_) | WireOp::Site(_) | WireOp::MonteCarlo(_) | WireOp::MultiCycle(_) => {
+                match self.resolve_job(req, token.clone(), sink) {
+                    Ok(job) => {
+                        self.run_jobs(vec![job], sink)?;
+                        Ok(Ok(()))
+                    }
+                    Err(e) => Ok(Err(e)),
                 }
-                Err(e) => Ok(Err(e)),
-            },
-            WireOp::MonteCarlo(op) => self.run_monte_carlo(id, op, sink, cancel),
-            WireOp::MultiCycle(op) => self.run_multi_cycle(id, op, sink, cancel),
-            WireOp::WhatIf(op) => self.run_whatif(id, op, sink, cancel),
+            }
+            WireOp::WhatIf(op) => self.run_whatif(id, op, sink, token.as_ref()),
             WireOp::Cancel(op) => {
                 let found = {
                     let map = lock_clean(&self.cancels);
@@ -1636,27 +1632,6 @@ impl ProtocolEngine {
         }
     }
 
-    /// One-frame ops: resolve, submit, render the result frame.
-    fn run_simple(
-        &self,
-        id: Option<&str>,
-        netlist: &str,
-        build: impl FnOnce(&Circuit) -> Result<Request, WireError>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<String, WireError> {
-        let circuit = self.load_circuit(netlist)?;
-        let request = build(&circuit)?;
-        let _permit = self.inflight.acquire();
-        let response = self
-            .service
-            .submit_cancellable(&circuit, request, None, cancel.cloned())?;
-        Ok(format!(
-            "{}, {}}}",
-            frame_head("result", id),
-            response_fields(None, &circuit, &response, true)
-        ))
-    }
-
     fn run_set_inputs(&self, op: &SetInputsOp) -> Result<(Arc<Circuit>, u64), WireError> {
         let circuit = self.load_circuit(&op.netlist)?;
         let mut inputs = InputProbs::uniform(op.default_p);
@@ -1666,171 +1641,6 @@ impl ProtocolEngine {
         let _permit = self.inflight.acquire();
         let revision = self.service.set_inputs(&circuit, inputs)?;
         Ok((circuit, revision))
-    }
-
-    fn run_sweep(
-        &self,
-        id: Option<&str>,
-        op: &SweepOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let sites: Option<Vec<NodeId>> = match &op.sites {
-            None => None,
-            Some(names) => {
-                let mut ids = Vec::with_capacity(names.len());
-                for name in names {
-                    match resolve_node(&circuit, name) {
-                        Ok(id) => ids.push(id),
-                        Err(e) => return Ok(Err(e)),
-                    }
-                }
-                Some(ids)
-            }
-        };
-        let request = Request::Sweep(SweepRequest {
-            sites,
-            polarity: op.polarity,
-        });
-        let _permit = self.inflight.acquire();
-        let progress = op.progress.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        let response = match response {
-            Ok(r) => r,
-            Err(e) => return Ok(Err(e.into())),
-        };
-
-        // Page per-site values into chunk frames before the result.
-        let mut chunks = 0usize;
-        if let (Some(chunk_sites), ResponsePayload::Sweep(sweep)) =
-            (op.chunk_sites, &response.payload)
-        {
-            chunks = send_sweep_chunks(sink, id, &circuit, sweep, chunk_sites)?;
-        }
-        let chunk_note = if op.chunk_sites.is_some() {
-            format!(", \"chunks\": {chunks}")
-        } else {
-            String::new()
-        };
-        sink.send(&format!(
-            "{}, {}{chunk_note}}}",
-            frame_head("result", id),
-            response_fields(op.top, &circuit, &response, true)
-        ))?;
-        Ok(Ok(()))
-    }
-
-    fn run_monte_carlo(
-        &self,
-        id: Option<&str>,
-        op: &MonteCarloOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let site = match resolve_node(&circuit, &op.node) {
-            Ok(s) => s,
-            Err(e) => return Ok(Err(e)),
-        };
-        let request = Request::MonteCarlo(MonteCarloRequest {
-            site,
-            vectors: op.vectors.unwrap_or(DEFAULT_VECTORS),
-            target_error: op.target_error,
-            seed: op.seed.unwrap_or(DEFAULT_SEED),
-        });
-        let _permit = self.inflight.acquire();
-        let streaming = op.progress && op.target_error.is_some();
-        let progress = streaming.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        match response {
-            Ok(response) => {
-                sink.send(&format!(
-                    "{}, {}}}",
-                    frame_head("result", id),
-                    response_fields(None, &circuit, &response, true)
-                ))?;
-                Ok(Ok(()))
-            }
-            Err(e) => Ok(Err(e.into())),
-        }
-    }
-
-    fn run_multi_cycle(
-        &self,
-        id: Option<&str>,
-        op: &MultiCycleOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let site = match resolve_node(&circuit, &op.node) {
-            Ok(s) => s,
-            Err(e) => return Ok(Err(e)),
-        };
-        let request = Request::MultiCycle(MultiCycleRequest {
-            site,
-            cycles: op.cycles,
-            monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
-                runs: mc.runs,
-                target_error: mc.target_error,
-                seed: mc.seed.unwrap_or(DEFAULT_SEED),
-            }),
-        });
-        let _permit = self.inflight.acquire();
-        // Progress only makes sense when the simulation leg runs under
-        // the sequential stopping rule (data-dependent runtime).
-        let streaming = op.progress
-            && op
-                .monte_carlo
-                .as_ref()
-                .is_some_and(|mc| mc.target_error.is_some());
-        let progress = streaming.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        match response {
-            Ok(response) => {
-                sink.send(&format!(
-                    "{}, {}}}",
-                    frame_head("result", id),
-                    response_fields(None, &circuit, &response, true)
-                ))?;
-                Ok(Ok(()))
-            }
-            Err(e) => Ok(Err(e.into())),
-        }
     }
 
     /// Serves a `whatif` op: applies the edit to the netlist's warm
@@ -1978,68 +1788,30 @@ impl ProtocolEngine {
         };
         let mut jobs = Vec::with_capacity(op.jobs.len());
         for (job, token) in op.jobs.iter().zip(tokens) {
-            match self.resolve_batch_job(job, token, sink) {
+            match self.resolve_job(job, Some(token), sink) {
                 Ok(j) => jobs.push(j),
                 Err(e) => return Ok(Err(e)),
             }
         }
-        let _permit = self.inflight.acquire();
-        let results = self.service.submit_batch_cancellable(
-            jobs.iter()
-                .map(|j| {
-                    (
-                        Arc::clone(&j.circuit),
-                        j.request.clone(),
-                        j.progress.clone(),
-                        Some(j.token.clone()),
-                    )
-                })
-                .collect(),
-        );
-        let mut errors = 0usize;
-        for ((job, spec), result) in op.jobs.iter().zip(&jobs).zip(results) {
-            let jid = job.id.as_deref();
-            match result {
-                Ok(response) => {
-                    let mut chunks = 0usize;
-                    if let (Some(chunk_sites), ResponsePayload::Sweep(sweep)) =
-                        (spec.chunk_sites, &response.payload)
-                    {
-                        chunks = send_sweep_chunks(sink, jid, &spec.circuit, sweep, chunk_sites)?;
-                    }
-                    let chunk_note = if spec.chunk_sites.is_some() {
-                        format!(", \"chunks\": {chunks}")
-                    } else {
-                        String::new()
-                    };
-                    sink.send(&format!(
-                        "{}, {}{chunk_note}}}",
-                        frame_head("result", jid),
-                        response_fields(spec.top, &spec.circuit, &response, true)
-                    ))?;
-                }
-                Err(e) => {
-                    errors += 1;
-                    sink.send(&render_error_frame(jid, &WireError::from(&e)))?;
-                }
-            }
-        }
+        let errors = self.run_jobs(jobs, sink)?;
         sink.send(&format!(
             "{}, \"op\": \"batch\", \"jobs\": {}, \"errors\": {errors}}}",
             frame_head("result", id),
-            jobs.len()
+            op.jobs.len()
         ))?;
         Ok(Ok(()))
     }
 
-    /// Resolves one `batch` job into a submittable request plus its
-    /// render/cancel bookkeeping.
-    fn resolve_batch_job(
+    /// Resolves one compute job (`sweep` / `site` / `monte_carlo` /
+    /// `multi_cycle`) — a solo op or one job of a `batch` — against its
+    /// netlist into a submittable request, with a progress sink that
+    /// writes id-echoed `progress` frames when the op streams.
+    fn resolve_job(
         &self,
         job: &WireRequest,
-        token: CancelToken,
+        token: Option<CancelToken>,
         sink: &FrameSink,
-    ) -> Result<BatchJob, WireError> {
+    ) -> Result<ComputeJob, WireError> {
         let progress_sink = |want: bool| -> Option<ProgressFn> {
             want.then(|| -> ProgressFn {
                 let sink = sink.clone();
@@ -2049,90 +1821,135 @@ impl ProtocolEngine {
                 })
             })
         };
-        match &job.op {
+        let (circuit, request, progress, top, chunk_sites) = match &job.op {
             WireOp::Sweep(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
                 let sites = match &op.sites {
                     None => None,
-                    Some(names) => {
-                        let mut ids = Vec::with_capacity(names.len());
-                        for name in names {
-                            ids.push(resolve_node(&circuit, name)?);
-                        }
-                        Some(ids)
-                    }
+                    Some(names) => Some(
+                        names
+                            .iter()
+                            .map(|name| resolve_node(&circuit, name))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    ),
                 };
-                Ok(BatchJob {
-                    request: Request::Sweep(SweepRequest {
-                        sites,
-                        polarity: op.polarity,
-                    }),
-                    progress: progress_sink(op.progress),
-                    top: op.top,
-                    chunk_sites: op.chunk_sites,
-                    circuit,
-                    token,
-                })
+                let request = Request::Sweep(SweepRequest {
+                    sites,
+                    polarity: op.polarity,
+                });
+                let progress = progress_sink(op.progress);
+                (circuit, request, progress, op.top, op.chunk_sites)
             }
             WireOp::Site(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
                 let site = resolve_node(&circuit, &op.node)?;
-                Ok(BatchJob {
-                    request: Request::Site(SiteRequest { site }),
-                    progress: None,
-                    top: None,
-                    chunk_sites: None,
+                (
                     circuit,
-                    token,
-                })
+                    Request::Site(SiteRequest { site }),
+                    None,
+                    None,
+                    None,
+                )
             }
             WireOp::MonteCarlo(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
-                let site = resolve_node(&circuit, &op.node)?;
-                Ok(BatchJob {
-                    request: Request::MonteCarlo(MonteCarloRequest {
-                        site,
-                        vectors: op.vectors.unwrap_or(DEFAULT_VECTORS),
-                        target_error: op.target_error,
-                        seed: op.seed.unwrap_or(DEFAULT_SEED),
-                    }),
-                    progress: progress_sink(op.progress && op.target_error.is_some()),
-                    top: None,
-                    chunk_sites: None,
-                    circuit,
-                    token,
-                })
+                let request = Request::MonteCarlo(MonteCarloRequest {
+                    site: resolve_node(&circuit, &op.node)?,
+                    vectors: op.vectors.unwrap_or(DEFAULT_VECTORS),
+                    target_error: op.target_error,
+                    seed: op.seed.unwrap_or(DEFAULT_SEED),
+                });
+                let progress = progress_sink(op.progress && op.target_error.is_some());
+                (circuit, request, progress, None, None)
             }
             WireOp::MultiCycle(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
-                let site = resolve_node(&circuit, &op.node)?;
+                let request = Request::MultiCycle(MultiCycleRequest {
+                    site: resolve_node(&circuit, &op.node)?,
+                    cycles: op.cycles,
+                    monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
+                        runs: mc.runs,
+                        target_error: mc.target_error,
+                        seed: mc.seed.unwrap_or(DEFAULT_SEED),
+                    }),
+                });
+                // Progress only makes sense when the simulation leg runs
+                // under the sequential stopping rule (data-dependent
+                // runtime).
                 let streaming = op.progress
                     && op
                         .monte_carlo
                         .as_ref()
                         .is_some_and(|mc| mc.target_error.is_some());
-                Ok(BatchJob {
-                    request: Request::MultiCycle(MultiCycleRequest {
-                        site,
-                        cycles: op.cycles,
-                        monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
-                            runs: mc.runs,
-                            target_error: mc.target_error,
-                            seed: mc.seed.unwrap_or(DEFAULT_SEED),
-                        }),
-                    }),
-                    progress: progress_sink(streaming),
-                    top: None,
-                    chunk_sites: None,
-                    circuit,
-                    token,
-                })
+                (circuit, request, progress_sink(streaming), None, None)
             }
-            // Unreachable in practice: the parser rejects other ops.
-            _ => Err(bad(
-                "batch jobs are sweep/site/monte_carlo/multi_cycle only",
-            )),
+            // Unreachable in practice: dispatch and the batch parser
+            // route only compute ops here.
+            _ => {
+                return Err(bad(
+                    "only sweep/site/monte_carlo/multi_cycle are compute jobs",
+                ))
+            }
+        };
+        Ok(ComputeJob {
+            id: job.id.clone(),
+            circuit,
+            request,
+            progress,
+            token,
+            top,
+            chunk_sites,
+        })
+    }
+
+    /// Submits resolved compute jobs together under one inflight permit
+    /// — their executor parts interleave on the shared workers — then
+    /// writes each job's reply in job order: `chunk` frames and a
+    /// `result` frame, or one `error` frame. Returns how many jobs
+    /// answered with an error frame.
+    fn run_jobs(&self, jobs: Vec<ComputeJob>, sink: &FrameSink) -> io::Result<usize> {
+        let _permit = self.inflight.acquire();
+        let results = self.service.submit_batch(
+            jobs.iter()
+                .map(|j| {
+                    (
+                        Arc::clone(&j.circuit),
+                        j.request.clone(),
+                        j.progress.clone(),
+                        j.token.clone(),
+                    )
+                })
+                .collect(),
+        );
+        let mut errors = 0usize;
+        for (job, result) in jobs.iter().zip(results) {
+            let id = job.id.as_deref();
+            match result {
+                Ok(response) => {
+                    let mut chunks = 0usize;
+                    if let (Some(chunk_sites), ResponsePayload::Sweep(sweep)) =
+                        (job.chunk_sites, &response.payload)
+                    {
+                        chunks = send_sweep_chunks(sink, id, &job.circuit, sweep, chunk_sites)?;
+                    }
+                    let chunk_note = if job.chunk_sites.is_some() {
+                        format!(", \"chunks\": {chunks}")
+                    } else {
+                        String::new()
+                    };
+                    sink.send(&format!(
+                        "{}, {}{chunk_note}}}",
+                        frame_head("result", id),
+                        response_fields(job.top, &job.circuit, &response, true)
+                    ))?;
+                }
+                Err(e) => {
+                    errors += 1;
+                    sink.send(&render_error_frame(id, &WireError::from(&e)))?;
+                }
+            }
         }
+        Ok(errors)
     }
 
     /// Loads (or reuses) a netlist by path. The cache is engine-wide:
@@ -2192,20 +2009,21 @@ fn build_whatif_edit(circuit: &Circuit, edit: &WhatIfEditOp) -> Result<Edit, Wir
     }
 }
 
-/// One resolved job of a `batch` envelope, ready to submit: the loaded
-/// circuit, the typed request, and the render/cancel bookkeeping the
-/// reply loop needs after the executor returns.
-struct BatchJob {
+/// One resolved compute job, ready to submit: the loaded circuit, the
+/// typed request with its progress sink and cancel token, and the
+/// reply bookkeeping [`ProtocolEngine::run_jobs`] needs after the
+/// executor returns.
+struct ComputeJob {
+    id: Option<String>,
     circuit: Arc<Circuit>,
     request: Request,
     progress: Option<ProgressFn>,
-    token: CancelToken,
+    token: Option<CancelToken>,
     top: Option<usize>,
     chunk_sites: Option<usize>,
 }
 
-/// Pages a sweep's per-site values into id-echoed `chunk` frames
-/// (shared by the solo `sweep` op and each sweep job of a `batch`);
+/// Pages a sweep's per-site values into id-echoed `chunk` frames;
 /// returns the number of chunk frames sent.
 fn send_sweep_chunks(
     sink: &FrameSink,

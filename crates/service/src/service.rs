@@ -20,11 +20,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ser_epp::{
-    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential_cancellable, AnalysisSession, Edit,
+    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, AnalysisSession, Edit,
     MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, SiteEpp, SweepResults,
     WhatIfAbort, WhatIfOutcome, WhatIfSession,
 };
-use ser_netlist::{CancelToken, Circuit, NodeId, PlanCache};
+use ser_netlist::{CancelToken, Circuit, ConePlans, NodeId, PlanCache};
 use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
 use ser_sp::{InputProbs, SpVector};
 
@@ -184,7 +184,8 @@ struct WhatIfEntry {
     session: Arc<Mutex<WhatIfSession>>,
 }
 
-/// The multi-circuit SER service. See the [module docs](self).
+/// The multi-circuit SER service: warm compiled sessions in a bounded
+/// LRU, with every request fanned out onto one shared executor.
 ///
 /// # Examples
 ///
@@ -263,8 +264,7 @@ pub enum Progress {
 /// `Send + Sync`; keep it cheap — it runs on the request's hot path.
 pub type ProgressFn = Arc<dyn Fn(Progress) + Send + Sync>;
 
-/// One job of a cancellable batch
-/// ([`SerService::submit_batch_cancellable`]): the circuit, the typed
+/// One job of a [`SerService::submit_batch`]: the circuit, the typed
 /// request, an optional per-job progress sink and an optional per-job
 /// cancel token.
 pub type BatchJob = (
@@ -426,7 +426,7 @@ impl SerService {
         circuit: &Arc<Circuit>,
         inputs: InputProbs,
     ) -> Result<u64, ServiceError> {
-        let (session, _) = self.session(circuit)?;
+        let (session, _) = self.session(circuit, None)?;
         let mut updated = (*session).clone();
         updated.set_inputs(inputs.clone())?;
         let revision = updated.revision();
@@ -466,7 +466,7 @@ impl SerService {
         }
 
         // Build outside the lock — the base sweep can be expensive.
-        let (session, _) = self.session_cancellable(circuit, cancel)?;
+        let (session, _) = self.session(circuit, cancel)?;
         let sp = Arc::clone(session.signal_probabilities_arc());
         let wf = match self.sweep_cache_get(&(key, PolarityMode::Tracked), &sp) {
             Some(results) => {
@@ -495,9 +495,10 @@ impl SerService {
     /// Applies one incremental edit to `circuit`'s what-if stack and
     /// returns the engine's outcome: new total SER, per-site deltas
     /// over the dirty region, and the re-sweep tier split. The first
-    /// call against a netlist creates the stack from the warm session
-    /// (see [`whatif_session`](Self::whatif_session)); later calls pay
-    /// only the dirty-region re-analysis.
+    /// call against a netlist creates the stack by cloning the warm
+    /// analysis session (and reusing a cached whole-circuit sweep when
+    /// one is valid); later calls pay only the dirty-region
+    /// re-analysis.
     ///
     /// `edit` is a *resolver*, not an [`Edit`]: it receives the stack's
     /// **current** (possibly already-edited) circuit, because that is
@@ -519,32 +520,31 @@ impl SerService {
     }
 
     /// [`whatif_apply`](Self::whatif_apply) with a cooperative
-    /// [`CancelToken`]: the token is polled at the session compile's
-    /// plan-build checkpoints and at the re-sweep's tier boundaries
-    /// (SP recompute → reference tier → planned tier → splice). A trip
-    /// leaves the edit stack exactly as it was — the partially
-    /// re-analyzed state is dropped, never pushed.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`whatif_apply`](Self::whatif_apply) returns, plus
-    /// [`ServiceError::Cancelled`] when the token trips.
-    pub fn whatif_apply_cancellable(
+    /// [`CancelToken`] — the wire `whatif` op's entry point. The token
+    /// is polled at the session compile's plan-build checkpoints and at
+    /// the re-sweep's tier boundaries (SP recompute → reference tier →
+    /// planned tier → splice). A trip at either leaves the edit stack
+    /// exactly as it was — the partially re-analyzed state is dropped,
+    /// never pushed — and counts in
+    /// [`ServiceStats::requests_cancelled`].
+    pub(crate) fn whatif_apply_cancellable(
         &self,
         circuit: &Arc<Circuit>,
         edit: impl FnOnce(&Circuit) -> Result<Edit, ServiceError>,
         cancel: Option<&CancelToken>,
     ) -> Result<WhatIfOutcome, ServiceError> {
-        let wf = self.whatif_session(circuit, cancel)?;
-        let mut wf = lock_clean(&wf);
-        let edit = edit(wf.circuit())?;
-        wf.apply_cancellable(edit, cancel).map_err(|e| match e {
-            WhatIfAbort::Compile(e) => ServiceError::Compile(e),
-            WhatIfAbort::Cancelled(cause) => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-                ServiceError::Cancelled(cause)
-            }
-        })
+        let outcome = self.whatif_session(circuit, cancel).and_then(|wf| {
+            let mut wf = lock_clean(&wf);
+            let edit = edit(wf.circuit())?;
+            wf.apply_cancellable(edit, cancel).map_err(|e| match e {
+                WhatIfAbort::Compile(e) => ServiceError::Compile(e),
+                WhatIfAbort::Cancelled(cause) => ServiceError::Cancelled(cause),
+            })
+        });
+        if matches!(outcome, Err(ServiceError::Cancelled(_))) {
+            self.cancelled.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
     }
 
     /// Pops the most recent what-if edit of `circuit`'s stack and
@@ -586,30 +586,18 @@ impl SerService {
     /// race to compile the same netlist, the first insert wins and the
     /// loser adopts it.
     ///
+    /// On a cache miss the cone-plan compile polls `cancel` at its
+    /// merge/anchor checkpoints, and a trip aborts the compile with
+    /// [`ServiceError::Cancelled`]. Nothing partial is cached, so the
+    /// next — uncancelled — request compiles from scratch and gets
+    /// bit-identical plans.
+    ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Compile`] when the circuit cannot be
-    /// compiled (cyclic, SP divergence).
+    /// compiled (cyclic, SP divergence), [`ServiceError::Cancelled`]
+    /// when `cancel` trips mid-compile.
     pub fn session(
-        &self,
-        circuit: &Arc<Circuit>,
-    ) -> Result<(Arc<AnalysisSession>, bool), ServiceError> {
-        self.session_cancellable(circuit, None)
-    }
-
-    /// [`session`](Self::session) with a cooperative [`CancelToken`]:
-    /// on a cache miss the cone-plan compile polls the token at its
-    /// merge/anchor checkpoints and a trip aborts the compile with
-    /// [`ServiceError::Cancelled`]. The session cache is left without
-    /// an entry (nothing partial is inserted) and the session's plan
-    /// slot stays cold, so the next — uncancelled — request compiles
-    /// from scratch and gets bit-identical plans.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`session`](Self::session) returns, plus
-    /// [`ServiceError::Cancelled`] when the token trips mid-compile.
-    pub fn session_cancellable(
         &self,
         circuit: &Arc<Circuit>,
         cancel: Option<&CancelToken>,
@@ -626,47 +614,42 @@ impl SerService {
         // Miss: compile outside the lock, under the last distribution
         // `set_inputs` recorded for this netlist (if any) so an LRU
         // eviction never silently reverts a circuit to default inputs.
-        // Cone plans are forced here so a "warm" session really is
-        // warm — the first sweep against it pays no plan build.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let override_inputs = lock_clean(&self.inputs_overrides).get(&key).cloned();
         let session = Arc::new(match override_inputs {
             Some(inputs) => AnalysisSession::with_inputs(Arc::clone(circuit), inputs)?,
             None => AnalysisSession::new(Arc::clone(circuit))?,
         });
-        // Try the persistent artifact cache first: a valid entry primes
-        // the session's plan slot and the force below returns it without
-        // compiling. Absent/corrupt/stale entries read as a miss; the
-        // freshly built plans are then persisted (best-effort) so the
-        // next cold process skips the compile.
-        let primed = match &self.plan_cache {
-            Some(cache) => match cache.load(key) {
-                // `load` verified version, key and checksum; the length
-                // check below guards the residual 64-bit fingerprint
-                // collision (a different circuit of identical size would
-                // produce wrong plans undetected, but so would any other
-                // fingerprint consumer — the session cache's equality
-                // check already gates reuse of *sessions* across
-                // colliding netlists).
-                Some(plans) if plans.len() == circuit.len() => {
-                    self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    session.epp().artifacts().prime_cone_plans(Arc::new(plans))
-                }
-                _ => {
+        // Cone plans are settled here so a "warm" session really is
+        // warm — the first sweep against it pays no plan build. A valid
+        // persistent-cache entry skips the build; absent/corrupt/stale
+        // entries read as a miss, and the freshly built plans are then
+        // persisted (best-effort) so the next cold process skips it.
+        let plans = match self.plan_cache.as_ref().and_then(|cache| cache.load(key)) {
+            // `load` verified version, key and checksum; the length
+            // check guards the residual 64-bit fingerprint collision (a
+            // different circuit of identical size would produce wrong
+            // plans undetected, but so would any other fingerprint
+            // consumer — the session cache's equality check already
+            // gates reuse of *sessions* across colliding netlists).
+            Some(plans) if plans.len() == circuit.len() => {
+                self.plan_hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::new(plans))
+            }
+            _ => {
+                if self.plan_cache.is_some() {
                     self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                    false
                 }
-            },
-            None => false,
-        };
-        {
-            let epp = session.epp();
-            let built = epp
-                .artifacts()
-                .cone_plans_cancellable(circuit, cancel)
-                .map_err(ServiceError::Cancelled)?;
-            if !primed {
-                if let (Some(cache), Some(plans)) = (&self.plan_cache, built) {
+                let built = ConePlans::build(
+                    circuit,
+                    session.topo(),
+                    ConePlans::DEFAULT_MEMBER_BUDGET,
+                    self.config.threads,
+                    cancel,
+                )
+                .map_err(ServiceError::Cancelled)?
+                .map(Arc::new);
+                if let (Some(cache), Some(plans)) = (&self.plan_cache, &built) {
                     // Best-effort persist; the eviction count is the
                     // only part of a failed store worth surfacing.
                     if let Ok(outcome) = cache.store(key, plans) {
@@ -674,8 +657,10 @@ impl SerService {
                             .fetch_add(outcome.evicted as u64, Ordering::Relaxed);
                     }
                 }
+                built
             }
-        }
+        };
+        session.topo().prime_cone_plans(plans);
 
         let mut cache = lock_clean(&self.cache);
         if let Some(winner) = lookup(&mut cache, key, circuit, |s| s.circuit_arc()) {
@@ -689,8 +674,9 @@ impl SerService {
     }
 
     /// Serves one request. Equivalent to a one-element
-    /// [`submit_batch`](Self::submit_batch); the request's jobs still
-    /// fan out across the shared executor.
+    /// [`submit_batch`](Self::submit_batch) with no progress sink and
+    /// no cancel token; the request's jobs still fan out across the
+    /// shared executor.
     ///
     /// # Errors
     ///
@@ -700,49 +686,7 @@ impl SerService {
         circuit: &Arc<Circuit>,
         request: Request,
     ) -> Result<Response, ServiceError> {
-        self.submit_batch(vec![(Arc::clone(circuit), request)])
-            .pop()
-            .unwrap_or_else(|| {
-                Err(ServiceError::Internal(
-                    "batch returned no response for its one job".into(),
-                ))
-            })
-    }
-
-    /// Serves one request under an optional progress sink and an
-    /// optional cooperative [`CancelToken`] — the fully general single
-    /// submit.
-    ///
-    /// The sink receives [`Progress`] events while the request runs:
-    /// sweep part completions as they are collected, and — for
-    /// sequential Monte-Carlo requests — interim trial counters from
-    /// the worker at doubling vector thresholds (first at
-    /// [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT), so short
-    /// runs stay quiet and long runs emit O(log n) events). Progress
-    /// reporting observes the run, it never reshapes it: the response
-    /// is **identical** to [`submit`](Self::submit). Requests served
-    /// straight from the response cache complete without any progress
-    /// events.
-    ///
-    /// The token is polled between executor parts (sweep site
-    /// batches), between Monte-Carlo observation blocks, at the
-    /// multi-cycle simulation's block boundaries and inside a cold
-    /// session's plan compile; a trip aborts the request with
-    /// [`ServiceError::Cancelled`], drops every partial part, and
-    /// populates **no** cache. Requests without a token are unaffected.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceError`]; [`ServiceError::Cancelled`] when the
-    /// token trips before the request completes.
-    pub fn submit_cancellable(
-        &self,
-        circuit: &Arc<Circuit>,
-        request: Request,
-        on_progress: Option<ProgressFn>,
-        cancel: Option<CancelToken>,
-    ) -> Result<Response, ServiceError> {
-        self.submit_batch_cancellable(vec![(Arc::clone(circuit), request, on_progress, cancel)])
+        self.submit_batch(vec![(Arc::clone(circuit), request, None, None)])
             .pop()
             .unwrap_or_else(|| {
                 Err(ServiceError::Internal(
@@ -760,29 +704,27 @@ impl SerService {
     /// on its session: the sweep fan-out re-partitions sites across
     /// jobs, but each site is evaluated by the same plan kernel over
     /// the same shared artifacts.
+    ///
+    /// A job's progress sink receives [`Progress`] events while it
+    /// runs: sweep part completions as they are collected, and — for
+    /// sequential Monte-Carlo requests — interim trial counters from
+    /// the worker at doubling vector thresholds (first at
+    /// [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT), so short
+    /// runs stay quiet and long runs emit O(log n) events). Progress
+    /// reporting observes the run, it never reshapes it. Requests
+    /// served straight from the response cache complete without any
+    /// progress events.
+    ///
+    /// A job's cancel token is polled between executor parts (sweep
+    /// site batches), between Monte-Carlo observation blocks, at the
+    /// multi-cycle simulation's block boundaries and inside a cold
+    /// session's plan compile; a trip aborts that job with
+    /// [`ServiceError::Cancelled`], drops every partial part, and
+    /// populates **no** cache. Tokens are independent: cancelling one
+    /// job never disturbs its neighbours — their parts keep running
+    /// and their responses stay bit-identical to a solo run.
     #[must_use]
-    pub fn submit_batch(
-        &self,
-        jobs: Vec<(Arc<Circuit>, Request)>,
-    ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_cancellable(
-            jobs.into_iter()
-                .map(|(circuit, request)| (circuit, request, None, None))
-                .collect(),
-        )
-    }
-
-    /// [`submit_batch`](Self::submit_batch) with an optional progress
-    /// sink and an optional cooperative [`CancelToken`] per job (see
-    /// [`submit_cancellable`](Self::submit_cancellable)). Tokens are
-    /// independent: cancelling one job of a batch never disturbs its
-    /// neighbours — their parts keep running and their responses stay
-    /// bit-identical to a solo run.
-    #[must_use]
-    pub fn submit_batch_cancellable(
-        &self,
-        jobs: Vec<BatchJob>,
-    ) -> Vec<Result<Response, ServiceError>> {
+    pub fn submit_batch(&self, jobs: Vec<BatchJob>) -> Vec<Result<Response, ServiceError>> {
         let (tx, rx) = mpsc::channel::<PartMsg>();
         let mut prepared: Vec<Result<Prepared, ServiceError>> = Vec::with_capacity(jobs.len());
 
@@ -914,7 +856,7 @@ impl SerService {
             token.check().map_err(ServiceError::Cancelled)?;
         }
         validate(circuit, &request, &self.config)?;
-        let (session, warm) = self.session_cancellable(circuit, cancel.as_ref())?;
+        let (session, warm) = self.session(circuit, cancel.as_ref())?;
 
         // Whole-circuit sweeps are a pure function of the netlist, the
         // SP vector and the polarity — serve repeats straight from the
@@ -1022,29 +964,14 @@ impl SerService {
                                 let rule = SequentialMonteCarlo::new(eps)
                                     .with_seed(req.seed)
                                     .with_max_vectors(req.vectors);
-                                // The trial counters are reported at
-                                // doubling vector thresholds when
-                                // streaming; the observer cannot perturb
-                                // the run (bit-identical), and the token
-                                // is polled at the same block cadence.
-                                let mut next = SerService::MC_PROGRESS_FIRST_AT;
-                                rule.estimate_site_cancellable(
+                                // The observer cannot perturb the run
+                                // (bit-identical), and the token is
+                                // polled at the same block cadence.
+                                rule.estimate_site(
                                     session.bit_sim(),
                                     req.site,
                                     cancel.as_ref(),
-                                    |vectors, sensitized| {
-                                        if let Some(sink) = &sink {
-                                            if vectors >= next {
-                                                while next <= vectors {
-                                                    next = next.saturating_mul(2);
-                                                }
-                                                sink(Progress::MonteCarlo {
-                                                    vectors,
-                                                    sensitized,
-                                                });
-                                            }
-                                        }
-                                    },
+                                    mc_progress(sink),
                                 )
                                 .map_err(ServiceError::Cancelled)?
                             }
@@ -1111,6 +1038,28 @@ fn lookup<V: Clone>(
     }
 }
 
+/// The observer a sequential (Mendo-rule) Monte-Carlo leg runs under:
+/// it forwards the `(vectors, sensitized)` tick to `sink` as
+/// [`Progress::MonteCarlo`] at doubling vector thresholds starting at
+/// [`SerService::MC_PROGRESS_FIRST_AT`], and does nothing without a
+/// sink.
+fn mc_progress(sink: Option<ProgressFn>) -> impl FnMut(u64, u64) {
+    let mut next = SerService::MC_PROGRESS_FIRST_AT;
+    move |vectors, sensitized| {
+        if let Some(sink) = &sink {
+            if vectors >= next {
+                while next <= vectors {
+                    next = next.saturating_mul(2);
+                }
+                sink(Progress::MonteCarlo {
+                    vectors,
+                    sensitized,
+                });
+            }
+        }
+    }
+}
+
 /// The multi-cycle leg runs analytic + optional simulation in one job
 /// (both are single-site and cheap relative to a sweep). With a
 /// progress sink, the sequential (Mendo-rule) simulation reports its
@@ -1130,35 +1079,20 @@ fn run_multi_cycle(
     let monte_carlo = match req.monte_carlo {
         None => None,
         Some(mc) => Some(match mc.target_error {
-            Some(eps) => {
-                let mut next = SerService::MC_PROGRESS_FIRST_AT;
-                multi_cycle_monte_carlo_sequential_cancellable(
-                    Arc::clone(session.circuit_arc()),
-                    req.site,
-                    req.cycles,
-                    eps,
-                    mc.runs,
-                    mc.seed,
-                    &mut |runs, successes| {
-                        if let Some(sink) = &progress {
-                            if runs >= next {
-                                while next <= runs {
-                                    next = next.saturating_mul(2);
-                                }
-                                sink(Progress::MonteCarlo {
-                                    vectors: runs,
-                                    sensitized: successes,
-                                });
-                            }
-                        }
-                    },
-                    cancel,
-                )
-                .map_err(|e| match e {
-                    MultiCycleMcAbort::Simulation(e) => ServiceError::Simulation(e),
-                    MultiCycleMcAbort::Cancelled(cause) => ServiceError::Cancelled(cause),
-                })?
-            }
+            Some(eps) => multi_cycle_monte_carlo_sequential(
+                Arc::clone(session.circuit_arc()),
+                req.site,
+                req.cycles,
+                eps,
+                mc.runs,
+                mc.seed,
+                &mut mc_progress(progress),
+                cancel,
+            )
+            .map_err(|e| match e {
+                MultiCycleMcAbort::Simulation(e) => ServiceError::Simulation(e),
+                MultiCycleMcAbort::Cancelled(cause) => ServiceError::Cancelled(cause),
+            })?,
             None => {
                 let cumulative = multi_cycle_monte_carlo(
                     Arc::clone(session.circuit_arc()),
@@ -1292,5 +1226,44 @@ fn single(parts: Vec<(usize, Result<Part, ServiceError>)>) -> Result<Part, Servi
         None => Err(ServiceError::Internal(
             "single-part request reported no parts".into(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ser_netlist::{parse_bench, CancelCause};
+
+    #[test]
+    fn a_whatif_cancelled_in_its_cold_compile_is_counted() {
+        let circuit: Arc<Circuit> = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = AND(a, b)\ny = NOT(u)\n",
+            "t",
+        )
+        .unwrap()
+        .into();
+        let u = circuit.find("u").unwrap();
+        let service = SerService::with_defaults();
+        // Cold netlist: the what-if stack compiles a session first, and
+        // its plan build polls the token at anchor 0.
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let outcome =
+            service.whatif_apply_cancellable(&circuit, |_| Ok(Edit::Tmr(u)), Some(&tripped));
+        assert!(
+            matches!(
+                outcome,
+                Err(ServiceError::Cancelled(CancelCause::Cancelled))
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(service.stats().requests_cancelled, 1);
+        assert_eq!(service.stats().whatif_sessions_cached, 0);
+        // Nothing partial was cached: the next apply compiles and lands.
+        let outcome = service
+            .whatif_apply(&circuit, |_| Ok(Edit::Tmr(u)))
+            .unwrap();
+        assert_eq!(outcome.depth, 1);
+        assert_eq!(service.stats().requests_cancelled, 1);
     }
 }

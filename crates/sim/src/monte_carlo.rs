@@ -163,7 +163,8 @@ impl MonteCarlo {
 /// let sim = BitSim::new(&c)?;
 /// let a = c.find("a").unwrap();
 /// let mc = SequentialMonteCarlo::new(0.1).with_seed(7);
-/// let est = mc.estimate_site(&sim, a);
+/// // No cancel token and no observer: the run cannot be cancelled.
+/// let est = mc.estimate_site(&sim, a, None, |_, _| {}).unwrap();
 /// // P_sensitized = 0.5; the rule stopped on its own, well under the cap.
 /// assert!((est.p_sensitized - 0.5).abs() < 0.1);
 /// assert!(est.vectors < mc.max_vectors());
@@ -242,32 +243,22 @@ impl SequentialMonteCarlo {
     /// running until [`successes_required`](Self::successes_required)
     /// sensitized vectors have been seen or the cap is reached.
     /// `SiteEstimate::vectors` reports the trials actually spent.
-    #[must_use]
-    pub fn estimate_site(&self, sim: &BitSim, site: NodeId) -> SiteEstimate {
-        match self.estimate_site_cancellable(sim, site, None, |_, _| {}) {
-            Ok(est) => est,
-            Err(_) => unreachable!("an estimate without a token cannot be cancelled"),
-        }
-    }
-
-    /// [`estimate_site`](Self::estimate_site) with a cooperative
-    /// [`CancelToken`] and a progress observer.
     ///
     /// `observe(vectors_run, sensitized_so_far)` is called after every
     /// simulated block (64 vectors, fewer on the capped final block), so
     /// a long-running sequential estimate can stream interim counts —
     /// the service's wire protocol turns these into progress frames.
-    /// The token is polled at the same block boundaries. A trip aborts
+    /// `cancel` is polled at the same block boundaries; a trip aborts
     /// the loop and discards the partial counts.
     ///
     /// Neither the observer nor a live token can influence the run: the
-    /// estimate is **bit-identical** to `estimate_site`.
+    /// estimate is **bit-identical** whatever is passed for either.
     ///
     /// # Errors
     ///
     /// The [`CancelCause`] when `cancel` trips before the stopping
     /// rule (or the cap) finishes the run.
-    pub fn estimate_site_cancellable(
+    pub fn estimate_site(
         &self,
         sim: &BitSim,
         site: NodeId,
@@ -340,15 +331,6 @@ impl SequentialMonteCarlo {
                 })
                 .collect(),
         })
-    }
-
-    /// Estimates every site in `sites`; returns estimates in order.
-    #[must_use]
-    pub fn estimate_sites(&self, sim: &BitSim, sites: &[NodeId]) -> Vec<SiteEstimate> {
-        sites
-            .iter()
-            .map(|&site| self.estimate_site(sim, site))
-            .collect()
     }
 }
 
@@ -502,7 +484,7 @@ mod tests {
         let sim = BitSim::new(&c).unwrap();
         let a = c.find("a").unwrap();
         let mc = SequentialMonteCarlo::new(0.1).with_seed(3);
-        let est = mc.estimate_site(&sim, a);
+        let est = mc.estimate_site(&sim, a, None, |_, _| {}).unwrap();
         // k = ceil(1/0.01) + 2 = 102 successes at p = 0.5: ~204 vectors,
         // far under the cap.
         assert_eq!(mc.successes_required(), 102);
@@ -514,7 +496,7 @@ mod tests {
             est.p_sensitized
         );
         // Deterministic per seed.
-        assert_eq!(est, mc.estimate_site(&sim, a));
+        assert_eq!(est, mc.estimate_site(&sim, a, None, |_, _| {}).unwrap());
         // Single observe point: per-point arrival must equal the
         // (debiased) p_sensitized exactly, as in the fixed-count engine.
         assert_eq!(est.per_point.len(), 1);
@@ -536,10 +518,10 @@ mod tests {
         let sim = BitSim::new(&c).unwrap();
         let a = c.find("a").unwrap();
         let mc = SequentialMonteCarlo::new(0.1).with_seed(3);
-        let plain = mc.estimate_site(&sim, a);
+        let plain = mc.estimate_site(&sim, a, None, |_, _| {}).unwrap();
         let mut calls: Vec<(u64, u64)> = Vec::new();
         let observed = mc
-            .estimate_site_cancellable(&sim, a, None, |ran, hits| calls.push((ran, hits)))
+            .estimate_site(&sim, a, None, |ran, hits| calls.push((ran, hits)))
             .unwrap();
         assert_eq!(observed, plain, "observer must not perturb the run");
         // One call per 64-vector block, counts non-decreasing, final
@@ -559,7 +541,7 @@ mod tests {
         let sim = BitSim::new(&c).unwrap();
         let u = c.find("u").unwrap();
         let mc = SequentialMonteCarlo::new(0.2).with_max_vectors(512);
-        let est = mc.estimate_site(&sim, u);
+        let est = mc.estimate_site(&sim, u, None, |_, _| {}).unwrap();
         assert_eq!(est.vectors, 512, "ran to the cap");
         assert_eq!(est.p_sensitized, 0.0);
     }
@@ -580,7 +562,10 @@ mod tests {
         let mut sq_rel = 0.0;
         const SEEDS: u64 = 40;
         for seed in 0..SEEDS {
-            let est = mc.with_seed(seed).estimate_site(&sim, a);
+            let est = mc
+                .with_seed(seed)
+                .estimate_site(&sim, a, None, |_, _| {})
+                .unwrap();
             let rel = (est.p_sensitized - 0.25) / 0.25;
             sq_rel += rel * rel;
         }
@@ -600,8 +585,12 @@ mod tests {
         .unwrap();
         let sim = BitSim::new(&c).unwrap();
         let mc = SequentialMonteCarlo::new(0.1).with_seed(5);
-        let rare = mc.estimate_site(&sim, c.find("a").unwrap());
-        let easy = mc.estimate_site(&sim, c.find("b").unwrap());
+        let rare = mc
+            .estimate_site(&sim, c.find("a").unwrap(), None, |_, _| {})
+            .unwrap();
+        let easy = mc
+            .estimate_site(&sim, c.find("b").unwrap(), None, |_, _| {})
+            .unwrap();
         assert!(
             rare.vectors >= 2 * easy.vectors,
             "rare {} vs easy {}",

@@ -39,11 +39,12 @@ fn build_dag(inputs: usize, gates: usize, reconv: f64, xf: f64, seed: u64) -> Ci
 /// for the flat layout).
 fn assert_builders_agree(circuit: &Circuit) {
     let topo = TopoArtifacts::compute(circuit).unwrap();
-    let reference = FlatConePlans::build_bounded_with_threads(circuit, &topo, usize::MAX, 1)
+    let reference = FlatConePlans::build(circuit, &topo, usize::MAX, 1)
         .expect("unbounded build cannot decline");
     let logical = reference.total_members();
     for threads in [1usize, 4] {
-        let shared = ConePlans::build_bounded_with_threads(circuit, &topo, usize::MAX, threads)
+        let shared = ConePlans::build(circuit, &topo, usize::MAX, threads, None)
+            .expect("no cancel token to trip")
             .expect("unbounded build cannot decline");
         assert_eq!(
             shared.logical_members(),
@@ -71,27 +72,28 @@ fn assert_builders_agree(circuit: &Circuit) {
         let stored = shared.stored_members();
         if stored > 0 {
             assert!(
-                ConePlans::build_bounded_with_threads(circuit, &topo, stored - 1, threads)
+                ConePlans::build(circuit, &topo, stored - 1, threads, None)
+                    .expect("no cancel token to trip")
                     .is_none(),
                 "{}: arena builder must decline under its stored-member budget",
                 circuit.name()
             );
         }
-        let at_budget = ConePlans::build_bounded_with_threads(circuit, &topo, stored, threads)
+        let at_budget = ConePlans::build(circuit, &topo, stored, threads, None)
+            .expect("no cancel token to trip")
             .expect("exact budget fits");
         assert_eq!(at_budget, shared, "{} at budget", circuit.name());
 
         // Budget semantics, flat side: counts logical members.
         if logical > 0 {
             assert!(
-                FlatConePlans::build_bounded_with_threads(circuit, &topo, logical - 1, threads)
-                    .is_none(),
+                FlatConePlans::build(circuit, &topo, logical - 1, threads).is_none(),
                 "{}: flat builder must decline under its logical-member budget",
                 circuit.name()
             );
         }
         assert!(
-            FlatConePlans::build_bounded_with_threads(circuit, &topo, logical, threads).is_some(),
+            FlatConePlans::build(circuit, &topo, logical, threads).is_some(),
             "{}: flat builder accepts at its exact total",
             circuit.name()
         );
@@ -137,7 +139,9 @@ fn long_chain_above_parallel_threshold() {
     }
     let c = ser_suite::netlist::parse_bench(&src, "chain").unwrap();
     let topo = TopoArtifacts::compute(&c).unwrap();
-    let shared = ConePlans::build(&c, &topo);
+    let shared = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+        .expect("no cancel token to trip")
+        .expect("unbounded build cannot decline");
     // A pure single-output chain is the best case for suffix sharing:
     // the logical sum-of-cones is quadratic in the stage count while
     // the arena stays linear.

@@ -368,7 +368,13 @@ fn sequential_monte_carlo_streams_progress_frames() {
     let direct = SequentialMonteCarlo::new(0.04)
         .with_seed(11)
         .with_max_vectors(10_000)
-        .estimate_site(session.bit_sim(), circuit.find("a").unwrap());
+        .estimate_site(
+            session.bit_sim(),
+            circuit.find("a").unwrap(),
+            None,
+            |_, _| {},
+        )
+        .unwrap();
     let result = json::parse_value(rest[0]).unwrap();
     assert_eq!(
         result.get("vectors").and_then(JsonValue::as_count),
@@ -705,6 +711,8 @@ fn multi_cycle_sequential_mc_streams_progress_frames() {
         0.05,
         100_000,
         7,
+        &mut |_, _| {},
+        None,
     )
     .unwrap();
     let result = json::parse_value(rest[0]).unwrap();
@@ -1167,6 +1175,86 @@ fn batch_rejects_a_bad_job_before_running_any() {
     assert_eq!(engine.inflight_active(), 0);
     assert_eq!(engine.cancel_registrations(), 0);
     let _ = std::fs::remove_file(&netlist);
+}
+
+/// Masks the two fields that legitimately differ between otherwise
+/// identical replies: the measured `wall_us` and the session's `warm`.
+fn mask_timing(frame: &str) -> String {
+    let mut out = frame.to_owned();
+    for key in ["\"wall_us\": ", "\"warm\": "] {
+        if let Some(start) = out.find(key).map(|at| at + key.len()) {
+            let len = out[start..].find([',', '}']).unwrap();
+            out.replace_range(start..start + len, "_");
+        }
+    }
+    out
+}
+
+#[test]
+fn a_solo_op_answers_like_the_same_job_in_a_batch() {
+    let netlist = write_netlist("solo_batch");
+    let path = netlist.to_str().unwrap();
+    let dff_netlist = write_dff_netlist("solo_batch_dff");
+    let dff_path = dff_netlist.to_str().unwrap();
+    // One-site sweep parts: every part adds 1 to `sites_done`, so the
+    // progress frames are the same whatever order the parts land in.
+    let fresh_engine = || {
+        ProtocolEngine::new(
+            Arc::new(SerService::new(SerServiceConfig {
+                threads: 2,
+                sweep_batch_sites: 1,
+                ..SerServiceConfig::default()
+            })),
+            EngineConfig::default(),
+        )
+    };
+    let jobs = [
+        format!(
+            r#""id": "j", "op": "sweep", "netlist": "{path}", "top": 3, "chunk_sites": 2, "progress": true"#
+        ),
+        format!(r#""id": "j", "op": "site", "netlist": "{path}", "node": "u""#),
+        format!(
+            r#""id": "j", "op": "monte_carlo", "netlist": "{path}", "node": "a", "target_error": 0.04, "seed": 11"#
+        ),
+        format!(
+            r#""id": "j", "op": "multi_cycle", "netlist": "{dff_path}", "node": "u", "cycles": 3, "monte_carlo": {{"runs": 100000, "target_error": 0.05, "seed": 7}}"#
+        ),
+    ];
+    for job in &jobs {
+        let solo = run_lines(&fresh_engine(), vec![format!("{{\"v\": 2, {job}}}")]);
+        let mut batch = run_lines(
+            &fresh_engine(),
+            vec![format!(
+                r#"{{"v": 2, "id": "b", "op": "batch", "jobs": [{{{job}}}]}}"#
+            )],
+        );
+        let summary = json::parse_value(&batch.pop().unwrap()).unwrap();
+        assert_eq!(summary.get("op").and_then(JsonValue::as_str), Some("batch"));
+        assert_eq!(summary.get("errors").and_then(JsonValue::as_count), Some(0));
+        let masked = |frames: &[String]| frames.iter().map(|f| mask_timing(f)).collect::<Vec<_>>();
+        assert_eq!(masked(&solo), masked(&batch), "{job}");
+        assert_eq!(frame_kind(solo.last().unwrap()).as_deref(), Some("result"));
+        if !job.contains("\"site\"") {
+            assert!(
+                solo.iter()
+                    .any(|f| frame_kind(f).as_deref() == Some("progress")),
+                "{job} streams progress: {solo:?}"
+            );
+        }
+    }
+
+    // A resolution error: the solo op and the batch answer with the
+    // same error frame (neither names an id, so both echo `null`).
+    let job = format!(r#""op": "site", "netlist": "{path}", "node": "no_such_node""#);
+    let solo = run_lines(&fresh_engine(), vec![format!("{{\"v\": 2, {job}}}")]);
+    let batch = run_lines(
+        &fresh_engine(),
+        vec![format!(r#"{{"v": 2, "op": "batch", "jobs": [{{{job}}}]}}"#)],
+    );
+    assert_eq!(solo, batch);
+    assert_eq!(error_code(&solo[0]).as_deref(), Some("not_found"));
+    let _ = std::fs::remove_file(&netlist);
+    let _ = std::fs::remove_file(&dff_netlist);
 }
 
 /// A line source the test feeds interactively; `None` through the

@@ -121,7 +121,9 @@ fn service_sweep_is_bit_identical_to_direct_session() {
             .with_max_vectors(1 << 16);
         assert_eq!(
             via_service.as_monte_carlo().unwrap(),
-            &rule.estimate_site(direct.bit_sim(), site)
+            &rule
+                .estimate_site(direct.bit_sim(), site, None, |_, _| {})
+                .unwrap()
         );
     }
 }
@@ -144,15 +146,15 @@ fn lru_reuses_and_evicts_sessions() {
     });
 
     // Compile a and b (2 misses), then hit both.
-    let (sa1, warm_a1) = service.session(&a).unwrap();
-    let (sb1, warm_b1) = service.session(&b).unwrap();
+    let (sa1, warm_a1) = service.session(&a, None).unwrap();
+    let (sb1, warm_b1) = service.session(&b, None).unwrap();
     assert!(!warm_a1 && !warm_b1);
-    let (sa2, warm_a2) = service.session(&a).unwrap();
+    let (sa2, warm_a2) = service.session(&a, None).unwrap();
     assert!(warm_a2, "second lookup is warm");
     assert!(Arc::ptr_eq(&sa1, &sa2), "the very same session object");
 
     // Touch order is now b, a (a most recent). Adding c evicts b.
-    let (_, warm_c) = service.session(&c).unwrap();
+    let (_, warm_c) = service.session(&c, None).unwrap();
     assert!(!warm_c);
     let stats = service.stats();
     assert_eq!(stats.session_misses, 3);
@@ -160,10 +162,10 @@ fn lru_reuses_and_evicts_sessions() {
     assert_eq!(stats.sessions_cached, 2);
 
     // a survived (recently used), b was evicted and recompiles.
-    let (sa3, warm_a3) = service.session(&a).unwrap();
+    let (sa3, warm_a3) = service.session(&a, None).unwrap();
     assert!(warm_a3);
     assert!(Arc::ptr_eq(&sa1, &sa3));
-    let (sb2, warm_b2) = service.session(&b).unwrap();
+    let (sb2, warm_b2) = service.session(&b, None).unwrap();
     assert!(!warm_b2, "b was the LRU victim");
     assert!(!Arc::ptr_eq(&sb1, &sb2), "recompiled session");
     assert_eq!(service.stats().evictions, 2, "c evicted in turn");
@@ -186,17 +188,32 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
         ..SerServiceConfig::default()
     }));
     // Warm both circuits.
-    service.session(&a).unwrap();
-    service.session(&b).unwrap();
+    service.session(&a, None).unwrap();
+    service.session(&b, None).unwrap();
 
     let expected_a = AnalysisSession::new(Arc::clone(&a)).unwrap().sweep(1);
     let expected_b = AnalysisSession::new(Arc::clone(&b)).unwrap().sweep(1);
 
     // One interleaved batch mixing both circuits…
     let responses = service.submit_batch(vec![
-        (Arc::clone(&a), Request::Sweep(SweepRequest::default())),
-        (Arc::clone(&b), Request::Sweep(SweepRequest::default())),
-        (Arc::clone(&a), Request::Sweep(SweepRequest::default())),
+        (
+            Arc::clone(&a),
+            Request::Sweep(SweepRequest::default()),
+            None,
+            None,
+        ),
+        (
+            Arc::clone(&b),
+            Request::Sweep(SweepRequest::default()),
+            None,
+            None,
+        ),
+        (
+            Arc::clone(&a),
+            Request::Sweep(SweepRequest::default()),
+            None,
+            None,
+        ),
     ]);
     for (i, expected) in [&expected_a, &expected_b, &expected_a].iter().enumerate() {
         let r = responses[i].as_ref().unwrap();
@@ -264,6 +281,8 @@ fn multi_cycle_request_matches_direct_engines() {
         0.2,
         2_048,
         9,
+        &mut |_, _| {},
+        None,
     )
     .unwrap();
     assert_eq!(monte_carlo.as_ref().unwrap(), &direct);
@@ -408,7 +427,7 @@ fn set_inputs_survives_session_eviction() {
         .sweep(1);
 
     // Evict the configured session, then come back to the circuit.
-    service.session(&other).unwrap();
+    service.session(&other, None).unwrap();
     let response = service
         .submit(&target, Request::Sweep(SweepRequest::default()))
         .unwrap();
@@ -420,7 +439,7 @@ fn set_inputs_survives_session_eviction() {
     );
 }
 
-/// A progress sink on `submit_cancellable` reports progress without
+/// A progress sink on a `submit_batch` job reports progress without
 /// perturbing results:
 /// sweep part completions arrive monotonically, sequential Monte-Carlo
 /// counters stream from the worker, and the responses are identical to
@@ -449,12 +468,13 @@ fn streaming_progress_observes_without_perturbing() {
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
     let streamed = service
-        .submit_cancellable(
-            &circuit,
+        .submit_batch(vec![(
+            Arc::clone(&circuit),
             Request::Sweep(SweepRequest::default()),
             Some(sink),
             None,
-        )
+        )])
+        .remove(0)
         .unwrap();
     let direct = service
         .submit(&circuit, Request::Sweep(SweepRequest::default()))
@@ -493,7 +513,13 @@ fn streaming_progress_observes_without_perturbing() {
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
     let streamed = service
-        .submit_cancellable(&circuit, request.clone(), Some(sink), None)
+        .submit_batch(vec![(
+            Arc::clone(&circuit),
+            request.clone(),
+            Some(sink),
+            None,
+        )])
+        .remove(0)
         .unwrap();
     let direct = service.submit(&circuit, request).unwrap();
     assert_eq!(
@@ -543,10 +569,14 @@ fn invalid_requests_are_rejected_up_front() {
         (
             Arc::clone(&circuit),
             Request::Site(SiteRequest { site: bogus }),
+            None,
+            None,
         ),
         (
             Arc::clone(&circuit),
             Request::Sweep(SweepRequest::default()),
+            None,
+            None,
         ),
     ]);
     assert!(results[0].is_err());

@@ -93,9 +93,10 @@ fn sequential_circuits_bit_identical() {
             .unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
         let pool = WorkspacePool::new();
+        let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let single = analysis.sweep_with(polarity, 1, &pool);
-            let multi = analysis.sweep_with(polarity, 4, &pool);
+            let single = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
+            let multi = analysis.sweep_sites_with(&sites, polarity, 4, &pool);
             assert_eq!(single, multi, "{} ({polarity:?})", c.name());
             let mut ws = SiteWorkspace::new(&analysis);
             for id in c.node_ids() {
@@ -190,8 +191,9 @@ proptest! {
         let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
         let pool = WorkspacePool::new();
+        let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let sweep = analysis.sweep_with(polarity, 1, &pool);
+            let sweep = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
             assert_sweep_matches_reference(&c, &analysis, &sweep, polarity);
         }
     }
@@ -204,14 +206,15 @@ proptest! {
         let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
         let pool = WorkspacePool::new();
+        let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let single = analysis.sweep_with(polarity, 1, &pool);
+            let single = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
             for threads in [2usize, 5, 8] {
-                let multi = analysis.sweep_with(polarity, threads, &pool);
+                let multi = analysis.sweep_sites_with(&sites, polarity, threads, &pool);
                 prop_assert_eq!(&single, &multi, "{} threads ({:?})", threads, polarity);
             }
             // And the multi-threaded arena still matches the reference.
-            let multi = analysis.sweep_with(polarity, 4, &pool);
+            let multi = analysis.sweep_sites_with(&sites, polarity, 4, &pool);
             assert_sweep_matches_reference(&c, &analysis, &multi, polarity);
         }
     }
