@@ -136,7 +136,7 @@ fn main() {
         // `tests/plan_builder.rs` checks these plans against the flat
         // per-site-DFS reference builder.
         let plan_start = Instant::now();
-        let merged_plans = ConePlans::build(&circuit, epp.artifacts(), usize::MAX, threads, None)
+        let merged_plans = ConePlans::build(&circuit, epp.artifacts(), usize::MAX, None)
             .expect("no cancel token to trip")
             .expect("unbudgeted build cannot decline");
         let plan_build_ms = plan_start.elapsed().as_secs_f64() * 1e3;
@@ -280,8 +280,12 @@ fn main() {
     // Backend provenance: a throughput number without the rule-core
     // backend that produced it is uninterpretable across hosts.
     let kernel = KernelBackend::auto().name();
+    #[cfg(target_arch = "x86_64")]
+    let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx512f = false;
     let json = format!(
-        "{{\n  \"bench\": \"sweep_throughput\",\n  \"kernel\": \"{kernel}\",\n  \"unit_note\": \"latencies in microseconds; speedups vs per-site reference path; arena_members = deduplicated stored cone members (suffix-shared); host cores: {threads}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"sweep_throughput\",\n  \"kernel\": \"{kernel}\",\n  \"unit_note\": \"latencies in microseconds; speedups vs per-site reference path; arena_members = deduplicated stored cone members (suffix-shared); host cores: {threads}, avx512f: {avx512f}\",\n  \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write benchmark output");

@@ -259,23 +259,6 @@ impl LaneVec for AvxVec {
     }
 }
 
-/// Best-effort prefetch of the cache line at `p` into all levels
-/// (`prefetcht0`). A pure scheduling hint — no-op on non-x86 hosts —
-/// used by the sweep's tail walk to hide the plan arena's
-/// dependent-load latency on circuits whose arena outgrows the LLC.
-#[inline(always)]
-pub(crate) fn prefetch_t0<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `prefetcht0` is architecturally a hint: it cannot fault
-    // regardless of the address's validity, and SSE is part of the
-    // x86_64 baseline.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// Which rule-core backend a sweep runs. Selected once per sweep (see
 /// [`KernelBackend::auto`]); every site of that sweep then runs
 /// dispatch-free.

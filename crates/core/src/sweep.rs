@@ -9,14 +9,17 @@
 //! form of the same computation:
 //!
 //! - **Cone plans** ([`ser_netlist::ConePlans`], cached on the shared
-//!   [`TopoArtifacts`](ser_netlist::TopoArtifacts)): the DFF-clipped
-//!   cone in topo order with every fanin pre-classified as on-path
-//!   (cone-local index) or off-path (SP lookup), computed once per
-//!   circuit.
-//! - **SoA planes** ([`SweepWorkspace`]): the four tuple components in
-//!   flat `f64` slices indexed by cone-local position — the kernel
-//!   reads fanins through the plan's indices and never touches
-//!   circuit-sized scratch.
+//!   [`TopoArtifacts`](ser_netlist::TopoArtifacts)), computed once per
+//!   circuit: each site's DFF-clipped cone is its chain path plus its
+//!   anchor's shared tail, a bitset window over topological positions.
+//!   The kernel walks the path, then the window's set bits in
+//!   ascending (topological) order.
+//! - **Lane planes** ([`SweepWorkspace`]): one 4-wide tuple per
+//!   cone-local position. As the kernel evaluates a member it stamps
+//!   the member's topological position with the site's epoch and its
+//!   cone-local index, so a fanin whose position carries the current
+//!   stamp reads the plane (on-path) and any other fanin reads the
+//!   precomputed signal-probability plane (off-path).
 //! - **Scheduler**: an atomic-cursor work queue over cone-cost-balanced
 //!   batches; workers claim the next batch when they finish their
 //!   current one, so wildly varying cone sizes no longer leave threads
@@ -54,11 +57,6 @@ pub const SINGLE_THREAD_SWEEP_THRESHOLD: usize = 64;
 /// means finer-grained stealing (better balance when cone sizes vary
 /// wildly) at the cost of a little queue traffic.
 const BATCHES_PER_THREAD: usize = 8;
-
-/// How far ahead of the tail walk the kernel prefetches fanin rows —
-/// far enough to cover a DRAM round trip at the walk's pace, near
-/// enough that the lines still sit in L1/L2 when the walk arrives.
-const PREFETCH_DISTANCE: usize = 8;
 
 /// Per-thread scratch for the batched sweep: the `(Pa, Pā, P0, P1)`
 /// value planes indexed by cone-local position, stored as one
@@ -897,11 +895,13 @@ impl EppAnalysis {
     /// is its path predecessor (anything else reading it would make it
     /// an anchor), so each pin resolves by comparing the pin's node id
     /// against the previously walked node — the anchor at position
-    /// `prefix_len` included. **Tail members** read their packed
-    /// tail-local refs off the shared table, rebased by the path
-    /// length. Observe points are the sorted path observes merged with
-    /// the tail's presorted refs, so emission order matches the
-    /// reference path's observe order exactly.
+    /// `prefix_len` included. **Tail members** are the set bits of the
+    /// anchor's window, walked in ascending position order; a pin is
+    /// on-path iff its position carries this site's epoch stamp, which
+    /// also holds its cone-local index. Observe points are the sorted
+    /// path observes merged with the tail's observe row (ascending
+    /// observe indices), so emission order matches the reference
+    /// path's observe order exactly.
     ///
     /// Per gate, the rule is dispatched **once** ([`RuleOp::of`],
     /// outside the per-fanin loop) and the fused rule core consumes
@@ -1000,7 +1000,8 @@ impl EppAnalysis {
         }
 
         // Shared tail: member `k` sits at cone position `l + k`. The
-        // tail stores only topological positions; kinds and pins come
+        // tail is a bitset window over topological positions, walked
+        // set bit by set bit in ascending order; kinds and pins come
         // off the plans' per-position tables, and each pin classifies
         // on the fly against the walked cone: positions are stamped
         // with the site's epoch as their members are evaluated, every
@@ -1009,19 +1010,12 @@ impl EppAnalysis {
         // is the next path node) — so a current-epoch stamp is exactly
         // the old packed on-path ref, and anything else resolves by
         // signal probability. Same values, same order: bit-identical.
-        let positions = tail.positions();
-        pos_stamp[positions[0] as usize] = epoch | l as u64;
-        for (k, &q) in positions.iter().enumerate().skip(1) {
-            // Stay a few positions ahead of the walk: the per-position
-            // fanin rows live in the shared plan arena, which outgrows
-            // the LLC on the larger circuits, and the row address is
-            // data-dependent (position → CSR offset → row), so the
-            // hardware prefetcher cannot follow it.
-            if let Some(&qn) = positions.get(k + PREFETCH_DISTANCE) {
-                if let Some(first) = plans.fanins_at(qn).first() {
-                    crate::simd::prefetch_t0(first);
-                }
-            }
+        let mut positions = tail.positions();
+        let anchor = positions.next().expect("a tail holds its anchor");
+        pos_stamp[anchor as usize] = epoch | l as u64;
+        let mut local = l;
+        for q in positions {
+            local += 1;
             let op = RuleOp::of(plans.kind_at(q));
             let lanes_now: &[Lane4] = lanes;
             let stamp: &[u64] = pos_stamp;
@@ -1058,35 +1052,32 @@ impl EppAnalysis {
             if polarity == PolarityMode::Merged {
                 out = merge_polarity_v(out);
             }
-            lanes[l + k] = out.store();
-            pos_stamp[q as usize] = epoch | (l + k) as u64;
+            lanes[local] = out.store();
+            pos_stamp[q as usize] = epoch | local as u64;
         }
 
         // Emit points in observe order: merge the sorted path observes
-        // with the tail's (indices are unique per site, so the merge
-        // is a strict interleave — the reference emission order).
+        // with the tail's observe row (indices are unique per site, so
+        // the merge is a strict interleave — the reference emission
+        // order). A tail observe's lanes sit at the cone-local index the
+        // walk stamped on its signal's position.
         path_obs.sort_unstable();
-        let tobs = tail.observe_refs();
         let observe: &[ObservePoint] = self.artifacts().observe_points();
         let first = points_out.len();
-        let l32 = u32::try_from(l).expect("cone fits u32");
-        let (mut i, mut j) = (0, 0);
-        while i < path_obs.len() || j < tobs.len() {
-            let take_path = j >= tobs.len() || (i < path_obs.len() && path_obs[i].0 < tobs[j].0);
-            let (obs, local) = if take_path {
-                let r = path_obs[i];
-                i += 1;
-                r
-            } else {
-                let r = (tobs[j].0, tobs[j].1 + l32);
-                j += 1;
-                r
-            };
+        let mut emit = |(obs, local): (u32, u32)| {
             points_out.push(PointEpp {
                 point: observe[obs as usize],
                 value: FourValue::from_lanes(lanes[local as usize].0),
             });
+        };
+        let mut path = path_obs.iter().copied().peekable();
+        for obs in tail.observes() {
+            while let Some(r) = path.next_if(|r| r.0 < obs) {
+                emit(r);
+            }
+            emit((obs, pos_stamp[plans.observe_pos(obs) as usize] as u32));
         }
+        path.for_each(emit);
         let p_sensitized =
             combine_sensitization(points_out[first..].iter().map(PointEpp::p_arrival));
         let gates = u32::try_from(len - 1).expect("cone fits u32");

@@ -55,7 +55,7 @@ pub struct TopoArtifacts {
     comb_fanout: Vec<NodeId>,
     /// Lazily built cone plans, shared by every clone of these
     /// artifacts (cloning shares the already-built cache). `Some(None)`
-    /// records that the circuit's plan arena exceeded the member budget
+    /// records that the circuit's plan arena exceeded the byte budget
     /// and per-site traversal should be used instead.
     plans: OnceLock<Option<Arc<ConePlans>>>,
 }
@@ -241,15 +241,14 @@ impl TopoArtifacts {
     /// The cached per-site cone plans, built on first use and shared by
     /// every consumer of these artifacts (the batched sweep engine reads
     /// them instead of re-running a DFS + sort per site per sweep).
-    /// Compilation uses the reverse-topological merge builder
-    /// ([`ConePlans::build`]) on every available core, which derives
-    /// each cone from its successors' instead of rediscovering it by
-    /// DFS.
+    /// Compilation uses the reverse-topological window builder
+    /// ([`ConePlans::build`]), which derives each cone from its
+    /// successors' instead of rediscovering it by DFS.
     ///
     /// Returns `None` — once, cached — when the circuit's plan arena
-    /// would exceed [`ConePlans::DEFAULT_MEMBER_BUDGET`] total cone
-    /// members (sum-of-cones is Θ(n²) in the worst case); callers fall
-    /// back to per-site traversal, which needs only O(n) scratch.
+    /// would exceed [`ConePlans::DEFAULT_BYTE_BUDGET`] (windows are
+    /// Θ(n²) bits in the worst case); callers fall back to per-site
+    /// traversal, which needs only O(n) scratch.
     ///
     /// # Panics
     ///
@@ -264,21 +263,12 @@ impl TopoArtifacts {
         );
         self.plans
             .get_or_init(|| {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
                 // Without a token the build cannot be cancelled, so
                 // `Err` never occurs here.
-                ConePlans::build(
-                    circuit,
-                    self,
-                    ConePlans::DEFAULT_MEMBER_BUDGET,
-                    threads,
-                    None,
-                )
-                .ok()
-                .flatten()
-                .map(Arc::new)
+                ConePlans::build(circuit, self, ConePlans::DEFAULT_BYTE_BUDGET, None)
+                    .ok()
+                    .flatten()
+                    .map(Arc::new)
             })
             .as_ref()
     }

@@ -64,7 +64,8 @@ pub use error::{NetlistError, ParseError};
 pub use gate::{GateKind, ParseGateKindError};
 pub use parse::parse_bench;
 pub use plan::{
-    ConePlan, ConePlans, FaninRef, FlatConePlan, FlatConePlans, PlanMembers, SitePlan, TailView,
+    ConePlan, ConePlans, FaninRef, FlatConePlan, FlatConePlans, PlanMembers, SetBits, SitePlan,
+    TailView,
 };
 pub use plan_cache::{
     FaultPlan, PlanCache, PlanCacheStats, PlanStoreOutcome, StoreFault, PLAN_CACHE_EXT,

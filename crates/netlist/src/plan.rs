@@ -1,5 +1,6 @@
 //! Precomputed per-site cone plans — the compiled form of the paper's
-//! "path construction" step — in a **suffix-shared arena**.
+//! "path construction" step — in a **suffix-shared arena** of bitset
+//! windows.
 //!
 //! The per-site EPP pass needs, for every error site: the DFF-clipped
 //! fanout cone in topological order, each cone member's gate kind, and
@@ -17,12 +18,19 @@
 //!
 //! Classify every node by its DFF-clipped combinational fanout count:
 //!
-//! - **anchor** — 0 or ≥ 2 successors. Its cone is materialized once in
-//!   the shared **tail arena** as a slice of ascending topological
-//!   *positions* — and nothing else. A tail stores no per-member kinds
-//!   or fanin refs: those live in circuit-sized **per-position tables**
-//!   (`pos_kind`, `pos_fanin_off`/`pos_fanins`) shared by every tail,
-//!   so the builder's phase-2 output is four bytes per stored member.
+//! - **anchor** — 0 or ≥ 2 successors. Its cone is stored once in the
+//!   shared **tail arena** as a **bitset window** over topological
+//!   positions: the words `p / 64 ..= max_pos / 64`, where `p` is the
+//!   anchor's position and `max_pos` the largest position in its cone.
+//!   Every cone member sits at a position above its anchor, so the
+//!   anchor's own bit is the lowest bit set, and walking the set bits
+//!   upward yields the members in topological order. A tail stores no
+//!   per-member kinds or fanin refs: those live in circuit-sized
+//!   **per-position tables** (`pos_kind`, `pos_fanin_off`/`pos_fanins`)
+//!   shared by every tail. Its observe points are one row of bits over
+//!   the observe indices (set bits walk in observe order, the order a
+//!   sweep emits points in); a point's signal position comes from the
+//!   circuit-sized `obs_pos` table.
 //! - **chain node** — exactly 1 successor. Its cone is *not* stored:
 //!   it is the path `self → next → … → anchor` followed by the
 //!   anchor's shared tail. Per node we store only O(1) scalars: the
@@ -30,9 +38,9 @@
 //!   pin/observe counts for O(1) `cost()`/`observe_len()`.
 //!
 //! Chain edges form in-trees toward anchors, so many sites share one
-//! tail entry — the stored member count drops by the chain-sharing
-//! factor, and the per-member footprint drops to one `u32`, which
-//! together is what broke the old builder's store-bandwidth wall.
+//! tail entry, and a window spends one bit per position it spans where
+//! a sorted position list spent four bytes per member: s9234's tail
+//! store is 1.6 MB as windows and was 27.7 MB as lists.
 //!
 //! On-path/off-path fanin classification is *not* precomputed per tail
 //! member. Each `pos_fanins` entry carries the fanin's topological
@@ -59,22 +67,25 @@
 //!    cone (all at strictly greater topological positions), which is
 //!    exactly the flat arena's position-sorted member order; observe
 //!    indices are unique per site, so merging the sorted path observes
-//!    with the tail's observes preserves the reference emission order.
+//!    with the tail's observe row preserves the reference emission
+//!    order. A tail observe's cone-local index is the stamp the walk
+//!    left on its signal's position.
 //!
 //! # How the plans are built
 //!
-//! Phase 1 walks positions reverse-topologically and merges cones
-//! **only for anchors** — merge inputs are virtual two-segment
-//! sequences (a lazily walked chain path plus an already-built tail
-//! slice), so the dominant single-successor `memcpy` of the old
-//! builder disappears entirely, and the merged position arena is
-//! adopted as the tail arena zero-copy. Phase 2 only records tail
-//! bounds, per-tail pin totals, and sorted observe refs; the
-//! per-position kind/fanin tables are a single linear pass over the
-//! circuit. The member budget is enforced in the sequential phase 1
-//! and counts **stored** (deduplicated) members: one entry per chain
-//! node plus the shared tail arena — the number that reflects actual
-//! memory.
+//! One reverse-topological pass visits the anchors. When anchor `p` is
+//! reached, every successor (all at positions above `p`) already has
+//! its cone: a successor anchor's window, or — for a chain successor —
+//! its path plus its own anchor's window. `p`'s window is its own bit,
+//! OR the bits of each chain path, OR each successor anchor's window at
+//! its word offset: word ORs, no sorted-list merge. The same step
+//! records the tail's member count (the popcount), its pin total (the
+//! window ANDed with bit planes of the per-position fanin counts) and
+//! its observe row (the window ANDed with the observed positions).
+//!
+//! The byte budget bounds real memory: it is measured the way
+//! [`ConePlans::arena_bytes`] measures, and checked before each window
+//! is appended, so the decision is exact and deterministic.
 //!
 //! The original per-site-DFS builder is retained as
 //! [`FlatConePlans`] — the semantic definition the suffix-shared
@@ -156,9 +167,10 @@ pub struct SitePlan {
 ///
 /// Per-node tables hold each chain node's O(1) entry (next hop, tail
 /// id, path length, suffix counts); the tail table stores each
-/// anchor's cone exactly once. A site's logical cone is its chain path
-/// followed by its anchor's shared tail — reconstructed on the fly by
-/// the sweep kernel and by [`ConePlan::materialize`].
+/// anchor's cone exactly once, as a bitset window. A site's logical
+/// cone is its chain path followed by its anchor's shared tail —
+/// reconstructed on the fly by the sweep kernel and by
+/// [`ConePlan::materialize`].
 ///
 /// # Examples
 ///
@@ -214,31 +226,33 @@ pub struct ConePlans {
     /// off-path encoding of a pin is cone-independent, so it is
     /// computed exactly once here.
     pub(crate) pos_fanins: Vec<(u32, u32)>,
-    // ---- shared tail table, one entry per anchor, in topological
-    //      position order of the anchors ----
-    /// Per tail: start of the cone's slice in `tail_positions`.
-    pub(crate) tail_start: Vec<u32>,
-    /// Per tail: end of that slice.
-    pub(crate) tail_end: Vec<u32>,
+    // ---- shared tail table, one entry per anchor, in build order
+    //      (descending anchor position) ----
+    /// Per tail: the anchor's topological position. The window's first
+    /// word covers positions `anchor / 64 * 64 ..`.
+    pub(crate) tail_anchor: Vec<u32>,
+    /// Per tail: member count, anchor included (the window's popcount).
+    pub(crate) tail_len: Vec<u32>,
     /// Per tail: total fanin pin count of the members after the anchor
     /// — O(1) [`cost`](ConePlan::cost).
     pub(crate) tail_pins: Vec<u32>,
-    /// Every anchor's cone as ascending topological positions (anchor
-    /// first) — the phase-1 merge arena, adopted as-is. A member's
-    /// kind and pins resolve through the per-position tables; on-path
-    /// classification happens in the consumer against its walked cone
-    /// (see the [module docs](self)).
-    pub(crate) tail_positions: Vec<u32>,
-    /// Per tail: range into `tail_obs`. Length `T + 1`.
-    pub(crate) tail_obs_off: Vec<u32>,
-    /// `(observe index, tail-local position)` pairs ordered by observe
-    /// index.
-    pub(crate) tail_obs: Vec<(u32, u32)>,
+    /// CSR offsets per tail into `tail_words`. Length `T + 1`.
+    pub(crate) tail_word_off: Vec<u32>,
+    /// Every anchor's cone as a bitset window over topological
+    /// positions. A member's kind and pins resolve through the
+    /// per-position tables; on-path classification happens in the
+    /// consumer against its walked cone (see the [module docs](self)).
+    pub(crate) tail_words: Vec<u64>,
+    /// Per tail: one row of `ceil(observe points / 64)` words, bit `o`
+    /// set iff observe point `o`'s signal is a tail member. Set bits
+    /// walk in observe order, the order sweeps emit points in.
+    pub(crate) tail_obs_words: Vec<u64>,
+    /// Topological position of each observe point's signal, in observe
+    /// order.
+    pub(crate) obs_pos: Vec<u32>,
     // ---- global ----
     /// Largest *logical* cone size over all sites (workspace sizing).
     pub(crate) max_cone_len: usize,
-    /// Number of chain nodes (each stores one deduplicated member).
-    pub(crate) chain_count: usize,
     /// Sum of logical cone sizes over all sites — what the flat arena
     /// used to store.
     pub(crate) logical_members: u64,
@@ -248,45 +262,33 @@ pub struct ConePlans {
 }
 
 impl ConePlans {
-    /// Default budget for the **stored** (deduplicated) member count of
-    /// one circuit's plan arena: one entry per chain node plus the
-    /// shared tail arena. Stored members are Θ(n²) in the worst case
-    /// (densely reconvergent anchor-heavy circuits), so consumers must
-    /// be prepared for [`build`](Self::build) to decline and fall back
-    /// to per-site traversal.
-    ///
-    /// Earlier revisions budgeted *logical* members (sum of cone
-    /// sizes); chain-dominated circuits whose logical total blew that
-    /// budget now fit comfortably, because their suffixes are stored
-    /// once.
-    pub const DEFAULT_MEMBER_BUDGET: usize = 1 << 26;
+    /// Default budget for one circuit's plan arena, in bytes as
+    /// [`arena_bytes`](Self::arena_bytes) counts them. Windows are
+    /// Θ(n²) bits in the worst case (densely reconvergent anchor-heavy
+    /// circuits), so consumers must be prepared for
+    /// [`build`](Self::build) to decline and fall back to per-site
+    /// traversal.
+    pub const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
 
-    /// How many contiguous anchor ranges the parallel packing cuts per
-    /// worker (oversubscription + an atomic claim cursor balance the
-    /// unknown cone sizes).
-    const CHUNKS_PER_THREAD: usize = 8;
-
-    /// How many phase-1 anchor merges / phase-2 tail packings run
-    /// between cooperative cancellation checkpoints. Small enough that
-    /// a trip lands within a few milliseconds even on the largest
-    /// benches, large enough that the poll is free.
+    /// How many anchors the build processes between cooperative
+    /// cancellation checkpoints. Small enough that a trip lands within
+    /// a few milliseconds even on the largest benches, large enough
+    /// that the poll is free.
     pub(crate) const CANCEL_CHECK_EVERY: usize = 4096;
 
     /// Builds the suffix-shared plans for every node of `circuit`.
     /// `topo` supplies the positions and the DFF-clipped fanout
-    /// adjacency. The result is identical whatever `threads` is, and
-    /// decodes site-for-site identically to [`FlatConePlans`].
+    /// adjacency. The result decodes site-for-site identically to
+    /// [`FlatConePlans`].
     ///
-    /// Returns `Ok(None)` as soon as the arena would exceed
-    /// `max_members` **stored** members (chain entries plus the shared
-    /// tail arena) — the guard that keeps pathological Θ(n²) circuits
+    /// Returns `Ok(None)` as soon as the plans would exceed `max_bytes`
+    /// as [`arena_bytes`](Self::arena_bytes) counts them — checked
+    /// before each window is appended, so a decline never allocates
+    /// past the budget. That guard keeps pathological Θ(n²) circuits
     /// from exhausting memory (the per-site reference path handles
     /// them in O(n) scratch instead). Pass `usize::MAX` for no budget.
     ///
-    /// Phase 1 (sequential, reverse-topological) merges cones for
-    /// anchors only and enforces the budget — the decision is
-    /// deterministic by construction. Phase 1 and the phase-2 tail
-    /// packing poll `cancel` every few thousand anchors and abort
+    /// The build polls `cancel` every few thousand anchors and aborts
     /// mid-compile when it trips, dropping all partial state; a
     /// declined build and a cancelled one stay distinguishable (the
     /// first falls back to per-site traversal, the second aborts the
@@ -299,22 +301,15 @@ impl ConePlans {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is 0 or `topo` was not computed from
-    /// `circuit`.
+    /// Panics if `topo` was not computed from `circuit`.
     pub fn build(
         circuit: &Circuit,
         topo: &TopoArtifacts,
-        max_members: usize,
-        threads: usize,
+        max_bytes: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<Option<Self>, CancelCause> {
-        assert!(threads > 0, "at least one thread");
         let n = circuit.len();
         assert_eq!(topo.len(), n, "artifacts must cover every node");
-
-        let Some(tc) = TailCones::build(topo, max_members, cancel)? else {
-            return Ok(None);
-        };
         let order = topo.order();
 
         // Observe points indexed by observed signal, in observe order.
@@ -324,18 +319,14 @@ impl ConePlans {
             obs_of_signal[p.signal().index()].push(u32::try_from(i).expect("observe fits u32"));
         }
 
-        // Tail ids: anchors in ascending topological position order.
-        let mut tail_id_of_pos = vec![0u32; n];
-        let mut anchors: Vec<u32> = Vec::new();
-        for (p, id) in tail_id_of_pos.iter_mut().enumerate() {
-            if tc.next_pos[p] == NO_NEXT {
-                *id = u32::try_from(anchors.len()).expect("anchors fit u32");
-                anchors.push(u32::try_from(p).expect("node count fits u32"));
-            }
-        }
-
-        // Per-node chain tables, filled back-to-front so each chain
-        // node reads its successor's already-computed suffix scalars.
+        // Chain classification and the per-node chain tables, back to
+        // front so each chain node reads its successor's entries. A
+        // node with exactly one combinational successor is a chain node
+        // and shares its successor's tail id; every other node is an
+        // anchor and opens the next tail id (tail ids follow the build
+        // order).
+        let mut next_pos = vec![NO_NEXT; n];
+        let mut t_count = 0u32;
         let mut chain_next = vec![NO_NEXT; n];
         let mut tail_of = vec![0u32; n];
         let mut prefix_len = vec![0u32; n];
@@ -343,19 +334,20 @@ impl ConePlans {
         let mut path_obs_from = vec![0u32; n];
         for p in (0..n).rev() {
             let v = order[p].index();
-            if tc.next_pos[p] == NO_NEXT {
-                tail_of[v] = tail_id_of_pos[p];
-            } else {
-                let s = order[tc.next_pos[p] as usize];
+            if let [s] = *topo.comb_fanout(order[p]) {
                 let si = s.index();
-                chain_next[v] = u32::try_from(si).expect("node index fits u32");
+                next_pos[p] = topo.position(s);
                 tail_of[v] = tail_of[si];
+                chain_next[v] = u32::try_from(si).expect("node index fits u32");
                 prefix_len[v] = prefix_len[si] + 1;
                 path_pins_after[v] = u32::try_from(circuit.node(s).fanin().len())
                     .expect("pins fit u32")
                     + path_pins_after[si];
                 path_obs_from[v] =
                     u32::try_from(obs_of_signal[v].len()).expect("obs fit u32") + path_obs_from[si];
+            } else {
+                tail_of[v] = t_count;
+                t_count += 1;
             }
         }
 
@@ -368,48 +360,9 @@ impl ConePlans {
             node_obs_off.push(u32::try_from(node_obs.len()).expect("observe refs fit u32"));
         }
 
-        let tables = PackTables::build(circuit, topo, &obs_of_signal);
-
-        // Phase 2: per-tail scalars only — slice bounds, interior pin
-        // totals, and the sorted observe refs. Everything per-member
-        // (kind, pins, on-path classification) resolves through the
-        // per-position tables at consumption time, so nothing of the
-        // old per-tail member/kind/ref copies is materialized at all.
-        let t_count = anchors.len();
-        let mut tail_start = Vec::with_capacity(t_count);
-        let mut tail_end = Vec::with_capacity(t_count);
-        let mut tail_pins = Vec::with_capacity(t_count);
-        let mut tail_obs_off = Vec::with_capacity(t_count + 1);
-        let mut tail_obs: Vec<(u32, u32)> = Vec::new();
-        let mut site_obs: Vec<(u32, u32)> = Vec::new();
-        tail_obs_off.push(0u32);
-        for (packed, &p) in anchors.iter().enumerate() {
-            if packed % Self::CANCEL_CHECK_EVERY == 0 {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-            }
-            let p = p as usize;
-            tail_start.push(tc.start[p]);
-            tail_end.push(tc.end[p]);
-            let cone = tc.cone(p);
-            let mut pins = 0u32;
-            site_obs.clear();
-            for (k, &q) in cone.iter().enumerate() {
-                let q = q as usize;
-                if k > 0 {
-                    pins += tables.fanin_off[q + 1] - tables.fanin_off[q];
-                }
-                for &obs in tables.observes_of(q) {
-                    site_obs.push((obs, u32::try_from(k).expect("cone fits u32")));
-                }
-            }
-            site_obs.sort_unstable();
-            tail_obs.extend_from_slice(&site_obs);
-            tail_pins.push(pins);
-            tail_obs_off.push(u32::try_from(tail_obs.len()).expect("observe refs fit u32"));
-        }
-
+        let t_count = t_count as usize;
+        let obs_stride = observe.len().div_ceil(64);
+        let tables = PosTables::build(circuit, topo, &obs_of_signal);
         let mut plans = ConePlans {
             chain_next,
             tail_of,
@@ -419,29 +372,101 @@ impl ConePlans {
             node_obs_off,
             node_obs,
             pos_node: order.to_vec(),
-            pos_kind: tables.kind_by_pos,
+            pos_kind: tables.kind,
             pos_fanin_off: tables.fanin_off,
             pos_fanins: tables.fanins,
-            tail_start,
-            tail_end,
-            tail_pins,
-            tail_positions: tc.arena,
-            tail_obs_off,
-            tail_obs,
+            tail_anchor: vec![0; t_count],
+            tail_len: vec![0; t_count],
+            tail_pins: vec![0; t_count],
+            tail_word_off: vec![0; t_count + 1],
+            tail_words: Vec::new(),
+            tail_obs_words: vec![0; t_count * obs_stride],
+            obs_pos: observe.iter().map(|o| topo.position(o.signal())).collect(),
             max_cone_len: 0,
-            chain_count: tc.chain_count,
             logical_members: 0,
             logical_observe_refs: 0,
         };
+        // Everything but the windows has its final size now.
+        let fixed_bytes = plans.arena_bytes();
+        if fixed_bytes > max_bytes {
+            return Ok(None);
+        }
+
+        let mut window: Vec<u64> = Vec::new();
+        let anchors = (0..n).rev().filter(|&p| next_pos[p] == NO_NEXT);
+        for (t, p) in anchors.enumerate() {
+            if t % Self::CANCEL_CHECK_EVERY == 0 {
+                if let Some(token) = cancel {
+                    token.check()?;
+                }
+            }
+            let base = p / 64;
+            let succs = topo.comb_fanout(order[p]);
+            let window_end = |a: usize| {
+                plans.tail_anchor[a] as usize / 64
+                    + (plans.tail_word_off[a + 1] - plans.tail_word_off[a]) as usize
+            };
+            let end = succs
+                .iter()
+                .map(|&s| window_end(plans.tail_of[s.index()] as usize))
+                .fold(base + 1, usize::max);
+            let words_after = plans.tail_words.len() + (end - base);
+            if fixed_bytes + words_after * std::mem::size_of::<u64>() > max_bytes {
+                return Ok(None);
+            }
+            window.clear();
+            window.resize(end - base, 0);
+            window[0] = 1 << (p % 64);
+            for &s in succs {
+                let mut q = topo.position(s) as usize;
+                while next_pos[q] != NO_NEXT {
+                    window[q / 64 - base] |= 1 << (q % 64);
+                    q = next_pos[q] as usize;
+                }
+                let a = plans.tail_of[order[q].index()] as usize;
+                let words = &plans.tail_words
+                    [plans.tail_word_off[a] as usize..plans.tail_word_off[a + 1] as usize];
+                for (w, &x) in window[q / 64 - base..].iter_mut().zip(words) {
+                    *w |= x;
+                }
+            }
+
+            // Member count, pin total and observe row, a word at a time.
+            let mut len = 0u32;
+            let mut pins = 0u32;
+            let obs_row = &mut plans.tail_obs_words[t * obs_stride..(t + 1) * obs_stride];
+            for (i, &w) in window.iter().enumerate() {
+                let word = base + i;
+                let mut observed = w & tables.observed[word];
+                while observed != 0 {
+                    let v = order[word * 64 + observed.trailing_zeros() as usize].index();
+                    let (lo, hi) = (plans.node_obs_off[v], plans.node_obs_off[v + 1]);
+                    for &obs in &plans.node_obs[lo as usize..hi as usize] {
+                        obs_row[obs as usize / 64] |= 1 << (obs % 64);
+                    }
+                    observed &= observed - 1;
+                }
+                for (b, plane) in tables.pin_planes.iter().enumerate() {
+                    pins += (w & plane[word]).count_ones() << b;
+                }
+                len += w.count_ones();
+            }
+            // The anchor's own pins belong to the paths that reach it.
+            pins -= plans.pos_fanin_off[p + 1] - plans.pos_fanin_off[p];
+
+            plans.tail_words.extend_from_slice(&window);
+            plans.tail_anchor[t] = u32::try_from(p).expect("node count fits u32");
+            plans.tail_len[t] = len;
+            plans.tail_pins[t] = pins;
+            plans.tail_word_off[t + 1] = u32::try_from(words_after).expect("window words fit u32");
+        }
+
         for v in 0..n {
-            let t = plans.tail_of[v] as usize;
-            let tail_len = (plans.tail_end[t] - plans.tail_start[t]) as usize;
-            let len = plans.prefix_len[v] as usize + tail_len;
-            let obs = plans.path_obs_from[v] as u64
-                + u64::from(plans.tail_obs_off[t + 1] - plans.tail_obs_off[t]);
+            let plan = plans.plan(NodeId::from_index(v));
+            let (len, obs) = (plan.len(), plan.observe_len());
             plans.max_cone_len = plans.max_cone_len.max(len);
             plans.logical_members += len as u64;
-            plans.logical_observe_refs += obs;
+            plans.logical_observe_refs += obs as u64;
         }
         Ok(Some(plans))
     }
@@ -466,11 +491,11 @@ impl ConePlans {
     }
 
     /// **Stored** (deduplicated) members: one entry per chain node
-    /// plus the shared tail arena — the quantity the member budget
-    /// bounds, proportional to the arena's actual memory.
+    /// plus every tail's members — the cones the arena holds once.
     #[must_use]
     pub fn stored_members(&self) -> usize {
-        self.chain_count + self.tail_positions.len()
+        let chain_nodes = self.len() - self.tail_count();
+        chain_nodes + self.tail_len.iter().map(|&len| len as usize).sum::<usize>()
     }
 
     /// **Logical** members: the sum of per-site cone sizes — what the
@@ -484,7 +509,7 @@ impl ConePlans {
     /// Number of shared tail entries (anchors).
     #[must_use]
     pub fn tail_count(&self) -> usize {
-        self.tail_start.len()
+        self.tail_len.len()
     }
 
     /// Node id at topological position `pos`.
@@ -526,6 +551,18 @@ impl ConePlans {
         &self.pos_fanins[self.pos_fanin_off[pos] as usize..self.pos_fanin_off[pos + 1] as usize]
     }
 
+    /// Topological position of observe point `obs`'s signal (`obs`
+    /// indexes the artifacts' observe order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn observe_pos(&self, obs: u32) -> u32 {
+        self.obs_pos[obs as usize]
+    }
+
     /// Total reachable observe points over all sites — the exact arena
     /// size a whole-circuit sweep's per-point results need.
     #[must_use]
@@ -534,7 +571,8 @@ impl ConePlans {
     }
 
     /// Heap bytes of the arena (every table, exact element sizes) —
-    /// the `arena_bytes` the sweep benchmark reports.
+    /// the quantity [`build`](Self::build)'s budget bounds and the
+    /// `arena_bytes` the sweep benchmark reports.
     #[must_use]
     pub fn arena_bytes(&self) -> usize {
         fn bytes<T>(v: &[T]) -> usize {
@@ -551,12 +589,13 @@ impl ConePlans {
             + bytes(&self.pos_kind)
             + bytes(&self.pos_fanin_off)
             + bytes(&self.pos_fanins)
-            + bytes(&self.tail_start)
-            + bytes(&self.tail_end)
+            + bytes(&self.tail_anchor)
+            + bytes(&self.tail_len)
             + bytes(&self.tail_pins)
-            + bytes(&self.tail_positions)
-            + bytes(&self.tail_obs_off)
-            + bytes(&self.tail_obs)
+            + bytes(&self.tail_word_off)
+            + bytes(&self.tail_words)
+            + bytes(&self.tail_obs_words)
+            + bytes(&self.obs_pos)
     }
 
     /// The plan of one site.
@@ -577,7 +616,7 @@ impl ConePlans {
 /// A borrowed view of one site's plan inside the suffix-shared
 /// [`ConePlans`]: the chain path (walked via
 /// [`next_of`](Self::next_of)) followed by the shared
-/// [`tail`](Self::tail). All size/cost accessors are O(1).
+/// [`tail`](Self::tail). The size and cost accessors are O(1).
 #[derive(Debug, Clone, Copy)]
 pub struct ConePlan<'a> {
     plans: &'a ConePlans,
@@ -620,10 +659,11 @@ impl<'a> ConePlan<'a> {
         false
     }
 
-    /// Number of reachable observe points. O(1).
+    /// Number of reachable observe points: O(1) for the path, a
+    /// popcount over the tail's observe row for the rest.
     #[must_use]
     pub fn observe_len(&self) -> usize {
-        self.plans.path_obs_from[self.site] as usize + self.tail().observe_refs().len()
+        self.plans.path_obs_from[self.site] as usize + self.tail().observes().len()
     }
 
     /// `true` if no observe point is reachable from the site.
@@ -655,17 +695,7 @@ impl<'a> ConePlan<'a> {
     /// Panics if `marked` is shorter than the circuit.
     #[must_use]
     pub fn intersects(&self, marked: &[bool]) -> bool {
-        let mut cur = self.site();
-        for _ in 0..self.prefix_len() {
-            if marked[cur.index()] {
-                return true;
-            }
-            cur = self.next_of(cur);
-        }
-        self.tail()
-            .positions()
-            .iter()
-            .any(|&q| marked[self.plans.node_at(q).index()])
+        self.members().any(|m| marked[m.index()])
     }
 
     /// The next hop on the chain path after `node`. Valid for the site
@@ -700,7 +730,7 @@ impl<'a> ConePlan<'a> {
             plans: self.plans,
             next_node: u32::try_from(self.site).expect("node index fits u32"),
             path_left: self.plans.prefix_len[self.site],
-            tail: self.tail().positions().iter(),
+            tail: self.tail().positions(),
         }
     }
 
@@ -762,25 +792,17 @@ impl<'a> ConePlan<'a> {
         // iff its position is in the tail itself (a path node's single
         // successor is the next path node, so no tail member can read
         // one); the cone-local index of tail member k is l + k.
-        let positions = tail.positions();
+        let positions: Vec<u32> = tail.positions().collect();
         members.extend(positions.iter().map(|&q| self.plans.node_at(q)));
         kinds.extend(positions.iter().map(|&q| self.plans.kind_at(q)));
-        // ser-lint: allow(no-hash-iter) — position→local-index lookup;
-        // only `get` is called on it, and the fanin_refs built from it
-        // follow the deterministic `positions` order, never map order.
-        let local_of: std::collections::HashMap<u32, usize> = positions
-            .iter()
-            .enumerate()
-            .map(|(k, &q)| (q, l + k))
-            .collect();
         for &q in &positions[1..] {
             fanin_refs.push(
                 self.plans
                     .fanins_at(q)
                     .iter()
-                    .map(|&(pf, off)| match local_of.get(&pf) {
-                        Some(&loc) => FaninRef::OnPath(loc),
-                        None => FaninRef::decode(off),
+                    .map(|&(pf, off)| match positions.binary_search(&pf) {
+                        Ok(k) => FaninRef::OnPath(l + k),
+                        Err(_) => FaninRef::decode(off),
                     })
                     .collect(),
             );
@@ -789,8 +811,9 @@ impl<'a> ConePlan<'a> {
         debug_assert_eq!(fanin_refs.len(), len);
 
         // Observe refs: sorted path observes merged with the tail's
-        // (already sorted) observes, rebased by +l. Observe indices
-        // are unique per site, so the merge is a strict interleave.
+        // (ascending) observes, whose signals sit at tail rank + l.
+        // Observe indices are unique per site, so the merge is a strict
+        // interleave.
         let mut path_obs: Vec<(u32, u32)> = Vec::new();
         if l > 0 {
             let mut cur = site;
@@ -804,17 +827,24 @@ impl<'a> ConePlan<'a> {
             }
         }
         path_obs.sort_unstable();
-        let tobs = tail.observe_refs();
+        let tobs: Vec<(u32, u32)> = tail
+            .observes()
+            .map(|obs| {
+                let rank = positions
+                    .binary_search(&self.plans.observe_pos(obs))
+                    .expect("a tail observe's signal is a tail member");
+                (obs, u32::try_from(l + rank).expect("cone fits u32"))
+            })
+            .collect();
         let mut observe_refs = Vec::with_capacity(path_obs.len() + tobs.len());
         let (mut i, mut j) = (0, 0);
-        let l32 = u32::try_from(l).expect("cone fits u32");
         while i < path_obs.len() || j < tobs.len() {
             let take_path = j >= tobs.len() || (i < path_obs.len() && path_obs[i].0 < tobs[j].0);
             if take_path {
                 observe_refs.push(path_obs[i]);
                 i += 1;
             } else {
-                observe_refs.push((tobs[j].0, tobs[j].1 + l32));
+                observe_refs.push(tobs[j]);
                 j += 1;
             }
         }
@@ -830,13 +860,13 @@ impl<'a> ConePlan<'a> {
 }
 
 /// Iterator over a plan's logical members: the chain path, then the
-/// shared tail slice.
+/// shared tail's window.
 #[derive(Debug, Clone)]
 pub struct PlanMembers<'a> {
     plans: &'a ConePlans,
     next_node: u32,
     path_left: u32,
-    tail: std::slice::Iter<'a, u32>,
+    tail: SetBits<'a>,
 }
 
 impl Iterator for PlanMembers<'_> {
@@ -849,7 +879,7 @@ impl Iterator for PlanMembers<'_> {
             self.path_left -= 1;
             Some(NodeId::from_index(id))
         } else {
-            self.tail.next().map(|&q| self.plans.node_at(q))
+            self.tail.next().map(|q| self.plans.node_at(q))
         }
     }
 
@@ -869,14 +899,10 @@ pub struct TailView<'a> {
 }
 
 impl<'a> TailView<'a> {
-    fn member_range(&self) -> Range<usize> {
-        self.plans.tail_start[self.tail] as usize..self.plans.tail_end[self.tail] as usize
-    }
-
     /// Number of tail members (anchor included); at least 1.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.member_range().len()
+        self.plans.tail_len[self.tail] as usize
     }
 
     /// Always `false`: a tail contains at least its anchor.
@@ -885,63 +911,135 @@ impl<'a> TailView<'a> {
         false
     }
 
-    /// Tail members as ascending topological positions; the first is
-    /// the anchor. Resolve a member's node id, gate kind and fanin
-    /// pins through [`ConePlans::node_at`], [`ConePlans::kind_at`] and
-    /// [`ConePlans::fanins_at`]; a pin is on-path iff its position is
-    /// in this slice (tail-local index = slice index, cone-local index
-    /// = that plus the site's path length).
+    /// The tail's bitset window: bit `b` of word `i` is set iff
+    /// topological position `window_base() + 64 * i + b` is a tail
+    /// member (see [`window_base`](Self::window_base)). The lowest set
+    /// bit is the anchor.
     #[must_use]
-    pub fn positions(&self) -> &'a [u32] {
-        &self.plans.tail_positions[self.member_range()]
+    pub fn window(&self) -> &'a [u64] {
+        let off = &self.plans.tail_word_off;
+        &self.plans.tail_words[off[self.tail] as usize..off[self.tail + 1] as usize]
     }
 
-    /// Reachable observe points as `(observe index, tail-local
-    /// position)` pairs, ordered by observe index.
+    /// The topological position bit 0 of the window's first word
+    /// stands for: the anchor's position rounded down to a multiple of
+    /// 64.
     #[must_use]
-    pub fn observe_refs(&self) -> &'a [(u32, u32)] {
-        &self.plans.tail_obs[self.plans.tail_obs_off[self.tail] as usize
-            ..self.plans.tail_obs_off[self.tail + 1] as usize]
+    pub fn window_base(&self) -> u32 {
+        self.plans.tail_anchor[self.tail] & !63
+    }
+
+    /// Tail members as ascending topological positions (the window's
+    /// set bits); the first is the anchor. Resolve a member's node id,
+    /// gate kind and fanin pins through [`ConePlans::node_at`],
+    /// [`ConePlans::kind_at`] and [`ConePlans::fanins_at`]; a pin is
+    /// on-path iff its position is a tail member (tail-local index =
+    /// rank among the members, cone-local index = that plus the site's
+    /// path length).
+    #[must_use]
+    pub fn positions(&self) -> SetBits<'a> {
+        SetBits::new(self.window(), self.window_base(), self.len())
+    }
+
+    /// Indices of the observe points whose signals are tail members, in
+    /// ascending (observe) order. Resolve an index's signal position
+    /// through [`ConePlans::observe_pos`].
+    #[must_use]
+    pub fn observes(&self) -> SetBits<'a> {
+        let stride = self.plans.obs_pos.len().div_ceil(64);
+        let row = &self.plans.tail_obs_words[self.tail * stride..(self.tail + 1) * stride];
+        let count = row.iter().map(|w| w.count_ones() as usize).sum();
+        SetBits::new(row, 0, count)
     }
 }
 
-/// Per-topo-position lookup tables compiled once per build for the
-/// tail packing pass — the flat-array form of everything the
-/// per-member loop needs, so packing never chases a pointer into a
-/// `Node`:
+/// The set bits of a bitset, as ascending `u32` indices: a tail's
+/// members as topological positions ([`TailView::positions`]) or its
+/// observe points as observe indices ([`TailView::observes`]).
+#[derive(Debug, Clone)]
+pub struct SetBits<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Index of bit 0 of `word`.
+    base: u32,
+    /// The current word, bits already yielded cleared.
+    word: u64,
+    left: usize,
+}
+
+impl<'a> SetBits<'a> {
+    /// The set bits of `words`, bit 0 of the first word standing for
+    /// `base`; `count` is their popcount.
+    fn new(words: &'a [u64], base: u32, count: usize) -> Self {
+        SetBits {
+            words: words.iter(),
+            base: base.wrapping_sub(64),
+            word: 0,
+            left: count,
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            self.word = *self.words.next()?;
+            self.base = self.base.wrapping_add(64);
+        }
+        let q = self.base + self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        self.left -= 1;
+        Some(q)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SetBits<'_> {}
+
+/// Per-topo-position tables compiled once per build. The kind and
+/// fanin tables become [`ConePlans`]' own; the rest only serve the
+/// window pass:
 ///
 /// - the gate kind,
 /// - each fanin pin as `(fanin topo position, pre-packed off-path
 ///   ref)` — the off-path encoding of a pin is site-independent, so it
 ///   is computed exactly once here,
-/// - the observe-point indices of the position's signal.
-struct PackTables {
-    kind_by_pos: Vec<GateKind>,
+/// - a bitset of the positions whose signals are observed,
+/// - the fanin counts as bit planes: plane `b` holds bit `b` of every
+///   position's count, so a window's pin total is
+///   `Σ_b popcount(window & plane_b) << b`.
+struct PosTables {
+    kind: Vec<GateKind>,
     /// CSR offsets per position into `fanins`. Length `n + 1`.
     fanin_off: Vec<u32>,
     /// Fanin pins in declaration order, duplicates preserved.
     fanins: Vec<(u32, u32)>,
-    /// CSR offsets per position into `observes`. Length `n + 1`.
-    obs_off: Vec<u32>,
-    /// Observe-point indices (the artifacts' observe order).
-    observes: Vec<u32>,
+    /// Bit `q` set iff position `q` has an observe point.
+    observed: Vec<u64>,
+    /// Fanin-count bit planes, one bit per position each.
+    pin_planes: Vec<Vec<u64>>,
 }
 
-impl PackTables {
+impl PosTables {
     fn build(circuit: &Circuit, topo: &TopoArtifacts, obs_of_signal: &[Vec<u32>]) -> Self {
         let n = circuit.len();
-        let mut tables = PackTables {
-            kind_by_pos: Vec::with_capacity(n),
+        let words = n.div_ceil(64);
+        let mut tables = PosTables {
+            kind: Vec::with_capacity(n),
             fanin_off: Vec::with_capacity(n + 1),
             fanins: Vec::new(),
-            obs_off: Vec::with_capacity(n + 1),
-            observes: Vec::new(),
+            observed: vec![0; words],
+            pin_planes: Vec::new(),
         };
         tables.fanin_off.push(0);
-        tables.obs_off.push(0);
-        for &id in topo.order() {
+        for (p, &id) in topo.order().iter().enumerate() {
             let node = circuit.node(id);
-            tables.kind_by_pos.push(node.kind());
+            tables.kind.push(node.kind());
             for &f in node.fanin() {
                 tables
                     .fanins
@@ -950,268 +1048,21 @@ impl PackTables {
             tables
                 .fanin_off
                 .push(u32::try_from(tables.fanins.len()).expect("edge count fits u32"));
-            tables
-                .observes
-                .extend_from_slice(&obs_of_signal[id.index()]);
-            tables
-                .obs_off
-                .push(u32::try_from(tables.observes.len()).expect("observe refs fit u32"));
+            let pins = node.fanin().len();
+            let planes = (usize::BITS - pins.leading_zeros()) as usize;
+            if tables.pin_planes.len() < planes {
+                tables.pin_planes.resize(planes, vec![0; words]);
+            }
+            for (b, plane) in tables.pin_planes.iter_mut().enumerate() {
+                if pins >> b & 1 == 1 {
+                    plane[p / 64] |= 1 << (p % 64);
+                }
+            }
+            if !obs_of_signal[id.index()].is_empty() {
+                tables.observed[p / 64] |= 1 << (p % 64);
+            }
         }
         tables
-    }
-
-    fn observes_of(&self, pos: usize) -> &[u32] {
-        &self.observes[self.obs_off[pos] as usize..self.obs_off[pos + 1] as usize]
-    }
-}
-
-/// Phase-1 output: the chain classification and every **anchor's**
-/// cone as ascending topological positions in one flat arena.
-///
-/// Built back-to-front: when anchor position `p` is processed, every
-/// combinational successor (all at positions `> p`) already has its
-/// cone available — as an arena slice (anchor successor) or as a
-/// virtual two-segment sequence (chain successor: its lazily walked
-/// path plus its own anchor's arena slice). `p`'s cone is `[p]`
-/// followed by the duplicate-free sorted merge of those sequences.
-/// Chain positions get **no** arena entry — that is the suffix
-/// sharing, and it removes the single-successor `memcpy` that made
-/// the old flat builder store-bandwidth-bound.
-struct TailCones {
-    /// Per topo position: the single successor's position for chain
-    /// nodes, [`NO_NEXT`] for anchors.
-    next_pos: Vec<u32>,
-    /// Per topo position (anchors only): start of the cone's arena
-    /// slice.
-    start: Vec<u32>,
-    /// Per topo position (anchors only): end of that slice.
-    end: Vec<u32>,
-    /// All anchor cones, concatenated in build order.
-    arena: Vec<u32>,
-    /// Number of chain nodes (each counts as one stored member).
-    chain_count: usize,
-}
-
-/// A merge cursor over one successor's (possibly virtual) cone:
-/// first the chain path positions, then the anchor's arena slice.
-#[derive(Clone, Copy)]
-struct ConeCursor {
-    /// Current path position, or [`NO_NEXT`] once in slice mode.
-    pos: u32,
-    /// Arena slice range (set on entering slice mode).
-    idx: u32,
-    end: u32,
-}
-
-impl ConeCursor {
-    fn new(q: u32, next_pos: &[u32], start: &[u32], end: &[u32]) -> Self {
-        if next_pos[q as usize] == NO_NEXT {
-            ConeCursor {
-                pos: NO_NEXT,
-                idx: start[q as usize],
-                end: end[q as usize],
-            }
-        } else {
-            ConeCursor {
-                pos: q,
-                idx: 0,
-                end: 0,
-            }
-        }
-    }
-
-    #[inline]
-    fn peek(&self, arena: &[u32]) -> Option<u32> {
-        if self.pos != NO_NEXT {
-            Some(self.pos)
-        } else if self.idx < self.end {
-            Some(arena[self.idx as usize])
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn advance(&mut self, next_pos: &[u32], start: &[u32], end: &[u32]) {
-        if self.pos != NO_NEXT {
-            let np = self.pos as usize;
-            let next = next_pos[np] as usize;
-            debug_assert_ne!(next_pos[np], NO_NEXT);
-            if next_pos[next] == NO_NEXT {
-                // Reached the anchor: switch to its arena slice (which
-                // starts with the anchor itself).
-                self.pos = NO_NEXT;
-                self.idx = start[next];
-                self.end = end[next];
-            } else {
-                self.pos = next_pos[np];
-            }
-        } else {
-            self.idx += 1;
-        }
-    }
-}
-
-impl TailCones {
-    /// One anchor's cone as ascending topological positions (the
-    /// anchor's own position first).
-    fn cone(&self, pos: usize) -> &[u32] {
-        debug_assert_eq!(self.next_pos[pos], NO_NEXT, "cone() wants an anchor");
-        &self.arena[self.start[pos] as usize..self.end[pos] as usize]
-    }
-
-    /// Runs the reverse-topological anchor-only merge pass. Returns
-    /// `Ok(None)` as soon as stored members (chain entries + the
-    /// arena) exceed `max_members` — a sequential,
-    /// scheduling-independent decision — and `Err` when the
-    /// cancellation token trips at an anchor checkpoint.
-    fn build(
-        topo: &TopoArtifacts,
-        max_members: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<Self>, CancelCause> {
-        let n = topo.len();
-        let order = topo.order();
-        let mut next_pos = vec![NO_NEXT; n];
-        let mut chain_count = 0usize;
-        for (p, np) in next_pos.iter_mut().enumerate() {
-            let succs = topo.comb_fanout(order[p]);
-            if succs.len() == 1 {
-                *np = topo.position(succs[0]);
-                chain_count += 1;
-            }
-        }
-        if chain_count > max_members {
-            return Ok(None);
-        }
-
-        let mut start = vec![0u32; n];
-        let mut end = vec![0u32; n];
-        let mut arena: Vec<u32> = Vec::with_capacity(n - chain_count);
-        // Cursor scratch for the rare ≥ 3-way merges; reused.
-        let mut cursors: Vec<ConeCursor> = Vec::new();
-        let mut merged = 0usize;
-        for p in (0..n).rev() {
-            if next_pos[p] != NO_NEXT {
-                continue;
-            }
-            if merged.is_multiple_of(ConePlans::CANCEL_CHECK_EVERY) {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-            }
-            merged += 1;
-            let cone_start = arena.len();
-            arena.push(u32::try_from(p).expect("node count fits u32"));
-            let succs = topo.comb_fanout(order[p]);
-            // Anchors have 0 or ≥ 2 successors by definition, so the
-            // merge is always a true multi-way dedup merge.
-            match succs.len() {
-                0 => {}
-                2 => {
-                    // Dominant shape: a tight two-pointer merge. Any
-                    // chain-path prefix is drained element-wise first;
-                    // once both cursors sit in their anchor slices the
-                    // inner loop is branch-light array traversal.
-                    // Merged output is pushed straight into the arena:
-                    // cursors address it by index, so reallocation
-                    // while reading earlier regions is sound.
-                    let mut a = ConeCursor::new(topo.position(succs[0]), &next_pos, &start, &end);
-                    let mut b = ConeCursor::new(topo.position(succs[1]), &next_pos, &start, &end);
-                    while a.pos != NO_NEXT || b.pos != NO_NEXT {
-                        let (Some(x), Some(y)) = (a.peek(&arena), b.peek(&arena)) else {
-                            break;
-                        };
-                        arena.push(x.min(y));
-                        if x <= y {
-                            a.advance(&next_pos, &start, &end);
-                        }
-                        if y <= x {
-                            b.advance(&next_pos, &start, &end);
-                        }
-                    }
-                    if a.pos == NO_NEXT && b.pos == NO_NEXT {
-                        let (mut i, ae) = (a.idx as usize, a.end as usize);
-                        let (mut j, be) = (b.idx as usize, b.end as usize);
-                        while i < ae && j < be {
-                            let (x, y) = (arena[i], arena[j]);
-                            arena.push(x.min(y));
-                            i += usize::from(x <= y);
-                            j += usize::from(y <= x);
-                        }
-                        a.idx = i as u32;
-                        b.idx = j as u32;
-                    }
-                    // At most one cursor still holds elements; append
-                    // its remainder (path part, then slice memcpy).
-                    for mut c in [a, b] {
-                        if c.peek(&arena).is_none() {
-                            continue;
-                        }
-                        while c.pos != NO_NEXT {
-                            arena.push(c.pos);
-                            c.advance(&next_pos, &start, &end);
-                        }
-                        arena.extend_from_within(c.idx as usize..c.end as usize);
-                    }
-                }
-                _ => {
-                    cursors.clear();
-                    cursors.extend(
-                        succs
-                            .iter()
-                            .map(|&s| ConeCursor::new(topo.position(s), &next_pos, &start, &end)),
-                    );
-                    loop {
-                        let mut min = u32::MAX;
-                        let mut live = 0usize;
-                        let mut last = 0usize;
-                        for (ci, c) in cursors.iter().enumerate() {
-                            if let Some(v) = c.peek(&arena) {
-                                live += 1;
-                                last = ci;
-                                min = min.min(v);
-                            }
-                        }
-                        match live {
-                            0 => break,
-                            1 => {
-                                // Lone survivor: bulk-append the
-                                // remainder (walk the path part,
-                                // memcpy the slice part).
-                                let mut c = cursors[last];
-                                while c.pos != NO_NEXT {
-                                    arena.push(c.pos);
-                                    c.advance(&next_pos, &start, &end);
-                                }
-                                arena.extend_from_within(c.idx as usize..c.end as usize);
-                                break;
-                            }
-                            _ => {
-                                arena.push(min);
-                                for c in &mut cursors {
-                                    if c.peek(&arena) == Some(min) {
-                                        c.advance(&next_pos, &start, &end);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if chain_count + arena.len() > max_members {
-                return Ok(None);
-            }
-            start[p] = u32::try_from(cone_start).expect("cone members fit u32");
-            end[p] = u32::try_from(arena.len()).expect("cone members fit u32");
-        }
-        Ok(Some(TailCones {
-            next_pos,
-            start,
-            end,
-            arena,
-            chain_count,
-        }))
     }
 }
 
@@ -1242,7 +1093,7 @@ impl FlatConePlans {
     /// workers, or `None` past a **logical**-member budget (the flat
     /// arena stores every site's full cone, so its memory is
     /// proportional to the logical total, unlike
-    /// [`ConePlans::build`]'s stored-member budget; pass `usize::MAX`
+    /// [`ConePlans::build`]'s byte budget; pass `usize::MAX`
     /// for none). The per-site DFS loop is embarrassingly parallel:
     /// workers claim contiguous site ranges through an atomic cursor
     /// and the fragments are stitched back in site order; the budget
@@ -1289,7 +1140,7 @@ impl FlatConePlans {
                 &mut scratch,
             )?]
         } else {
-            let chunk_len = n.div_ceil(threads * ConePlans::CHUNKS_PER_THREAD).max(1);
+            let chunk_len = n.div_ceil(threads * FLAT_CHUNKS_PER_THREAD).max(1);
             let ranges: Vec<Range<usize>> = (0..n)
                 .step_by(chunk_len)
                 .map(|start| start..(start + chunk_len).min(n))
@@ -1460,6 +1311,11 @@ impl FlatConePlans {
 
 /// Below this many nodes the flat build runs on one thread.
 const FLAT_PARALLEL_BUILD_THRESHOLD: usize = 1024;
+
+/// How many contiguous site ranges the parallel flat build cuts per
+/// worker (oversubscription + an atomic claim cursor balance the
+/// unknown cone sizes).
+const FLAT_CHUNKS_PER_THREAD: usize = 8;
 
 /// A borrowed view of one site's plan inside [`FlatConePlans`].
 #[derive(Debug, Clone, Copy)]
@@ -1763,12 +1619,8 @@ H = OR(C, D, G)
         build_with_budget(c, topo, usize::MAX).expect("no budget to decline")
     }
 
-    fn build_with_budget(
-        c: &Circuit,
-        topo: &TopoArtifacts,
-        max_members: usize,
-    ) -> Option<ConePlans> {
-        ConePlans::build(c, topo, max_members, 1, None).expect("no token to trip")
+    fn build_with_budget(c: &Circuit, topo: &TopoArtifacts, max_bytes: usize) -> Option<ConePlans> {
+        ConePlans::build(c, topo, max_bytes, None).expect("no token to trip")
     }
 
     /// Decodes every site of both builders and asserts they agree.
@@ -1981,26 +1833,22 @@ H = OR(C, D, G)
     }
 
     #[test]
-    fn bounded_build_counts_stored_members() {
+    fn bounded_build_counts_arena_bytes() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
         let full = build_all(&c, &topo);
-        let stored = full.stored_members();
-        // The stored (deduplicated) total is what the budget bounds:
-        // a budget below it declines, at it the build is identical.
-        assert!(build_with_budget(&c, &topo, stored - 1).is_none());
-        let bounded = build_with_budget(&c, &topo, stored).unwrap();
+        let bytes = full.arena_bytes();
+        // The budget bounds the arena's bytes exactly: one byte below
+        // them declines, at them the build is identical.
+        assert!(build_with_budget(&c, &topo, bytes - 1).is_none());
+        let bounded = build_with_budget(&c, &topo, bytes).unwrap();
         assert_eq!(bounded, full);
-        // The logical total no longer matters: FIG1 stores 12 of 19
-        // logical members, so a budget between the two still fits.
-        assert!(stored < full.logical_members() as usize);
-        assert!(build_with_budget(&c, &topo, stored + 1).is_some());
     }
 
     #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        // A chain with side inputs: 2,401 nodes (above the parallel
-        // threshold), cone sizes from the whole chain down to 1.
+    fn long_chain_stores_linear_and_budgets_exactly() {
+        // A chain with side inputs: 2,401 nodes, cone sizes from the
+        // whole chain down to 1.
         let stages = 1200;
         let mut src = String::from("INPUT(x0)\n");
         for i in 0..stages {
@@ -2017,28 +1865,15 @@ H = OR(C, D, G)
         }
         let c = parse_bench(&src, "chain").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let sequential = ConePlans::build(&c, &topo, usize::MAX, 1, None)
-            .unwrap()
-            .unwrap();
-        for threads in [2, 4, 7] {
-            let parallel = ConePlans::build(&c, &topo, usize::MAX, threads, None)
-                .unwrap()
-                .unwrap();
-            assert_eq!(parallel, sequential, "{threads} threads");
-        }
-        // The budget decision is deterministic in parallel too: decline
-        // below the stored total, accept at it.
-        let stored = sequential.stored_members();
-        assert!(ConePlans::build(&c, &topo, stored - 1, 4, None)
-            .unwrap()
-            .is_none());
-        let at_budget = ConePlans::build(&c, &topo, stored, 4, None)
-            .unwrap()
-            .unwrap();
-        assert_eq!(at_budget, sequential);
+        let full = build_all(&c, &topo);
+        // The budget decision is exact: decline one byte below the
+        // arena, accept identically at it.
+        let bytes = full.arena_bytes();
+        assert!(build_with_budget(&c, &topo, bytes - 1).is_none());
+        assert_eq!(build_with_budget(&c, &topo, bytes).unwrap(), full);
         // Every chain node shares the suffix: the stored total is
         // linear while the logical total is quadratic.
-        assert!(sequential.logical_members() > 10 * sequential.stored_members() as u64);
+        assert!(full.logical_members() > 10 * full.stored_members() as u64);
     }
 
     #[test]
@@ -2065,7 +1900,7 @@ H = OR(C, D, G)
 
         // A live token changes nothing: the build is bit-identical.
         let live = crate::CancelToken::new();
-        let with_token = ConePlans::build(&c, &topo, usize::MAX, 1, Some(&live))
+        let with_token = ConePlans::build(&c, &topo, usize::MAX, Some(&live))
             .unwrap()
             .unwrap();
         assert_eq!(with_token, reference);
@@ -2075,15 +1910,15 @@ H = OR(C, D, G)
         let tripped = crate::CancelToken::new();
         tripped.cancel();
         assert_eq!(
-            ConePlans::build(&c, &topo, usize::MAX, 1, Some(&tripped)),
+            ConePlans::build(&c, &topo, usize::MAX, Some(&tripped)),
             Err(crate::CancelCause::Cancelled)
         );
         let expired = crate::CancelToken::with_deadline(std::time::Instant::now());
         assert_eq!(
-            ConePlans::build(&c, &topo, usize::MAX, 1, Some(&expired)),
+            ConePlans::build(&c, &topo, usize::MAX, Some(&expired)),
             Err(crate::CancelCause::DeadlineExceeded)
         );
-        assert_eq!(ConePlans::build(&c, &topo, 1, 1, Some(&live)), Ok(None));
+        assert_eq!(ConePlans::build(&c, &topo, 1, Some(&live)), Ok(None));
     }
 
     #[test]

@@ -22,10 +22,17 @@
 //! ```
 //!
 //! The payload sections mirror [`ConePlans`]' fields in declaration
-//! order (per-node chain tables, the per-position kind/fanin tables,
-//! the shared tail position arena, then the four scalar stats).
-//! [`NodeId`]s serialize as `u32` indices and [`GateKind`]s as
+//! order: the per-node chain tables, the per-position kind/fanin
+//! tables, the per-tail tables (anchor position, member count, pin
+//! total, window word offsets), the tail windows and the tail observe
+//! rows as `u64` words, the observe positions, then the three scalar
+//! stats. [`NodeId`]s serialize as `u32` indices and [`GateKind`]s as
 //! explicit `u8` tags — both stable across platforms.
+//!
+//! Version 2 stores each tail as a bitset window over topological
+//! positions plus a bitset row over observe points; version 1 stored
+//! a sorted position list and `(observe, local)` pairs. A version-1
+//! entry reads as a miss and is recompiled over.
 //!
 //! # Integrity
 //!
@@ -183,7 +190,7 @@ impl PlanCache {
     /// Version tag of the on-disk layout. Bumped whenever the
     /// [`ConePlans`] arena or the serialization changes; entries with
     /// any other version are ignored (and recompiled over).
-    pub const FORMAT_VERSION: u32 = 1;
+    pub const FORMAT_VERSION: u32 = 2;
 
     /// A cache rooted at `dir` (created lazily on first store),
     /// unbounded.
@@ -443,6 +450,13 @@ fn put_u32s(out: &mut Vec<u8>, v: &[u32]) {
     }
 }
 
+fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
+    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+    for &x in v {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
 /// Serializes `plans` into the full file image (header included).
 pub(crate) fn encode(hash: u64, plans: &ConePlans) -> Vec<u8> {
     let mut p = Vec::new();
@@ -467,18 +481,14 @@ pub(crate) fn encode(hash: u64, plans: &ConePlans) -> Vec<u8> {
         p.extend_from_slice(&pf.to_le_bytes());
         p.extend_from_slice(&off.to_le_bytes());
     }
-    put_u32s(&mut p, &plans.tail_start);
-    put_u32s(&mut p, &plans.tail_end);
+    put_u32s(&mut p, &plans.tail_anchor);
+    put_u32s(&mut p, &plans.tail_len);
     put_u32s(&mut p, &plans.tail_pins);
-    put_u32s(&mut p, &plans.tail_positions);
-    put_u32s(&mut p, &plans.tail_obs_off);
-    p.extend_from_slice(&(plans.tail_obs.len() as u64).to_le_bytes());
-    for &(obs, local) in &plans.tail_obs {
-        p.extend_from_slice(&obs.to_le_bytes());
-        p.extend_from_slice(&local.to_le_bytes());
-    }
+    put_u32s(&mut p, &plans.tail_word_off);
+    put_u64s(&mut p, &plans.tail_words);
+    put_u64s(&mut p, &plans.tail_obs_words);
+    put_u32s(&mut p, &plans.obs_pos);
     p.extend_from_slice(&(plans.max_cone_len as u64).to_le_bytes());
-    p.extend_from_slice(&(plans.chain_count as u64).to_le_bytes());
     p.extend_from_slice(&plans.logical_members.to_le_bytes());
     p.extend_from_slice(&plans.logical_observe_refs.to_le_bytes());
 
@@ -521,6 +531,16 @@ impl<'a> Cursor<'a> {
         Some(
             raw.chunks_exact(4)
                 .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect(),
+        )
+    }
+
+    fn u64s(&mut self) -> Option<Vec<u64>> {
+        let n = self.len()?;
+        let raw = self.take(n.checked_mul(8)?)?;
+        Some(
+            raw.chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
                 .collect(),
         )
     }
@@ -583,24 +603,14 @@ pub(crate) fn decode(hash: u64, bytes: &[u8]) -> Option<ConePlans> {
             )
         })
         .collect();
-    let tail_start = c.u32s()?;
-    let tail_end = c.u32s()?;
+    let tail_anchor = c.u32s()?;
+    let tail_len = c.u32s()?;
     let tail_pins = c.u32s()?;
-    let tail_positions = c.u32s()?;
-    let tail_obs_off = c.u32s()?;
-    let n_obs = c.len()?;
-    let raw_obs = c.take(n_obs.checked_mul(8)?)?;
-    let tail_obs = raw_obs
-        .chunks_exact(8)
-        .map(|p| {
-            (
-                u32::from_le_bytes(p[..4].try_into().expect("4-byte half")),
-                u32::from_le_bytes(p[4..].try_into().expect("4-byte half")),
-            )
-        })
-        .collect();
+    let tail_word_off = c.u32s()?;
+    let tail_words = c.u64s()?;
+    let tail_obs_words = c.u64s()?;
+    let obs_pos = c.u32s()?;
     let max_cone_len = usize::try_from(c.u64()?).ok()?;
-    let chain_count = usize::try_from(c.u64()?).ok()?;
     let logical_members = c.u64()?;
     let logical_observe_refs = c.u64()?;
     if c.at != payload.len() {
@@ -619,14 +629,14 @@ pub(crate) fn decode(hash: u64, bytes: &[u8]) -> Option<ConePlans> {
         pos_kind,
         pos_fanin_off,
         pos_fanins,
-        tail_start,
-        tail_end,
+        tail_anchor,
+        tail_len,
         tail_pins,
-        tail_positions,
-        tail_obs_off,
-        tail_obs,
+        tail_word_off,
+        tail_words,
+        tail_obs_words,
+        obs_pos,
         max_cone_len,
-        chain_count,
         logical_members,
         logical_observe_refs,
     })
@@ -645,7 +655,7 @@ mod tests {
         )
         .unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+        let plans = ConePlans::build(&c, &topo, usize::MAX, None)
             .unwrap()
             .unwrap();
         (c, plans)
@@ -764,6 +774,54 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_entry_reads_as_a_miss_and_recompiles() {
+        let (c, plans) = sample();
+        let hash = c.structural_hash();
+        let dir = TempCacheDir::new("v1");
+        let cache = PlanCache::new(&dir.0);
+        cache.store(hash, &plans).expect("store");
+        let path = cache.entry_path(hash);
+        // Same payload and checksum (it covers the payload only), but
+        // the header claims the sorted-list layout of version 1.
+        let mut v1 = fs::read(&path).unwrap();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(fnv1a(&v1[HEADER_LEN..]).to_le_bytes(), v1[32..40]);
+        fs::write(&path, &v1).unwrap();
+        assert!(cache.load(hash).is_none(), "a v1 entry is a miss");
+
+        // The miss recompiles and stores over the stale entry.
+        let topo = TopoArtifacts::compute(&c).unwrap();
+        let rebuilt = ConePlans::build(&c, &topo, usize::MAX, None)
+            .unwrap()
+            .unwrap();
+        cache.store(hash, &rebuilt).expect("store");
+        let stored = fs::read(&path).unwrap();
+        assert_eq!(stored[8..12], PlanCache::FORMAT_VERSION.to_le_bytes());
+        assert_eq!(cache.load(hash).expect("hit"), plans);
+    }
+
+    #[test]
+    fn multi_word_windows_round_trip() {
+        // `a` fans out to both ends of a 150-gate chain, so its window
+        // spans three words while most tails span one or two.
+        let mut src = String::from("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn0 = AND(a, b)\n");
+        for i in 1..150 {
+            src.push_str(&format!("n{i} = NOT(n{})\n", i - 1));
+        }
+        src.push_str("z = OR(n149, a)\n");
+        let c = parse_bench(&src, "wide").unwrap();
+        let topo = TopoArtifacts::compute(&c).unwrap();
+        let plans = ConePlans::build(&c, &topo, usize::MAX, None)
+            .unwrap()
+            .unwrap();
+        let a = c.find("a").unwrap();
+        assert_eq!(plans.plan(a).tail().window().len(), 3);
+        let hash = c.structural_hash();
+        let back = decode(hash, &encode(hash, &plans)).expect("round trip");
+        assert_eq!(back, plans);
+    }
+
+    #[test]
     fn fault_plan_torn_write_recovers_silently() {
         let (c, plans) = sample();
         let hash = c.structural_hash();
@@ -820,7 +878,7 @@ mod tests {
         src.push_str(&format!("z = NOT({prev})\n"));
         let c = parse_bench(&src, &format!("chain{depth}")).unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = ConePlans::build(&c, &topo, usize::MAX, 1, None)
+        let plans = ConePlans::build(&c, &topo, usize::MAX, None)
             .unwrap()
             .unwrap();
         (c.structural_hash(), plans)

@@ -643,8 +643,7 @@ impl SerService {
                 let built = ConePlans::build(
                     circuit,
                     session.topo(),
-                    ConePlans::DEFAULT_MEMBER_BUDGET,
-                    self.config.threads,
+                    ConePlans::DEFAULT_BYTE_BUDGET,
                     cancel,
                 )
                 .map_err(ServiceError::Cancelled)?
