@@ -16,8 +16,6 @@ fn warm_service(threads: usize) -> (SerService, Arc<ser_netlist::Circuit>) {
         sweep_batch_sites: 64,
         // Exercise the kernel path, not the response cache.
         max_sweep_responses: 0,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
     service.session(&circuit, None).unwrap();

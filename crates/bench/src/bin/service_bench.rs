@@ -58,22 +58,6 @@ fn fresh_service(threads: usize) -> SerService {
         // The warm-sweep rows measure the *kernel* path; response
         // caching would short-circuit every repeat to a map lookup.
         max_sweep_responses: 0,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
-        ..SerServiceConfig::default()
-    })
-}
-
-/// Like [`fresh_service`], but with the persistent plan-artifact cache
-/// rooted at `dir` — what the `cold_cached_sweep_ms` rows measure.
-fn cached_service(threads: usize, dir: &std::path::Path) -> SerService {
-    SerService::new(SerServiceConfig {
-        max_sessions: 8,
-        threads,
-        sweep_batch_sites: 256,
-        max_sweep_responses: 0,
-        plan_cache_dir: Some(dir.to_path_buf()),
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     })
 }
@@ -104,11 +88,6 @@ fn main() {
             Arc::new(synthesize(&profile, 1))
         })
         .collect();
-
-    // One plan-artifact cache dir for the whole run, cleaned at exit.
-    let cache_dir =
-        std::env::temp_dir().join(format!("ser_service_bench_cache_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
 
     let mut records: Vec<String> = Vec::new();
     for (name, circuit) in names.iter().zip(&circuits) {
@@ -143,35 +122,6 @@ fn main() {
             "warm and cold responses identical"
         );
 
-        // --- Cold with a warm artifact cache: a fresh process whose
-        // plan compilation is a file load. One service populates the
-        // cache, a second (fresh sessions, same dir) pays only the
-        // load.
-        {
-            let writer = cached_service(threads, &cache_dir);
-            writer
-                .submit(circuit, Request::Sweep(SweepRequest::default()))
-                .expect("valid circuit");
-            assert_eq!(writer.stats().plan_cache_hits, 0, "first run populates");
-        }
-        let reader = cached_service(threads, &cache_dir);
-        let t = Instant::now();
-        let cached_cold = reader
-            .submit(circuit, Request::Sweep(SweepRequest::default()))
-            .expect("valid circuit");
-        let cold_cached_sweep_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert!(!cached_cold.meta.warm_session);
-        assert_eq!(
-            reader.stats().plan_cache_hits,
-            1,
-            "second service loads the persisted plans"
-        );
-        assert_eq!(
-            cached_cold.as_sweep().expect("sweep payload"),
-            cold.as_sweep().expect("sweep payload"),
-            "cached plans must not change results"
-        );
-
         // --- Warm single-site request throughput. ---------------------
         let sites: Vec<_> = circuit.node_ids().collect();
         let t = Instant::now();
@@ -185,16 +135,15 @@ fn main() {
         let site_requests_per_sec = site_requests as f64 / t.elapsed().as_secs_f64();
 
         eprintln!(
-            "{name}: {n} nodes | cold sweep {cold_sweep_ms:.1}ms | cold+cache {cold_cached_sweep_ms:.1}ms | warm sweep {warm_sweep_ms:.1}ms | {site_requests_per_sec:.0} site req/s"
+            "{name}: {n} nodes | cold sweep {cold_sweep_ms:.1}ms | warm sweep {warm_sweep_ms:.1}ms | {site_requests_per_sec:.0} site req/s"
         );
         let mut rec = String::from("  {");
         let _ = write!(
             rec,
-            "\"circuit\": \"{name}\", \"nodes\": {n}, \"cold_sweep_ms\": {cold_sweep_ms:.3}, \"cold_cached_sweep_ms\": {cold_cached_sweep_ms:.3}, \"warm_sweep_ms\": {warm_sweep_ms:.3}, \"site_requests_per_sec\": {site_requests_per_sec:.1}}}"
+            "\"circuit\": \"{name}\", \"nodes\": {n}, \"cold_sweep_ms\": {cold_sweep_ms:.3}, \"warm_sweep_ms\": {warm_sweep_ms:.3}, \"site_requests_per_sec\": {site_requests_per_sec:.1}}}"
         );
         records.push(rec);
     }
-    let _ = std::fs::remove_dir_all(&cache_dir);
 
     // --- Interleaving: two sweeps, serialized vs one batch. -----------
     let (a, b) = (&circuits[0], circuits.get(1).unwrap_or(&circuits[0]));
@@ -253,7 +202,7 @@ fn main() {
     // rule-core backend that served them is part of the result.
     let kernel = ser_epp::KernelBackend::auto().name();
     let json = format!(
-        "{{\n  \"bench\": \"service_throughput\",\n  \"kernel\": \"{kernel}\",\n  \"unit_note\": \"latencies in milliseconds; cold includes session compile + cone-plan build; cold_cached loads compiled plans from the persistent artifact cache; interleave speedup > 1 needs more than one executor worker; tcp rows measure loopback v2-envelope round trips; cancel_latency_ms is cancel envelope to cancelled error frame on the swept connection; host cores: {threads}\",\n  \"threads\": {threads},\n  \"results\": [\n{}\n  ],\n  \"interleave\": {{\"circuits\": [\"{}\", \"{}\"], \"executor_workers\": {executor_workers}, \"serialized_ms\": {serialized_ms:.3}, \"interleaved_ms\": {interleaved_ms:.3}, \"speedup\": {speedup:.3}}},\n  \"tcp\": {{\"circuit\": \"{}\", \"round_trips_per_sec\": {:.1}, \"p50_us\": {:.1}, \"sweep_round_trip_ms\": {:.3}, \"cancel_latency_ms\": {cancel_latency_ms:.3}}}\n}}\n",
+        "{{\n  \"bench\": \"service_throughput\",\n  \"kernel\": \"{kernel}\",\n  \"unit_note\": \"latencies in milliseconds; cold includes session compile + cone-plan build; interleave speedup > 1 needs more than one executor worker; tcp rows measure loopback v2-envelope round trips; cancel_latency_ms is cancel envelope to cancelled error frame on the swept connection; host cores: {threads}\",\n  \"threads\": {threads},\n  \"results\": [\n{}\n  ],\n  \"interleave\": {{\"circuits\": [\"{}\", \"{}\"], \"executor_workers\": {executor_workers}, \"serialized_ms\": {serialized_ms:.3}, \"interleaved_ms\": {interleaved_ms:.3}, \"speedup\": {speedup:.3}}},\n  \"tcp\": {{\"circuit\": \"{}\", \"round_trips_per_sec\": {:.1}, \"p50_us\": {:.1}, \"sweep_round_trip_ms\": {:.3}, \"cancel_latency_ms\": {cancel_latency_ms:.3}}}\n}}\n",
         records.join(",\n"),
         a.name(),
         b.name(),
@@ -380,8 +329,6 @@ fn bench_cancel_latency(circuit: &Arc<Circuit>, threads: usize, samples: usize) 
         threads,
         sweep_batch_sites: 8,
         max_sweep_responses: 0,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
     let engine = Arc::new(ProtocolEngine::new(

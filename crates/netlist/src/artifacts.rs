@@ -273,17 +273,15 @@ impl TopoArtifacts {
             .as_ref()
     }
 
-    /// Seeds the plan cache with an already-settled outcome — plans
-    /// loaded from a persistent [`PlanCache`](crate::PlanCache) entry
-    /// or built under a cancel token, or `None` for a build the member
+    /// Seeds the plan slot with an already-settled outcome — plans
+    /// built under a cancel token, or `None` for a build the byte
     /// budget declined — so [`cone_plans`](Self::cone_plans) returns it
     /// instead of compiling. Returns `false` — and changes nothing — if
     /// the slot was already built or primed for these artifacts.
     ///
     /// The caller is responsible for `plans` belonging to the same
-    /// circuit as these artifacts (the service keys cache entries by
-    /// [`Circuit::structural_hash`] and verifies circuit equality
-    /// before reuse, exactly like its session cache).
+    /// circuit as these artifacts (the service builds them from the
+    /// session's own circuit and artifacts).
     pub fn prime_cone_plans(&self, plans: Option<Arc<ConePlans>>) -> bool {
         self.plans.set(plans).is_ok()
     }

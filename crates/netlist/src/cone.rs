@@ -10,9 +10,11 @@
 //! propagated.
 //!
 //! [`FanoutCone`] is the *definitional* (per-site DFS) form of the
-//! cone; the sweep engine compiles the same sets for every site at
-//! once through the reverse-topological [`crate::ConePlans`] builder,
-//! which is tested to agree with this one.
+//! cone. The sweep engine compiles the same sets for every site at
+//! once through the reverse-topological [`crate::ConePlans`] builder;
+//! `tests/plan_builder.rs` builds its oracle plan for every site from
+//! [`FanoutCone::extract`] and checks the compiled plans against it
+//! member for member.
 
 use crate::circuit::{Circuit, NodeId, ObservePoint};
 use crate::gate::GateKind;

@@ -47,7 +47,6 @@ mod error;
 mod gate;
 mod parse;
 mod plan;
-mod plan_cache;
 mod scoap;
 mod stats;
 mod topo;
@@ -63,13 +62,7 @@ pub use cone::{fanin_mask, support, FanoutCone};
 pub use error::{NetlistError, ParseError};
 pub use gate::{GateKind, ParseGateKindError};
 pub use parse::parse_bench;
-pub use plan::{
-    ConePlan, ConePlans, FaninRef, FlatConePlan, FlatConePlans, PlanMembers, SetBits, SitePlan,
-    TailView,
-};
-pub use plan_cache::{
-    FaultPlan, PlanCache, PlanCacheStats, PlanStoreOutcome, StoreFault, PLAN_CACHE_EXT,
-};
+pub use plan::{ConePlan, ConePlans, FaninRef, PlanMembers, SetBits, SitePlan, TailView};
 pub use scoap::{Scoap, SCOAP_INFINITY};
 pub use stats::CircuitStats;
 pub use topo::{depth, is_topo_order, levelize, topo_order};

@@ -49,9 +49,9 @@
 //! position scratch: as it evaluates a cone it stamps each member's
 //! position with the member's cone-local index, and a fanin whose
 //! position carries the current epoch's stamp is on-path at the
-//! stamped index. Three facts make this exact (proptest-enforced
-//! against the per-site-DFS [`FlatConePlans`] oracle in
-//! `tests/plan_builder.rs`):
+//! stamped index. Three facts make this exact (proptest-enforced in
+//! `tests/plan_builder.rs` against an oracle built from
+//! [`FanoutCone::extract`](crate::FanoutCone::extract)):
 //!
 //! 1. A path member's only possible on-path fanin is its path
 //!    predecessor (a chain node has exactly one combinational
@@ -65,7 +65,7 @@
 //!    every on-path pin before it is read.
 //! 3. Cone order is path positions ascending followed by the anchor's
 //!    cone (all at strictly greater topological positions), which is
-//!    exactly the flat arena's position-sorted member order; observe
+//!    exactly the cone sorted by topological position; observe
 //!    indices are unique per site, so merging the sorted path observes
 //!    with the tail's observe row preserves the reference emission
 //!    order. A tail observe's cone-local index is the stamp the walk
@@ -87,12 +87,10 @@
 //! [`ConePlans::arena_bytes`] measures, and checked before each window
 //! is appended, so the decision is exact and deterministic.
 //!
-//! The original per-site-DFS builder is retained as
-//! [`FlatConePlans`] — the semantic definition the suffix-shared
-//! builder is checked against bit for bit.
-
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! The per-site definition of a cone is the paper's forward DFS,
+//! [`FanoutCone::extract`](crate::FanoutCone::extract);
+//! `tests/plan_builder.rs` checks every site's
+//! [`materialize`](ConePlan::materialize) against it bit for bit.
 
 use crate::artifacts::TopoArtifacts;
 use crate::cancel::{CancelCause, CancelToken};
@@ -104,7 +102,7 @@ use crate::gate::GateKind;
 const OFF_PATH_BIT: u32 = 1 << 31;
 
 /// Sentinel for "no next chain hop" (the node is an anchor).
-pub(crate) const NO_NEXT: u32 = u32::MAX;
+const NO_NEXT: u32 = u32::MAX;
 
 /// One decoded fanin reference of a cone member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -129,11 +127,6 @@ impl FaninRef {
         }
     }
 
-    fn encode_on_path(local: u32) -> u32 {
-        debug_assert_eq!(local & OFF_PATH_BIT, 0, "cone larger than 2^31");
-        local
-    }
-
     fn encode_off_path(node: NodeId) -> u32 {
         let idx = u32::try_from(node.index()).expect("node index fits u32");
         debug_assert_eq!(idx & OFF_PATH_BIT, 0, "circuit larger than 2^31 nodes");
@@ -141,10 +134,10 @@ impl FaninRef {
     }
 }
 
-/// One site's plan fully decoded into owned, self-contained form — the
-/// comparison currency between the suffix-shared [`ConePlans`] and the
-/// flat [`FlatConePlans`] oracle (both [`materialize`](ConePlan::materialize)
-/// to this), and a convenient debugging view.
+/// One site's plan fully decoded into owned, self-contained form — what
+/// [`ConePlan::materialize`] returns, the form `tests/plan_builder.rs`
+/// compares against an oracle built from
+/// [`FanoutCone`](crate::FanoutCone), and a convenient debugging view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SitePlan {
     /// The error site.
@@ -196,69 +189,69 @@ pub struct ConePlans {
     // ---- per-node tables, indexed by `NodeId::index` (length n) ----
     /// Next hop on the chain path (node index); [`NO_NEXT`] for
     /// anchors.
-    pub(crate) chain_next: Vec<u32>,
+    chain_next: Vec<u32>,
     /// Tail-table id of the node's anchor (an anchor's own id).
-    pub(crate) tail_of: Vec<u32>,
+    tail_of: Vec<u32>,
     /// Number of path members before the shared tail (0 for anchors).
-    pub(crate) prefix_len: Vec<u32>,
+    prefix_len: Vec<u32>,
     /// Fanin pins of the path members strictly after this node, the
     /// anchor included — with the tail's interior pin count this gives
     /// O(1) [`cost`](ConePlan::cost).
-    pub(crate) path_pins_after: Vec<u32>,
+    path_pins_after: Vec<u32>,
     /// Observe points on the path from this node (inclusive) to the
     /// anchor (exclusive) — O(1) [`observe_len`](ConePlan::observe_len).
-    pub(crate) path_obs_from: Vec<u32>,
+    path_obs_from: Vec<u32>,
     /// CSR offsets per node into `node_obs`. Length `n + 1`.
-    pub(crate) node_obs_off: Vec<u32>,
+    node_obs_off: Vec<u32>,
     /// Observe-point indices of each node's signal (total = number of
     /// observe points — one signal each).
-    pub(crate) node_obs: Vec<u32>,
+    node_obs: Vec<u32>,
     // ---- per-position tables, indexed by topological position
     //      (length n; tiny, cache-resident) ----
     /// Node id at each position (the topological order).
-    pub(crate) pos_node: Vec<NodeId>,
+    pos_node: Vec<NodeId>,
     /// Gate kind at each position.
-    pub(crate) pos_kind: Vec<GateKind>,
+    pos_kind: Vec<GateKind>,
     /// CSR offsets per position into `pos_fanins`. Length `n + 1`.
-    pub(crate) pos_fanin_off: Vec<u32>,
+    pos_fanin_off: Vec<u32>,
     /// Fanin pins in declaration order (duplicates preserved) as
     /// `(fanin topological position, packed off-path ref)` — the
     /// off-path encoding of a pin is cone-independent, so it is
     /// computed exactly once here.
-    pub(crate) pos_fanins: Vec<(u32, u32)>,
+    pos_fanins: Vec<(u32, u32)>,
     // ---- shared tail table, one entry per anchor, in build order
     //      (descending anchor position) ----
     /// Per tail: the anchor's topological position. The window's first
     /// word covers positions `anchor / 64 * 64 ..`.
-    pub(crate) tail_anchor: Vec<u32>,
+    tail_anchor: Vec<u32>,
     /// Per tail: member count, anchor included (the window's popcount).
-    pub(crate) tail_len: Vec<u32>,
+    tail_len: Vec<u32>,
     /// Per tail: total fanin pin count of the members after the anchor
     /// — O(1) [`cost`](ConePlan::cost).
-    pub(crate) tail_pins: Vec<u32>,
+    tail_pins: Vec<u32>,
     /// CSR offsets per tail into `tail_words`. Length `T + 1`.
-    pub(crate) tail_word_off: Vec<u32>,
+    tail_word_off: Vec<u32>,
     /// Every anchor's cone as a bitset window over topological
     /// positions. A member's kind and pins resolve through the
     /// per-position tables; on-path classification happens in the
     /// consumer against its walked cone (see the [module docs](self)).
-    pub(crate) tail_words: Vec<u64>,
+    tail_words: Vec<u64>,
     /// Per tail: one row of `ceil(observe points / 64)` words, bit `o`
     /// set iff observe point `o`'s signal is a tail member. Set bits
     /// walk in observe order, the order sweeps emit points in.
-    pub(crate) tail_obs_words: Vec<u64>,
+    tail_obs_words: Vec<u64>,
     /// Topological position of each observe point's signal, in observe
     /// order.
-    pub(crate) obs_pos: Vec<u32>,
+    obs_pos: Vec<u32>,
     // ---- global ----
     /// Largest *logical* cone size over all sites (workspace sizing).
-    pub(crate) max_cone_len: usize,
+    max_cone_len: usize,
     /// Sum of logical cone sizes over all sites — what the flat arena
     /// used to store.
-    pub(crate) logical_members: u64,
+    logical_members: u64,
     /// Sum of per-site reachable observe points — the exact arena size
     /// a whole-circuit sweep's per-point results need.
-    pub(crate) logical_observe_refs: u64,
+    logical_observe_refs: u64,
 }
 
 impl ConePlans {
@@ -274,12 +267,14 @@ impl ConePlans {
     /// cancellation checkpoints. Small enough that a trip lands within
     /// a few milliseconds even on the largest benches, large enough
     /// that the poll is free.
-    pub(crate) const CANCEL_CHECK_EVERY: usize = 4096;
+    const CANCEL_CHECK_EVERY: usize = 4096;
 
     /// Builds the suffix-shared plans for every node of `circuit`.
     /// `topo` supplies the positions and the DFF-clipped fanout
-    /// adjacency. The result decodes site-for-site identically to
-    /// [`FlatConePlans`].
+    /// adjacency. Every site decodes
+    /// ([`materialize`](ConePlan::materialize)) to the cone
+    /// [`FanoutCone::extract`](crate::FanoutCone::extract) defines, in
+    /// topological order.
     ///
     /// Returns `Ok(None)` as soon as the plans would exceed `max_bytes`
     /// as [`arena_bytes`](Self::arena_bytes) counts them — checked
@@ -738,7 +733,7 @@ impl<'a> ConePlan<'a> {
     /// resolving path fanins by predecessor comparison and rebasing
     /// tail-local references, exactly as the sweep kernel does. This
     /// is the representation `tests/plan_builder.rs` compares against
-    /// the flat oracle.
+    /// its [`FanoutCone`](crate::FanoutCone)-based oracle.
     ///
     /// # Panics
     ///
@@ -1066,536 +1061,6 @@ impl PosTables {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The flat per-site-DFS oracle
-// ---------------------------------------------------------------------------
-
-/// The original flat cone-plan arena, built by per-site DFS — retained
-/// as the **semantic reference**: every site's full cone is stored
-/// (members, kinds, per-member packed refs, observe refs), with no
-/// suffix sharing. The suffix-shared [`ConePlans`] is proptest-checked
-/// to [`materialize`](ConePlan::materialize) site-for-site identically
-/// to [`FlatConePlan::materialize`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatConePlans {
-    member_off: Vec<u32>,
-    members: Vec<NodeId>,
-    kinds: Vec<GateKind>,
-    member_fanin_off: Vec<u32>,
-    fanin_refs: Vec<u32>,
-    observe_off: Vec<u32>,
-    observe_refs: Vec<(u32, u32)>,
-    max_cone_len: usize,
-}
-
-impl FlatConePlans {
-    /// Builds the flat plans with per-site DFS discovery on `threads`
-    /// workers, or `None` past a **logical**-member budget (the flat
-    /// arena stores every site's full cone, so its memory is
-    /// proportional to the logical total, unlike
-    /// [`ConePlans::build`]'s byte budget; pass `usize::MAX`
-    /// for none). The per-site DFS loop is embarrassingly parallel:
-    /// workers claim contiguous site ranges through an atomic cursor
-    /// and the fragments are stitched back in site order; the budget
-    /// is a shared counter whose decline decision is deterministic
-    /// (the total is scheduling-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or `topo` was not computed from
-    /// `circuit`.
-    #[must_use]
-    pub fn build(
-        circuit: &Circuit,
-        topo: &TopoArtifacts,
-        max_members: usize,
-        threads: usize,
-    ) -> Option<Self> {
-        assert!(threads > 0, "at least one thread");
-        let n = circuit.len();
-        assert_eq!(topo.len(), n, "artifacts must cover every node");
-
-        let observe = topo.observe_points();
-        let mut obs_of_signal: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, p) in observe.iter().enumerate() {
-            obs_of_signal[p.signal().index()].push(u32::try_from(i).expect("observe fits u32"));
-        }
-
-        let spent = AtomicUsize::new(0);
-        let over_budget = AtomicBool::new(false);
-        let budget = BuildBudget {
-            max_members,
-            spent: &spent,
-            over_budget: &over_budget,
-        };
-
-        let chunks: Vec<PlanChunk> = if threads == 1 || n < FLAT_PARALLEL_BUILD_THRESHOLD {
-            let mut scratch = ChunkScratch::new(n);
-            vec![build_chunk_reference(
-                circuit,
-                topo,
-                &obs_of_signal,
-                0..n,
-                &budget,
-                &mut scratch,
-            )?]
-        } else {
-            let chunk_len = n.div_ceil(threads * FLAT_CHUNKS_PER_THREAD).max(1);
-            let ranges: Vec<Range<usize>> = (0..n)
-                .step_by(chunk_len)
-                .map(|start| start..(start + chunk_len).min(n))
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            let mut parts: Vec<(usize, PlanChunk)> = Vec::with_capacity(ranges.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads.min(ranges.len()))
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let ranges = &ranges;
-                        let budget = &budget;
-                        let obs_of_signal = &obs_of_signal;
-                        scope.spawn(move || {
-                            // One scratch per worker, reused across
-                            // every range it claims.
-                            let mut scratch = ChunkScratch::new(n);
-                            let mut built: Vec<(usize, PlanChunk)> = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(range) = ranges.get(i).cloned() else {
-                                    break;
-                                };
-                                if budget.exceeded() {
-                                    break;
-                                }
-                                let Some(chunk) = build_chunk_reference(
-                                    circuit,
-                                    topo,
-                                    obs_of_signal,
-                                    range.clone(),
-                                    budget,
-                                    &mut scratch,
-                                ) else {
-                                    break;
-                                };
-                                built.push((range.start, chunk));
-                            }
-                            built
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    parts.extend(h.join().expect("plan build worker panicked"));
-                }
-            });
-            if budget.exceeded() {
-                return None;
-            }
-            parts.sort_unstable_by_key(|&(start, _)| start);
-            debug_assert_eq!(parts.len(), ranges.len(), "every range built");
-            parts.into_iter().map(|(_, chunk)| chunk).collect()
-        };
-
-        // Adopt a lone fragment; otherwise stitch with offset
-        // rebasing (all payload entries are position-independent).
-        if chunks.len() == 1 {
-            let chunk = chunks.into_iter().next().expect("one chunk");
-            debug_assert_eq!(chunk.member_off.len(), n + 1);
-            return Some(FlatConePlans {
-                member_off: chunk.member_off,
-                members: chunk.members,
-                kinds: chunk.kinds,
-                member_fanin_off: chunk.member_fanin_off,
-                fanin_refs: chunk.fanin_refs,
-                observe_off: chunk.observe_off,
-                observe_refs: chunk.observe_refs,
-                max_cone_len: chunk.max_cone_len,
-            });
-        }
-        let mut plans = FlatConePlans {
-            member_off: Vec::with_capacity(n + 1),
-            members: Vec::new(),
-            kinds: Vec::new(),
-            member_fanin_off: vec![0],
-            fanin_refs: Vec::new(),
-            observe_off: Vec::with_capacity(n + 1),
-            observe_refs: Vec::new(),
-            max_cone_len: 0,
-        };
-        plans.member_off.push(0);
-        plans.observe_off.push(0);
-        for chunk in chunks {
-            let member_base = u32::try_from(plans.members.len()).expect("cone members fit u32");
-            let fanin_base = u32::try_from(plans.fanin_refs.len()).expect("fanin refs fit u32");
-            let observe_base =
-                u32::try_from(plans.observe_refs.len()).expect("observe refs fit u32");
-            plans.members.extend_from_slice(&chunk.members);
-            plans.kinds.extend_from_slice(&chunk.kinds);
-            plans.fanin_refs.extend_from_slice(&chunk.fanin_refs);
-            plans.observe_refs.extend_from_slice(&chunk.observe_refs);
-            plans
-                .member_off
-                .extend(chunk.member_off[1..].iter().map(|&o| o + member_base));
-            plans
-                .member_fanin_off
-                .extend(chunk.member_fanin_off[1..].iter().map(|&o| o + fanin_base));
-            plans
-                .observe_off
-                .extend(chunk.observe_off[1..].iter().map(|&o| o + observe_base));
-            plans.max_cone_len = plans.max_cone_len.max(chunk.max_cone_len);
-        }
-        debug_assert_eq!(plans.member_off.len(), n + 1);
-        Some(plans)
-    }
-
-    /// Number of sites covered (one plan per circuit node).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.member_off.len() - 1
-    }
-
-    /// `true` for an empty circuit.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Largest cone size over all sites.
-    #[must_use]
-    pub fn max_cone_len(&self) -> usize {
-        self.max_cone_len
-    }
-
-    /// Total (logical) cone members over all sites — the flat arena
-    /// stores every one of them.
-    #[must_use]
-    pub fn total_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Total reachable observe points over all sites.
-    #[must_use]
-    pub fn total_observe_refs(&self) -> usize {
-        self.observe_refs.len()
-    }
-
-    /// Heap bytes of the flat arena — the baseline `arena_bytes` the
-    /// suffix-shared layout is compared against.
-    #[must_use]
-    pub fn arena_bytes(&self) -> usize {
-        fn bytes<T>(v: &[T]) -> usize {
-            std::mem::size_of_val(v)
-        }
-        bytes(&self.member_off)
-            + bytes(&self.members)
-            + bytes(&self.kinds)
-            + bytes(&self.member_fanin_off)
-            + bytes(&self.fanin_refs)
-            + bytes(&self.observe_off)
-            + bytes(&self.observe_refs)
-    }
-
-    /// The flat plan of one site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is out of range.
-    #[must_use]
-    pub fn plan(&self, site: NodeId) -> FlatConePlan<'_> {
-        assert!(site.index() < self.len(), "site {site} out of range");
-        FlatConePlan {
-            plans: self,
-            site: site.index(),
-        }
-    }
-}
-
-/// Below this many nodes the flat build runs on one thread.
-const FLAT_PARALLEL_BUILD_THRESHOLD: usize = 1024;
-
-/// How many contiguous site ranges the parallel flat build cuts per
-/// worker (oversubscription + an atomic claim cursor balance the
-/// unknown cone sizes).
-const FLAT_CHUNKS_PER_THREAD: usize = 8;
-
-/// A borrowed view of one site's plan inside [`FlatConePlans`].
-#[derive(Debug, Clone, Copy)]
-pub struct FlatConePlan<'a> {
-    plans: &'a FlatConePlans,
-    site: usize,
-}
-
-impl<'a> FlatConePlan<'a> {
-    /// The error site this plan was compiled for.
-    #[must_use]
-    pub fn site(&self) -> NodeId {
-        NodeId::from_index(self.site)
-    }
-
-    fn member_range(&self) -> Range<usize> {
-        self.plans.member_off[self.site] as usize..self.plans.member_off[self.site + 1] as usize
-    }
-
-    /// Number of cone members (site included); at least 1.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.member_range().len()
-    }
-
-    /// Always `false`: a cone contains at least its site.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Cone members in topological order; `members()[0]` is the site.
-    #[must_use]
-    pub fn members(&self) -> &'a [NodeId] {
-        &self.plans.members[self.member_range()]
-    }
-
-    /// Gate kinds parallel to [`members`](Self::members).
-    #[must_use]
-    pub fn kinds(&self) -> &'a [GateKind] {
-        &self.plans.kinds[self.member_range()]
-    }
-
-    /// Packed fanin references of cone member `pos` (cone-local
-    /// on-path values; decode with [`FaninRef::decode`]). Empty for
-    /// `pos == 0` (the site).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range for the cone.
-    #[must_use]
-    pub fn fanin_refs(&self, pos: usize) -> &'a [u32] {
-        let range = self.member_range();
-        assert!(pos < range.len(), "cone member {pos} out of range");
-        let m = range.start + pos;
-        &self.plans.fanin_refs
-            [self.plans.member_fanin_off[m] as usize..self.plans.member_fanin_off[m + 1] as usize]
-    }
-
-    /// Reachable observe points as `(observe index, cone-local
-    /// position)` pairs, ordered by observe index.
-    #[must_use]
-    pub fn observe_refs(&self) -> &'a [(u32, u32)] {
-        &self.plans.observe_refs[self.plans.observe_off[self.site] as usize
-            ..self.plans.observe_off[self.site + 1] as usize]
-    }
-
-    /// `true` if no observe point is reachable from the site.
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.observe_refs().is_empty()
-    }
-
-    /// Evaluation cost indicator: cone members plus fanin references.
-    #[must_use]
-    pub fn cost(&self) -> usize {
-        let range = self.member_range();
-        let fanins = self.plans.member_fanin_off[range.end] as usize
-            - self.plans.member_fanin_off[range.start] as usize;
-        range.len() + fanins
-    }
-
-    /// Decodes the plan into owned [`SitePlan`] form — the flat arena
-    /// already stores everything, so this is a straight copy.
-    #[must_use]
-    pub fn materialize(&self) -> SitePlan {
-        SitePlan {
-            site: self.site(),
-            members: self.members().to_vec(),
-            kinds: self.kinds().to_vec(),
-            fanin_refs: (0..self.len())
-                .map(|pos| {
-                    self.fanin_refs(pos)
-                        .iter()
-                        .map(|&raw| FaninRef::decode(raw))
-                        .collect()
-                })
-                .collect(),
-            observe_refs: self.observe_refs().to_vec(),
-        }
-    }
-}
-
-/// One contiguous site range's share of the flat plan arena, offsets
-/// local to the fragment (rebased during the stitch). All payload
-/// entries — members, kinds, fanin refs (cone-local or node-id), and
-/// observe refs — are position-independent, which is what makes the
-/// parallel build's concatenation exact.
-struct PlanChunk {
-    member_off: Vec<u32>,
-    members: Vec<NodeId>,
-    kinds: Vec<GateKind>,
-    member_fanin_off: Vec<u32>,
-    fanin_refs: Vec<u32>,
-    observe_off: Vec<u32>,
-    observe_refs: Vec<(u32, u32)>,
-    max_cone_len: usize,
-}
-
-/// Per-worker scratch for the flat build: epoch-stamped membership,
-/// the node → cone-local map and the traversal buffers, allocated once
-/// per worker and reused across every range the worker claims (the
-/// epoch counter carries over, invalidating old stamps in O(1)).
-struct ChunkScratch {
-    stamp: Vec<u32>,
-    local: Vec<u32>,
-    epoch: u32,
-    cone: Vec<NodeId>,
-    stack: Vec<NodeId>,
-    site_obs: Vec<(u32, u32)>,
-}
-
-impl ChunkScratch {
-    fn new(n: usize) -> Self {
-        ChunkScratch {
-            stamp: vec![0u32; n],
-            local: vec![0u32; n],
-            epoch: 0,
-            cone: Vec::new(),
-            stack: Vec::new(),
-            site_obs: Vec::new(),
-        }
-    }
-}
-
-/// Shared member-budget accounting for the chunked flat build.
-struct BuildBudget<'a> {
-    max_members: usize,
-    spent: &'a AtomicUsize,
-    over_budget: &'a AtomicBool,
-}
-
-impl BuildBudget<'_> {
-    /// Charges one cone's members; `false` means the arena just
-    /// exceeded the budget (the flag is raised so sibling workers stop
-    /// early). The accumulated total is order-independent, so whether
-    /// the overall build declines is deterministic.
-    fn charge(&self, members: usize) -> bool {
-        let charged = self.spent.fetch_add(members, Ordering::Relaxed);
-        if charged + members > self.max_members {
-            self.over_budget.store(true, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-
-    fn exceeded(&self) -> bool {
-        self.over_budget.load(Ordering::Relaxed)
-    }
-}
-
-/// Builds the flat plan fragment for `sites` (a contiguous id range)
-/// with per-site-DFS discovery: DFS over the DFF-clipped fanout
-/// adjacency, sort by topological position, classify fanins against
-/// the epoch-stamped membership. Charges every cone against the shared
-/// member budget and returns `None` on overflow.
-fn build_chunk_reference(
-    circuit: &Circuit,
-    topo: &TopoArtifacts,
-    obs_of_signal: &[Vec<u32>],
-    sites: Range<usize>,
-    budget: &BuildBudget<'_>,
-    scratch: &mut ChunkScratch,
-) -> Option<PlanChunk> {
-    let mut chunk = PlanChunk {
-        member_off: Vec::with_capacity(sites.len() + 1),
-        members: Vec::new(),
-        kinds: Vec::new(),
-        member_fanin_off: vec![0],
-        fanin_refs: Vec::new(),
-        observe_off: Vec::with_capacity(sites.len() + 1),
-        observe_refs: Vec::new(),
-        max_cone_len: 0,
-    };
-    chunk.member_off.push(0);
-    chunk.observe_off.push(0);
-
-    let ChunkScratch {
-        stamp,
-        local,
-        epoch,
-        cone,
-        stack,
-        site_obs,
-    } = scratch;
-
-    for site_idx in sites {
-        let site = NodeId::from_index(site_idx);
-        // New epoch: previous stamps invalidate in O(1). On wrap, reset.
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            stamp.fill(0);
-            *epoch = 1;
-        }
-        let epoch = *epoch;
-
-        // DFS over the DFF-clipped fanout adjacency.
-        cone.clear();
-        stack.clear();
-        stamp[site_idx] = epoch;
-        cone.push(site);
-        stack.push(site);
-        while let Some(id) = stack.pop() {
-            for &succ in topo.comb_fanout(id) {
-                if stamp[succ.index()] != epoch {
-                    stamp[succ.index()] = epoch;
-                    cone.push(succ);
-                    stack.push(succ);
-                }
-            }
-        }
-        // Topological order within the cone (positions are a total
-        // order, so this matches any stable per-site re-sort).
-        cone.sort_unstable_by_key(|id| topo.position(*id));
-        debug_assert_eq!(cone[0], site, "site orders first in its own cone");
-        if !budget.charge(cone.len()) {
-            return None;
-        }
-        chunk.max_cone_len = chunk.max_cone_len.max(cone.len());
-
-        for (pos, &id) in cone.iter().enumerate() {
-            local[id.index()] = u32::try_from(pos).expect("cone fits u32");
-        }
-        site_obs.clear();
-        for (pos, &id) in cone.iter().enumerate() {
-            let node = circuit.node(id);
-            chunk.members.push(id);
-            chunk.kinds.push(node.kind());
-            if pos > 0 {
-                debug_assert!(
-                    node.kind().is_logic(),
-                    "on-path non-site nodes are logic gates"
-                );
-                for &f in node.fanin() {
-                    chunk.fanin_refs.push(if stamp[f.index()] == epoch {
-                        FaninRef::encode_on_path(local[f.index()])
-                    } else {
-                        FaninRef::encode_off_path(f)
-                    });
-                }
-            }
-            chunk
-                .member_fanin_off
-                .push(u32::try_from(chunk.fanin_refs.len()).expect("fanin refs fit u32"));
-            for &obs in &obs_of_signal[id.index()] {
-                site_obs.push((obs, u32::try_from(pos).expect("cone fits u32")));
-            }
-        }
-        site_obs.sort_unstable();
-        chunk.observe_refs.extend_from_slice(site_obs);
-        chunk
-            .member_off
-            .push(u32::try_from(chunk.members.len()).expect("cone members fit u32"));
-        chunk
-            .observe_off
-            .push(u32::try_from(chunk.observe_refs.len()).expect("observe refs fit u32"));
-    }
-    Some(chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1621,34 +1086,6 @@ H = OR(C, D, G)
 
     fn build_with_budget(c: &Circuit, topo: &TopoArtifacts, max_bytes: usize) -> Option<ConePlans> {
         ConePlans::build(c, topo, max_bytes, None).expect("no token to trip")
-    }
-
-    /// Decodes every site of both builders and asserts they agree.
-    fn assert_matches_flat(c: &Circuit) {
-        let topo = TopoArtifacts::compute(c).unwrap();
-        let shared = build_all(c, &topo);
-        let flat = FlatConePlans::build(c, &topo, usize::MAX, 1).unwrap();
-        for id in c.node_ids() {
-            assert_eq!(
-                shared.plan(id).materialize(c),
-                flat.plan(id).materialize(),
-                "{} site {id}",
-                c.name()
-            );
-        }
-        assert_eq!(shared.max_cone_len(), flat.max_cone_len(), "{}", c.name());
-        assert_eq!(
-            shared.logical_members(),
-            flat.total_members() as u64,
-            "{}",
-            c.name()
-        );
-        assert_eq!(
-            shared.total_observe_refs(),
-            flat.total_observe_refs() as u64,
-            "{}",
-            c.name()
-        );
     }
 
     #[test]
@@ -1765,7 +1202,6 @@ H = OR(C, D, G)
             vec![FaninRef::OnPath(0), FaninRef::OnPath(0)],
             "both pins resolve to local 0"
         );
-        assert_matches_flat(&c);
     }
 
     #[test]
@@ -1785,7 +1221,6 @@ H = OR(C, D, G)
         let (obs, local) = decoded.observe_refs[0];
         assert!(topo.observe_points()[obs as usize].is_flip_flop());
         assert_eq!(c.node(decoded.members[local as usize]).name(), "g");
-        assert_matches_flat(&c);
     }
 
     #[test]
@@ -1830,6 +1265,68 @@ H = OR(C, D, G)
         );
         assert!(plans.logical_members() > plans.stored_members() as u64);
         assert!(plans.arena_bytes() > 0);
+    }
+
+    /// The flat plan of `site`, built without the arena: the members of
+    /// its [`FanoutCone`] in topological order, each fanin classified
+    /// against that set, and the observe points whose signal it holds.
+    fn flat_plan(c: &Circuit, topo: &TopoArtifacts, site: NodeId) -> SitePlan {
+        let mut members = FanoutCone::extract(c, site).on_path().to_vec();
+        members.sort_unstable_by_key(|&m| topo.position(m));
+        let mut local = vec![None; c.len()];
+        for (i, &m) in members.iter().enumerate() {
+            local[m.index()] = Some(i);
+        }
+        let fanin_refs = members
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                let pins = if i == 0 { &[][..] } else { c.node(m).fanin() };
+                pins.iter()
+                    .map(|&f| {
+                        local[f.index()].map_or(FaninRef::OffPath(f.index()), FaninRef::OnPath)
+                    })
+                    .collect()
+            })
+            .collect();
+        let observe_refs = (0u32..)
+            .zip(topo.observe_points())
+            .filter_map(|(o, p)| local[p.signal().index()].map(|l| (o, l as u32)))
+            .collect();
+        SitePlan {
+            site,
+            kinds: members.iter().map(|&m| c.node(m).kind()).collect(),
+            members,
+            fanin_refs,
+            observe_refs,
+        }
+    }
+
+    #[test]
+    fn suffix_shared_matches_flat_oracle() {
+        for (name, src) in [
+            ("fig1", FIG1),
+            ("dup", "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n"),
+            ("seq", "INPUT(x)\nOUTPUT(z)\ng = NOT(x)\nq = DFF(g)\nz = NOT(q)\n"),
+            (
+                "reconv",
+                "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = NOT(a)\nv = NAND(a, b)\nw = XOR(u, v)\ny = OR(w, u)\n",
+            ),
+        ] {
+            let c = parse_bench(src, name).unwrap();
+            let topo = TopoArtifacts::compute(&c).unwrap();
+            let shared = build_all(&c, &topo);
+            let flat: Vec<SitePlan> = c.node_ids().map(|id| flat_plan(&c, &topo, id)).collect();
+            for (id, expected) in c.node_ids().zip(&flat) {
+                assert_eq!(&shared.plan(id).materialize(&c), expected, "{name} site {id}");
+            }
+            let max_len = flat.iter().map(|p| p.members.len()).max().unwrap_or(0);
+            assert_eq!(shared.max_cone_len(), max_len, "{name}");
+            let logical: u64 = flat.iter().map(|p| p.members.len() as u64).sum();
+            assert_eq!(shared.logical_members(), logical, "{name}");
+            let observes: u64 = flat.iter().map(|p| p.observe_refs.len() as u64).sum();
+            assert_eq!(shared.total_observe_refs(), observes, "{name}");
+        }
     }
 
     #[test]
@@ -1877,22 +1374,6 @@ H = OR(C, D, G)
     }
 
     #[test]
-    fn suffix_shared_matches_flat_oracle() {
-        for (name, src) in [
-            ("fig1", FIG1),
-            ("dup", "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n"),
-            ("seq", "INPUT(x)\nOUTPUT(z)\ng = NOT(x)\nq = DFF(g)\nz = NOT(q)\n"),
-            (
-                "reconv",
-                "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = NOT(a)\nv = NAND(a, b)\nw = XOR(u, v)\ny = OR(w, u)\n",
-            ),
-        ] {
-            let c = parse_bench(src, name).unwrap();
-            assert_matches_flat(&c);
-        }
-    }
-
-    #[test]
     fn cancelled_build_aborts_and_live_token_is_identical() {
         let c = parse_bench(FIG1, "fig1").unwrap();
         let topo = TopoArtifacts::compute(&c).unwrap();
@@ -1931,7 +1412,5 @@ H = OR(C, D, G)
         assert!(plans.is_empty());
         assert_eq!(plans.max_cone_len(), 0);
         assert_eq!(plans.stored_members(), 0);
-        let flat = FlatConePlans::build(&c, &topo, usize::MAX, 1).unwrap();
-        assert!(flat.is_empty());
     }
 }

@@ -14,7 +14,6 @@
 //! `AnalysisSession<'circuit>` could do.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -24,7 +23,7 @@ use ser_epp::{
     MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, SiteEpp, SweepResults,
     WhatIfAbort, WhatIfOutcome, WhatIfSession,
 };
-use ser_netlist::{CancelToken, Circuit, ConePlans, NodeId, PlanCache};
+use ser_netlist::{CancelToken, Circuit, ConePlans, NodeId};
 use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
 use ser_sp::{InputProbs, SpVector};
 
@@ -51,21 +50,6 @@ pub struct SerServiceConfig {
     /// (LRU, keyed by `(netlist hash, inputs revision, polarity)`).
     /// `0` disables response caching.
     pub max_sweep_responses: usize,
-    /// Directory of the persistent compile-artifact cache
-    /// ([`PlanCache`]). When set, session compilation first tries the
-    /// cached cone plans for the circuit's structural hash (skipping
-    /// plan compilation entirely on a hit) and persists freshly built
-    /// plans on a miss — so a restarted or newly spawned replica pays
-    /// cold plan compile at most once per circuit, ever. `None`
-    /// disables persistence.
-    pub plan_cache_dir: Option<PathBuf>,
-    /// Byte budget for the persistent plan cache directory. When set,
-    /// every store evicts least-recently-used `.serplan` entries
-    /// (oldest mtime first; loads re-date their entry) until the
-    /// directory fits — so a long-lived fleet's cache disk stays
-    /// bounded. `None` (the default) leaves the directory unbounded.
-    /// Ignored when `plan_cache_dir` is `None`.
-    pub plan_cache_max_bytes: Option<u64>,
     /// Largest Monte-Carlo vector count one request may ask for
     /// (fixed-count or sequential-rule cap alike). Requests over the
     /// ceiling are rejected with [`ServiceError::CapExceeded`] *before*
@@ -94,8 +78,6 @@ impl Default for SerServiceConfig {
                 .unwrap_or(1),
             sweep_batch_sites: 256,
             max_sweep_responses: 32,
-            plan_cache_dir: None,
-            plan_cache_max_bytes: None,
             // Permissive but finite: far above anything the benches or
             // the paper's experiments ask for, low enough that a typo'd
             // `1e18` cannot wedge a worker.
@@ -126,17 +108,6 @@ pub struct ServiceStats {
     pub sweep_cache_misses: u64,
     /// Sweep responses currently cached.
     pub sweep_responses_cached: usize,
-    /// Session compiles whose cone plans were loaded from the
-    /// persistent artifact cache (plan compilation skipped).
-    pub plan_cache_hits: u64,
-    /// Session compiles that built plans fresh while a persistent
-    /// cache was configured (the entry was absent, stale or invalid;
-    /// the built plans were persisted for next time).
-    pub plan_cache_misses: u64,
-    /// Persistent-cache entries evicted by the byte cap
-    /// ([`SerServiceConfig::plan_cache_max_bytes`]) across every store
-    /// this service performed. Always 0 on an unbounded cache.
-    pub plan_cache_evictions: u64,
     /// What-if sessions currently warm (one per base netlist).
     pub whatif_sessions_cached: usize,
     /// Requests aborted at a cooperative checkpoint — an explicit
@@ -216,8 +187,6 @@ pub struct SerService {
     /// a session is (re)compiled, so eviction cannot silently revert a
     /// circuit to default inputs.
     inputs_overrides: Mutex<HashMap<u64, InputProbs>>,
-    /// Persistent compile-artifact cache (`None` when not configured).
-    plan_cache: Option<PlanCache>,
     /// Warm what-if sessions, one per base netlist hash.
     whatif: Mutex<Lru<u64, WhatIfEntry>>,
     hits: AtomicU64,
@@ -225,9 +194,6 @@ pub struct SerService {
     evictions: AtomicU64,
     sweep_hits: AtomicU64,
     sweep_misses: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    plan_evictions: AtomicU64,
     cancelled: AtomicU64,
     /// Shared with the TCP transport's per-connection line streams —
     /// they bump it when an idle connection is reaped, the service
@@ -332,10 +298,6 @@ impl SerService {
             cache: Mutex::new(Lru::new(config.max_sessions)),
             sweep_cache: Mutex::new(Lru::new(config.max_sweep_responses)),
             whatif: Mutex::new(Lru::new(config.max_whatif_sessions)),
-            plan_cache: config
-                .plan_cache_dir
-                .clone()
-                .map(|dir| PlanCache::new(dir).with_max_bytes(config.plan_cache_max_bytes)),
             config,
             inputs_overrides: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -343,9 +305,6 @@ impl SerService {
             evictions: AtomicU64::new(0),
             sweep_hits: AtomicU64::new(0),
             sweep_misses: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            plan_evictions: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             idle_reaped: Arc::default(),
         }
@@ -374,9 +333,6 @@ impl SerService {
             sweep_cache_hits: self.sweep_hits.load(Ordering::Relaxed),
             sweep_cache_misses: self.sweep_misses.load(Ordering::Relaxed),
             sweep_responses_cached: lock_clean(&self.sweep_cache).len(),
-            plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_misses.load(Ordering::Relaxed),
-            plan_cache_evictions: self.plan_evictions.load(Ordering::Relaxed),
             whatif_sessions_cached: lock_clean(&self.whatif).len(),
             requests_cancelled: self.cancelled.load(Ordering::Relaxed),
             idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
@@ -587,7 +543,7 @@ impl SerService {
     /// loser adopts it.
     ///
     /// On a cache miss the cone-plan compile polls `cancel` at its
-    /// merge/anchor checkpoints, and a trip aborts the compile with
+    /// anchor checkpoints, and a trip aborts the compile with
     /// [`ServiceError::Cancelled`]. Nothing partial is cached, so the
     /// next — uncancelled — request compiles from scratch and gets
     /// bit-identical plans.
@@ -620,45 +576,17 @@ impl SerService {
             Some(inputs) => AnalysisSession::with_inputs(Arc::clone(circuit), inputs)?,
             None => AnalysisSession::new(Arc::clone(circuit))?,
         });
-        // Cone plans are settled here so a "warm" session really is
-        // warm — the first sweep against it pays no plan build. A valid
-        // persistent-cache entry skips the build; absent/corrupt/stale
-        // entries read as a miss, and the freshly built plans are then
-        // persisted (best-effort) so the next cold process skips it.
-        let plans = match self.plan_cache.as_ref().and_then(|cache| cache.load(key)) {
-            // `load` verified version, key and checksum; the length
-            // check guards the residual 64-bit fingerprint collision (a
-            // different circuit of identical size would produce wrong
-            // plans undetected, but so would any other fingerprint
-            // consumer — the session cache's equality check already
-            // gates reuse of *sessions* across colliding netlists).
-            Some(plans) if plans.len() == circuit.len() => {
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::new(plans))
-            }
-            _ => {
-                if self.plan_cache.is_some() {
-                    self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                let built = ConePlans::build(
-                    circuit,
-                    session.topo(),
-                    ConePlans::DEFAULT_BYTE_BUDGET,
-                    cancel,
-                )
-                .map_err(ServiceError::Cancelled)?
-                .map(Arc::new);
-                if let (Some(cache), Some(plans)) = (&self.plan_cache, &built) {
-                    // Best-effort persist; the eviction count is the
-                    // only part of a failed store worth surfacing.
-                    if let Ok(outcome) = cache.store(key, plans) {
-                        self.plan_evictions
-                            .fetch_add(outcome.evicted as u64, Ordering::Relaxed);
-                    }
-                }
-                built
-            }
-        };
+        // Cone plans are settled here, under the request's token, so a
+        // "warm" session really is warm — the first sweep against it
+        // pays no plan build.
+        let plans = ConePlans::build(
+            circuit,
+            session.topo(),
+            ConePlans::DEFAULT_BYTE_BUDGET,
+            cancel,
+        )
+        .map_err(ServiceError::Cancelled)?
+        .map(Arc::new);
         session.topo().prime_cone_plans(plans);
 
         let mut cache = lock_clean(&self.cache);

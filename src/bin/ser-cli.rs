@@ -9,7 +9,6 @@
 //! ser-cli serve   [--tcp ADDR]                protocol server on stdin/stdout or TCP
 //! ser-cli gen     <profile> [--seed S] [-o F] emit a synthetic benchmark
 //! ser-cli convert <in> <out>                  .bench <-> .v conversion
-//! ser-cli cache   <stats|clear> --cache-dir D inspect/empty the plan-artifact cache
 //! ```
 //!
 //! Netlists may be ISCAS `.bench` files or structural Verilog (`.v`);
@@ -26,11 +25,9 @@
 //! if any `error` frame was written. Put a `batch` envelope in the
 //! file to interleave jobs on the executor.
 //!
-//! `batch` and `serve` accept `--cache-dir DIR` to persist compiled
-//! cone plans across processes (see [`ser_suite::netlist::PlanCache`])
-//! and `--cache-max-bytes N` to cap that directory (least-recently-used
-//! entries are evicted at store time); `cache stats` / `cache clear`
-//! inspect and empty the directory.
+//! Each subcommand accepts only its own flags (the `FLAGS` table); an
+//! unknown `--flag` is an error, so a typo never silently falls back to
+//! a default.
 
 use std::fs;
 use std::io::{self, Write};
@@ -44,7 +41,7 @@ use ser_suite::epp::{
 };
 use ser_suite::gen::{profile, synthesize};
 use ser_suite::netlist::{
-    parse_bench, parse_verilog, write_bench, write_verilog, Circuit, CircuitStats, PlanCache,
+    parse_bench, parse_verilog, write_bench, write_verilog, Circuit, CircuitStats,
 };
 use ser_suite::service::{
     serve, Connection, EngineConfig, FrameSink, ProtocolEngine, SerService, SerServiceConfig,
@@ -246,45 +243,7 @@ fn service_config(args: &[String]) -> Result<SerServiceConfig, String> {
             .filter(|&n: &usize| n > 0)
             .ok_or_else(|| "bad --sessions value (need a positive integer)".to_owned())?;
     }
-    if let Some(dir) = flag_value(args, "--cache-dir") {
-        config.plan_cache_dir = Some(dir.into());
-    }
-    if let Some(max) = flag_value(args, "--cache-max-bytes") {
-        if config.plan_cache_dir.is_none() {
-            return Err("--cache-max-bytes needs --cache-dir".to_owned());
-        }
-        config.plan_cache_max_bytes =
-            Some(max.parse().ok().filter(|&n: &u64| n > 0).ok_or_else(|| {
-                "bad --cache-max-bytes value (need a positive integer)".to_owned()
-            })?);
-    }
     Ok(config)
-}
-
-/// `cache stats` / `cache clear`: inspect or empty a persistent
-/// plan-artifact cache directory.
-fn cmd_cache(args: &[String]) -> Result<(), String> {
-    let dir = flag_value(args, "--cache-dir")
-        .ok_or_else(|| "cache: --cache-dir DIR is required".to_owned())?;
-    let cache = PlanCache::new(&dir);
-    match args.get(1).map(String::as_str) {
-        Some("stats") => {
-            let stats = cache.stats().map_err(|e| format!("cache stats: {e}"))?;
-            println!(
-                "plan cache at {dir}: {} entries, {} bytes (format v{})",
-                stats.entries,
-                stats.bytes,
-                PlanCache::FORMAT_VERSION
-            );
-            Ok(())
-        }
-        Some("clear") => {
-            let removed = cache.clear().map_err(|e| format!("cache clear: {e}"))?;
-            eprintln!("removed {removed} entries from {dir}");
-            Ok(())
-        }
-        _ => Err("usage: ser-cli cache <stats|clear> --cache-dir DIR".to_owned()),
-    }
 }
 
 /// Standard output for `batch` frames, counting the `error` frames that
@@ -333,17 +292,14 @@ fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
         .map_err(|e| format!("batch: {e}"))?;
     let stats = service.stats();
     eprintln!(
-        "{} warm hits, {} compiles, {} evictions, {} sessions cached; sweep cache {} hits / {} misses, {} cached; plan cache {} hits / {} misses / {} evicted",
+        "{} warm hits, {} compiles, {} evictions, {} sessions cached; sweep cache {} hits / {} misses, {} cached",
         stats.session_hits,
         stats.session_misses,
         stats.evictions,
         stats.sessions_cached,
         stats.sweep_cache_hits,
         stats.sweep_cache_misses,
-        stats.sweep_responses_cached,
-        stats.plan_cache_hits,
-        stats.plan_cache_misses,
-        stats.plan_cache_evictions
+        stats.sweep_responses_cached
     );
     match errors.load(Ordering::Relaxed) {
         0 => Ok(()),
@@ -441,8 +397,46 @@ fn cmd_gen(name: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  ser-cli info    <netlist>\n  ser-cli analyze <netlist> [--top N] [--threads N]\n  ser-cli epp     <netlist> <node>\n  ser-cli advise  <netlist> [--rounds N] [--budget B] [--cost unit|area] [--threads N]\n  ser-cli batch   <requests.jsonl> [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N]\n  ser-cli serve   [--threads N] [--sessions N] [--cache-dir DIR] [--cache-max-bytes N] [--tcp ADDR] [--auth-token TOKEN] [--quota N] [--max-inflight N] [--idle-timeout SECS]\n  ser-cli gen     <profile> [--seed S] [-o out.bench]\n  ser-cli convert <in.bench|in.v> <out.bench|out.v>\n  ser-cli cache   <stats|clear> --cache-dir DIR"
+    "usage:\n  ser-cli info    <netlist>\n  ser-cli analyze <netlist> [--top N] [--threads N]\n  ser-cli epp     <netlist> <node>\n  ser-cli advise  <netlist> [--rounds N] [--budget B] [--cost unit|area] [--threads N]\n  ser-cli batch   <requests.jsonl> [--threads N] [--sessions N]\n  ser-cli serve   [--threads N] [--sessions N] [--tcp ADDR] [--auth-token TOKEN] [--quota N] [--max-inflight N] [--idle-timeout SECS]\n  ser-cli gen     <profile> [--seed S] [-o out.bench]\n  ser-cli convert <in.bench|in.v> <out.bench|out.v>"
         .to_owned()
+}
+
+/// The flags each subcommand accepts; every one takes a value.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("info", &[]),
+    ("analyze", &["--top", "--threads"]),
+    ("epp", &[]),
+    ("advise", &["--rounds", "--budget", "--cost", "--threads"]),
+    ("batch", &["--threads", "--sessions"]),
+    (
+        "serve",
+        &[
+            "--threads",
+            "--sessions",
+            "--tcp",
+            "--auth-token",
+            "--quota",
+            "--max-inflight",
+            "--idle-timeout",
+        ],
+    ),
+    ("gen", &["--seed", "-o"]),
+    ("convert", &[]),
+];
+
+/// Rejects any `--flag` that subcommand `cmd` does not accept. The
+/// value after an accepted flag is skipped, so it may itself start with
+/// `--`.
+fn check_flags(cmd: &str, accepted: &[&str], args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if accepted.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg} for {cmd}"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -453,7 +447,11 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let cmd = args.first().map(String::as_str);
+    if let Some(&(name, accepted)) = FLAGS.iter().find(|&&(name, _)| Some(name) == cmd) {
+        check_flags(name, accepted, &args)?;
+    }
+    match cmd {
         Some("info") => cmd_info(args.get(1).ok_or_else(usage)?),
         Some("analyze") => {
             let path = args.get(1).ok_or_else(usage)?;
@@ -536,7 +534,6 @@ fn run() -> Result<(), String> {
             let output = args.get(2).ok_or_else(usage)?;
             cmd_convert(input, output)
         }
-        Some("cache") => cmd_cache(&args),
         Some("gen") => {
             let name = args.get(1).ok_or_else(usage)?;
             let seed = flag_value(&args, "--seed")

@@ -81,8 +81,6 @@ fn engine() -> Arc<ProtocolEngine> {
             threads: 2,
             sweep_batch_sites: 4,
             max_sweep_responses: 8,
-            plan_cache_dir: None,
-            plan_cache_max_bytes: None,
             ..SerServiceConfig::default()
         })),
         EngineConfig::default(),
@@ -392,73 +390,4 @@ fn cancel_races_under_chaos_leave_no_leaks_and_clean_survivors() {
         );
     }
     let _ = std::fs::remove_file(&path);
-}
-
-// ---------------------------------------------------------------------
-// Plan-cache corruption
-// ---------------------------------------------------------------------
-
-#[test]
-fn corrupt_plan_cache_recompiles_silently_with_identical_results() {
-    let circuit = ser_suite::gen::synthesize(&ser_suite::gen::profile("s953").unwrap(), 7);
-    let mut bench = std::env::temp_dir();
-    bench.push(format!("ser_chaos_{}_cache.bench", std::process::id()));
-    std::fs::write(&bench, ser_suite::netlist::write_bench(&circuit)).unwrap();
-    let mut cache_dir = std::env::temp_dir();
-    cache_dir.push(format!("ser_chaos_{}_plancache", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    let request = format!(
-        r#"{{"v": 2, "id": "q", "op": "sweep", "netlist": "{}", "top": 0, "chunk_sites": 4096}}"#,
-        bench.to_str().unwrap()
-    );
-    let cached_engine = || {
-        Arc::new(ProtocolEngine::new(
-            Arc::new(SerService::new(SerServiceConfig {
-                max_sessions: 4,
-                threads: 2,
-                plan_cache_dir: Some(cache_dir.clone()),
-                ..SerServiceConfig::default()
-            })),
-            EngineConfig::default(),
-        ))
-    };
-    let run = |engine: &Arc<ProtocolEngine>| -> Vec<String> {
-        let (c, buffer) = conn(vec![request.clone()]);
-        serve_with_faults(engine, vec![c], Vec::new());
-        chunk_frames(&lines_of(&buffer))
-    };
-
-    // First process compiles and persists the plan.
-    let reference = run(&cached_engine());
-    let entries: Vec<PathBuf> = std::fs::read_dir(&cache_dir)
-        .expect("plan cache dir")
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert!(!entries.is_empty(), "sweep should persist a plan entry");
-
-    // Crash-tear every entry (truncate to half), as a dirty shutdown
-    // would. The next process must not error, must not serve garbage —
-    // it recompiles and the results are bit-identical.
-    for path in &entries {
-        let bytes = std::fs::read(path).unwrap();
-        std::fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
-    }
-    let recompiled = cached_engine();
-    assert_eq!(run(&recompiled), reference, "torn cache changed results");
-    let stats = recompiled.inflight_active(); // engine invariant helper reuse
-    assert_eq!(stats, 0);
-
-    // And garbage bytes (not just truncation) degrade the same way.
-    for path in &entries {
-        std::fs::write(path, b"not a plan cache entry at all").unwrap();
-    }
-    assert_eq!(
-        run(&cached_engine()),
-        reference,
-        "garbage cache changed results"
-    );
-
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_file(&bench);
 }

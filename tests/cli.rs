@@ -112,6 +112,48 @@ fn bad_usage_fails_with_message() {
     assert!(!out.status.success());
 }
 
+/// A misspelled or retired flag is an error, not a silent default: a
+/// typo'd `--thraeds` must not run with the default thread count, and a
+/// flag `serve` no longer accepts must not be ignored.
+#[test]
+fn unknown_flags_are_rejected() {
+    let bench = temp_path("flags.bench");
+    let out = cli()
+        .args(["gen", "s298", "--seed", "3", "-o"])
+        .arg(&bench)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+
+    let out = cli()
+        .arg("analyze")
+        .arg(&bench)
+        .args(["--thraeds", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown flag --thraeds for analyze"),
+        "stderr: {err}"
+    );
+
+    let dir = temp_path("flags_dir");
+    let out = cli()
+        .args(["serve", "--cache-dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown flag --cache-dir for serve"),
+        "stderr: {err}"
+    );
+
+    let _ = std::fs::remove_file(&bench);
+}
+
 #[test]
 fn batch_serves_envelope_lines_with_warm_reuse() {
     let bench = temp_path("batch_s298.bench");

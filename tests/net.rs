@@ -31,8 +31,6 @@ impl Server {
             threads: 2,
             sweep_batch_sites: 8,
             max_sweep_responses: 8,
-            plan_cache_dir: None,
-            plan_cache_max_bytes: None,
             ..SerServiceConfig::default()
         }));
         let engine = Arc::new(ProtocolEngine::new(Arc::clone(&service), config));

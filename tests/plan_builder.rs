@@ -1,11 +1,14 @@
 //! The suffix-shared cone-plan arena must plan **exactly** the cones
-//! the retained per-site-DFS reference builder plans — same members in
-//! the same order, same fanin classification, same observe refs, same
-//! deterministic budget decisions — for every circuit shape. Both
-//! representations materialize to [`SitePlan`]s, which is where the
-//! comparison happens: the arena stores chain tails once as bitset
-//! windows, the flat reference stores every cone in full, and the
-//! materialized plans must be indistinguishable.
+//! the paper's forward DFS defines — same members in the same order,
+//! same fanin classification, same observe refs — for every circuit
+//! shape, and its byte budget must decide deterministically.
+//!
+//! The oracle is built here, independently of the arena: per site,
+//! [`FanoutCone::extract`] gives the members, sorted by topological
+//! position, and every fanin and observe point is classified against
+//! that set. Both sides meet as [`SitePlan`]s: the arena stores chain
+//! tails once as bitset windows, and its materialized plans must be
+//! indistinguishable from the oracle's.
 //!
 //! (The downstream identity — the 4-wide plan kernel vs
 //! `site_with_workspace` — is proptest-enforced separately in
@@ -13,7 +16,10 @@
 
 use proptest::prelude::*;
 use ser_suite::gen::RandomDag;
-use ser_suite::netlist::{Circuit, ConePlans, FlatConePlans, TopoArtifacts};
+use ser_suite::netlist::{
+    parse_bench, Circuit, CircuitBuilder, ConePlans, FaninRef, FanoutCone, NodeId, SitePlan,
+    TopoArtifacts,
+};
 
 fn dag_strategy() -> impl Strategy<Value = (usize, usize, f64, f64, u64)> {
     (
@@ -32,38 +38,94 @@ fn build_dag(inputs: usize, gates: usize, reconv: f64, xf: f64, seed: u64) -> Ci
         .build(seed)
 }
 
-/// Asserts the suffix-shared arena and the flat DFS reference plan the
-/// identical cones on `circuit`, and that each builder's budget
-/// decision is deterministic against its own accounting (arena bytes
-/// for the suffix-shared arena, logical members for the flat layout,
-/// which is built on 1 and N worker threads).
+/// The oracle plan of `site`: the members of its [`FanoutCone`] in
+/// topological order (the site first); each non-site member's fanins
+/// on-path at their cone-local index when in the cone, else off-path by
+/// node id; and every observe point whose signal is in the cone, as
+/// `(index in topo.observe_points(), cone-local index)`, sorted.
+fn oracle_plan(circuit: &Circuit, topo: &TopoArtifacts, site: NodeId) -> SitePlan {
+    let mut members = FanoutCone::extract(circuit, site).on_path().to_vec();
+    members.sort_unstable_by_key(|&m| topo.position(m));
+    let mut local = vec![None; circuit.len()];
+    for (i, &m) in members.iter().enumerate() {
+        local[m.index()] = Some(i);
+    }
+    let fanin_refs = members
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| {
+            let pins = if i == 0 {
+                &[][..]
+            } else {
+                circuit.node(m).fanin()
+            };
+            pins.iter()
+                .map(|&f| local[f.index()].map_or(FaninRef::OffPath(f.index()), FaninRef::OnPath))
+                .collect()
+        })
+        .collect();
+    // Walking the observe points in order yields the pairs sorted.
+    let observe_refs = (0u32..)
+        .zip(topo.observe_points())
+        .filter_map(|(o, p)| local[p.signal().index()].map(|l| (o, l as u32)))
+        .collect();
+    SitePlan {
+        site,
+        kinds: members.iter().map(|&m| circuit.node(m).kind()).collect(),
+        members,
+        fanin_refs,
+        observe_refs,
+    }
+}
+
+/// Asserts the suffix-shared arena plans every site of `circuit`
+/// exactly as [`oracle_plan`] does, that its whole-circuit totals are
+/// the oracle's, and that its byte-budget decision is exact and
+/// deterministic.
 fn assert_builders_agree(circuit: &Circuit) {
     let topo = TopoArtifacts::compute(circuit).unwrap();
-    let reference = FlatConePlans::build(circuit, &topo, usize::MAX, 1)
-        .expect("unbounded build cannot decline");
-    let logical = reference.total_members();
     let shared = ConePlans::build(circuit, &topo, usize::MAX, None)
         .expect("no cancel token to trip")
         .expect("unbounded build cannot decline");
-    assert_eq!(
-        shared.logical_members(),
-        logical as u64,
-        "{}: logical member accounting",
-        circuit.name()
-    );
-    assert!(
-        shared.stored_members() <= logical,
-        "{}: sharing cannot store more than the flat layout",
-        circuit.name()
-    );
-    for site in circuit.node_ids() {
+    let oracle: Vec<SitePlan> = circuit
+        .node_ids()
+        .map(|site| oracle_plan(circuit, &topo, site))
+        .collect();
+    for (site, expected) in circuit.node_ids().zip(&oracle) {
         assert_eq!(
-            shared.plan(site).materialize(circuit),
-            reference.plan(site).materialize(),
+            &shared.plan(site).materialize(circuit),
+            expected,
             "{}: site {site}",
             circuit.name()
         );
     }
+    let logical: u64 = oracle.iter().map(|p| p.members.len() as u64).sum();
+    assert_eq!(
+        shared.logical_members(),
+        logical,
+        "{}: logical member accounting",
+        circuit.name()
+    );
+    assert_eq!(
+        shared.max_cone_len(),
+        oracle.iter().map(|p| p.members.len()).max().unwrap_or(0),
+        "{}: largest cone",
+        circuit.name()
+    );
+    assert_eq!(
+        shared.total_observe_refs(),
+        oracle
+            .iter()
+            .map(|p| p.observe_refs.len() as u64)
+            .sum::<u64>(),
+        "{}: observe ref accounting",
+        circuit.name()
+    );
+    assert!(
+        shared.stored_members() as u64 <= logical,
+        "{}: sharing cannot store more than every cone in full",
+        circuit.name()
+    );
 
     // Budget semantics, arena side: the budget counts arena bytes,
     // declines one byte below the exact count and accepts identically
@@ -80,26 +142,18 @@ fn assert_builders_agree(circuit: &Circuit) {
         .expect("no cancel token to trip")
         .expect("exact budget fits");
     assert_eq!(at_budget, shared, "{} at budget", circuit.name());
-
-    // Budget semantics, flat side: counts logical members.
-    for threads in [1usize, 4] {
-        if logical > 0 {
-            assert!(
-                FlatConePlans::build(circuit, &topo, logical - 1, threads).is_none(),
-                "{}: flat builder must decline under its logical-member budget",
-                circuit.name()
-            );
-        }
-        assert!(
-            FlatConePlans::build(circuit, &topo, logical, threads).is_some(),
-            "{}: flat builder accepts at its exact total",
-            circuit.name()
-        );
-    }
 }
 
-/// Sequential circuits: DFF-clipped cones, flip-flop observe points,
-/// feedback through state — deterministically covered.
+/// The paper's Fig. 1 circuit (H = OR(C, D, G): C off-path, D and G
+/// on-path for site A).
+const FIG1: &str = "INPUT(A)\nINPUT(B)\nINPUT(C)\nINPUT(F)\nOUTPUT(H)\n\
+E = NOT(A)\nD = AND(A, B)\nG = AND(E, F)\nH = OR(C, D, G)\n";
+
+/// Deterministic shapes: sequential circuits (DFF-clipped cones,
+/// flip-flop observe points, feedback through state), plus small
+/// hand-written ones — Fig. 1, a duplicated fanin pin (`AND(a, a)`
+/// carries two on-path refs), a cone clipped at a DFF, reconvergence
+/// through an XOR, and the empty circuit.
 #[test]
 fn sequential_circuits_identical_plans() {
     use ser_suite::gen::{accumulator, iscas89_like, lfsr, shift_register};
@@ -112,6 +166,18 @@ fn sequential_circuits_identical_plans() {
     ] {
         assert_builders_agree(&c);
     }
+    for (name, src) in [
+        ("fig1", FIG1),
+        ("dup", "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n"),
+        ("seq", "INPUT(x)\nOUTPUT(z)\ng = NOT(x)\nq = DFF(g)\nz = NOT(q)\n"),
+        (
+            "reconv",
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = NOT(a)\nv = NAND(a, b)\nw = XOR(u, v)\ny = OR(w, u)\n",
+        ),
+    ] {
+        assert_builders_agree(&parse_bench(src, name).unwrap());
+    }
+    assert_builders_agree(&CircuitBuilder::new("empty").finish().unwrap());
 }
 
 /// The member accounting of the bitset windows matches the sorted
@@ -133,7 +199,7 @@ fn s953_member_counts_are_unchanged() {
 /// of the topological order: its window spans the whole circuit while
 /// it holds three members. The byte budget still bounds it exactly —
 /// a member count would not — and the sparse window decodes like the
-/// flat oracle.
+/// oracle.
 #[test]
 fn sparse_windows_stay_bounded() {
     let gates = 300;
@@ -144,7 +210,7 @@ fn sparse_windows_stay_bounded() {
     }
     let last = gates - 1;
     src.push_str(&format!("y = AND(a, n{last})\nz = OR(a, n{last})\n"));
-    let c = ser_suite::netlist::parse_bench(&src, "sparse").unwrap();
+    let c = parse_bench(&src, "sparse").unwrap();
     let topo = TopoArtifacts::compute(&c).unwrap();
     let plans = ConePlans::build(&c, &topo, usize::MAX, None)
         .expect("no cancel token to trip")
@@ -167,21 +233,20 @@ fn sparse_windows_stay_bounded() {
         .expect("exact budget fits");
     assert_eq!(at_budget, plans);
 
-    let flat = FlatConePlans::build(&c, &topo, usize::MAX, 1).expect("unbounded");
     for site in c.node_ids() {
         assert_eq!(
             plans.plan(site).materialize(&c),
-            flat.plan(site).materialize(),
+            oracle_plan(&c, &topo, site),
             "site {site}"
         );
     }
 }
 
-/// A chain above the flat builder's parallel threshold: cone sizes
-/// from the whole chain down to 1, exercising the arena's chain-node
-/// fast path and windows that span the whole circuit. Because every `g{i}`
-/// has two fanouts downstream of the AND gates' `s{i}` side inputs,
-/// the circuit mixes long shared suffixes with per-site prefixes.
+/// A 1,200-stage AND chain with side inputs, 2,401 nodes: cone sizes
+/// from the whole chain down to 1. Every node but the output has
+/// exactly one successor, so every site is a chain node sharing the
+/// output's one-member tail, and the oracle checks each per-site path
+/// against the DFS cone.
 #[test]
 fn long_chain_above_parallel_threshold() {
     let stages = 1200;
@@ -198,7 +263,7 @@ fn long_chain_above_parallel_threshold() {
         };
         src.push_str(&format!("g{i} = AND({prev}, s{i})\n"));
     }
-    let c = ser_suite::netlist::parse_bench(&src, "chain").unwrap();
+    let c = parse_bench(&src, "chain").unwrap();
     let topo = TopoArtifacts::compute(&c).unwrap();
     let shared = ConePlans::build(&c, &topo, usize::MAX, None)
         .expect("no cancel token to trip")
@@ -220,8 +285,8 @@ proptest! {
 
     /// Random DAGs spanning tree-like to densely reconvergent, XOR-light
     /// to XOR-heavy: the arena's anchor/chain classification and window
-    /// union must reproduce the DFS cone discovery exactly,
-    /// including each builder's budget decision.
+    /// union must reproduce the DFS cone discovery exactly, and its byte
+    /// budget must decide exactly.
     #[test]
     fn random_dags_identical_plans((inputs, gates, reconv, xf, seed) in dag_strategy()) {
         let c = build_dag(inputs, gates, reconv, xf, seed);

@@ -72,8 +72,6 @@ fn engine_with(config: EngineConfig) -> ProtocolEngine {
             threads: 2,
             sweep_batch_sites: 4, // many parts per sweep
             max_sweep_responses: 8,
-            plan_cache_dir: None,
-            plan_cache_max_bytes: None,
             ..SerServiceConfig::default()
         })),
         config,

@@ -65,8 +65,6 @@ fn service_sweep_is_bit_identical_to_direct_session() {
             threads: 4,
             sweep_batch_sites: 10, // force many parts per sweep
             max_sweep_responses: 32,
-            plan_cache_dir: None,
-            plan_cache_max_bytes: None,
             ..SerServiceConfig::default()
         });
         let response = service
@@ -140,8 +138,6 @@ fn lru_reuses_and_evicts_sessions() {
         threads: 2,
         sweep_batch_sites: 64,
         max_sweep_responses: 32,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
 
@@ -183,8 +179,6 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
         threads: 4,
         sweep_batch_sites: 16,
         max_sweep_responses: 32,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     }));
     // Warm both circuits.
@@ -414,8 +408,6 @@ fn set_inputs_survives_session_eviction() {
         threads: 2,
         sweep_batch_sites: 64,
         max_sweep_responses: 8,
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
 
@@ -455,8 +447,6 @@ fn streaming_progress_observes_without_perturbing() {
         threads: 2,
         sweep_batch_sites: 16,  // force several parts
         max_sweep_responses: 0, // keep the cache out of the comparison
-        plan_cache_dir: None,
-        plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
 
@@ -584,165 +574,4 @@ fn invalid_requests_are_rejected_up_front() {
         results[1].as_ref().unwrap().as_sweep().unwrap().len(),
         circuit.len()
     );
-}
-
-/// The persistent plan-artifact cache: a second service rooted at the
-/// same cache directory loads compiled cone plans from disk instead of
-/// recompiling — the stats must show the hit, and the sweep must be
-/// bit-identical to the uncached one. Corrupting the entry on disk
-/// degrades the next restart to a silent recompile (a miss, never an
-/// error), and the damaged entry is rewritten for the restart after.
-#[test]
-fn plan_cache_survives_service_restart() {
-    let circuit = arc(iscas89_like("s298").unwrap());
-    let dir = std::env::temp_dir().join(format!("ser-service-plan-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = SerServiceConfig {
-        max_sessions: 2,
-        threads: 2,
-        sweep_batch_sites: 64,
-        max_sweep_responses: 0,
-        plan_cache_dir: Some(dir.clone()),
-        plan_cache_max_bytes: None,
-        ..SerServiceConfig::default()
-    };
-
-    // First process: compiles, stores, and reports no hit.
-    let first = SerService::new(config.clone());
-    let baseline = first
-        .submit(&circuit, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    let stats = first.stats();
-    assert_eq!(stats.plan_cache_hits, 0);
-    assert_eq!(stats.plan_cache_misses, 1);
-    drop(first);
-
-    // "Restart": a fresh service over the same directory loads the
-    // persisted plans instead of compiling.
-    let second = SerService::new(config.clone());
-    let replay = second
-        .submit(&circuit, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    let stats = second.stats();
-    assert_eq!(stats.plan_cache_hits, 1, "restart hits the artifact cache");
-    assert_eq!(stats.plan_cache_misses, 0);
-    assert_eq!(
-        replay.as_sweep().unwrap(),
-        baseline.as_sweep().unwrap(),
-        "cached plans change nothing"
-    );
-
-    // Damage the entry: the next restart recompiles silently…
-    let entry = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().and_then(|e| e.to_str()) == Some("serplan"))
-        .expect("entry persisted");
-    let mut bytes = std::fs::read(&entry).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&entry, &bytes).unwrap();
-    let third = SerService::new(config.clone());
-    let recompiled = third
-        .submit(&circuit, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    let stats = third.stats();
-    assert_eq!(stats.plan_cache_hits, 0, "corrupt entry must not load");
-    assert_eq!(stats.plan_cache_misses, 1);
-    assert_eq!(recompiled.as_sweep().unwrap(), baseline.as_sweep().unwrap());
-    drop(third);
-
-    // …and the recompile repaired the entry for the next restart.
-    let fourth = SerService::new(config);
-    fourth
-        .submit(&circuit, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    assert_eq!(fourth.stats().plan_cache_hits, 1, "entry was rewritten");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The plan-cache byte cap: a bounded cache evicts the least-recently-
-/// used entry at store time, the service counts the eviction, and the
-/// evicted circuit recompiles (correctly) on the next cold start.
-#[test]
-fn plan_cache_byte_cap_evicts_lru_and_counts() {
-    let small = arc(ripple_carry_adder(8));
-    let large = arc(iscas89_like("s298").unwrap());
-    let dir = std::env::temp_dir().join(format!("ser-service-cache-cap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let unbounded = SerServiceConfig {
-        max_sessions: 4,
-        threads: 2,
-        sweep_batch_sites: 64,
-        max_sweep_responses: 0,
-        plan_cache_dir: Some(dir.clone()),
-        plan_cache_max_bytes: None,
-        ..SerServiceConfig::default()
-    };
-
-    // Size the entries first (the cap must fit exactly one of them).
-    let sizer = SerService::new(unbounded.clone());
-    sizer
-        .submit(&small, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    sizer
-        .submit(&large, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    assert_eq!(sizer.stats().plan_cache_evictions, 0, "unbounded");
-    drop(sizer);
-    let entry_bytes: Vec<u64> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().metadata().unwrap().len())
-        .collect();
-    assert_eq!(entry_bytes.len(), 2, "both circuits persisted");
-    let cap = *entry_bytes.iter().max().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Bounded run: the second store must push the first entry out.
-    let bounded = SerService::new(SerServiceConfig {
-        plan_cache_max_bytes: Some(cap),
-        ..unbounded.clone()
-    });
-    let small_sweep = bounded
-        .submit(&small, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    assert_eq!(bounded.stats().plan_cache_evictions, 0);
-    bounded
-        .submit(&large, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    assert_eq!(
-        bounded.stats().plan_cache_evictions,
-        1,
-        "storing the second entry evicted the first"
-    );
-    drop(bounded);
-
-    // Cold restart: the surviving circuit hits; the evicted one misses
-    // and recompiles to the identical sweep.
-    let restarted = SerService::new(SerServiceConfig {
-        plan_cache_max_bytes: Some(cap),
-        ..unbounded
-    });
-    restarted
-        .submit(&large, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    assert_eq!(
-        restarted.stats().plan_cache_hits,
-        1,
-        "the most recently stored entry survived the cap"
-    );
-    let recompiled = restarted
-        .submit(&small, Request::Sweep(SweepRequest::default()))
-        .unwrap();
-    let stats = restarted.stats();
-    assert_eq!(stats.plan_cache_hits, 1, "evicted entry cannot hit");
-    assert_eq!(stats.plan_cache_misses, 1);
-    assert_eq!(
-        recompiled.as_sweep().unwrap(),
-        small_sweep.as_sweep().unwrap(),
-        "eviction costs time, never correctness"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

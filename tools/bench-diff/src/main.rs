@@ -272,9 +272,9 @@ fn validate(doc: &Json) -> Result<(), String> {
         }
     }
     // Bench-specific per-result shape: the sweep record tracks the
-    // suffix-shared arena footprint, the service record the
-    // artifact-cache cold path; losing either silently would erase
-    // that perf trajectory.
+    // suffix-shared arena footprint, the service record the cold
+    // (compile + plan build + sweep) path; losing either silently would
+    // erase that perf trajectory.
     let required: &[&str] = match doc.get("bench") {
         Some(Json::String(name)) if name == "sweep_throughput" => &[
             "arena_members",
@@ -283,7 +283,7 @@ fn validate(doc: &Json) -> Result<(), String> {
             "whatif_dirty_site_fraction",
             "whatif_full_recompute_ms",
         ],
-        Some(Json::String(name)) if name == "service_throughput" => &["cold_cached_sweep_ms"],
+        Some(Json::String(name)) if name == "service_throughput" => &["cold_sweep_ms"],
         _ => &[],
     };
     // Both throughput records must name the rule-core backend that
@@ -567,7 +567,7 @@ mod tests {
         .unwrap();
         assert!(validate(&doc).unwrap_err().contains("kernel"));
         let doc = parse(
-            r#"{"bench": "service_throughput", "results": [{"circuit": "c", "cold_cached_sweep_ms": 1.0}], "tcp": {"round_trips_per_sec": 1.0, "p50_us": 1.0, "sweep_round_trip_ms": 1.0, "cancel_latency_ms": 1.0}}"#,
+            r#"{"bench": "service_throughput", "results": [{"circuit": "c", "cold_sweep_ms": 1.0}], "tcp": {"round_trips_per_sec": 1.0, "p50_us": 1.0, "sweep_round_trip_ms": 1.0, "cancel_latency_ms": 1.0}}"#,
         )
         .unwrap();
         assert!(validate(&doc).unwrap_err().contains("kernel"));
@@ -584,7 +584,8 @@ mod tests {
 
     #[test]
     fn service_record_requires_its_tcp_section() {
-        let base = r#""kernel": "avx2", "results": [{"circuit": "c", "nodes": 1, "cold_cached_sweep_ms": 1.5}]"#;
+        let base =
+            r#""kernel": "avx2", "results": [{"circuit": "c", "nodes": 1, "cold_sweep_ms": 1.5}]"#;
         // Without the tcp section (or with it incomplete): rejected.
         let doc = parse(&format!(r#"{{"bench": "service_throughput", {base}}}"#)).unwrap();
         assert!(validate(&doc).unwrap_err().contains("tcp"));
@@ -606,12 +607,12 @@ mod tests {
         ))
         .unwrap();
         validate(&doc).unwrap();
-        // The cached-cold metric is mandatory per service result too.
+        // The cold-sweep metric is mandatory per service result too.
         let doc = parse(
             r#"{"bench": "service_throughput", "kernel": "avx2", "results": [{"circuit": "c", "nodes": 1}], "tcp": {"round_trips_per_sec": 9000.0, "p50_us": 110.0, "sweep_round_trip_ms": 2.1, "cancel_latency_ms": 0.4}}"#,
         )
         .unwrap();
-        assert!(validate(&doc).unwrap_err().contains("cold_cached_sweep_ms"));
+        assert!(validate(&doc).unwrap_err().contains("cold_sweep_ms"));
         // Other bench names carry no such obligation.
         let doc = parse(r#"{"bench": "x", "results": [{"circuit": "c", "nodes": 1}]}"#).unwrap();
         validate(&doc).unwrap();
