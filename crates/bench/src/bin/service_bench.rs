@@ -15,7 +15,9 @@
 //!   (median of several runs) — the steady-state cost a resident
 //!   service pays per sweep.
 //! - `site_requests_per_sec`: single-site analytical requests served
-//!   per second from the warm cache.
+//!   per second from the warm cache. Every reply is checked against
+//!   the per-site reference kernel after the timed loop, so only
+//!   correct answers count.
 //!
 //! Plus two cross-cutting experiments:
 //!
@@ -25,12 +27,12 @@
 //!   above 1.0 means concurrent sweeps genuinely overlap.
 //! - `tcp`: the same service behind the TCP front door on loopback —
 //!   v2 envelope round trips per second, p50 round-trip latency for
-//!   warm single-site requests, one warm whole-circuit sweep round
-//!   trip, and `cancel_latency_ms`: median time from a `cancel`
-//!   envelope (sent from a second connection mid-sweep) to the
-//!   `cancelled` error frame landing on the swept connection. The gap
-//!   to the in-process rows is the wire cost (framing, JSON,
-//!   syscalls).
+//!   warm single-site requests (replies checked like the in-process
+//!   rows), one warm whole-circuit sweep round trip, and
+//!   `cancel_latency_ms`: median time from a `cancel` envelope (sent
+//!   from a second connection mid-sweep) to the `cancelled` error
+//!   frame landing on the swept connection. The gap to the in-process
+//!   rows is the wire cost (framing, JSON, syscalls).
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
@@ -38,12 +40,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ser_epp::EppAnalysis;
 use ser_gen::synthesize;
-use ser_netlist::{write_bench, Circuit};
+use ser_netlist::{write_bench, Circuit, NodeId};
 use ser_service::{
-    serve, EngineConfig, ProtocolEngine, Request, SerService, SerServiceConfig, SiteRequest,
+    json, serve, EngineConfig, ProtocolEngine, Request, SerService, SerServiceConfig, SiteRequest,
     SweepRequest, TcpTransport,
 };
+use ser_sp::{IndependentSp, InputProbs, SpEngine};
 
 fn median_ms(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -124,15 +128,27 @@ fn main() {
 
         // --- Warm single-site request throughput. ---------------------
         let sites: Vec<_> = circuit.node_ids().collect();
+        let mut replies = Vec::with_capacity(site_requests);
         let t = Instant::now();
         for i in 0..site_requests {
             let site = sites[i % sites.len()];
             let r = service
                 .submit(circuit, Request::Site(SiteRequest { site }))
                 .expect("valid request");
-            std::hint::black_box(r.as_site().expect("site payload").p_sensitized());
+            replies.push(r);
         }
         let site_requests_per_sec = site_requests as f64 / t.elapsed().as_secs_f64();
+        // Only correct answers count: every reply must equal the
+        // reference kernel bit for bit.
+        let reference = reference_analysis(circuit);
+        for (i, r) in replies.iter().enumerate() {
+            let site = sites[i % sites.len()];
+            assert_eq!(
+                r.as_site().expect("site payload"),
+                &reference.site(site),
+                "{name}: site {site}"
+            );
+        }
 
         eprintln!(
             "{name}: {n} nodes | cold sweep {cold_sweep_ms:.1}ms | warm sweep {warm_sweep_ms:.1}ms | {site_requests_per_sec:.0} site req/s"
@@ -216,6 +232,15 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
+/// The per-site reference kernel under the service's default inputs —
+/// what every timed `site` reply is checked against.
+fn reference_analysis(circuit: &Arc<Circuit>) -> EppAnalysis {
+    let sp = IndependentSp::new()
+        .compute(circuit, &InputProbs::default())
+        .expect("SP converges");
+    EppAnalysis::new(Arc::clone(circuit), sp).expect("valid circuit")
+}
+
 struct TcpRecord {
     round_trips_per_sec: f64,
     p50_us: f64,
@@ -276,6 +301,7 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
         .map(|id| circuit.node(id).name().to_owned())
         .collect();
     let mut latencies_us: Vec<f64> = Vec::with_capacity(site_requests);
+    let mut replies: Vec<String> = Vec::with_capacity(site_requests);
     let t = Instant::now();
     for i in 0..site_requests {
         let request = format!(
@@ -285,9 +311,33 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
         let t_one = Instant::now();
         let reply = round_trip(&request);
         latencies_us.push(t_one.elapsed().as_secs_f64() * 1e6);
-        debug_assert!(reply.contains("p_sensitized"), "{reply}");
+        replies.push(reply);
     }
     let round_trips_per_sec = site_requests as f64 / t.elapsed().as_secs_f64();
+    // Every reply must carry the reference kernel's answer bit for bit
+    // (frames render floats in round-trip form).
+    let reference = reference_analysis(circuit);
+    for (i, reply) in replies.iter().enumerate() {
+        let frame = json::parse_value(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+        let field = |key: &str| {
+            frame
+                .get(key)
+                .unwrap_or_else(|| panic!("no {key}: {reply}"))
+        };
+        let i = i % sites.len();
+        let want = reference.site(NodeId::from_index(i));
+        assert_eq!(field("node").as_str(), Some(sites[i].as_str()));
+        assert_eq!(
+            field("p_sensitized").as_f64().map(f64::to_bits),
+            Some(want.p_sensitized().to_bits()),
+            "{reply}"
+        );
+        assert_eq!(
+            field("on_path_gates").as_count(),
+            Some(want.on_path_gates() as u64),
+            "{reply}"
+        );
+    }
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p50_us = latencies_us[latencies_us.len() / 2];
 

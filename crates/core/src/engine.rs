@@ -278,6 +278,12 @@ impl EppAnalysis {
 
     /// Runs the one-pass EPP computation for one error site.
     ///
+    /// This per-site kernel (a cone DFS, a sort, then the pass) is the
+    /// **reference definition** of the suite's EPP: the planned sweep
+    /// kernel behind [`sweep`](Self::sweep) and
+    /// [`AnalysisSession::site`](crate::AnalysisSession::site) is
+    /// tested bit-identical against it.
+    ///
     /// # Panics
     ///
     /// Panics if `site` is out of range for the circuit.
@@ -299,8 +305,8 @@ impl EppAnalysis {
     }
 
     /// The allocation-free kernel: like [`site_with`](Self::site_with)
-    /// but reusing a caller-provided [`SiteWorkspace`] (the whole-
-    /// circuit sweep calls this once per node per thread).
+    /// but reusing a caller-provided [`SiteWorkspace`] (a sweep whose
+    /// plan arena was declined for size calls this once per node).
     ///
     /// # Panics
     ///

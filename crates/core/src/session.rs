@@ -323,18 +323,21 @@ impl AnalysisSession {
         })
     }
 
-    /// Analytical EPP for one error site, using pooled scratch.
+    /// Analytical EPP for one error site, through the session's shared
+    /// cone plans: the planned kernel of
+    /// [`sweep_sites(&[site], 1)`](Self::sweep_sites), converted to a
+    /// [`SiteEpp`]. The plans are built on first use, exactly as
+    /// [`sweep`](Self::sweep) builds them; when the byte budget
+    /// declined the plan arena, the call takes the per-site reference
+    /// kernel instead. Both are bit-identical to
+    /// [`EppAnalysis::site`], the reference definition.
     ///
     /// # Panics
     ///
     /// Panics if `site` is out of range for the circuit.
     #[must_use]
     pub fn site(&self, site: NodeId) -> SiteEpp {
-        let epp = self.epp();
-        let mut ws = self.pool.checkout(&epp);
-        let result = epp.site_with_workspace(site, crate::PolarityMode::Tracked, &mut ws);
-        self.pool.give_back(ws);
-        result
+        self.sweep_sites(&[site], 1).get(0).to_site_epp()
     }
 
     /// The batched whole-circuit sweep over the session's cached cone
@@ -574,11 +577,11 @@ mod tests {
             1,
             "reused, not re-created"
         );
-        // …while single-site queries use pooled per-site scratch.
+        // …and so do single-site queries, which run the planned kernel.
         let _ = session.site(c.find("a").unwrap());
-        assert_eq!(session.workspace_pool().idle(), 1);
+        assert_eq!(session.workspace_pool().idle_sweep(), 1);
         let _ = session.site(c.find("a").unwrap());
-        assert_eq!(session.workspace_pool().idle(), 1);
+        assert_eq!(session.workspace_pool().idle_sweep(), 1);
     }
 
     #[test]

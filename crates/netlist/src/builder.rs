@@ -194,14 +194,14 @@ impl CircuitBuilder {
         for (node, fo) in self.nodes.iter_mut().zip(fanouts) {
             node.fanout = fo;
         }
-        let circuit = Circuit {
-            name: self.name,
-            nodes: self.nodes,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            dffs: self.dffs,
-            names: self.names,
-        };
+        let circuit = Circuit::from_parts(
+            self.name,
+            self.nodes,
+            self.inputs,
+            self.outputs,
+            self.dffs,
+            self.names,
+        );
         circuit.validate()?;
         // Acyclicity of the combinational graph.
         topo::topo_order(&circuit)?;

@@ -101,6 +101,10 @@ impl Node {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
+    /// [`structural_hash`](Self::structural_hash), computed once at
+    /// construction. Declared first so the derived `PartialEq` rejects a
+    /// different netlist after one `u64` compare.
+    fingerprint: u64,
     pub(crate) name: String,
     pub(crate) nodes: Vec<Node>,
     pub(crate) inputs: Vec<NodeId>,
@@ -248,6 +252,28 @@ impl Circuit {
         self.dffs.is_empty()
     }
 
+    /// Assembles a circuit from finished parts and computes its
+    /// fingerprint — the one place a `Circuit` is constructed
+    /// ([`CircuitBuilder::finish`](crate::CircuitBuilder::finish)).
+    pub(crate) fn from_parts(
+        name: String,
+        nodes: Vec<Node>,
+        inputs: Vec<NodeId>,
+        outputs: Vec<NodeId>,
+        dffs: Vec<NodeId>,
+        names: HashMap<String, NodeId>,
+    ) -> Self {
+        Circuit {
+            fingerprint: fingerprint(&name, &nodes, &outputs),
+            name,
+            nodes,
+            inputs,
+            outputs,
+            dffs,
+            names,
+        }
+    }
+
     /// A 64-bit structural fingerprint of the netlist: name, every
     /// node's (name, kind, fanin), and the output list, folded with
     /// FNV-1a. Identical netlists always hash equal; it is a
@@ -256,35 +282,18 @@ impl Circuit {
     /// should confirm equality on a hash match, the way `SerService`'s
     /// session cache does before serving a warm session.
     ///
+    /// Computed once, when the circuit is built
+    /// ([`CircuitBuilder::finish`](crate::CircuitBuilder::finish)), so
+    /// reading it is O(1). The fold is pinned — `tests/fingerprint.rs`
+    /// checks it against an independent copy and two recorded values —
+    /// so every `netlist_hash` the service reports stays stable.
+    ///
     /// The hash is deterministic across processes and platforms (no
     /// `RandomState`), so it can be logged, compared between runs and
     /// used as a stable cache key.
     #[must_use]
     pub fn structural_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.nodes.len() as u64).to_le_bytes());
-        for node in &self.nodes {
-            eat(node.name.as_bytes());
-            eat(&[0xFF, node.kind as u8]);
-            eat(&(node.fanin.len() as u32).to_le_bytes());
-            for f in &node.fanin {
-                eat(&(f.0).to_le_bytes());
-            }
-        }
-        eat(&(self.outputs.len() as u64).to_le_bytes());
-        for o in &self.outputs {
-            eat(&(o.0).to_le_bytes());
-        }
-        h
+        self.fingerprint
     }
 
     /// Internal validation used by the builder and parser: arity checks
@@ -305,6 +314,36 @@ impl Circuit {
         }
         Ok(())
     }
+}
+
+/// The FNV-1a fold behind [`Circuit::structural_hash`]: the circuit
+/// name, the node count, each node's (name, `0xFF`, kind, fanin count,
+/// fanin ids) and the output list, little-endian, one byte at a time.
+fn fingerprint(name: &str, nodes: &[Node], outputs: &[NodeId]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    eat(name.as_bytes());
+    eat(&(nodes.len() as u64).to_le_bytes());
+    for node in nodes {
+        eat(node.name.as_bytes());
+        eat(&[0xFF, node.kind as u8]);
+        eat(&(node.fanin.len() as u32).to_le_bytes());
+        for f in &node.fanin {
+            eat(&(f.0).to_le_bytes());
+        }
+    }
+    eat(&(outputs.len() as u64).to_le_bytes());
+    for o in outputs {
+        eat(&(o.0).to_le_bytes());
+    }
+    h
 }
 
 /// The bridge that lets every owned analysis entry point (`BitSim`,

@@ -5,14 +5,15 @@
 
 use std::sync::Arc;
 
-use ser_suite::epp::{AnalysisSession, PolarityMode};
-use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder};
+use ser_suite::epp::{AnalysisSession, EppAnalysis, PolarityMode};
+use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::Circuit;
 use ser_suite::service::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, ResponsePayload,
     SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
 };
 use ser_suite::sim::{MonteCarlo, SequentialMonteCarlo};
+use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
 
 fn arc(c: Circuit) -> Arc<Circuit> {
     Arc::new(c)
@@ -59,6 +60,7 @@ fn service_sweep_is_bit_identical_to_direct_session() {
         arc(c17()),
         arc(ripple_carry_adder(8)),
         arc(iscas89_like("s298").unwrap()),
+        arc(s27()),
     ] {
         let service = SerService::new(SerServiceConfig {
             max_sessions: 4,
@@ -88,6 +90,23 @@ fn service_sweep_is_bit_identical_to_direct_session() {
             .submit(&circuit, Request::Site(SiteRequest { site }))
             .unwrap();
         assert_eq!(via_service.as_site().unwrap(), &direct.site(site));
+
+        // Every node's `site` request matches the reference kernel.
+        let sp = IndependentSp::new()
+            .compute(&circuit, &InputProbs::default())
+            .unwrap();
+        let reference = EppAnalysis::new(Arc::clone(&circuit), sp).unwrap();
+        for id in circuit.node_ids() {
+            let via_service = service
+                .submit(&circuit, Request::Site(SiteRequest { site: id }))
+                .unwrap();
+            assert_eq!(
+                via_service.as_site().unwrap(),
+                &reference.site(id),
+                "{}: site {id}",
+                circuit.name()
+            );
+        }
 
         let mc_req = MonteCarloRequest {
             site,

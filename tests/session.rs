@@ -3,7 +3,7 @@
 //! and SP-only invalidation must match a full rebuild exactly.
 
 use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, EppAnalysis, ExactEpp};
-use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder};
+use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::Circuit;
 use ser_suite::sim::{BitSim, MonteCarlo};
 use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
@@ -132,5 +132,33 @@ fn shared_simulator_matches_private_construction() {
         let shared_exact = session.exact_site(&oracle, id).unwrap();
         let private_exact = oracle.site(&c, &InputProbs::default(), id).unwrap();
         assert_eq!(shared_exact, private_exact, "exact at {id}");
+    }
+}
+
+/// A session whose plan arena was declined (primed with `None` before
+/// the first query) answers `site` through the per-site reference
+/// kernel, bit-identical to a planned session.
+#[test]
+fn site_reference_fallback_matches_planned_site() {
+    for c in circuits().into_iter().chain([s27()]) {
+        let planned = AnalysisSession::new(&c).unwrap();
+        let declined = AnalysisSession::new(&c).unwrap();
+        assert!(declined.topo().prime_cone_plans(None));
+        for id in c.node_ids() {
+            assert_eq!(
+                declined.site(id),
+                planned.site(id),
+                "{}: site {id}",
+                c.name()
+            );
+        }
+        // The declined session never built plans and ran on per-site
+        // scratch; the planned one built them and ran on sweep scratch.
+        assert!(declined.topo().cone_plans_primed().is_none());
+        assert_eq!(declined.workspace_pool().idle(), 1);
+        assert_eq!(declined.workspace_pool().idle_sweep(), 0);
+        assert!(planned.topo().cone_plans_primed().is_some());
+        assert_eq!(planned.workspace_pool().idle(), 0);
+        assert_eq!(planned.workspace_pool().idle_sweep(), 1);
     }
 }
