@@ -43,7 +43,7 @@ fn bench_site_pass(c: &mut Criterion) {
 /// converted to owned per-site results — the quantity reported as
 /// `SysT`.
 fn bench_all_sites(c: &mut Criterion) {
-    use ser_epp::WorkspacePool;
+    use ser_epp::{PolarityMode, RunCtx, WorkspacePool};
     let mut group = c.benchmark_group("epp_all_sites");
     group.sample_size(10);
     for name in ["s298", "s953"] {
@@ -55,7 +55,18 @@ fn bench_all_sites(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(name),
             &analysis,
-            |b, analysis| b.iter(|| analysis.sweep(1, &WorkspacePool::new()).to_site_epps()),
+            |b, analysis| {
+                let sites: Vec<_> = analysis.circuit().node_ids().collect();
+                b.iter(|| {
+                    analysis
+                        .sweep(
+                            &sites,
+                            PolarityMode::Tracked,
+                            &RunCtx::new(1, &WorkspacePool::new()),
+                        )
+                        .to_site_epps()
+                })
+            },
         );
     }
     group.finish();
@@ -64,7 +75,7 @@ fn bench_all_sites(c: &mut Criterion) {
 /// The batched cone-plan sweep against the per-site reference loop on
 /// the same circuits: the arena engine vs DFS + sort + AoS scratch.
 fn bench_batched_sweep(c: &mut Criterion) {
-    use ser_epp::{PolarityMode, SiteWorkspace, WorkspacePool};
+    use ser_epp::{PolarityMode, RunCtx, SiteWorkspace, WorkspacePool};
     let mut group = c.benchmark_group("epp_sweep");
     group.sample_size(10);
     for name in ["s298", "s953"] {
@@ -74,12 +85,14 @@ fn bench_batched_sweep(c: &mut Criterion) {
             .unwrap();
         let analysis = EppAnalysis::new(&circuit, sp).unwrap();
         let pool = WorkspacePool::new();
+        let sites: Vec<_> = circuit.node_ids().collect();
+        let ctx = RunCtx::new(1, &pool);
         // Warm the plan cache so the bench measures the steady state.
-        let _ = analysis.sweep(1, &pool);
+        let _ = analysis.sweep(&sites, PolarityMode::Tracked, &ctx);
         group.bench_with_input(
             BenchmarkId::new("batched", name),
             &analysis,
-            |b, analysis| b.iter(|| analysis.sweep(1, &pool)),
+            |b, analysis| b.iter(|| analysis.sweep(&sites, PolarityMode::Tracked, &ctx)),
         );
         group.bench_with_input(
             BenchmarkId::new("reference", name),

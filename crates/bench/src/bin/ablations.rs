@@ -15,7 +15,7 @@
 
 use ser_bench_harness::accuracy::{mean_abs_diff, SitePair};
 use ser_bench_harness::table::TextTable;
-use ser_epp::{AnalysisSession, EppAnalysis, ExactEpp, PolarityMode};
+use ser_epp::{AnalysisSession, EppAnalysis, ExactEpp, PolarityMode, RunCtx};
 use ser_gen::RandomDag;
 use ser_netlist::{Circuit, NodeId};
 use ser_sim::{BitSim, MonteCarlo};
@@ -37,7 +37,7 @@ fn epp_error_vs_exact_with(
     let sites: Vec<_> = circuit.node_ids().collect();
     let sweep = session
         .epp()
-        .sweep_sites_with(&sites, polarity, 1, session.workspace_pool());
+        .sweep(&sites, polarity, &RunCtx::new(1, session.workspace_pool()));
     let oracle = ExactEpp::new();
     let pairs: Vec<SitePair> = sweep
         .iter()

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ser_netlist::{Circuit, NetlistError, NodeId};
-use ser_sp::{InputProbs, SpEngine, SpError, SpVector};
+use ser_netlist::{Circuit, NodeId};
+use ser_sp::{InputProbs, SpError};
 
 use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
@@ -93,48 +93,6 @@ impl CircuitSerAnalysis {
     /// the circuit is structurally invalid.
     pub fn run(&self, circuit: impl Into<Arc<Circuit>>) -> Result<AnalysisOutcome, SpError> {
         let session = AnalysisSession::with_inputs(circuit, self.inputs.clone())?;
-        Ok(self.run_with_session(&session))
-    }
-
-    /// Runs the analysis with a caller-chosen SP engine (the SP-engine
-    /// ablation entry point).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpError`] from the SP engine, or a wrapped
-    /// [`NetlistError`] if the circuit cannot be ordered.
-    pub fn run_with_sp_engine(
-        &self,
-        circuit: impl Into<Arc<Circuit>>,
-        engine: &dyn SpEngine,
-    ) -> Result<AnalysisOutcome, SpError> {
-        let session = AnalysisSession::with_engine(circuit, self.inputs.clone(), engine)?;
-        Ok(self.run_with_session(&session))
-    }
-
-    /// Runs the analysis with precomputed signal probabilities
-    /// (`sp_time` is carried into the outcome so Table 2's ISP/ESP
-    /// split stays honest when SP comes from elsewhere).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sp` does not cover exactly `circuit.len()` nodes.
-    pub fn run_with_sp(
-        &self,
-        circuit: impl Into<Arc<Circuit>>,
-        sp: SpVector,
-        sp_time: Duration,
-    ) -> Result<AnalysisOutcome, NetlistError> {
-        let session = AnalysisSession::from_sp(circuit, self.inputs.clone(), sp, sp_time).map_err(
-            |e| match e {
-                SpError::Netlist(n) => n,
-                other => unreachable!("from_sp only fails structurally: {other}"),
-            },
-        )?;
         Ok(self.run_with_session(&session))
     }
 
@@ -306,9 +264,13 @@ mod tests {
     #[test]
     fn alternate_sp_engine() {
         let c = toy();
-        let out = CircuitSerAnalysis::new()
-            .run_with_sp_engine(&c, &MonteCarloSp::new(50_000).with_seed(3))
-            .unwrap();
+        let session = AnalysisSession::with_engine(
+            &c,
+            InputProbs::default(),
+            &MonteCarloSp::new(50_000).with_seed(3),
+        )
+        .unwrap();
+        let out = CircuitSerAnalysis::new().run_with_session(&session);
         let u = c.find("u").unwrap();
         assert!((out.site(u).p_sensitized() - 0.5).abs() < 0.02);
     }

@@ -403,16 +403,18 @@ impl EppAnalysis {
 }
 
 /// A checkout pool of per-thread scratch shared across sweeps and
-/// threads: workers pop a workspace (or lazily create one), run their
-/// batch allocation-free, and push it back for the next sweep. Two
-/// kinds of scratch live here: [`SiteWorkspace`]s for the per-site
-/// reference path and [`SweepWorkspace`](crate::SweepWorkspace)s for
-/// the batched cone-plan engine.
+/// threads: a sweep pops a workspace (or lazily creates one) for each
+/// batch it runs, evaluates the batch allocation-free, and pushes the
+/// workspace back for the next batch or sweep. Two kinds of scratch
+/// live here: [`SiteWorkspace`]s for the per-site reference path and
+/// [`SweepWorkspace`](crate::SweepWorkspace)s for the batched
+/// cone-plan engine.
 ///
 /// The pool is intentionally dumb — mutexed stacks. It is touched
-/// twice per worker per sweep, so contention is irrelevant; what
-/// matters is that the scratch buffers survive between sweeps instead
-/// of being reallocated.
+/// twice per batch, and a threaded sweep cuts only eight batches per
+/// worker, so contention is irrelevant; what matters is that the
+/// scratch buffers survive between batches and sweeps instead of
+/// being reallocated.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     slots: Mutex<Vec<SiteWorkspace>>,
@@ -498,6 +500,18 @@ mod tests {
     fn analysis(c: &Circuit, probs: &InputProbs) -> EppAnalysis {
         let sp = IndependentSp::new().compute(c, probs).unwrap();
         EppAnalysis::new(c, sp).unwrap()
+    }
+
+    /// The whole-circuit [`PolarityMode::Tracked`] sweep on `threads`
+    /// workers, as owned per-site results.
+    fn sweep_all(epp: &EppAnalysis, threads: usize, pool: &WorkspacePool) -> Vec<SiteEpp> {
+        let sites: Vec<NodeId> = epp.circuit().node_ids().collect();
+        epp.sweep(
+            &sites,
+            PolarityMode::Tracked,
+            &crate::RunCtx::new(threads, pool),
+        )
+        .to_site_epps()
     }
 
     const FIG1: &str = "
@@ -611,8 +625,8 @@ H = OR(C, D, G)
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c, &InputProbs::default());
         let pool = WorkspacePool::new();
-        let seq = epp.sweep(1, &pool).to_site_epps();
-        let par = epp.sweep(4, &pool).to_site_epps();
+        let seq = sweep_all(&epp, 1, &pool);
+        let par = sweep_all(&epp, 4, &pool);
         assert_eq!(seq.len(), c.len());
         assert_eq!(seq, par);
         // Both match the per-site reference path.
@@ -642,15 +656,12 @@ H = OR(C, D, G)
         assert_eq!(pool.idle(), 1, "stale scratch dropped, fresh one pooled");
 
         // And full sweeps can share one pool across circuits.
-        let r_big = epp_big.sweep(2, &pool).to_site_epps();
-        let r_small = epp_small.sweep(2, &pool).to_site_epps();
+        let r_big = sweep_all(&epp_big, 2, &pool);
+        let r_small = sweep_all(&epp_small, 2, &pool);
         assert_eq!(r_big.len(), big.len());
         assert_eq!(r_small.len(), small.len());
         // Results are unaffected by the pool's history.
-        assert_eq!(
-            r_small,
-            epp_small.sweep(1, &WorkspacePool::new()).to_site_epps()
-        );
+        assert_eq!(r_small, sweep_all(&epp_small, 1, &WorkspacePool::new()));
     }
 
     #[test]

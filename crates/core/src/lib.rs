@@ -91,6 +91,7 @@ pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};
 pub use session::AnalysisSession;
 pub use simd::KernelBackend;
 pub use sweep::{
-    EppSiteView, SweepResults, SweepSiteRef, SweepWorkspace, SINGLE_THREAD_SWEEP_THRESHOLD,
+    EppSiteView, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
+    SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 pub use whatif::{Edit, SiteDelta, WhatIfAbort, WhatIfOutcome, WhatIfSession};

@@ -11,7 +11,8 @@ use std::fmt::Write as _;
 
 use ser_netlist::{Circuit, NodeId, ObservePoint};
 
-use crate::engine::{EppAnalysis, WorkspacePool};
+use crate::engine::{EppAnalysis, PolarityMode, WorkspacePool};
+use crate::sweep::RunCtx;
 
 /// Dense site × observe-point arrival matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +33,8 @@ impl VulnerabilityMatrix {
         let cols = points.len();
         let mut arrivals = vec![0.0f64; circuit.len() * cols];
         let pool = WorkspacePool::new();
-        let sweep = analysis.sweep(1, &pool);
+        let sites: Vec<NodeId> = circuit.node_ids().collect();
+        let sweep = analysis.sweep(&sites, PolarityMode::Tracked, &RunCtx::new(1, &pool));
         for result in sweep.iter() {
             let site = result.site();
             for p in result.per_point() {

@@ -29,6 +29,7 @@ use ser_sim::SeqSim;
 use ser_sp::SpVector;
 
 use crate::engine::{combine_sensitization, EppAnalysis, PolarityMode, WorkspacePool};
+use crate::sweep::RunCtx;
 
 /// Analytical multi-cycle observation probabilities.
 ///
@@ -90,7 +91,11 @@ impl MultiCycleEpp {
         let mut po_arrival = vec![0.0; nffs];
         let mut ff_arrival = vec![vec![0.0; nffs]; nffs];
         let pool = WorkspacePool::new();
-        let sweep = analysis.sweep_sites_with(circuit.dffs(), PolarityMode::Tracked, 1, &pool);
+        let sweep = analysis.sweep(
+            circuit.dffs(),
+            PolarityMode::Tracked,
+            &RunCtx::new(1, &pool),
+        );
         for (fi, site) in sweep.iter().enumerate() {
             let mut po_arr = Vec::new();
             for p in site.per_point() {
@@ -133,9 +138,9 @@ impl MultiCycleEpp {
         let circuit = self.analysis.circuit();
         let nffs = circuit.num_dffs();
         let pool = WorkspacePool::new();
-        let frame0_sweep = self
-            .analysis
-            .sweep_sites_with(&[site], PolarityMode::Tracked, 1, &pool);
+        let frame0_sweep =
+            self.analysis
+                .sweep(&[site], PolarityMode::Tracked, &RunCtx::new(1, &pool));
         let frame0 = frame0_sweep.get(0);
         let mut po_arr = Vec::new();
         let mut corruption = vec![0.0f64; nffs];

@@ -422,7 +422,8 @@ mod tests {
 
     #[test]
     fn assemble_split_discounts_only_ff_arrivals() {
-        use crate::engine::{EppAnalysis, WorkspacePool};
+        use crate::engine::{EppAnalysis, PolarityMode, WorkspacePool};
+        use crate::sweep::RunCtx;
         use ser_sp::{IndependentSp, InputProbs, SpEngine};
         // site a reaches PO y1 = AND(a,b) [arr 0.5] and FF via
         // d = AND(a,c) [arr 0.5].
@@ -435,7 +436,11 @@ mod tests {
             .compute(&c, &InputProbs::default())
             .unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let sites = analysis.sweep(1, &WorkspacePool::new()).to_site_epps();
+        let all: Vec<NodeId> = c.node_ids().collect();
+        let pool = WorkspacePool::new();
+        let sites = analysis
+            .sweep(&all, PolarityMode::Tracked, &RunCtx::new(1, &pool))
+            .to_site_epps();
         let a = c.find("a").unwrap();
 
         // With P_latched = 1, split == plain combination.

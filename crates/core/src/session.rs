@@ -46,7 +46,7 @@ use crate::engine::{EppAnalysis, SiteEpp, WorkspacePool};
 type MultiCycleSlot = Arc<Mutex<Option<(Arc<SpVector>, Arc<crate::MultiCycleEpp>)>>>;
 use crate::exact::{ExactEpp, ExactSiteEpp};
 use crate::exact_bdd::BddExactEpp;
-use crate::sweep::SweepResults;
+use crate::sweep::{RunCtx, SweepResults};
 
 /// A compiled per-circuit analysis context: topological artifacts,
 /// signal probabilities, a bit-parallel simulator and a workspace pool,
@@ -341,8 +341,11 @@ impl AnalysisSession {
     }
 
     /// The batched whole-circuit sweep over the session's cached cone
-    /// plans: every node as an error site, results in one flat
-    /// [`SweepResults`] arena. The cone plans are compiled on first use
+    /// plans: every node as an error site, in id order,
+    /// [`PolarityMode::Tracked`](crate::PolarityMode::Tracked), results
+    /// in one flat [`SweepResults`] arena. It is
+    /// [`sweep_sites`](Self::sweep_sites) over
+    /// `circuit().node_ids()`. The cone plans are compiled on first use
     /// and shared by every sweep this session (and its clones of the
     /// artifacts) ever runs.
     ///
@@ -351,19 +354,28 @@ impl AnalysisSession {
     /// Panics if `threads` is 0.
     #[must_use]
     pub fn sweep(&self, threads: usize) -> SweepResults {
-        self.epp().sweep(threads, &self.pool)
+        let sites: Vec<NodeId> = self.circuit.node_ids().collect();
+        self.sweep_sites(&sites, threads)
     }
 
     /// The batched sweep over an explicit site list (results in request
-    /// order), sharing the session's cone plans and scratch pool.
+    /// order), sharing the session's cone plans and scratch pool:
+    /// [`EppAnalysis::sweep`] with
+    /// [`PolarityMode::Tracked`](crate::PolarityMode::Tracked) and
+    /// [`RunCtx::new(threads, pool)`](RunCtx::new), so the host's
+    /// kernel backend and [`PlanPolicy::Auto`](crate::PlanPolicy::Auto).
+    /// Build an [`epp`](Self::epp) and a [`RunCtx`] to choose those.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is 0 or any site is out of range.
     #[must_use]
     pub fn sweep_sites(&self, sites: &[NodeId], threads: usize) -> SweepResults {
-        self.epp()
-            .sweep_sites_with(sites, crate::PolarityMode::Tracked, threads, &self.pool)
+        self.epp().sweep(
+            sites,
+            crate::PolarityMode::Tracked,
+            &RunCtx::new(threads, &self.pool),
+        )
     }
 
     /// Monte-Carlo estimate for one site through the session's shared

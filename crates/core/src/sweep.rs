@@ -20,16 +20,25 @@
 //!   cone-local index, so a fanin whose position carries the current
 //!   stamp reads the plane (on-path) and any other fanin reads the
 //!   precomputed signal-probability plane (off-path).
-//! - **Scheduler**: an atomic-cursor work queue over cone-cost-balanced
-//!   batches; workers claim the next batch when they finish their
-//!   current one, so wildly varying cone sizes no longer leave threads
-//!   idle the way the old static `n / threads` split did.
+//! - **Scheduler**: the site list is cut into contiguous,
+//!   cone-cost-balanced batches, and workers claim the next batch
+//!   through an atomic cursor when they finish their current one.
+//!   Each batch runs the single-thread loop into its own
+//!   [`SweepResults`], and [`SweepResults::concat`] joins the batches
+//!   in position order — the same stitch the service uses for its
+//!   executor parts.
+//!
+//! [`EppAnalysis::sweep`] is the one way in. Its [`RunCtx`] carries the
+//! choices that change how a sweep runs but never what it computes:
+//! threads, scratch pool, rule-core backend and [`PlanPolicy`].
 //!
 //! Results land in a [`SweepResults`] arena — one shared `Vec` of
 //! per-point arrivals with per-site ranges — so the steady-state sweep
 //! performs no per-site heap allocation at all. The per-site reference
-//! path is retained and the batched engine is bit-for-bit identical to
-//! it (asserted by `tests/sweep_equivalence.rs`).
+//! path stays as the definition: [`PlanPolicy::Reference`] runs it
+//! under the same scheduler, and every backend and policy is
+//! bit-for-bit identical to it (asserted by
+//! `tests/sweep_equivalence.rs`).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,12 +110,6 @@ impl SweepWorkspace {
     #[must_use]
     pub fn new() -> Self {
         SweepWorkspace::default()
-    }
-
-    /// Current plane capacity (largest cone seen so far).
-    #[must_use]
-    pub fn plane_len(&self) -> usize {
-        self.lanes.len()
     }
 
     fn ensure(&mut self, len: usize) {
@@ -382,26 +385,34 @@ impl SweepResults {
         self.iter().map(|r| r.to_site_epp()).collect()
     }
 
-    /// Stitches several sweep arenas into one, in part order — how a
-    /// service reassembles a sweep it fanned out as independent site
-    /// batches over a shared executor. Per-site payloads are
-    /// position-independent, so the concatenation is exactly the arena
-    /// a single sweep over the concatenated site list would produce.
-    /// `threads_used` becomes the number of parts (each part is one
-    /// worker's output).
+    /// Stitches several sweep arenas into one, in part order. Per-site
+    /// payloads are position-independent, so the result is exactly the
+    /// arena a single sweep over the concatenated site list would
+    /// produce. Both fan-outs stitch with it: the service joins the
+    /// executor parts it cut a sweep into, and [`EppAnalysis::sweep`]
+    /// joins the batches its workers claimed. Every buffer is reserved
+    /// at its summed length up front, and each part is freed as soon as
+    /// it is copied.
+    ///
+    /// `threads_used` becomes the number of parts (at least 1): one
+    /// executor job per part in the service. The library's threaded
+    /// sweep cuts more batches than it has workers, so it overwrites
+    /// the count with its worker count.
     #[must_use]
-    pub fn concat<I: IntoIterator<Item = SweepResults>>(parts: I) -> SweepResults {
+    pub fn concat(parts: Vec<SweepResults>) -> SweepResults {
+        let n_sites: usize = parts.iter().map(SweepResults::len).sum();
+        let n_points: usize = parts.iter().map(SweepResults::total_points).sum();
         let mut out = SweepResults {
-            sites: Vec::new(),
+            sites: Vec::with_capacity(n_sites),
             dense: false,
-            p_sensitized: Vec::new(),
-            on_path_gates: Vec::new(),
-            point_off: vec![0],
-            points: Vec::new(),
-            threads_used: 0,
+            p_sensitized: Vec::with_capacity(n_sites),
+            on_path_gates: Vec::with_capacity(n_sites),
+            point_off: Vec::with_capacity(n_sites + 1),
+            points: Vec::with_capacity(n_points),
+            threads_used: parts.len().max(1),
         };
+        out.point_off.push(0);
         for part in parts {
-            out.threads_used += 1;
             out.sites.extend_from_slice(&part.sites);
             out.p_sensitized.extend_from_slice(&part.p_sensitized);
             out.on_path_gates.extend_from_slice(&part.on_path_gates);
@@ -410,8 +421,7 @@ impl SweepResults {
                 .extend(part.point_off[1..].iter().map(|&o| o + base));
             out.points.extend_from_slice(&part.points);
         }
-        out.dense = out.sites.iter().enumerate().all(|(i, s)| s.index() == i);
-        out.threads_used = out.threads_used.max(1);
+        out.dense = is_dense(&out.sites);
         out
     }
 
@@ -567,9 +577,76 @@ impl SweepResults {
     }
 }
 
-/// Per-worker scratch for one sweep: SoA planes when cone plans are
-/// available, a classic [`SiteWorkspace`] when the plan arena was
-/// declined for size and the sweep falls back to per-site traversal.
+/// Which kernel a sweep may run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanPolicy {
+    /// The planned kernel over the circuit's cone plans, compiled on
+    /// first use and cached on the shared artifacts. When the plan
+    /// arena exceeds its member budget, the sweep takes the per-site
+    /// reference kernel instead.
+    #[default]
+    Auto,
+    /// The per-site reference kernel: no cone plans consulted, none
+    /// compiled. The what-if engine uses it to re-sweep a handful of
+    /// structurally dirty sites on an edited circuit without paying
+    /// that circuit's plan compile.
+    Reference,
+}
+
+/// How one sweep runs: the choices that never change what it
+/// computes. Every combination of fields is bit-identical to the
+/// per-site reference definition.
+///
+/// Set a field on top of [`RunCtx::new`] to override it:
+///
+/// ```
+/// use ser_epp::{KernelBackend, PlanPolicy, RunCtx, WorkspacePool};
+///
+/// let pool = WorkspacePool::new();
+/// let ctx = RunCtx {
+///     backend: KernelBackend::Scalar,
+///     plans: PlanPolicy::Reference,
+///     ..RunCtx::new(2, &pool)
+/// };
+/// assert_eq!(ctx.threads, 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RunCtx<'a> {
+    /// Worker threads; at least 1. A sweep of fewer than
+    /// [`SINGLE_THREAD_SWEEP_THRESHOLD`] sites runs on one.
+    pub threads: usize,
+    /// Where workers check their scratch out of and back into.
+    pub pool: &'a WorkspacePool,
+    /// The rule-core backend of the planned kernel. A backend the host
+    /// cannot run degrades to [`KernelBackend::Scalar`]
+    /// ([`KernelBackend::sanitized`]), so forcing one is always safe.
+    pub backend: KernelBackend,
+    /// Whether the sweep may use the cone plans.
+    pub plans: PlanPolicy,
+}
+
+impl<'a> RunCtx<'a> {
+    /// `threads` workers over `pool`, the host's backend
+    /// ([`KernelBackend::auto`]) and [`PlanPolicy::Auto`].
+    #[must_use]
+    pub fn new(threads: usize, pool: &'a WorkspacePool) -> Self {
+        RunCtx {
+            threads,
+            pool,
+            backend: KernelBackend::auto(),
+            plans: PlanPolicy::Auto,
+        }
+    }
+}
+
+/// `true` when `sites[i].index() == i` for all `i`: the whole-circuit
+/// site list, which [`SweepResults::site`] looks up in O(1).
+fn is_dense(sites: &[NodeId]) -> bool {
+    sites.iter().enumerate().all(|(i, s)| s.index() == i)
+}
+
+/// Per-batch scratch: SoA planes when cone plans are in use, a classic
+/// [`SiteWorkspace`] when the sweep runs the per-site reference kernel.
 enum SweepScratch {
     Plan(SweepWorkspace),
     Reference(SiteWorkspace),
@@ -579,10 +656,10 @@ impl SweepScratch {
     fn checkout(analysis: &EppAnalysis, pool: &WorkspacePool, planned: bool) -> Self {
         if planned {
             let mut ws = pool.checkout_sweep();
-            // One plane build per worker per sweep — and usually none:
-            // pooled workspaces keep their plane pinned to the exact SP
-            // allocation, so repeat sweeps (and the service's
-            // single-site requests) skip straight through.
+            // One plane build per workspace per SP vector — and usually
+            // none: pooled workspaces keep their plane pinned to the
+            // exact SP allocation, so repeat sweeps, later batches and
+            // the service's single-site requests skip straight through.
             ws.ensure_sp_plane(analysis.sp_arc());
             SweepScratch::Plan(ws)
         } else {
@@ -598,159 +675,46 @@ impl SweepScratch {
     }
 }
 
-/// One worker's output for one claimed batch: results for the
-/// contiguous site range starting at `start`, stitched back in
-/// position order after the join.
-struct Segment {
-    start: usize,
-    p_sens: Vec<f64>,
-    gates: Vec<u32>,
-    point_counts: Vec<u32>,
-    points: Vec<PointEpp>,
-}
-
 impl EppAnalysis {
-    /// The batched whole-circuit sweep: every node as an error site,
-    /// [`PolarityMode::Tracked`], results in one flat arena.
+    /// The batched sweep: EPP for every site in `sites`, results in one
+    /// flat arena in request order. Pass
+    /// `circuit().node_ids()` for the whole circuit, or any subset
+    /// (e.g. only the flip-flops, for the multi-cycle frame expansion).
     ///
     /// Bit-for-bit identical to calling
-    /// [`site_with_workspace`](Self::site_with_workspace) per node; the
-    /// cone plans are built once per circuit (cached on the shared
-    /// artifacts) and the scheduler hands cone-cost-balanced batches to
-    /// `threads` workers through an atomic cursor.
+    /// [`site_with_workspace`](Self::site_with_workspace) per site,
+    /// whatever `ctx` holds. Under [`PlanPolicy::Auto`] the cone plans
+    /// are built once per circuit and cached on the shared artifacts.
+    /// With more than one thread and at least
+    /// [`SINGLE_THREAD_SWEEP_THRESHOLD`] sites, the sites are cut into
+    /// cone-cost-balanced batches that `ctx.threads` workers claim
+    /// through an atomic cursor; [`SweepResults::concat`] joins them.
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is 0.
+    /// Panics if `ctx.threads` is 0 or any site is out of range.
     #[must_use]
-    pub fn sweep(&self, threads: usize, pool: &WorkspacePool) -> SweepResults {
-        let sites: Vec<NodeId> = self.circuit().node_ids().collect();
-        self.sweep_sites_with(&sites, PolarityMode::Tracked, threads, pool)
-    }
-
-    /// The batched sweep over an explicit site list (e.g. only the
-    /// flip-flops, for the multi-cycle frame expansion). Results come
-    /// back in the same order as `sites`. The rule-core backend is
-    /// selected here, once per sweep ([`KernelBackend::auto`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or any site is out of range.
-    #[must_use]
-    pub fn sweep_sites_with(
+    pub fn sweep(
         &self,
         sites: &[NodeId],
         polarity: PolarityMode,
-        threads: usize,
-        pool: &WorkspacePool,
+        ctx: &RunCtx<'_>,
     ) -> SweepResults {
-        self.sweep_sites_with_backend(sites, polarity, threads, pool, KernelBackend::auto())
-    }
-
-    /// Like [`sweep_sites_with`](Self::sweep_sites_with) with an
-    /// explicit rule-core backend — the forcing hook the dual-backend
-    /// equivalence tests and benches use. A backend the host cannot
-    /// run degrades to [`KernelBackend::Scalar`]
-    /// ([`KernelBackend::sanitized`]), so forcing is always safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or any site is out of range.
-    #[must_use]
-    pub fn sweep_sites_with_backend(
-        &self,
-        sites: &[NodeId],
-        polarity: PolarityMode,
-        threads: usize,
-        pool: &WorkspacePool,
-        backend: KernelBackend,
-    ) -> SweepResults {
-        assert!(threads > 0, "at least one thread");
-        // `None` when the circuit's plan arena exceeds the member
-        // budget: the sweep then runs the bit-identical per-site
-        // reference kernel (O(n) scratch) under the same scheduler.
-        let plans = self.artifacts().cone_plans(self.circuit()).cloned();
-        self.sweep_impl(
-            sites,
-            polarity,
-            threads,
-            pool,
-            plans.as_deref(),
-            backend.sanitized(),
-        )
-    }
-
-    /// The batched sweep over an explicit site list forced onto the
-    /// per-site reference kernel (no cone plans consulted, none
-    /// compiled). Bit-identical to the planned sweep; the what-if
-    /// engine uses it to re-sweep a handful of structurally dirty
-    /// sites on an edited circuit without paying that circuit's plan
-    /// compile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or any site is out of range.
-    #[must_use]
-    pub fn sweep_sites_unplanned(
-        &self,
-        sites: &[NodeId],
-        polarity: PolarityMode,
-        threads: usize,
-        pool: &WorkspacePool,
-    ) -> SweepResults {
-        assert!(threads > 0, "at least one thread");
-        self.sweep_impl(
-            sites,
-            polarity,
-            threads,
-            pool,
-            None,
-            KernelBackend::auto().sanitized(),
-        )
-    }
-
-    fn sweep_impl(
-        &self,
-        sites: &[NodeId],
-        polarity: PolarityMode,
-        threads: usize,
-        pool: &WorkspacePool,
-        plans: Option<&ConePlans>,
-        backend: KernelBackend,
-    ) -> SweepResults {
-        let dense = sites.iter().enumerate().all(|(i, s)| s.index() == i);
-        let total_points: usize =
-            plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
-
-        let mut results = SweepResults {
-            sites: sites.to_vec(),
-            dense,
-            p_sensitized: Vec::with_capacity(sites.len()),
-            on_path_gates: Vec::with_capacity(sites.len()),
-            point_off: Vec::with_capacity(sites.len() + 1),
-            points: Vec::with_capacity(total_points),
-            threads_used: 1,
+        assert!(ctx.threads > 0, "at least one thread");
+        // `None` under `Reference`, and also when the circuit's plan
+        // arena exceeds the member budget: the sweep then runs the
+        // bit-identical per-site reference kernel (O(n) scratch) under
+        // the same scheduler.
+        let plans = match ctx.plans {
+            PlanPolicy::Auto => self.artifacts().cone_plans(self.circuit()).cloned(),
+            PlanPolicy::Reference => None,
         };
-        results.point_off.push(0);
+        let plans = plans.as_deref();
+        let backend = ctx.backend.sanitized();
+        let pool = ctx.pool;
 
-        if threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
-            let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
-            for &site in sites {
-                let (p_sens, gates, n_points) = self.site_kernel(
-                    plans,
-                    site,
-                    polarity,
-                    &mut scratch,
-                    &mut results.points,
-                    backend,
-                );
-                results.p_sensitized.push(p_sens);
-                results.on_path_gates.push(gates);
-                let last = *results.point_off.last().expect("non-empty offsets");
-                results.point_off.push(last + n_points);
-            }
-            scratch.give_back(pool);
-            return results;
+        if ctx.threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
+            return self.sweep_batch(sites, polarity, pool, plans, backend);
         }
 
         // --- Batch construction: contiguous position ranges balanced by
@@ -761,7 +725,7 @@ impl EppAnalysis {
             None => vec![1; sites.len()],
         };
         let total_cost: usize = costs.iter().sum();
-        let target = (total_cost / (threads * BATCHES_PER_THREAD)).max(1);
+        let target = (total_cost / (ctx.threads * BATCHES_PER_THREAD)).max(1);
         let mut batches: Vec<Range<usize>> = Vec::new();
         let mut start = 0usize;
         let mut acc = 0usize;
@@ -777,69 +741,83 @@ impl EppAnalysis {
             batches.push(start..sites.len());
         }
 
-        let workers = threads.min(batches.len());
-        results.threads_used = workers;
+        let workers = ctx.threads.min(batches.len());
         let cursor = AtomicUsize::new(0);
-        let mut segments: Vec<Segment> = Vec::with_capacity(batches.len());
+        let mut parts: Vec<(usize, SweepResults)> = Vec::with_capacity(batches.len());
         std::thread::scope(|scope| {
+            let (cursor, batches) = (&cursor, &batches);
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let cursor = &cursor;
-                    let batches = &batches;
-                    let this = &*self;
                     scope.spawn(move || {
-                        let mut scratch = SweepScratch::checkout(this, pool, plans.is_some());
-                        let mut segs: Vec<Segment> = Vec::new();
-                        loop {
-                            let b = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = batches.get(b).cloned() else {
-                                break;
-                            };
-                            let mut seg = Segment {
-                                start: range.start,
-                                p_sens: Vec::with_capacity(range.len()),
-                                gates: Vec::with_capacity(range.len()),
-                                point_counts: Vec::with_capacity(range.len()),
-                                points: Vec::new(),
-                            };
-                            for pos in range {
-                                let (p_sens, gates, n_points) = this.site_kernel(
-                                    plans,
-                                    sites[pos],
-                                    polarity,
-                                    &mut scratch,
-                                    &mut seg.points,
-                                    backend,
-                                );
-                                seg.p_sens.push(p_sens);
-                                seg.gates.push(gates);
-                                seg.point_counts.push(n_points);
-                            }
-                            segs.push(seg);
+                        let mut done = Vec::new();
+                        while let Some(range) = batches.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let part = self.sweep_batch(
+                                &sites[range.clone()],
+                                polarity,
+                                pool,
+                                plans,
+                                backend,
+                            );
+                            done.push((range.start, part));
                         }
-                        scratch.give_back(pool);
-                        segs
+                        done
                     })
                 })
                 .collect();
             for h in handles {
-                segments.extend(h.join().expect("sweep worker panicked"));
+                parts.extend(h.join().expect("sweep worker panicked"));
             }
         });
 
-        // Stitch segments back in position order: batches partition the
-        // site list contiguously, so concatenation restores it exactly.
-        segments.sort_unstable_by_key(|s| s.start);
-        for seg in segments {
-            debug_assert_eq!(seg.start, results.p_sensitized.len(), "contiguous stitch");
-            results.p_sensitized.extend_from_slice(&seg.p_sens);
-            results.on_path_gates.extend_from_slice(&seg.gates);
-            for c in seg.point_counts {
-                let last = *results.point_off.last().expect("non-empty offsets");
-                results.point_off.push(last + c);
-            }
-            results.points.extend_from_slice(&seg.points);
+        // Batches partition the site list contiguously, so joining them
+        // in position order restores it exactly.
+        parts.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = SweepResults::concat(parts.into_iter().map(|(_, part)| part).collect());
+        results.threads_used = workers;
+        results
+    }
+
+    /// The single-thread sweep loop: one scratch checkout, then every
+    /// site in order into a fresh arena (reserved at its exact size
+    /// when plans are in use). The threaded sweep runs it once per
+    /// claimed batch.
+    fn sweep_batch(
+        &self,
+        sites: &[NodeId],
+        polarity: PolarityMode,
+        pool: &WorkspacePool,
+        plans: Option<&ConePlans>,
+        backend: KernelBackend,
+    ) -> SweepResults {
+        let total_points: usize =
+            plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
+        let mut results = SweepResults {
+            sites: sites.to_vec(),
+            dense: is_dense(sites),
+            p_sensitized: Vec::with_capacity(sites.len()),
+            on_path_gates: Vec::with_capacity(sites.len()),
+            point_off: Vec::with_capacity(sites.len() + 1),
+            points: Vec::with_capacity(total_points),
+            threads_used: 1,
+        };
+        results.point_off.push(0);
+        let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
+        for &site in sites {
+            let (p_sens, gates, n_points) = self.site_kernel(
+                plans,
+                site,
+                polarity,
+                &mut scratch,
+                &mut results.points,
+                backend,
+            );
+            results.p_sensitized.push(p_sens);
+            results.on_path_gates.push(gates);
+            let last = *results.point_off.last().expect("non-empty offsets");
+            results.point_off.push(last + n_points);
         }
+        scratch.give_back(pool);
         results
     }
 
@@ -1121,6 +1099,13 @@ mod tests {
         EppAnalysis::new(c, sp).unwrap()
     }
 
+    /// The whole-circuit [`PolarityMode::Tracked`] sweep on `threads`
+    /// workers.
+    fn sweep_all(epp: &EppAnalysis, threads: usize, pool: &WorkspacePool) -> SweepResults {
+        let sites: Vec<NodeId> = epp.circuit().node_ids().collect();
+        epp.sweep(&sites, PolarityMode::Tracked, &RunCtx::new(threads, pool))
+    }
+
     const FIG1: &str = "
 INPUT(A)
 INPUT(B)
@@ -1140,7 +1125,7 @@ H = OR(C, D, G)
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let sweep = epp.sweep_sites_with(&sites, polarity, 1, &pool);
+            let sweep = epp.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             assert_eq!(sweep.len(), c.len());
             for id in c.node_ids() {
                 let reference = epp.site_with(id, polarity);
@@ -1165,10 +1150,12 @@ H = OR(C, D, G)
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let scalar =
-                epp.sweep_sites_with_backend(&sites, polarity, 1, &pool, KernelBackend::Scalar);
-            let forced_avx2 =
-                epp.sweep_sites_with_backend(&sites, polarity, 1, &pool, KernelBackend::Avx2);
+            let forced = |backend| RunCtx {
+                backend,
+                ..RunCtx::new(1, &pool)
+            };
+            let scalar = epp.sweep(&sites, polarity, &forced(KernelBackend::Scalar));
+            let forced_avx2 = epp.sweep(&sites, polarity, &forced(KernelBackend::Avx2));
             assert_eq!(scalar, forced_avx2, "{polarity:?}");
             for &site in &sites {
                 assert_eq!(
@@ -1185,7 +1172,7 @@ H = OR(C, D, G)
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
-        let _ = epp.sweep(1, &pool);
+        let _ = sweep_all(&epp, 1, &pool);
         {
             let slots = pool.checkout_sweep();
             assert!(slots
@@ -1200,8 +1187,8 @@ H = OR(C, D, G)
             .compute(&c, &InputProbs::default())
             .unwrap();
         let epp2 = EppAnalysis::new(&c, sp2).unwrap();
-        let r1 = epp.sweep(1, &pool);
-        let r2 = epp2.sweep(1, &pool);
+        let r1 = sweep_all(&epp, 1, &pool);
+        let r2 = sweep_all(&epp2, 1, &pool);
         assert_eq!(r1, r2);
         let slots = pool.checkout_sweep();
         assert!(slots
@@ -1219,7 +1206,7 @@ H = OR(C, D, G)
         let h = c.find("H").unwrap();
         let a = c.find("A").unwrap();
         let subset = [h, a];
-        let sweep = epp.sweep_sites_with(&subset, PolarityMode::Tracked, 1, &pool);
+        let sweep = epp.sweep(&subset, PolarityMode::Tracked, &RunCtx::new(1, &pool));
         assert_eq!(sweep.sites(), &subset);
         assert_eq!(sweep.get(0).site(), h);
         assert_eq!(sweep.get(1).site(), a);
@@ -1234,7 +1221,7 @@ H = OR(C, D, G)
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
         let h = c.find("H").unwrap();
-        let sweep = epp.sweep_sites_with(&[h], PolarityMode::Tracked, 1, &pool);
+        let sweep = epp.sweep(&[h], PolarityMode::Tracked, &RunCtx::new(1, &pool));
         let _ = sweep.site(c.find("A").unwrap());
     }
 
@@ -1243,7 +1230,7 @@ H = OR(C, D, G)
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
-        let sweep = epp.sweep(8, &pool);
+        let sweep = sweep_all(&epp, 8, &pool);
         assert!(c.len() < SINGLE_THREAD_SWEEP_THRESHOLD);
         assert_eq!(sweep.threads_used(), 1);
     }
@@ -1254,8 +1241,8 @@ H = OR(C, D, G)
         let c = ser_gen_like_chain(200);
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
-        let seq = epp.sweep(1, &pool);
-        let par = epp.sweep(4, &pool);
+        let seq = sweep_all(&epp, 1, &pool);
+        let par = sweep_all(&epp, 4, &pool);
         assert_eq!(seq.threads_used(), 1);
         assert!(par.threads_used() >= 2, "got {}", par.threads_used());
         assert_eq!(seq.p_sensitized(), par.p_sensitized());
@@ -1283,18 +1270,25 @@ H = OR(C, D, G)
 
     #[test]
     fn planless_fallback_is_bit_identical() {
-        // When the plan arena is declined for size, sweep_impl runs the
+        // When the plan arena is declined for size, the sweep runs the
         // per-site reference kernel under the same scheduler. Force the
-        // planless path directly and compare against the planned one.
+        // planless path through `PlanPolicy::Reference` and compare
+        // against the planned one.
         let c = ser_gen_like_chain(200);
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let planned = epp.sweep_sites_with(&sites, polarity, 1, &pool);
+            let planned = epp.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             for threads in [1usize, 4] {
                 for backend in [KernelBackend::Scalar, KernelBackend::Avx2.sanitized()] {
-                    let planless = epp.sweep_impl(&sites, polarity, threads, &pool, None, backend);
+                    let ctx = RunCtx {
+                        threads,
+                        pool: &pool,
+                        backend,
+                        plans: PlanPolicy::Reference,
+                    };
+                    let planless = epp.sweep(&sites, polarity, &ctx);
                     assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
                 }
             }
@@ -1309,9 +1303,9 @@ H = OR(C, D, G)
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
         assert_eq!(pool.idle_sweep(), 0);
-        let _ = epp.sweep(1, &pool);
+        let _ = sweep_all(&epp, 1, &pool);
         assert_eq!(pool.idle_sweep(), 1);
-        let _ = epp.sweep(1, &pool);
+        let _ = sweep_all(&epp, 1, &pool);
         assert_eq!(pool.idle_sweep(), 1, "reused, not re-created");
     }
 
@@ -1320,7 +1314,7 @@ H = OR(C, D, G)
         let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(b)\nu = NOT(a)\n", "dead").unwrap();
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
-        let sweep = epp.sweep(1, &pool);
+        let sweep = sweep_all(&epp, 1, &pool);
         let u = c.find("u").unwrap();
         assert_eq!(sweep.site(u).p_sensitized(), 0.0);
         assert!(sweep.site(u).per_point().is_empty());
@@ -1335,7 +1329,7 @@ H = OR(C, D, G)
         let c = parse_bench(FIG1, "fig1").unwrap();
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
-        let sweep = epp.sweep_sites_with(&[], PolarityMode::Tracked, 2, &pool);
+        let sweep = epp.sweep(&[], PolarityMode::Tracked, &RunCtx::new(2, &pool));
         assert!(sweep.is_empty());
         assert_eq!(sweep.len(), 0);
         assert_eq!(sweep.total_points(), 0);

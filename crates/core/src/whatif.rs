@@ -65,7 +65,7 @@ use crate::engine::{EppAnalysis, PointEpp, PolarityMode};
 use crate::rules::propagate;
 use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
-use crate::sweep::SweepResults;
+use crate::sweep::{PlanPolicy, RunCtx, SweepResults};
 
 /// One circuit edit the what-if engine understands.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,7 +201,7 @@ impl WhatIfSession {
     /// which the first edit's SP-only tier then reuses warm).
     #[must_use]
     pub fn new(session: AnalysisSession, threads: usize) -> Self {
-        let results = Arc::new(session.epp().sweep(threads, session.workspace_pool()));
+        let results = Arc::new(session.sweep(threads));
         Self::with_base_results(session, results, threads)
     }
 
@@ -454,6 +454,12 @@ impl WhatIfSession {
             },
         };
         let pool = self.base.workspace_pool();
+        // Sites re-swept on the edited circuit take the reference
+        // kernel, so an edit never pays that circuit's plan compile.
+        let reference_ctx = RunCtx {
+            plans: PlanPolicy::Reference,
+            ..RunCtx::new(self.threads, pool)
+        };
 
         // --- 3a. Sink-TMR fast path. --------------------------------
         // TMR of a fanout-free gate `g` changes no surviving node's SP
@@ -510,12 +516,8 @@ impl WhatIfSession {
                 Arc::clone(&topo),
                 Arc::clone(&sp),
             );
-            let struct_res = analysis_new.sweep_sites_unplanned(
-                &struct_sites,
-                PolarityMode::Tracked,
-                self.threads,
-                pool,
-            );
+            let struct_res =
+                analysis_new.sweep(&struct_sites, PolarityMode::Tracked, &reference_ctx);
 
             // Splice: bulk copy + in-place patch (the voter rule over
             // each dirty site's recorded arrival at g, one refold per
@@ -573,12 +575,7 @@ impl WhatIfSession {
                     Arc::clone(&topo),
                     Arc::clone(&sp),
                 );
-                Some(analysis.sweep_sites_unplanned(
-                    &reference_sites,
-                    PolarityMode::Tracked,
-                    self.threads,
-                    pool,
-                ))
+                Some(analysis.sweep(&reference_sites, PolarityMode::Tracked, &reference_ctx))
             };
             // Planned (warm) tier boundary.
             checkpoint()?;
@@ -600,11 +597,10 @@ impl WhatIfSession {
                     Arc::clone(&cur.topo),
                     remapped,
                 );
-                Some(analysis.sweep_sites_with(
+                Some(analysis.sweep(
                     &planned_sites_old,
                     PolarityMode::Tracked,
-                    self.threads,
-                    pool,
+                    &RunCtx::new(self.threads, pool),
                 ))
             };
 
@@ -723,7 +719,7 @@ impl WhatIfSession {
     pub fn full_recompute(&self) -> Result<(SweepResults, f64), SpError> {
         let cur = self.current();
         let session = AnalysisSession::with_inputs(Arc::clone(&cur.circuit), cur.inputs.clone())?;
-        let results = session.epp().sweep(self.threads, session.workspace_pool());
+        let results = session.sweep(self.threads);
         let total = Self::total_of(&cur.circuit, &results);
         Ok((results, total))
     }

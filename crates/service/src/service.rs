@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use ser_epp::{
     multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, AnalysisSession, Edit,
-    MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, SiteEpp, SweepResults,
-    WhatIfAbort, WhatIfOutcome, WhatIfSession,
+    MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, RunCtx, SiteEpp,
+    SweepResults, WhatIfAbort, WhatIfOutcome, WhatIfSession,
 };
 use ser_netlist::{CancelToken, Circuit, ConePlans, NodeId};
 use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
@@ -838,12 +838,8 @@ impl SerService {
                             Err(e) => Err(e),
                             Ok(()) => {
                                 let epp = session.epp();
-                                Ok(Part::Sweep(epp.sweep_sites_with(
-                                    &batch,
-                                    polarity,
-                                    1,
-                                    session.workspace_pool(),
-                                )))
+                                let ctx = RunCtx::new(1, session.workspace_pool());
+                                Ok(Part::Sweep(epp.sweep(&batch, polarity, &ctx)))
                             }
                         };
                         let _ = tx.send((job_idx, part_idx, part, Instant::now()));

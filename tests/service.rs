@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use ser_suite::epp::{AnalysisSession, EppAnalysis, PolarityMode};
+use ser_suite::epp::{AnalysisSession, EppAnalysis, PolarityMode, RunCtx};
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::Circuit;
 use ser_suite::service::{
@@ -320,10 +320,11 @@ fn subset_sweep_with_polarity() {
     assert_eq!(sweep.sites(), sites.as_slice());
 
     let session = AnalysisSession::new(Arc::clone(&circuit)).unwrap();
-    let direct =
-        session
-            .epp()
-            .sweep_sites_with(&sites, PolarityMode::Merged, 1, session.workspace_pool());
+    let direct = session.epp().sweep(
+        &sites,
+        PolarityMode::Merged,
+        &RunCtx::new(1, session.workspace_pool()),
+    );
     assert_eq!(sweep, &direct);
 }
 

@@ -7,10 +7,11 @@
 
 use proptest::prelude::*;
 use ser_suite::epp::{
-    EppAnalysis, KernelBackend, PolarityMode, SiteWorkspace, SweepResults, WorkspacePool,
+    EppAnalysis, KernelBackend, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace, SweepResults,
+    WorkspacePool,
 };
 use ser_suite::gen::RandomDag;
-use ser_suite::netlist::Circuit;
+use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
 
 fn dag_strategy() -> impl Strategy<Value = (usize, usize, f64, f64, u64)> {
@@ -64,15 +65,12 @@ fn assert_sweep_matches_reference(
 fn assert_backends_agree(circuit: &Circuit, analysis: &EppAnalysis, polarity: PolarityMode) {
     let pool = WorkspacePool::new();
     let sites: Vec<_> = circuit.node_ids().collect();
-    let scalar =
-        analysis.sweep_sites_with_backend(&sites, polarity, 1, &pool, KernelBackend::Scalar);
-    let simd = analysis.sweep_sites_with_backend(
-        &sites,
-        polarity,
-        1,
-        &pool,
-        KernelBackend::Avx2.sanitized(),
-    );
+    let forced = |backend| RunCtx {
+        backend,
+        ..RunCtx::new(1, &pool)
+    };
+    let scalar = analysis.sweep(&sites, polarity, &forced(KernelBackend::Scalar));
+    let simd = analysis.sweep(&sites, polarity, &forced(KernelBackend::Avx2.sanitized()));
     assert_eq!(scalar, simd, "backends diverged ({polarity:?})");
     assert_sweep_matches_reference(circuit, analysis, &scalar, polarity);
 }
@@ -95,8 +93,8 @@ fn sequential_circuits_bit_identical() {
         let pool = WorkspacePool::new();
         let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let single = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
-            let multi = analysis.sweep_sites_with(&sites, polarity, 4, &pool);
+            let single = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
+            let multi = analysis.sweep(&sites, polarity, &RunCtx::new(4, &pool));
             assert_eq!(single, multi, "{} ({polarity:?})", c.name());
             let mut ws = SiteWorkspace::new(&analysis);
             for id in c.node_ids() {
@@ -193,7 +191,7 @@ proptest! {
         let pool = WorkspacePool::new();
         let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let sweep = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
+            let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             assert_sweep_matches_reference(&c, &analysis, &sweep, polarity);
         }
     }
@@ -208,13 +206,13 @@ proptest! {
         let pool = WorkspacePool::new();
         let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let single = analysis.sweep_sites_with(&sites, polarity, 1, &pool);
+            let single = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             for threads in [2usize, 5, 8] {
-                let multi = analysis.sweep_sites_with(&sites, polarity, threads, &pool);
+                let multi = analysis.sweep(&sites, polarity, &RunCtx::new(threads, &pool));
                 prop_assert_eq!(&single, &multi, "{} threads ({:?})", threads, polarity);
             }
             // And the multi-threaded arena still matches the reference.
-            let multi = analysis.sweep_sites_with(&sites, polarity, 4, &pool);
+            let multi = analysis.sweep(&sites, polarity, &RunCtx::new(4, &pool));
             assert_sweep_matches_reference(&c, &analysis, &multi, polarity);
         }
     }
@@ -226,11 +224,100 @@ proptest! {
         let c = build(inputs, gates, reconv, xf, seed);
         let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let owned = analysis.sweep(3, &WorkspacePool::new()).to_site_epps();
+        let sites: Vec<_> = c.node_ids().collect();
+        let owned = analysis
+            .sweep(&sites, PolarityMode::Tracked, &RunCtx::new(3, &WorkspacePool::new()))
+            .to_site_epps();
         let mut ws = SiteWorkspace::new(&analysis);
         for (id, got) in c.node_ids().zip(&owned) {
             let reference = analysis.site_with_workspace(id, PolarityMode::Tracked, &mut ws);
             prop_assert_eq!(got, &reference, "site {}", id);
+        }
+    }
+}
+
+/// Circuits big enough that a strict subset of their nodes still
+/// crosses the single-thread threshold.
+fn subset_dag_strategy() -> impl Strategy<Value = (usize, usize, f64, u64, u64)> {
+    (
+        2usize..8,    // inputs
+        80usize..200, // gates
+        0.0f64..1.0,  // reconvergence
+        0u64..1_000,  // circuit seed
+        0u64..1_000,  // subset seed
+    )
+}
+
+/// A shuffled, non-dense subset of `circuit`'s nodes, between
+/// `SINGLE_THREAD_SWEEP_THRESHOLD` sites and all nodes but one — the
+/// shape of the what-if tiers' and the daemon's site lists.
+fn shuffled_subset(circuit: &Circuit, seed: u64) -> Vec<NodeId> {
+    // splitmix64: a dependency-free, seeded draw.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut sites: Vec<NodeId> = circuit.node_ids().collect();
+    for i in (1..sites.len()).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        sites.swap(i, j);
+    }
+    let min = ser_suite::epp::SINGLE_THREAD_SWEEP_THRESHOLD;
+    let keep = min + (next() as usize) % (sites.len() - min);
+    sites.truncate(keep);
+    if sites.iter().enumerate().all(|(i, s)| s.index() == i) {
+        // The identity prefix: reversed, it is no longer dense.
+        sites.reverse();
+    }
+    sites
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The threaded stitch on the site lists production sends: a
+    /// shuffled, non-dense subset large enough to cross the threshold,
+    /// under every thread count and both plan policies, must return
+    /// each site's reference result bit for bit, in request order.
+    #[test]
+    fn shuffled_subset_sweep_matches_reference(
+        (inputs, gates, reconv, seed, subset_seed) in subset_dag_strategy()
+    ) {
+        let c = build(inputs, gates, reconv, 0.2, seed);
+        let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
+        let analysis = EppAnalysis::new(&c, sp).unwrap();
+        let sites = shuffled_subset(&c, subset_seed);
+        prop_assert!(sites.len() >= ser_suite::epp::SINGLE_THREAD_SWEEP_THRESHOLD);
+        prop_assert!(sites.len() < c.len());
+        let pool = WorkspacePool::new();
+        let mut ws = SiteWorkspace::new(&analysis);
+        for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
+            let reference: Vec<_> = sites
+                .iter()
+                .map(|&s| analysis.site_with_workspace(s, polarity, &mut ws))
+                .collect();
+            for threads in [1usize, 2, 5] {
+                for plans in [PlanPolicy::Auto, PlanPolicy::Reference] {
+                    let ctx = RunCtx { plans, ..RunCtx::new(threads, &pool) };
+                    let sweep = analysis.sweep(&sites, polarity, &ctx);
+                    prop_assert_eq!(sweep.sites(), sites.as_slice());
+                    for (pos, want) in reference.iter().enumerate() {
+                        prop_assert_eq!(
+                            &sweep.get(pos).to_site_epp(),
+                            want,
+                            "position {} ({} threads, {:?}, {:?})",
+                            pos,
+                            threads,
+                            plans,
+                            polarity
+                        );
+                    }
+                }
+            }
         }
     }
 }

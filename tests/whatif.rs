@@ -66,7 +66,7 @@ fn decode_edit(c: &Circuit, op: u8, pick: usize, knob: u64) -> Option<Edit> {
 /// then unwinds via revert and checks the base state survived intact.
 fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
     let session = AnalysisSession::new(circuit).expect("base session compiles");
-    let base_results = session.epp().sweep(threads, session.workspace_pool());
+    let base_results = session.sweep(threads);
     let mut wf = WhatIfSession::new(session, threads);
     assert_eq!(
         *wf.results().as_ref(),

@@ -18,7 +18,9 @@
 //! engine ([`rules`]). `ser-lint check` walks every `.rs` file under
 //! `crates/`, `src/`, `tools/` and `tests/`, prints `file:line`
 //! diagnostics, and exits non-zero on any violation — CI runs it as a
-//! gate. `ser-lint rules` prints the rule table.
+//! gate. `ser-lint rules` prints the rule table. `ser-lint size`
+//! prints each crate's non-test production lines and `pub fn` count
+//! ([`size`]), a report CI shows but does not gate on.
 //!
 //! Suppressions are inline, per-site, and self-documenting:
 //!
@@ -33,10 +35,12 @@
 
 pub mod lexer;
 pub mod rules;
+pub mod size;
 
 use std::path::{Path, PathBuf};
 
 pub use rules::{check_wire_doc, lint_file, Diagnostic, RuleInfo, RULES};
+pub use size::{file_size, run_size, CrateSize};
 
 /// The directories `check` walks, relative to the workspace root.
 /// `vendor/` is deliberately out of scope (offline stand-ins for
@@ -95,7 +99,7 @@ pub fn run_check(root: &Path) -> Vec<Diagnostic> {
 }
 
 /// Recursively collects `*.rs` files, skipping `target/` build output.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };

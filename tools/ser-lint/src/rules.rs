@@ -524,7 +524,7 @@ impl LineTable {
 /// Line spans covered by `#[cfg(test)]`-gated items (the following
 /// brace-balanced block). Test modules are exempt from
 /// `no-panic-path` — tests unwrap freely.
-fn cfg_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
+pub(crate) fn cfg_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     let code: Vec<(usize, &Token)> = tokens
         .iter()
         .enumerate()

@@ -4,7 +4,7 @@
 //! fixtures are inert when `ser-lint check` lints this very file.
 
 use ser_lint::lexer::{lex, TokenKind};
-use ser_lint::{check_wire_doc, lint_file, Diagnostic, RULES};
+use ser_lint::{check_wire_doc, file_size, lint_file, run_size, CrateSize, Diagnostic, RULES};
 
 /// The rule ids present in `diags`, deduplicated, in order.
 fn rules_hit(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -408,4 +408,65 @@ fn rule_ids_are_unique_and_kebab_case() {
         );
         assert!(!r.rationale.is_empty() && !r.scope.is_empty());
     }
+}
+
+// -----------------------------------------------------------------
+// size
+// -----------------------------------------------------------------
+
+#[test]
+fn size_counts_lines_outside_cfg_test_items() {
+    let src = r#"//! Docs.
+pub fn kept() {}
+
+    pub fn indented() {}
+pub(crate) fn not_counted() {}
+// pub fn in a comment is not a declaration
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+#[cfg(test)]
+use std::fmt;
+fn last() {}
+"#;
+    // 13 lines: the 4-line test module and the 2-line gated `use` are
+    // dropped; `kept` and `indented` are the two `pub fn` lines.
+    assert_eq!(file_size(src), (7, 2));
+}
+
+#[test]
+fn size_walks_each_package_src_dir() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ser-lint-size");
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, body: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, body).unwrap();
+    };
+    write(
+        "Cargo.toml",
+        "[workspace]\nmembers = [\"crates/a\"]\n\n[package]\nname = \"umbrella\"\n",
+    );
+    write("src/lib.rs", "pub fn f() {}\n");
+    write(
+        "crates/a/Cargo.toml",
+        "[package]\nname = \"alpha\"\nversion = \"0.1.0\"\n",
+    );
+    write(
+        "crates/a/src/lib.rs",
+        "pub fn g() {}\n#[cfg(test)]\nmod tests {}\n",
+    );
+    write("crates/a/src/bin/tool.rs", "fn main() {}\n");
+    // Outside `src/`: not production code.
+    write("crates/a/tests/it.rs", "pub fn helper() {}\n");
+
+    let sizes = run_size(&root).unwrap();
+    let want = |name: &str, lines, pub_fns| CrateSize {
+        name: name.to_string(),
+        lines,
+        pub_fns,
+    };
+    assert_eq!(sizes, [want("umbrella", 1, 1), want("alpha", 2, 1)]);
+    std::fs::remove_dir_all(&root).unwrap();
 }
