@@ -17,7 +17,8 @@
 //!   whole-circuit sweeps, so scheduler steal on a shared recording
 //!   host doesn't masquerade as a kernel regression).
 //! - `batched_mt`: the cone-plan sweep under the work-stealing
-//!   scheduler at the machine's parallelism.
+//!   scheduler at the machine's parallelism, batch stitch included
+//!   (best of five as well).
 //! - `plan_build_ms`: one-time cone-plan compilation cost of the
 //!   **reverse-topological** builder (what production pays, amortized
 //!   across every subsequent sweep of the session).
@@ -186,14 +187,20 @@ fn main() {
         // --- Batched, scheduler at full parallelism. ------------------
         // Only a *real* multi-thread run is recorded as one: on a
         // single-core box the row reuses the 1-thread timing instead of
-        // passing off a second serial sweep as "mt".
+        // passing off a second serial sweep as "mt". Best of 5, like
+        // the 1-thread row, so the stitch is timed at the same pace.
         let (batched_mt_total, mt_threads_used) = if threads > 1 {
-            let t = Instant::now();
-            let sweep_mt = session.sweep(threads);
-            let total = t.elapsed().as_secs_f64();
-            // Sanity: thread count must not change results.
-            assert_eq!(sweep1, sweep_mt, "thread count changed results");
-            (total, sweep_mt.threads_used())
+            let mut total = f64::INFINITY;
+            let mut threads_used = 0;
+            for _ in 0..5 {
+                let t = Instant::now();
+                let sweep_mt = session.sweep(threads);
+                total = total.min(t.elapsed().as_secs_f64());
+                // Sanity: thread count must not change results.
+                assert_eq!(sweep1, sweep_mt, "thread count changed results");
+                threads_used = sweep_mt.threads_used();
+            }
+            (total, threads_used)
         } else {
             (batched1_total, sweep1.threads_used())
         };

@@ -177,44 +177,6 @@ impl AnalysisSession {
         })
     }
 
-    /// Adopts an SP vector computed elsewhere (with the time its
-    /// computation took, so timing reports stay honest). Only the
-    /// structural artifacts are computed here.
-    ///
-    /// # Errors
-    ///
-    /// Returns a wrapped [`ser_netlist::NetlistError`] if the circuit
-    /// cannot be ordered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sp` does not cover exactly `circuit.len()` nodes.
-    pub fn from_sp(
-        circuit: impl Into<Arc<Circuit>>,
-        inputs: InputProbs,
-        sp: SpVector,
-        sp_time: Duration,
-    ) -> Result<Self, SpError> {
-        let circuit = circuit.into();
-        assert_eq!(
-            sp.len(),
-            circuit.len(),
-            "signal probabilities must cover every node"
-        );
-        let topo = Arc::new(TopoArtifacts::compute(&circuit)?);
-        Ok(AnalysisSession {
-            circuit,
-            topo,
-            inputs,
-            sp: Arc::new(sp.with_tag(1)),
-            sp_time,
-            revision: 1,
-            sim: Arc::new(OnceLock::new()),
-            multi_cycle: Arc::new(Mutex::new(None)),
-            pool: Arc::new(WorkspacePool::new()),
-        })
-    }
-
     /// The circuit this session compiled.
     #[must_use]
     pub fn circuit(&self) -> &Circuit {
@@ -557,21 +519,6 @@ mod tests {
         let u = c.find("u").unwrap();
         assert!((session.site(u).p_sensitized() - 0.5).abs() < 0.02);
         assert_eq!(mc_engine.name(), "monte-carlo");
-    }
-
-    #[test]
-    fn from_sp_adopts_external_vector() {
-        let c = toy();
-        let sp = IndependentSp::new()
-            .compute(&c, &InputProbs::default())
-            .unwrap();
-        let sp_time = Duration::from_millis(5);
-        let session = AnalysisSession::from_sp(&c, InputProbs::default(), sp, sp_time).unwrap();
-        assert_eq!(session.sp_time(), sp_time);
-        let fresh = AnalysisSession::new(&c).unwrap();
-        for id in c.node_ids() {
-            assert_eq!(session.site(id), fresh.site(id));
-        }
     }
 
     #[test]

@@ -26,19 +26,20 @@
 //!   Each batch runs the single-thread loop into its own
 //!   [`SweepResults`], and [`SweepResults::concat`] joins the batches
 //!   in position order — the same stitch the service uses for its
-//!   executor parts.
+//!   executor parts. The join moves each batch's arrivals rather than
+//!   copying them.
 //!
 //! [`EppAnalysis::sweep`] is the one way in. Its [`RunCtx`] carries the
 //! choices that change how a sweep runs but never what it computes:
 //! threads, scratch pool, rule-core backend and [`PlanPolicy`].
 //!
-//! Results land in a [`SweepResults`] arena — one shared `Vec` of
-//! per-point arrivals with per-site ranges — so the steady-state sweep
-//! performs no per-site heap allocation at all. The per-site reference
-//! path stays as the definition: [`PlanPolicy::Reference`] runs it
-//! under the same scheduler, and every backend and policy is
-//! bit-for-bit identical to it (asserted by
-//! `tests/sweep_equivalence.rs`).
+//! Results land in a [`SweepResults`] arena — per-point arrivals in a
+//! few large segments (one per batch), addressed by per-site ranges —
+//! so the steady-state sweep performs no per-site heap allocation at
+//! all. The per-site reference path stays as the definition:
+//! [`PlanPolicy::Reference`] runs it under the same scheduler, and
+//! every backend and policy is bit-for-bit identical to it (asserted
+//! by `tests/sweep_equivalence.rs`).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,11 +174,10 @@ impl<'a> SweepSiteRef<'a> {
     }
 
     /// Error arrival per reachable observe point (a slice into the
-    /// sweep's shared arena).
+    /// sweep's arena).
     #[must_use]
     pub fn per_point(&self) -> &'a [PointEpp] {
-        &self.results.points[self.results.point_off[self.pos] as usize
-            ..self.results.point_off[self.pos + 1] as usize]
+        self.results.points_of(self.pos)
     }
 
     /// The paper's `P_sensitized` for this site.
@@ -273,9 +273,15 @@ impl EppSiteView for SweepSiteRef<'_> {
     }
 }
 
-/// The flat arena a batched sweep fills: per-site `P_sensitized`,
-/// on-path gate counts, and one shared `Vec<PointEpp>` addressed by
-/// per-site ranges — no per-site heap allocation anywhere.
+/// The arena a batched sweep fills: per-site `P_sensitized`, on-path
+/// gate counts, and the per-point arrivals addressed by per-site
+/// ranges — no per-site heap allocation anywhere.
+///
+/// The arrivals are kept as segments, each the `Vec<PointEpp>` of a
+/// contiguous run of sites: one for a single-thread sweep, one per
+/// batch or part after [`concat`](Self::concat), which moves the
+/// parts' segments instead of copying them. Segmentation is invisible
+/// through the API, and equality ignores it.
 #[derive(Debug, Clone)]
 pub struct SweepResults {
     /// The analyzed sites, in request order.
@@ -285,10 +291,15 @@ pub struct SweepResults {
     dense: bool,
     p_sensitized: Vec<f64>,
     on_path_gates: Vec<u32>,
-    /// `point_off[i]..point_off[i+1]` delimits site `i`'s slice of
-    /// `points`. Length `sites.len() + 1`.
+    /// `point_off[i]..point_off[i+1]` delimits site `i`'s arrivals in
+    /// the concatenation of all segments. Length `sites.len() + 1`.
     point_off: Vec<u32>,
-    points: Vec<PointEpp>,
+    /// Position of each segment's first site, strictly increasing;
+    /// parallel to `segments`. Segment `k` holds the arrivals of sites
+    /// `seg_first[k]..seg_first[k + 1]` (or up to the end), starting at
+    /// global offset `point_off[seg_first[k]]`.
+    seg_first: Vec<u32>,
+    segments: Vec<Vec<PointEpp>>,
     threads_used: usize,
 }
 
@@ -300,11 +311,56 @@ impl PartialEq for SweepResults {
             && self.p_sensitized == other.p_sensitized
             && self.on_path_gates == other.on_path_gates
             && self.point_off == other.point_off
-            && self.points == other.points
+            && self
+                .segments
+                .iter()
+                .flatten()
+                .eq(other.segments.iter().flatten())
     }
 }
 
 impl SweepResults {
+    /// An arena for `sites` with no site pushed yet and one arrival
+    /// segment, reserved for `points_capacity` arrivals; fill it with
+    /// [`push_site`](Self::push_site).
+    fn one_segment(sites: Vec<NodeId>, dense: bool, points_capacity: usize) -> Self {
+        let n_sites = sites.len();
+        let mut point_off = Vec::with_capacity(n_sites + 1);
+        point_off.push(0);
+        SweepResults {
+            sites,
+            dense,
+            p_sensitized: Vec::with_capacity(n_sites),
+            on_path_gates: Vec::with_capacity(n_sites),
+            point_off,
+            seg_first: vec![0],
+            segments: vec![Vec::with_capacity(points_capacity)],
+            threads_used: 1,
+        }
+    }
+
+    /// Records the next site of a one-segment arena, whose `n_points`
+    /// arrivals were just appended to the segment.
+    fn push_site(&mut self, p_sensitized: f64, on_path_gates: u32, n_points: u32) {
+        self.p_sensitized.push(p_sensitized);
+        self.on_path_gates.push(on_path_gates);
+        let last = *self.point_off.last().expect("non-empty offsets");
+        self.point_off.push(last + n_points);
+    }
+
+    /// Site `pos`'s arrivals: a binary search over the segment starts,
+    /// then a slice of the one segment that holds them.
+    fn points_of(&self, pos: usize) -> &[PointEpp] {
+        let k = self
+            .seg_first
+            .partition_point(|&first| first as usize <= pos)
+            - 1;
+        let base = self.point_off[self.seg_first[k] as usize];
+        let lo = (self.point_off[pos] - base) as usize;
+        let hi = (self.point_off[pos + 1] - base) as usize;
+        &self.segments[k][lo..hi]
+    }
+
     /// Number of sites analyzed.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -339,7 +395,7 @@ impl SweepResults {
     /// Total per-point arrivals stored across all sites.
     #[must_use]
     pub fn total_points(&self) -> usize {
-        self.points.len()
+        *self.point_off.last().expect("non-empty offsets") as usize
     }
 
     /// The result at position `pos` (request order).
@@ -390,9 +446,12 @@ impl SweepResults {
     /// arena a single sweep over the concatenated site list would
     /// produce. Both fan-outs stitch with it: the service joins the
     /// executor parts it cut a sweep into, and [`EppAnalysis::sweep`]
-    /// joins the batches its workers claimed. Every buffer is reserved
-    /// at its summed length up front, and each part is freed as soon as
-    /// it is copied.
+    /// joins the batches its workers claimed. Only the small per-site
+    /// arrays are copied (reserved at their summed lengths up front);
+    /// each part's arrival segments are moved into the result, so no
+    /// arrival is copied and every site's
+    /// [`per_point`](SweepSiteRef::per_point) slice stays where its
+    /// part put it.
     ///
     /// `threads_used` becomes the number of parts (at least 1): one
     /// executor job per part in the service. The library's threaded
@@ -401,25 +460,34 @@ impl SweepResults {
     #[must_use]
     pub fn concat(parts: Vec<SweepResults>) -> SweepResults {
         let n_sites: usize = parts.iter().map(SweepResults::len).sum();
-        let n_points: usize = parts.iter().map(SweepResults::total_points).sum();
+        let n_segments: usize = parts.iter().map(|p| p.segments.len()).sum();
         let mut out = SweepResults {
             sites: Vec::with_capacity(n_sites),
             dense: false,
             p_sensitized: Vec::with_capacity(n_sites),
             on_path_gates: Vec::with_capacity(n_sites),
             point_off: Vec::with_capacity(n_sites + 1),
-            points: Vec::with_capacity(n_points),
+            seg_first: Vec::with_capacity(n_segments),
+            segments: Vec::with_capacity(n_segments),
             threads_used: parts.len().max(1),
         };
         out.point_off.push(0);
         for part in parts {
+            // A part without sites has no arrivals; skipping it keeps
+            // the segment starts strictly increasing.
+            if part.is_empty() {
+                continue;
+            }
+            let site_base = u32::try_from(out.sites.len()).expect("sites fit u32");
+            out.seg_first
+                .extend(part.seg_first.iter().map(|&f| f + site_base));
+            out.segments.extend(part.segments);
             out.sites.extend_from_slice(&part.sites);
             out.p_sensitized.extend_from_slice(&part.p_sensitized);
             out.on_path_gates.extend_from_slice(&part.on_path_gates);
             let base = *out.point_off.last().expect("non-empty offsets");
             out.point_off
                 .extend(part.point_off[1..].iter().map(|&o| o + base));
-            out.points.extend_from_slice(&part.points);
         }
         out.dense = is_dense(&out.sites);
         out
@@ -443,24 +511,17 @@ impl SweepResults {
         points_capacity: usize,
         mut fill: impl FnMut(NodeId, &mut Vec<PointEpp>) -> (f64, u32),
     ) -> SweepResults {
-        let mut out = SweepResults {
-            sites: (0..n_sites).map(NodeId::from_index).collect(),
-            dense: true,
-            p_sensitized: Vec::with_capacity(n_sites),
-            on_path_gates: Vec::with_capacity(n_sites),
-            point_off: Vec::with_capacity(n_sites + 1),
-            points: Vec::with_capacity(points_capacity),
-            threads_used: 1,
-        };
-        out.point_off.push(0);
+        let mut out = SweepResults::one_segment(
+            (0..n_sites).map(NodeId::from_index).collect(),
+            true,
+            points_capacity,
+        );
         for i in 0..n_sites {
-            let before = out.points.len();
-            let (p_sens, gates) = fill(NodeId::from_index(i), &mut out.points);
-            out.p_sensitized.push(p_sens);
-            out.on_path_gates.push(gates);
-            let n_points = u32::try_from(out.points.len() - before).expect("points fit u32");
-            let last = *out.point_off.last().expect("non-empty offsets");
-            out.point_off.push(last + n_points);
+            let points = &mut out.segments[0];
+            let before = points.len();
+            let (p_sens, gates) = fill(NodeId::from_index(i), points);
+            let n_points = u32::try_from(points.len() - before).expect("points fit u32");
+            out.push_site(p_sens, gates, n_points);
         }
         out
     }
@@ -502,16 +563,11 @@ impl SweepResults {
         let n_old = self.sites.len();
         let g_point = ObservePoint::PrimaryOutput(NodeId::from_index(g_idx));
         let g_span = (self.point_off[g_idx + 1] - self.point_off[g_idx]) as usize;
-        let mut out = SweepResults {
-            sites: (0..n_old + 6).map(NodeId::from_index).collect(),
-            dense: true,
-            p_sensitized: Vec::with_capacity(n_old + 6),
-            on_path_gates: Vec::with_capacity(n_old + 6),
-            point_off: Vec::with_capacity(n_old + 7),
-            points: Vec::with_capacity(self.points.len() - g_span + struct_res.points.len()),
-            threads_used: 1,
-        };
-        out.point_off.push(0);
+        let mut out = SweepResults::one_segment(
+            (0..n_old + 6).map(NodeId::from_index).collect(),
+            true,
+            self.total_points() - g_span + struct_res.total_points(),
+        );
         let shift = |id: NodeId| {
             if id.index() >= g_idx {
                 NodeId::from_index(id.index() + 6)
@@ -520,12 +576,11 @@ impl SweepResults {
             }
         };
         let copy_patched = |out: &mut SweepResults, old: usize| {
-            let start = out.points.len();
-            out.points.extend_from_slice(
-                &self.points[self.point_off[old] as usize..self.point_off[old + 1] as usize],
-            );
+            let points = &mut out.segments[0];
+            let start = points.len();
+            points.extend_from_slice(self.points_of(old));
             let mut patched = false;
-            for p in &mut out.points[start..] {
+            for p in &mut points[start..] {
                 if fast[old] && p.point == g_point {
                     p.value = voter_of(p.value);
                     patched = true;
@@ -538,18 +593,17 @@ impl SweepResults {
                     },
                 };
             }
-            if patched {
-                out.p_sensitized.push(combine_sensitization(
-                    out.points[start..].iter().map(PointEpp::p_arrival),
-                ));
+            let p_sens = if patched {
+                combine_sensitization(points[start..].iter().map(PointEpp::p_arrival))
             } else {
-                out.p_sensitized.push(self.p_sensitized[old]);
-            }
-            out.on_path_gates
-                .push(self.on_path_gates[old] + if fast[old] { 6 } else { 0 });
-            let n = u32::try_from(out.points.len() - start).expect("points fit u32");
-            let last = *out.point_off.last().expect("non-empty offsets");
-            out.point_off.push(last + n);
+                self.p_sensitized[old]
+            };
+            let n = u32::try_from(points.len() - start).expect("points fit u32");
+            out.push_site(
+                p_sens,
+                self.on_path_gates[old] + if fast[old] { 6 } else { 0 },
+                n,
+            );
         };
         for old in 0..g_idx {
             copy_patched(&mut out, old);
@@ -560,15 +614,12 @@ impl SweepResults {
                 g_idx + s,
                 "struct splice order"
             );
-            out.points.extend_from_slice(
-                &struct_res.points
-                    [struct_res.point_off[s] as usize..struct_res.point_off[s + 1] as usize],
+            out.segments[0].extend_from_slice(struct_res.points_of(s));
+            out.push_site(
+                struct_res.p_sensitized[s],
+                struct_res.on_path_gates[s],
+                struct_res.point_off[s + 1] - struct_res.point_off[s],
             );
-            out.p_sensitized.push(struct_res.p_sensitized[s]);
-            out.on_path_gates.push(struct_res.on_path_gates[s]);
-            let last = *out.point_off.last().expect("non-empty offsets");
-            out.point_off
-                .push(last + (struct_res.point_off[s + 1] - struct_res.point_off[s]));
         }
         for old in g_idx + 1..n_old {
             copy_patched(&mut out, old);
@@ -779,9 +830,10 @@ impl EppAnalysis {
     }
 
     /// The single-thread sweep loop: one scratch checkout, then every
-    /// site in order into a fresh arena (reserved at its exact size
-    /// when plans are in use). The threaded sweep runs it once per
-    /// claimed batch.
+    /// site in order into a fresh one-segment arena, sized exactly:
+    /// reserved up front when plans are in use, shrunk at the end when
+    /// the reference kernel grew it. The threaded sweep runs it once
+    /// per claimed batch, and its segment outlives the stitch.
     fn sweep_batch(
         &self,
         sites: &[NodeId],
@@ -792,16 +844,7 @@ impl EppAnalysis {
     ) -> SweepResults {
         let total_points: usize =
             plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
-        let mut results = SweepResults {
-            sites: sites.to_vec(),
-            dense: is_dense(sites),
-            p_sensitized: Vec::with_capacity(sites.len()),
-            on_path_gates: Vec::with_capacity(sites.len()),
-            point_off: Vec::with_capacity(sites.len() + 1),
-            points: Vec::with_capacity(total_points),
-            threads_used: 1,
-        };
-        results.point_off.push(0);
+        let mut results = SweepResults::one_segment(sites.to_vec(), is_dense(sites), total_points);
         let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
         for &site in sites {
             let (p_sens, gates, n_points) = self.site_kernel(
@@ -809,15 +852,17 @@ impl EppAnalysis {
                 site,
                 polarity,
                 &mut scratch,
-                &mut results.points,
+                &mut results.segments[0],
                 backend,
             );
-            results.p_sensitized.push(p_sens);
-            results.on_path_gates.push(gates);
-            let last = *results.point_off.last().expect("non-empty offsets");
-            results.point_off.push(last + n_points);
+            results.push_site(p_sens, gates, n_points);
         }
         scratch.give_back(pool);
+        if plans.is_none() {
+            // The reference kernel grew the segment by doubling, and
+            // the segment outlives the stitch: drop the slack now.
+            results.segments[0].shrink_to_fit();
+        }
         results
     }
 
@@ -1322,6 +1367,125 @@ H = OR(C, D, G)
         assert_eq!(sweep.site(b).p_sensitized(), 1.0);
         assert_eq!(sweep.site(b).arrival_at(b).unwrap().pa(), 1.0);
         assert_eq!(sweep.total_points(), 1, "only b's own arrival is stored");
+    }
+
+    /// Sweeps `sites` as one single-thread part per chunk of `cuts`
+    /// (chunk boundaries, so empty chunks give zero-site parts).
+    fn sweep_parts(
+        epp: &EppAnalysis,
+        sites: &[NodeId],
+        cuts: &[usize],
+        pool: &WorkspacePool,
+    ) -> Vec<SweepResults> {
+        cuts.windows(2)
+            .map(|w| {
+                let ctx = RunCtx::new(1, pool);
+                epp.sweep(&sites[w[0]..w[1]], PolarityMode::Tracked, &ctx)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concat_moves_part_arrivals_in_place() {
+        let c = ser_gen_like_chain(200);
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let n = sites.len();
+        let parts = sweep_parts(&epp, &sites, &[0, 37, 37, 150, n], &pool);
+        let before: Vec<*const PointEpp> = parts
+            .iter()
+            .flat_map(|p| p.iter().map(|r| r.per_point().as_ptr()))
+            .collect();
+        let stitched = SweepResults::concat(parts);
+        let after: Vec<*const PointEpp> = stitched.iter().map(|r| r.per_point().as_ptr()).collect();
+        assert_eq!(
+            after, before,
+            "every site's arrivals stay where its part put them"
+        );
+        assert_eq!(
+            stitched.segments.len(),
+            3,
+            "the zero-site part adds no segment"
+        );
+        assert_eq!(stitched, sweep_all(&epp, 1, &pool));
+    }
+
+    #[test]
+    fn empty_parts_and_zero_point_boundary_sites_read_back_bitwise() {
+        // `a` and `u` reach no observe point, `b` observes itself: cut
+        // so that zero-point sites sit on every part boundary, with
+        // zero-site parts in between and at both ends.
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(b)\nu = NOT(a)\n", "dead").unwrap();
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let n = sites.len();
+        let whole = sweep_all(&epp, 1, &pool);
+        for cuts in [
+            vec![0, 0, 1, 1, 2, 2, n, n],
+            vec![0, 1, n],
+            vec![0, 2, n],
+            vec![0, n, n],
+        ] {
+            let stitched = SweepResults::concat(sweep_parts(&epp, &sites, &cuts, &pool));
+            assert_eq!(stitched, whole, "cuts {cuts:?}");
+            assert_eq!(stitched.total_points(), 1, "cuts {cuts:?}");
+            assert!(stitched.dense);
+            for &site in &sites {
+                let (got, want) = (stitched.site(site), whole.site(site));
+                assert_eq!(got.per_point(), want.per_point(), "cuts {cuts:?}");
+                assert_eq!(
+                    got.p_sensitized().to_bits(),
+                    want.p_sensitized().to_bits(),
+                    "cuts {cuts:?}"
+                );
+                assert_eq!(got.on_path_gates(), want.on_path_gates());
+            }
+        }
+        let nothing = SweepResults::concat(sweep_parts(&epp, &sites, &[0, 0, 0], &pool));
+        assert!(nothing.is_empty());
+        assert_eq!(nothing.total_points(), 0);
+        assert_eq!(nothing, SweepResults::concat(Vec::new()));
+    }
+
+    #[test]
+    fn segmentation_is_invisible_to_equality() {
+        let c = ser_gen_like_chain(200);
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let one = sweep_all(&epp, 1, &pool);
+        let many = sweep_all(&epp, 4, &pool);
+        assert_eq!(one.segments.len(), 1);
+        assert!(many.segments.len() > 1, "got {}", many.segments.len());
+        assert_eq!(one, many);
+        assert_eq!(many, one);
+        // Stitching stitched results keeps every segment.
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let halves = [
+            epp.sweep(&sites[..300], PolarityMode::Tracked, &RunCtx::new(4, &pool)),
+            epp.sweep(&sites[300..], PolarityMode::Tracked, &RunCtx::new(4, &pool)),
+        ];
+        let n_segments: usize = halves.iter().map(|h| h.segments.len()).sum();
+        let nested = SweepResults::concat(halves.into());
+        assert_eq!(nested.segments.len(), n_segments);
+        assert_eq!(nested, one);
+    }
+
+    #[test]
+    fn reference_segments_hold_no_slack() {
+        let c = ser_gen_like_chain(200);
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let ctx = RunCtx {
+            plans: PlanPolicy::Reference,
+            ..RunCtx::new(4, &pool)
+        };
+        let sweep = epp.sweep(&sites, PolarityMode::Tracked, &ctx);
+        assert!(sweep.segments.len() > 1);
+        let capacity: usize = sweep.segments.iter().map(Vec::capacity).sum();
+        assert_eq!(capacity, sweep.total_points());
     }
 
     #[test]
