@@ -13,7 +13,7 @@ pub struct SitePair {
 impl SitePair {
     /// Absolute difference between the two estimates.
     #[must_use]
-    pub fn abs_diff(&self) -> f64 {
+    fn abs_diff(&self) -> f64 {
         (self.analytical - self.monte_carlo).abs()
     }
 }
@@ -24,9 +24,9 @@ impl SitePair {
 /// This normalizes total error by total sensitization, so near-dead
 /// sites (where a per-site ratio would explode on Monte-Carlo noise)
 /// contribute proportionally to their magnitude — no dead-site floor
-/// is needed (unlike [`mean_relative_percent`], whose per-site ratios
-/// do need one). Zero total sensitization returns 0 when the
-/// analytical side agrees, 100 otherwise.
+/// is needed (unlike a mean of per-site ratios, which does need one).
+/// Zero total sensitization returns 0 when the analytical side agrees,
+/// 100 otherwise.
 #[must_use]
 pub fn percent_difference(pairs: &[SitePair]) -> f64 {
     let total_diff: f64 = pairs.iter().map(SitePair::abs_diff).sum();
@@ -45,8 +45,8 @@ pub fn percent_difference(pairs: &[SitePair]) -> f64 {
 /// Mean *per-site* relative difference in percent, skipping sites both
 /// methods call dead (< `floor`) and flooring the denominator — the
 /// harsher, per-node companion of [`percent_difference`].
-#[must_use]
-pub fn mean_relative_percent(pairs: &[SitePair], floor: f64) -> f64 {
+#[cfg(test)]
+fn mean_relative_percent(pairs: &[SitePair], floor: f64) -> f64 {
     let mut total = 0.0;
     let mut counted = 0usize;
     for p in pairs {

@@ -204,21 +204,6 @@ impl AnalysisOutcome {
     pub fn site(&self, node: NodeId) -> SweepSiteRef<'_> {
         self.sweep.site(node)
     }
-
-    /// Per-node `P_sensitized` derated by an electrical-masking model
-    /// (see [`ElectricalMasking`](crate::ElectricalMasking)): pulse
-    /// attenuation shrinks deep-path arrivals.
-    #[must_use]
-    pub fn derated_p_sensitized(
-        &self,
-        circuit: &Circuit,
-        masking: crate::ElectricalMasking,
-    ) -> Vec<f64> {
-        self.sweep
-            .iter()
-            .map(|s| masking.derate(circuit, &s))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -285,20 +270,6 @@ mod tests {
             .unwrap();
         let sum: f64 = out.p_sensitized().iter().sum();
         assert!((out.report().total() - sum).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derated_sensitization_never_exceeds_logical() {
-        let c = toy();
-        let out = CircuitSerAnalysis::new().run(&c).unwrap();
-        let logical = out.p_sensitized();
-        let derated = out.derated_p_sensitized(&c, crate::ElectricalMasking::new(0.8));
-        for (i, (l, d)) in logical.iter().zip(&derated).enumerate() {
-            assert!(d <= l, "node {i}: derated {d} > logical {l}");
-        }
-        // alpha = 1 is the identity.
-        let same = out.derated_p_sensitized(&c, crate::ElectricalMasking::none());
-        assert_eq!(same, logical);
     }
 
     #[test]

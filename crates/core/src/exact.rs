@@ -11,7 +11,6 @@ use ser_netlist::{Circuit, NodeId, ObservePoint};
 use ser_sim::{BitSim, ExhaustivePatterns, PatternSource, SiteFaultSim};
 use ser_sp::{InputProbs, SpError};
 
-use crate::engine::combine_sensitization;
 use crate::four_value::FourValue;
 
 /// Exact per-observe-point arrival probabilities for one site.
@@ -38,9 +37,9 @@ impl ExactSiteEpp {
     /// What the paper's independence combination would give on the
     /// *exact* per-point arrivals (isolates the error contributed by
     /// the output-independence assumption alone).
-    #[must_use]
-    pub fn p_sensitized_if_outputs_independent(&self) -> f64 {
-        combine_sensitization(self.per_point.iter().map(|&(_, pa, pab)| pa + pab))
+    #[cfg(test)]
+    fn p_sensitized_if_outputs_independent(&self) -> f64 {
+        crate::engine::combine_sensitization(self.per_point.iter().map(|&(_, pa, pab)| pa + pab))
     }
 }
 

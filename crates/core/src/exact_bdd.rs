@@ -69,32 +69,6 @@ impl BddExactEpp {
         site: NodeId,
     ) -> Result<ExactSiteEpp, SpError> {
         let order = ser_netlist::topo_order(circuit)?;
-        self.site_with_order(circuit, inputs, site, &order)
-    }
-
-    /// Like [`site`](Self::site) but reusing a topological order the
-    /// caller already has (e.g. cached by an
-    /// [`AnalysisSession`](crate::AnalysisSession)).
-    ///
-    /// # Errors
-    ///
-    /// [`SpError::CircuitTooLarge`] when the BDD node limit is hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `order` is not a topological order of
-    /// `circuit`.
-    pub fn site_with_order(
-        &self,
-        circuit: &Circuit,
-        inputs: &InputProbs,
-        site: NodeId,
-        order: &[NodeId],
-    ) -> Result<ExactSiteEpp, SpError> {
-        debug_assert!(
-            ser_netlist::is_topo_order(circuit, order),
-            "caller-provided order must be a topological order of the circuit"
-        );
         let (mut m, good, var_probs) = BddSp::new()
             .with_node_limit(self.node_limit)
             .build(circuit, inputs)?;
@@ -107,7 +81,7 @@ impl BddExactEpp {
         let cone = FanoutCone::extract(circuit, site);
         let mut faulty = good.clone();
         faulty[site.index()] = m.not(good[site.index()]).map_err(overflow)?;
-        for &id in order {
+        for &id in &order {
             if id == site || !cone.contains(id) {
                 continue;
             }

@@ -18,7 +18,7 @@ use std::ops::{Add, Mul};
 
 /// Tolerance used by invariant checks: probabilities are accumulated
 /// products of f64s, so exact-1 sums are not achievable.
-pub const SUM_TOLERANCE: f64 = 1e-9;
+const SUM_TOLERANCE: f64 = 1e-9;
 
 /// A four-value propagation probability `(Pa, Pā, P0, P1)`.
 ///
@@ -51,7 +51,7 @@ impl FourValue {
     /// # Panics
     ///
     /// Panics if any component is outside `[0, 1]` (beyond tolerance) or
-    /// the components do not sum to 1 (beyond [`SUM_TOLERANCE`]).
+    /// the components do not sum to 1 (beyond a `1e-9` tolerance).
     #[must_use]
     pub fn new(pa: f64, pa_bar: f64, p0: f64, p1: f64) -> Self {
         let v = FourValue { pa, pa_bar, p0, p1 };
@@ -207,23 +207,6 @@ impl FourValue {
             .max((self.p0 - other.p0).abs())
             .max((self.p1 - other.p1).abs())
     }
-
-    /// Convex combination `(1-t)·self + t·other` (used by the
-    /// multi-cycle extension to mix frame distributions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, 1]`.
-    #[must_use]
-    pub fn lerp(&self, other: &FourValue, t: f64) -> Self {
-        assert!((0.0..=1.0).contains(&t), "t = {t} outside [0,1]");
-        FourValue {
-            pa: self.pa * (1.0 - t) + other.pa * t,
-            pa_bar: self.pa_bar * (1.0 - t) + other.pa_bar * t,
-            p0: self.p0 * (1.0 - t) + other.p0 * t,
-            p1: self.p1 * (1.0 - t) + other.p1 * t,
-        }
-    }
 }
 
 impl fmt::Display for FourValue {
@@ -340,17 +323,6 @@ mod tests {
         assert_eq!(v.to_string(), "0.042(a) + 0.392(ā) + 0.168(0) + 0.398(1)");
         let site = FourValue::error_site();
         assert_eq!(site.to_string(), "1.000(a)");
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = FourValue::error_site();
-        let b = FourValue::from_signal_probability(0.5);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert!((mid.pa() - 0.5).abs() < 1e-15);
-        assert!((mid.p1() - 0.25).abs() < 1e-15);
     }
 
     #[test]

@@ -54,14 +54,12 @@
 #![warn(missing_debug_implementations)]
 
 mod analysis;
-mod electrical;
 mod engine;
 mod equivalence;
 mod exact;
 mod exact_bdd;
 mod four_value;
 mod hardening;
-mod matrix;
 mod multi_cycle;
 mod rules;
 mod ser_model;
@@ -71,7 +69,6 @@ mod sweep;
 mod whatif;
 
 pub use analysis::{AnalysisOutcome, CircuitSerAnalysis};
-pub use electrical::{gate_depths_from, ElectricalMasking};
 pub use engine::{
     combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, SiteWorkspace,
     WorkspacePool,
@@ -79,9 +76,8 @@ pub use engine::{
 pub use equivalence::{check_equivalence, tmr_replica_names, Equivalence};
 pub use exact::{ExactEpp, ExactSiteEpp};
 pub use exact_bdd::BddExactEpp;
-pub use four_value::{FourValue, SUM_TOLERANCE};
+pub use four_value::FourValue;
 pub use hardening::{HardeningChoice, HardeningCost, HardeningPlan};
-pub use matrix::VulnerabilityMatrix;
 pub use multi_cycle::{
     multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, MultiCycleEpp, MultiCycleMcAbort,
     MultiCycleMcEstimate, MultiCycleResult,
@@ -91,7 +87,6 @@ pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};
 pub use session::AnalysisSession;
 pub use simd::KernelBackend;
 pub use sweep::{
-    EppSiteView, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
-    SINGLE_THREAD_SWEEP_THRESHOLD,
+    PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace, SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 pub use whatif::{Edit, SiteDelta, WhatIfAbort, WhatIfOutcome, WhatIfSession};

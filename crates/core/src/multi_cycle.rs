@@ -120,12 +120,6 @@ impl MultiCycleEpp {
         }
     }
 
-    /// The underlying single-cycle analysis.
-    #[must_use]
-    pub fn single_cycle(&self) -> &EppAnalysis {
-        &self.analysis
-    }
-
     /// Cumulative PO-observation probability of an SEU at `site` over
     /// `cycles` clock cycles (cycle 0 included).
     ///

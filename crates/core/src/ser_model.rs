@@ -11,8 +11,6 @@ use std::fmt;
 
 use ser_netlist::{Circuit, GateKind, NodeId};
 
-use crate::sweep::EppSiteView;
-
 /// The raw SEU (bit-flip) rate of a node — "depends on the particle
 /// flux, the energy of the particle, type and size of the gate, and the
 /// device characteristics". Rates are in FIT-like arbitrary units; only
@@ -46,7 +44,7 @@ impl RseuModel {
     ///
     /// Panics if `node` is out of range.
     #[must_use]
-    pub fn rate(&self, circuit: &Circuit, node: NodeId) -> f64 {
+    fn rate(&self, circuit: &Circuit, node: NodeId) -> f64 {
         match self {
             RseuModel::Uniform(r) => *r,
             RseuModel::PerKind { rates, default } => rates
@@ -183,80 +181,6 @@ impl SerReport {
                 }
             })
             .collect();
-        let total = entries.iter().map(|e| e.ser).sum();
-        SerReport { entries, total }
-    }
-
-    /// Like [`assemble`](Self::assemble) but with *split observation
-    /// semantics*: a primary-output arrival always counts as a failure,
-    /// while a flip-flop arrival is discounted by `P_latched` (the
-    /// latching-window capture probability). This refines the paper's
-    /// per-site multiplicative model using the per-point tuples the EPP
-    /// pass already produces:
-    ///
-    /// ```text
-    /// P_fail(n) = 1 − Π_PO (1 − arr_j) · Π_FF (1 − P_latched · arr_k)
-    /// SER(n)    = R_SEU(n) × P_fail(n)
-    /// ```
-    ///
-    /// The reported `p_sensitized` stays the undiscounted combination so
-    /// the entry remains comparable with [`assemble`](Self::assemble);
-    /// `platched` records the model's capture probability.
-    ///
-    /// Accepts any sequence of per-site result views in arena order —
-    /// owned [`SiteEpp`](crate::SiteEpp)s (`&sites`) or a batched
-    /// sweep's arena (`sweep.iter()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites` does not yield exactly one result per circuit
-    /// node, in arena order.
-    #[must_use]
-    pub fn assemble_split<I>(
-        circuit: &Circuit,
-        sites: I,
-        rseu: &RseuModel,
-        platched: &PlatchedModel,
-    ) -> Self
-    where
-        I: IntoIterator,
-        I::Item: EppSiteView,
-    {
-        let mut sites = sites.into_iter();
-        let pl = platched.probability();
-        let entries: Vec<SerEntry> = circuit
-            .node_ids()
-            .map(|node| {
-                let site = sites.next().expect("one site result per node");
-                assert_eq!(site.site(), node, "site results must be in arena order");
-                let miss: f64 = site
-                    .per_point()
-                    .iter()
-                    .map(|p| {
-                        let arr = p.p_arrival();
-                        if p.point.is_flip_flop() {
-                            1.0 - pl * arr
-                        } else {
-                            1.0 - arr
-                        }
-                    })
-                    .map(|m| m.clamp(0.0, 1.0))
-                    .product();
-                let p_fail = (1.0 - miss).clamp(0.0, 1.0);
-                let r = rseu.rate(circuit, node);
-                SerEntry {
-                    node,
-                    rseu: r,
-                    platched: pl,
-                    p_sensitized: site.p_sensitized(),
-                    ser: r * p_fail,
-                }
-            })
-            .collect();
-        assert!(
-            sites.next().is_none(),
-            "more site results than circuit nodes"
-        );
         let total = entries.iter().map(|e| e.ser).sum();
         SerReport { entries, total }
     }
@@ -418,61 +342,6 @@ mod tests {
         assert_eq!(c.node(ranking[3].node).name(), "u");
         // Display smoke test.
         assert!(report.to_string().contains("total SER"));
-    }
-
-    #[test]
-    fn assemble_split_discounts_only_ff_arrivals() {
-        use crate::engine::{EppAnalysis, PolarityMode, WorkspacePool};
-        use crate::sweep::RunCtx;
-        use ser_sp::{IndependentSp, InputProbs, SpEngine};
-        // site a reaches PO y1 = AND(a,b) [arr 0.5] and FF via
-        // d = AND(a,c) [arr 0.5].
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y1)\ny1 = AND(a, b)\nq = DFF(d)\nd = AND(a, c)\n",
-            "split",
-        )
-        .unwrap();
-        let sp = IndependentSp::new()
-            .compute(&c, &InputProbs::default())
-            .unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let all: Vec<NodeId> = c.node_ids().collect();
-        let pool = WorkspacePool::new();
-        let sites = analysis
-            .sweep(&all, PolarityMode::Tracked, &RunCtx::new(1, &pool))
-            .to_site_epps();
-        let a = c.find("a").unwrap();
-
-        // With P_latched = 1, split == plain combination.
-        let full = SerReport::assemble_split(
-            &c,
-            &sites,
-            &RseuModel::default(),
-            &PlatchedModel::Constant(1.0),
-        );
-        let plain = sites[a.index()].p_sensitized();
-        assert!((full.entries()[a.index()].ser - plain).abs() < 1e-12);
-
-        // With P_latched = 0, only the PO path remains: 0.5.
-        let po_only = SerReport::assemble_split(
-            &c,
-            &sites,
-            &RseuModel::default(),
-            &PlatchedModel::Constant(0.0),
-        );
-        assert!((po_only.entries()[a.index()].ser - 0.5).abs() < 1e-12);
-
-        // Intermediate latching sits strictly between.
-        let half = SerReport::assemble_split(
-            &c,
-            &sites,
-            &RseuModel::default(),
-            &PlatchedModel::Constant(0.5),
-        );
-        let v = half.entries()[a.index()].ser;
-        assert!(v > 0.5 && v < plain, "0.5 < {v} < {plain}");
-        // p_sensitized column stays undiscounted.
-        assert_eq!(half.entries()[a.index()].p_sensitized, plain);
     }
 
     #[test]

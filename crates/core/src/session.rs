@@ -45,7 +45,6 @@ use crate::engine::{EppAnalysis, SiteEpp, WorkspacePool};
 /// entry exists).
 type MultiCycleSlot = Arc<Mutex<Option<(Arc<SpVector>, Arc<crate::MultiCycleEpp>)>>>;
 use crate::exact::{ExactEpp, ExactSiteEpp};
-use crate::exact_bdd::BddExactEpp;
 use crate::sweep::{RunCtx, SweepResults};
 
 /// A compiled per-circuit analysis context: topological artifacts,
@@ -412,25 +411,12 @@ impl AnalysisSession {
     pub fn signal_probabilities_arc(&self) -> &Arc<SpVector> {
         &self.sp
     }
-
-    /// BDD-backed exact EPP for one site, reusing the session's cached
-    /// topological order.
-    ///
-    /// # Errors
-    ///
-    /// See [`BddExactEpp::site`].
-    pub fn bdd_exact_site(
-        &self,
-        oracle: &BddExactEpp,
-        site: NodeId,
-    ) -> Result<ExactSiteEpp, SpError> {
-        oracle.site_with_order(&self.circuit, &self.inputs, site, self.topo.order())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BddExactEpp;
     use ser_netlist::parse_bench;
     use ser_sp::{MonteCarloSp, SpEngine};
 
@@ -612,7 +598,7 @@ mod tests {
         let a = c.find("a").unwrap();
         let analytic = session.site(a).p_sensitized();
         let exact = session.exact_site(&ExactEpp::new(), a).unwrap();
-        let bdd = session.bdd_exact_site(&BddExactEpp::new(), a).unwrap();
+        let bdd = BddExactEpp::new().site(&c, session.inputs(), a).unwrap();
         // Fanout-free circuit: all three agree exactly.
         assert!((analytic - exact.p_sensitized).abs() < 1e-12);
         assert!((analytic - bdd.p_sensitized).abs() < 1e-12);

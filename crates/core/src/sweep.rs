@@ -214,65 +214,6 @@ impl<'a> SweepSiteRef<'a> {
     }
 }
 
-/// Uniform read access to one site's EPP result, whether it lives in an
-/// owned [`SiteEpp`] or borrows a [`SweepResults`] arena — what the SER
-/// model assembly and the electrical-masking derating are generic over.
-pub trait EppSiteView {
-    /// The error site analyzed.
-    fn site(&self) -> NodeId;
-    /// Error arrival per reachable observe point.
-    fn per_point(&self) -> &[PointEpp];
-    /// The paper's `P_sensitized`.
-    fn p_sensitized(&self) -> f64;
-    /// Number of on-path gates visited.
-    fn on_path_gates(&self) -> usize;
-}
-
-impl EppSiteView for SiteEpp {
-    fn site(&self) -> NodeId {
-        SiteEpp::site(self)
-    }
-    fn per_point(&self) -> &[PointEpp] {
-        SiteEpp::per_point(self)
-    }
-    fn p_sensitized(&self) -> f64 {
-        SiteEpp::p_sensitized(self)
-    }
-    fn on_path_gates(&self) -> usize {
-        SiteEpp::on_path_gates(self)
-    }
-}
-
-impl<T: EppSiteView> EppSiteView for &T {
-    fn site(&self) -> NodeId {
-        (**self).site()
-    }
-    fn per_point(&self) -> &[PointEpp] {
-        (**self).per_point()
-    }
-    fn p_sensitized(&self) -> f64 {
-        (**self).p_sensitized()
-    }
-    fn on_path_gates(&self) -> usize {
-        (**self).on_path_gates()
-    }
-}
-
-impl EppSiteView for SweepSiteRef<'_> {
-    fn site(&self) -> NodeId {
-        SweepSiteRef::site(self)
-    }
-    fn per_point(&self) -> &[PointEpp] {
-        SweepSiteRef::per_point(self)
-    }
-    fn p_sensitized(&self) -> f64 {
-        SweepSiteRef::p_sensitized(self)
-    }
-    fn on_path_gates(&self) -> usize {
-        SweepSiteRef::on_path_gates(self)
-    }
-}
-
 /// The arena a batched sweep fills: per-site `P_sensitized`, on-path
 /// gate counts, and the per-point arrivals addressed by per-site
 /// ranges — no per-site heap allocation anywhere.

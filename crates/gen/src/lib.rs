@@ -9,9 +9,8 @@
 //! - [`TABLE2`]/[`profile`]/[`synthesize`]/[`iscas89_like`] —
 //!   deterministic synthetic stand-ins matching each Table 2 circuit's
 //!   published structural profile (see DESIGN.md §2),
-//! - structured generators ([`ripple_carry_adder`],
-//!   [`array_multiplier`], [`parity_tree`], [`mux_tree`],
-//!   [`equality_comparator`]) with known functionality,
+//! - structured generators ([`ripple_carry_adder`], [`parity_tree`],
+//!   [`mux_tree`], [`equality_comparator`]) with known functionality,
 //! - sequential generators ([`shift_register`], [`counter`], [`lfsr`],
 //!   [`accumulator`]),
 //! - [`RandomDag`] — reconvergence-controlled random circuits for the
@@ -38,10 +37,8 @@ mod structured;
 mod synthetic;
 
 pub use known::{c17, figure1, s27, xor_from_nands};
-pub use profiles::{profile, Profile, ISCAS85, SMALL, TABLE2};
+pub use profiles::{profile, Profile, SMALL, TABLE2};
 pub use random_dag::RandomDag;
 pub use sequential_gen::{accumulator, counter, lfsr, shift_register};
-pub use structured::{
-    array_multiplier, equality_comparator, mux_tree, parity_tree, ripple_carry_adder,
-};
+pub use structured::{equality_comparator, mux_tree, parity_tree, ripple_carry_adder};
 pub use synthetic::{iscas89_like, synthesize};

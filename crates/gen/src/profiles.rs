@@ -170,7 +170,7 @@ pub const SMALL: [Profile; 4] = [
 /// on ISCAS'89; these widen the workload space for the suite's own
 /// experiments (pure-combinational SER is the regime the paper's
 /// introduction motivates).
-pub const ISCAS85: [Profile; 10] = [
+const ISCAS85: [Profile; 10] = [
     Profile {
         name: "c432",
         inputs: 36,

@@ -58,8 +58,8 @@ impl RandomDag {
     /// # Panics
     ///
     /// Panics if `n` is 0 or greater than the gate count.
-    #[must_use]
-    pub fn with_outputs(mut self, n: usize) -> Self {
+    #[cfg(test)]
+    fn with_outputs(mut self, n: usize) -> Self {
         assert!(n > 0 && n <= self.gates, "outputs must be 1..=gates");
         self.outputs = n;
         self

@@ -45,11 +45,11 @@ pub fn ripple_carry_adder(n: usize) -> Circuit {
 /// # Panics
 ///
 /// Panics if `n` is 0.
-#[must_use]
+#[cfg(test)]
 // Row/column indices address the `pp`/`sums`/`carries` grids jointly;
 // the index form mirrors the array-multiplier diagram.
 #[allow(clippy::needless_range_loop)]
-pub fn array_multiplier(n: usize) -> Circuit {
+fn array_multiplier(n: usize) -> Circuit {
     assert!(n > 0, "multiplier width must be positive");
     let mut b = CircuitBuilder::new(format!("mul{n}"));
     let a: Vec<NodeId> = (0..n).map(|i| b.input(&format!("a{i}"))).collect();
@@ -137,6 +137,7 @@ pub fn array_multiplier(n: usize) -> Circuit {
     b.finish().expect("multiplier is structurally valid")
 }
 
+#[cfg(test)]
 fn full_adder(
     b: &mut CircuitBuilder,
     tag: &str,
@@ -152,6 +153,7 @@ fn full_adder(
     (s, c)
 }
 
+#[cfg(test)]
 fn half_adder(b: &mut CircuitBuilder, tag: &str, x: NodeId, y: NodeId) -> (NodeId, NodeId) {
     let s = b.gate(&format!("hs{tag}"), GateKind::Xor, &[x, y]);
     let c = b.gate(&format!("hc{tag}"), GateKind::And, &[x, y]);

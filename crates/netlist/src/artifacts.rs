@@ -161,10 +161,9 @@ impl TopoArtifacts {
     /// from below (an edge *into* a DFF is not a combinational edge, so
     /// a DFF seed is only ever in its own cone).
     ///
-    /// Equivalent to testing every site's [`ConePlan`](crate::ConePlan) position list
-    /// against the seed set (see
-    /// [`ConePlan::intersects`](crate::ConePlan::intersects)),
-    /// but O(ancestors + edges) instead of O(sum of cones).
+    /// Equivalent to testing every site's [`ConePlan`](crate::ConePlan)
+    /// members against the seed set, but O(ancestors + edges) instead of
+    /// O(sum of cones).
     ///
     /// # Panics
     ///
@@ -207,8 +206,8 @@ impl TopoArtifacts {
     /// # Panics
     ///
     /// Panics if a seed is out of range.
-    #[must_use]
-    pub fn comb_descendants(&self, seeds: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+    #[cfg(test)]
+    fn comb_descendants(&self, seeds: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
         let mut marked = vec![false; self.len()];
         let mut stack: Vec<NodeId> = Vec::new();
         for seed in seeds {

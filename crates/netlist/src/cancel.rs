@@ -103,8 +103,8 @@ impl CancelToken {
     }
 
     /// The configured deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
+    #[cfg(test)]
+    fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
     }
 
@@ -116,7 +116,7 @@ impl CancelToken {
     /// `true` once [`cancel`](Self::cancel) has been called (deadline
     /// expiry does not set this — use [`check`](Self::check)).
     #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.inner.generation.load(Ordering::Acquire) > 0
     }
 

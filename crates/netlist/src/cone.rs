@@ -174,8 +174,8 @@ pub fn fanin_mask(circuit: &Circuit, targets: &[NodeId]) -> Vec<bool> {
 
 /// Ids of the primary inputs / flip-flop outputs / constants that the
 /// value of any of `targets` depends on (the *support*).
-#[must_use]
-pub fn support(circuit: &Circuit, targets: &[NodeId]) -> Vec<NodeId> {
+#[cfg(test)]
+fn support(circuit: &Circuit, targets: &[NodeId]) -> Vec<NodeId> {
     let mask = fanin_mask(circuit, targets);
     circuit
         .comb_sources()

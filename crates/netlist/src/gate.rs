@@ -39,8 +39,9 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    /// All gate kinds, in a fixed order (useful for exhaustive tests).
-    pub const ALL: [GateKind; 12] = [
+    /// All gate kinds, in a fixed order (for exhaustive tests).
+    #[cfg(test)]
+    const ALL: [GateKind; 12] = [
         GateKind::Input,
         GateKind::Dff,
         GateKind::And,
@@ -99,8 +100,8 @@ impl GateKind {
 
     /// Returns `true` if the gate inverts the parity of a propagating
     /// error from *one* of its inputs (NAND, NOR, NOT, XNOR).
-    #[must_use]
-    pub fn inverting(self) -> bool {
+    #[cfg(test)]
+    fn inverting(self) -> bool {
         matches!(
             self,
             GateKind::Nand | GateKind::Nor | GateKind::Not | GateKind::Xnor
@@ -197,6 +198,8 @@ impl fmt::Display for GateKind {
 
 /// Error returned when parsing a [`GateKind`] from a string fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// ser-lint: allow(orphan) — `GateKind`'s `FromStr::Err`: callers get it from
+// `str::parse` without naming it, and it must be public to be that type.
 pub struct ParseGateKindError {
     text: String,
 }

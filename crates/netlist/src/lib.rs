@@ -47,7 +47,6 @@ mod error;
 mod gate;
 mod parse;
 mod plan;
-mod scoap;
 mod stats;
 mod topo;
 mod transform;
@@ -58,12 +57,11 @@ pub use artifacts::TopoArtifacts;
 pub use builder::CircuitBuilder;
 pub use cancel::{CancelCause, CancelToken};
 pub use circuit::{Circuit, Node, NodeId, ObservePoint};
-pub use cone::{fanin_mask, support, FanoutCone};
+pub use cone::{fanin_mask, FanoutCone};
 pub use error::{NetlistError, ParseError};
 pub use gate::{GateKind, ParseGateKindError};
 pub use parse::parse_bench;
 pub use plan::{ConePlan, ConePlans, FaninRef, PlanMembers, SetBits, SitePlan, TailView};
-pub use scoap::{Scoap, SCOAP_INFINITY};
 pub use stats::CircuitStats;
 pub use topo::{depth, is_topo_order, levelize, topo_order};
 pub use transform::{harden_tmr, swap_kind};

@@ -503,7 +503,7 @@ impl ConePlans {
 
     /// Number of shared tail entries (anchors).
     #[must_use]
-    pub fn tail_count(&self) -> usize {
+    fn tail_count(&self) -> usize {
         self.tail_len.len()
     }
 
@@ -514,7 +514,7 @@ impl ConePlans {
     /// Panics if `pos` is out of range.
     #[inline]
     #[must_use]
-    pub fn node_at(&self, pos: u32) -> NodeId {
+    fn node_at(&self, pos: u32) -> NodeId {
         self.pos_node[pos as usize]
     }
 
@@ -681,15 +681,15 @@ impl<'a> ConePlan<'a> {
     /// `true` iff any cone member is marked. `marked` is indexed by
     /// node id and must cover every node. The chain path is walked via
     /// [`next_of`](Self::next_of); tail members resolve through the
-    /// suffix-shared position tables ([`ConePlans::node_at`]). Early
+    /// suffix-shared position tables (`ConePlans::node_at`). Early
     /// exit on the first hit, so a miss costs one full cone scan and a
     /// hit typically far less.
     ///
     /// # Panics
     ///
     /// Panics if `marked` is shorter than the circuit.
-    #[must_use]
-    pub fn intersects(&self, marked: &[bool]) -> bool {
+    #[cfg(test)]
+    fn intersects(&self, marked: &[bool]) -> bool {
         self.members().any(|m| marked[m.index()])
     }
 
@@ -907,9 +907,9 @@ impl<'a> TailView<'a> {
     }
 
     /// The tail's bitset window: bit `b` of word `i` is set iff
-    /// topological position `window_base() + 64 * i + b` is a tail
-    /// member (see [`window_base`](Self::window_base)). The lowest set
-    /// bit is the anchor.
+    /// topological position `base + 64 * i + b` is a tail member, where
+    /// `base` is the anchor's position rounded down to a multiple of 64.
+    /// The lowest set bit is the anchor.
     #[must_use]
     pub fn window(&self) -> &'a [u64] {
         let off = &self.plans.tail_word_off;
@@ -920,14 +920,14 @@ impl<'a> TailView<'a> {
     /// stands for: the anchor's position rounded down to a multiple of
     /// 64.
     #[must_use]
-    pub fn window_base(&self) -> u32 {
+    fn window_base(&self) -> u32 {
         self.plans.tail_anchor[self.tail] & !63
     }
 
     /// Tail members as ascending topological positions (the window's
-    /// set bits); the first is the anchor. Resolve a member's node id,
-    /// gate kind and fanin pins through [`ConePlans::node_at`],
-    /// [`ConePlans::kind_at`] and [`ConePlans::fanins_at`]; a pin is
+    /// set bits); the first is the anchor. Resolve a member's gate kind
+    /// and fanin pins through [`ConePlans::kind_at`] and
+    /// [`ConePlans::fanins_at`]; a pin is
     /// on-path iff its position is a tail member (tail-local index =
     /// rank among the members, cone-local index = that plus the site's
     /// path length).

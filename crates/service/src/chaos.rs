@@ -2,10 +2,10 @@
 //!
 //! A [`ChaosSchedule`] describes, from a fixed seed, exactly how one
 //! connection misbehaves: reads that end early or error out, writes
-//! torn into byte-sized segments, a hard failure planted mid-frame,
-//! optional injected delays. [`ChaosTransport`] applies a list of
-//! schedules to successive connections of any inner [`Transport`]
-//! (connections beyond the list pass through untouched), and
+//! torn into byte-sized segments, a hard failure planted mid-frame.
+//! [`ChaosTransport`] applies a list of schedules to successive
+//! connections of any inner [`Transport`] (connections beyond the list
+//! pass through untouched), and
 //! [`inject`] wraps a single [`Connection`] directly for in-memory
 //! harnesses.
 //!
@@ -19,7 +19,6 @@
 //! clean EOF). Anything it breaks was a real bug on a real socket.
 
 use std::io::{self, Write};
-use std::time::Duration;
 
 use crate::protocol::{Connection, LineStream, Transport};
 
@@ -69,9 +68,6 @@ pub struct ChaosSchedule {
     /// Fail the write side with `BrokenPipe` after exactly this many
     /// reply bytes — a disconnect planted mid-frame.
     pub tear_write_after_bytes: Option<u64>,
-    /// Sleep this long before roughly a quarter of write segments.
-    /// Schedule realism only — no test may *depend* on a delay.
-    pub write_delay: Option<Duration>,
 }
 
 impl ChaosSchedule {
@@ -109,13 +105,6 @@ impl ChaosSchedule {
     #[must_use]
     pub fn tear_write_after_bytes(mut self, bytes: u64) -> Self {
         self.tear_write_after_bytes = Some(bytes);
-        self
-    }
-
-    /// See [`write_delay`](Self::write_delay).
-    #[must_use]
-    pub fn write_delay(mut self, delay: Duration) -> Self {
-        self.write_delay = Some(delay);
         self
     }
 }
@@ -181,7 +170,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 
 /// The read-half fault: counts complete lines and then either reports
 /// a clean end-of-stream or a reset, per the schedule.
-pub struct ChaosLines {
+struct ChaosLines {
     inner: Box<dyn LineStream>,
     lines: usize,
     disconnect_after: Option<usize>,
@@ -200,8 +189,7 @@ impl std::fmt::Debug for ChaosLines {
 
 impl ChaosLines {
     /// Wraps `inner` with the read faults of `schedule`.
-    #[must_use]
-    pub fn new(inner: Box<dyn LineStream>, schedule: &ChaosSchedule) -> Self {
+    fn new(inner: Box<dyn LineStream>, schedule: &ChaosSchedule) -> Self {
         ChaosLines {
             inner,
             lines: 0,
@@ -238,12 +226,11 @@ impl LineStream for ChaosLines {
 /// when splitting (callers loop via `write_all`, so frames still
 /// arrive — in shreds), and plants a hard `BrokenPipe` at an exact
 /// byte offset when tearing.
-pub struct ChaosWriter<W> {
+struct ChaosWriter<W> {
     inner: W,
     rng: ChaosRng,
     split: bool,
     tear_after: Option<u64>,
-    delay: Option<Duration>,
     written: u64,
 }
 
@@ -259,14 +246,12 @@ impl<W> std::fmt::Debug for ChaosWriter<W> {
 
 impl<W: Write> ChaosWriter<W> {
     /// Wraps `inner` with the write faults of `schedule`.
-    #[must_use]
-    pub fn new(inner: W, schedule: &ChaosSchedule) -> Self {
+    fn new(inner: W, schedule: &ChaosSchedule) -> Self {
         ChaosWriter {
             inner,
             rng: ChaosRng::new(schedule.seed),
             split: schedule.split_writes,
             tear_after: schedule.tear_write_after_bytes,
-            delay: schedule.write_delay,
             written: 0,
         }
     }
@@ -292,11 +277,6 @@ impl<W: Write> Write for ChaosWriter<W> {
         }
         if self.split {
             take = take.min(1 + self.rng.below(3) as usize);
-        }
-        if let Some(delay) = self.delay {
-            if self.rng.below(4) == 0 {
-                std::thread::sleep(delay);
-            }
         }
         let sent = self.inner.write(&buf[..take])?;
         self.written += sent as u64;

@@ -62,15 +62,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, when this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as a non-negative integer count, when this
     /// is a number with no fractional part.
     #[must_use]

@@ -97,7 +97,7 @@ mod request;
 mod service;
 mod sync;
 
-pub use chaos::{ChaosLines, ChaosSchedule, ChaosTransport, ChaosWriter};
+pub use chaos::{ChaosSchedule, ChaosTransport};
 pub use executor::Executor;
 pub use json::{json_escape, JsonValue};
 pub use net::{TcpShutdownHandle, TcpTransport};

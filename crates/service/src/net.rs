@@ -15,7 +15,7 @@
 //! raises a flag and pokes the listener awake. The accept loop stops
 //! handing out connections, in-flight requests run to completion, and
 //! per-connection readers (which poll the flag on a short read
-//! timeout) close within [`SHUTDOWN_POLL`] — after which `serve`
+//! timeout) close within `SHUTDOWN_POLL` (200 ms) — after which `serve`
 //! joins every connection thread and returns.
 
 use std::io::{self, BufRead, BufReader};
@@ -29,12 +29,12 @@ use crate::protocol::{Connection, FrameSink, LineStream, Transport};
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag. The bound on how stale a shutdown can look to an
 /// idle client.
-pub const SHUTDOWN_POLL: Duration = Duration::from_millis(200);
+const SHUTDOWN_POLL: Duration = Duration::from_millis(200);
 
 /// Back-off before retrying a failed `accept` — long enough that an
 /// out-of-file-descriptors condition doesn't busy-spin, short enough
 /// that recovery is prompt once fds free up.
-pub const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(100);
+const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(100);
 
 /// How long one frame write may stall before the connection is
 /// declared dead. Progress frames are written from shared executor
@@ -42,7 +42,7 @@ pub const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(100);
 /// would otherwise block a worker indefinitely; with this timeout the
 /// worker stalls **at most once** per connection — the first failed
 /// write kills the [`FrameSink`] and every later send fails fast.
-pub const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
+const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
 
 /// A TCP server socket serving protocol connections. See the
 /// [module docs](self).
@@ -81,7 +81,7 @@ pub struct TcpShutdownHandle {
 impl TcpShutdownHandle {
     /// Initiates a graceful shutdown: no new connections are accepted,
     /// in-flight requests finish, connection readers close within
-    /// [`SHUTDOWN_POLL`]. Idempotent.
+    /// `SHUTDOWN_POLL` (200 ms). Idempotent.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         // Unblock the accept call; the dummy connection is recognized
@@ -96,12 +96,6 @@ impl TcpShutdownHandle {
             });
         }
         let _ = TcpStream::connect_timeout(&poke, SHUTDOWN_POLL);
-    }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
     }
 }
 

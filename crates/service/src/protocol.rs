@@ -304,7 +304,7 @@ pub struct BatchOp {
 impl BatchOp {
     /// Most jobs one `batch` envelope may carry; larger workloads
     /// split across envelopes (the executor interleaves them anyway).
-    pub const MAX_JOBS: usize = 256;
+    const MAX_JOBS: usize = 256;
 }
 
 /// Parameters of a v2 `sweep`.
@@ -425,8 +425,7 @@ pub enum WhatIfEditOp {
 
 impl WhatIfEditOp {
     /// The wire spelling echoed in the result frame.
-    #[must_use]
-    pub fn kind_str(&self) -> &'static str {
+    fn kind_str(&self) -> &'static str {
         match self {
             WhatIfEditOp::Tmr { .. } => "tmr",
             WhatIfEditOp::SwapKind { .. } => "swap_kind",
@@ -883,8 +882,7 @@ fn frame_head(kind: &str, id: Option<&str>) -> String {
 }
 
 /// Renders a v2 error frame.
-#[must_use]
-pub fn render_error_frame(id: Option<&str>, error: &WireError) -> String {
+fn render_error_frame(id: Option<&str>, error: &WireError) -> String {
     format!(
         "{}, \"error\": {}}}",
         frame_head("error", id),
@@ -893,8 +891,7 @@ pub fn render_error_frame(id: Option<&str>, error: &WireError) -> String {
 }
 
 /// Renders a v2 progress frame for a service [`Progress`] event.
-#[must_use]
-pub fn render_progress_frame(id: Option<&str>, progress: &Progress) -> String {
+fn render_progress_frame(id: Option<&str>, progress: &Progress) -> String {
     let head = frame_head("progress", id);
     match progress {
         Progress::Sweep {

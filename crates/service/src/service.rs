@@ -215,8 +215,7 @@ pub enum Progress {
         sites_total: usize,
     },
     /// A sequential (Mendo-rule) Monte-Carlo run's trial counters, at
-    /// doubling vector thresholds starting at
-    /// [`MC_PROGRESS_FIRST_AT`](SerService::MC_PROGRESS_FIRST_AT).
+    /// doubling vector thresholds starting at 256 vectors.
     MonteCarlo {
         /// Vectors simulated so far.
         vectors: u64,
@@ -635,9 +634,8 @@ impl SerService {
     /// A job's progress sink receives [`Progress`] events while it
     /// runs: sweep part completions as they are collected, and — for
     /// sequential Monte-Carlo requests — interim trial counters from
-    /// the worker at doubling vector thresholds (first at
-    /// [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT), so short
-    /// runs stay quiet and long runs emit O(log n) events). Progress
+    /// the worker at doubling vector thresholds (first at 256 vectors,
+    /// so short runs stay quiet and long runs emit O(log n) events). Progress
     /// reporting observes the run, it never reshapes it. Requests
     /// served straight from the response cache complete without any
     /// progress events.
@@ -765,7 +763,7 @@ impl SerService {
     /// come at each doubling (512, 1024, …), so a run of `n` vectors
     /// emits ⌈log₂(n / 256)⌉ + 1 events — enough cadence for a client
     /// progress bar, bounded even for million-vector runs.
-    pub const MC_PROGRESS_FIRST_AT: u64 = 256;
+    const MC_PROGRESS_FIRST_AT: u64 = 256;
 
     /// Validates one request, resolves its session and enqueues its
     /// executor jobs. Returns the bookkeeping needed to reassemble.

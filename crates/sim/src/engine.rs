@@ -4,8 +4,6 @@ use std::sync::Arc;
 
 use ser_netlist::{Circuit, GateKind, NetlistError, NodeId};
 
-use crate::pattern::PatternBlock;
-
 /// A compiled bit-parallel simulator over one circuit.
 ///
 /// Construction computes a topological evaluation schedule once; every
@@ -171,17 +169,6 @@ impl BitSim {
                 }
             }
         }
-    }
-
-    /// Convenience: evaluate from a [`PatternBlock`] over the sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block's signal count differs from
-    /// `self.sources().len()`.
-    #[must_use]
-    pub fn run_block(&self, block: &PatternBlock) -> Vec<u64> {
-        self.run(block.words())
     }
 
     /// Evaluates a single scalar pattern (one bool per source) — a thin

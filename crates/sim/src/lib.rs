@@ -37,9 +37,7 @@ mod sequential;
 
 pub use engine::BitSim;
 pub use fault::{FaultOutcome, ObserveMasks, SiteFaultSim};
-pub use monte_carlo::{
-    estimate_all_nodes, MonteCarlo, PointEstimate, SequentialMonteCarlo, SiteEstimate,
-};
+pub use monte_carlo::{MonteCarlo, PointEstimate, SequentialMonteCarlo, SiteEstimate};
 pub use naive::NaiveMonteCarlo;
 pub use pattern::{
     ExhaustivePatterns, PatternBlock, PatternSource, RandomPatterns, WeightedPatterns,

@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ser_netlist::{CancelCause, CancelToken, Circuit, NetlistError, NodeId, ObservePoint};
+use ser_netlist::{CancelCause, CancelToken, NodeId, ObservePoint};
 
 use crate::engine::BitSim;
 use crate::fault::SiteFaultSim;
@@ -180,7 +180,7 @@ pub struct SequentialMonteCarlo {
 impl SequentialMonteCarlo {
     /// Default trial cap: enough for `target_error`-accurate estimates
     /// down to `P_sensitized ≈ 10^-3` at the default setting.
-    pub const DEFAULT_MAX_VECTORS: u64 = 1 << 20;
+    const DEFAULT_MAX_VECTORS: u64 = 1 << 20;
 
     /// Creates a rule targeting normalized RMS error `target_error`
     /// (e.g. `0.1` for ~10% relative error).
@@ -235,13 +235,13 @@ impl SequentialMonteCarlo {
     /// Successes required before stopping: `k = ⌈1/ε²⌉ + 2`, giving
     /// normalized MSE ≲ `1/(k − 2) = ε²`.
     #[must_use]
-    pub fn successes_required(&self) -> u64 {
+    fn successes_required(&self) -> u64 {
         (1.0 / (self.target_error * self.target_error)).ceil() as u64 + 2
     }
 
     /// Estimates `P_sensitized` and per-point arrivals for one site,
-    /// running until [`successes_required`](Self::successes_required)
-    /// sensitized vectors have been seen or the cap is reached.
+    /// running until `k = ⌈1/ε²⌉ + 2` sensitized vectors have been seen
+    /// or the cap is reached.
     /// `SiteEstimate::vectors` reports the trials actually spent.
     ///
     /// `observe(vectors_run, sensitized_so_far)` is called after every
@@ -368,21 +368,6 @@ pub struct SiteEstimate {
     pub per_point: Vec<PointEstimate>,
 }
 
-/// Convenience: estimate `P_sensitized` for every node of a circuit.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the circuit cannot be
-/// simulated.
-pub fn estimate_all_nodes(
-    circuit: &Circuit,
-    config: MonteCarlo,
-) -> Result<Vec<SiteEstimate>, NetlistError> {
-    let sim = BitSim::new(circuit)?;
-    let sites: Vec<NodeId> = circuit.node_ids().collect();
-    Ok(config.estimate_sites(&sim, &sites))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,15 +452,6 @@ mod tests {
         for p in &est.per_point {
             assert!((p.p_arrival() - 0.5).abs() < 0.02);
         }
-    }
-
-    #[test]
-    fn estimate_all_nodes_covers_arena() {
-        let c = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "t").unwrap();
-        let all = estimate_all_nodes(&c, MonteCarlo::new(64)).unwrap();
-        assert_eq!(all.len(), c.len());
-        // Both nodes fully sensitized (inverter chain).
-        assert!(all.iter().all(|e| e.p_sensitized == 1.0));
     }
 
     #[test]

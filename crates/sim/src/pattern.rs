@@ -42,8 +42,8 @@ impl PatternBlock {
     }
 
     /// Mask with a 1 for every valid pattern bit.
-    #[must_use]
-    pub fn valid_mask(&self) -> u64 {
+    #[cfg(test)]
+    fn valid_mask(&self) -> u64 {
         if self.count == 64 {
             !0
         } else {

@@ -30,7 +30,7 @@ impl BddRef {
 
     /// `true` if this handle is one of the two constants.
     #[must_use]
-    pub fn is_constant(self) -> bool {
+    fn is_constant(self) -> bool {
         self.0 <= 1
     }
 }
@@ -182,7 +182,7 @@ impl Bdd {
     /// # Errors
     ///
     /// Returns [`BddOverflow`] if the result would exceed the limit.
-    pub fn ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> Result<BddRef, BddOverflow> {
+    fn ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> Result<BddRef, BddOverflow> {
         // Terminal cases.
         if f == BddRef::TRUE {
             return Ok(g);
@@ -296,8 +296,8 @@ impl Bdd {
 
     /// Counts the satisfying assignments of `f` over all variables
     /// (`2^n` scaled; exact for up to 63 variables).
-    #[must_use]
-    pub fn sat_count(&self, f: BddRef) -> f64 {
+    #[cfg(test)]
+    fn sat_count(&self, f: BddRef) -> f64 {
         let probs = vec![0.5; self.num_vars as usize];
         self.probability(f, &probs) * 2f64.powi(self.num_vars as i32)
     }
@@ -305,8 +305,8 @@ impl Bdd {
     /// Number of nodes reachable from `f` (the *function's* size, as
     /// opposed to [`len`](Self::len), the arena size including dead
     /// intermediates — this manager does not garbage-collect).
-    #[must_use]
-    pub fn reachable_count(&self, f: BddRef) -> usize {
+    #[cfg(test)]
+    fn reachable_count(&self, f: BddRef) -> usize {
         // ser-lint: allow(no-hash-iter) — visited-set for a reachability
         // walk; only `insert` and `len` are used, never iteration.
         let mut seen = std::collections::HashSet::new();
@@ -350,8 +350,8 @@ impl Bdd {
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the variable count.
-    #[must_use]
-    pub fn eval(&self, f: BddRef, assignment: &[bool]) -> bool {
+    #[cfg(test)]
+    fn eval(&self, f: BddRef, assignment: &[bool]) -> bool {
         assert_eq!(assignment.len(), self.num_vars as usize);
         let mut cur = f;
         while !cur.is_constant() {

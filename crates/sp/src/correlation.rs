@@ -78,17 +78,11 @@ impl CorrelationSp {
     /// # Panics
     ///
     /// Panics if `n` is 0.
-    #[must_use]
-    pub fn with_max_nodes(mut self, n: usize) -> Self {
+    #[cfg(test)]
+    fn with_max_nodes(mut self, n: usize) -> Self {
         assert!(n > 0, "limit must be positive");
         self.max_nodes = n;
         self
-    }
-
-    /// The configured limit on internal (binary-decomposed) nodes.
-    #[must_use]
-    pub fn max_nodes(&self) -> usize {
-        self.max_nodes
     }
 
     /// Binary-decomposes the circuit in topological order. Returns the

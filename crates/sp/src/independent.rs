@@ -12,15 +12,14 @@ use ser_netlist::{Circuit, GateKind, NodeId};
 use crate::types::{InputProbs, SpEngine, SpError, SpVector};
 
 /// Probability that a gate's output is 1 given independent fanin
-/// probabilities. Public because the EPP engine's off-path handling and
-/// the correlation engine's leaf cases reuse it.
+/// probabilities.
 ///
 /// # Panics
 ///
 /// Panics (debug) on an illegal fanin count and for
 /// [`GateKind::Input`] (inputs have no defining function).
 #[must_use]
-pub fn gate_output_probability(kind: GateKind, fanin_probs: &[f64]) -> f64 {
+fn gate_output_probability(kind: GateKind, fanin_probs: &[f64]) -> f64 {
     debug_assert!(kind.arity_ok(fanin_probs.len()));
     match kind {
         GateKind::Input => panic!("primary input has no defining function"),

@@ -47,6 +47,6 @@ mod types;
 pub use bdd_engine::BddSp;
 pub use correlation::CorrelationSp;
 pub use exact::ExactSp;
-pub use independent::{gate_output_probability, IndependentSp};
+pub use independent::IndependentSp;
 pub use monte::MonteCarloSp;
 pub use types::{InputProbs, SpEngine, SpError, SpVector};

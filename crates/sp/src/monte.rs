@@ -28,9 +28,12 @@ use crate::types::{InputProbs, SpEngine, SpError, SpVector};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonteCarloSp {
     vectors: u64,
-    warmup_cycles: u32,
     seed: u64,
 }
+
+/// Clock cycles a sequential circuit runs from reset before sampling
+/// starts, so the flip-flop states move off the all-zero reset state.
+const WARMUP_CYCLES: u32 = 16;
 
 impl MonteCarloSp {
     /// Creates the engine with `vectors` sampled patterns (and, for
@@ -44,7 +47,6 @@ impl MonteCarloSp {
         assert!(vectors > 0, "at least one vector");
         MonteCarloSp {
             vectors,
-            warmup_cycles: 16,
             seed: 0x5EED,
         }
     }
@@ -53,13 +55,6 @@ impl MonteCarloSp {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the number of warm-up cycles for sequential circuits.
-    #[must_use]
-    pub fn with_warmup(mut self, cycles: u32) -> Self {
-        self.warmup_cycles = cycles;
         self
     }
 
@@ -124,7 +119,7 @@ impl MonteCarloSp {
         let mut sim = SeqSim::new(circuit)?;
         let mut source = self.input_source(circuit, inputs);
         sim.reset(false);
-        for _ in 0..self.warmup_cycles {
+        for _ in 0..WARMUP_CYCLES {
             let block = source.next_block().expect("random sources never end");
             let _ = sim.step(block.words());
         }

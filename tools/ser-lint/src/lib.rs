@@ -5,8 +5,9 @@
 //! twin (no FMA, no reassociation, no order-nondeterministic
 //! iteration in plan or sweep code), the daemon's request path must be
 //! **panic-free**, every `unsafe` site must justify itself, a threaded
-//! `CancelToken` must actually be polled, and the wire protocol's
-//! error codes and ops must stay documented. Until this tool, those
+//! `CancelToken` must actually be polled, the wire protocol's error
+//! codes and ops must stay documented, and a `pub` item must have a
+//! user outside its own file. Until this tool, those
 //! contracts lived in doc comments and reviewer vigilance; a single
 //! `_mm256_fmadd_pd` or an unordered `HashMap` walk in a plan path
 //! would silently break the equivalence every proptest oracle and the
@@ -18,9 +19,11 @@
 //! engine ([`rules`]). `ser-lint check` walks every `.rs` file under
 //! `crates/`, `src/`, `tools/` and `tests/`, prints `file:line`
 //! diagnostics, and exits non-zero on any violation — CI runs it as a
-//! gate. `ser-lint rules` prints the rule table. `ser-lint size`
-//! prints each crate's non-test production lines and `pub fn` count
-//! ([`size`]), a report CI shows but does not gate on.
+//! gate. The cross-file `orphan` rule also reads `examples/` and
+//! `perfbench/src` ([`REFERENCE_ROOTS`]) as users of the library.
+//! `ser-lint rules` prints the rule table. `ser-lint size` prints each
+//! crate's non-test production lines and `pub fn` count ([`size`]), a
+//! report CI shows but does not gate on.
 //!
 //! Suppressions are inline, per-site, and self-documenting:
 //!
@@ -39,13 +42,17 @@ pub mod size;
 
 use std::path::{Path, PathBuf};
 
-pub use rules::{check_wire_doc, lint_file, Diagnostic, RuleInfo, RULES};
+pub use rules::{check_orphans, check_wire_doc, lint_file, Diagnostic, RuleInfo, RULES};
 pub use size::{file_size, run_size, CrateSize};
 
 /// The directories `check` walks, relative to the workspace root.
 /// `vendor/` is deliberately out of scope (offline stand-ins for
 /// crates.io, not under the repo's contracts), as are build outputs.
 pub const WALK_ROOTS: &[&str] = &["crates", "src", "tools", "tests"];
+
+/// Directories read only as consumers for the `orphan` rule: their code
+/// uses the library but is not held to the per-file rules.
+pub const REFERENCE_ROOTS: &[&str] = &["examples", "perfbench/src"];
 
 /// Runs every rule over the workspace rooted at `root`. Returns all
 /// diagnostics, sorted by path then line. I/O errors (an unreadable
@@ -54,23 +61,32 @@ pub const WALK_ROOTS: &[&str] = &["crates", "src", "tools", "tests"];
 #[must_use]
 pub fn run_check(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut files = Vec::new();
-    for dir in WALK_ROOTS {
-        collect_rs_files(&root.join(dir), &mut files);
-    }
-    files.sort();
-    for file in &files {
-        let rel = rel_path(root, file);
-        match std::fs::read_to_string(file) {
-            Ok(src) => diags.extend(rules::lint_file(&rel, &src)),
-            Err(e) => diags.push(Diagnostic {
-                path: rel,
-                line: 0,
-                rule: "bare-allow",
-                message: format!("cannot read file: {e}"),
-            }),
+    let mut sources = Vec::new();
+    for (roots, linted) in [(WALK_ROOTS, true), (REFERENCE_ROOTS, false)] {
+        let mut files = Vec::new();
+        for dir in roots {
+            collect_rs_files(&root.join(dir), &mut files);
+        }
+        files.sort();
+        for file in &files {
+            let rel = rel_path(root, file);
+            match std::fs::read_to_string(file) {
+                Ok(src) => {
+                    if linted {
+                        diags.extend(rules::lint_file(&rel, &src));
+                    }
+                    sources.push((rel, src));
+                }
+                Err(e) => diags.push(Diagnostic {
+                    path: rel,
+                    line: 0,
+                    rule: "bare-allow",
+                    message: format!("cannot read file: {e}"),
+                }),
+            }
         }
     }
+    diags.extend(rules::check_orphans(&sources));
 
     // Cross-file: protocol wire strings vs README docs.
     let protocol = root.join("crates/service/src/protocol.rs");

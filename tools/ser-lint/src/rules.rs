@@ -12,6 +12,7 @@
 //! | `no-panic-path` | the daemon's request path never panics |
 //! | `dead-cancel-token` | a `CancelToken` parameter is honored, not decorative |
 //! | `wire-doc-sync` | wire error codes and ops are documented in README |
+//! | `orphan` | every `pub` item in `crates/*/src` has a consumer outside its own file |
 //!
 //! Suppression is per-site and self-documenting:
 //! `// ser-lint: allow(<rule>) — <justification>` on the flagged line
@@ -90,6 +91,17 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "every ErrorCode wire string and every accepted \"op\" must appear \
                     in README's wire-protocol docs, so clients never meet an \
                     undocumented code or ship an op the docs do not admit.",
+    },
+    RuleInfo {
+        id: "orphan",
+        scope: "crates/*/src pub items; users: all walked files, examples/, perfbench/src",
+        rationale: "a pub fn, const, static, struct, enum, trait or type alias whose name \
+                    appears in no other file has no consumer outside its own file: delete \
+                    it, or narrow it to private, pub(crate) or #[cfg(test)]. A pub use line \
+                    is not a reference; a type named in another pub item's declaration in \
+                    its own file is exempt (callers reach it without naming it). Names are \
+                    matched, not resolved, so a common name (`new`, `compute`) used anywhere \
+                    hides an orphan: the rule finds a lower bound, not every orphan.",
     },
     RuleInfo {
         id: "bare-allow",
@@ -738,6 +750,196 @@ fn find_cancel_fns(tokens: &[Token]) -> Vec<CancelFn> {
         i = body_start + 1;
     }
     out
+}
+
+// ---------------------------------------------------------------------
+// orphan
+// ---------------------------------------------------------------------
+
+/// The item keywords `orphan` audits when they follow a bare `pub`.
+const ORPHAN_KINDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// One `pub` item declared outside `#[cfg(test)]` code.
+struct PubItem {
+    kind: &'static str,
+    name: String,
+    line: u32,
+    /// Identifiers of the declaration: a fn's signature up to its
+    /// body, or any other item through its closing `}` or `;`.
+    decl: Vec<String>,
+}
+
+/// Cross-file rule: flags every `pub` item in `crates/*/src` whose name
+/// appears as an identifier in no other file of `files` (`(repo-relative
+/// path, source)` pairs). Identifiers inside `pub use` statements do not
+/// count, and a struct, enum, trait or type alias named in another `pub`
+/// item's declaration in its own file is exempt. An item carrying a
+/// justified `allow(orphan)` is skipped.
+#[must_use]
+pub fn check_orphans(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let lexed: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src)).collect();
+    let idents: Vec<std::collections::BTreeSet<&str>> = lexed
+        .iter()
+        .map(|tokens| referenced_idents(tokens))
+        .collect();
+    let mut out = Vec::new();
+    for (fi, (path, _)) in files.iter().enumerate() {
+        if !is_crate_src(path) {
+            continue;
+        }
+        let tokens = &lexed[fi];
+        let allows = collect_allows(tokens);
+        let items = pub_items(tokens);
+        for (ii, item) in items.iter().enumerate() {
+            let used_elsewhere = idents
+                .iter()
+                .enumerate()
+                .any(|(fj, set)| fj != fi && set.contains(item.name.as_str()));
+            let is_type = matches!(item.kind, "struct" | "enum" | "trait" | "type");
+            let in_surface = is_type
+                && items
+                    .iter()
+                    .enumerate()
+                    .any(|(ij, other)| ij != ii && other.decl.contains(&item.name));
+            if used_elsewhere || in_surface || allowed(&allows, "orphan", item.line) {
+                continue;
+            }
+            out.push(Diagnostic {
+                path: path.clone(),
+                line: item.line,
+                rule: "orphan",
+                message: format!(
+                    "pub {} `{}` is named in no other file — delete it, narrow it to \
+                     private, pub(crate) or #[cfg(test)], or allow(orphan) with a reason",
+                    item.kind, item.name
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// Whether `path` is library or binary source of a workspace crate
+/// (`crates/<name>/src/…`).
+fn is_crate_src(path: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
+/// The identifiers a file references: every code identifier except
+/// those inside a `pub use` (or `pub(…) use`) re-export statement.
+fn referenced_idents(tokens: &[Token]) -> std::collections::BTreeSet<&str> {
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let mut set = std::collections::BTreeSet::new();
+    let mut i = 0;
+    while i < code.len() {
+        if code[i].text == "pub" {
+            let after = skip_restriction(&code, i + 1);
+            if code.get(after).is_some_and(|t| t.text == "use") {
+                i = after;
+                while i < code.len() && code[i].text != ";" {
+                    i += 1;
+                }
+                continue;
+            }
+        }
+        if code[i].kind == TokenKind::Ident {
+            set.insert(code[i].text.as_str());
+        }
+        i += 1;
+    }
+    set
+}
+
+/// Index just past a `(crate)`-style visibility restriction starting at
+/// `i`, or `i` itself when there is none.
+fn skip_restriction(code: &[&Token], i: usize) -> usize {
+    if code.get(i).is_none_or(|t| t.text != "(") {
+        return i;
+    }
+    code[i..]
+        .iter()
+        .position(|t| t.text == ")")
+        .map_or(code.len(), |p| i + p + 1)
+}
+
+/// Every bare-`pub` item of [`ORPHAN_KINDS`] outside `#[cfg(test)]`
+/// items, with its declaration's identifiers.
+fn pub_items(tokens: &[Token]) -> Vec<PubItem> {
+    let test_spans = cfg_test_spans(tokens);
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let mut items = Vec::new();
+    for i in 0..code.len() {
+        if code[i].text != "pub"
+            || test_spans
+                .iter()
+                .any(|&(a, b)| (a..=b).contains(&code[i].line))
+        {
+            continue;
+        }
+        // Step over fn qualifiers (`const fn`, `unsafe extern "C" fn`)
+        // to the item keyword; `const` alone is the item itself.
+        let mut k = i + 1;
+        let is_fn_qualifier =
+            |t: &Token| matches!(t.text.as_str(), "fn" | "unsafe" | "async" | "extern");
+        while let Some(t) = code.get(k) {
+            let qualifier = matches!(t.text.as_str(), "unsafe" | "async" | "extern")
+                || t.kind == TokenKind::Str
+                || (t.text == "const" && code.get(k + 1).is_some_and(|n| is_fn_qualifier(n)));
+            if !qualifier {
+                break;
+            }
+            k += 1;
+        }
+        let Some(&kind) = code
+            .get(k)
+            .and_then(|t| ORPHAN_KINDS.iter().find(|&&kind| kind == t.text))
+        else {
+            continue;
+        };
+        let mut n = k + 1;
+        if kind == "static" && code.get(n).is_some_and(|t| t.text == "mut") {
+            n += 1;
+        }
+        let Some(name) = code
+            .get(n)
+            .filter(|t| t.kind == TokenKind::Ident && t.text != "_")
+        else {
+            continue;
+        };
+        items.push(PubItem {
+            kind,
+            name: name.text.clone(),
+            line: name.line,
+            decl: declaration(&code, n + 1, kind == "fn"),
+        });
+    }
+    items
+}
+
+/// The identifiers from `start` to the end of an item's declaration: a
+/// `;` or `}` that returns to bracket depth 0, or, for a fn, the `{`
+/// that opens its body.
+fn declaration(code: &[&Token], start: usize, is_fn: bool) -> Vec<String> {
+    let mut idents = Vec::new();
+    let mut depth = 0i64;
+    for t in &code[start.min(code.len())..] {
+        match t.text.as_str() {
+            "{" if is_fn && depth == 0 => break,
+            ";" if depth == 0 => break,
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 && t.text == "}" {
+                    break;
+                }
+            }
+            _ if t.kind == TokenKind::Ident => idents.push(t.text.clone()),
+            _ => {}
+        }
+    }
+    idents
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,10 @@
 //! fixtures are inert when `ser-lint check` lints this very file.
 
 use ser_lint::lexer::{lex, TokenKind};
-use ser_lint::{check_wire_doc, file_size, lint_file, run_size, CrateSize, Diagnostic, RULES};
+use ser_lint::{
+    check_orphans, check_wire_doc, file_size, lint_file, run_check, run_size, CrateSize,
+    Diagnostic, RULES,
+};
 
 /// The rule ids present in `diags`, deduplicated, in order.
 fn rules_hit(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -318,6 +321,191 @@ fn anchor_drift_is_loud_not_silent() {
     assert!(diags.iter().all(|d| d.rule == "wire-doc-sync"));
     assert!(diags.iter().any(|d| d.message.contains("ErrorCode")));
     assert!(diags.iter().any(|d| d.message.contains("WIRE_OPS")));
+}
+
+// -----------------------------------------------------------------
+// orphan
+// -----------------------------------------------------------------
+
+/// `(path, source)` pairs as `check_orphans` takes them.
+fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
+        .iter()
+        .map(|&(path, src)| (path.to_string(), src.to_string()))
+        .collect()
+}
+
+/// The names `check_orphans` flags, in report order.
+fn orphans(files: &[(&str, &str)]) -> Vec<String> {
+    check_orphans(&sources(files))
+        .iter()
+        .map(|d| {
+            assert_eq!(d.rule, "orphan", "{d}");
+            d.message.split('`').nth(1).unwrap_or_default().to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn item_used_only_in_its_own_file_is_flagged() {
+    let lib = r#"
+pub fn helper() -> u32 { 1 }
+pub fn used() -> u32 { helper() }
+pub(crate) fn narrowed() {}
+fn private() {}
+"#;
+    let user = "fn main() { let _ = ser_x::used(); }";
+    let diags = check_orphans(&sources(&[
+        ("crates/x/src/lib.rs", lib),
+        ("src/bin/tool.rs", user),
+    ]));
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(
+        (diags[0].path.as_str(), diags[0].line),
+        ("crates/x/src/lib.rs", 2)
+    );
+    assert!(diags[0].message.contains("pub fn `helper`"), "{diags:?}");
+}
+
+#[test]
+fn every_audited_item_kind_is_flagged() {
+    let lib = r#"
+pub const fn konst_fn() {}
+pub unsafe extern "C" fn ffi() {}
+pub const LIMIT: usize = 1;
+pub static mut COUNTER: u32 = 0;
+pub struct Plain;
+pub enum Choice { A }
+pub trait Shape {}
+pub type Alias = u32;
+"#;
+    assert_eq!(
+        orphans(&[("crates/x/src/lib.rs", lib)]),
+        ["konst_fn", "ffi", "LIMIT", "COUNTER", "Plain", "Choice", "Shape", "Alias"]
+    );
+}
+
+#[test]
+fn pub_use_reexport_alone_is_still_flagged() {
+    let module = "pub struct Lonely;";
+    let lib = "mod m;
+pub use m::Lonely;
+pub use m::{
+    Lonely as Again,
+};";
+    assert_eq!(
+        orphans(&[("crates/x/src/m.rs", module), ("crates/x/src/lib.rs", lib)]),
+        ["Lonely"]
+    );
+    // A plain `use` is a real reference.
+    let user = "use ser_x::Lonely;
+fn f(_: Lonely) {}";
+    assert!(orphans(&[("crates/x/src/m.rs", module), ("tests/it.rs", user)]).is_empty());
+}
+
+#[test]
+fn strings_and_comments_are_not_references() {
+    let module = "pub fn quiet() {}";
+    let other = "// quiet() is documented here\nconst S: &str = \"quiet\";";
+    assert_eq!(
+        orphans(&[
+            ("crates/x/src/m.rs", module),
+            ("crates/y/src/lib.rs", other)
+        ]),
+        ["quiet"]
+    );
+}
+
+#[test]
+fn examples_and_perfbench_uses_clear_an_item() {
+    let module = "pub fn demo() {}\npub fn bench() {}\n";
+    assert_eq!(
+        orphans(&[
+            ("crates/x/src/m.rs", module),
+            ("examples/tour.rs", "fn main() { ser_x::demo(); }"),
+            ("perfbench/src/main.rs", "fn main() { ser_x::bench(); }"),
+        ]),
+        Vec::<String>::new()
+    );
+
+    // And the workspace walk reads both directories.
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ser-lint-orphan");
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, body: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, body).unwrap();
+    };
+    write("crates/x/src/lib.rs", module);
+    let flagged = |root: &std::path::Path| -> Vec<String> {
+        run_check(root)
+            .into_iter()
+            .filter(|d| d.rule == "orphan")
+            .map(|d| d.message)
+            .collect()
+    };
+    assert_eq!(flagged(&root).len(), 2);
+    write("examples/tour.rs", "fn main() { ser_x::demo(); }");
+    write("perfbench/src/main.rs", "fn main() { ser_x::bench(); }");
+    assert!(flagged(&root).is_empty(), "{:?}", flagged(&root));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn type_named_by_a_sibling_pub_item_is_exempt() {
+    let lib = r#"
+pub struct Outcome { pub stats: Stats }
+pub struct Stats;
+pub enum Op { Sweep(SweepOp) }
+pub struct SweepOp;
+pub struct Hidden;
+pub fn run() -> Outcome {
+    let _unnamed_in_signature: Hidden = Hidden;
+    todo!()
+}
+pub struct Recursive(Box<Recursive>);
+"#;
+    let user = "fn main() { let _ = ser_x::run(); let _: ser_x::Op; }";
+    // `Stats` (a pub field's type), `SweepOp` (a variant payload) and
+    // `Outcome` (a return type) are reached without being named;
+    // `Hidden` appears only in a fn body and `Recursive` only in its
+    // own declaration.
+    assert_eq!(
+        orphans(&[("crates/x/src/lib.rs", lib), ("src/main.rs", user)]),
+        ["Hidden", "Recursive"]
+    );
+}
+
+#[test]
+fn cfg_test_items_and_files_outside_crate_src_are_not_audited() {
+    let lib = "#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n";
+    let tool = "pub fn tool_only() {}";
+    let test = "pub fn test_helper() {}";
+    assert!(orphans(&[
+        ("crates/x/src/lib.rs", lib),
+        ("tools/t/src/lib.rs", tool),
+        ("crates/x/tests/it.rs", test),
+    ])
+    .is_empty());
+}
+
+#[test]
+fn justified_allow_suppresses_orphan_and_bare_one_is_flagged() {
+    let justified = "\
+// ser-lint: allow(orphan) — FromStr::Err: callers get it from parse().
+pub struct ParseError;
+";
+    assert!(orphans(&[("crates/x/src/lib.rs", justified)]).is_empty());
+    assert!(lint_file("crates/x/src/lib.rs", justified).is_empty());
+
+    let bare = "// ser-lint: allow(orphan)\npub struct ParseError;\n";
+    assert_eq!(
+        orphans(&[("crates/x/src/lib.rs", bare)]),
+        ["ParseError"],
+        "a bare allow suppresses nothing"
+    );
+    let diags = lint_file("crates/x/src/lib.rs", bare);
+    assert_eq!(rules_hit(&diags), ["bare-allow"], "{diags:?}");
 }
 
 // -----------------------------------------------------------------
