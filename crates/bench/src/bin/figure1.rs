@@ -29,8 +29,7 @@ fn main() {
     // through the batched cone-plan sweep.
     let session = AnalysisSession::with_inputs(&c, probs.clone()).unwrap();
     let site = c.find("A").unwrap();
-    let sweep = session.sweep_sites(&[site], 1);
-    let result = sweep.get(0);
+    let result = session.site(site);
 
     // The intermediate tuples the paper prints.
     for name in ["E", "D", "G", "H"] {

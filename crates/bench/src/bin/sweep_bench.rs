@@ -16,6 +16,11 @@
 //!   speedup with scheduling kept out of the picture (best of five
 //!   whole-circuit sweeps, so scheduler steal on a shared recording
 //!   host doesn't masquerade as a kernel regression).
+//! - `folded_1t`: the same one-thread sweep under `Arrivals::Fold`,
+//!   which stores no per-point arrivals — the daemon's sweep at the
+//!   kernel layer (best of five, timed alternately with `batched_1t`,
+//!   and every run asserted bit-identical to it in every site's
+//!   `p_sensitized` and `on_path_gates`).
 //! - `batched_mt`: the cone-plan sweep under the work-stealing
 //!   scheduler at the machine's parallelism, batch stitch included
 //!   (best of five as well).
@@ -32,7 +37,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ser_epp::{AnalysisSession, Edit, KernelBackend, PolarityMode, SiteWorkspace, WhatIfSession};
+use ser_epp::{
+    AnalysisSession, Arrivals, Edit, KernelBackend, PolarityMode, RunCtx, SiteWorkspace,
+    SweepResults, WhatIfSession,
+};
 use ser_gen::synthesize;
 use ser_netlist::{ConePlans, NodeId};
 
@@ -62,6 +70,16 @@ fn percentile_us(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx] * 1e6
+}
+
+/// `true` when two sweeps hold the same sites with bit-identical
+/// `p_sensitized` and equal `on_path_gates`.
+fn same_site_numbers(a: &SweepResults, b: &SweepResults) -> bool {
+    a.sites() == b.sites()
+        && a.iter().zip(b.iter()).all(|(x, y)| {
+            x.p_sensitized().to_bits() == y.p_sensitized().to_bits()
+                && x.on_path_gates() == y.on_path_gates()
+        })
 }
 
 struct EngineStats {
@@ -160,12 +178,26 @@ fn main() {
         // milliseconds, short enough that a single shot folds scheduler
         // steal (this records on shared hosts) straight into the
         // trajectory; the min is the pace the kernel actually sustains.
+        // The folded sweep alternates with the kept one, so host drift
+        // hits both rows alike.
+        let fold_ctx = RunCtx {
+            arrivals: Arrivals::Fold,
+            ..RunCtx::new(1, session.workspace_pool())
+        };
         let mut batched1_total = f64::INFINITY;
+        let mut folded1_total = f64::INFINITY;
         let mut sweep1 = session.sweep(1);
         for _ in 0..5 {
             let t = Instant::now();
             sweep1 = session.sweep(1);
             batched1_total = batched1_total.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            let folded = epp.sweep(&sites, PolarityMode::Tracked, &fold_ctx);
+            folded1_total = folded1_total.min(t.elapsed().as_secs_f64());
+            assert!(
+                same_site_numbers(&folded, &sweep1),
+                "folded sweep diverged from batched_1t"
+            );
         }
         // Per-site latency sample: singleton sweeps through the shared
         // plans and pool (an upper bound on steady-state per-site cost —
@@ -254,9 +286,10 @@ fn main() {
         let speedup_1t = batched_1t.sites_per_sec / reference.sites_per_sec;
         let speedup_mt = (n as f64 / batched_mt_total) / reference.sites_per_sec;
         eprintln!(
-            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms)",
+            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | folded(1t) {:.0}/s | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms)",
             reference.sites_per_sec,
             batched_1t.sites_per_sec,
+            n as f64 / folded1_total,
             n as f64 / batched_mt_total,
             dirty_fraction * 100.0,
             batched1_total * 1e3,
@@ -270,6 +303,11 @@ fn main() {
         rec.push_str(&json_engine("reference", &reference));
         rec.push_str(", ");
         rec.push_str(&json_engine("batched_1t", &batched_1t));
+        let _ = write!(
+            rec,
+            ", \"folded_1t\": {{\"sites_per_sec\": {:.1}}}",
+            n as f64 / folded1_total
+        );
         let _ = write!(
             rec,
             ", \"batched_mt\": {{\"threads_requested\": {threads}, \"threads_used\": {mt_threads_used}, \"distinct_run\": {}, \"sites_per_sec\": {:.1}}}",

@@ -512,6 +512,7 @@ mod tests {
             &crate::RunCtx::new(threads, pool),
         )
         .to_site_epps()
+        .expect("a kept sweep")
     }
 
     const FIG1: &str = "

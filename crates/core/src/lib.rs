@@ -87,6 +87,7 @@ pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};
 pub use session::AnalysisSession;
 pub use simd::KernelBackend;
 pub use sweep::{
-    PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace, SINGLE_THREAD_SWEEP_THRESHOLD,
+    Arrivals, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
+    SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 pub use whatif::{Edit, SiteDelta, WhatIfAbort, WhatIfOutcome, WhatIfSession};

@@ -98,7 +98,10 @@ impl MultiCycleEpp {
         );
         for (fi, site) in sweep.iter().enumerate() {
             let mut po_arr = Vec::new();
-            for p in site.per_point() {
+            for p in site
+                .per_point()
+                .expect("the frame expansion sweeps with Arrivals::Keep")
+            {
                 match p.point {
                     ObservePoint::PrimaryOutput(_) => po_arr.push(p.p_arrival()),
                     ObservePoint::FlipFlop { dff, .. } => {
@@ -138,7 +141,10 @@ impl MultiCycleEpp {
         let frame0 = frame0_sweep.get(0);
         let mut po_arr = Vec::new();
         let mut corruption = vec![0.0f64; nffs];
-        for p in frame0.per_point() {
+        for p in frame0
+            .per_point()
+            .expect("the frame expansion sweeps with Arrivals::Keep")
+        {
             match p.point {
                 ObservePoint::PrimaryOutput(_) => po_arr.push(p.p_arrival()),
                 ObservePoint::FlipFlop { dff, .. } => {

@@ -298,7 +298,10 @@ impl AnalysisSession {
     /// Panics if `site` is out of range for the circuit.
     #[must_use]
     pub fn site(&self, site: NodeId) -> SiteEpp {
-        self.sweep_sites(&[site], 1).get(0).to_site_epp()
+        self.sweep_sites(&[site], 1)
+            .get(0)
+            .to_site_epp()
+            .expect("sweep_sites keeps its arrivals")
     }
 
     /// The batched whole-circuit sweep over the session's cached cone

@@ -36,7 +36,12 @@
 //! Results land in a [`SweepResults`] arena — per-point arrivals in a
 //! few large segments (one per batch), addressed by per-site ranges —
 //! so the steady-state sweep performs no per-site heap allocation at
-//! all. The per-site reference path stays as the definition:
+//! all. Under [`Arrivals::Fold`] the kernel writes each site's
+//! arrivals into a per-batch scratch instead, cleared before every
+//! site, and the arena keeps only the per-site `P_sensitized` and gate
+//! counts: the same emission and the same fold, so those are
+//! bit-identical to a kept sweep's, but every per-point read returns
+//! `None`. The per-site reference path stays as the definition:
 //! [`PlanPolicy::Reference`] runs it under the same scheduler, and
 //! every backend and policy is bit-for-bit identical to it (asserted
 //! by `tests/sweep_equivalence.rs`).
@@ -174,10 +179,13 @@ impl<'a> SweepSiteRef<'a> {
     }
 
     /// Error arrival per reachable observe point (a slice into the
-    /// sweep's arena).
+    /// sweep's arena), or `None` when the sweep ran under
+    /// [`Arrivals::Fold`] and stored no arrivals. A kept site that
+    /// reaches no observe point gives `Some` of an empty slice.
     #[must_use]
-    pub fn per_point(&self) -> &'a [PointEpp] {
-        self.results.points_of(self.pos)
+    pub fn per_point(&self) -> Option<&'a [PointEpp]> {
+        let arrivals = self.results.arrivals.as_ref()?;
+        Some(arrivals.points_of(self.pos))
     }
 
     /// The paper's `P_sensitized` for this site.
@@ -192,46 +200,30 @@ impl<'a> SweepSiteRef<'a> {
         self.results.on_path_gates[self.pos] as usize
     }
 
-    /// Arrival tuple at a specific observed signal, if reachable.
-    #[must_use]
-    pub fn arrival_at(&self, signal: NodeId) -> Option<FourValue> {
-        self.per_point()
-            .iter()
-            .find(|p| p.point.signal() == signal)
-            .map(|p| p.value)
-    }
-
     /// Converts into the owned per-site form (allocates; prefer the
-    /// borrowed accessors in hot paths).
+    /// borrowed accessors in hot paths), or `None` when the sweep
+    /// folded its arrivals.
     #[must_use]
-    pub fn to_site_epp(&self) -> SiteEpp {
-        SiteEpp::from_parts(
+    pub fn to_site_epp(&self) -> Option<SiteEpp> {
+        Some(SiteEpp::from_parts(
             self.site(),
-            self.per_point().to_vec(),
+            self.per_point()?.to_vec(),
             self.p_sensitized(),
             self.on_path_gates(),
-        )
+        ))
     }
 }
 
-/// The arena a batched sweep fills: per-site `P_sensitized`, on-path
-/// gate counts, and the per-point arrivals addressed by per-site
-/// ranges — no per-site heap allocation anywhere.
+/// The per-point arrivals of a sweep run under [`Arrivals::Keep`],
+/// addressed by per-site ranges.
 ///
 /// The arrivals are kept as segments, each the `Vec<PointEpp>` of a
 /// contiguous run of sites: one for a single-thread sweep, one per
-/// batch or part after [`concat`](Self::concat), which moves the
+/// batch or part after [`SweepResults::concat`], which moves the
 /// parts' segments instead of copying them. Segmentation is invisible
 /// through the API, and equality ignores it.
 #[derive(Debug, Clone)]
-pub struct SweepResults {
-    /// The analyzed sites, in request order.
-    sites: Vec<NodeId>,
-    /// `true` when `sites[i].index() == i` for all `i` (the
-    /// whole-circuit sweep), enabling O(1) lookup by node id.
-    dense: bool,
-    p_sensitized: Vec<f64>,
-    on_path_gates: Vec<u32>,
+struct ArrivalStore {
     /// `point_off[i]..point_off[i+1]` delimits site `i`'s arrivals in
     /// the concatenation of all segments. Length `sites.len() + 1`.
     point_off: Vec<u32>,
@@ -241,17 +233,11 @@ pub struct SweepResults {
     /// global offset `point_off[seg_first[k]]`.
     seg_first: Vec<u32>,
     segments: Vec<Vec<PointEpp>>,
-    threads_used: usize,
 }
 
-/// Equality compares the *results* only — `threads_used` is scheduling
-/// metadata, and a 1-thread sweep must equal an 8-thread sweep.
-impl PartialEq for SweepResults {
+impl PartialEq for ArrivalStore {
     fn eq(&self, other: &Self) -> bool {
-        self.sites == other.sites
-            && self.p_sensitized == other.p_sensitized
-            && self.on_path_gates == other.on_path_gates
-            && self.point_off == other.point_off
+        self.point_off == other.point_off
             && self
                 .segments
                 .iter()
@@ -260,33 +246,34 @@ impl PartialEq for SweepResults {
     }
 }
 
-impl SweepResults {
-    /// An arena for `sites` with no site pushed yet and one arrival
-    /// segment, reserved for `points_capacity` arrivals; fill it with
-    /// [`push_site`](Self::push_site).
-    fn one_segment(sites: Vec<NodeId>, dense: bool, points_capacity: usize) -> Self {
-        let n_sites = sites.len();
+impl ArrivalStore {
+    /// A store with no site recorded yet and no segment, with room for
+    /// `n_sites` sites in `n_segments` segments.
+    fn with_capacity(n_sites: usize, n_segments: usize) -> Self {
         let mut point_off = Vec::with_capacity(n_sites + 1);
         point_off.push(0);
-        SweepResults {
-            sites,
-            dense,
-            p_sensitized: Vec::with_capacity(n_sites),
-            on_path_gates: Vec::with_capacity(n_sites),
+        ArrivalStore {
             point_off,
-            seg_first: vec![0],
-            segments: vec![Vec::with_capacity(points_capacity)],
-            threads_used: 1,
+            seg_first: Vec::with_capacity(n_segments),
+            segments: Vec::with_capacity(n_segments),
         }
     }
 
-    /// Records the next site of a one-segment arena, whose `n_points`
-    /// arrivals were just appended to the segment.
-    fn push_site(&mut self, p_sensitized: f64, on_path_gates: u32, n_points: u32) {
-        self.p_sensitized.push(p_sensitized);
-        self.on_path_gates.push(on_path_gates);
-        let last = *self.point_off.last().expect("non-empty offsets");
-        self.point_off.push(last + n_points);
+    /// A store with no site recorded yet and one segment, reserved for
+    /// `points_capacity` arrivals.
+    fn one_segment(n_sites: usize, points_capacity: usize) -> Self {
+        let mut store = ArrivalStore::with_capacity(n_sites, 1);
+        store.seg_first.push(0);
+        store.segments.push(Vec::with_capacity(points_capacity));
+        store
+    }
+
+    /// The last segment, which the next recorded site's arrivals are
+    /// appended to.
+    fn open_segment(&mut self) -> &mut Vec<PointEpp> {
+        self.segments
+            .last_mut()
+            .expect("a store being filled has a segment")
     }
 
     /// Site `pos`'s arrivals: a binary search over the segment starts,
@@ -300,6 +287,104 @@ impl SweepResults {
         let lo = (self.point_off[pos] - base) as usize;
         let hi = (self.point_off[pos + 1] - base) as usize;
         &self.segments[k][lo..hi]
+    }
+
+    fn total(&self) -> usize {
+        *self.point_off.last().expect("non-empty offsets") as usize
+    }
+
+    /// Appends a part's arrivals, whose first site sits at position
+    /// `site_base` of the joined arena, by moving its segments.
+    fn append(&mut self, part: ArrivalStore, site_base: u32) {
+        self.seg_first
+            .extend(part.seg_first.iter().map(|&f| f + site_base));
+        self.segments.extend(part.segments);
+        let base = *self.point_off.last().expect("non-empty offsets");
+        self.point_off
+            .extend(part.point_off[1..].iter().map(|&o| o + base));
+    }
+}
+
+/// The arena a batched sweep fills: per-site `P_sensitized` and
+/// on-path gate counts and, under [`Arrivals::Keep`], the per-point
+/// arrivals addressed by per-site ranges — no per-site heap allocation
+/// anywhere.
+///
+/// A sweep run under [`Arrivals::Fold`] stores no arrivals: its
+/// per-point reads ([`SweepSiteRef::per_point`],
+/// [`to_site_epp`](SweepSiteRef::to_site_epp),
+/// [`to_site_epps`](Self::to_site_epps),
+/// [`total_points`](Self::total_points)) return `None`, never an empty
+/// answer, and it never equals a kept sweep.
+#[derive(Debug, Clone)]
+pub struct SweepResults {
+    /// The analyzed sites, in request order.
+    sites: Vec<NodeId>,
+    /// `true` when `sites[i].index() == i` for all `i` (the
+    /// whole-circuit sweep), enabling O(1) lookup by node id.
+    dense: bool,
+    p_sensitized: Vec<f64>,
+    on_path_gates: Vec<u32>,
+    /// `None` when the sweep folded its arrivals.
+    arrivals: Option<ArrivalStore>,
+    threads_used: usize,
+}
+
+/// Equality compares the *results* only — `threads_used` is scheduling
+/// metadata, and a 1-thread sweep must equal an 8-thread sweep. A
+/// folded sweep equals only another folded sweep.
+impl PartialEq for SweepResults {
+    fn eq(&self, other: &Self) -> bool {
+        self.sites == other.sites
+            && self.p_sensitized == other.p_sensitized
+            && self.on_path_gates == other.on_path_gates
+            && self.arrivals == other.arrivals
+    }
+}
+
+impl SweepResults {
+    /// An arena for `sites` with no site pushed yet, keeping its
+    /// arrivals in `arrivals` (`None` folds them); fill it with
+    /// [`push_site`](Self::push_site).
+    fn empty(sites: Vec<NodeId>, dense: bool, arrivals: Option<ArrivalStore>) -> Self {
+        let n_sites = sites.len();
+        SweepResults {
+            sites,
+            dense,
+            p_sensitized: Vec::with_capacity(n_sites),
+            on_path_gates: Vec::with_capacity(n_sites),
+            arrivals,
+            threads_used: 1,
+        }
+    }
+
+    /// A dense arena over `n_sites` sites that keeps its arrivals in
+    /// one segment, reserved for `points_capacity` arrivals.
+    fn dense_kept(n_sites: usize, points_capacity: usize) -> Self {
+        SweepResults::empty(
+            (0..n_sites).map(NodeId::from_index).collect(),
+            true,
+            Some(ArrivalStore::one_segment(n_sites, points_capacity)),
+        )
+    }
+
+    /// The open segment of an arena being assembled with its arrivals.
+    fn kept_segment(&mut self) -> &mut Vec<PointEpp> {
+        self.arrivals
+            .as_mut()
+            .expect("assembled arenas keep their arrivals")
+            .open_segment()
+    }
+
+    /// Records the next site, whose `n_points` arrivals were just
+    /// appended to the open segment (if the arena keeps arrivals).
+    fn push_site(&mut self, p_sensitized: f64, on_path_gates: u32, n_points: u32) {
+        self.p_sensitized.push(p_sensitized);
+        self.on_path_gates.push(on_path_gates);
+        if let Some(arrivals) = &mut self.arrivals {
+            let last = *arrivals.point_off.last().expect("non-empty offsets");
+            arrivals.point_off.push(last + n_points);
+        }
     }
 
     /// Number of sites analyzed.
@@ -333,10 +418,11 @@ impl SweepResults {
         &self.p_sensitized
     }
 
-    /// Total per-point arrivals stored across all sites.
+    /// Total per-point arrivals stored across all sites, or `None` when
+    /// the sweep folded its arrivals.
     #[must_use]
-    pub fn total_points(&self) -> usize {
-        *self.point_off.last().expect("non-empty offsets") as usize
+    pub fn total_points(&self) -> Option<usize> {
+        self.arrivals.as_ref().map(ArrivalStore::total)
     }
 
     /// The result at position `pos` (request order).
@@ -376,9 +462,11 @@ impl SweepResults {
     }
 
     /// Converts the arena into owned per-site results (one heap `Vec`
-    /// per site — the compatibility shim for the pre-arena API).
+    /// per site — the compatibility shim for the pre-arena API), or
+    /// `None` when the sweep folded its arrivals.
     #[must_use]
-    pub fn to_site_epps(&self) -> Vec<SiteEpp> {
+    pub fn to_site_epps(&self) -> Option<Vec<SiteEpp>> {
+        self.arrivals.as_ref()?;
         self.iter().map(|r| r.to_site_epp()).collect()
     }
 
@@ -392,7 +480,8 @@ impl SweepResults {
     /// each part's arrival segments are moved into the result, so no
     /// arrival is copied and every site's
     /// [`per_point`](SweepSiteRef::per_point) slice stays where its
-    /// part put it.
+    /// part put it. The result keeps arrivals only if every part kept
+    /// them.
     ///
     /// `threads_used` becomes the number of parts (at least 1): one
     /// executor job per part in the service. The library's threaded
@@ -401,18 +490,19 @@ impl SweepResults {
     #[must_use]
     pub fn concat(parts: Vec<SweepResults>) -> SweepResults {
         let n_sites: usize = parts.iter().map(SweepResults::len).sum();
-        let n_segments: usize = parts.iter().map(|p| p.segments.len()).sum();
+        let kept: Option<Vec<&ArrivalStore>> = parts.iter().map(|p| p.arrivals.as_ref()).collect();
+        let arrivals = kept.map(|kept| {
+            let n_segments = kept.iter().map(|a| a.segments.len()).sum();
+            ArrivalStore::with_capacity(n_sites, n_segments)
+        });
         let mut out = SweepResults {
             sites: Vec::with_capacity(n_sites),
             dense: false,
             p_sensitized: Vec::with_capacity(n_sites),
             on_path_gates: Vec::with_capacity(n_sites),
-            point_off: Vec::with_capacity(n_sites + 1),
-            seg_first: Vec::with_capacity(n_segments),
-            segments: Vec::with_capacity(n_segments),
+            arrivals,
             threads_used: parts.len().max(1),
         };
-        out.point_off.push(0);
         for part in parts {
             // A part without sites has no arrivals; skipping it keeps
             // the segment starts strictly increasing.
@@ -420,15 +510,12 @@ impl SweepResults {
                 continue;
             }
             let site_base = u32::try_from(out.sites.len()).expect("sites fit u32");
-            out.seg_first
-                .extend(part.seg_first.iter().map(|&f| f + site_base));
-            out.segments.extend(part.segments);
+            if let (Some(out_arrivals), Some(part_arrivals)) = (&mut out.arrivals, part.arrivals) {
+                out_arrivals.append(part_arrivals, site_base);
+            }
             out.sites.extend_from_slice(&part.sites);
             out.p_sensitized.extend_from_slice(&part.p_sensitized);
             out.on_path_gates.extend_from_slice(&part.on_path_gates);
-            let base = *out.point_off.last().expect("non-empty offsets");
-            out.point_off
-                .extend(part.point_off[1..].iter().map(|&o| o + base));
         }
         out.dense = is_dense(&out.sites);
         out
@@ -438,27 +525,23 @@ impl SweepResults {
     /// primitive the what-if engine uses to merge re-swept dirty sites
     /// into a cached base sweep. `fill` is called once per node in id
     /// order; it appends the site's per-point arrivals to the shared
-    /// arena and returns `(p_sensitized, on_path_gates)`. The result is
-    /// indistinguishable from a fresh [`EppAnalysis::sweep`] producing
-    /// the same per-site payloads (`threads_used` is 1; equality
-    /// ignores it). `points_capacity` pre-sizes the shared arrival
-    /// arena (a hint — the arena still grows if `fill` overshoots);
-    /// splice callers pass the base arena's
-    /// [`total_points`](Self::total_points), which is within a few
-    /// sites of exact.
+    /// arena and returns `(p_sensitized, on_path_gates)`. The result
+    /// keeps its arrivals and is indistinguishable from a fresh
+    /// [`EppAnalysis::sweep`] producing the same per-site payloads
+    /// (`threads_used` is 1; equality ignores it). `points_capacity`
+    /// pre-sizes the shared arrival arena (a hint — the arena still
+    /// grows if `fill` overshoots); splice callers pass the base
+    /// arena's [`total_points`](Self::total_points), which is within a
+    /// few sites of exact.
     #[must_use]
     pub fn assemble_dense(
         n_sites: usize,
         points_capacity: usize,
         mut fill: impl FnMut(NodeId, &mut Vec<PointEpp>) -> (f64, u32),
     ) -> SweepResults {
-        let mut out = SweepResults::one_segment(
-            (0..n_sites).map(NodeId::from_index).collect(),
-            true,
-            points_capacity,
-        );
+        let mut out = SweepResults::dense_kept(n_sites, points_capacity);
         for i in 0..n_sites {
-            let points = &mut out.segments[0];
+            let points = out.kept_segment();
             let before = points.len();
             let (p_sens, gates) = fill(NodeId::from_index(i), points);
             let n_points = u32::try_from(points.len() - before).expect("points fit u32");
@@ -472,7 +555,7 @@ impl SweepResults {
     /// is the dense pre-edit arena, the gate at old index `g_idx` was
     /// hardened in place (six inserted nodes, so every id at or above
     /// `g_idx` shifts up by 6) and `struct_res` holds the seven freshly
-    /// swept replacement sites in id order.
+    /// swept replacement sites in id order. Both keep their arrivals.
     ///
     /// The arena is its own probe: a fanout-free gate is observed as
     /// its own primary output, and a stored arrival at a primary
@@ -501,14 +584,18 @@ impl SweepResults {
     ) -> SweepResults {
         debug_assert!(self.dense, "splice requires the dense base arena");
         debug_assert_eq!(struct_res.len(), 7, "replicas, voter pairs, voter");
+        let base = self
+            .arrivals
+            .as_ref()
+            .expect("the what-if base sweep keeps its arrivals");
+        let fresh = struct_res
+            .arrivals
+            .as_ref()
+            .expect("the what-if re-sweep keeps its arrivals");
         let n_old = self.sites.len();
         let g_point = ObservePoint::PrimaryOutput(NodeId::from_index(g_idx));
-        let g_span = (self.point_off[g_idx + 1] - self.point_off[g_idx]) as usize;
-        let mut out = SweepResults::one_segment(
-            (0..n_old + 6).map(NodeId::from_index).collect(),
-            true,
-            self.total_points() - g_span + struct_res.total_points(),
-        );
+        let g_span = base.points_of(g_idx).len();
+        let mut out = SweepResults::dense_kept(n_old + 6, base.total() - g_span + fresh.total());
         let shift = |id: NodeId| {
             if id.index() >= g_idx {
                 NodeId::from_index(id.index() + 6)
@@ -517,9 +604,9 @@ impl SweepResults {
             }
         };
         let copy_patched = |out: &mut SweepResults, old: usize| {
-            let points = &mut out.segments[0];
+            let points = out.kept_segment();
             let start = points.len();
-            points.extend_from_slice(self.points_of(old));
+            points.extend_from_slice(base.points_of(old));
             let mut patched = false;
             for p in &mut points[start..] {
                 if fast[old] && p.point == g_point {
@@ -555,11 +642,12 @@ impl SweepResults {
                 g_idx + s,
                 "struct splice order"
             );
-            out.segments[0].extend_from_slice(struct_res.points_of(s));
+            let points = fresh.points_of(s);
+            out.kept_segment().extend_from_slice(points);
             out.push_site(
                 struct_res.p_sensitized[s],
                 struct_res.on_path_gates[s],
-                struct_res.point_off[s + 1] - struct_res.point_off[s],
+                u32::try_from(points.len()).expect("points fit u32"),
             );
         }
         for old in g_idx + 1..n_old {
@@ -585,19 +673,37 @@ pub enum PlanPolicy {
     Reference,
 }
 
-/// How one sweep runs: the choices that never change what it
-/// computes. Every combination of fields is bit-identical to the
-/// per-site reference definition.
+/// Whether a sweep stores each site's per-point arrivals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrivals {
+    /// Store every site's arrival at every observe point it reaches,
+    /// for the readers that need them: multi-cycle expansion, the
+    /// what-if splice and single-site reports.
+    Keep,
+    /// Fold each site's arrivals into its `P_sensitized` through a
+    /// per-batch scratch and store none, for callers that read only
+    /// the per-site numbers (the daemon's sweeps). `p_sensitized` and
+    /// `on_path_gates` are bit-identical to [`Keep`](Self::Keep)'s;
+    /// every per-point read of the result returns `None`.
+    Fold,
+}
+
+/// How one sweep runs: threads, scratch pool, kernel backend and plan
+/// policy never change what it computes — every combination is
+/// bit-identical to the per-site reference definition — and
+/// [`arrivals`](Self::arrivals) chooses only whether the per-point
+/// arrivals are stored alongside.
 ///
 /// Set a field on top of [`RunCtx::new`] to override it:
 ///
 /// ```
-/// use ser_epp::{KernelBackend, PlanPolicy, RunCtx, WorkspacePool};
+/// use ser_epp::{Arrivals, KernelBackend, PlanPolicy, RunCtx, WorkspacePool};
 ///
 /// let pool = WorkspacePool::new();
 /// let ctx = RunCtx {
 ///     backend: KernelBackend::Scalar,
 ///     plans: PlanPolicy::Reference,
+///     arrivals: Arrivals::Fold,
 ///     ..RunCtx::new(2, &pool)
 /// };
 /// assert_eq!(ctx.threads, 2);
@@ -615,11 +721,14 @@ pub struct RunCtx<'a> {
     pub backend: KernelBackend,
     /// Whether the sweep may use the cone plans.
     pub plans: PlanPolicy,
+    /// Whether the result stores the per-point arrivals.
+    pub arrivals: Arrivals,
 }
 
 impl<'a> RunCtx<'a> {
     /// `threads` workers over `pool`, the host's backend
-    /// ([`KernelBackend::auto`]) and [`PlanPolicy::Auto`].
+    /// ([`KernelBackend::auto`]), [`PlanPolicy::Auto`] and
+    /// [`Arrivals::Keep`].
     #[must_use]
     pub fn new(threads: usize, pool: &'a WorkspacePool) -> Self {
         RunCtx {
@@ -627,6 +736,7 @@ impl<'a> RunCtx<'a> {
             pool,
             backend: KernelBackend::auto(),
             plans: PlanPolicy::Auto,
+            arrivals: Arrivals::Keep,
         }
     }
 }
@@ -669,7 +779,8 @@ impl SweepScratch {
 
 impl EppAnalysis {
     /// The batched sweep: EPP for every site in `sites`, results in one
-    /// flat arena in request order. Pass
+    /// arena in request order, with or without the per-point arrivals
+    /// as `ctx.arrivals` chooses. Pass
     /// `circuit().node_ids()` for the whole circuit, or any subset
     /// (e.g. only the flip-flops, for the multi-cycle frame expansion).
     ///
@@ -703,10 +814,10 @@ impl EppAnalysis {
         };
         let plans = plans.as_deref();
         let backend = ctx.backend.sanitized();
-        let pool = ctx.pool;
+        let (pool, arrivals) = (ctx.pool, ctx.arrivals);
 
         if ctx.threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
-            return self.sweep_batch(sites, polarity, pool, plans, backend);
+            return self.sweep_batch(sites, polarity, pool, plans, backend, arrivals);
         }
 
         // --- Batch construction: contiguous position ranges balanced by
@@ -750,6 +861,7 @@ impl EppAnalysis {
                                 pool,
                                 plans,
                                 backend,
+                                arrivals,
                             );
                             done.push((range.start, part));
                         }
@@ -771,10 +883,14 @@ impl EppAnalysis {
     }
 
     /// The single-thread sweep loop: one scratch checkout, then every
-    /// site in order into a fresh one-segment arena, sized exactly:
-    /// reserved up front when plans are in use, shrunk at the end when
-    /// the reference kernel grew it. The threaded sweep runs it once
-    /// per claimed batch, and its segment outlives the stitch.
+    /// site in order into a fresh arena. Under [`Arrivals::Keep`] the
+    /// arena holds one arrival segment, sized exactly: reserved up
+    /// front when plans are in use, shrunk at the end when the
+    /// reference kernel grew it. Under [`Arrivals::Fold`] the kernel
+    /// emits into a scratch that lives for this batch and is cleared
+    /// before each site, so only the fold survives. The threaded sweep
+    /// runs it once per claimed batch, and its segment outlives the
+    /// stitch.
     fn sweep_batch(
         &self,
         sites: &[NodeId],
@@ -782,27 +898,36 @@ impl EppAnalysis {
         pool: &WorkspacePool,
         plans: Option<&ConePlans>,
         backend: KernelBackend,
+        arrivals: Arrivals,
     ) -> SweepResults {
-        let total_points: usize =
-            plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
-        let mut results = SweepResults::one_segment(sites.to_vec(), is_dense(sites), total_points);
+        let store = match arrivals {
+            Arrivals::Keep => {
+                let total_points: usize =
+                    plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
+                Some(ArrivalStore::one_segment(sites.len(), total_points))
+            }
+            Arrivals::Fold => None,
+        };
+        let mut results = SweepResults::empty(sites.to_vec(), is_dense(sites), store);
         let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
+        let mut folded: Vec<PointEpp> = Vec::new();
         for &site in sites {
-            let (p_sens, gates, n_points) = self.site_kernel(
-                plans,
-                site,
-                polarity,
-                &mut scratch,
-                &mut results.segments[0],
-                backend,
-            );
+            let points_out = match &mut results.arrivals {
+                Some(store) => store.open_segment(),
+                None => {
+                    folded.clear();
+                    &mut folded
+                }
+            };
+            let (p_sens, gates, n_points) =
+                self.site_kernel(plans, site, polarity, &mut scratch, points_out, backend);
             results.push_site(p_sens, gates, n_points);
         }
         scratch.give_back(pool);
-        if plans.is_none() {
+        if let (None, Some(store)) = (plans, &mut results.arrivals) {
             // The reference kernel grew the segment by doubling, and
             // the segment outlives the stitch: drop the slack now.
-            results.segments[0].shrink_to_fit();
+            store.open_segment().shrink_to_fit();
         }
         results
     }
@@ -1120,8 +1245,8 @@ H = OR(C, D, G)
                 // Exact f64 equality — bit-identity, not epsilon.
                 assert_eq!(batched.p_sensitized(), reference.p_sensitized());
                 assert_eq!(batched.on_path_gates(), reference.on_path_gates());
-                assert_eq!(batched.per_point(), reference.per_point());
-                assert_eq!(batched.to_site_epp(), reference);
+                assert_eq!(batched.per_point(), Some(reference.per_point()));
+                assert_eq!(batched.to_site_epp().unwrap(), reference);
             }
         }
     }
@@ -1145,7 +1270,7 @@ H = OR(C, D, G)
             assert_eq!(scalar, forced_avx2, "{polarity:?}");
             for &site in &sites {
                 assert_eq!(
-                    scalar.site(site).to_site_epp(),
+                    scalar.site(site).to_site_epp().unwrap(),
                     epp.site_with(site, polarity),
                     "{polarity:?}"
                 );
@@ -1196,8 +1321,8 @@ H = OR(C, D, G)
         assert_eq!(sweep.sites(), &subset);
         assert_eq!(sweep.get(0).site(), h);
         assert_eq!(sweep.get(1).site(), a);
-        assert_eq!(sweep.site(a).to_site_epp(), epp.site(a));
-        assert_eq!(sweep.site(h).to_site_epp(), epp.site(h));
+        assert_eq!(sweep.site(a).to_site_epp().unwrap(), epp.site(a));
+        assert_eq!(sweep.site(h).to_site_epp().unwrap(), epp.site(h));
     }
 
     #[test]
@@ -1232,7 +1357,7 @@ H = OR(C, D, G)
         assert_eq!(seq.threads_used(), 1);
         assert!(par.threads_used() >= 2, "got {}", par.threads_used());
         assert_eq!(seq.p_sensitized(), par.p_sensitized());
-        assert_eq!(seq.to_site_epps(), par.to_site_epps());
+        assert_eq!(seq.to_site_epps().unwrap(), par.to_site_epps().unwrap());
     }
 
     /// A long AND chain with a side input per stage: cone sizes vary
@@ -1273,6 +1398,7 @@ H = OR(C, D, G)
                         pool: &pool,
                         backend,
                         plans: PlanPolicy::Reference,
+                        arrivals: Arrivals::Keep,
                     };
                     let planless = epp.sweep(&sites, polarity, &ctx);
                     assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
@@ -1303,11 +1429,27 @@ H = OR(C, D, G)
         let sweep = sweep_all(&epp, 1, &pool);
         let u = c.find("u").unwrap();
         assert_eq!(sweep.site(u).p_sensitized(), 0.0);
-        assert!(sweep.site(u).per_point().is_empty());
+        assert!(sweep.site(u).per_point().unwrap().is_empty());
         let b = c.find("b").unwrap();
         assert_eq!(sweep.site(b).p_sensitized(), 1.0);
-        assert_eq!(sweep.site(b).arrival_at(b).unwrap().pa(), 1.0);
-        assert_eq!(sweep.total_points(), 1, "only b's own arrival is stored");
+        let at_b = sweep
+            .site(b)
+            .per_point()
+            .unwrap()
+            .iter()
+            .find(|p| p.point.signal() == b)
+            .unwrap();
+        assert_eq!(at_b.value.pa(), 1.0);
+        assert_eq!(
+            sweep.total_points(),
+            Some(1),
+            "only b's own arrival is stored"
+        );
+    }
+
+    /// A kept sweep's arrival segments.
+    fn segments(r: &SweepResults) -> &[Vec<PointEpp>] {
+        &r.arrivals.as_ref().expect("kept sweep").segments
     }
 
     /// Sweeps `sites` as one single-thread part per chunk of `cuts`
@@ -1336,16 +1478,19 @@ H = OR(C, D, G)
         let parts = sweep_parts(&epp, &sites, &[0, 37, 37, 150, n], &pool);
         let before: Vec<*const PointEpp> = parts
             .iter()
-            .flat_map(|p| p.iter().map(|r| r.per_point().as_ptr()))
+            .flat_map(|p| p.iter().map(|r| r.per_point().unwrap().as_ptr()))
             .collect();
         let stitched = SweepResults::concat(parts);
-        let after: Vec<*const PointEpp> = stitched.iter().map(|r| r.per_point().as_ptr()).collect();
+        let after: Vec<*const PointEpp> = stitched
+            .iter()
+            .map(|r| r.per_point().unwrap().as_ptr())
+            .collect();
         assert_eq!(
             after, before,
             "every site's arrivals stay where its part put them"
         );
         assert_eq!(
-            stitched.segments.len(),
+            segments(&stitched).len(),
             3,
             "the zero-site part adds no segment"
         );
@@ -1371,7 +1516,7 @@ H = OR(C, D, G)
         ] {
             let stitched = SweepResults::concat(sweep_parts(&epp, &sites, &cuts, &pool));
             assert_eq!(stitched, whole, "cuts {cuts:?}");
-            assert_eq!(stitched.total_points(), 1, "cuts {cuts:?}");
+            assert_eq!(stitched.total_points(), Some(1), "cuts {cuts:?}");
             assert!(stitched.dense);
             for &site in &sites {
                 let (got, want) = (stitched.site(site), whole.site(site));
@@ -1386,7 +1531,7 @@ H = OR(C, D, G)
         }
         let nothing = SweepResults::concat(sweep_parts(&epp, &sites, &[0, 0, 0], &pool));
         assert!(nothing.is_empty());
-        assert_eq!(nothing.total_points(), 0);
+        assert_eq!(nothing.total_points(), Some(0));
         assert_eq!(nothing, SweepResults::concat(Vec::new()));
     }
 
@@ -1397,8 +1542,8 @@ H = OR(C, D, G)
         let pool = WorkspacePool::new();
         let one = sweep_all(&epp, 1, &pool);
         let many = sweep_all(&epp, 4, &pool);
-        assert_eq!(one.segments.len(), 1);
-        assert!(many.segments.len() > 1, "got {}", many.segments.len());
+        assert_eq!(segments(&one).len(), 1);
+        assert!(segments(&many).len() > 1, "got {}", segments(&many).len());
         assert_eq!(one, many);
         assert_eq!(many, one);
         // Stitching stitched results keeps every segment.
@@ -1407,9 +1552,9 @@ H = OR(C, D, G)
             epp.sweep(&sites[..300], PolarityMode::Tracked, &RunCtx::new(4, &pool)),
             epp.sweep(&sites[300..], PolarityMode::Tracked, &RunCtx::new(4, &pool)),
         ];
-        let n_segments: usize = halves.iter().map(|h| h.segments.len()).sum();
+        let n_segments: usize = halves.iter().map(|h| segments(h).len()).sum();
         let nested = SweepResults::concat(halves.into());
-        assert_eq!(nested.segments.len(), n_segments);
+        assert_eq!(segments(&nested).len(), n_segments);
         assert_eq!(nested, one);
     }
 
@@ -1424,9 +1569,37 @@ H = OR(C, D, G)
             ..RunCtx::new(4, &pool)
         };
         let sweep = epp.sweep(&sites, PolarityMode::Tracked, &ctx);
-        assert!(sweep.segments.len() > 1);
-        let capacity: usize = sweep.segments.iter().map(Vec::capacity).sum();
-        assert_eq!(capacity, sweep.total_points());
+        assert!(segments(&sweep).len() > 1);
+        let capacity: usize = segments(&sweep).iter().map(Vec::capacity).sum();
+        assert_eq!(Some(capacity), sweep.total_points());
+    }
+
+    #[test]
+    fn folded_results_never_pass_for_kept_ones() {
+        let c = ser_gen_like_chain(200);
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let keep = RunCtx::new(1, &pool);
+        let fold = RunCtx {
+            arrivals: Arrivals::Fold,
+            ..keep
+        };
+        // An empty folded sweep is folded, not an empty kept one.
+        let empty = epp.sweep(&[], PolarityMode::Tracked, &fold);
+        assert_eq!(empty.total_points(), None);
+        assert!(empty.to_site_epps().is_none());
+        assert_ne!(empty, epp.sweep(&[], PolarityMode::Tracked, &keep));
+        // One folded part folds the stitch.
+        let folded = epp.sweep(&sites, PolarityMode::Tracked, &fold);
+        let mixed = SweepResults::concat(vec![
+            epp.sweep(&sites[..100], PolarityMode::Tracked, &keep),
+            epp.sweep(&sites[100..], PolarityMode::Tracked, &fold),
+        ]);
+        assert_eq!(mixed, folded);
+        assert_eq!(mixed.total_points(), None);
+        let threaded = RunCtx { threads: 4, ..fold };
+        assert_eq!(epp.sweep(&sites, PolarityMode::Tracked, &threaded), folded);
     }
 
     #[test]
@@ -1437,6 +1610,6 @@ H = OR(C, D, G)
         let sweep = epp.sweep(&[], PolarityMode::Tracked, &RunCtx::new(2, &pool));
         assert!(sweep.is_empty());
         assert_eq!(sweep.len(), 0);
-        assert_eq!(sweep.total_points(), 0);
+        assert_eq!(sweep.total_points(), Some(0));
     }
 }

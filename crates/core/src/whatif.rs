@@ -205,13 +205,15 @@ impl WhatIfSession {
         Self::with_base_results(session, results, threads)
     }
 
-    /// Opens a session around a sweep the caller already ran — how the
-    /// service wraps a warm cache entry without re-sweeping.
+    /// Opens a session around a sweep the caller already ran, without
+    /// re-sweeping.
     ///
     /// # Panics
     ///
     /// Panics if `results` is not a dense whole-circuit sweep of the
-    /// session's circuit (every node a site, in id order).
+    /// session's circuit (every node a site, in id order), or if it
+    /// folded its arrivals ([`Arrivals::Fold`](crate::Arrivals::Fold)):
+    /// the what-if splice copies them.
     #[must_use]
     pub fn with_base_results(
         session: AnalysisSession,
@@ -227,6 +229,10 @@ impl WhatIfSession {
                     .enumerate()
                     .all(|(i, s)| s.index() == i),
             "base results must be a dense whole-circuit sweep"
+        );
+        assert!(
+            results.total_points().is_some(),
+            "base results must keep their arrivals"
         );
         let total = Self::total_of(session.circuit(), &results);
         let state = State {
@@ -615,7 +621,9 @@ impl WhatIfSession {
             let mut planned_cursor = 0usize;
             let results = SweepResults::assemble_dense(
                 circuit.len(),
-                cur.results.total_points(),
+                cur.results
+                    .total_points()
+                    .expect("what-if states keep their arrivals"),
                 |id, points| {
                     let i = id.index();
                     if let Some(res) = reference_results
@@ -625,7 +633,10 @@ impl WhatIfSession {
                         let site = res.get(ref_cursor);
                         ref_cursor += 1;
                         debug_assert_eq!(site.site(), id, "reference splice order");
-                        points.extend_from_slice(site.per_point());
+                        points.extend_from_slice(
+                            site.per_point()
+                                .expect("the reference tier keeps its arrivals"),
+                        );
                         (site.p_sensitized(), gates_u32(site.on_path_gates()))
                     } else if planned_mask[i] {
                         let res = planned_results
@@ -634,7 +645,10 @@ impl WhatIfSession {
                         let site = res.get(planned_cursor);
                         planned_cursor += 1;
                         debug_assert_eq!(Some(site.site()), rev[i], "planned splice order");
-                        points.extend(site.per_point().iter().map(|p| PointEpp {
+                        let kept = site
+                            .per_point()
+                            .expect("the planned tier keeps its arrivals");
+                        points.extend(kept.iter().map(|p| PointEpp {
                             point: remap_point(p.point),
                             value: p.value,
                         }));
@@ -642,7 +656,10 @@ impl WhatIfSession {
                     } else {
                         let old = rev[i].expect("a clean site survives the edit");
                         let site = cur.results.get(old.index());
-                        points.extend(site.per_point().iter().map(|p| PointEpp {
+                        let kept = site
+                            .per_point()
+                            .expect("what-if states keep their arrivals");
+                        points.extend(kept.iter().map(|p| PointEpp {
                             point: remap_point(p.point),
                             value: p.value,
                         }));

@@ -39,127 +39,6 @@ pub fn ripple_carry_adder(n: usize) -> Circuit {
     b.finish().expect("adder is structurally valid")
 }
 
-/// An `n × n` array multiplier: inputs `a0..`, `b0..`; outputs
-/// `p0..p{2n-1}`.
-///
-/// # Panics
-///
-/// Panics if `n` is 0.
-#[cfg(test)]
-// Row/column indices address the `pp`/`sums`/`carries` grids jointly;
-// the index form mirrors the array-multiplier diagram.
-#[allow(clippy::needless_range_loop)]
-fn array_multiplier(n: usize) -> Circuit {
-    assert!(n > 0, "multiplier width must be positive");
-    let mut b = CircuitBuilder::new(format!("mul{n}"));
-    let a: Vec<NodeId> = (0..n).map(|i| b.input(&format!("a{i}"))).collect();
-    let bb: Vec<NodeId> = (0..n).map(|i| b.input(&format!("b{i}"))).collect();
-    // Partial products.
-    let mut pp = vec![vec![NodeId::from_index(0); n]; n];
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in bb.iter().enumerate() {
-            pp[i][j] = b.gate(&format!("pp{i}_{j}"), GateKind::And, &[ai, bj]);
-        }
-    }
-    // Carry-save reduction, row by row.
-    // row holds the current accumulated bits for columns i..i+n.
-    let mut sums: Vec<NodeId> = pp[0].clone(); // column weights 0..n-1 for row 0
-    let mut carries: Vec<NodeId> = Vec::new();
-    b.mark_output(sums[0]); // p0
-    let mut outputs = 1usize;
-    let mut prev_carry: Vec<NodeId> = Vec::new();
-    for i in 1..n {
-        // Add row i (pp[i][j] at column i+j) into sums/carries.
-        let mut new_sums = Vec::with_capacity(n);
-        let mut new_carries = Vec::with_capacity(n);
-        for j in 0..n {
-            // Bits at column i + j: shifted accumulator bit, the fresh
-            // partial product, and last row's carry (if any).
-            let acc = if j + 1 < sums.len() {
-                Some(sums[j + 1])
-            } else {
-                None
-            };
-            let carry_in = prev_carry.get(j).copied();
-            let tag = format!("r{i}_{j}");
-            let (s, c) = match (acc, carry_in) {
-                (Some(x), Some(ci)) => full_adder(&mut b, &tag, x, pp[i][j], ci),
-                (Some(x), None) => half_adder(&mut b, &tag, x, pp[i][j]),
-                (None, Some(ci)) => half_adder(&mut b, &tag, pp[i][j], ci),
-                (None, None) => {
-                    let s = b.gate(&format!("s{tag}"), GateKind::Buf, &[pp[i][j]]);
-                    let c = b.constant(&format!("c{tag}"), false);
-                    (s, c)
-                }
-            };
-            new_sums.push(s);
-            new_carries.push(c);
-        }
-        b.mark_output(new_sums[0]); // p_i
-        outputs += 1;
-        sums = new_sums;
-        prev_carry = new_carries;
-        carries = prev_carry.clone();
-    }
-    // Final ripple: combine remaining sums (columns n..2n-1) with carries.
-    let mut carry: Option<NodeId> = None;
-    for j in 1..n {
-        let tag = format!("f{j}");
-        let ci = carries.get(j - 1).copied();
-        let (s, c) = match (ci, carry) {
-            (Some(x), Some(cc)) => full_adder(&mut b, &tag, sums[j], x, cc),
-            (Some(x), None) => half_adder(&mut b, &tag, sums[j], x),
-            (None, Some(cc)) => half_adder(&mut b, &tag, sums[j], cc),
-            (None, None) => {
-                let s = b.gate(&format!("s{tag}"), GateKind::Buf, &[sums[j]]);
-                (s, b.constant(&format!("c{tag}"), false))
-            }
-        };
-        b.mark_output(s);
-        outputs += 1;
-        carry = Some(c);
-    }
-    // Top bit.
-    let last = carries.last().copied();
-    let tag = "top".to_owned();
-    let top = match (last, carry) {
-        (Some(x), Some(cc)) => {
-            let (s, _c) = half_adder(&mut b, &tag, x, cc);
-            s
-        }
-        (Some(x), None) => x,
-        (None, Some(cc)) => cc,
-        (None, None) => b.constant("ctop", false),
-    };
-    b.mark_output(top);
-    outputs += 1;
-    debug_assert_eq!(outputs, 2 * n);
-    b.finish().expect("multiplier is structurally valid")
-}
-
-#[cfg(test)]
-fn full_adder(
-    b: &mut CircuitBuilder,
-    tag: &str,
-    x: NodeId,
-    y: NodeId,
-    z: NodeId,
-) -> (NodeId, NodeId) {
-    let xy = b.gate(&format!("fx{tag}"), GateKind::Xor, &[x, y]);
-    let s = b.gate(&format!("fs{tag}"), GateKind::Xor, &[xy, z]);
-    let and1 = b.gate(&format!("fa{tag}"), GateKind::And, &[x, y]);
-    let and2 = b.gate(&format!("fb{tag}"), GateKind::And, &[xy, z]);
-    let c = b.gate(&format!("fc{tag}"), GateKind::Or, &[and1, and2]);
-    (s, c)
-}
-
-#[cfg(test)]
-fn half_adder(b: &mut CircuitBuilder, tag: &str, x: NodeId, y: NodeId) -> (NodeId, NodeId) {
-    let s = b.gate(&format!("hs{tag}"), GateKind::Xor, &[x, y]);
-    let c = b.gate(&format!("hc{tag}"), GateKind::And, &[x, y]);
-    (s, c)
-}
-
 /// A balanced XOR parity tree over `n` inputs — maximally transparent
 /// to errors (every SEU always propagates), the anti-masking extreme of
 /// the ablation sweeps.
@@ -297,34 +176,6 @@ mod tests {
                     }
                     assert_eq!(got, a + bv + cin, "{a} + {bv} + {cin}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn multiplier_multiplies() {
-        let n = 3;
-        let c = array_multiplier(n);
-        let sim = BitSim::new(&c).unwrap();
-        assert_eq!(c.num_outputs(), 2 * n);
-        for a in 0u32..8 {
-            for bv in 0u32..8 {
-                let bits = scalar_inputs(&c, |name| {
-                    if let Some(i) = name.strip_prefix('a') {
-                        a >> i.parse::<u32>().unwrap() & 1 != 0
-                    } else {
-                        let i = name.strip_prefix('b').unwrap();
-                        bv >> i.parse::<u32>().unwrap() & 1 != 0
-                    }
-                });
-                let v = sim.run_scalar(&bits);
-                let mut got = 0u32;
-                for (w, &po) in c.outputs().iter().enumerate() {
-                    if v[po.index()] {
-                        got |= 1 << w;
-                    }
-                }
-                assert_eq!(got, a * bv, "{a} * {bv} (got {got})");
             }
         }
     }

@@ -98,16 +98,6 @@ impl GateKind {
         )
     }
 
-    /// Returns `true` if the gate inverts the parity of a propagating
-    /// error from *one* of its inputs (NAND, NOR, NOT, XNOR).
-    #[cfg(test)]
-    fn inverting(self) -> bool {
-        matches!(
-            self,
-            GateKind::Nand | GateKind::Nor | GateKind::Not | GateKind::Xnor
-        )
-    }
-
     /// Evaluate the gate over boolean fanin values.
     ///
     /// # Panics
@@ -346,17 +336,5 @@ mod tests {
         assert!("MAJ".parse::<GateKind>().is_err());
         let err = "FOO".parse::<GateKind>().unwrap_err();
         assert!(err.to_string().contains("FOO"));
-    }
-
-    #[test]
-    fn inverting_classification() {
-        assert!(GateKind::Nand.inverting());
-        assert!(GateKind::Nor.inverting());
-        assert!(GateKind::Not.inverting());
-        assert!(GateKind::Xnor.inverting());
-        assert!(!GateKind::And.inverting());
-        assert!(!GateKind::Or.inverting());
-        assert!(!GateKind::Buf.inverting());
-        assert!(!GateKind::Xor.inverting());
     }
 }

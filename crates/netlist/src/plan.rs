@@ -678,21 +678,6 @@ impl<'a> ConePlan<'a> {
             + self.plans.tail_pins[t] as usize
     }
 
-    /// `true` iff any cone member is marked. `marked` is indexed by
-    /// node id and must cover every node. The chain path is walked via
-    /// [`next_of`](Self::next_of); tail members resolve through the
-    /// suffix-shared position tables (`ConePlans::node_at`). Early
-    /// exit on the first hit, so a miss costs one full cone scan and a
-    /// hit typically far less.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `marked` is shorter than the circuit.
-    #[cfg(test)]
-    fn intersects(&self, marked: &[bool]) -> bool {
-        self.members().any(|m| marked[m.index()])
-    }
-
     /// The next hop on the chain path after `node`. Valid for the site
     /// and every path member before the anchor; the hop after the last
     /// chain node is the anchor itself.
@@ -1161,31 +1146,6 @@ H = OR(C, D, G)
         assert!(matches!(h_refs[0], FaninRef::OffPath(_)), "C off-path");
         assert!(matches!(h_refs[1], FaninRef::OnPath(_)), "D on-path");
         assert!(matches!(h_refs[2], FaninRef::OnPath(_)), "G on-path");
-    }
-
-    #[test]
-    fn intersects_agrees_with_membership() {
-        let c = parse_bench(FIG1, "fig1").unwrap();
-        let topo = TopoArtifacts::compute(&c).unwrap();
-        let plans = build_all(&c, &topo);
-        // Every (site, single-node seed) pair: intersects == membership.
-        for site in c.node_ids() {
-            let plan = plans.plan(site);
-            for seed in c.node_ids() {
-                let mut marked = vec![false; c.len()];
-                marked[seed.index()] = true;
-                assert_eq!(
-                    plan.intersects(&marked),
-                    plan.members().any(|m| m == seed),
-                    "site {site} seed {seed}"
-                );
-            }
-        }
-        // And the empty mask never intersects.
-        let empty = vec![false; c.len()];
-        for site in c.node_ids() {
-            assert!(!plans.plan(site).intersects(&empty));
-        }
     }
 
     #[test]

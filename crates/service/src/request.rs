@@ -126,6 +126,9 @@ pub enum ResponsePayload {
     /// Sweep results, arena-backed (one allocation pool for all sites),
     /// behind an `Arc` so the service's cross-request response cache
     /// serves repeat whole-circuit sweeps without copying the arena.
+    /// The service sweeps with
+    /// [`Arrivals::Fold`](ser_epp::Arrivals::Fold): the per-site
+    /// numbers are there, and every per-point read returns `None`.
     Sweep(Arc<SweepResults>),
     /// Single-site analytical result.
     Site(SiteEpp),

@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ser_epp::{
-    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, AnalysisSession, Edit,
+    multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential, AnalysisSession, Arrivals, Edit,
     MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, RunCtx, SiteEpp,
     SweepResults, WhatIfAbort, WhatIfOutcome, WhatIfSession,
 };
@@ -47,8 +47,16 @@ pub struct SerServiceConfig {
     /// batches have less queue overhead. Must be ≥ 1.
     pub sweep_batch_sites: usize,
     /// Whole-circuit sweep responses kept in the cross-request cache
-    /// (LRU, keyed by `(netlist hash, inputs revision, polarity)`).
-    /// `0` disables response caching.
+    /// (LRU, keyed by `(netlist hash, polarity)` and valid only for
+    /// the SP vector it was computed under). `0` disables response
+    /// caching.
+    ///
+    /// An entry is a folded sweep ([`Arrivals::Fold`]): per site, a
+    /// node id, `p_sensitized` and a gate count, ~16 B, so a cached
+    /// s9234 sweep is ~94 KB. That is why the cache has no byte budget
+    /// beside this count: at 32 entries even a 100k-node netlist's
+    /// sweeps stay near 50 MB, and the per-point arrivals that made
+    /// an s9234 entry 44 MB are never stored.
     pub max_sweep_responses: usize,
     /// Largest Monte-Carlo vector count one request may ask for
     /// (fixed-count or sequential-rule cap alike). Requests over the
@@ -406,10 +414,8 @@ impl SerService {
     /// [`whatif_revert`](Self::whatif_revert). Created on first use by
     /// cloning the warm [`AnalysisSession`] (so the what-if loop never
     /// pays a cold compile while the analysis session is cached) and
-    /// seeding the dense base sweep from the cross-request response
-    /// cache when its arena is still valid for the session's current SP
-    /// vector — a client that swept first starts editing without
-    /// re-sweeping at all.
+    /// running its own base sweep: the cached sweep responses fold
+    /// their arrivals, and the what-if splice needs them.
     fn whatif_session(
         &self,
         circuit: &Arc<Circuit>,
@@ -422,14 +428,10 @@ impl SerService {
 
         // Build outside the lock — the base sweep can be expensive.
         let (session, _) = self.session(circuit, cancel)?;
-        let sp = Arc::clone(session.signal_probabilities_arc());
-        let wf = match self.sweep_cache_get(&(key, PolarityMode::Tracked), &sp) {
-            Some(results) => {
-                WhatIfSession::with_base_results((*session).clone(), results, self.config.threads)
-            }
-            None => WhatIfSession::new((*session).clone(), self.config.threads),
-        };
-        let wf = Arc::new(Mutex::new(wf));
+        let wf = Arc::new(Mutex::new(WhatIfSession::new(
+            (*session).clone(),
+            self.config.threads,
+        )));
 
         let mut cache = lock_clean(&self.whatif);
         if let Some(winner) = lookup(&mut cache, key, circuit, |e| &e.base) {
@@ -451,9 +453,8 @@ impl SerService {
     /// returns the engine's outcome: new total SER, per-site deltas
     /// over the dirty region, and the re-sweep tier split. The first
     /// call against a netlist creates the stack by cloning the warm
-    /// analysis session (and reusing a cached whole-circuit sweep when
-    /// one is valid); later calls pay only the dirty-region
-    /// re-analysis.
+    /// analysis session and sweeping it once; later calls pay only the
+    /// dirty-region re-analysis.
     ///
     /// `edit` is a *resolver*, not an [`Edit`]: it receives the stack's
     /// **current** (possibly already-edited) circuit, because that is
@@ -835,8 +836,13 @@ impl SerService {
                         let part = match check(cancel.as_ref()) {
                             Err(e) => Err(e),
                             Ok(()) => {
+                                // Replies read only the per-site
+                                // numbers: store no arrivals.
+                                let ctx = RunCtx {
+                                    arrivals: Arrivals::Fold,
+                                    ..RunCtx::new(1, session.workspace_pool())
+                                };
                                 let epp = session.epp();
-                                let ctx = RunCtx::new(1, session.workspace_pool());
                                 Ok(Part::Sweep(epp.sweep(&batch, polarity, &ctx)))
                             }
                         };

@@ -5,9 +5,11 @@
 
 use std::sync::Arc;
 
-use ser_suite::epp::{AnalysisSession, EppAnalysis, PolarityMode, RunCtx};
+use ser_suite::epp::{
+    AnalysisSession, Arrivals, Edit, EppAnalysis, PolarityMode, RunCtx, SweepResults,
+};
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
-use ser_suite::netlist::Circuit;
+use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::service::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, ResponsePayload,
     SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
@@ -17,6 +19,59 @@ use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
 
 fn arc(c: Circuit) -> Arc<Circuit> {
     Arc::new(c)
+}
+
+/// The library's sweep of `sites` on `session` at `threads`, as
+/// `(folded, kept)`: the service's sweeps fold their arrivals.
+fn library_sweeps(
+    session: &AnalysisSession,
+    sites: &[NodeId],
+    polarity: PolarityMode,
+    threads: usize,
+) -> (SweepResults, SweepResults) {
+    let kept = RunCtx::new(threads, session.workspace_pool());
+    let folded = RunCtx {
+        arrivals: Arrivals::Fold,
+        ..kept
+    };
+    let epp = session.epp();
+    (
+        epp.sweep(sites, polarity, &folded),
+        epp.sweep(sites, polarity, &kept),
+    )
+}
+
+/// The library's whole-circuit Tracked sweep of `session`, as
+/// [`library_sweeps`] gives it.
+fn library_whole_sweeps(session: &AnalysisSession, threads: usize) -> (SweepResults, SweepResults) {
+    let sites: Vec<NodeId> = session.circuit().node_ids().collect();
+    library_sweeps(session, &sites, PolarityMode::Tracked, threads)
+}
+
+/// A service sweep equals the library's folded sweep, and its per-site
+/// `p_sensitized` and `on_path_gates` equal the kept sweep's bit for
+/// bit.
+fn assert_service_sweep(
+    got: &SweepResults,
+    (folded, kept): &(SweepResults, SweepResults),
+    what: &str,
+) {
+    assert_eq!(got, folded, "{what}");
+    assert_eq!(got.sites(), kept.sites(), "{what}");
+    for (g, k) in got.iter().zip(kept.iter()) {
+        assert_eq!(
+            g.p_sensitized().to_bits(),
+            k.p_sensitized().to_bits(),
+            "{what}: site {}",
+            g.site()
+        );
+        assert_eq!(
+            g.on_path_gates(),
+            k.on_path_gates(),
+            "{what}: site {}",
+            g.site()
+        );
+    }
 }
 
 /// The owned session is what the service relies on: cheap to clone,
@@ -76,11 +131,10 @@ fn service_sweep_is_bit_identical_to_direct_session() {
 
         let direct = AnalysisSession::new(Arc::clone(&circuit)).unwrap();
         for threads in [1, 4] {
-            assert_eq!(
+            assert_service_sweep(
                 sweep,
-                &direct.sweep(threads),
-                "{}: service vs direct ({threads} threads)",
-                circuit.name()
+                &library_whole_sweeps(&direct, threads),
+                &format!("{}: service vs direct ({threads} threads)", circuit.name()),
             );
         }
 
@@ -204,8 +258,8 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
     service.session(&a, None).unwrap();
     service.session(&b, None).unwrap();
 
-    let expected_a = AnalysisSession::new(Arc::clone(&a)).unwrap().sweep(1);
-    let expected_b = AnalysisSession::new(Arc::clone(&b)).unwrap().sweep(1);
+    let expected_a = library_whole_sweeps(&AnalysisSession::new(Arc::clone(&a)).unwrap(), 1);
+    let expected_b = library_whole_sweeps(&AnalysisSession::new(Arc::clone(&b)).unwrap(), 1);
 
     // One interleaved batch mixing both circuits…
     let responses = service.submit_batch(vec![
@@ -231,7 +285,7 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
     for (i, expected) in [&expected_a, &expected_b, &expected_a].iter().enumerate() {
         let r = responses[i].as_ref().unwrap();
         assert!(r.meta.warm_session, "response {i} came from the warm cache");
-        assert_eq!(r.as_sweep().unwrap(), *expected, "response {i}");
+        assert_service_sweep(r.as_sweep().unwrap(), expected, &format!("response {i}"));
     }
 
     // …and genuinely concurrent submitters sharing the service.
@@ -254,7 +308,7 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
         let r = h.join().unwrap();
         let expected = if i % 2 == 0 { &expected_a } else { &expected_b };
         assert!(r.meta.warm_session);
-        assert_eq!(r.as_sweep().unwrap(), expected, "submitter {i}");
+        assert_service_sweep(r.as_sweep().unwrap(), expected, &format!("submitter {i}"));
     }
 }
 
@@ -320,12 +374,8 @@ fn subset_sweep_with_polarity() {
     assert_eq!(sweep.sites(), sites.as_slice());
 
     let session = AnalysisSession::new(Arc::clone(&circuit)).unwrap();
-    let direct = session.epp().sweep(
-        &sites,
-        PolarityMode::Merged,
-        &RunCtx::new(1, session.workspace_pool()),
-    );
-    assert_eq!(sweep, &direct);
+    let direct = library_sweeps(&session, &sites, PolarityMode::Merged, 1);
+    assert_service_sweep(sweep, &direct, "subset sweep");
 }
 
 /// The cross-request sweep-response cache: repeat whole-circuit sweeps
@@ -402,10 +452,11 @@ fn sweep_response_cache_hits_and_invalidates() {
     assert!(r3.meta.warm_session, "set_inputs keeps the session warm");
     assert_eq!(service.stats().sweep_cache_misses, 3);
     assert_ne!(r3.as_sweep().unwrap(), r1.as_sweep().unwrap());
-    let direct = AnalysisSession::with_inputs(Arc::clone(&circuit), InputProbs::uniform(0.9))
-        .unwrap()
-        .sweep(1);
-    assert_eq!(r3.as_sweep().unwrap(), &direct, "new inputs in force");
+    let direct = library_whole_sweeps(
+        &AnalysisSession::with_inputs(Arc::clone(&circuit), InputProbs::uniform(0.9)).unwrap(),
+        1,
+    );
+    assert_service_sweep(r3.as_sweep().unwrap(), &direct, "new inputs in force");
 
     // And the new-revision response is itself cached + served shared.
     let r4 = service
@@ -413,6 +464,67 @@ fn sweep_response_cache_hits_and_invalidates() {
         .unwrap();
     assert_eq!(service.stats().sweep_cache_hits, 2);
     assert_eq!(r4.as_sweep().unwrap(), r3.as_sweep().unwrap());
+}
+
+/// The daemon's sweeps fold their arrivals: a cached whole-circuit
+/// response, and the cache hit that shares it, hold none, and say so
+/// with `None` rather than an empty answer.
+#[test]
+fn cached_sweep_responses_hold_no_arrivals() {
+    let circuit = arc(iscas89_like("s298").unwrap());
+    let service = SerService::with_defaults();
+    let first = service
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    let again = service
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    assert_eq!(service.stats().sweep_cache_hits, 1);
+    for response in [&first, &again] {
+        let sweep = response.as_sweep().unwrap();
+        assert_eq!(sweep.len(), circuit.len());
+        assert_eq!(sweep.total_points(), None);
+        assert!(sweep.to_site_epps().is_none());
+        assert!(sweep.iter().all(|site| site.per_point().is_none()));
+    }
+}
+
+/// A what-if stack builds its own base sweep, so sweeping the netlist
+/// first changes no what-if outcome: the same edits give the same
+/// outcomes, bit for bit, as on a service that never swept.
+#[test]
+fn whatif_after_a_sweep_matches_a_fresh_service() {
+    let circuit = arc(iscas89_like("s298").unwrap());
+    let logic_gate = |fanout_free: bool| {
+        circuit
+            .node_ids()
+            .find(|&id| {
+                let node = circuit.node(id);
+                node.kind().is_logic() && node.fanout().is_empty() == fanout_free
+            })
+            .unwrap()
+    };
+    let edits = [logic_gate(true), logic_gate(false)];
+    let swept = SerService::with_defaults();
+    swept
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    assert_eq!(swept.stats().sweep_responses_cached, 1);
+    let fresh = SerService::with_defaults();
+    for gate in edits {
+        let name = circuit.node(gate).name().to_owned();
+        let tmr = |current: &Circuit| Ok(Edit::Tmr(current.find(&name).unwrap()));
+        let got = swept.whatif_apply(&circuit, tmr).unwrap();
+        let want = fresh.whatif_apply(&circuit, tmr).unwrap();
+        assert_eq!(got.previous_total.to_bits(), want.previous_total.to_bits());
+        assert_eq!(got.total.to_bits(), want.total.to_bits());
+        assert_eq!(got.dirty_sites, want.dirty_sites);
+        assert_eq!(got.resweep_planned, want.resweep_planned);
+        assert_eq!(got.resweep_reference, want.resweep_reference);
+        assert_eq!(got.total_sites, want.total_sites);
+        assert_eq!(got.depth, want.depth);
+        assert_eq!(got.deltas, want.deltas);
+    }
 }
 
 /// LRU eviction must not silently revert `set_inputs`: the service
@@ -434,9 +546,10 @@ fn set_inputs_survives_session_eviction() {
     service
         .set_inputs(&target, InputProbs::uniform(0.8))
         .unwrap();
-    let expected = AnalysisSession::with_inputs(Arc::clone(&target), InputProbs::uniform(0.8))
-        .unwrap()
-        .sweep(1);
+    let expected = library_whole_sweeps(
+        &AnalysisSession::with_inputs(Arc::clone(&target), InputProbs::uniform(0.8)).unwrap(),
+        1,
+    );
 
     // Evict the configured session, then come back to the circuit.
     service.session(&other, None).unwrap();
@@ -444,10 +557,10 @@ fn set_inputs_survives_session_eviction() {
         .submit(&target, Request::Sweep(SweepRequest::default()))
         .unwrap();
     assert!(!response.meta.warm_session, "session was recompiled");
-    assert_eq!(
+    assert_service_sweep(
         response.as_sweep().unwrap(),
         &expected,
-        "recompiled session restores the recorded inputs"
+        "recompiled session restores the recorded inputs",
     );
 }
 

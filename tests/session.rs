@@ -39,7 +39,7 @@ fn session_reuse_is_bit_identical_to_fresh_construction() {
         // The per-site reference path is the sweep's oracle.
         let sweep_fresh: Vec<_> = c.node_ids().map(|id| fresh.site(id)).collect();
         for threads in [1, 4] {
-            let sweep_cached = session.sweep(threads).to_site_epps();
+            let sweep_cached = session.sweep(threads).to_site_epps().expect("a kept sweep");
             assert_eq!(
                 sweep_cached,
                 sweep_fresh,

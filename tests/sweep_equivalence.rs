@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use ser_suite::epp::{
-    EppAnalysis, KernelBackend, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace, SweepResults,
-    WorkspacePool,
+    Arrivals, EppAnalysis, KernelBackend, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace,
+    SweepResults, WorkspacePool,
 };
 use ser_suite::gen::RandomDag;
 use ser_suite::netlist::{Circuit, NodeId};
@@ -52,7 +52,7 @@ fn assert_sweep_matches_reference(
             "site {id} ({polarity:?})"
         );
         assert_eq!(batched.on_path_gates(), reference.on_path_gates());
-        assert_eq!(batched.per_point(), reference.per_point());
+        assert_eq!(batched.per_point(), Some(reference.per_point()));
     }
 }
 
@@ -101,7 +101,7 @@ fn sequential_circuits_bit_identical() {
                 let reference = analysis.site_with_workspace(id, polarity, &mut ws);
                 let batched = single.site(id);
                 assert_eq!(batched.p_sensitized(), reference.p_sensitized());
-                assert_eq!(batched.per_point(), reference.per_point());
+                assert_eq!(batched.per_point(), Some(reference.per_point()));
                 assert_eq!(batched.on_path_gates(), reference.on_path_gates());
             }
         }
@@ -227,7 +227,8 @@ proptest! {
         let sites: Vec<_> = c.node_ids().collect();
         let owned = analysis
             .sweep(&sites, PolarityMode::Tracked, &RunCtx::new(3, &WorkspacePool::new()))
-            .to_site_epps();
+            .to_site_epps()
+            .expect("a kept sweep");
         let mut ws = SiteWorkspace::new(&analysis);
         for (id, got) in c.node_ids().zip(&owned) {
             let reference = analysis.site_with_workspace(id, PolarityMode::Tracked, &mut ws);
@@ -307,7 +308,7 @@ proptest! {
                     prop_assert_eq!(sweep.sites(), sites.as_slice());
                     for (pos, want) in reference.iter().enumerate() {
                         prop_assert_eq!(
-                            &sweep.get(pos).to_site_epp(),
+                            &sweep.get(pos).to_site_epp().expect("a kept sweep"),
                             want,
                             "position {} ({} threads, {:?}, {:?})",
                             pos,
@@ -315,6 +316,51 @@ proptest! {
                             plans,
                             polarity
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A folded sweep keeps the per-site numbers and nothing else: on
+    /// the shuffled subset and on the whole circuit, under every thread
+    /// count, both polarities and both plan policies, its sites,
+    /// `p_sensitized` and `on_path_gates` equal the kept sweep's bit
+    /// for bit, and no per-point read answers.
+    #[test]
+    fn folded_sweep_matches_kept_sweep(
+        (inputs, gates, reconv, seed, subset_seed) in subset_dag_strategy()
+    ) {
+        let c = build(inputs, gates, reconv, 0.2, seed);
+        let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
+        let analysis = EppAnalysis::new(&c, sp).unwrap();
+        let whole: Vec<NodeId> = c.node_ids().collect();
+        let pool = WorkspacePool::new();
+        for sites in [shuffled_subset(&c, subset_seed), whole] {
+            for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
+                for threads in [1usize, 2, 5] {
+                    for plans in [PlanPolicy::Auto, PlanPolicy::Reference] {
+                        let kept_ctx = RunCtx { plans, ..RunCtx::new(threads, &pool) };
+                        let fold_ctx = RunCtx { arrivals: Arrivals::Fold, ..kept_ctx };
+                        let kept = analysis.sweep(&sites, polarity, &kept_ctx);
+                        let folded = analysis.sweep(&sites, polarity, &fold_ctx);
+                        let what = format!("{threads} threads, {plans:?}, {polarity:?}");
+                        prop_assert_eq!(folded.sites(), kept.sites(), "{}", what);
+                        for (f, k) in folded.iter().zip(kept.iter()) {
+                            prop_assert_eq!(
+                                f.p_sensitized().to_bits(),
+                                k.p_sensitized().to_bits(),
+                                "site {} ({})",
+                                f.site(),
+                                what
+                            );
+                            prop_assert_eq!(f.on_path_gates(), k.on_path_gates(), "{}", what);
+                            prop_assert!(f.per_point().is_none(), "{}", what);
+                            prop_assert!(f.to_site_epp().is_none(), "{}", what);
+                        }
+                        prop_assert_eq!(folded.total_points(), None, "{}", what);
+                        prop_assert!(folded.to_site_epps().is_none(), "{}", what);
+                        prop_assert!(folded != kept, "{}", what);
                     }
                 }
             }

@@ -314,6 +314,20 @@ fn validate(doc: &Json) -> Result<(), String> {
             }
         }
     }
+    // The sweep record's folded one-thread row is the daemon's sweep at
+    // the kernel layer: its silent loss would drop the fold trajectory.
+    if doc.get("bench") == Some(&Json::String("sweep_throughput".into())) {
+        for (i, entry) in results.iter().enumerate() {
+            match entry.get("folded_1t").and_then(|f| f.get("sites_per_sec")) {
+                Some(Json::Number(_)) => {}
+                _ => {
+                    return Err(format!(
+                        "results[{i}] is missing its numeric \"folded_1t\".\"sites_per_sec\" metric"
+                    ))
+                }
+            }
+        }
+    }
     // Bench-specific shape: the service record carries a TCP round-trip
     // section whose silent loss would drop the wire-cost trajectory.
     if doc.get("bench") == Some(&Json::String("service_throughput".into())) {
@@ -474,7 +488,8 @@ mod tests {
          "arena_members": 9000, "arena_bytes": 120000,
          "whatif_resweep_ms": 1.2, "whatif_dirty_site_fraction": 0.41,
          "whatif_full_recompute_ms": 8.5,
-         "reference": {"sites_per_sec": 147038.2, "p50_us": 4.4}}
+         "reference": {"sites_per_sec": 147038.2, "p50_us": 4.4},
+         "folded_1t": {"sites_per_sec": 620000.0}}
       ]
     }"#;
 
@@ -552,8 +567,33 @@ mod tests {
             .unwrap_err()
             .contains("whatif_dirty_site_fraction"));
         let doc = parse(
-            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0}]}"#,
+            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0, "folded_1t": {"sites_per_sec": 9.0}}]}"#,
         )
+        .unwrap();
+        validate(&doc).unwrap();
+    }
+
+    #[test]
+    fn sweep_record_requires_its_folded_row() {
+        let base = r#""kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0"#;
+        for bad in [
+            "",
+            r#", "folded_1t": 9.0"#,
+            r#", "folded_1t": {"p50_us": 1.0}"#,
+            r#", "folded_1t": {"sites_per_sec": "fast"}"#,
+        ] {
+            let doc = parse(&format!(
+                r#"{{"bench": "sweep_throughput", {base}{bad}}}]}}"#
+            ))
+            .unwrap();
+            assert!(
+                validate(&doc).unwrap_err().contains("folded_1t"),
+                "accepted: {bad}"
+            );
+        }
+        let doc = parse(&format!(
+            r#"{{"bench": "sweep_throughput", {base}, "folded_1t": {{"sites_per_sec": 9.0}}}}]}}"#
+        ))
         .unwrap();
         validate(&doc).unwrap();
     }
