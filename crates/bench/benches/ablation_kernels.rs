@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ser_epp::{EppAnalysis, PolarityMode};
 use ser_gen::{iscas89_like, RandomDag};
-use ser_sp::{CorrelationSp, IndependentSp, InputProbs, MonteCarloSp, SpEngine};
+use ser_oracle::CorrelationSp;
+use ser_sp::{IndependentSp, InputProbs, MonteCarloSp, SpEngine};
 
 /// Tracked vs merged polarity: the merged variant does strictly less
 /// bookkeeping — how much does the paper's accuracy cost in time?

@@ -15,11 +15,12 @@
 
 use ser_bench_harness::accuracy::{mean_abs_diff, SitePair};
 use ser_bench_harness::table::TextTable;
-use ser_epp::{AnalysisSession, EppAnalysis, ExactEpp, PolarityMode, RunCtx};
+use ser_epp::{AnalysisSession, EppAnalysis, PolarityMode, RunCtx};
 use ser_gen::RandomDag;
 use ser_netlist::{Circuit, NodeId};
+use ser_oracle::{CorrelationSp, ExactEpp, ExactSp};
 use ser_sim::{BitSim, MonteCarlo};
-use ser_sp::{CorrelationSp, ExactSp, IndependentSp, InputProbs, SpEngine};
+use ser_sp::{IndependentSp, InputProbs, SpEngine};
 
 /// Mean |analytical − exact| `P_sensitized` over all nodes.
 ///
@@ -43,8 +44,8 @@ fn epp_error_vs_exact_with(
         .iter()
         .map(|r| SitePair {
             analytical: r.p_sensitized(),
-            monte_carlo: session
-                .exact_site(&oracle, r.site())
+            monte_carlo: oracle
+                .site_with_sim(session.bit_sim(), session.inputs(), r.site())
                 .expect("small circuit")
                 .p_sensitized,
         })

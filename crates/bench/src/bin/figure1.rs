@@ -7,8 +7,9 @@
 //! cargo run --release -p ser-bench-harness --bin figure1
 //! ```
 
-use ser_epp::{AnalysisSession, ExactEpp};
+use ser_epp::AnalysisSession;
 use ser_gen::figure1;
+use ser_oracle::ExactEpp;
 use ser_sim::MonteCarlo;
 use ser_sp::InputProbs;
 

@@ -60,10 +60,11 @@ impl FourValue {
     }
 
     /// Builds a tuple without the sum check, clamping each component
-    /// into `[0, 1]` and normalizing tiny negative dust. Used by the
-    /// propagation rules where products can drift by a few ULPs.
+    /// into `[0, 1]` and normalizing tiny negative dust. Used where
+    /// rounding can drift by a few ULPs: the propagation rules' products
+    /// and the exact oracles' weighted sums.
     #[must_use]
-    pub(crate) fn new_clamped(pa: f64, pa_bar: f64, p0: f64, p1: f64) -> Self {
+    pub fn new_clamped(pa: f64, pa_bar: f64, p0: f64, p1: f64) -> Self {
         let clamp = |x: f64| x.clamp(0.0, 1.0);
         let v = FourValue {
             pa: clamp(pa),

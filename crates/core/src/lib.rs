@@ -12,8 +12,6 @@
 //! - [`propagate`] — Table 1's per-gate rules (all gate kinds),
 //! - [`EppAnalysis`] — cone extraction + topological one-pass EPP and
 //!   `P_sensitized` per error site,
-//! - [`ExactEpp`] — the exhaustive-enumeration oracle used to validate
-//!   the rules and quantify reconvergence error,
 //! - [`RseuModel`]/[`PlatchedModel`]/[`SerReport`] — the full
 //!   `SER = R_SEU × P_latched × P_sensitized` model with rankings,
 //! - [`AnalysisSession`] — the cached per-circuit context: topological
@@ -55,9 +53,6 @@
 
 mod analysis;
 mod engine;
-mod equivalence;
-mod exact;
-mod exact_bdd;
 mod four_value;
 mod hardening;
 mod multi_cycle;
@@ -73,9 +68,6 @@ pub use engine::{
     combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, SiteWorkspace,
     WorkspacePool,
 };
-pub use equivalence::{check_equivalence, tmr_replica_names, Equivalence};
-pub use exact::{ExactEpp, ExactSiteEpp};
-pub use exact_bdd::BddExactEpp;
 pub use four_value::FourValue;
 pub use hardening::{HardeningChoice, HardeningCost, HardeningPlan};
 pub use multi_cycle::{

@@ -44,7 +44,6 @@ use crate::engine::{EppAnalysis, SiteEpp, WorkspacePool};
 /// its allocation alive, so pointer reuse is impossible while the
 /// entry exists).
 type MultiCycleSlot = Arc<Mutex<Option<(Arc<SpVector>, Arc<crate::MultiCycleEpp>)>>>;
-use crate::exact::{ExactEpp, ExactSiteEpp};
 use crate::sweep::{RunCtx, SweepResults};
 
 /// A compiled per-circuit analysis context: topological artifacts,
@@ -52,28 +51,6 @@ use crate::sweep::{RunCtx, SweepResults};
 /// each computed at most once and shared by every estimation path.
 ///
 /// # Examples
-///
-/// One session feeds the analytical engine, the exact oracle and the
-/// Monte-Carlo baseline without recompiling anything:
-///
-/// ```
-/// use ser_netlist::parse_bench;
-/// use ser_sim::MonteCarlo;
-/// use ser_epp::{AnalysisSession, ExactEpp};
-///
-/// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t")?;
-/// let session = AnalysisSession::new(&c)?;
-/// let a = c.find("a").unwrap();
-///
-/// let analytic = session.site(a).p_sensitized();
-/// let exact = session.exact_site(&ExactEpp::new(), a)?.p_sensitized;
-/// let mc = session
-///     .monte_carlo_site(&MonteCarlo::new(20_000).with_seed(1), a)
-///     .p_sensitized;
-/// assert!((analytic - exact).abs() < 1e-12);
-/// assert!((analytic - mc).abs() < 0.02);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 ///
 /// Input-probability changes invalidate only the SP layer:
 ///
@@ -349,16 +326,6 @@ impl AnalysisSession {
         mc.estimate_site(self.bit_sim(), site)
     }
 
-    /// Exhaustive-enumeration exact EPP for one site through the
-    /// session's shared simulator.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExactEpp::site`].
-    pub fn exact_site(&self, oracle: &ExactEpp, site: NodeId) -> Result<ExactSiteEpp, SpError> {
-        oracle.site_with_sim(self.bit_sim(), &self.inputs, site)
-    }
-
     /// The multi-cycle frame expansion compiled on the session's
     /// artifacts (one EPP pass per flip-flop; no recomputation of order
     /// or SP). Always compiles fresh tables; prefer
@@ -419,7 +386,6 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BddExactEpp;
     use ser_netlist::parse_bench;
     use ser_sp::{MonteCarloSp, SpEngine};
 
@@ -592,20 +558,5 @@ mod tests {
         assert_eq!(t1.site(x, 2), s1.multi_cycle().site(x, 2));
         assert_eq!(t2.site(x, 2), s2.multi_cycle().site(x, 2));
         assert_ne!(t1.site(x, 2), t2.site(x, 2), "inputs differ");
-    }
-
-    #[test]
-    fn oracles_agree_through_the_session() {
-        let c = toy();
-        let session = AnalysisSession::new(&c).unwrap();
-        let a = c.find("a").unwrap();
-        let analytic = session.site(a).p_sensitized();
-        let exact = session.exact_site(&ExactEpp::new(), a).unwrap();
-        let bdd = BddExactEpp::new().site(&c, session.inputs(), a).unwrap();
-        // Fanout-free circuit: all three agree exactly.
-        assert!((analytic - exact.p_sensitized).abs() < 1e-12);
-        assert!((analytic - bdd.p_sensitized).abs() < 1e-12);
-        let mc = session.monte_carlo_site(&MonteCarlo::new(20_000).with_seed(1), a);
-        assert!((analytic - mc.p_sensitized).abs() < 0.02);
     }
 }

@@ -18,6 +18,9 @@
 // leaks into node numbering or floats (see the per-field notes below).
 use std::collections::HashMap;
 
+use ser_netlist::GateKind;
+use ser_sp::SpError;
+
 /// A BDD function handle (index into the manager's node arena).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BddRef(u32);
@@ -52,30 +55,17 @@ pub struct BddOverflow {
     pub limit: usize,
 }
 
-impl std::fmt::Display for BddOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BDD exceeded the {}-node limit", self.limit)
+/// Callers report an overflow as the engine's size limit.
+impl From<BddOverflow> for SpError {
+    fn from(o: BddOverflow) -> Self {
+        SpError::CircuitTooLarge {
+            nodes: o.limit,
+            limit: o.limit,
+        }
     }
 }
 
-impl std::error::Error for BddOverflow {}
-
 /// A reduced, ordered BDD manager with hash-consing and an ITE cache.
-///
-/// # Examples
-///
-/// ```
-/// use ser_sp::bdd::{Bdd, BddRef};
-///
-/// let mut m = Bdd::new(2, 1 << 20);
-/// let a = m.var(0).unwrap();
-/// let b = m.var(1).unwrap();
-/// let f = m.and(a, b).unwrap();
-/// // P(a AND b) with p(a) = 0.5, p(b) = 0.25.
-/// let p = m.probability(f, &[0.5, 0.25]);
-/// assert!((p - 0.125).abs() < 1e-12);
-/// assert_ne!(f, BddRef::FALSE);
-/// ```
 #[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<BddNode>,
@@ -118,15 +108,9 @@ impl Bdd {
     }
 
     /// Number of live nodes (constants included).
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// `false`: the constants always exist.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The projection function of variable `v`.
@@ -245,6 +229,42 @@ impl Bdd {
     pub fn xor(&mut self, f: BddRef, g: BddRef) -> Result<BddRef, BddOverflow> {
         let ng = self.not(g)?;
         self.ite(f, ng, g)
+    }
+
+    /// The function of a logic gate of `kind` over its fanins'
+    /// functions: one AND, OR or XOR fold across `fanins`, complemented
+    /// for the inverting kinds. Sources (inputs, flip-flops, constants)
+    /// have no gate function; each caller maps its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BddOverflow`] on node-limit exhaustion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is not a logic gate or `fanins` is empty.
+    pub fn gate(&mut self, kind: GateKind, fanins: &[BddRef]) -> Result<BddRef, BddOverflow> {
+        type Op = fn(&mut Bdd, BddRef, BddRef) -> Result<BddRef, BddOverflow>;
+        let (op, invert): (Op, bool) = match kind {
+            GateKind::Buf | GateKind::And => (Bdd::and, false),
+            GateKind::Not | GateKind::Nand => (Bdd::and, true),
+            GateKind::Or => (Bdd::or, false),
+            GateKind::Nor => (Bdd::or, true),
+            GateKind::Xor => (Bdd::xor, false),
+            GateKind::Xnor => (Bdd::xor, true),
+            GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
+                panic!("{kind} is a source, not a gate")
+            }
+        };
+        let mut acc = fanins[0];
+        for &f in &fanins[1..] {
+            acc = op(self, acc, f)?;
+        }
+        if invert {
+            self.not(acc)
+        } else {
+            Ok(acc)
+        }
     }
 
     /// The probability that `f` evaluates to 1 when variable `v` is 1
@@ -379,6 +399,48 @@ mod tests {
         assert_eq!(m.probability(BddRef::TRUE, &[0.3, 0.7]), 1.0);
         assert_eq!(m.probability(BddRef::FALSE, &[0.3, 0.7]), 0.0);
         assert_eq!(m.probability(a, &[0.3, 0.7]), 0.3);
+    }
+
+    #[test]
+    fn and_of_two_vars_has_product_probability() {
+        let mut m = Bdd::new(2, 1 << 20);
+        let a = m.var(0).unwrap();
+        let b = m.var(1).unwrap();
+        let f = m.and(a, b).unwrap();
+        // P(a AND b) with p(a) = 0.5, p(b) = 0.25.
+        let p = m.probability(f, &[0.5, 0.25]);
+        assert!((p - 0.125).abs() < 1e-12);
+        assert_ne!(f, BddRef::FALSE);
+    }
+
+    #[test]
+    fn gate_agrees_with_eval_word_for_every_logic_kind() {
+        for kind in GateKind::LOGIC {
+            for n in (1..=4).filter(|&n| kind.arity_ok(n)) {
+                let mut m = Bdd::new(n, 1 << 12);
+                let vars: Vec<BddRef> = (0..n).map(|v| m.var(v).unwrap()).collect();
+                let f = m.gate(kind, &vars).unwrap();
+                // Pattern `p` gives variable `v` the value of bit `v` of
+                // `p`, so word `v` holds that variable across all 2^n
+                // patterns.
+                let words: Vec<u64> = (0..n)
+                    .map(|v| {
+                        (0..1u64 << n)
+                            .filter(|p| p >> v & 1 != 0)
+                            .fold(0, |w, p| w | 1 << p)
+                    })
+                    .collect();
+                let want = kind.eval_word(&words);
+                for p in 0..1usize << n {
+                    let assignment: Vec<bool> = (0..n).map(|v| p >> v & 1 != 0).collect();
+                    assert_eq!(
+                        m.eval(f, &assignment),
+                        want >> p & 1 != 0,
+                        "{kind} over {n} fanins, assignment {assignment:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

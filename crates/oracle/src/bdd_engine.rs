@@ -7,9 +7,10 @@
 //! 0.5 sources (the suite's combinational view).
 
 use ser_netlist::{Circuit, GateKind, NodeId};
+use ser_sp::{InputProbs, SpEngine, SpError, SpVector};
 
-use crate::bdd::{Bdd, BddOverflow, BddRef};
-use crate::types::{InputProbs, SpEngine, SpError, SpVector};
+use crate::bdd::{Bdd, BddRef};
+use crate::exact::source_probs;
 
 /// Exact SP via BDDs.
 ///
@@ -17,7 +18,8 @@ use crate::types::{InputProbs, SpEngine, SpError, SpVector};
 ///
 /// ```
 /// use ser_netlist::parse_bench;
-/// use ser_sp::{BddSp, InputProbs, SpEngine};
+/// use ser_oracle::BddSp;
+/// use ser_sp::{InputProbs, SpEngine};
 ///
 /// // 32 inputs: far beyond enumeration, trivial for BDDs.
 /// let mut src = String::new();
@@ -58,9 +60,8 @@ impl BddSp {
         self
     }
 
-    /// Builds per-node BDDs for the whole circuit (shared manager).
-    /// Exposed so the exact-EPP oracle in the core crate can reuse the
-    /// construction.
+    /// Builds per-node BDDs for the whole circuit (shared manager),
+    /// which the exact-EPP oracle reuses.
     ///
     /// Returns the manager, the per-node function handles, and the
     /// per-variable probabilities.
@@ -69,7 +70,7 @@ impl BddSp {
     ///
     /// [`SpError::CircuitTooLarge`] when the node limit is hit;
     /// [`SpError::Netlist`] for cyclic circuits.
-    pub fn build(
+    pub(crate) fn build(
         &self,
         circuit: &Circuit,
         inputs: &InputProbs,
@@ -81,69 +82,26 @@ impl BddSp {
             .chain(circuit.dffs().iter())
             .copied()
             .collect();
-        let var_probs: Vec<f64> = sources
-            .iter()
-            .map(|&s| {
-                if circuit.inputs().contains(&s) {
-                    inputs.probability(s)
-                } else {
-                    0.5
-                }
-            })
-            .collect();
+        let var_probs = source_probs(circuit, &sources, inputs);
         let mut var_of = vec![usize::MAX; circuit.len()];
         for (v, &s) in sources.iter().enumerate() {
             var_of[s.index()] = v;
         }
         let mut m = Bdd::new(sources.len(), self.node_limit);
         let mut funcs: Vec<BddRef> = vec![BddRef::FALSE; circuit.len()];
-        let overflow = |_: BddOverflow| SpError::CircuitTooLarge {
-            nodes: self.node_limit,
-            limit: self.node_limit,
-        };
+        let mut fanins: Vec<BddRef> = Vec::new();
         for id in order {
             let node = circuit.node(id);
-            let f = match node.kind() {
-                GateKind::Input | GateKind::Dff => m.var(var_of[id.index()]).map_err(overflow)?,
+            funcs[id.index()] = match node.kind() {
+                GateKind::Input | GateKind::Dff => m.var(var_of[id.index()])?,
                 GateKind::Const0 => BddRef::FALSE,
                 GateKind::Const1 => BddRef::TRUE,
-                GateKind::Buf => funcs[node.fanin()[0].index()],
-                GateKind::Not => m.not(funcs[node.fanin()[0].index()]).map_err(overflow)?,
-                GateKind::And | GateKind::Nand => {
-                    let mut acc = funcs[node.fanin()[0].index()];
-                    for f in &node.fanin()[1..] {
-                        acc = m.and(acc, funcs[f.index()]).map_err(overflow)?;
-                    }
-                    if node.kind() == GateKind::Nand {
-                        m.not(acc).map_err(overflow)?
-                    } else {
-                        acc
-                    }
-                }
-                GateKind::Or | GateKind::Nor => {
-                    let mut acc = funcs[node.fanin()[0].index()];
-                    for f in &node.fanin()[1..] {
-                        acc = m.or(acc, funcs[f.index()]).map_err(overflow)?;
-                    }
-                    if node.kind() == GateKind::Nor {
-                        m.not(acc).map_err(overflow)?
-                    } else {
-                        acc
-                    }
-                }
-                GateKind::Xor | GateKind::Xnor => {
-                    let mut acc = funcs[node.fanin()[0].index()];
-                    for f in &node.fanin()[1..] {
-                        acc = m.xor(acc, funcs[f.index()]).map_err(overflow)?;
-                    }
-                    if node.kind() == GateKind::Xnor {
-                        m.not(acc).map_err(overflow)?
-                    } else {
-                        acc
-                    }
+                kind => {
+                    fanins.clear();
+                    fanins.extend(node.fanin().iter().map(|f| funcs[f.index()]));
+                    m.gate(kind, &fanins)?
                 }
             };
-            funcs[id.index()] = f;
         }
         Ok((m, funcs, var_probs))
     }

@@ -20,8 +20,7 @@
 //! combinational view as [`ExactSp`](crate::ExactSp)).
 
 use ser_netlist::{Circuit, GateKind, NodeId};
-
-use crate::types::{InputProbs, SpEngine, SpError, SpVector};
+use ser_sp::{InputProbs, SpEngine, SpError, SpVector};
 
 /// Internal binary-decomposed operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +45,8 @@ enum BOp {
 ///
 /// ```
 /// use ser_netlist::parse_bench;
-/// use ser_sp::{CorrelationSp, InputProbs, SpEngine};
+/// use ser_oracle::CorrelationSp;
+/// use ser_sp::{InputProbs, SpEngine};
 ///
 /// // XOR built from NANDs: reconvergence defeats the independent
 /// // engine, but pairwise correlations recover the exact 0.5.
@@ -317,8 +317,8 @@ impl SpEngine for CorrelationSp {
 mod tests {
     use super::*;
     use crate::exact::ExactSp;
-    use crate::independent::IndependentSp;
     use ser_netlist::parse_bench;
+    use ser_sp::IndependentSp;
 
     fn engines_on(src: &str, signal: &str, p: f64) -> (f64, f64, f64) {
         let c = parse_bench(src, "t").unwrap();

@@ -8,11 +8,14 @@
 //! Flip-flop Q outputs are treated as free pseudo-inputs (also matched
 //! by name), so two sequential circuits are compared cycle-for-cycle.
 
+// ser-lint: allow(no-hash-iter) — the source-name → variable map below
+// is used for keyed lookup only, never iterated.
 use std::collections::HashMap;
 
 use ser_netlist::{Circuit, GateKind, NodeId};
-use ser_sp::bdd::{Bdd, BddOverflow, BddRef};
 use ser_sp::SpError;
+
+use crate::bdd::{Bdd, BddOverflow, BddRef};
 
 /// Result of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +49,7 @@ pub enum Equivalence {
 ///
 /// ```
 /// use ser_netlist::{harden_tmr, parse_bench};
-/// use ser_epp::{check_equivalence, Equivalence};
+/// use ser_oracle::{check_equivalence, Equivalence};
 ///
 /// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n", "t")?;
 /// let y = c.find("y").unwrap();
@@ -99,19 +102,16 @@ pub fn check_equivalence(
     }
 
     // --- Shared variable space. ----------------------------------------
+    // ser-lint: allow(no-hash-iter) — keyed lookup by source name only.
     let var_index: HashMap<&str, usize> = lsrc
         .iter()
         .enumerate()
         .map(|(i, n)| (n.as_str(), i))
         .collect();
     let mut m = Bdd::new(var_index.len(), node_limit);
-    let overflow = |_: BddOverflow| SpError::CircuitTooLarge {
-        nodes: node_limit,
-        limit: node_limit,
-    };
 
-    let lfuncs = build_functions(&mut m, left, &var_index).map_err(overflow)?;
-    let rfuncs = build_functions(&mut m, right, &var_index).map_err(overflow)?;
+    let lfuncs = build_functions(&mut m, left, &var_index)?;
+    let rfuncs = build_functions(&mut m, right, &var_index)?;
 
     // --- Compare outputs by name. ---------------------------------------
     for &lo in left.outputs() {
@@ -122,7 +122,7 @@ pub fn check_equivalence(
         if lf != rf {
             // Canonicity makes difference a handle comparison; extract a
             // witness from the XOR.
-            let diff = m.xor(lf, rf).map_err(overflow)?;
+            let diff = m.xor(lf, rf)?;
             let assignment = satisfying_assignment(&m, diff);
             let witness = assignment
                 .into_iter()
@@ -142,45 +142,24 @@ pub fn check_equivalence(
 fn build_functions(
     m: &mut Bdd,
     circuit: &Circuit,
+    // ser-lint: allow(no-hash-iter) — keyed lookup by source name only.
     var_index: &HashMap<&str, usize>,
 ) -> Result<Vec<BddRef>, BddOverflow> {
     let order = ser_netlist::topo_order(circuit).expect("caller validated");
     let mut funcs = vec![BddRef::FALSE; circuit.len()];
+    let mut fanins: Vec<BddRef> = Vec::new();
     for id in order {
         let node = circuit.node(id);
-        let fold = |m: &mut Bdd,
-                    funcs: &[BddRef],
-                    op: fn(&mut Bdd, BddRef, BddRef) -> Result<BddRef, BddOverflow>|
-         -> Result<BddRef, BddOverflow> {
-            let mut acc = funcs[node.fanin()[0].index()];
-            for f in &node.fanin()[1..] {
-                acc = op(m, acc, funcs[f.index()])?;
-            }
-            Ok(acc)
-        };
-        let f = match node.kind() {
+        funcs[id.index()] = match node.kind() {
             GateKind::Input | GateKind::Dff => m.var(var_index[node.name()])?,
             GateKind::Const0 => BddRef::FALSE,
             GateKind::Const1 => BddRef::TRUE,
-            GateKind::Buf => funcs[node.fanin()[0].index()],
-            GateKind::Not => m.not(funcs[node.fanin()[0].index()])?,
-            GateKind::And => fold(m, &funcs, Bdd::and)?,
-            GateKind::Nand => {
-                let x = fold(m, &funcs, Bdd::and)?;
-                m.not(x)?
-            }
-            GateKind::Or => fold(m, &funcs, Bdd::or)?,
-            GateKind::Nor => {
-                let x = fold(m, &funcs, Bdd::or)?;
-                m.not(x)?
-            }
-            GateKind::Xor => fold(m, &funcs, Bdd::xor)?,
-            GateKind::Xnor => {
-                let x = fold(m, &funcs, Bdd::xor)?;
-                m.not(x)?
+            kind => {
+                fanins.clear();
+                fanins.extend(node.fanin().iter().map(|f| funcs[f.index()]));
+                m.gate(kind, &fanins)?
             }
         };
-        funcs[id.index()] = f;
     }
     Ok(funcs)
 }

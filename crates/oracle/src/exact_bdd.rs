@@ -9,11 +9,11 @@
 //! `OR_j diff_j` gives exact `P_sensitized`, correlations between
 //! outputs included (no independence assumption anywhere).
 
-use ser_netlist::{Circuit, FanoutCone, GateKind, NodeId, ObservePoint};
-use ser_sp::bdd::{Bdd, BddOverflow, BddRef};
-use ser_sp::{BddSp, InputProbs, SpError};
+use ser_netlist::{Circuit, FanoutCone, NodeId, ObservePoint};
+use ser_sp::{InputProbs, SpError};
 
-use crate::exact::ExactSiteEpp;
+use crate::bdd::BddRef;
+use crate::{BddSp, ExactSiteEpp};
 
 /// The BDD-backed exact EPP oracle.
 ///
@@ -22,7 +22,7 @@ use crate::exact::ExactSiteEpp;
 /// ```
 /// use ser_netlist::parse_bench;
 /// use ser_sp::InputProbs;
-/// use ser_epp::BddExactEpp;
+/// use ser_oracle::BddExactEpp;
 ///
 /// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t")?;
 /// let a = c.find("a").unwrap();
@@ -32,16 +32,15 @@ use crate::exact::ExactSiteEpp;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BddExactEpp {
-    node_limit: usize,
+    /// Builds the fault-free functions and holds the node limit.
+    sp: BddSp,
 }
 
 impl BddExactEpp {
-    /// Creates the oracle with the default BDD node limit (2^21).
+    /// Creates the oracle with [`BddSp`]'s default node limit (2^21).
     #[must_use]
     pub fn new() -> Self {
-        BddExactEpp {
-            node_limit: 1 << 21,
-        }
+        BddExactEpp { sp: BddSp::new() }
     }
 
     /// Adjusts the BDD node limit.
@@ -50,10 +49,10 @@ impl BddExactEpp {
     ///
     /// Panics if `n < 2`.
     #[must_use]
-    pub fn with_node_limit(mut self, n: usize) -> Self {
-        assert!(n >= 2, "limit must hold the constants");
-        self.node_limit = n;
-        self
+    pub fn with_node_limit(self, n: usize) -> Self {
+        BddExactEpp {
+            sp: self.sp.with_node_limit(n),
+        }
     }
 
     /// Exact EPP for one error site.
@@ -69,18 +68,13 @@ impl BddExactEpp {
         site: NodeId,
     ) -> Result<ExactSiteEpp, SpError> {
         let order = ser_netlist::topo_order(circuit)?;
-        let (mut m, good, var_probs) = BddSp::new()
-            .with_node_limit(self.node_limit)
-            .build(circuit, inputs)?;
-        let overflow = |_: BddOverflow| SpError::CircuitTooLarge {
-            nodes: self.node_limit,
-            limit: self.node_limit,
-        };
+        let (mut m, good, var_probs) = self.sp.build(circuit, inputs)?;
 
         // Faulty functions over the cone.
         let cone = FanoutCone::extract(circuit, site);
         let mut faulty = good.clone();
-        faulty[site.index()] = m.not(good[site.index()]).map_err(overflow)?;
+        faulty[site.index()] = m.not(good[site.index()])?;
+        let mut fanins: Vec<BddRef> = Vec::new();
         for &id in &order {
             if id == site || !cone.contains(id) {
                 continue;
@@ -89,8 +83,9 @@ impl BddExactEpp {
             if !node.kind().is_logic() {
                 continue;
             }
-            let fanins: Vec<BddRef> = node.fanin().iter().map(|f| faulty[f.index()]).collect();
-            faulty[id.index()] = apply_gate(&mut m, node.kind(), &fanins).map_err(overflow)?;
+            fanins.clear();
+            fanins.extend(node.fanin().iter().map(|f| faulty[f.index()]));
+            faulty[id.index()] = m.gate(node.kind(), &fanins)?;
         }
 
         // The injected erroneous value a = ¬good(site).
@@ -99,16 +94,16 @@ impl BddExactEpp {
         let mut per_point: Vec<(ObservePoint, f64, f64)> = Vec::new();
         for point in cone.observe_points() {
             let sig = point.signal().index();
-            let diff = m.xor(good[sig], faulty[sig]).map_err(overflow)?;
-            any = m.or(any, diff).map_err(overflow)?;
+            let diff = m.xor(good[sig], faulty[sig])?;
+            any = m.or(any, diff)?;
             // Even parity: faulty value equals `a`.
             let matches_a = {
-                let x = m.xor(faulty[sig], a_val).map_err(overflow)?;
-                m.not(x).map_err(overflow)?
+                let x = m.xor(faulty[sig], a_val)?;
+                m.not(x)?
             };
-            let even = m.and(diff, matches_a).map_err(overflow)?;
-            let not_matches = m.not(matches_a).map_err(overflow)?;
-            let odd = m.and(diff, not_matches).map_err(overflow)?;
+            let even = m.and(diff, matches_a)?;
+            let not_matches = m.not(matches_a)?;
+            let odd = m.and(diff, not_matches)?;
             per_point.push((
                 *point,
                 m.probability(even, &var_probs),
@@ -129,56 +124,10 @@ impl Default for BddExactEpp {
     }
 }
 
-fn apply_gate(m: &mut Bdd, kind: GateKind, fanins: &[BddRef]) -> Result<BddRef, BddOverflow> {
-    let fold_and = |m: &mut Bdd| -> Result<BddRef, BddOverflow> {
-        let mut acc = fanins[0];
-        for &f in &fanins[1..] {
-            acc = m.and(acc, f)?;
-        }
-        Ok(acc)
-    };
-    let fold_or = |m: &mut Bdd| -> Result<BddRef, BddOverflow> {
-        let mut acc = fanins[0];
-        for &f in &fanins[1..] {
-            acc = m.or(acc, f)?;
-        }
-        Ok(acc)
-    };
-    let fold_xor = |m: &mut Bdd| -> Result<BddRef, BddOverflow> {
-        let mut acc = fanins[0];
-        for &f in &fanins[1..] {
-            acc = m.xor(acc, f)?;
-        }
-        Ok(acc)
-    };
-    match kind {
-        GateKind::Buf => Ok(fanins[0]),
-        GateKind::Not => m.not(fanins[0]),
-        GateKind::And => fold_and(m),
-        GateKind::Nand => {
-            let x = fold_and(m)?;
-            m.not(x)
-        }
-        GateKind::Or => fold_or(m),
-        GateKind::Nor => {
-            let x = fold_or(m)?;
-            m.not(x)
-        }
-        GateKind::Xor => fold_xor(m),
-        GateKind::Xnor => {
-            let x = fold_xor(m)?;
-            m.not(x)
-        }
-        GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
-            unreachable!("sources are never recomputed in the cone")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::ExactEpp;
+    use crate::ExactEpp;
     use ser_netlist::parse_bench;
 
     #[test]

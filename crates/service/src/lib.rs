@@ -32,10 +32,6 @@
 //!   connection threads feeding the shared engine, optional
 //!   shared-secret auth, per-client request quotas, a server-wide
 //!   in-flight cap, idle-connection reaping, graceful shutdown.
-//! - [`chaos`] — deterministic seeded fault injection
-//!   ([`ChaosTransport`]): torn writes, mid-frame disconnects,
-//!   injected read errors — the harness the robustness tests drive the
-//!   whole stack through.
 //! - [`json`] — the hand-rolled nested JSON layer the protocol parses
 //!   and renders with (the suite is offline; no serde).
 //!
@@ -87,7 +83,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chaos;
 mod executor;
 pub mod json;
 mod lru;
@@ -97,7 +92,6 @@ mod request;
 mod service;
 mod sync;
 
-pub use chaos::{ChaosSchedule, ChaosTransport};
 pub use executor::Executor;
 pub use json::{json_escape, JsonValue};
 pub use net::{TcpShutdownHandle, TcpTransport};

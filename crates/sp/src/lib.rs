@@ -9,44 +9,19 @@
 //!
 //! - [`IndependentSp`] — the classic linear-time topological pass
 //!   (exact on trees, approximate under reconvergent fanout),
-//! - [`MonteCarloSp`] — simulation-based estimates,
-//! - [`ExactSp`] — weighted exhaustive enumeration (an oracle for small
-//!   circuits),
-//! - [`BddSp`] — exact via [`bdd`] (scales with BDD size instead of
-//!   input count),
-//! - [`CorrelationSp`] — pairwise-correlation propagation (an accuracy
-//!   ablation between independent and exact).
+//! - [`MonteCarloSp`] — simulation-based estimates.
 //!
-//! # Examples
-//!
-//! ```
-//! use ser_netlist::parse_bench;
-//! use ser_sp::{ExactSp, IndependentSp, InputProbs, SpEngine};
-//!
-//! let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n", "t")?;
-//! let probs = InputProbs::uniform(0.5);
-//! let fast = IndependentSp::new().compute(&c, &probs)?;
-//! let oracle = ExactSp::new().compute(&c, &probs)?;
-//! // No reconvergence here, so the linear-time engine is exact.
-//! assert!(fast.max_abs_diff(&oracle) < 1e-12);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! The exact engines these are validated against (exhaustive, BDD) and
+//! the correlation ablation live in the `ser-oracle` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bdd;
-mod bdd_engine;
-mod correlation;
-mod exact;
 mod independent;
 mod monte;
 mod types;
 
-pub use bdd_engine::BddSp;
-pub use correlation::CorrelationSp;
-pub use exact::ExactSp;
 pub use independent::IndependentSp;
 pub use monte::MonteCarloSp;
 pub use types::{InputProbs, SpEngine, SpError, SpVector};

@@ -15,7 +15,8 @@
 //!    replicas' vulnerability — use the exact oracle on redundancy
 //!    structures.
 
-use ser_suite::epp::{check_equivalence, BddExactEpp, CircuitSerAnalysis, Equivalence};
+use ser_oracle::{check_equivalence, tmr_replica_names, BddExactEpp, Equivalence};
+use ser_suite::epp::CircuitSerAnalysis;
 use ser_suite::gen::c17;
 use ser_suite::sim::{BitSim, MonteCarlo};
 use ser_suite::sp::InputProbs;
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analytic = CircuitSerAnalysis::new().run(&hardened)?;
     println!("  site          exact    monte-carlo   analytical-EPP");
     for &t in &targets {
-        for replica in ser_suite::epp::tmr_replica_names(&circuit, t) {
+        for replica in tmr_replica_names(&circuit, t) {
             let site = hardened.find(&replica).expect("replica exists");
             let exact = oracle.site(&hardened, &probs, site)?.p_sensitized;
             let mc_est = mc.estimate_site(&sim, site).p_sensitized;

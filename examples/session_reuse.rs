@@ -14,7 +14,8 @@
 
 use std::time::Instant;
 
-use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, ExactEpp};
+use ser_oracle::ExactEpp;
+use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis};
 use ser_suite::gen::iscas89_like;
 use ser_suite::sim::MonteCarlo;
 use ser_suite::sp::InputProbs;
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (top.p_sensitized - baseline.p_sensitized).abs()
     );
     // The exact oracle usually needs a small cone; guard by source count.
-    match session.exact_site(&ExactEpp::new(), top.node) {
+    match ExactEpp::new().site_with_sim(session.bit_sim(), session.inputs(), top.node) {
         Ok(exact) => println!("exact oracle at `{name}`: {:.4}", exact.p_sensitized),
         Err(e) => println!("exact oracle skipped ({e})"),
     }

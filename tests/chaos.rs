@@ -20,9 +20,12 @@ use std::sync::{Arc, Mutex};
 
 use ser_suite::service::json::{self, JsonValue};
 use ser_suite::service::{
-    serve, ChaosSchedule, ChaosTransport, Connection, EngineConfig, FrameSink, LineStream,
-    ProtocolEngine, SerService, SerServiceConfig, Transport,
+    serve, Connection, EngineConfig, FrameSink, LineStream, ProtocolEngine, SerService,
+    SerServiceConfig, Transport,
 };
+
+mod support;
+use support::chaos::{ChaosSchedule, ChaosTransport};
 
 /// The fixed fault-seed matrix (also exercised by the CI chaos step).
 const SEEDS: [u64; 3] = [11, 0xA5A5, 987_654_321];

@@ -2,7 +2,8 @@
 //! baseline and the exact oracle must tell one consistent story across
 //! circuit families.
 
-use ser_suite::epp::{CircuitSerAnalysis, EppAnalysis, ExactEpp};
+use ser_oracle::ExactEpp;
+use ser_suite::epp::{CircuitSerAnalysis, EppAnalysis};
 use ser_suite::gen::{
     c17, equality_comparator, iscas89_like, parity_tree, ripple_carry_adder, s27, xor_from_nands,
     RandomDag,

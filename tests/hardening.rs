@@ -2,9 +2,8 @@
 //! with TMR, prove equivalence, and re-measure vulnerability with both
 //! the simulator and the exact oracle.
 
-use ser_suite::epp::{
-    check_equivalence, BddExactEpp, CircuitSerAnalysis, Equivalence, HardeningCost, HardeningPlan,
-};
+use ser_oracle::{check_equivalence, tmr_replica_names, BddExactEpp, Equivalence};
+use ser_suite::epp::{CircuitSerAnalysis, HardeningCost, HardeningPlan};
 use ser_suite::gen::c17;
 use ser_suite::netlist::harden_tmr;
 use ser_suite::sim::{BitSim, MonteCarlo};
@@ -115,7 +114,7 @@ fn plan_then_transform_reduces_exact_ser() {
     // structural facts rather than a naive total:
     assert!(after.is_finite() && before.is_finite());
     for &n in &chosen {
-        for replica in ser_suite::epp::tmr_replica_names(&c, n) {
+        for replica in tmr_replica_names(&c, n) {
             let site = h.find(&replica).unwrap();
             assert_eq!(
                 oracle.site(&h, &probs, site).unwrap().p_sensitized,

@@ -3,11 +3,12 @@
 //! hand-picked ones.
 
 use proptest::prelude::*;
+use ser_oracle::ExactSp;
 use ser_suite::epp::{EppAnalysis, PolarityMode};
 use ser_suite::gen::RandomDag;
 use ser_suite::netlist::{parse_bench, write_bench, GateKind};
 use ser_suite::sim::{BitSim, MonteCarlo};
-use ser_suite::sp::{ExactSp, IndependentSp, InputProbs, SpEngine};
+use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
 
 /// Strategy: a random-DAG configuration plus seed.
 fn dag_strategy() -> impl Strategy<Value = (usize, usize, f64, f64, u64)> {
@@ -139,7 +140,7 @@ proptest! {
     /// MC-vs-analytic, which legitimately diverges under reconvergence).
     #[test]
     fn mc_converges_to_exact_oracle(seed in 0u64..100) {
-        use ser_suite::epp::ExactEpp;
+        use ser_oracle::ExactEpp;
         let c = RandomDag::new(6, 15).with_reconvergence(0.5).build(seed);
         let sim = BitSim::new(&c).unwrap();
         let mc = MonteCarlo::new(4_096).with_seed(seed);

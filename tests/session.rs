@@ -2,7 +2,8 @@
 //! session must be *bit-identical* to building everything from scratch,
 //! and SP-only invalidation must match a full rebuild exactly.
 
-use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, EppAnalysis, ExactEpp};
+use ser_oracle::ExactEpp;
+use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, EppAnalysis};
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::Circuit;
 use ser_suite::sim::{BitSim, MonteCarlo};
@@ -129,7 +130,9 @@ fn shared_simulator_matches_private_construction() {
         let shared = session.monte_carlo_site(&mc, id);
         let private = mc.estimate_site(&private_sim, id);
         assert_eq!(shared, private, "MC at {id}");
-        let shared_exact = session.exact_site(&oracle, id).unwrap();
+        let shared_exact = oracle
+            .site_with_sim(session.bit_sim(), session.inputs(), id)
+            .unwrap();
         let private_exact = oracle.site(&c, &InputProbs::default(), id).unwrap();
         assert_eq!(shared_exact, private_exact, "exact at {id}");
     }

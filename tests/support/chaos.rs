@@ -5,9 +5,8 @@
 //! torn into byte-sized segments, a hard failure planted mid-frame.
 //! [`ChaosTransport`] applies a list of schedules to successive
 //! connections of any inner [`Transport`] (connections beyond the list
-//! pass through untouched), and
-//! [`inject`] wraps a single [`Connection`] directly for in-memory
-//! harnesses.
+//! pass through untouched), wrapping each [`Connection`]'s read and
+//! write halves through its public `lines` and `sink` fields.
 //!
 //! Everything here is seeded and replayable: the same schedule against
 //! the same request stream produces the same fault at the same byte.
@@ -20,7 +19,7 @@
 
 use std::io::{self, Write};
 
-use crate::protocol::{Connection, LineStream, Transport};
+use ser_suite::service::{Connection, LineStream, Transport};
 
 /// xorshift64* — tiny, seedable, and good enough to scatter fault
 /// points; the suite is offline so there is no external RNG to reach
@@ -114,7 +113,7 @@ impl ChaosSchedule {
 /// connection cleanly, release its permits, keep other connections'
 /// replies bit-identical.
 #[must_use]
-pub fn inject(mut conn: Connection, schedule: &ChaosSchedule) -> Connection {
+fn inject(mut conn: Connection, schedule: &ChaosSchedule) -> Connection {
     let write = schedule.clone();
     conn.sink
         .wrap_writer(move |inner| Box::new(ChaosWriter::new(inner, &write)));
@@ -129,16 +128,6 @@ pub struct ChaosTransport<T> {
     inner: T,
     schedules: Vec<ChaosSchedule>,
     accepted: usize,
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for ChaosTransport<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosTransport")
-            .field("inner", &self.inner)
-            .field("schedules", &self.schedules)
-            .field("accepted", &self.accepted)
-            .finish()
-    }
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -175,16 +164,6 @@ struct ChaosLines {
     lines: usize,
     disconnect_after: Option<usize>,
     error_after: Option<usize>,
-}
-
-impl std::fmt::Debug for ChaosLines {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosLines")
-            .field("lines", &self.lines)
-            .field("disconnect_after", &self.disconnect_after)
-            .field("error_after", &self.error_after)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ChaosLines {
@@ -232,16 +211,6 @@ struct ChaosWriter<W> {
     split: bool,
     tear_after: Option<u64>,
     written: u64,
-}
-
-impl<W> std::fmt::Debug for ChaosWriter<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosWriter")
-            .field("split", &self.split)
-            .field("tear_after", &self.tear_after)
-            .field("written", &self.written)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<W: Write> ChaosWriter<W> {

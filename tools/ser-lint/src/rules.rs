@@ -42,14 +42,14 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-fma",
-        scope: "crates/core, crates/sim, crates/sp",
+        scope: "crates/core, crates/sim, crates/sp, crates/oracle",
         rationale: "FMA single-rounds a*b+c and horizontal adds reassociate; either \
                     changes f64 results in the last ulp and breaks the wire's float \
                     bit-identity contract (scalar twin, proptest oracles, cache splicing).",
     },
     RuleInfo {
         id: "no-hash-iter",
-        scope: "plan.rs, sweep.rs, whatif.rs, rules.rs, crates/sp/src/*",
+        scope: "plan.rs, sweep.rs, whatif.rs, rules.rs, crates/sp/src/*, crates/oracle/src/*",
         rationale: "HashMap/HashSet iteration order is randomized per process; an \
                     iteration feeding plan layout or float accumulation would make \
                     results differ run to run. Keyed-lookup-only uses carry a per-site \
@@ -134,7 +134,12 @@ const FMA_IDENTS: &[&str] = &[
 ];
 
 /// Crate paths under the float bit-identity contract (`no-fma`).
-const FMA_SCOPE_PREFIXES: &[&str] = &["crates/core/", "crates/sim/", "crates/sp/"];
+const FMA_SCOPE_PREFIXES: &[&str] = &[
+    "crates/core/",
+    "crates/sim/",
+    "crates/sp/",
+    "crates/oracle/",
+];
 
 /// Files feeding the bitwise plan/sweep contract (`no-hash-iter`).
 const HASH_SCOPE: &[&str] = &[
@@ -143,7 +148,7 @@ const HASH_SCOPE: &[&str] = &[
     "crates/core/src/whatif.rs",
     "crates/core/src/rules.rs",
 ];
-const HASH_SCOPE_PREFIXES: &[&str] = &["crates/sp/src/"];
+const HASH_SCOPE_PREFIXES: &[&str] = &["crates/sp/src/", "crates/oracle/src/"];
 
 /// The only files where `unsafe` may appear: the AVX2 `LaneVec`
 /// implementation and the two dispatch shims that call into it.

@@ -33,6 +33,9 @@ fn fused(a: f64, b: f64, c: f64) -> f64 {
 
     let diags = lint_file("crates/sim/src/fake.rs", src);
     assert_eq!(rules_hit(&diags), ["no-fma"]);
+
+    let diags = lint_file("crates/oracle/src/fake.rs", src);
+    assert_eq!(rules_hit(&diags), ["no-fma"]);
 }
 
 #[test]
@@ -69,6 +72,7 @@ fn hashmap_flagged_in_bitwise_module() {
         "crates/netlist/src/plan.rs",
         "crates/core/src/sweep.rs",
         "crates/sp/src/anything.rs",
+        "crates/oracle/src/anything.rs",
     ] {
         let diags = lint_file(path, src);
         assert_eq!(rules_hit(&diags), ["no-hash-iter"], "{path}");
