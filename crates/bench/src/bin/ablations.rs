@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §5 calls out:
+//! Ablation studies for the suite's main design choices:
 //!
 //! 1. **Polarity tracking** — run the EPP pass with and without the
 //!    `Pa`/`Pā` split (the no-polarity variant merges them), against the
@@ -214,7 +214,7 @@ fn baseline_engineering() {
 }
 
 fn main() {
-    println!("# Ablation studies (DESIGN.md section 5)\n");
+    println!("# Ablation studies\n");
     polarity_sweep();
     reconvergence_sweep();
     xor_sweep();

@@ -1,6 +1,6 @@
 //! Regenerates the paper's **Table 2**: analytical EPP vs random
-//! simulation on the eleven ISCAS'89 circuits (synthetic profile
-//! stand-ins; see DESIGN.md §2).
+//! simulation on the eleven ISCAS'89 circuits (synthetic stand-ins with
+//! each circuit's published structural profile; see `ser_gen::TABLE2`).
 //!
 //! ```text
 //! cargo run --release -p ser-bench-harness --bin table2 [-- --quick]

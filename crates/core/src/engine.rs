@@ -37,6 +37,22 @@ pub enum PolarityMode {
     Merged,
 }
 
+impl PolarityMode {
+    /// A gate's output as this mode keeps it: unchanged under
+    /// [`Tracked`](Self::Tracked); under [`Merged`](Self::Merged), `Pā`
+    /// collapsed into `Pa` — the "single error value" approximation
+    /// the paper improves on. Both kernels apply it after every gate.
+    #[inline]
+    pub(crate) fn apply(self, out: FourValue) -> FourValue {
+        match self {
+            PolarityMode::Tracked => out,
+            PolarityMode::Merged => {
+                FourValue::new_clamped(out.p_arrival(), 0.0, out.p0(), out.p1())
+            }
+        }
+    }
+}
+
 /// Error arrival at one observe point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointEpp {
@@ -372,13 +388,7 @@ impl EppAnalysis {
                 };
                 ws.fanin_buf.push(tuple);
             }
-            let mut out = propagate(node.kind(), &ws.fanin_buf);
-            if polarity == PolarityMode::Merged {
-                // Collapse Pā into Pa after every gate: the "single
-                // error value" approximation the paper improves on.
-                out = FourValue::new_clamped(out.p_arrival(), 0.0, out.p0(), out.p1());
-            }
-            ws.values[id.index()] = out;
+            ws.values[id.index()] = polarity.apply(propagate(node.kind(), &ws.fanin_buf));
             gates += 1;
         }
 

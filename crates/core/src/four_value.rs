@@ -81,8 +81,8 @@ impl FourValue {
     }
 
     /// The tuple as a 4-wide lane array `[Pa, Pā, P0, P1]` — the shape
-    /// the fused sweep kernel computes in (one 32-byte load/store per
-    /// tuple, `std::simd::f64x4`-ready). Bit-exact.
+    /// the fused rule cores compute in and the sweep planes store.
+    /// Bit-exact.
     #[inline]
     #[must_use]
     pub(crate) const fn lanes(self) -> [f64; 4] {

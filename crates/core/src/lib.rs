@@ -48,6 +48,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -59,7 +60,6 @@ mod multi_cycle;
 mod rules;
 mod ser_model;
 mod session;
-mod simd;
 mod sweep;
 mod whatif;
 
@@ -77,9 +77,8 @@ pub use multi_cycle::{
 pub use rules::propagate;
 pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};
 pub use session::AnalysisSession;
-pub use simd::KernelBackend;
 pub use sweep::{
-    Arrivals, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
+    Arrivals, KernelBackend, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
     SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 pub use whatif::{Edit, SiteDelta, WhatIfAbort, WhatIfOutcome, WhatIfSession};

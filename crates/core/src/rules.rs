@@ -25,26 +25,18 @@
 //! accumulator, the multiplication order is exactly the order the
 //! original three-pass formulation used, so the fused form is
 //! **bit-identical** — it only removes redundant traversals and gives
-//! the compiler independent lanes to vectorize.
+//! the compiler independent lanes to schedule. No core uses FMA or
+//! reassociates a sum, so every rounding step is the one written here.
 //!
-//! That vectorization is now real: the `*_core_v` twins below run the
-//! same cores over the [`LaneVec`] abstraction (`crates/core/src/simd.rs`)
-//! — AVX2 `__m256d` or the plain-array scalar twin, chosen once per
-//! sweep. The vector forms use only lane-wise `vmulpd`/`vaddpd` plus
-//! whole-vector shuffles and **no FMA**, so each lane performs exactly
-//! the scalar sequence and bit-identity is preserved rather than
-//! re-baselined.
-//!
-//! The sweep kernel drives the same cores through [`RuleOp`] +
-//! [`propagate_fused_v`], gathering fanin lanes lazily so no
-//! intermediate tuple buffer is materialized; the scalar
-//! [`propagate_fused`] remains the reference form, and the public
-//! [`propagate`] wraps it for slice callers.
+//! These are the only rule cores: the planned sweep kernel drives them
+//! through [`RuleOp`] + [`propagate_fused`], gathering fanin lanes
+//! lazily so no intermediate tuple buffer is materialized, and the
+//! public [`propagate`] wraps the same function for slice callers (the
+//! per-site reference kernel among them).
 
 use ser_netlist::GateKind;
 
 use crate::four_value::FourValue;
-use crate::simd::{imm4, LaneVec};
 
 /// The compiled dispatch of one on-path gate: which fused rule core to
 /// run, and whether the output is seen through an inverter. Resolved
@@ -155,12 +147,15 @@ pub fn propagate(kind: GateKind, inputs: &[FourValue]) -> FourValue {
 /// The three products run as independent accumulator lanes in one pass
 /// over the fanins; each lane multiplies in fanin order, exactly as the
 /// one-product-per-traversal form did — bit-identical, three times
-/// fewer traversals.
+/// fewer traversals. The lanes start from the first fanin's factors
+/// rather than from `1.0`: `1.0 × x == x` exactly for every finite
+/// `f64`, so the unit seed's three multiplies could not change a bit.
 #[inline]
-fn and_core(inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
-    let mut acc = [1.0f64, 1.0, 1.0];
-    for [pa, pa_bar, _p0, p1] in inputs {
-        acc = [acc[0] * p1, acc[1] * (p1 + pa), acc[2] * (p1 + pa_bar)];
+fn and_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
+    let factors = |[pa, pa_bar, _p0, p1]: [f64; 4]| [p1, p1 + pa, p1 + pa_bar];
+    let mut acc = factors(inputs.next().expect("gate has a fanin"));
+    for f in inputs.map(factors) {
+        acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
     }
     let p1 = acc[0];
     let pa = acc[1] - p1;
@@ -175,10 +170,11 @@ fn and_core(inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
 /// `Pā = Π [P0(Xi) + Pā(Xi)] − P0`,
 /// `P1 = 1 − (P0 + Pa + Pā)`.
 #[inline]
-fn or_core(inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
-    let mut acc = [1.0f64, 1.0, 1.0];
-    for [pa, pa_bar, p0, _p1] in inputs {
-        acc = [acc[0] * p0, acc[1] * (p0 + pa), acc[2] * (p0 + pa_bar)];
+fn or_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
+    let factors = |[pa, pa_bar, p0, _p1]: [f64; 4]| [p0, p0 + pa, p0 + pa_bar];
+    let mut acc = factors(inputs.next().expect("gate has a fanin"));
+    for f in inputs.map(factors) {
+        acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
     }
     let p0 = acc[0];
     let pa = acc[1] - p0;
@@ -213,8 +209,7 @@ fn xor_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
 
 /// One GF(2) symbol addition over lanes — four unrolled output lanes,
 /// each summing its four products in the fixed order below (the
-/// bit-identity contract; reassociating across lanes is what a future
-/// `f64x4` port must *not* do without re-baselining).
+/// bit-identity contract: reassociating these sums would move bits).
 #[inline]
 fn xor2(l: [f64; 4], r: [f64; 4]) -> [f64; 4] {
     let [lpa, lpab, lp0, lp1] = l;
@@ -228,191 +223,6 @@ fn xor2(l: [f64; 4], r: [f64; 4]) -> [f64; 4] {
     // out = ā: (0,ā),(ā,0),(1,a),(a,1)
     let pa_bar = lp0 * rpab + lpab * rp0 + lp1 * rpa + lpa * rp1;
     FourValue::new_clamped(pa, pa_bar, p0, p1).lanes()
-}
-
-// --- Lane-vector twins -------------------------------------------------
-//
-// The same cores over the `LaneVec` abstraction. Bit-identity argument,
-// per core:
-//
-// - AND/OR keep their three running products as lanes of one
-//   accumulator vector; the per-fanin factor vector is built with one
-//   broadcast shuffle, one lane-wise add and a blend, so lanes 0–2 see
-//   exactly the scalar multiply/add sequence (lane 3 carries a junk
-//   duplicate of the pivot product that is never read).
-// - XOR's bilinear symbol addition becomes four shuffle/multiply terms
-//   summed lane-wise **in the scalar's fixed order** `((t1+t2)+t3)+t4`
-//   — no cross-lane reassociation, no FMA — then clamped like
-//   `new_clamped`.
-// - The NOT swap is a pure shuffle (no arithmetic at all).
-
-/// The lane-vector [`propagate_fused`]: same dispatch, vector cores.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-#[inline(always)]
-pub(crate) fn propagate_fused_v<V: LaneVec>(op: RuleOp, mut inputs: impl Iterator<Item = V>) -> V {
-    let out = match op.class {
-        RuleClass::Copy => inputs.next().expect("gate has a fanin"),
-        RuleClass::And => and_core_v(inputs),
-        RuleClass::Or => or_core_v(inputs),
-        RuleClass::Xor => xor_core_v(inputs),
-    };
-    if op.invert {
-        invert_v(out)
-    } else {
-        out
-    }
-}
-
-/// The two-fanin [`propagate_fused_v`]: the dominant gate arity gets a
-/// straight-line core with no fanin loop — same factor/epilogue
-/// helpers, so the value of every lane is bit-identical to the general
-/// form (`Copy` keeps its first-fanin semantics).
-#[inline(always)]
-pub(crate) fn propagate2_v<V: LaneVec>(op: RuleOp, a: V, b: V) -> V {
-    let out = match op.class {
-        RuleClass::Copy => a,
-        RuleClass::And => unpivot_v::<V, 0b1000>(and_factors_v(a).mul(and_factors_v(b))),
-        RuleClass::Or => unpivot_v::<V, 0b0100>(or_factors_v(a).mul(or_factors_v(b))),
-        RuleClass::Xor => xor2_v(a, b),
-    };
-    if op.invert {
-        invert_v(out)
-    } else {
-        out
-    }
-}
-
-/// The NOT rule over lanes: swap `Pa ↔ Pā` and `P0 ↔ P1` — one shuffle.
-#[inline(always)]
-pub(crate) fn invert_v<V: LaneVec>(v: V) -> V {
-    v.permute::<{ imm4(1, 0, 3, 2) }>()
-}
-
-/// The `PolarityMode::Merged` collapse over lanes:
-/// `new_clamped(Pa + Pā, 0, P0, P1)` as one shuffle-add, two blends and
-/// the lane clamp — the same values `FourValue::new_clamped` produces.
-#[inline(always)]
-pub(crate) fn merge_polarity_v<V: LaneVec>(v: V) -> V {
-    // invert_v's shuffle puts Pā in lane 0, so lane 0 of the sum is
-    // exactly the scalar `p_arrival = pa + pa_bar`.
-    let arrival = v.add(invert_v(v));
-    v.blend::<0b0001>(arrival)
-        .blend::<0b0010>(V::zero())
-        .clamp01()
-}
-
-/// [`and_core`] over lanes. Per fanin, one shuffle-add-blend builds the
-/// factor vector `[P1, P1+Pa, P1+Pā, ·]` (the blend keeps the pivot
-/// lane the raw pivot — no `+ 0.0` detour); the accumulator starts as
-/// the *first* fanin's factors, because `1.0 × x == x` exactly for
-/// every `f64`, so dropping the scalar's unit seed cannot change a bit.
-/// The epilogue stays in registers: [`unpivot_v`] reproduces the scalar
-/// subtract/sum/clamp sequence lane-for-lane.
-#[inline(always)]
-fn and_core_v<V: LaneVec>(mut inputs: impl Iterator<Item = V>) -> V {
-    let f = inputs.next().expect("gate has a fanin");
-    let mut acc = and_factors_v(f);
-    for f in inputs {
-        acc = acc.mul(and_factors_v(f));
-    }
-    // acc = [Π P1, Π (P1+Pa), Π (P1+Pā), junk]; the pivot product lands
-    // in the output's lane 3 (`P1`).
-    unpivot_v::<V, 0b1000>(acc)
-}
-
-#[inline(always)]
-fn and_factors_v<V: LaneVec>(f: V) -> V {
-    let pivot = f.permute::<{ imm4(3, 3, 3, 3) }>();
-    // Lanes 1/2 hold Pa/Pā of the fanin; lanes 0/3 are junk the blend
-    // discards.
-    let shifted = f.permute::<{ imm4(0, 0, 1, 0) }>();
-    pivot.blend::<0b0110>(pivot.add(shifted))
-}
-
-/// [`or_core`] over lanes — the dual, pivoting on `P0` (lane 2); the
-/// pivot product lands in the output's lane 2.
-#[inline(always)]
-fn or_core_v<V: LaneVec>(mut inputs: impl Iterator<Item = V>) -> V {
-    let f = inputs.next().expect("gate has a fanin");
-    let mut acc = or_factors_v(f);
-    for f in inputs {
-        acc = acc.mul(or_factors_v(f));
-    }
-    unpivot_v::<V, 0b0100>(acc)
-}
-
-#[inline(always)]
-fn or_factors_v<V: LaneVec>(f: V) -> V {
-    let pivot = f.permute::<{ imm4(2, 2, 2, 2) }>();
-    let shifted = f.permute::<{ imm4(0, 0, 1, 0) }>();
-    pivot.blend::<0b0110>(pivot.add(shifted))
-}
-
-/// The shared AND/OR epilogue over lanes, all in registers. With
-/// `acc = [P, A, B, ·]` (`P` the pivot product, `A`/`B` the `+Pa`/`+Pā`
-/// products) it computes, in the scalar cores' exact order,
-/// `pa = A − P`, `pā = B − P`, `rest = 1 − ((P + pa) + pā)`, and
-/// assembles `[pa, pā, ·, ·]` with `P` in the `PIVOT_LANE`-masked lane
-/// and `rest` in the other, then applies the `new_clamped` lane clamp.
-/// `PIVOT_LANE` is `0b1000` for AND (`P = Π P1` → lane 3) and `0b0100`
-/// for OR (`P = Π P0` → lane 2).
-#[inline(always)]
-fn unpivot_v<V: LaneVec, const PIVOT_LANE: i32>(acc: V) -> V {
-    let p = acc.permute::<{ imm4(0, 0, 0, 0) }>();
-    // d = [0, pa, pā, junk]: lane-wise subtraction is the scalar's
-    // `A − P` / `B − P` verbatim.
-    let d = acc.sub(p);
-    let sum = p
-        .add(d.permute::<{ imm4(1, 1, 1, 1) }>())
-        .add(d.permute::<{ imm4(2, 2, 2, 2) }>());
-    let rest = V::splat(1.0).sub(sum);
-    // [pa, pā, 0, 0], then the upper half from {P, rest} by mask.
-    let lower = d.permute::<{ imm4(1, 2, 0, 0) }>();
-    let upper = if PIVOT_LANE == 0b1000 {
-        rest.blend::<0b1000>(p)
-    } else {
-        p.blend::<0b1000>(rest)
-    };
-    lower.blend::<0b1100>(upper).clamp01()
-}
-
-/// [`xor_core`] over lanes: fold through [`xor2_v`].
-#[inline(always)]
-fn xor_core_v<V: LaneVec>(mut inputs: impl Iterator<Item = V>) -> V {
-    let mut acc = inputs.next().expect("XOR has at least one input");
-    for x in inputs {
-        acc = xor2_v(acc, x);
-    }
-    acc
-}
-
-/// [`xor2`] over lanes. Each output lane needs the same four products
-/// the scalar form writes out; shuffling *both* inputs per term lines
-/// the products up so the four lane-wise sums run in the scalar's
-/// fixed order. Lane layout is `[Pa, Pā, P0, P1]`; read each `imm4`
-/// column against `xor2`'s four expressions to check a term.
-#[inline(always)]
-fn xor2_v<V: LaneVec>(l: V, r: V) -> V {
-    // Term 1: lp0 * (rpa, rpā, rp0, rp1).
-    let t1 = l.permute::<{ imm4(2, 2, 2, 2) }>().mul(r);
-    // Term 2: (lpa, lpā, lp1, lp1) * (rp0, rp0, rp1, rp0).
-    let t2 = l
-        .permute::<{ imm4(0, 1, 3, 3) }>()
-        .mul(r.permute::<{ imm4(2, 2, 3, 2) }>());
-    // Term 3: (lp1, lp1, lpa, lpa) * (rpā, rpa, rpa, rpā).
-    let t3 = l
-        .permute::<{ imm4(3, 3, 0, 0) }>()
-        .mul(r.permute::<{ imm4(1, 0, 0, 1) }>());
-    // Term 4: (lpā, lpa, lpā, lpā) * (rp1, rp1, rpā, rpa).
-    let t4 = l
-        .permute::<{ imm4(1, 0, 1, 1) }>()
-        .mul(r.permute::<{ imm4(3, 3, 1, 0) }>());
-    // Fixed order, no FMA: ((t1 + t2) + t3) + t4, then the
-    // `new_clamped` lane clamp.
-    t1.add(t2).add(t3).add(t4).clamp01()
 }
 
 #[cfg(test)]
@@ -579,120 +389,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod lane_vec_tests {
-    //! The vector cores must equal the scalar cores **bitwise** — on
-    //! the plain-array twin always, and on AVX2 when the host has it.
-
-    use super::*;
-    use crate::simd::{KernelBackend, Lane4, ScalarVec};
-
-    fn scalar_run(op: RuleOp, inputs: &[Lane4]) -> [f64; 4] {
-        propagate_fused(op, inputs.iter().map(|l| l.0)).lanes()
-    }
-
-    fn twin_run(op: RuleOp, inputs: &[Lane4]) -> [f64; 4] {
-        propagate_fused_v(op, inputs.iter().map(ScalarVec::load))
-            .store()
-            .0
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn avx2_run(op: RuleOp, inputs: &[Lane4]) -> Option<[f64; 4]> {
-        use crate::simd::AvxVec;
-        // SAFETY: callers must hold `KernelBackend::Avx2.is_available()`
-        // — the one call site below checks it before dispatching.
-        #[target_feature(enable = "avx2")]
-        unsafe fn run(op: RuleOp, inputs: &[Lane4]) -> [f64; 4] {
-            propagate_fused_v(op, inputs.iter().map(AvxVec::load))
-                .store()
-                .0
-        }
-        if !KernelBackend::Avx2.is_available() {
-            return None;
-        }
-        // SAFETY: AVX2 availability checked just above.
-        Some(unsafe { run(op, inputs) })
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn avx2_run(_op: RuleOp, _inputs: &[Lane4]) -> Option<[f64; 4]> {
-        None
-    }
-
-    fn assert_all_backends_agree(kind: GateKind, inputs: &[Lane4]) {
-        let op = RuleOp::of(kind);
-        let expected = scalar_run(op, inputs);
-        assert_eq!(twin_run(op, inputs), expected, "{kind}: scalar twin");
-        if let Some(avx) = avx2_run(op, inputs) {
-            assert_eq!(avx, expected, "{kind}: AVX2");
-        }
-    }
-
-    fn edge_inputs() -> Vec<Vec<Lane4>> {
-        let denormal = f64::MIN_POSITIVE / 8.0;
-        vec![
-            vec![
-                Lane4(FourValue::error_site().lanes()),
-                Lane4(FourValue::from_signal_probability(0.7).lanes()),
-            ],
-            // Denormal probability mass in every slot the rules read.
-            vec![
-                Lane4([denormal, denormal, 0.5, 0.5 - 2.0 * denormal]),
-                Lane4([0.25, 0.25, denormal, 0.5 - denormal]),
-                Lane4([0.0, 1.0 - denormal, denormal, 0.0]),
-            ],
-            // Clamp edges: exact 0/1 lanes and near-1 sums whose
-            // products overshoot by ULPs before `new_clamped`.
-            vec![
-                Lane4([0.0, 0.0, 1.0, 0.0]),
-                Lane4([
-                    1.0 - f64::EPSILON,
-                    f64::EPSILON / 2.0,
-                    f64::EPSILON / 2.0,
-                    0.0,
-                ]),
-            ],
-            vec![
-                Lane4([0.1, 0.2, 0.3, 0.4]),
-                Lane4([0.4, 0.3, 0.2, 0.1]),
-                Lane4([0.25, 0.25, 0.25, 0.25]),
-                Lane4([0.0, 0.0, 0.0, 1.0]),
-            ],
-        ]
-    }
-
-    #[test]
-    fn vector_cores_match_scalar_cores_bitwise_on_edges() {
-        for inputs in edge_inputs() {
-            for kind in [
-                GateKind::And,
-                GateKind::Nand,
-                GateKind::Or,
-                GateKind::Nor,
-                GateKind::Xor,
-                GateKind::Xnor,
-            ] {
-                assert_all_backends_agree(kind, &inputs);
-            }
-            assert_all_backends_agree(GateKind::Buf, &inputs[..1]);
-            assert_all_backends_agree(GateKind::Not, &inputs[..1]);
-        }
-    }
-
-    #[test]
-    fn merge_polarity_matches_new_clamped() {
-        for inputs in edge_inputs() {
-            for lane in inputs {
-                let v = FourValue::from_lanes(lane.0);
-                let expected = FourValue::new_clamped(v.p_arrival(), 0.0, v.p0(), v.p1()).lanes();
-                let twin = merge_polarity_v(ScalarVec::load(&lane)).store().0;
-                assert_eq!(twin, expected);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod property_tests {
     //! The rules must equal brute-force enumeration over the four-symbol
     //! alphabet `{0, 1, a, ā}` for *independent* inputs — that is the
@@ -808,29 +504,6 @@ mod property_tests {
             prop_assert!((out.sum() - 1.0).abs() < 1e-9);
             prop_assert!(out.pa() >= 0.0 && out.pa() <= 1.0);
             prop_assert!(out.pa_bar() >= 0.0 && out.pa_bar() <= 1.0);
-        }
-
-        /// The lane-vector twin performs the scalar sequence exactly:
-        /// bitwise equality, not epsilon.
-        #[test]
-        fn vector_twin_is_bit_identical(
-            inputs in proptest::collection::vec(four_value(), 1..5),
-            kind_idx in 0usize..8,
-        ) {
-            use crate::simd::{Lane4, LaneVec, ScalarVec};
-            let kind = GateKind::LOGIC[kind_idx];
-            let inputs: Vec<FourValue> = if matches!(kind, GateKind::Not | GateKind::Buf) {
-                inputs[..1].to_vec()
-            } else {
-                inputs
-            };
-            let op = RuleOp::of(kind);
-            let scalar = propagate_fused(op, inputs.iter().map(|v| v.lanes()));
-            let twin = propagate_fused_v(
-                op,
-                inputs.iter().map(|v| ScalarVec::load(&Lane4(v.lanes()))),
-            );
-            prop_assert_eq!(scalar.lanes(), twin.store().0);
         }
 
         /// De Morgan at the rule level: NAND(xs) = NOT(AND(xs)) and the

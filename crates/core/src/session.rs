@@ -303,8 +303,8 @@ impl AnalysisSession {
     /// order), sharing the session's cone plans and scratch pool:
     /// [`EppAnalysis::sweep`] with
     /// [`PolarityMode::Tracked`](crate::PolarityMode::Tracked) and
-    /// [`RunCtx::new(threads, pool)`](RunCtx::new), so the host's
-    /// kernel backend and [`PlanPolicy::Auto`](crate::PlanPolicy::Auto).
+    /// [`RunCtx::new(threads, pool)`](RunCtx::new), so
+    /// [`PlanPolicy::Auto`](crate::PlanPolicy::Auto).
     /// Build an [`epp`](Self::epp) and a [`RunCtx`] to choose those.
     ///
     /// # Panics

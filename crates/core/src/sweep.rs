@@ -31,7 +31,7 @@
 //!
 //! [`EppAnalysis::sweep`] is the one way in. Its [`RunCtx`] carries the
 //! choices that change how a sweep runs but never what it computes:
-//! threads, scratch pool, rule-core backend and [`PlanPolicy`].
+//! threads, scratch pool and [`PlanPolicy`].
 //!
 //! Results land in a [`SweepResults`] arena — per-point arrivals in a
 //! few large segments (one per batch), addressed by per-site ranges —
@@ -43,8 +43,9 @@
 //! bit-identical to a kept sweep's, but every per-point read returns
 //! `None`. The per-site reference path stays as the definition:
 //! [`PlanPolicy::Reference`] runs it under the same scheduler, and
-//! every backend and policy is bit-for-bit identical to it (asserted
-//! by `tests/sweep_equivalence.rs`).
+//! the planned kernel is bit-for-bit identical to it (asserted by
+//! `tests/sweep_equivalence.rs`): both run the same rule cores
+//! ([`crate::rules`]) on the same inputs in the same order.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,10 +59,7 @@ use crate::engine::{
     WorkspacePool,
 };
 use crate::four_value::FourValue;
-use crate::rules::{merge_polarity_v, propagate2_v, propagate_fused_v, RuleOp};
-#[cfg(target_arch = "x86_64")]
-use crate::simd::AvxVec;
-use crate::simd::{KernelBackend, Lane4, LaneVec, ScalarVec};
+use crate::rules::{propagate_fused, RuleOp};
 
 /// Below this many sites a parallel sweep is all coordination and no
 /// work: the scheduler runs single-threaded instead. (The old engine
@@ -73,14 +71,19 @@ pub const SINGLE_THREAD_SWEEP_THRESHOLD: usize = 64;
 /// wildly) at the cost of a little queue traffic.
 const BATCHES_PER_THREAD: usize = 8;
 
+/// One `(Pa, Pā, P0, P1)` tuple as a 32-byte-aligned lane array: the
+/// slot type of every sweep plane, so a slot never straddles a cache
+/// line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct Lane4([f64; 4]);
+
 /// Per-thread scratch for the batched sweep: the `(Pa, Pā, P0, P1)`
 /// value planes indexed by cone-local position, stored as one
-/// 32-byte-aligned 4-wide lane array per position — so
-/// reading or writing one tuple is a single bounds check and one
-/// aligned 32-byte access: a `vmovapd` for the AVX2 backend, a plain
-/// `[f64; 4]` copy for the scalar twin. Grows to the largest cone it
-/// evaluates and is reused across sites, sweeps and circuits (pool it
-/// via [`WorkspacePool::checkout_sweep`]).
+/// `Lane4` per position — so reading or writing one tuple is a
+/// single bounds check and one aligned 32-byte copy. Grows to the
+/// largest cone it evaluates and is reused across sites, sweeps and
+/// circuits (pool it via [`WorkspacePool::checkout_sweep`]).
 #[derive(Debug, Default)]
 pub struct SweepWorkspace {
     lanes: Vec<Lane4>,
@@ -688,8 +691,8 @@ pub enum Arrivals {
     Fold,
 }
 
-/// How one sweep runs: threads, scratch pool, kernel backend and plan
-/// policy never change what it computes — every combination is
+/// How one sweep runs: threads, scratch pool and plan policy never
+/// change what it computes — every combination is
 /// bit-identical to the per-site reference definition — and
 /// [`arrivals`](Self::arrivals) chooses only whether the per-point
 /// arrivals are stored alongside.
@@ -697,11 +700,10 @@ pub enum Arrivals {
 /// Set a field on top of [`RunCtx::new`] to override it:
 ///
 /// ```
-/// use ser_epp::{Arrivals, KernelBackend, PlanPolicy, RunCtx, WorkspacePool};
+/// use ser_epp::{Arrivals, PlanPolicy, RunCtx, WorkspacePool};
 ///
 /// let pool = WorkspacePool::new();
 /// let ctx = RunCtx {
-///     backend: KernelBackend::Scalar,
 ///     plans: PlanPolicy::Reference,
 ///     arrivals: Arrivals::Fold,
 ///     ..RunCtx::new(2, &pool)
@@ -715,10 +717,6 @@ pub struct RunCtx<'a> {
     pub threads: usize,
     /// Where workers check their scratch out of and back into.
     pub pool: &'a WorkspacePool,
-    /// The rule-core backend of the planned kernel. A backend the host
-    /// cannot run degrades to [`KernelBackend::Scalar`]
-    /// ([`KernelBackend::sanitized`]), so forcing one is always safe.
-    pub backend: KernelBackend,
     /// Whether the sweep may use the cone plans.
     pub plans: PlanPolicy,
     /// Whether the result stores the per-point arrivals.
@@ -726,17 +724,40 @@ pub struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    /// `threads` workers over `pool`, the host's backend
-    /// ([`KernelBackend::auto`]), [`PlanPolicy::Auto`] and
+    /// `threads` workers over `pool`, [`PlanPolicy::Auto`] and
     /// [`Arrivals::Keep`].
     #[must_use]
     pub fn new(threads: usize, pool: &'a WorkspacePool) -> Self {
         RunCtx {
             threads,
             pool,
-            backend: KernelBackend::auto(),
             plans: PlanPolicy::Auto,
             arrivals: Arrivals::Keep,
+        }
+    }
+}
+
+/// The rule cores a sweep runs, by the name bench records carry. There
+/// is one set: the fused scalar cores of `rules.rs`, which the planned
+/// and the per-site reference kernel share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KernelBackend {
+    /// The fused scalar rule cores.
+    Scalar,
+}
+
+impl KernelBackend {
+    /// The rule cores every sweep runs.
+    #[must_use]
+    pub fn auto() -> KernelBackend {
+        KernelBackend::Scalar
+    }
+
+    /// The provenance string bench records carry (`"scalar"`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelBackend::Scalar => "scalar",
         }
     }
 }
@@ -813,11 +834,10 @@ impl EppAnalysis {
             PlanPolicy::Reference => None,
         };
         let plans = plans.as_deref();
-        let backend = ctx.backend.sanitized();
         let (pool, arrivals) = (ctx.pool, ctx.arrivals);
 
         if ctx.threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
-            return self.sweep_batch(sites, polarity, pool, plans, backend, arrivals);
+            return self.sweep_batch(sites, polarity, pool, plans, arrivals);
         }
 
         // --- Batch construction: contiguous position ranges balanced by
@@ -860,7 +880,6 @@ impl EppAnalysis {
                                 polarity,
                                 pool,
                                 plans,
-                                backend,
                                 arrivals,
                             );
                             done.push((range.start, part));
@@ -897,7 +916,6 @@ impl EppAnalysis {
         polarity: PolarityMode,
         pool: &WorkspacePool,
         plans: Option<&ConePlans>,
-        backend: KernelBackend,
         arrivals: Arrivals,
     ) -> SweepResults {
         let store = match arrivals {
@@ -920,7 +938,7 @@ impl EppAnalysis {
                 }
             };
             let (p_sens, gates, n_points) =
-                self.site_kernel(plans, site, polarity, &mut scratch, points_out, backend);
+                self.site_kernel(plans, site, polarity, &mut scratch, points_out);
             results.push_site(p_sens, gates, n_points);
         }
         scratch.give_back(pool);
@@ -932,9 +950,8 @@ impl EppAnalysis {
         results
     }
 
-    /// Dispatches one site to the plan-driven kernel (on the sweep's
-    /// selected rule-core backend) or, when the plan arena was
-    /// declined for size, to the per-site reference kernel — all
+    /// Dispatches one site to the plan-driven kernel or, when the plan
+    /// arena was declined for size, to the per-site reference kernel —
     /// bit-identical, so the choice is invisible in the results.
     fn site_kernel(
         &self,
@@ -943,25 +960,11 @@ impl EppAnalysis {
         polarity: PolarityMode,
         scratch: &mut SweepScratch,
         points_out: &mut Vec<PointEpp>,
-        backend: KernelBackend,
     ) -> (f64, u32, u32) {
         match (plans, scratch) {
-            (Some(plans), SweepScratch::Plan(ws)) => match backend {
-                KernelBackend::Scalar => {
-                    self.plan_kernel::<ScalarVec>(plans, site, polarity, ws, points_out)
-                }
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `backend` went through `sanitized()` at sweep
-                // entry, so `Avx2` implies
-                // `is_x86_feature_detected!("avx2")` held on this host.
-                KernelBackend::Avx2 => unsafe {
-                    self.plan_kernel_avx2(plans, site, polarity, ws, points_out)
-                },
-                #[cfg(not(target_arch = "x86_64"))]
-                KernelBackend::Avx2 => {
-                    unreachable!("sanitized backends exclude AVX2 off x86-64")
-                }
-            },
+            (Some(plans), SweepScratch::Plan(ws)) => {
+                self.plan_kernel(plans, site, polarity, ws, points_out)
+            }
             (None, SweepScratch::Reference(ws)) => {
                 let r = self.site_with_workspace(site, polarity, ws);
                 let n_points = u32::try_from(r.per_point().len()).expect("points fit u32");
@@ -999,17 +1002,10 @@ impl EppAnalysis {
     /// traversal where the slice-based rules made three.
     ///
     /// Performs the exact same float operations in the exact same order
-    /// as [`site_with_workspace`](Self::site_with_workspace) — the two
-    /// paths are bit-identical by construction, on either rule-core
-    /// backend (the vector cores are lane-wise twins of the scalar
-    /// ones; see `crates/core/src/rules.rs`).
-    ///
-    /// Generic over the lane-vector backend; `#[inline(always)]` so
-    /// each monomorphization collapses into its entry point — in
-    /// particular into `plan_kernel_avx2`'s `target_feature` scope,
-    /// where the AVX2 intrinsics inline to single instructions.
-    #[inline(always)]
-    fn plan_kernel<V: LaneVec>(
+    /// as [`site_with_workspace`](Self::site_with_workspace): both call
+    /// the same rule cores and the same [`PolarityMode::apply`], so the
+    /// two paths are bit-identical by construction.
+    fn plan_kernel(
         &self,
         plans: &ConePlans,
         site: NodeId,
@@ -1060,8 +1056,8 @@ impl EppAnalysis {
             let id = plan.next_of(prev);
             let node = circuit.node(id);
             let op = RuleOp::of(node.kind());
-            let prev_lanes = V::load(&lanes[pos - 1]);
-            let mut out = propagate_fused_v(
+            let prev_lanes = lanes[pos - 1].0;
+            let out = propagate_fused(
                 op,
                 node.fanin().iter().map(|&pin| {
                     if pin == prev {
@@ -1070,16 +1066,11 @@ impl EppAnalysis {
                         // Off-path: one aligned load off the SP plane
                         // (the tuple — and its range check — was
                         // computed once at plane build).
-                        V::load(&sp_lanes[pin.index()])
+                        sp_lanes[pin.index()].0
                     }
                 }),
             );
-            if polarity == PolarityMode::Merged {
-                // Collapse Pā into Pa after every gate — same ablation
-                // transform as the reference path.
-                out = merge_polarity_v(out);
-            }
-            lanes[pos] = out.store();
+            lanes[pos] = Lane4(polarity.apply(out).lanes());
             if pos < l {
                 for &obs in plan.observes_of(id) {
                     path_obs.push((obs, u32::try_from(pos).expect("cone fits u32")));
@@ -1116,7 +1107,7 @@ impl EppAnalysis {
             // packed ref of an on-path fanin decodes to a harmless
             // in-range placeholder — so we resolve both and let a
             // conditional move pick the address.
-            let gather = move |&(pf, off): &(u32, u32)| -> V {
+            let gather = move |&(pf, off): &(u32, u32)| -> [f64; 4] {
                 let s = stamp[pf as usize];
                 let on_path = s & !0xFFFF_FFFF == epoch;
                 let off_idx = match FaninRef::decode(off) {
@@ -1130,18 +1121,10 @@ impl EppAnalysis {
                     &lanes_now[(s as u32) as usize],
                     &sp_lanes[off_idx],
                 );
-                V::load(src)
+                src.0
             };
-            let fanins = plans.fanins_at(q);
-            let mut out = if fanins.len() == 2 {
-                propagate2_v(op, gather(&fanins[0]), gather(&fanins[1]))
-            } else {
-                propagate_fused_v(op, fanins.iter().map(gather))
-            };
-            if polarity == PolarityMode::Merged {
-                out = merge_polarity_v(out);
-            }
-            lanes[local] = out.store();
+            let out = propagate_fused(op, plans.fanins_at(q).iter().map(gather));
+            lanes[local] = Lane4(polarity.apply(out).lanes());
             pos_stamp[q as usize] = epoch | local as u64;
         }
 
@@ -1172,28 +1155,6 @@ impl EppAnalysis {
         let gates = u32::try_from(len - 1).expect("cone fits u32");
         let n_points = u32::try_from(points_out.len() - first).expect("points fit u32");
         (p_sensitized, gates, n_points)
-    }
-
-    /// The AVX2 monomorphization of [`plan_kernel`](Self::plan_kernel)
-    /// behind the one `target_feature` boundary: everything between
-    /// here and the `__m256d` intrinsics is `#[inline(always)]`, so
-    /// the whole per-site kernel compiles as a single AVX2 function.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee the host supports AVX2
-    /// (`is_x86_feature_detected!("avx2")`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn plan_kernel_avx2(
-        &self,
-        plans: &ConePlans,
-        site: NodeId,
-        polarity: PolarityMode,
-        ws: &mut SweepWorkspace,
-        points_out: &mut Vec<PointEpp>,
-    ) -> (f64, u32, u32) {
-        self.plan_kernel::<AvxVec>(plans, site, polarity, ws, points_out)
     }
 }
 
@@ -1254,28 +1215,36 @@ H = OR(C, D, G)
     #[test]
     fn forced_backends_are_bit_identical() {
         // Big enough that chains, shared tails and both gather paths
-        // are all exercised; every backend the host can run must agree
-        // bitwise with the per-site reference.
+        // are all exercised; both kernels a sweep can be forced onto
+        // through `RunCtx::plans` (the planned kernel and the per-site
+        // reference kernel) must agree bitwise with the per-site
+        // reference.
         let c = ser_gen_like_chain(120);
         let epp = analysis(&c);
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let forced = |backend| RunCtx {
-                backend,
+            let forced = |plans| RunCtx {
+                plans,
                 ..RunCtx::new(1, &pool)
             };
-            let scalar = epp.sweep(&sites, polarity, &forced(KernelBackend::Scalar));
-            let forced_avx2 = epp.sweep(&sites, polarity, &forced(KernelBackend::Avx2));
-            assert_eq!(scalar, forced_avx2, "{polarity:?}");
+            let planned = epp.sweep(&sites, polarity, &forced(PlanPolicy::Auto));
+            let reference_kernel = epp.sweep(&sites, polarity, &forced(PlanPolicy::Reference));
+            assert_eq!(planned, reference_kernel, "{polarity:?}");
             for &site in &sites {
                 assert_eq!(
-                    scalar.site(site).to_site_epp().unwrap(),
+                    planned.site(site).to_site_epp().unwrap(),
                     epp.site_with(site, polarity),
                     "{polarity:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn kernel_backend_is_the_scalar_cores() {
+        assert_eq!(KernelBackend::auto(), KernelBackend::Scalar);
+        assert_eq!(KernelBackend::auto().name(), "scalar");
     }
 
     #[test]
@@ -1392,17 +1361,14 @@ H = OR(C, D, G)
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
             let planned = epp.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             for threads in [1usize, 4] {
-                for backend in [KernelBackend::Scalar, KernelBackend::Avx2.sanitized()] {
-                    let ctx = RunCtx {
-                        threads,
-                        pool: &pool,
-                        backend,
-                        plans: PlanPolicy::Reference,
-                        arrivals: Arrivals::Keep,
-                    };
-                    let planless = epp.sweep(&sites, polarity, &ctx);
-                    assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
-                }
+                let ctx = RunCtx {
+                    threads,
+                    pool: &pool,
+                    plans: PlanPolicy::Reference,
+                    arrivals: Arrivals::Keep,
+                };
+                let planless = epp.sweep(&sites, polarity, &ctx);
+                assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
             }
         }
         // The fallback checked out per-site workspaces, not sweep ones.

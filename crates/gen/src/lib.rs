@@ -8,7 +8,9 @@
 //!   circuits (the paper's worked example and the tiny classics),
 //! - [`TABLE2`]/[`profile`]/[`synthesize`]/[`iscas89_like`] —
 //!   deterministic synthetic stand-ins matching each Table 2 circuit's
-//!   published structural profile (see DESIGN.md §2),
+//!   published structural profile (EPP's cost and accuracy depend on
+//!   source/sink counts, gate count, depth and fanout shape, which the
+//!   profile pins),
 //! - structured generators ([`ripple_carry_adder`], [`parity_tree`],
 //!   [`mux_tree`], [`equality_comparator`]) with known functionality,
 //! - sequential generators ([`shift_register`], [`counter`], [`lfsr`],

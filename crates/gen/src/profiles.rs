@@ -6,8 +6,7 @@
 //! circuits' *structure* — source/sink counts, gate count, depth and
 //! fanout shape. Each profile records the published parameters of one
 //! benchmark; [`synthesize`](crate::synthesize) produces a deterministic
-//! synthetic circuit matching them (see DESIGN.md §2 for the
-//! substitution rationale).
+//! synthetic circuit matching them.
 
 use std::fmt;
 

@@ -11,8 +11,8 @@
 //!    while a sibling connection is being torn apart).
 //!
 //! Every schedule is seeded and fixed: a failure here is a
-//! reproducer, not a flake. The seed matrix below is the one CI runs
-//! under both `SER_SIMD` lanes.
+//! reproducer, not a flake. The seed matrix below is the one CI's
+//! chaos step runs.
 
 use std::io::{self, Write};
 use std::path::PathBuf;

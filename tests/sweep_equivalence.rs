@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use ser_suite::epp::{
-    Arrivals, EppAnalysis, KernelBackend, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace,
-    SweepResults, WorkspacePool,
+    Arrivals, EppAnalysis, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace, SweepResults,
+    WorkspacePool,
 };
 use ser_suite::gen::RandomDag;
 use ser_suite::netlist::{Circuit, NodeId};
@@ -56,23 +56,21 @@ fn assert_sweep_matches_reference(
     }
 }
 
-/// Runs one full-circuit sweep under each rule-core backend and
-/// asserts the SIMD run, the scalar run and the per-site reference all
-/// agree bit for bit. On hosts without AVX2 the forced-AVX2 run
-/// degrades to the scalar twin, so the identity (trivially) still
-/// holds — the cross-backend half of this check is only meaningful on
-/// x86-64, which is where CI runs it.
+/// Runs one full-circuit sweep forced onto each kernel a sweep can run
+/// (the planned kernel under [`PlanPolicy::Auto`], the per-site
+/// reference kernel under [`PlanPolicy::Reference`]) and asserts the
+/// two runs and the per-site reference all agree bit for bit.
 fn assert_backends_agree(circuit: &Circuit, analysis: &EppAnalysis, polarity: PolarityMode) {
     let pool = WorkspacePool::new();
     let sites: Vec<_> = circuit.node_ids().collect();
-    let forced = |backend| RunCtx {
-        backend,
+    let forced = |plans| RunCtx {
+        plans,
         ..RunCtx::new(1, &pool)
     };
-    let scalar = analysis.sweep(&sites, polarity, &forced(KernelBackend::Scalar));
-    let simd = analysis.sweep(&sites, polarity, &forced(KernelBackend::Avx2.sanitized()));
-    assert_eq!(scalar, simd, "backends diverged ({polarity:?})");
-    assert_sweep_matches_reference(circuit, analysis, &scalar, polarity);
+    let planned = analysis.sweep(&sites, polarity, &forced(PlanPolicy::Auto));
+    let reference_kernel = analysis.sweep(&sites, polarity, &forced(PlanPolicy::Reference));
+    assert_eq!(planned, reference_kernel, "kernels diverged ({polarity:?})");
+    assert_sweep_matches_reference(circuit, analysis, &planned, polarity);
 }
 
 /// Sequential circuits (DFF-clipped cones, flip-flop observe points)
@@ -108,9 +106,9 @@ fn sequential_circuits_bit_identical() {
     }
 }
 
-/// Forced backends on sequential circuits: the chain/tail kernel sees
-/// DFF-clipped cones and flip-flop observe points under both rule-core
-/// implementations.
+/// Both forced kernels on sequential circuits: the chain/tail kernel
+/// sees DFF-clipped cones and flip-flop observe points, and the
+/// per-site reference kernel must return the same bits.
 #[test]
 fn sequential_circuits_backend_invariant() {
     use ser_suite::gen::{accumulator, iscas89_like, lfsr, shift_register};
@@ -130,14 +128,14 @@ fn sequential_circuits_backend_invariant() {
     }
 }
 
-/// Denormal and clamp-edge values through `new_clamped` on both
-/// backends: inputs pinned to exact 0, exact 1, the smallest normal,
+/// Denormal and clamp-edge values through `new_clamped` in both
+/// kernels: inputs pinned to exact 0, exact 1, the smallest normal,
 /// the smallest subnormal and 1−ε drive the rule cores into gradual
 /// underflow (long AND/OR products collapse toward subnormals and
-/// zero) and into the 0/1 clamp — where `max`/`min` ordering, not just
-/// arithmetic, must match lane for lane.
+/// zero) and into the 0/1 clamp, and the planned sweep must still
+/// match the per-site reference bit for bit.
 #[test]
-fn denormal_and_clamp_edge_inputs_backend_invariant() {
+fn denormal_and_clamp_edge_inputs_bit_identical() {
     let edges = [
         0.0,
         1.0,
@@ -146,9 +144,9 @@ fn denormal_and_clamp_edge_inputs_backend_invariant() {
         1.0 - f64::EPSILON,
         0.5,
     ];
-    // Deep, reconvergent, XOR-heavy: long fused products plus the
-    // shuffle-based XOR core, over several seeds so the edge values
-    // land on varied gate mixes.
+    // Deep, reconvergent, XOR-heavy: long fused products plus the XOR
+    // core, over several seeds so the edge values land on varied gate
+    // mixes.
     for seed in [3u64, 17, 40] {
         let c = build(6, 90, 0.8, 0.3, seed);
         let mut probs = InputProbs::uniform(0.5);
@@ -157,8 +155,11 @@ fn denormal_and_clamp_edge_inputs_backend_invariant() {
         }
         let sp = IndependentSp::new().compute(&c, &probs).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
+        let pool = WorkspacePool::new();
+        let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            assert_backends_agree(&c, &analysis, polarity);
+            let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
+            assert_sweep_matches_reference(&c, &analysis, &sweep, polarity);
         }
     }
 }
@@ -166,11 +167,11 @@ fn denormal_and_clamp_edge_inputs_backend_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// SIMD sweep vs scalar sweep vs per-site reference on random
-    /// DAGs: the three engines must agree bit for bit in both polarity
-    /// modes. This is the backend-forcing companion of
-    /// `sweep_bit_identical_to_reference` — it pins each run's rule
-    /// cores instead of trusting the runtime dispatch.
+    /// Planned sweep vs forced reference-kernel sweep vs per-site
+    /// reference on random DAGs: the three must agree bit for bit in
+    /// both polarity modes. This is the kernel-forcing companion of
+    /// `sweep_bit_identical_to_reference` — it pins each run's kernel
+    /// through `RunCtx::plans` instead of trusting `PlanPolicy::Auto`.
     #[test]
     fn forced_backends_bit_identical((inputs, gates, reconv, xf, seed) in dag_strategy()) {
         let c = build(inputs, gates, reconv, xf, seed);
