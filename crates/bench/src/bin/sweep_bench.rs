@@ -29,9 +29,13 @@
 //!   across every subsequent sweep of the session).
 //! - `whatif_resweep_ms` / `whatif_dirty_site_fraction` /
 //!   `whatif_full_recompute_ms`: the incremental what-if engine on a
-//!   single-gate TMR — dirty-region re-sweep cost and dirty fraction
-//!   vs the from-scratch recompute an edit used to require (the run
-//!   also asserts the incremental state matches that oracle bitwise).
+//!   single-gate TMR of a fanout-free gate — dirty-region re-sweep cost
+//!   and dirty fraction vs the from-scratch recompute an edit used to
+//!   require (the run also asserts the incremental state matches that
+//!   oracle bitwise).
+//! - `whatif_general_ms`: the same engine on a TMR of a gate *with*
+//!   fanout — plan compile of the edited circuit plus the dirty-site
+//!   re-sweep (asserted bitwise against the oracle as well).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -80,6 +84,50 @@ fn same_site_numbers(a: &SweepResults, b: &SweepResults) -> bool {
             x.p_sensitized().to_bits() == y.p_sensitized().to_bits()
                 && x.on_path_gates() == y.on_path_gates()
         })
+}
+
+/// One what-if row: a TMR edit applied incrementally, best of three.
+struct TmrTiming {
+    best_ms: f64,
+    dirty: usize,
+    dirty_fraction: f64,
+    /// The from-scratch recompute of the edited circuit.
+    full_ms: f64,
+}
+
+/// Times `Edit::Tmr(target)` on `wf` (best of three apply/revert
+/// rounds), then applies it once more and asserts the incremental
+/// state bitwise against the from-scratch oracle, timing that oracle —
+/// the compile + plans + whole-circuit sweep the edit would otherwise
+/// cost. Leaves `wf` at the depth it started.
+fn time_tmr(wf: &mut WhatIfSession, target: NodeId) -> TmrTiming {
+    let mut best_ms = f64::INFINITY;
+    for _ in 0..3 {
+        let outcome = wf.apply(Edit::Tmr(target)).expect("valid TMR target");
+        best_ms = best_ms.min(outcome.elapsed.as_secs_f64() * 1e3);
+        wf.revert();
+    }
+    let outcome = wf.apply(Edit::Tmr(target)).expect("valid TMR target");
+    let t = Instant::now();
+    let (full, full_total) = wf.full_recompute().expect("edited circuit recompiles");
+    let full_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(
+        full_total.to_bits(),
+        wf.total_ser().to_bits(),
+        "incremental total diverged from the from-scratch oracle"
+    );
+    assert_eq!(
+        &full,
+        wf.results().as_ref(),
+        "incremental arena diverged from the from-scratch oracle"
+    );
+    wf.revert();
+    TmrTiming {
+        best_ms,
+        dirty: outcome.dirty_sites,
+        dirty_fraction: outcome.dirty_sites as f64 / outcome.total_sites as f64,
+        full_ms,
+    }
 }
 
 struct EngineStats {
@@ -239,54 +287,46 @@ fn main() {
         assert_eq!(sweep1.p_sensitized().len(), n, "sweep covered every node");
 
         // --- What-if: single-gate TMR, incremental vs from-scratch. ---
-        // Target: a fanout-free logic gate (a PO driver) with the
+        // Sink row: a fanout-free logic gate (a PO driver) with the
         // smallest combinational fan-in cone. Fanout-free keeps the
-        // dirty region at the gate's own fan-in closure — a TMR
-        // voter's signal probability moves, so an edit with downstream
-        // consumers dirties everything its perturbation reaches
-        // through the DFF fixed point. Small-cone makes the record
+        // dirty region at the gate's own fan-in closure and takes the
+        // engine's arena-patch shortcut; small-cone makes the record
         // measure blast-radius-proportional cost, the property the
-        // engine sells.
-        let target = circuit
-            .node_ids()
-            .filter(|&id| {
-                circuit.node(id).kind().is_logic() && circuit.node(id).fanout().is_empty()
-            })
-            .min_by_key(|&id| (comb_fanin_closure(&circuit, id), id.index()))
-            .expect("bench circuits have fanout-free logic gates");
+        // engine sells. General row: the logic gate *with* fanout
+        // whose fan-in cone is smallest — its voter's signal
+        // probability moves, so the edit dirties everything that
+        // perturbation reaches through the DFF fixed point, and the
+        // engine compiles the edited circuit's plans and re-sweeps the
+        // dirty sites on them.
+        let smallest_cone = |with_fanout: bool| {
+            circuit
+                .node_ids()
+                .filter(|&id| {
+                    circuit.node(id).kind().is_logic()
+                        && circuit.node(id).fanout().is_empty() != with_fanout
+                })
+                .min_by_key(|&id| (comb_fanin_closure(&circuit, id), id.index()))
+        };
+        let sink = smallest_cone(false).expect("bench circuits have fanout-free logic gates");
+        let general = smallest_cone(true).expect("bench circuits have logic gates with fanout");
         let mut wf = WhatIfSession::with_base_results(session.clone(), Arc::new(sweep1.clone()), 1);
-        let mut whatif_ms = f64::INFINITY;
-        let mut dirty_fraction = 0.0;
-        for _ in 0..3 {
-            let outcome = wf.apply(Edit::Tmr(target)).expect("valid TMR target");
-            whatif_ms = whatif_ms.min(outcome.elapsed.as_secs_f64() * 1e3);
-            dirty_fraction = outcome.dirty_sites as f64 / outcome.total_sites as f64;
-            wf.revert();
-        }
-        // What the same edit costs without the engine: a fresh session
-        // on the edited circuit (compile + plans + whole-circuit
-        // sweep) — and the oracle the incremental state must match.
-        let outcome = wf.apply(Edit::Tmr(target)).expect("valid TMR target");
-        let t = Instant::now();
-        let (full, full_total) = wf.full_recompute().expect("edited circuit recompiles");
-        let whatif_full_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            full_total.to_bits(),
-            wf.total_ser().to_bits(),
-            "incremental total diverged from the from-scratch oracle"
-        );
-        assert_eq!(
-            &full,
-            wf.results().as_ref(),
-            "incremental arena diverged from the from-scratch oracle"
-        );
-        let whatif_dirty = outcome.dirty_sites;
+        let TmrTiming {
+            best_ms: whatif_ms,
+            dirty: whatif_dirty,
+            dirty_fraction,
+            full_ms: whatif_full_ms,
+        } = time_tmr(&mut wf, sink);
+        let TmrTiming {
+            best_ms: whatif_general_ms,
+            dirty: general_dirty,
+            ..
+        } = time_tmr(&mut wf, general);
         drop(wf);
 
         let speedup_1t = batched_1t.sites_per_sec / reference.sites_per_sec;
         let speedup_mt = (n as f64 / batched_mt_total) / reference.sites_per_sec;
         eprintln!(
-            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | folded(1t) {:.0}/s | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms)",
+            "{name}: {n} nodes | ref {:.0}/s | batched(1t) {:.0}/s ({speedup_1t:.2}x) | folded(1t) {:.0}/s | batched({mt_threads_used}t used) {:.0}/s ({speedup_mt:.2}x) | plans {plan_build_ms:.1}ms | arena {arena_members} stored / {logical_members} logical ({dedup_factor:.1}x), {arena_bytes} B | whatif TMR {whatif_ms:.2}ms ({whatif_dirty} dirty, {:.1}% of sites; full {whatif_full_ms:.1}ms, warm sweep {:.1}ms) | whatif general TMR {whatif_general_ms:.2}ms ({general_dirty} dirty)",
             reference.sites_per_sec,
             batched_1t.sites_per_sec,
             n as f64 / folded1_total,
@@ -316,7 +356,7 @@ fn main() {
         );
         let _ = write!(
             rec,
-            ", \"speedup_1t\": {speedup_1t:.3}, \"speedup_mt\": {speedup_mt:.3}, \"whatif_resweep_ms\": {whatif_ms:.3}, \"whatif_dirty_site_fraction\": {:.4}, \"whatif_full_recompute_ms\": {whatif_full_ms:.3}}}",
+            ", \"speedup_1t\": {speedup_1t:.3}, \"speedup_mt\": {speedup_mt:.3}, \"whatif_resweep_ms\": {whatif_ms:.3}, \"whatif_general_ms\": {whatif_general_ms:.3}, \"whatif_dirty_site_fraction\": {:.4}, \"whatif_full_recompute_ms\": {whatif_full_ms:.3}}}",
             dirty_fraction
         );
         records.push(rec);

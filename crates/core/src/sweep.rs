@@ -670,9 +670,9 @@ pub enum PlanPolicy {
     #[default]
     Auto,
     /// The per-site reference kernel: no cone plans consulted, none
-    /// compiled. The what-if engine uses it to re-sweep a handful of
-    /// structurally dirty sites on an edited circuit without paying
-    /// that circuit's plan compile.
+    /// compiled. The what-if engine's fanout-free TMR shortcut uses
+    /// it to sweep the seven gates the edit inserts or changes without
+    /// paying the edited circuit's plan compile.
     Reference,
 }
 

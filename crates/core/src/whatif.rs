@@ -22,22 +22,19 @@
 //!    which is exactly `s ∈ backward-comb-closure(seeds)` — one
 //!    [`TopoArtifacts::comb_ancestors`] pass over the fanin edges, no
 //!    cone enumeration.
-//! 3. **Two-tier re-sweep.** Dirty sites whose cone contains changed
-//!    *structure* are re-swept on the edited circuit with the
-//!    per-site reference kernel (no plan compile). Dirty sites whose
-//!    cone is structurally untouched — only upstream SP moved — have
-//!    bit-identical cone tables in the *previous* circuit, so they
-//!    re-sweep on the already-compiled warm [`ConePlans`] with the new
-//!    SP values remapped into the old id space. TMR of a *fanout-free*
-//!    gate short-circuits both tiers: only the hardened gate's own
-//!    observe point can change, and the cached arena already records
-//!    each dirty site's four-value state there, so the new arrival is
-//!    one TMR-voter rule application per site, patched in during the
-//!    splice (`SweepResults::splice_tmr_sink`) with no cone walk at
-//!    all.
+//! 3. **Re-sweep.** The edited circuit's [`ConePlans`] are compiled
+//!    (a SetInputs edit keeps the current circuit and its plans), and
+//!    the dirty sites are swept on them with the planned kernel. TMR
+//!    of a *fanout-free* gate takes a shortcut instead: only the
+//!    hardened gate's own observe point can change, and the cached
+//!    arena already records each dirty site's four-value state there,
+//!    so the new arrival is one TMR-voter rule application per site,
+//!    patched in during the splice (`SweepResults::splice_tmr_sink`)
+//!    with no cone walk at all; the seven inserted gates alone are
+//!    swept, on the per-site reference kernel.
 //! 4. **Splice.** Clean sites are copied from the cached arena
 //!    (observe-point ids remapped where the arena ids shifted); the
-//!    re-swept tiers are spliced in by site id. Because every kernel
+//!    re-swept sites are spliced in by site id. Because every kernel
 //!    involved is bit-identical and untouched cones read untouched
 //!    inputs, the spliced arena equals a from-scratch sweep
 //!    bit-for-bit — [`full_recompute`](WhatIfSession::full_recompute)
@@ -86,7 +83,7 @@ pub enum Edit {
 pub enum WhatIfAbort {
     /// The edit was invalid or the edited circuit failed to compile.
     Compile(SpError),
-    /// The cancellation token tripped between re-analysis tiers; the
+    /// The cancellation token tripped during re-analysis; the
     /// session's edit stack is untouched (no state was pushed).
     Cancelled(CancelCause),
 }
@@ -129,16 +126,15 @@ pub struct WhatIfOutcome {
     pub total: f64,
     /// Sites whose results were re-derived (dirty region size).
     pub dirty_sites: usize,
-    /// Dirty sites re-derived from warm cached state without touching
-    /// the reference kernel: re-swept on the previous circuit's
-    /// already-compiled cone plans (SP-only dirt), or — for a
-    /// fanout-free TMR edit — patched directly from the arrival the
-    /// cached arena already holds at the hardened gate's observe
-    /// point. 0 when a cold session sends everything to the reference
-    /// tier.
+    /// Dirty sites re-derived without the reference kernel: every
+    /// dirty site, re-swept on the edited circuit's cone plans — or,
+    /// for a fanout-free TMR edit, the surviving dirty sites, patched
+    /// directly from the arrival the cached arena already holds at the
+    /// hardened gate's observe point.
     pub resweep_planned: usize,
-    /// Dirty sites re-swept with the reference kernel on the edited
-    /// circuit (structurally dirty, or everything on a cold session).
+    /// Dirty sites re-swept with the per-site reference kernel: the
+    /// seven gates a fanout-free TMR edit inserts or changes, 0 for
+    /// every other edit.
     pub resweep_reference: usize,
     /// Sites in the edited circuit (`dirty_sites / total_sites` is the
     /// dirty fraction the bench reports).
@@ -197,8 +193,8 @@ pub struct WhatIfSession {
 
 impl WhatIfSession {
     /// Opens a session, paying one whole-circuit sweep to fill the
-    /// base results cache (this also primes the circuit's cone plans,
-    /// which the first edit's SP-only tier then reuses warm).
+    /// base results cache (this also builds the circuit's cone plans,
+    /// which SetInputs edits then reuse).
     #[must_use]
     pub fn new(session: AnalysisSession, threads: usize) -> Self {
         let results = Arc::new(session.sweep(threads));
@@ -333,18 +329,18 @@ impl WhatIfSession {
     }
 
     /// [`apply`](Self::apply) with a cooperative [`CancelToken`],
-    /// polled between the re-analysis tiers (after the SP forward
-    /// recompute, before each re-sweep tier, before the splice). A
-    /// trip aborts with [`WhatIfAbort::Cancelled`] **before** any
-    /// state is pushed: the edit stack, cached arenas and totals are
-    /// exactly as they were, so a subsequent apply (or nothing at all)
-    /// sees pre-request state.
+    /// polled after the SP forward recompute, at the edited circuit's
+    /// plan-build checkpoints, before the re-sweep and before the
+    /// splice. A trip aborts with [`WhatIfAbort::Cancelled`] **before**
+    /// any state is pushed: the edit stack, cached arenas and totals
+    /// are exactly as they were, so a subsequent apply (or nothing at
+    /// all) sees pre-request state.
     ///
     /// # Errors
     ///
     /// [`WhatIfAbort::Compile`] exactly where [`apply`](Self::apply)
-    /// errors, [`WhatIfAbort::Cancelled`] when `cancel` trips at a
-    /// tier boundary.
+    /// errors, [`WhatIfAbort::Cancelled`] when `cancel` trips at one
+    /// of those points.
     pub fn apply_cancellable(
         &mut self,
         edit: Edit,
@@ -444,7 +440,7 @@ impl WhatIfSession {
             )?)
         };
 
-        // SP recompute done — first tier boundary.
+        // SP recompute done — first cancellation point.
         checkpoint()?;
 
         // rev[new id] = old id, for splice copies and delta reporting.
@@ -460,12 +456,6 @@ impl WhatIfSession {
             },
         };
         let pool = self.base.workspace_pool();
-        // Sites re-swept on the edited circuit take the reference
-        // kernel, so an edit never pays that circuit's plan compile.
-        let reference_ctx = RunCtx {
-            plans: PlanPolicy::Reference,
-            ..RunCtx::new(self.threads, pool)
-        };
 
         // --- 3a. Sink-TMR fast path. --------------------------------
         // TMR of a fanout-free gate `g` changes no surviving node's SP
@@ -515,8 +505,14 @@ impl WhatIfSession {
 
             // The 7 structurally new/changed sites (replicas, voter
             // pairs, voter) re-sweep on the edited circuit; their
-            // cones are the insertion itself.
+            // cones are the insertion itself. The per-site reference
+            // kernel runs them: seven sites do not repay the edited
+            // circuit's plan compile.
             let struct_sites: Vec<NodeId> = (g_idx..g_idx + 7).map(NodeId::from_index).collect();
+            let reference_ctx = RunCtx {
+                plans: PlanPolicy::Reference,
+                ..RunCtx::new(self.threads, pool)
+            };
             let analysis_new = EppAnalysis::from_artifacts(
                 Arc::clone(&circuit),
                 Arc::clone(&topo),
@@ -536,9 +532,10 @@ impl WhatIfSession {
                 });
             (results, dirty, fast_count, struct_sites.len())
         } else {
-            // --- 3b. General path: dirty region, two-tier re-sweep,
-            // splice. Seeds = changed structure ∪ SP-changed nodes ∪
-            // their direct consumers (off-path pins read SP). --------
+            // --- 3b. General path: dirty region, one re-sweep on the
+            // edited circuit's plans, splice. Seeds = changed structure
+            // ∪ SP-changed nodes ∪ their direct consumers (off-path
+            // pins read SP). -------------------------------------------
             let mut seeds: Vec<NodeId> = structural_new.clone();
             for old in cur.circuit.node_ids() {
                 let new = fwd[old.index()];
@@ -548,77 +545,31 @@ impl WhatIfSession {
                 }
             }
             let dirty = topo.comb_ancestors(&circuit, seeds.iter().copied());
-            let struct_dirty = topo.comb_ancestors(&circuit, structural_new.iter().copied());
+            let sites: Vec<NodeId> = circuit.node_ids().filter(|id| dirty[id.index()]).collect();
 
-            // Warm tier: SP-only-dirty sites have bit-identical cone
-            // tables in the previous circuit, so they run on its
-            // already-compiled plans with the new SP remapped into old
-            // ids. Cold sessions (plans never compiled) send everything
-            // to the reference tier instead.
-            let warm = cur.topo.cone_plans_primed().is_some();
-            let mut planned_mask = vec![false; circuit.len()];
-            let mut reference_sites: Vec<NodeId> = Vec::new();
-            let mut planned_sites_old: Vec<NodeId> = Vec::new();
-            for i in 0..circuit.len() {
-                if !dirty[i] {
-                    continue;
-                }
-                if warm && !struct_dirty[i] {
-                    planned_mask[i] = true;
-                    planned_sites_old
-                        .push(rev[i].expect("a structurally clean site survives the edit"));
-                } else {
-                    reference_sites.push(NodeId::from_index(i));
-                }
-            }
-            // Reference tier boundary.
+            // The edited circuit's plans, built under the token (a
+            // SetInputs edit shares the current circuit's, already
+            // built). Re-sweep boundary after it.
+            topo.cone_plans_cancellable(&circuit, cancel)?;
             checkpoint()?;
-            let reference_results = if reference_sites.is_empty() {
-                None
-            } else {
-                let analysis = EppAnalysis::from_artifacts(
-                    Arc::clone(&circuit),
-                    Arc::clone(&topo),
-                    Arc::clone(&sp),
-                );
-                Some(analysis.sweep(&reference_sites, PolarityMode::Tracked, &reference_ctx))
-            };
-            // Planned (warm) tier boundary.
-            checkpoint()?;
-            let planned_results = if planned_sites_old.is_empty() {
-                None
-            } else {
-                let remapped = if same_circuit {
-                    Arc::clone(&sp)
-                } else {
-                    Arc::new(SpVector::new(
-                        cur.circuit
-                            .node_ids()
-                            .map(|old| sp.get(fwd[old.index()]))
-                            .collect(),
-                    ))
-                };
-                let analysis = EppAnalysis::from_artifacts(
-                    Arc::clone(&cur.circuit),
-                    Arc::clone(&cur.topo),
-                    remapped,
-                );
-                Some(analysis.sweep(
-                    &planned_sites_old,
-                    PolarityMode::Tracked,
-                    &RunCtx::new(self.threads, pool),
-                ))
-            };
+            let analysis = EppAnalysis::from_artifacts(
+                Arc::clone(&circuit),
+                Arc::clone(&topo),
+                Arc::clone(&sp),
+            );
+            let resweep = analysis.sweep(
+                &sites,
+                PolarityMode::Tracked,
+                &RunCtx::new(self.threads, pool),
+            );
 
             // Splice boundary: the last chance to abort before the
             // new arena is assembled.
             checkpoint()?;
-            // Splice into a fresh dense arena. Both re-sweep site
-            // lists and the splice walk ascend in new id order (the
-            // old→new map is monotone), so plain cursors line results
-            // up with sites.
-            let mut ref_cursor = 0usize;
-            let mut planned_cursor = 0usize;
+            // Splice into a fresh dense arena. The re-sweep's sites and
+            // the splice walk both ascend in new id order, so a plain
+            // cursor lines results up with sites.
+            let mut cursor = 0usize;
             let results = SweepResults::assemble_dense(
                 circuit.len(),
                 cur.results
@@ -626,32 +577,13 @@ impl WhatIfSession {
                     .expect("what-if states keep their arrivals"),
                 |id, points| {
                     let i = id.index();
-                    if let Some(res) = reference_results
-                        .as_ref()
-                        .filter(|_| dirty[i] && !planned_mask[i])
-                    {
-                        let site = res.get(ref_cursor);
-                        ref_cursor += 1;
-                        debug_assert_eq!(site.site(), id, "reference splice order");
+                    if dirty[i] {
+                        let site = resweep.get(cursor);
+                        cursor += 1;
+                        debug_assert_eq!(site.site(), id, "re-sweep splice order");
                         points.extend_from_slice(
-                            site.per_point()
-                                .expect("the reference tier keeps its arrivals"),
+                            site.per_point().expect("the re-sweep keeps its arrivals"),
                         );
-                        (site.p_sensitized(), gates_u32(site.on_path_gates()))
-                    } else if planned_mask[i] {
-                        let res = planned_results
-                            .as_ref()
-                            .expect("planned mask implies results");
-                        let site = res.get(planned_cursor);
-                        planned_cursor += 1;
-                        debug_assert_eq!(Some(site.site()), rev[i], "planned splice order");
-                        let kept = site
-                            .per_point()
-                            .expect("the planned tier keeps its arrivals");
-                        points.extend(kept.iter().map(|p| PointEpp {
-                            point: remap_point(p.point),
-                            value: p.value,
-                        }));
                         (site.p_sensitized(), gates_u32(site.on_path_gates()))
                     } else {
                         let old = rev[i].expect("a clean site survives the edit");
@@ -667,12 +599,7 @@ impl WhatIfSession {
                     }
                 },
             );
-            (
-                results,
-                dirty,
-                planned_sites_old.len(),
-                reference_sites.len(),
-            )
+            (results, dirty, sites.len(), 0)
         };
 
         // --- 4. Totals, deltas, push. --------------------------------

@@ -11,6 +11,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::cancel::{CancelCause, CancelToken};
 use crate::circuit::{Circuit, NodeId, ObservePoint};
 use crate::error::NetlistError;
 use crate::gate::GateKind;
@@ -228,10 +229,8 @@ impl TopoArtifacts {
     }
 
     /// The already-built cone plans, if any — a peek that never
-    /// triggers compilation. The what-if engine uses this to decide
-    /// whether a dirty re-sweep can ride the warm plan kernel or should
-    /// take the per-site reference path instead of paying a cold plan
-    /// compile it was created to avoid.
+    /// triggers compilation. Tests use it to tell whether a query ran
+    /// on the plans or on the per-site reference kernel.
     #[must_use]
     pub fn cone_plans_primed(&self) -> Option<&Arc<ConePlans>> {
         self.plans.get().and_then(Option::as_ref)
@@ -255,32 +254,56 @@ impl TopoArtifacts {
     /// computed from.
     #[must_use]
     pub fn cone_plans(&self, circuit: &Circuit) -> Option<&Arc<ConePlans>> {
+        match self.cone_plans_cancellable(circuit, None) {
+            Ok(plans) => plans,
+            Err(_) => unreachable!("a build without a token cannot be cancelled"),
+        }
+    }
+
+    /// [`cone_plans`](Self::cone_plans) under a cooperative
+    /// [`CancelToken`], polled at the build's anchor checkpoints. A
+    /// settled slot is returned as it is, without polling. A trip
+    /// returns its cause and caches nothing, so the next call builds
+    /// from scratch and gets bit-identical plans. The service settles a
+    /// fresh session's plans here, and the what-if engine an edited
+    /// circuit's.
+    ///
+    /// # Errors
+    ///
+    /// The [`CancelCause`] when `cancel` trips mid-build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit` is not the circuit these artifacts were
+    /// computed from.
+    pub fn cone_plans_cancellable(
+        &self,
+        circuit: &Circuit,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Option<&Arc<ConePlans>>, CancelCause> {
         assert_eq!(
             circuit.len(),
             self.len(),
             "cone plans require the artifacts' own circuit"
         );
-        self.plans
-            .get_or_init(|| {
-                // Without a token the build cannot be cancelled, so
-                // `Err` never occurs here.
-                ConePlans::build(circuit, self, ConePlans::DEFAULT_BYTE_BUDGET, None)
-                    .ok()
-                    .flatten()
-                    .map(Arc::new)
-            })
-            .as_ref()
+        if let Some(settled) = self.plans.get() {
+            return Ok(settled.as_ref());
+        }
+        let built =
+            ConePlans::build(circuit, self, ConePlans::DEFAULT_BYTE_BUDGET, cancel)?.map(Arc::new);
+        // A racing build of the same circuit may have settled first;
+        // both builds are bit-identical, so either outcome serves.
+        Ok(self.plans.get_or_init(|| built).as_ref())
     }
 
-    /// Seeds the plan slot with an already-settled outcome — plans
-    /// built under a cancel token, or `None` for a build the byte
-    /// budget declined — so [`cone_plans`](Self::cone_plans) returns it
-    /// instead of compiling. Returns `false` — and changes nothing — if
-    /// the slot was already built or primed for these artifacts.
+    /// Seeds the plan slot with an already-settled outcome — `None`
+    /// stands for a build the byte budget declined — so
+    /// [`cone_plans`](Self::cone_plans) returns it instead of
+    /// compiling. Returns `false` — and changes nothing — if the slot
+    /// was already built or primed for these artifacts.
     ///
     /// The caller is responsible for `plans` belonging to the same
-    /// circuit as these artifacts (the service builds them from the
-    /// session's own circuit and artifacts).
+    /// circuit as these artifacts.
     pub fn prime_cone_plans(&self, plans: Option<Arc<ConePlans>>) -> bool {
         self.plans.set(plans).is_ok()
     }

@@ -23,7 +23,7 @@ use ser_epp::{
     MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, RunCtx, SiteEpp,
     SweepResults, WhatIfAbort, WhatIfOutcome, WhatIfSession,
 };
-use ser_netlist::{CancelToken, Circuit, ConePlans, NodeId};
+use ser_netlist::{CancelToken, Circuit, NodeId};
 use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
 use ser_sp::{InputProbs, SpVector};
 
@@ -477,9 +477,10 @@ impl SerService {
 
     /// [`whatif_apply`](Self::whatif_apply) with a cooperative
     /// [`CancelToken`] — the wire `whatif` op's entry point. The token
-    /// is polled at the session compile's plan-build checkpoints and at
-    /// the re-sweep's tier boundaries (SP recompute → reference tier →
-    /// planned tier → splice). A trip at either leaves the edit stack
+    /// is polled at the session compile's plan-build checkpoints and by
+    /// [`WhatIfSession::apply_cancellable`] (after the SP recompute, at
+    /// the edited circuit's plan-build checkpoints, before the re-sweep
+    /// and before the splice). A trip at either leaves the edit stack
     /// exactly as it was — the partially re-analyzed state is dropped,
     /// never pushed — and counts in
     /// [`ServiceStats::requests_cancelled`].
@@ -579,15 +580,10 @@ impl SerService {
         // Cone plans are settled here, under the request's token, so a
         // "warm" session really is warm — the first sweep against it
         // pays no plan build.
-        let plans = ConePlans::build(
-            circuit,
-            session.topo(),
-            ConePlans::DEFAULT_BYTE_BUDGET,
-            cancel,
-        )
-        .map_err(ServiceError::Cancelled)?
-        .map(Arc::new);
-        session.topo().prime_cone_plans(plans);
+        session
+            .topo()
+            .cone_plans_cancellable(circuit, cancel)
+            .map_err(ServiceError::Cancelled)?;
 
         let mut cache = lock_clean(&self.cache);
         if let Some(winner) = lookup(&mut cache, key, circuit, |s| s.circuit_arc()) {

@@ -4,10 +4,12 @@
 //! Enforced here over random DAGs and sequential circuits, random edit
 //! sequences (TMR, kind swap, input change), and 1 vs N threads.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use ser_suite::epp::{AnalysisSession, Edit, WhatIfSession};
+use ser_suite::epp::{AnalysisSession, Edit, WhatIfAbort, WhatIfSession};
 use ser_suite::gen::{lfsr, s27, RandomDag};
-use ser_suite::netlist::{Circuit, GateKind, NodeId};
+use ser_suite::netlist::{CancelCause, CancelToken, Circuit, GateKind, NodeId};
 use ser_suite::sp::InputProbs;
 
 /// Picks the `i`-th TMR-able gate (cyclically) — deterministic from
@@ -80,6 +82,7 @@ fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
             continue;
         };
         let before = wf.total_ser();
+        let sink_tmr = matches!(edit, Edit::Tmr(g) if wf.circuit().node(g).fanout().is_empty());
         let Ok(outcome) = wf.apply(edit) else {
             // Invalid for this circuit (e.g. re-TMR of a hardened gate
             // collides on replica names): the state must be untouched.
@@ -94,6 +97,12 @@ fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
             outcome.resweep_planned + outcome.resweep_reference,
             "every dirty site is re-swept in exactly one tier"
         );
+        if !sink_tmr {
+            assert_eq!(
+                outcome.resweep_reference, 0,
+                "only a fanout-free TMR runs the reference kernel"
+            );
+        }
         assert_eq!(outcome.deltas.len(), outcome.dirty_sites);
 
         let (full, full_total) = wf.full_recompute().expect("oracle compiles");
@@ -202,4 +211,42 @@ fn whatif_s27_all_edit_kinds_stacked() {
     assert!(wf.revert().is_some());
     assert!(wf.revert().is_some());
     assert_eq!(wf.total_ser().to_bits(), o1.total.to_bits());
+}
+
+/// A tripped token aborts a general-path edit (TMR of a gate with
+/// fanout, on a sequential circuit) before any state is pushed: depth,
+/// results and total are bitwise what they were, and the next
+/// uncancelled apply still matches the from-scratch oracle.
+#[test]
+fn cancelled_apply_leaves_the_session_untouched() {
+    let session = AnalysisSession::new(s27()).expect("s27 compiles");
+    let mut wf = WhatIfSession::new(session, 2);
+    let c = Arc::clone(wf.circuit());
+    assert!(c.node_ids().any(|id| c.node(id).kind() == GateKind::Dff));
+    let gate = c
+        .node_ids()
+        .find(|&id| c.node(id).kind().is_logic() && !c.node(id).fanout().is_empty())
+        .expect("s27 has a logic gate with fanout");
+
+    let results = Arc::clone(wf.results());
+    let total = wf.total_ser();
+    let token = CancelToken::new();
+    token.cancel();
+    let abort = wf
+        .apply_cancellable(Edit::Tmr(gate), Some(&token))
+        .expect_err("a tripped token aborts the edit");
+    assert!(matches!(
+        abort,
+        WhatIfAbort::Cancelled(CancelCause::Cancelled)
+    ));
+    assert_eq!(wf.depth(), 0);
+    assert_eq!(*wf.results().as_ref(), *results);
+    assert_eq!(wf.total_ser().to_bits(), total.to_bits());
+
+    let outcome = wf.apply(Edit::Tmr(gate)).expect("tmr applies");
+    assert_eq!(outcome.depth, 1);
+    assert_eq!(outcome.resweep_reference, 0);
+    let (full, full_total) = wf.full_recompute().expect("oracle compiles");
+    assert_eq!(*wf.results().as_ref(), full);
+    assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
 }

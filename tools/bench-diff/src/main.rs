@@ -280,6 +280,7 @@ fn validate(doc: &Json) -> Result<(), String> {
             "arena_members",
             "arena_bytes",
             "whatif_resweep_ms",
+            "whatif_general_ms",
             "whatif_dirty_site_fraction",
             "whatif_full_recompute_ms",
         ],
@@ -287,18 +288,15 @@ fn validate(doc: &Json) -> Result<(), String> {
         _ => &[],
     };
     // Both throughput records must name the rule-core backend that
-    // produced them: a speedup number without its kernel is
-    // uninterpretable across hosts.
+    // produced them, and only the one every build runs: a record
+    // carrying another name came from an older kernel and does not
+    // describe this one.
     if matches!(doc.get("bench"),
         Some(Json::String(name)) if name == "sweep_throughput" || name == "service_throughput")
     {
         match doc.get("kernel") {
-            Some(Json::String(k)) if k == "avx2" || k == "scalar" => {}
-            Some(other) => {
-                return Err(format!(
-                    "\"kernel\" must be \"avx2\" or \"scalar\", found {other}"
-                ))
-            }
+            Some(Json::String(k)) if k == "scalar" => {}
+            Some(other) => return Err(format!("\"kernel\" must be \"scalar\", found {other}")),
             None => return Err("missing \"kernel\" backend field".into()),
         }
     }
@@ -481,12 +479,13 @@ mod tests {
 
     const GOOD: &str = r#"{
       "bench": "sweep_throughput",
-      "kernel": "avx2",
+      "kernel": "scalar",
       "unit_note": "latencies in microseconds",
       "results": [
         {"circuit": "s953", "nodes": 440, "plan_build_ms": 2.4,
          "arena_members": 9000, "arena_bytes": 120000,
-         "whatif_resweep_ms": 1.2, "whatif_dirty_site_fraction": 0.41,
+         "whatif_resweep_ms": 1.2, "whatif_general_ms": 1.6,
+         "whatif_dirty_site_fraction": 0.41,
          "whatif_full_recompute_ms": 8.5,
          "reference": {"sites_per_sec": 147038.2, "p50_us": 4.4},
          "folded_1t": {"sites_per_sec": 620000.0}}
@@ -559,15 +558,21 @@ mod tests {
         )
         .unwrap();
         assert!(validate(&doc).unwrap_err().contains("whatif_resweep_ms"));
+        // So does the general-path edit (TMR of a gate with fanout).
         let doc = parse(
-            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0}]}"#,
+            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0, "folded_1t": {"sites_per_sec": 9.0}}]}"#,
+        )
+        .unwrap();
+        assert!(validate(&doc).unwrap_err().contains("whatif_general_ms"));
+        let doc = parse(
+            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_general_ms": 2.0}]}"#,
         )
         .unwrap();
         assert!(validate(&doc)
             .unwrap_err()
             .contains("whatif_dirty_site_fraction"));
         let doc = parse(
-            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0, "folded_1t": {"sites_per_sec": 9.0}}]}"#,
+            r#"{"bench": "sweep_throughput", "kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_general_ms": 2.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0, "folded_1t": {"sites_per_sec": 9.0}}]}"#,
         )
         .unwrap();
         validate(&doc).unwrap();
@@ -575,7 +580,7 @@ mod tests {
 
     #[test]
     fn sweep_record_requires_its_folded_row() {
-        let base = r#""kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0"#;
+        let base = r#""kernel": "scalar", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80, "whatif_resweep_ms": 1.0, "whatif_general_ms": 2.0, "whatif_dirty_site_fraction": 0.4, "whatif_full_recompute_ms": 3.0"#;
         for bad in [
             "",
             r#", "folded_1t": 9.0"#,
@@ -611,12 +616,15 @@ mod tests {
         )
         .unwrap();
         assert!(validate(&doc).unwrap_err().contains("kernel"));
-        // An unknown backend name: rejected.
-        let doc = parse(
-            r#"{"bench": "sweep_throughput", "kernel": "sse9", "results": [{"circuit": "c", "arena_members": 5, "arena_bytes": 80}]}"#,
-        )
-        .unwrap();
-        assert!(validate(&doc).unwrap_err().contains("kernel"));
+        // An unknown backend name, or the deleted AVX2 backend's:
+        // rejected.
+        for kernel in ["sse9", "avx2"] {
+            let doc = parse(&format!(
+                r#"{{"bench": "sweep_throughput", "kernel": "{kernel}", "results": [{{"circuit": "c", "arena_members": 5, "arena_bytes": 80}}]}}"#
+            ))
+            .unwrap();
+            assert!(validate(&doc).unwrap_err().contains("kernel"), "{kernel}");
+        }
         // Other bench names carry no kernel obligation.
         let doc = parse(r#"{"bench": "x", "results": [{"circuit": "c", "nodes": 1}]}"#).unwrap();
         validate(&doc).unwrap();
@@ -624,8 +632,7 @@ mod tests {
 
     #[test]
     fn service_record_requires_its_tcp_section() {
-        let base =
-            r#""kernel": "avx2", "results": [{"circuit": "c", "nodes": 1, "cold_sweep_ms": 1.5}]"#;
+        let base = r#""kernel": "scalar", "results": [{"circuit": "c", "nodes": 1, "cold_sweep_ms": 1.5}]"#;
         // Without the tcp section (or with it incomplete): rejected.
         let doc = parse(&format!(r#"{{"bench": "service_throughput", {base}}}"#)).unwrap();
         assert!(validate(&doc).unwrap_err().contains("tcp"));
@@ -649,7 +656,7 @@ mod tests {
         validate(&doc).unwrap();
         // The cold-sweep metric is mandatory per service result too.
         let doc = parse(
-            r#"{"bench": "service_throughput", "kernel": "avx2", "results": [{"circuit": "c", "nodes": 1}], "tcp": {"round_trips_per_sec": 9000.0, "p50_us": 110.0, "sweep_round_trip_ms": 2.1, "cancel_latency_ms": 0.4}}"#,
+            r#"{"bench": "service_throughput", "kernel": "scalar", "results": [{"circuit": "c", "nodes": 1}], "tcp": {"round_trips_per_sec": 9000.0, "p50_us": 110.0, "sweep_round_trip_ms": 2.1, "cancel_latency_ms": 0.4}}"#,
         )
         .unwrap();
         assert!(validate(&doc).unwrap_err().contains("cold_sweep_ms"));
