@@ -72,10 +72,12 @@ fn bench_all_sites(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batched cone-plan sweep against the per-site reference loop on
-/// the same circuits: the arena engine vs DFS + sort + AoS scratch.
+/// The batched cone-plan sweep against `ser-oracle`'s per-site
+/// reference loop on the same circuits: the arena engine vs DFS + sort
+/// + AoS scratch.
 fn bench_batched_sweep(c: &mut Criterion) {
-    use ser_epp::{PolarityMode, RunCtx, SiteWorkspace, WorkspacePool};
+    use ser_epp::{PolarityMode, RunCtx, WorkspacePool};
+    use ser_oracle::ReferenceEpp;
     let mut group = c.benchmark_group("epp_sweep");
     group.sample_size(10);
     for name in ["s298", "s953"] {
@@ -98,16 +100,12 @@ fn bench_batched_sweep(c: &mut Criterion) {
             BenchmarkId::new("reference", name),
             &analysis,
             |b, analysis| {
-                let mut ws = SiteWorkspace::new(analysis);
+                let mut reference = ReferenceEpp::new(analysis);
                 b.iter(|| {
                     analysis
                         .circuit()
                         .node_ids()
-                        .map(|id| {
-                            analysis
-                                .site_with_workspace(id, PolarityMode::Tracked, &mut ws)
-                                .p_sensitized()
-                        })
+                        .map(|id| reference.site(id, PolarityMode::Tracked).p_sensitized())
                         .sum::<f64>()
                 })
             },

@@ -13,6 +13,8 @@
 //! cargo run --release -p ser-bench-harness --bin ablations
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ser_bench_harness::accuracy::{mean_abs_diff, SitePair};
 use ser_bench_harness::table::TextTable;
 use ser_epp::{AnalysisSession, EppAnalysis, PolarityMode, RunCtx};

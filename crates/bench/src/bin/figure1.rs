@@ -7,6 +7,8 @@
 //! cargo run --release -p ser-bench-harness --bin figure1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ser_epp::AnalysisSession;
 use ser_gen::figure1;
 use ser_oracle::ExactEpp;

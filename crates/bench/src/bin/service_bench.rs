@@ -16,8 +16,8 @@
 //!   service pays per sweep.
 //! - `site_requests_per_sec`: single-site analytical requests served
 //!   per second from the warm cache. Every reply is checked against
-//!   the per-site reference kernel after the timed loop, so only
-//!   correct answers count.
+//!   `ser-oracle`'s per-site reference kernel after the timed loop, so
+//!   only correct answers count.
 //!
 //! Plus two cross-cutting experiments:
 //!
@@ -34,15 +34,18 @@
 //!   frame landing on the swept connection. The gap to the in-process
 //!   rows is the wire cost (framing, JSON, syscalls).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ser_epp::EppAnalysis;
+use ser_epp::{EppAnalysis, PolarityMode};
 use ser_gen::synthesize;
 use ser_netlist::{write_bench, Circuit, NodeId};
+use ser_oracle::ReferenceEpp;
 use ser_service::{
     json, serve, EngineConfig, ProtocolEngine, Request, SerService, SerServiceConfig, SiteRequest,
     SweepRequest, TcpTransport,
@@ -140,12 +143,12 @@ fn main() {
         let site_requests_per_sec = site_requests as f64 / t.elapsed().as_secs_f64();
         // Only correct answers count: every reply must equal the
         // reference kernel bit for bit.
-        let reference = reference_analysis(circuit);
+        let mut reference = reference_kernel(circuit);
         for (i, r) in replies.iter().enumerate() {
             let site = sites[i % sites.len()];
             assert_eq!(
                 r.as_site().expect("site payload"),
-                &reference.site(site),
+                &reference.site(site, PolarityMode::Tracked),
                 "{name}: site {site}"
             );
         }
@@ -232,13 +235,13 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
-/// The per-site reference kernel under the service's default inputs —
-/// what every timed `site` reply is checked against.
-fn reference_analysis(circuit: &Arc<Circuit>) -> EppAnalysis {
+/// `ser-oracle`'s per-site reference kernel under the service's default
+/// inputs — what every timed `site` reply is checked against.
+fn reference_kernel(circuit: &Arc<Circuit>) -> ReferenceEpp {
     let sp = IndependentSp::new()
         .compute(circuit, &InputProbs::default())
         .expect("SP converges");
-    EppAnalysis::new(Arc::clone(circuit), sp).expect("valid circuit")
+    ReferenceEpp::new(&EppAnalysis::new(Arc::clone(circuit), sp).expect("valid circuit"))
 }
 
 struct TcpRecord {
@@ -316,7 +319,7 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
     let round_trips_per_sec = site_requests as f64 / t.elapsed().as_secs_f64();
     // Every reply must carry the reference kernel's answer bit for bit
     // (frames render floats in round-trip form).
-    let reference = reference_analysis(circuit);
+    let mut reference = reference_kernel(circuit);
     for (i, reply) in replies.iter().enumerate() {
         let frame = json::parse_value(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
         let field = |key: &str| {
@@ -325,7 +328,7 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
                 .unwrap_or_else(|| panic!("no {key}: {reply}"))
         };
         let i = i % sites.len();
-        let want = reference.site(NodeId::from_index(i));
+        let want = reference.site(NodeId::from_index(i), PolarityMode::Tracked);
         assert_eq!(field("node").as_str(), Some(sites[i].as_str()));
         assert_eq!(
             field("p_sensitized").as_f64().map(f64::to_bits),

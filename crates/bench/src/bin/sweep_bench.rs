@@ -1,5 +1,6 @@
-//! Sweep-throughput benchmark: the batched cone-plan engine vs the
-//! retained per-site reference path, on Table 2 workload circuits.
+//! Sweep-throughput benchmark: the batched cone-plan engine vs
+//! `ser-oracle`'s per-site reference kernel, on Table 2 workload
+//! circuits.
 //! Emits `BENCH_sweep.json` so the perf trajectory is tracked commit
 //! over commit.
 //!
@@ -9,8 +10,9 @@
 //!
 //! Reported per circuit:
 //!
-//! - `reference`: the per-site `site_with_workspace` loop (cone DFS +
-//!   sort + full-circuit AoS scratch per site) — sites/sec plus p50/p99
+//! - `reference`: the oracle's per-site loop (`ReferenceEpp::site`:
+//!   cone DFS + sort + full-circuit AoS scratch per site), the
+//!   definition the sweep is checked against — sites/sec plus p50/p99
 //!   per-site latency.
 //! - `batched_1t`: the cone-plan sweep, one thread — the kernel-level
 //!   speedup with scheduling kept out of the picture (best of five
@@ -37,16 +39,19 @@
 //!   fanout — plan compile of the edited circuit plus the dirty-site
 //!   re-sweep (asserted bitwise against the oracle as well).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ser_epp::{
-    AnalysisSession, Arrivals, Edit, KernelBackend, PolarityMode, RunCtx, SiteWorkspace,
-    SweepResults, WhatIfSession,
+    AnalysisSession, Arrivals, Edit, KernelBackend, PolarityMode, RunCtx, SweepResults,
+    WhatIfSession,
 };
 use ser_gen::synthesize;
 use ser_netlist::{ConePlans, NodeId};
+use ser_oracle::ReferenceEpp;
 
 /// Number of nodes with a DFF-free path into `root` — the what-if
 /// engine's dirty region for an edit at a fanout-free gate.
@@ -181,13 +186,13 @@ fn main() {
         let epp = session.epp();
         let sites: Vec<NodeId> = circuit.node_ids().collect();
 
-        // --- Reference path: per-site DFS + sort + AoS scratch. -------
-        let mut ws = SiteWorkspace::new(&epp);
+        // --- Reference kernel: per-site DFS + sort + AoS scratch. -----
+        let mut reference_epp = ReferenceEpp::new(&epp);
         let mut ref_lat: Vec<f64> = Vec::with_capacity(n);
         let ref_start = Instant::now();
         for &site in &sites {
             let t = Instant::now();
-            let r = epp.site_with_workspace(site, PolarityMode::Tracked, &mut ws);
+            let r = reference_epp.site(site, PolarityMode::Tracked);
             std::hint::black_box(r.p_sensitized());
             ref_lat.push(t.elapsed().as_secs_f64());
         }

@@ -13,8 +13,14 @@
 //! simulation), `NaiveT` (s/node, scalar unoptimized simulation),
 //! `%Dif`, `MAD` (mean |ΔP_sens|), `SPT` (s, whole-circuit signal
 //! probabilities), `ISP`/`ESP` (speedups incl./excl. SP time).
+//!
+//! Each row prints as soon as its circuit finishes. A circuit whose
+//! signal probabilities cannot be computed gets a row naming the SP
+//! error instead, and the average covers the answered rows only.
 
-use ser_bench_harness::table::{fmt_speedup, TextTable};
+#![forbid(unsafe_code)]
+
+use ser_bench_harness::table::{fixed_width_line, fmt_speedup};
 use ser_bench_harness::workload::{run_circuit, Table2Config};
 use ser_gen::{synthesize, TABLE2};
 
@@ -50,7 +56,7 @@ fn main() {
     println!("# SysT/SimT/NaiveT are per-node times (see workload.rs docs)");
     println!();
 
-    let mut table = TextTable::new([
+    let header = [
         "Circuit",
         "Nodes",
         "SysT(ms)",
@@ -63,16 +69,31 @@ fn main() {
         "ISP",
         "ESP",
         "NSP",
-    ]);
+    ];
+    // Rows print as they finish, so the widths are fixed up front:
+    // wide enough for every header and for the figures' formats.
+    let width: Vec<usize> = header.iter().map(|h| h.len().max(9)).collect();
+    print!("{}", fixed_width_line(&header, &width));
+    println!(
+        "{}",
+        "-".repeat(width.iter().sum::<usize>() + 2 * (width.len() - 1))
+    );
     let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64); // dif, isp, esp, nsp
+    let mut answered = 0usize;
     for profile in circuits {
         let circuit = synthesize(profile, 1);
-        let row = run_circuit(&circuit, &cfg_proto);
+        let row = match run_circuit(&circuit, &cfg_proto) {
+            Ok(row) => row,
+            Err(e) => {
+                println!("{:<w$}  no answer: {e}", circuit.name(), w = width[0]);
+                continue;
+            }
+        };
         let nsp = row
             .naive_s
             .map(|n| n * 1e3 / row.syst_ms)
             .unwrap_or(f64::NAN);
-        table.push_row([
+        let cells = [
             row.name.clone(),
             row.nodes.to_string(),
             format!("{:.4}", row.syst_ms),
@@ -91,29 +112,37 @@ fn main() {
             } else {
                 fmt_speedup(nsp)
             },
-        ]);
+        ];
+        print!("{}", fixed_width_line(&cells, &width));
         sums.0 += row.pct_dif;
         sums.1 += row.isp;
         sums.2 += row.esp;
         sums.3 += if nsp.is_nan() { 0.0 } else { nsp };
-        eprintln!("  done: {}", row.name);
+        answered += 1;
     }
-    let n = circuits.len() as f64;
-    table.push_row([
-        "average".to_owned(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        format!("{:.1}", sums.0 / n),
-        String::new(),
-        String::new(),
-        fmt_speedup(sums.1 / n),
-        fmt_speedup(sums.2 / n),
-        fmt_speedup(sums.3 / n),
-    ]);
-    println!("{}", table.render());
+    if answered > 0 {
+        let n = answered as f64;
+        let average = [
+            "average".to_owned(),
+            String::new(),
+            String::new(),
+            String::new(),
+            String::new(),
+            String::new(),
+            format!("{:.1}", sums.0 / n),
+            String::new(),
+            String::new(),
+            fmt_speedup(sums.1 / n),
+            fmt_speedup(sums.2 / n),
+            fmt_speedup(sums.3 / n),
+        ];
+        print!("{}", fixed_width_line(&average, &width));
+    }
+    println!(
+        "({answered} of {} circuits answered; the average covers those)",
+        circuits.len()
+    );
+    println!();
     println!("Paper reference: avg %Dif 5.4; ESP 4-5 orders of magnitude; ISP 2-3 orders.");
     println!("NSP = speedup vs the naive scalar baseline (closer to what 2005-era");
     println!("comparisons used); ESP is against our bit-parallel, cone-restricted");

@@ -65,29 +65,38 @@ impl TextTable {
             }
         }
         let mut out = String::new();
-        let render_row = |out: &mut String, row: &[String]| {
-            for (i, cell) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                let pad = width[i] - cell.chars().count();
-                if i == 0 {
-                    let _ = write!(out, "{cell}{}", " ".repeat(pad));
-                } else {
-                    let _ = write!(out, "{}{cell}", " ".repeat(pad));
-                }
-            }
-            out.push('\n');
-        };
-        render_row(&mut out, &self.header);
+        out.push_str(&fixed_width_line(&self.header, &width));
         let total: usize = width.iter().sum::<usize>() + 2 * (cols - 1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for row in &self.rows {
-            render_row(&mut out, row);
+            out.push_str(&fixed_width_line(row, &width));
         }
         out
     }
+}
+
+/// One table line, newline included: each cell padded to its column's
+/// `width`, the first left-aligned (names), the rest right-aligned
+/// (numbers), columns two spaces apart. A report that prints rows as
+/// they finish fixes the widths up front and calls this per row.
+#[must_use]
+pub fn fixed_width_line<S: AsRef<str>>(row: &[S], width: &[usize]) -> String {
+    let mut out = String::new();
+    for (i, cell) in row.iter().enumerate() {
+        let cell = cell.as_ref();
+        if i > 0 {
+            out.push_str("  ");
+        }
+        let pad = width[i].saturating_sub(cell.chars().count());
+        if i == 0 {
+            let _ = write!(out, "{cell}{}", " ".repeat(pad));
+        } else {
+            let _ = write!(out, "{}{cell}", " ".repeat(pad));
+        }
+    }
+    out.push('\n');
+    out
 }
 
 /// Formats a `Duration`-like seconds value with a sensible unit.

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use ser_epp::{AnalysisSession, CircuitSerAnalysis};
 use ser_netlist::{Circuit, NodeId};
 use ser_sim::{MonteCarlo, NaiveMonteCarlo, SequentialMonteCarlo};
-use ser_sp::{IndependentSp, InputProbs};
+use ser_sp::{IndependentSp, InputProbs, SpError};
 
 use crate::accuracy::{mean_abs_diff, percent_difference, SitePair};
 
@@ -97,12 +97,18 @@ pub struct Table2Row {
 
 /// Runs the full Table 2 protocol on one circuit.
 ///
+/// # Errors
+///
+/// The [`SpError`] when the circuit's signal probabilities cannot be
+/// computed — in particular when the sequential SP fixed point does
+/// not converge — so a caller running many circuits can report the
+/// failure and go on.
+///
 /// # Panics
 ///
 /// Panics if the circuit is structurally invalid (generated and
 /// embedded circuits never are) or `cfg.max_mc_sites` is 0.
-#[must_use]
-pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Table2Row {
+pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Result<Table2Row, SpError> {
     assert!(cfg.max_mc_sites > 0, "must sample at least one site");
     let nodes = circuit.len();
 
@@ -116,8 +122,7 @@ pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Table2Row {
         circuit,
         InputProbs::default(),
         &IndependentSp::new().with_max_iterations(1000),
-    )
-    .expect("SP computes on valid circuits");
+    )?;
     let spt_s = spt_start.elapsed().as_secs_f64();
 
     let outcome = CircuitSerAnalysis::new()
@@ -177,7 +182,7 @@ pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Table2Row {
     let pct_dif = percent_difference(&pairs);
     let mad = mean_abs_diff(&pairs);
 
-    Table2Row {
+    Ok(Table2Row {
         name: circuit.name().to_owned(),
         nodes,
         sampled_sites: sites.len(),
@@ -191,13 +196,30 @@ pub fn run_circuit(circuit: &Circuit, cfg: &Table2Config) -> Table2Row {
         spt_s,
         isp: simt_s * 1e3 / (syst_ms + spt_s * 1e3 / nodes as f64),
         esp: simt_s * 1e3 / syst_ms,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ser_gen::{c17, iscas89_like};
+
+    /// s344 seed 9's sequential SP limit-cycles (residual 1.0): the row
+    /// is an error to report, not a panic that loses the other rows.
+    #[test]
+    fn sp_failure_is_returned() {
+        let c = ser_gen::synthesize(&ser_gen::profile("s344").unwrap(), 9);
+        let cfg = Table2Config {
+            mc_vectors: 100,
+            mc_target_error: None,
+            max_mc_sites: 4,
+            naive_sites: 0,
+            seed: 1,
+            threads: 1,
+        };
+        let err = run_circuit(&c, &cfg).expect_err("SP does not converge");
+        assert!(matches!(err, SpError::NoConvergence { .. }), "{err}");
+    }
 
     #[test]
     fn c17_row_is_sane() {
@@ -210,7 +232,7 @@ mod tests {
             seed: 1,
             threads: 1,
         };
-        let row = run_circuit(&c, &cfg);
+        let row = run_circuit(&c, &cfg).unwrap();
         assert_eq!(row.name, "c17");
         assert_eq!(row.mean_mc_vectors, 2_000.0, "fixed budget: every site");
         assert_eq!(row.threads_used, 1);
@@ -238,7 +260,7 @@ mod tests {
             seed: 2,
             threads: 1,
         };
-        let row = run_circuit(&c, &cfg);
+        let row = run_circuit(&c, &cfg).unwrap();
         assert!(
             row.esp > 1.0,
             "analytical should beat MC, esp = {}",
@@ -263,8 +285,8 @@ mod tests {
             mc_target_error: Some(0.1),
             ..fixed
         };
-        let row_fixed = run_circuit(&c, &fixed);
-        let row_seq = run_circuit(&c, &sequential);
+        let row_fixed = run_circuit(&c, &fixed).unwrap();
+        let row_seq = run_circuit(&c, &sequential).unwrap();
         // The rule stops early on live sites: mean spend is well under
         // the cap it shares with the fixed run.
         assert!(

@@ -1,26 +1,26 @@
-//! The one-pass EPP engine — the paper's algorithm, steps 1–3, plus the
-//! `P_sensitized` combination.
+//! The EPP analysis of one circuit — the paper's algorithm, steps 1–3,
+//! plus the `P_sensitized` combination — and the values it produces.
 //!
-//! For every error site:
-//!
-//! 1. **Path construction** — extract the fanout cone (on-path signals
-//!    and gates) by forward DFS over an epoch-stamped visited array.
-//! 2. **Ordering** — sort the cone by precomputed topological position
-//!    (`O(cone log cone)`, not `O(circuit)`).
-//! 3. **EPP computation** — apply the Table-1 rules gate by gate, using
-//!    four-value tuples on on-path signals and signal probabilities on
-//!    off-path signals; a single linear pass per site.
+//! For every error site the paper builds the fanout cone (path
+//! construction), orders it topologically, then applies the Table-1
+//! rules gate by gate in one linear pass, with four-value tuples on
+//! on-path signals and signal probabilities on off-path ones. Here
+//! steps 1–2 are compiled once per circuit into cone plans
+//! ([`ser_netlist::ConePlans`]) and step 3 is the planned kernel of
+//! [`EppAnalysis::sweep`]; `ser-oracle`'s `ReferenceEpp` keeps the
+//! three steps written out per site as the definition that kernel is
+//! checked against.
 //!
 //! Finally `P_sensitized(n) = 1 − Π_j (1 − (Pa(POj) + Pā(POj)))` over
 //! the observe points reachable from `n`.
 
 use std::sync::{Arc, Mutex};
 
-use ser_netlist::{Circuit, GateKind, NetlistError, NodeId, ObservePoint, TopoArtifacts};
+use ser_netlist::{Circuit, NetlistError, NodeId, ObservePoint, TopoArtifacts};
 use ser_sp::SpVector;
 
 use crate::four_value::FourValue;
-use crate::rules::propagate;
+use crate::sweep::{RunCtx, SweepWorkspace};
 
 /// Whether the EPP pass distinguishes the two error polarities.
 ///
@@ -41,9 +41,11 @@ impl PolarityMode {
     /// A gate's output as this mode keeps it: unchanged under
     /// [`Tracked`](Self::Tracked); under [`Merged`](Self::Merged), `Pā`
     /// collapsed into `Pa` — the "single error value" approximation
-    /// the paper improves on. Both kernels apply it after every gate.
+    /// the paper improves on. The sweep kernel and the reference
+    /// oracle apply it after every gate.
     #[inline]
-    pub(crate) fn apply(self, out: FourValue) -> FourValue {
+    #[must_use]
+    pub fn apply(self, out: FourValue) -> FourValue {
         match self {
             PolarityMode::Tracked => out,
             PolarityMode::Merged => {
@@ -80,9 +82,11 @@ pub struct SiteEpp {
 }
 
 impl SiteEpp {
-    /// Assembles a result from already-computed parts (the batched
-    /// sweep's conversion into the owned per-site form).
-    pub(crate) fn from_parts(
+    /// Assembles a result from already-computed parts: the batched
+    /// sweep's conversion into the owned per-site form, and the
+    /// reference oracle's result.
+    #[must_use]
+    pub fn from_parts(
         site: NodeId,
         per_point: Vec<PointEpp>,
         p_sensitized: f64,
@@ -179,41 +183,12 @@ impl SiteEpp {
 #[derive(Debug, Clone)]
 pub struct EppAnalysis {
     circuit: Arc<Circuit>,
-    /// Shared structural artifacts: topological positions (cone nodes
-    /// are sorted by these, making a site pass O(cone log cone) instead
-    /// of O(circuit)) and precomputed observe points. Behind an `Arc`
-    /// so a session can hand the same compilation to every consumer.
+    /// Shared structural artifacts: topological positions, observe
+    /// points and the cached cone plans the sweep kernel runs on.
+    /// Behind an `Arc` so a session can hand the same compilation to
+    /// every consumer.
     topo: Arc<TopoArtifacts>,
     sp: Arc<SpVector>,
-}
-
-/// Reusable per-thread scratch for the per-site pass: epoch-stamped
-/// membership and value arrays, so consecutive sites cost O(cone)
-/// rather than O(circuit) to set up.
-#[derive(Debug, Clone)]
-pub struct SiteWorkspace {
-    stamp: Vec<u32>,
-    epoch: u32,
-    values: Vec<FourValue>,
-    cone: Vec<NodeId>,
-    stack: Vec<NodeId>,
-    fanin_buf: Vec<FourValue>,
-}
-
-impl SiteWorkspace {
-    /// Creates a workspace sized for `analysis`' circuit.
-    #[must_use]
-    pub fn new(analysis: &EppAnalysis) -> Self {
-        let n = analysis.circuit.len();
-        SiteWorkspace {
-            stamp: vec![0; n],
-            epoch: 0,
-            values: vec![FourValue::error_site(); n],
-            cone: Vec::new(),
-            stack: Vec::new(),
-            fanin_buf: Vec::with_capacity(8),
-        }
-    }
 }
 
 impl EppAnalysis {
@@ -292,13 +267,9 @@ impl EppAnalysis {
         &self.sp
     }
 
-    /// Runs the one-pass EPP computation for one error site.
-    ///
-    /// This per-site kernel (a cone DFS, a sort, then the pass) is the
-    /// **reference definition** of the suite's EPP: the planned sweep
-    /// kernel behind [`sweep`](Self::sweep) and
-    /// [`AnalysisSession::site`](crate::AnalysisSession::site) is
-    /// tested bit-identical against it.
+    /// Runs the one-pass EPP computation for one error site: a
+    /// [`sweep`](Self::sweep) of that site alone on one thread, in
+    /// [`PolarityMode::Tracked`], converted to a [`SiteEpp`].
     ///
     /// # Panics
     ///
@@ -316,119 +287,26 @@ impl EppAnalysis {
     /// Panics if `site` is out of range for the circuit.
     #[must_use]
     pub fn site_with(&self, site: NodeId, polarity: PolarityMode) -> SiteEpp {
-        let mut ws = SiteWorkspace::new(self);
-        self.site_with_workspace(site, polarity, &mut ws)
-    }
-
-    /// The allocation-free kernel: like [`site_with`](Self::site_with)
-    /// but reusing a caller-provided [`SiteWorkspace`] (a sweep whose
-    /// plan arena was declined for size calls this once per node).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is out of range or the workspace was built for
-    /// a different circuit.
-    #[must_use]
-    pub fn site_with_workspace(
-        &self,
-        site: NodeId,
-        polarity: PolarityMode,
-        ws: &mut SiteWorkspace,
-    ) -> SiteEpp {
-        assert_eq!(ws.stamp.len(), self.circuit.len(), "workspace circuit");
-        // New epoch: previous stamps invalidate in O(1). On wrap, reset.
-        ws.epoch = ws.epoch.wrapping_add(1);
-        if ws.epoch == 0 {
-            ws.stamp.fill(0);
-            ws.epoch = 1;
-        }
-        let epoch = ws.epoch;
-
-        // --- 1. Path construction: forward DFS, stopping at DFFs. ------
-        ws.cone.clear();
-        ws.stack.clear();
-        ws.stack.push(site);
-        ws.stamp[site.index()] = epoch;
-        ws.cone.push(site);
-        while let Some(id) = ws.stack.pop() {
-            for &succ in self.circuit.node(id).fanout() {
-                if self.circuit.node(succ).kind() == GateKind::Dff {
-                    continue; // latched, not combinationally propagated
-                }
-                if ws.stamp[succ.index()] != epoch {
-                    ws.stamp[succ.index()] = epoch;
-                    ws.cone.push(succ);
-                    ws.stack.push(succ);
-                }
-            }
-        }
-
-        // --- 2. Ordering: sort cone members topologically. --------------
-        ws.cone.sort_unstable_by_key(|id| self.topo.position(*id));
-
-        // --- 3. EPP computation: one pass over the cone. ----------------
-        ws.values[site.index()] = FourValue::error_site();
-        let mut gates = 0usize;
-        for &id in &ws.cone {
-            if id == site {
-                continue;
-            }
-            let node = self.circuit.node(id);
-            debug_assert!(
-                node.kind().is_logic(),
-                "on-path non-site nodes are logic gates"
-            );
-            ws.fanin_buf.clear();
-            for &f in node.fanin() {
-                let tuple = if ws.stamp[f.index()] == epoch {
-                    ws.values[f.index()]
-                } else {
-                    // Off-path signal: described by its signal probability.
-                    FourValue::from_signal_probability(self.sp.get(f))
-                };
-                ws.fanin_buf.push(tuple);
-            }
-            ws.values[id.index()] = polarity.apply(propagate(node.kind(), &ws.fanin_buf));
-            gates += 1;
-        }
-
-        let per_point: Vec<PointEpp> = self
-            .topo
-            .observe_points()
-            .iter()
-            .filter(|p| ws.stamp[p.signal().index()] == epoch)
-            .map(|&point| PointEpp {
-                point,
-                value: ws.values[point.signal().index()],
-            })
-            .collect();
-        let p_sensitized = combine_sensitization(per_point.iter().map(PointEpp::p_arrival));
-        SiteEpp {
-            site,
-            per_point,
-            p_sensitized,
-            on_path_gates: gates,
-        }
+        self.sweep(&[site], polarity, &RunCtx::new(1, &WorkspacePool::new()))
+            .get(0)
+            .to_site_epp()
+            .expect("RunCtx::new keeps the arrivals")
     }
 }
 
-/// A checkout pool of per-thread scratch shared across sweeps and
-/// threads: a sweep pops a workspace (or lazily creates one) for each
-/// batch it runs, evaluates the batch allocation-free, and pushes the
-/// workspace back for the next batch or sweep. Two kinds of scratch
-/// live here: [`SiteWorkspace`]s for the per-site reference path and
-/// [`SweepWorkspace`](crate::SweepWorkspace)s for the batched
-/// cone-plan engine.
+/// A checkout pool of per-thread sweep scratch shared across sweeps
+/// and threads: a sweep pops a [`SweepWorkspace`] (or lazily creates
+/// one) for each batch it runs, evaluates the batch allocation-free,
+/// and pushes the workspace back for the next batch or sweep.
 ///
-/// The pool is intentionally dumb — mutexed stacks. It is touched
+/// The pool is intentionally dumb — a mutexed stack. It is touched
 /// twice per batch, and a threaded sweep cuts only eight batches per
 /// worker, so contention is irrelevant; what matters is that the
 /// scratch buffers survive between batches and sweeps instead of
 /// being reallocated.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
-    slots: Mutex<Vec<SiteWorkspace>>,
-    sweep_slots: Mutex<Vec<crate::sweep::SweepWorkspace>>,
+    sweep_slots: Mutex<Vec<SweepWorkspace>>,
 }
 
 impl WorkspacePool {
@@ -438,33 +316,11 @@ impl WorkspacePool {
         WorkspacePool::default()
     }
 
-    /// Pops a pooled workspace sized for `analysis`' circuit, or
-    /// creates a fresh one. Pooled workspaces sized for a *different*
-    /// circuit (a pool outliving its circuit and being reused) are
-    /// quietly dropped and replaced rather than panicking.
-    #[must_use]
-    pub fn checkout(&self, analysis: &EppAnalysis) -> SiteWorkspace {
-        let mut slots = self.slots.lock().expect("pool lock");
-        while let Some(ws) = slots.pop() {
-            if ws.stamp.len() == analysis.circuit.len() {
-                return ws;
-            }
-            // Sized for another circuit: stale scratch, discard it.
-        }
-        drop(slots);
-        SiteWorkspace::new(analysis)
-    }
-
-    /// Returns a workspace to the pool for reuse.
-    pub fn give_back(&self, ws: SiteWorkspace) {
-        self.slots.lock().expect("pool lock").push(ws);
-    }
-
     /// Pops pooled sweep scratch, or creates fresh scratch. Sweep
     /// workspaces grow to fit whatever cone plan they evaluate, so no
     /// size check is needed.
     #[must_use]
-    pub fn checkout_sweep(&self) -> crate::sweep::SweepWorkspace {
+    pub fn checkout_sweep(&self) -> SweepWorkspace {
         self.sweep_slots
             .lock()
             .expect("pool lock")
@@ -473,14 +329,8 @@ impl WorkspacePool {
     }
 
     /// Returns sweep scratch to the pool for reuse.
-    pub fn give_back_sweep(&self, ws: crate::sweep::SweepWorkspace) {
+    pub fn give_back_sweep(&self, ws: SweepWorkspace) {
         self.sweep_slots.lock().expect("pool lock").push(ws);
-    }
-
-    /// Number of idle per-site workspaces currently pooled.
-    #[must_use]
-    pub fn idle(&self) -> usize {
-        self.slots.lock().expect("pool lock").len()
     }
 
     /// Number of idle sweep workspaces currently pooled.
@@ -640,39 +490,31 @@ H = OR(C, D, G)
         let par = sweep_all(&epp, 4, &pool);
         assert_eq!(seq.len(), c.len());
         assert_eq!(seq, par);
-        // Both match the per-site reference path.
+        // Both match one-site sweeps.
         for (id, r) in c.node_ids().zip(&seq) {
             assert_eq!(r, &epp.site(id));
         }
     }
 
     #[test]
-    fn pool_discards_workspaces_sized_for_another_circuit() {
+    fn one_pool_serves_sweeps_of_different_circuits() {
         let small = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "small").unwrap();
         let big = parse_bench(FIG1, "fig1").unwrap();
         let probs = InputProbs::default();
         let epp_small = analysis(&small, &probs);
         let epp_big = analysis(&big, &probs);
 
+        // Sweep scratch grows to whatever circuit it meets, so one pool
+        // serves both circuits in turn, threaded or not.
         let pool = WorkspacePool::new();
-        pool.give_back(pool.checkout(&epp_small));
-        assert_eq!(pool.idle(), 1);
-
-        // Regression: this used to panic ("pooled workspace sized for a
-        // different circuit"). Now the stale workspace is dropped and a
-        // correctly sized one is returned.
-        let ws = pool.checkout(&epp_big);
-        assert_eq!(ws.stamp.len(), big.len());
-        pool.give_back(ws);
-        assert_eq!(pool.idle(), 1, "stale scratch dropped, fresh one pooled");
-
-        // And full sweeps can share one pool across circuits.
         let r_big = sweep_all(&epp_big, 2, &pool);
         let r_small = sweep_all(&epp_small, 2, &pool);
+        assert_eq!(pool.idle_sweep(), 1, "one workspace, reused");
         assert_eq!(r_big.len(), big.len());
         assert_eq!(r_small.len(), small.len());
         // Results are unaffected by the pool's history.
         assert_eq!(r_small, sweep_all(&epp_small, 1, &WorkspacePool::new()));
+        assert_eq!(r_big, sweep_all(&epp_big, 1, &WorkspacePool::new()));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! - [`FourValue`] — the `(Pa, Pā, P0, P1)` propagation tuple,
 //! - [`propagate`] — Table 1's per-gate rules (all gate kinds),
-//! - [`EppAnalysis`] — cone extraction + topological one-pass EPP and
-//!   `P_sensitized` per error site,
+//! - [`EppAnalysis`] — the one-pass EPP and `P_sensitized` per error
+//!   site, swept over cone plans compiled once per circuit,
 //! - [`RseuModel`]/[`PlatchedModel`]/[`SerReport`] — the full
 //!   `SER = R_SEU × P_latched × P_sensitized` model with rankings,
 //! - [`AnalysisSession`] — the cached per-circuit context: topological
@@ -65,8 +65,7 @@ mod whatif;
 
 pub use analysis::{AnalysisOutcome, CircuitSerAnalysis};
 pub use engine::{
-    combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, SiteWorkspace,
-    WorkspacePool,
+    combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, WorkspacePool,
 };
 pub use four_value::FourValue;
 pub use hardening::{HardeningChoice, HardeningCost, HardeningPlan};
@@ -78,7 +77,7 @@ pub use rules::propagate;
 pub use ser_model::{PlatchedModel, RseuModel, SerEntry, SerReport};
 pub use session::AnalysisSession;
 pub use sweep::{
-    Arrivals, KernelBackend, PlanPolicy, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
+    Arrivals, KernelBackend, RunCtx, SweepResults, SweepSiteRef, SweepWorkspace,
     SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 pub use whatif::{Edit, SiteDelta, WhatIfAbort, WhatIfOutcome, WhatIfSession};

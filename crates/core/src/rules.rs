@@ -32,7 +32,7 @@
 //! through [`RuleOp`] + [`propagate_fused`], gathering fanin lanes
 //! lazily so no intermediate tuple buffer is materialized, and the
 //! public [`propagate`] wraps the same function for slice callers (the
-//! per-site reference kernel among them).
+//! per-site reference kernel in `ser-oracle` among them).
 
 use ser_netlist::GateKind;
 

@@ -266,9 +266,9 @@ impl AnalysisSession {
     /// [`sweep_sites(&[site], 1)`](Self::sweep_sites), converted to a
     /// [`SiteEpp`]. The plans are built on first use, exactly as
     /// [`sweep`](Self::sweep) builds them; when the byte budget
-    /// declined the plan arena, the call takes the per-site reference
-    /// kernel instead. Both are bit-identical to
-    /// [`EppAnalysis::site`], the reference definition.
+    /// declined them, the site is swept on plans built for it alone.
+    /// Either way the result is bit-identical to
+    /// [`EppAnalysis::site`].
     ///
     /// # Panics
     ///
@@ -303,9 +303,9 @@ impl AnalysisSession {
     /// order), sharing the session's cone plans and scratch pool:
     /// [`EppAnalysis::sweep`] with
     /// [`PolarityMode::Tracked`](crate::PolarityMode::Tracked) and
-    /// [`RunCtx::new(threads, pool)`](RunCtx::new), so
-    /// [`PlanPolicy::Auto`](crate::PlanPolicy::Auto).
-    /// Build an [`epp`](Self::epp) and a [`RunCtx`] to choose those.
+    /// [`RunCtx::new(threads, pool)`](RunCtx::new), which keeps the
+    /// arrivals. Build an [`epp`](Self::epp) and a [`RunCtx`] to choose
+    /// those.
     ///
     /// # Panics
     ///
@@ -480,7 +480,6 @@ mod tests {
     fn workspace_pool_is_reused_across_sweeps() {
         let c = toy();
         let session = AnalysisSession::new(&c).unwrap();
-        assert_eq!(session.workspace_pool().idle(), 0);
         assert_eq!(session.workspace_pool().idle_sweep(), 0);
         // Sweeps use pooled sweep scratch…
         let _ = session.sweep(1);

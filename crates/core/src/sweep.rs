@@ -2,18 +2,19 @@
 //! structure-of-arrays four-value kernel, and a work-stealing site
 //! scheduler.
 //!
-//! The per-site reference path
-//! ([`EppAnalysis::site_with_workspace`]) rebuilds each site's cone by
-//! DFS, re-sorts it, and propagates tuples through a full-circuit AoS
-//! `values` array — per site, per sweep. This module is the compiled
-//! form of the same computation:
+//! The paper's EPP pass builds each site's cone, orders it, then
+//! propagates tuples through it — per site, per sweep. This module is
+//! the compiled form of the same computation:
 //!
 //! - **Cone plans** ([`ser_netlist::ConePlans`], cached on the shared
 //!   [`TopoArtifacts`](ser_netlist::TopoArtifacts)), computed once per
 //!   circuit: each site's DFF-clipped cone is its chain path plus its
 //!   anchor's shared tail, a bitset window over topological positions.
 //!   The kernel walks the path, then the window's set bits in
-//!   ascending (topological) order.
+//!   ascending (topological) order. When the circuit's plans exceed
+//!   the byte budget, each batch of sites is swept on plans built for
+//!   that batch alone ([`ConePlans::for_sites`]), sized so that the
+//!   plans alive on every worker stay within the same budget.
 //! - **Lane planes** ([`SweepWorkspace`]): one 4-wide tuple per
 //!   cone-local position. As the kernel evaluates a member it stamps
 //!   the member's topological position with the site's epoch and its
@@ -30,8 +31,8 @@
 //!   copying them.
 //!
 //! [`EppAnalysis::sweep`] is the one way in. Its [`RunCtx`] carries the
-//! choices that change how a sweep runs but never what it computes:
-//! threads, scratch pool and [`PlanPolicy`].
+//! choices that change how a sweep runs but never what it computes
+//! (threads and scratch pool), plus whether it keeps its arrivals.
 //!
 //! Results land in a [`SweepResults`] arena — per-point arrivals in a
 //! few large segments (one per batch), addressed by per-site ranges —
@@ -41,11 +42,11 @@
 //! site, and the arena keeps only the per-site `P_sensitized` and gate
 //! counts: the same emission and the same fold, so those are
 //! bit-identical to a kept sweep's, but every per-point read returns
-//! `None`. The per-site reference path stays as the definition:
-//! [`PlanPolicy::Reference`] runs it under the same scheduler, and
+//! `None`. `ser-oracle`'s per-site reference kernel is the definition:
 //! the planned kernel is bit-for-bit identical to it (asserted by
-//! `tests/sweep_equivalence.rs`): both run the same rule cores
-//! ([`crate::rules`]) on the same inputs in the same order.
+//! `tests/sweep_equivalence.rs`) on whole and on per-batch plans,
+//! because both run the same rule cores ([`crate::rules`]) on the same
+//! inputs in the same order.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,8 +56,7 @@ use ser_netlist::{ConePlans, FaninRef, NodeId, ObservePoint};
 use ser_sp::SpVector;
 
 use crate::engine::{
-    combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, SiteWorkspace,
-    WorkspacePool,
+    combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, WorkspacePool,
 };
 use crate::four_value::FourValue;
 use crate::rules::{propagate_fused, RuleOp};
@@ -90,7 +90,7 @@ pub struct SweepWorkspace {
     /// Per-site gather buffer for the chain path's observe refs —
     /// sorted by observe index, then merged with the shared tail's
     /// (already sorted) refs so points are emitted in the reference
-    /// path's observe order.
+    /// kernel's observe order.
     path_obs: Vec<(u32, u32)>,
     /// Per-topological-position membership stamps for the tail walk:
     /// `epoch << 32 | cone_local_index`, where the epoch is bumped
@@ -660,22 +660,6 @@ impl SweepResults {
     }
 }
 
-/// Which kernel a sweep may run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanPolicy {
-    /// The planned kernel over the circuit's cone plans, compiled on
-    /// first use and cached on the shared artifacts. When the plan
-    /// arena exceeds its member budget, the sweep takes the per-site
-    /// reference kernel instead.
-    #[default]
-    Auto,
-    /// The per-site reference kernel: no cone plans consulted, none
-    /// compiled. The what-if engine's fanout-free TMR shortcut uses
-    /// it to sweep the seven gates the edit inserts or changes without
-    /// paying the edited circuit's plan compile.
-    Reference,
-}
-
 /// Whether a sweep stores each site's per-point arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrivals {
@@ -691,20 +675,18 @@ pub enum Arrivals {
     Fold,
 }
 
-/// How one sweep runs: threads, scratch pool and plan policy never
-/// change what it computes — every combination is
-/// bit-identical to the per-site reference definition — and
-/// [`arrivals`](Self::arrivals) chooses only whether the per-point
-/// arrivals are stored alongside.
+/// How one sweep runs: threads and scratch pool never change what it
+/// computes — every combination is bit-identical to the per-site
+/// reference definition — and [`arrivals`](Self::arrivals) chooses
+/// only whether the per-point arrivals are stored alongside.
 ///
 /// Set a field on top of [`RunCtx::new`] to override it:
 ///
 /// ```
-/// use ser_epp::{Arrivals, PlanPolicy, RunCtx, WorkspacePool};
+/// use ser_epp::{Arrivals, RunCtx, WorkspacePool};
 ///
 /// let pool = WorkspacePool::new();
 /// let ctx = RunCtx {
-///     plans: PlanPolicy::Reference,
 ///     arrivals: Arrivals::Fold,
 ///     ..RunCtx::new(2, &pool)
 /// };
@@ -717,21 +699,17 @@ pub struct RunCtx<'a> {
     pub threads: usize,
     /// Where workers check their scratch out of and back into.
     pub pool: &'a WorkspacePool,
-    /// Whether the sweep may use the cone plans.
-    pub plans: PlanPolicy,
     /// Whether the result stores the per-point arrivals.
     pub arrivals: Arrivals,
 }
 
 impl<'a> RunCtx<'a> {
-    /// `threads` workers over `pool`, [`PlanPolicy::Auto`] and
-    /// [`Arrivals::Keep`].
+    /// `threads` workers over `pool`, with [`Arrivals::Keep`].
     #[must_use]
     pub fn new(threads: usize, pool: &'a WorkspacePool) -> Self {
         RunCtx {
             threads,
             pool,
-            plans: PlanPolicy::Auto,
             arrivals: Arrivals::Keep,
         }
     }
@@ -739,7 +717,7 @@ impl<'a> RunCtx<'a> {
 
 /// The rule cores a sweep runs, by the name bench records carry. There
 /// is one set: the fused scalar cores of `rules.rs`, which the planned
-/// and the per-site reference kernel share.
+/// kernel shares with `ser-oracle`'s per-site reference kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
     /// The fused scalar rule cores.
@@ -768,36 +746,6 @@ fn is_dense(sites: &[NodeId]) -> bool {
     sites.iter().enumerate().all(|(i, s)| s.index() == i)
 }
 
-/// Per-batch scratch: SoA planes when cone plans are in use, a classic
-/// [`SiteWorkspace`] when the sweep runs the per-site reference kernel.
-enum SweepScratch {
-    Plan(SweepWorkspace),
-    Reference(SiteWorkspace),
-}
-
-impl SweepScratch {
-    fn checkout(analysis: &EppAnalysis, pool: &WorkspacePool, planned: bool) -> Self {
-        if planned {
-            let mut ws = pool.checkout_sweep();
-            // One plane build per workspace per SP vector — and usually
-            // none: pooled workspaces keep their plane pinned to the
-            // exact SP allocation, so repeat sweeps, later batches and
-            // the service's single-site requests skip straight through.
-            ws.ensure_sp_plane(analysis.sp_arc());
-            SweepScratch::Plan(ws)
-        } else {
-            SweepScratch::Reference(pool.checkout(analysis))
-        }
-    }
-
-    fn give_back(self, pool: &WorkspacePool) {
-        match self {
-            SweepScratch::Plan(ws) => pool.give_back_sweep(ws),
-            SweepScratch::Reference(ws) => pool.give_back(ws),
-        }
-    }
-}
-
 impl EppAnalysis {
     /// The batched sweep: EPP for every site in `sites`, results in one
     /// arena in request order, with or without the per-point arrivals
@@ -805,14 +753,16 @@ impl EppAnalysis {
     /// `circuit().node_ids()` for the whole circuit, or any subset
     /// (e.g. only the flip-flops, for the multi-cycle frame expansion).
     ///
-    /// Bit-for-bit identical to calling
-    /// [`site_with_workspace`](Self::site_with_workspace) per site,
-    /// whatever `ctx` holds. Under [`PlanPolicy::Auto`] the cone plans
-    /// are built once per circuit and cached on the shared artifacts.
-    /// With more than one thread and at least
-    /// [`SINGLE_THREAD_SWEEP_THRESHOLD`] sites, the sites are cut into
-    /// cone-cost-balanced batches that `ctx.threads` workers claim
-    /// through an atomic cursor; [`SweepResults::concat`] joins them.
+    /// Bit-for-bit identical to the per-site reference definition,
+    /// whatever `ctx` holds. The cone plans are built once per circuit
+    /// and cached on the shared artifacts; when the byte budget
+    /// declines them, every batch of sites builds plans for itself
+    /// ([`ConePlans::for_sites`]), at most
+    /// [`ConePlans::sites_per_batch`] sites each. With more than one
+    /// thread and at least [`SINGLE_THREAD_SWEEP_THRESHOLD`] sites, the
+    /// sites are cut into cone-cost-balanced batches that
+    /// `ctx.threads` workers claim through an atomic cursor;
+    /// [`SweepResults::concat`] joins them.
     ///
     /// # Panics
     ///
@@ -825,36 +775,50 @@ impl EppAnalysis {
         ctx: &RunCtx<'_>,
     ) -> SweepResults {
         assert!(ctx.threads > 0, "at least one thread");
-        // `None` under `Reference`, and also when the circuit's plan
-        // arena exceeds the member budget: the sweep then runs the
-        // bit-identical per-site reference kernel (O(n) scratch) under
-        // the same scheduler.
-        let plans = match ctx.plans {
-            PlanPolicy::Auto => self.artifacts().cone_plans(self.circuit()).cloned(),
-            PlanPolicy::Reference => None,
+        let threads = if sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
+            1
+        } else {
+            ctx.threads
         };
-        let plans = plans.as_deref();
-        let (pool, arrivals) = (ctx.pool, ctx.arrivals);
-
-        if ctx.threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
-            return self.sweep_batch(sites, polarity, pool, plans, arrivals);
+        let whole = self.artifacts().cone_plans(self.circuit()).cloned();
+        let batch_cap = match whole {
+            Some(_) => sites.len(),
+            None => ConePlans::sites_per_batch(
+                self.circuit(),
+                self.artifacts(),
+                ConePlans::DEFAULT_BYTE_BUDGET,
+                threads,
+            ),
+        };
+        let run = |batch: &[NodeId]| match &whole {
+            Some(plans) => self.sweep_batch(batch, polarity, ctx, plans),
+            None => {
+                let plans = ConePlans::for_sites(self.circuit(), self.artifacts(), batch);
+                self.sweep_batch(batch, polarity, ctx, &plans)
+            }
+        };
+        if threads == 1 && sites.len() <= batch_cap {
+            return run(sites);
         }
 
         // --- Batch construction: contiguous position ranges balanced by
-        // cone cost (uniform when no plans exist), oversubscribed so
-        // fast workers steal the tail. --------------------------------
-        let costs: Vec<usize> = match plans {
+        // cone cost (uniform without whole-circuit plans) and capped at
+        // `batch_cap` sites, oversubscribed so fast workers steal the
+        // tail. -------------------------------------------------------
+        let costs: Vec<usize> = match &whole {
             Some(p) => sites.iter().map(|&s| p.plan(s).cost()).collect(),
             None => vec![1; sites.len()],
         };
-        let total_cost: usize = costs.iter().sum();
-        let target = (total_cost / (ctx.threads * BATCHES_PER_THREAD)).max(1);
+        let target = match threads {
+            1 => usize::MAX,
+            _ => (costs.iter().sum::<usize>() / (threads * BATCHES_PER_THREAD)).max(1),
+        };
         let mut batches: Vec<Range<usize>> = Vec::new();
         let mut start = 0usize;
         let mut acc = 0usize;
         for (pos, &c) in costs.iter().enumerate() {
             acc += c;
-            if acc >= target {
+            if acc >= target || pos + 1 - start == batch_cap {
                 batches.push(start..pos + 1);
                 start = pos + 1;
                 acc = 0;
@@ -864,34 +828,26 @@ impl EppAnalysis {
             batches.push(start..sites.len());
         }
 
-        let workers = ctx.threads.min(batches.len());
+        let workers = threads.min(batches.len());
         let cursor = AtomicUsize::new(0);
         let mut parts: Vec<(usize, SweepResults)> = Vec::with_capacity(batches.len());
-        std::thread::scope(|scope| {
-            let (cursor, batches) = (&cursor, &batches);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        while let Some(range) = batches.get(cursor.fetch_add(1, Ordering::Relaxed))
-                        {
-                            let part = self.sweep_batch(
-                                &sites[range.clone()],
-                                polarity,
-                                pool,
-                                plans,
-                                arrivals,
-                            );
-                            done.push((range.start, part));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.extend(h.join().expect("sweep worker panicked"));
+        let claim = || {
+            let mut done = Vec::new();
+            while let Some(range) = batches.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                done.push((range.start, run(&sites[range.clone()])));
             }
-        });
+            done
+        };
+        if workers == 1 {
+            parts = claim();
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+                for h in handles {
+                    parts.extend(h.join().expect("sweep worker panicked"));
+                }
+            });
+        }
 
         // Batches partition the site list contiguously, so joining them
         // in position order restores it exactly.
@@ -901,11 +857,10 @@ impl EppAnalysis {
         results
     }
 
-    /// The single-thread sweep loop: one scratch checkout, then every
-    /// site in order into a fresh arena. Under [`Arrivals::Keep`] the
-    /// arena holds one arrival segment, sized exactly: reserved up
-    /// front when plans are in use, shrunk at the end when the
-    /// reference kernel grew it. Under [`Arrivals::Fold`] the kernel
+    /// The single-thread sweep loop over one batch's plans: one scratch
+    /// checkout, then every site in order into a fresh arena. Under
+    /// [`Arrivals::Keep`] the arena holds one arrival segment, reserved
+    /// up front at its exact size. Under [`Arrivals::Fold`] the kernel
     /// emits into a scratch that lives for this batch and is cleared
     /// before each site, so only the fold survives. The threaded sweep
     /// runs it once per claimed batch, and its segment outlives the
@@ -914,20 +869,23 @@ impl EppAnalysis {
         &self,
         sites: &[NodeId],
         polarity: PolarityMode,
-        pool: &WorkspacePool,
-        plans: Option<&ConePlans>,
-        arrivals: Arrivals,
+        ctx: &RunCtx<'_>,
+        plans: &ConePlans,
     ) -> SweepResults {
-        let store = match arrivals {
+        let store = match ctx.arrivals {
             Arrivals::Keep => {
-                let total_points: usize =
-                    plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
+                let total_points: usize = sites.iter().map(|&s| plans.plan(s).observe_len()).sum();
                 Some(ArrivalStore::one_segment(sites.len(), total_points))
             }
             Arrivals::Fold => None,
         };
         let mut results = SweepResults::empty(sites.to_vec(), is_dense(sites), store);
-        let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
+        let mut ws = ctx.pool.checkout_sweep();
+        // One plane build per workspace per SP vector — and usually
+        // none: pooled workspaces keep their plane pinned to the exact
+        // SP allocation, so repeat sweeps, later batches and the
+        // service's single-site requests skip straight through.
+        ws.ensure_sp_plane(self.sp_arc());
         let mut folded: Vec<PointEpp> = Vec::new();
         for &site in sites {
             let points_out = match &mut results.arrivals {
@@ -938,42 +896,11 @@ impl EppAnalysis {
                 }
             };
             let (p_sens, gates, n_points) =
-                self.site_kernel(plans, site, polarity, &mut scratch, points_out);
+                self.plan_kernel(plans, site, polarity, &mut ws, points_out);
             results.push_site(p_sens, gates, n_points);
         }
-        scratch.give_back(pool);
-        if let (None, Some(store)) = (plans, &mut results.arrivals) {
-            // The reference kernel grew the segment by doubling, and
-            // the segment outlives the stitch: drop the slack now.
-            store.open_segment().shrink_to_fit();
-        }
+        ctx.pool.give_back_sweep(ws);
         results
-    }
-
-    /// Dispatches one site to the plan-driven kernel or, when the plan
-    /// arena was declined for size, to the per-site reference kernel —
-    /// bit-identical, so the choice is invisible in the results.
-    fn site_kernel(
-        &self,
-        plans: Option<&ConePlans>,
-        site: NodeId,
-        polarity: PolarityMode,
-        scratch: &mut SweepScratch,
-        points_out: &mut Vec<PointEpp>,
-    ) -> (f64, u32, u32) {
-        match (plans, scratch) {
-            (Some(plans), SweepScratch::Plan(ws)) => {
-                self.plan_kernel(plans, site, polarity, ws, points_out)
-            }
-            (None, SweepScratch::Reference(ws)) => {
-                let r = self.site_with_workspace(site, polarity, ws);
-                let n_points = u32::try_from(r.per_point().len()).expect("points fit u32");
-                points_out.extend_from_slice(r.per_point());
-                let gates = u32::try_from(r.on_path_gates()).expect("cone fits u32");
-                (r.p_sensitized(), gates, n_points)
-            }
-            _ => unreachable!("scratch kind always matches plan availability"),
-        }
     }
 
     /// The allocation-free plan-driven kernel for one site: evaluates
@@ -993,7 +920,7 @@ impl EppAnalysis {
     /// also holds its cone-local index. Observe points are the sorted
     /// path observes merged with the tail's observe row (ascending
     /// observe indices), so emission order matches the reference
-    /// path's observe order exactly.
+    /// kernel's observe order exactly.
     ///
     /// Per gate, the rule is dispatched **once** ([`RuleOp::of`],
     /// outside the per-fanin loop) and the fused rule core consumes
@@ -1002,9 +929,9 @@ impl EppAnalysis {
     /// traversal where the slice-based rules made three.
     ///
     /// Performs the exact same float operations in the exact same order
-    /// as [`site_with_workspace`](Self::site_with_workspace): both call
-    /// the same rule cores and the same [`PolarityMode::apply`], so the
-    /// two paths are bit-identical by construction.
+    /// as `ser-oracle`'s per-site reference kernel: both call the same
+    /// rule cores and the same [`PolarityMode::apply`], so the two are
+    /// bit-identical by construction.
     fn plan_kernel(
         &self,
         plans: &ConePlans,
@@ -1190,6 +1117,9 @@ G = AND(E, F)
 H = OR(C, D, G)
 ";
 
+    /// The whole sweep against one-site sweeps; the oracle check
+    /// against `ser-oracle`'s reference kernel lives in
+    /// `tests/sweep_equivalence.rs`.
     #[test]
     fn sweep_matches_per_site_reference_bitwise() {
         let c = parse_bench(FIG1, "fig1").unwrap();
@@ -1212,33 +1142,47 @@ H = OR(C, D, G)
         }
     }
 
+    /// The same analysis on fresh artifacts whose plan slot is primed
+    /// declined, as the byte budget leaves it: its sweeps run on
+    /// per-batch plans.
+    fn declined(epp: &EppAnalysis) -> EppAnalysis {
+        let topo = ser_netlist::TopoArtifacts::compute(epp.circuit()).unwrap();
+        assert!(topo.prime_cone_plans(None));
+        EppAnalysis::from_artifacts(
+            Arc::clone(epp.circuit_arc()),
+            Arc::new(topo),
+            Arc::clone(epp.sp_arc()),
+        )
+    }
+
     #[test]
     fn forced_backends_are_bit_identical() {
         // Big enough that chains, shared tails and both gather paths
-        // are all exercised; both kernels a sweep can be forced onto
-        // through `RunCtx::plans` (the planned kernel and the per-site
-        // reference kernel) must agree bitwise with the per-site
-        // reference.
+        // are all exercised; the two plan sources a sweep can run on
+        // (the circuit's cached plans and, once the slot is declined,
+        // per-batch plans) must agree bitwise with one-site sweeps.
         let c = ser_gen_like_chain(120);
         let epp = analysis(&c);
+        let per_batch = declined(&epp);
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let forced = |plans| RunCtx {
-                plans,
-                ..RunCtx::new(1, &pool)
-            };
-            let planned = epp.sweep(&sites, polarity, &forced(PlanPolicy::Auto));
-            let reference_kernel = epp.sweep(&sites, polarity, &forced(PlanPolicy::Reference));
-            assert_eq!(planned, reference_kernel, "{polarity:?}");
+            let ctx = RunCtx::new(1, &pool);
+            let planned = epp.sweep(&sites, polarity, &ctx);
+            assert_eq!(
+                planned,
+                per_batch.sweep(&sites, polarity, &ctx),
+                "{polarity:?}"
+            );
             for &site in &sites {
                 assert_eq!(
                     planned.site(site).to_site_epp().unwrap(),
-                    epp.site_with(site, polarity),
+                    per_batch.site_with(site, polarity),
                     "{polarity:?}"
                 );
             }
         }
+        assert!(per_batch.artifacts().cone_plans_primed().is_none());
     }
 
     #[test]
@@ -1351,28 +1295,22 @@ H = OR(C, D, G)
     #[test]
     fn planless_fallback_is_bit_identical() {
         // When the plan arena is declined for size, the sweep runs the
-        // per-site reference kernel under the same scheduler. Force the
-        // planless path through `PlanPolicy::Reference` and compare
-        // against the planned one.
+        // planned kernel on per-batch plans under the same scheduler.
+        // Prime the slot declined and compare against the planned one.
         let c = ser_gen_like_chain(200);
         let epp = analysis(&c);
+        let per_batch = declined(&epp);
         let pool = WorkspacePool::new();
         let sites: Vec<ser_netlist::NodeId> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
             let planned = epp.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             for threads in [1usize, 4] {
-                let ctx = RunCtx {
-                    threads,
-                    pool: &pool,
-                    plans: PlanPolicy::Reference,
-                    arrivals: Arrivals::Keep,
-                };
-                let planless = epp.sweep(&sites, polarity, &ctx);
+                let planless = per_batch.sweep(&sites, polarity, &RunCtx::new(threads, &pool));
                 assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
             }
         }
-        // The fallback checked out per-site workspaces, not sweep ones.
-        assert!(pool.idle() >= 1);
+        // The fallback never settled whole-circuit plans.
+        assert!(per_batch.artifacts().cone_plans_primed().is_none());
     }
 
     #[test]
@@ -1525,16 +1463,14 @@ H = OR(C, D, G)
     }
 
     #[test]
-    fn reference_segments_hold_no_slack() {
+    fn declined_segments_hold_no_slack() {
+        // Per-batch plans reserve each batch's segment at its exact
+        // size, as whole plans do.
         let c = ser_gen_like_chain(200);
-        let epp = analysis(&c);
+        let per_batch = declined(&analysis(&c));
         let pool = WorkspacePool::new();
         let sites: Vec<NodeId> = c.node_ids().collect();
-        let ctx = RunCtx {
-            plans: PlanPolicy::Reference,
-            ..RunCtx::new(4, &pool)
-        };
-        let sweep = epp.sweep(&sites, PolarityMode::Tracked, &ctx);
+        let sweep = per_batch.sweep(&sites, PolarityMode::Tracked, &RunCtx::new(4, &pool));
         assert!(segments(&sweep).len() > 1);
         let capacity: usize = segments(&sweep).iter().map(Vec::capacity).sum();
         assert_eq!(Some(capacity), sweep.total_points());

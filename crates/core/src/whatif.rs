@@ -31,7 +31,7 @@
 //!    so the new arrival is one TMR-voter rule application per site,
 //!    patched in during the splice (`SweepResults::splice_tmr_sink`)
 //!    with no cone walk at all; the seven inserted gates alone are
-//!    swept, on the per-site reference kernel.
+//!    swept, on the same plans.
 //! 4. **Splice.** Clean sites are copied from the cached arena
 //!    (observe-point ids remapped where the arena ids shifted); the
 //!    re-swept sites are spliced in by site id. Because every kernel
@@ -62,7 +62,7 @@ use crate::engine::{EppAnalysis, PointEpp, PolarityMode};
 use crate::rules::propagate;
 use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
-use crate::sweep::{PlanPolicy, RunCtx, SweepResults};
+use crate::sweep::{RunCtx, SweepResults};
 
 /// One circuit edit the what-if engine understands.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,16 +126,13 @@ pub struct WhatIfOutcome {
     pub total: f64,
     /// Sites whose results were re-derived (dirty region size).
     pub dirty_sites: usize,
-    /// Dirty sites re-derived without the reference kernel: every
-    /// dirty site, re-swept on the edited circuit's cone plans — or,
-    /// for a fanout-free TMR edit, the surviving dirty sites, patched
-    /// directly from the arrival the cached arena already holds at the
-    /// hardened gate's observe point.
+    /// Dirty sites re-derived on the edited circuit's cone plans: every
+    /// dirty site, re-swept — or, for a fanout-free TMR edit, the seven
+    /// gates the edit inserts or changes, re-swept, plus the surviving
+    /// dirty sites, patched directly from the arrival the cached arena
+    /// already holds at the hardened gate's observe point. Always
+    /// equal to [`dirty_sites`](Self::dirty_sites).
     pub resweep_planned: usize,
-    /// Dirty sites re-swept with the per-site reference kernel: the
-    /// seven gates a fanout-free TMR edit inserts or changes, 0 for
-    /// every other edit.
-    pub resweep_reference: usize,
     /// Sites in the edited circuit (`dirty_sites / total_sites` is the
     /// dirty fraction the bench reports).
     pub total_sites: usize,
@@ -457,6 +454,14 @@ impl WhatIfSession {
         };
         let pool = self.base.workspace_pool();
 
+        // The edited circuit's plans, built under the token (a SetInputs
+        // edit shares the current circuit's, already built), for either
+        // arm below. Re-sweep boundary after it.
+        topo.cone_plans_cancellable(&circuit, cancel)?;
+        checkpoint()?;
+        let analysis =
+            EppAnalysis::from_artifacts(Arc::clone(&circuit), Arc::clone(&topo), Arc::clone(&sp));
+
         // --- 3a. Sink-TMR fast path. --------------------------------
         // TMR of a fanout-free gate `g` changes no surviving node's SP
         // (the inserted gates have no old consumers), so the dirty
@@ -475,7 +480,7 @@ impl WhatIfSession {
             Edit::Tmr(node) if cur.circuit.node(*node).fanout().is_empty() => Some(*node),
             _ => None,
         };
-        let (results, dirty, resweep_planned, resweep_reference) = if let Some(g) = fast_target {
+        let (results, dirty, resweep_planned) = if let Some(g) = fast_target {
             // No surviving node is downstream of the insertion, so
             // every carried SP value is bitwise intact — except g
             // itself, whose slot the voter (a different function)
@@ -504,22 +509,14 @@ impl WhatIfSession {
             let fast_count = fast.iter().filter(|&&f| f).count();
 
             // The 7 structurally new/changed sites (replicas, voter
-            // pairs, voter) re-sweep on the edited circuit; their
-            // cones are the insertion itself. The per-site reference
-            // kernel runs them: seven sites do not repay the edited
-            // circuit's plan compile.
+            // pairs, voter) re-sweep on the edited circuit's plans;
+            // their cones are the insertion itself.
             let struct_sites: Vec<NodeId> = (g_idx..g_idx + 7).map(NodeId::from_index).collect();
-            let reference_ctx = RunCtx {
-                plans: PlanPolicy::Reference,
-                ..RunCtx::new(self.threads, pool)
-            };
-            let analysis_new = EppAnalysis::from_artifacts(
-                Arc::clone(&circuit),
-                Arc::clone(&topo),
-                Arc::clone(&sp),
+            let struct_res = analysis.sweep(
+                &struct_sites,
+                PolarityMode::Tracked,
+                &RunCtx::new(self.threads, pool),
             );
-            let struct_res =
-                analysis_new.sweep(&struct_sites, PolarityMode::Tracked, &reference_ctx);
 
             // Splice: bulk copy + in-place patch (the voter rule over
             // each dirty site's recorded arrival at g, one refold per
@@ -530,7 +527,7 @@ impl WhatIfSession {
                     let vt = propagate(GateKind::And, &[vr, vr]);
                     propagate(GateKind::Or, &[vt, vt, vt])
                 });
-            (results, dirty, fast_count, struct_sites.len())
+            (results, dirty, fast_count + struct_sites.len())
         } else {
             // --- 3b. General path: dirty region, one re-sweep on the
             // edited circuit's plans, splice. Seeds = changed structure
@@ -546,17 +543,6 @@ impl WhatIfSession {
             }
             let dirty = topo.comb_ancestors(&circuit, seeds.iter().copied());
             let sites: Vec<NodeId> = circuit.node_ids().filter(|id| dirty[id.index()]).collect();
-
-            // The edited circuit's plans, built under the token (a
-            // SetInputs edit shares the current circuit's, already
-            // built). Re-sweep boundary after it.
-            topo.cone_plans_cancellable(&circuit, cancel)?;
-            checkpoint()?;
-            let analysis = EppAnalysis::from_artifacts(
-                Arc::clone(&circuit),
-                Arc::clone(&topo),
-                Arc::clone(&sp),
-            );
             let resweep = analysis.sweep(
                 &sites,
                 PolarityMode::Tracked,
@@ -599,7 +585,7 @@ impl WhatIfSession {
                     }
                 },
             );
-            (results, dirty, sites.len(), 0)
+            (results, dirty, sites.len())
         };
 
         // --- 4. Totals, deltas, push. --------------------------------
@@ -620,7 +606,6 @@ impl WhatIfSession {
             total,
             dirty_sites,
             resweep_planned,
-            resweep_reference,
             total_sites: circuit.len(),
             depth: self.stack.len(),
             elapsed: t0.elapsed(),

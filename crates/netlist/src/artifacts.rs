@@ -57,7 +57,7 @@ pub struct TopoArtifacts {
     /// Lazily built cone plans, shared by every clone of these
     /// artifacts (cloning shares the already-built cache). `Some(None)`
     /// records that the circuit's plan arena exceeded the byte budget
-    /// and per-site traversal should be used instead.
+    /// and sweeps build plans per batch of sites instead.
     plans: OnceLock<Option<Arc<ConePlans>>>,
 }
 
@@ -230,7 +230,7 @@ impl TopoArtifacts {
 
     /// The already-built cone plans, if any — a peek that never
     /// triggers compilation. Tests use it to tell whether a query ran
-    /// on the plans or on the per-site reference kernel.
+    /// on the whole-circuit plans or on per-batch plans.
     #[must_use]
     pub fn cone_plans_primed(&self) -> Option<&Arc<ConePlans>> {
         self.plans.get().and_then(Option::as_ref)
@@ -245,8 +245,8 @@ impl TopoArtifacts {
     ///
     /// Returns `None` — once, cached — when the circuit's plan arena
     /// would exceed [`ConePlans::DEFAULT_BYTE_BUDGET`] (windows are
-    /// Θ(n²) bits in the worst case); callers fall back to per-site
-    /// traversal, which needs only O(n) scratch.
+    /// Θ(n²) bits in the worst case); a sweep then builds plans per
+    /// batch of sites ([`ConePlans::for_sites`]) under the same budget.
     ///
     /// # Panics
     ///

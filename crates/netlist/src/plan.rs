@@ -87,6 +87,14 @@
 //! [`ConePlans::arena_bytes`] measures, and checked before each window
 //! is appended, so the decision is exact and deterministic.
 //!
+//! When the budget declines the whole-circuit plans, a sweep builds
+//! plans per batch of sites instead ([`ConePlans::for_sites`]): the
+//! same chain pass, per-position tables and per-tail counts, but a
+//! tail table holding only the batch's anchors, each window set by a
+//! forward walk over the fanout, and observe rows for those tails
+//! only. [`ConePlans::sites_per_batch`] sizes the batches so that the
+//! plans alive on every worker stay within the budget.
+//!
 //! The per-site definition of a cone is the paper's forward DFS,
 //! [`FanoutCone::extract`](crate::FanoutCone::extract);
 //! `tests/plan_builder.rs` checks every site's
@@ -103,6 +111,12 @@ const OFF_PATH_BIT: u32 = 1 << 31;
 
 /// Sentinel for "no next chain hop" (the node is an anchor).
 const NO_NEXT: u32 = u32::MAX;
+
+/// Sentinel tail id of a node whose anchor per-batch plans left out.
+const NO_TAIL: u32 = u32::MAX;
+
+/// Bytes of one `u32` table entry, for the batch-size bound.
+const U32: usize = std::mem::size_of::<u32>();
 
 /// One decoded fanin reference of a cone member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -259,8 +273,9 @@ impl ConePlans {
     /// [`arena_bytes`](Self::arena_bytes) counts them. Windows are
     /// Θ(n²) bits in the worst case (densely reconvergent anchor-heavy
     /// circuits), so consumers must be prepared for
-    /// [`build`](Self::build) to decline and fall back to per-site
-    /// traversal.
+    /// [`build`](Self::build) to decline; a sweep then builds plans per
+    /// batch of sites ([`for_sites`](Self::for_sites)) under the same
+    /// budget.
     pub const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
 
     /// How many anchors the build processes between cooperative
@@ -280,14 +295,14 @@ impl ConePlans {
     /// as [`arena_bytes`](Self::arena_bytes) counts them — checked
     /// before each window is appended, so a decline never allocates
     /// past the budget. That guard keeps pathological Θ(n²) circuits
-    /// from exhausting memory (the per-site reference path handles
-    /// them in O(n) scratch instead). Pass `usize::MAX` for no budget.
+    /// from exhausting memory: a sweep of a declined circuit builds
+    /// plans per batch of sites instead ([`for_sites`](Self::for_sites)).
+    /// Pass `usize::MAX` for no budget.
     ///
     /// The build polls `cancel` every few thousand anchors and aborts
     /// mid-compile when it trips, dropping all partial state; a
     /// declined build and a cancelled one stay distinguishable (the
-    /// first falls back to per-site traversal, the second aborts the
-    /// request).
+    /// first sweeps on per-batch plans, the second aborts the request).
     ///
     /// # Errors
     ///
@@ -303,98 +318,25 @@ impl ConePlans {
         max_bytes: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<Option<Self>, CancelCause> {
-        let n = circuit.len();
-        assert_eq!(topo.len(), n, "artifacts must cover every node");
+        let (mut plans, frame) = ConePlans::frame(circuit, topo);
         let order = topo.order();
-
-        // Observe points indexed by observed signal, in observe order.
-        let observe = topo.observe_points();
-        let mut obs_of_signal: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, p) in observe.iter().enumerate() {
-            obs_of_signal[p.signal().index()].push(u32::try_from(i).expect("observe fits u32"));
-        }
-
-        // Chain classification and the per-node chain tables, back to
-        // front so each chain node reads its successor's entries. A
-        // node with exactly one combinational successor is a chain node
-        // and shares its successor's tail id; every other node is an
-        // anchor and opens the next tail id (tail ids follow the build
-        // order).
-        let mut next_pos = vec![NO_NEXT; n];
-        let mut t_count = 0u32;
-        let mut chain_next = vec![NO_NEXT; n];
-        let mut tail_of = vec![0u32; n];
-        let mut prefix_len = vec![0u32; n];
-        let mut path_pins_after = vec![0u32; n];
-        let mut path_obs_from = vec![0u32; n];
-        for p in (0..n).rev() {
-            let v = order[p].index();
-            if let [s] = *topo.comb_fanout(order[p]) {
-                let si = s.index();
-                next_pos[p] = topo.position(s);
-                tail_of[v] = tail_of[si];
-                chain_next[v] = u32::try_from(si).expect("node index fits u32");
-                prefix_len[v] = prefix_len[si] + 1;
-                path_pins_after[v] = u32::try_from(circuit.node(s).fanin().len())
-                    .expect("pins fit u32")
-                    + path_pins_after[si];
-                path_obs_from[v] =
-                    u32::try_from(obs_of_signal[v].len()).expect("obs fit u32") + path_obs_from[si];
-            } else {
-                tail_of[v] = t_count;
-                t_count += 1;
-            }
-        }
-
-        // Per-node observe CSR (tiny: one entry per observe point).
-        let mut node_obs_off = Vec::with_capacity(n + 1);
-        let mut node_obs = Vec::with_capacity(observe.len());
-        node_obs_off.push(0);
-        for obs in &obs_of_signal {
-            node_obs.extend_from_slice(obs);
-            node_obs_off.push(u32::try_from(node_obs.len()).expect("observe refs fit u32"));
-        }
-
-        let t_count = t_count as usize;
-        let obs_stride = observe.len().div_ceil(64);
-        let tables = PosTables::build(circuit, topo, &obs_of_signal);
-        let mut plans = ConePlans {
-            chain_next,
-            tail_of,
-            prefix_len,
-            path_pins_after,
-            path_obs_from,
-            node_obs_off,
-            node_obs,
-            pos_node: order.to_vec(),
-            pos_kind: tables.kind,
-            pos_fanin_off: tables.fanin_off,
-            pos_fanins: tables.fanins,
-            tail_anchor: vec![0; t_count],
-            tail_len: vec![0; t_count],
-            tail_pins: vec![0; t_count],
-            tail_word_off: vec![0; t_count + 1],
-            tail_words: Vec::new(),
-            tail_obs_words: vec![0; t_count * obs_stride],
-            obs_pos: observe.iter().map(|o| topo.position(o.signal())).collect(),
-            max_cone_len: 0,
-            logical_members: 0,
-            logical_observe_refs: 0,
-        };
+        plans.alloc_tails(frame.anchors.len());
         // Everything but the windows has its final size now.
         let fixed_bytes = plans.arena_bytes();
         if fixed_bytes > max_bytes {
             return Ok(None);
         }
 
+        // Anchors in tail-id order: descending position, so every
+        // successor anchor's window is built before it is read.
         let mut window: Vec<u64> = Vec::new();
-        let anchors = (0..n).rev().filter(|&p| next_pos[p] == NO_NEXT);
-        for (t, p) in anchors.enumerate() {
+        for (t, &p) in frame.anchors.iter().enumerate() {
             if t % Self::CANCEL_CHECK_EVERY == 0 {
                 if let Some(token) = cancel {
                     token.check()?;
                 }
             }
+            let p = p as usize;
             let base = p / 64;
             let succs = topo.comb_fanout(order[p]);
             let window_end = |a: usize| {
@@ -414,9 +356,9 @@ impl ConePlans {
             window[0] = 1 << (p % 64);
             for &s in succs {
                 let mut q = topo.position(s) as usize;
-                while next_pos[q] != NO_NEXT {
+                while frame.next_pos[q] != NO_NEXT {
                     window[q / 64 - base] |= 1 << (q % 64);
-                    q = next_pos[q] as usize;
+                    q = frame.next_pos[q] as usize;
                 }
                 let a = plans.tail_of[order[q].index()] as usize;
                 let words = &plans.tail_words
@@ -425,45 +367,264 @@ impl ConePlans {
                     *w |= x;
                 }
             }
-
-            // Member count, pin total and observe row, a word at a time.
-            let mut len = 0u32;
-            let mut pins = 0u32;
-            let obs_row = &mut plans.tail_obs_words[t * obs_stride..(t + 1) * obs_stride];
-            for (i, &w) in window.iter().enumerate() {
-                let word = base + i;
-                let mut observed = w & tables.observed[word];
-                while observed != 0 {
-                    let v = order[word * 64 + observed.trailing_zeros() as usize].index();
-                    let (lo, hi) = (plans.node_obs_off[v], plans.node_obs_off[v + 1]);
-                    for &obs in &plans.node_obs[lo as usize..hi as usize] {
-                        obs_row[obs as usize / 64] |= 1 << (obs % 64);
-                    }
-                    observed &= observed - 1;
-                }
-                for (b, plane) in tables.pin_planes.iter().enumerate() {
-                    pins += (w & plane[word]).count_ones() << b;
-                }
-                len += w.count_ones();
-            }
-            // The anchor's own pins belong to the paths that reach it.
-            pins -= plans.pos_fanin_off[p + 1] - plans.pos_fanin_off[p];
-
-            plans.tail_words.extend_from_slice(&window);
-            plans.tail_anchor[t] = u32::try_from(p).expect("node count fits u32");
-            plans.tail_len[t] = len;
-            plans.tail_pins[t] = pins;
-            plans.tail_word_off[t + 1] = u32::try_from(words_after).expect("window words fit u32");
+            plans.fill_tail(t, p, &window, &frame);
         }
-
-        for v in 0..n {
-            let plan = plans.plan(NodeId::from_index(v));
-            let (len, obs) = (plan.len(), plan.observe_len());
-            plans.max_cone_len = plans.max_cone_len.max(len);
-            plans.logical_members += len as u64;
-            plans.logical_observe_refs += obs as u64;
-        }
+        plans.count_logical();
         Ok(Some(plans))
+    }
+
+    /// Builds plans for `sites` alone: the whole build's per-node and
+    /// per-position tables, but a tail table that holds only the
+    /// anchors of `sites`, with observe rows for those tails only. It
+    /// is what a sweep runs on, batch by batch, when the byte budget
+    /// declined the whole-circuit plans: a batch of k sites needs at
+    /// most k windows, so its size is chosen to fit
+    /// ([`sites_per_batch`](Self::sites_per_batch)).
+    ///
+    /// Each window comes from a forward walk over the DFF-clipped
+    /// fanout that sets the bit of every position it reaches — the
+    /// successors' windows, which the whole build ORs together, are
+    /// not built here. [`plan`](Self::plan) answers for every node
+    /// whose anchor is one of these tails (every site in `sites`
+    /// included) and panics for any other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topo` was not computed from `circuit` or a site is
+    /// out of range.
+    #[must_use]
+    pub fn for_sites(circuit: &Circuit, topo: &TopoArtifacts, sites: &[NodeId]) -> Self {
+        let (mut plans, frame) = ConePlans::frame(circuit, topo);
+        // The sites' anchors, renumbered densely in the whole build's
+        // tail order; every other anchor's nodes lose their tail.
+        let mut local = vec![NO_TAIL; frame.anchors.len()];
+        for &s in sites {
+            local[plans.tail_of[s.index()] as usize] = 0;
+        }
+        let mut t_count = 0usize;
+        for id in &mut local {
+            if *id != NO_TAIL {
+                *id = u32::try_from(t_count).expect("tail count fits u32");
+                t_count += 1;
+            }
+        }
+        for t in &mut plans.tail_of {
+            *t = local[*t as usize];
+        }
+        plans.alloc_tails(t_count);
+
+        // One circuit-wide bitset, set by each walk and cleared over
+        // the walked window after it is copied out.
+        let mut bits = vec![0u64; circuit.len().div_ceil(64)];
+        let mut stack: Vec<NodeId> = Vec::new();
+        for (&p, &t) in frame.anchors.iter().zip(&local) {
+            if t == NO_TAIL {
+                continue;
+            }
+            let p = p as usize;
+            bits[p / 64] |= 1 << (p % 64);
+            let mut max_pos = p;
+            stack.push(topo.order()[p]);
+            while let Some(v) = stack.pop() {
+                for &s in topo.comb_fanout(v) {
+                    let q = topo.position(s) as usize;
+                    if bits[q / 64] >> (q % 64) & 1 == 0 {
+                        bits[q / 64] |= 1 << (q % 64);
+                        max_pos = max_pos.max(q);
+                        stack.push(s);
+                    }
+                }
+            }
+            let window = &mut bits[p / 64..=max_pos / 64];
+            plans.fill_tail(t as usize, p, window, &frame);
+            window.fill(0);
+        }
+        plans.count_logical();
+        plans
+    }
+
+    /// How many sites one [`for_sites`](Self::for_sites) build may
+    /// cover so that `workers` such plans alive at once stay within
+    /// `max_bytes` as [`arena_bytes`](Self::arena_bytes) counts them.
+    /// Every batch repeats the circuit-sized tables, and each of its
+    /// at most k tails adds a window of at most `ceil(n / 64)` words
+    /// and one observe row. At least 1: a circuit whose tables alone
+    /// exceed the share still gets its sites swept, one per batch.
+    #[must_use]
+    pub fn sites_per_batch(
+        circuit: &Circuit,
+        topo: &TopoArtifacts,
+        max_bytes: usize,
+        workers: usize,
+    ) -> usize {
+        let (n, observes) = (circuit.len(), topo.observe_points().len());
+        let pins: usize = circuit.iter().map(|(_, node)| node.fanin().len()).sum();
+        let per_tail =
+            4 * U32 + (n.div_ceil(64) + observes.div_ceil(64)) * std::mem::size_of::<u64>();
+        let share = max_bytes / workers.max(1);
+        (share.saturating_sub(Self::frame_bytes(n, observes, pins)) / per_tail).max(1)
+    }
+
+    /// Bytes of the tables every build holds whatever its tails: five
+    /// per-node chain tables, the node observe CSR, the per-position
+    /// tables, the observe positions and the tail offsets' leading 0.
+    fn frame_bytes(n: usize, observes: usize, pins: usize) -> usize {
+        U32 * (5 * n + (n + 1) + observes)
+            + n * (std::mem::size_of::<NodeId>() + std::mem::size_of::<GateKind>())
+            + U32 * (n + 1)
+            + pins * std::mem::size_of::<(u32, u32)>()
+            + U32 * (observes + 1)
+    }
+
+    /// The chain pass and the per-position tables, shared by both
+    /// builds: plans with every per-node and per-position table at its
+    /// final size and an empty tail table, plus what only the build
+    /// reads. A node with exactly one combinational successor is a
+    /// chain node and shares its successor's tail id; every other node
+    /// is an anchor and opens the next tail id, so tail ids follow
+    /// descending anchor position.
+    fn frame(circuit: &Circuit, topo: &TopoArtifacts) -> (Self, Frame) {
+        let n = circuit.len();
+        assert_eq!(topo.len(), n, "artifacts must cover every node");
+        let order = topo.order();
+
+        // Observe points indexed by observed signal, in observe order.
+        let observe = topo.observe_points();
+        let mut obs_of_signal: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, p) in observe.iter().enumerate() {
+            obs_of_signal[p.signal().index()].push(u32::try_from(i).expect("observe fits u32"));
+        }
+
+        // The per-node chain tables, back to front so each chain node
+        // reads its successor's entries.
+        let mut next_pos = vec![NO_NEXT; n];
+        let mut anchors = Vec::new();
+        let mut chain_next = vec![NO_NEXT; n];
+        let mut tail_of = vec![0u32; n];
+        let mut prefix_len = vec![0u32; n];
+        let mut path_pins_after = vec![0u32; n];
+        let mut path_obs_from = vec![0u32; n];
+        for p in (0..n).rev() {
+            let v = order[p].index();
+            if let [s] = *topo.comb_fanout(order[p]) {
+                let si = s.index();
+                next_pos[p] = topo.position(s);
+                tail_of[v] = tail_of[si];
+                chain_next[v] = u32::try_from(si).expect("node index fits u32");
+                prefix_len[v] = prefix_len[si] + 1;
+                path_pins_after[v] = u32::try_from(circuit.node(s).fanin().len())
+                    .expect("pins fit u32")
+                    + path_pins_after[si];
+                path_obs_from[v] =
+                    u32::try_from(obs_of_signal[v].len()).expect("obs fit u32") + path_obs_from[si];
+            } else {
+                tail_of[v] = u32::try_from(anchors.len()).expect("tail count fits u32");
+                anchors.push(u32::try_from(p).expect("node count fits u32"));
+            }
+        }
+
+        // Per-node observe CSR (tiny: one entry per observe point).
+        let mut node_obs_off = Vec::with_capacity(n + 1);
+        let mut node_obs = Vec::with_capacity(observe.len());
+        node_obs_off.push(0);
+        for obs in &obs_of_signal {
+            node_obs.extend_from_slice(obs);
+            node_obs_off.push(u32::try_from(node_obs.len()).expect("observe refs fit u32"));
+        }
+
+        let tables = PosTables::build(circuit, topo, &obs_of_signal);
+        let plans = ConePlans {
+            chain_next,
+            tail_of,
+            prefix_len,
+            path_pins_after,
+            path_obs_from,
+            node_obs_off,
+            node_obs,
+            pos_node: order.to_vec(),
+            pos_kind: tables.kind,
+            pos_fanin_off: tables.fanin_off,
+            pos_fanins: tables.fanins,
+            tail_anchor: Vec::new(),
+            tail_len: Vec::new(),
+            tail_pins: Vec::new(),
+            tail_word_off: vec![0],
+            tail_words: Vec::new(),
+            tail_obs_words: Vec::new(),
+            obs_pos: observe.iter().map(|o| topo.position(o.signal())).collect(),
+            max_cone_len: 0,
+            logical_members: 0,
+            logical_observe_refs: 0,
+        };
+        let frame = Frame {
+            next_pos,
+            anchors,
+            observed: tables.observed,
+            pin_planes: tables.pin_planes,
+        };
+        (plans, frame)
+    }
+
+    /// Sizes the tail table for `t_count` tails, windows still empty.
+    fn alloc_tails(&mut self, t_count: usize) {
+        self.tail_anchor = vec![0; t_count];
+        self.tail_len = vec![0; t_count];
+        self.tail_pins = vec![0; t_count];
+        self.tail_word_off = vec![0; t_count + 1];
+        self.tail_obs_words = vec![0; t_count * self.obs_pos.len().div_ceil(64)];
+    }
+
+    /// Appends tail `t`'s window — anchor at position `p`, the words
+    /// covering positions `p / 64 * 64 ..` — and records its member
+    /// count (the popcount), its pin total (the window ANDed with the
+    /// fanin-count bit planes) and its observe row (the window ANDed
+    /// with the observed positions), a word at a time. Tails are
+    /// filled in id order.
+    fn fill_tail(&mut self, t: usize, p: usize, window: &[u64], frame: &Frame) {
+        let base = p / 64;
+        let stride = self.obs_pos.len().div_ceil(64);
+        let mut len = 0u32;
+        let mut pins = 0u32;
+        let obs_row = &mut self.tail_obs_words[t * stride..(t + 1) * stride];
+        for (i, &w) in window.iter().enumerate() {
+            let word = base + i;
+            let mut observed = w & frame.observed[word];
+            while observed != 0 {
+                let v = self.pos_node[word * 64 + observed.trailing_zeros() as usize].index();
+                let (lo, hi) = (self.node_obs_off[v], self.node_obs_off[v + 1]);
+                for &obs in &self.node_obs[lo as usize..hi as usize] {
+                    obs_row[obs as usize / 64] |= 1 << (obs % 64);
+                }
+                observed &= observed - 1;
+            }
+            for (b, plane) in frame.pin_planes.iter().enumerate() {
+                pins += (w & plane[word]).count_ones() << b;
+            }
+            len += w.count_ones();
+        }
+        // The anchor's own pins belong to the paths that reach it.
+        pins -= self.pos_fanin_off[p + 1] - self.pos_fanin_off[p];
+
+        self.tail_words.extend_from_slice(window);
+        self.tail_anchor[t] = u32::try_from(p).expect("node count fits u32");
+        self.tail_len[t] = len;
+        self.tail_pins[t] = pins;
+        self.tail_word_off[t + 1] =
+            u32::try_from(self.tail_words.len()).expect("window words fit u32");
+    }
+
+    /// The logical totals over every node these plans answer for.
+    fn count_logical(&mut self) {
+        for v in 0..self.len() {
+            if self.tail_of[v] == NO_TAIL {
+                continue;
+            }
+            let plan = self.plan(NodeId::from_index(v));
+            let (len, obs) = (plan.len(), plan.observe_len());
+            self.max_cone_len = self.max_cone_len.max(len);
+            self.logical_members += len as u64;
+            self.logical_observe_refs += obs as u64;
+        }
     }
 
     /// Number of sites covered (one plan per circuit node).
@@ -597,10 +758,16 @@ impl ConePlans {
     ///
     /// # Panics
     ///
-    /// Panics if `site` is out of range.
+    /// Panics if `site` is out of range, or is not covered by plans
+    /// built [`for_sites`](Self::for_sites).
     #[must_use]
     pub fn plan(&self, site: NodeId) -> ConePlan<'_> {
         assert!(site.index() < self.len(), "site {site} out of range");
+        assert_ne!(
+            self.tail_of[site.index()],
+            NO_TAIL,
+            "site {site} is not covered by these per-batch plans"
+        );
         ConePlan {
             plans: self,
             site: site.index(),
@@ -981,6 +1148,17 @@ impl Iterator for SetBits<'_> {
 
 impl ExactSizeIterator for SetBits<'_> {}
 
+/// What only a build reads, beside the plans' own tables: each
+/// position's next chain hop ([`NO_NEXT`] at anchors), the anchor
+/// positions in tail-id order, and [`PosTables`]' observed-position
+/// bitset and fanin-count planes.
+struct Frame {
+    next_pos: Vec<u32>,
+    anchors: Vec<u32>,
+    observed: Vec<u64>,
+    pin_planes: Vec<Vec<u64>>,
+}
+
 /// Per-topo-position tables compiled once per build. The kind and
 /// fanin tables become [`ConePlans`]' own; the rest only serve the
 /// window pass:
@@ -1360,6 +1538,35 @@ H = OR(C, D, G)
             Err(crate::CancelCause::DeadlineExceeded)
         );
         assert_eq!(ConePlans::build(&c, &topo, 1, Some(&live)), Ok(None));
+    }
+
+    #[test]
+    fn per_batch_plans_hold_only_their_anchors() {
+        let c = parse_bench(FIG1, "fig1").unwrap();
+        let topo = TopoArtifacts::compute(&c).unwrap();
+        let whole = build_all(&c, &topo);
+        // The batch bound's circuit-sized tables are exactly what a
+        // build with no tail holds.
+        let none = ConePlans::for_sites(&c, &topo, &[]);
+        let pins = c.iter().map(|(_, n)| n.fanin().len()).sum();
+        let frame = ConePlans::frame_bytes(c.len(), topo.observe_points().len(), pins);
+        assert_eq!(none.arena_bytes(), frame);
+        // H is its own anchor: one tail, which also serves every chain
+        // node ending at H. A is an anchor outside the batch.
+        let h = c.find("H").unwrap();
+        let batch = ConePlans::for_sites(&c, &topo, &[h]);
+        assert_eq!(batch.tail_count(), 1);
+        assert_eq!(batch.plan(h).materialize(&c), whole.plan(h).materialize(&c));
+        let cc = c.find("C").unwrap();
+        assert_eq!(
+            batch.plan(cc).materialize(&c),
+            whole.plan(cc).materialize(&c)
+        );
+        // H, then C, D, G one hop away and B, E, F two hops away.
+        assert_eq!(batch.logical_members(), 1 + 3 * 2 + 3 * 3);
+        let a = c.find("A").unwrap();
+        let outside = std::panic::catch_unwind(|| batch.plan(a).len());
+        assert!(outside.is_err(), "A's anchor is not in the batch");
     }
 
     #[test]

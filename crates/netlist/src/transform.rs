@@ -13,6 +13,8 @@
 //! together — which is the correct semantics: TMR protects a gate's own
 //! upsets, not its inputs'.
 
+use std::collections::BTreeSet;
+
 use crate::builder::CircuitBuilder;
 use crate::circuit::{Circuit, NodeId};
 use crate::error::NetlistError;
@@ -22,10 +24,13 @@ use crate::gate::GateKind;
 ///
 /// Each selected node must be a logic gate (primary inputs, flip-flops
 /// and constants cannot be triplicated by this transform). The gate is
-/// cloned twice (`name__r1`, `name__r2`) and a 2-of-3 majority voter
-/// (`name__v*` gates) replaces it in every fanout; the voter output
-/// keeps the original name so outputs and downstream logic are
-/// untouched.
+/// replaced by three copies (`stem__r0`, `stem__r1`, `stem__r2`) and a
+/// 2-of-3 majority voter (the AND pairs `stem__v01`, `stem__v12`,
+/// `stem__v02` into an OR); the voter output keeps the original name so
+/// outputs and downstream logic are untouched. The stem is the gate's
+/// name, or `name__2`, `name__3`, … — the first whose six inserted
+/// names are all unused — so hardening a voter again (it keeps the
+/// hardened gate's name) never reuses an earlier TMR's names.
 ///
 /// # Errors
 ///
@@ -59,6 +64,7 @@ pub fn harden_tmr(circuit: &Circuit, nodes: &[NodeId]) -> Result<Circuit, Netlis
         selected[id.index()] = true;
     }
 
+    let mut taken = BTreeSet::new();
     let mut b = CircuitBuilder::new(format!("{}_tmr", circuit.name()));
     // Recreate every node in arena order; names are preserved, so
     // name-based references (gate_named) resolve regardless of order.
@@ -85,15 +91,16 @@ pub fn harden_tmr(circuit: &Circuit, nodes: &[NodeId]) -> Result<Circuit, Netlis
                 // Three copies feeding a 2-of-3 majority voter that
                 // inherits the original name.
                 let name = node.name();
-                let copy0 = format!("{name}__r0");
-                let copy1 = format!("{name}__r1");
-                let copy2 = format!("{name}__r2");
+                let stem = tmr_stem(circuit, name, &mut taken);
+                let copy0 = format!("{stem}__r0");
+                let copy1 = format!("{stem}__r1");
+                let copy2 = format!("{stem}__r2");
                 b.gate_named(&copy0, kind, &fanin_names);
                 b.gate_named(&copy1, kind, &fanin_names);
                 b.gate_named(&copy2, kind, &fanin_names);
-                let p01 = format!("{name}__v01");
-                let p12 = format!("{name}__v12");
-                let p02 = format!("{name}__v02");
+                let p01 = format!("{stem}__v01");
+                let p12 = format!("{stem}__v12");
+                let p02 = format!("{stem}__v02");
                 b.gate_named(&p01, GateKind::And, &[copy0.clone(), copy1.clone()]);
                 b.gate_named(&p12, GateKind::And, &[copy1, copy2.clone()]);
                 b.gate_named(&p02, GateKind::And, &[copy0, copy2]);
@@ -108,6 +115,31 @@ pub fn harden_tmr(circuit: &Circuit, nodes: &[NodeId]) -> Result<Circuit, Netlis
         b.mark_output_named(circuit.node(po).name());
     }
     b.finish()
+}
+
+/// The suffixes of the six gates TMR inserts per hardened gate: three
+/// replicas, then the voter's three AND pairs.
+const TMR_SUFFIXES: [&str; 6] = ["r0", "r1", "r2", "v01", "v12", "v02"];
+
+/// The first stem — `name`, then `name__2`, `name__3`, … — whose six
+/// inserted names `{stem}__{suffix}` are neither nodes of `circuit` nor
+/// already `taken` by another gate of the same transform; records
+/// them as taken.
+fn tmr_stem(circuit: &Circuit, name: &str, taken: &mut BTreeSet<String>) -> String {
+    let inserted = |stem: &str| TMR_SUFFIXES.map(|suffix| format!("{stem}__{suffix}"));
+    let stem = (1usize..)
+        .map(|k| match k {
+            1 => name.to_owned(),
+            _ => format!("{name}__{k}"),
+        })
+        .find(|stem| {
+            inserted(stem)
+                .iter()
+                .all(|n| circuit.find(n).is_none() && !taken.contains(n))
+        })
+        .expect("a finite circuit leaves some stem unused");
+    taken.extend(inserted(&stem));
+    stem
 }
 
 /// Replaces one logic gate's kind, keeping its name, fanins and every
@@ -192,6 +224,42 @@ mod tests {
         let yv = h.outputs()[0];
         assert_eq!(h.node(yv).name(), "y");
         assert_eq!(h.node(yv).kind(), GateKind::Or);
+    }
+
+    #[test]
+    fn tmr_applied_twice_to_one_gate_picks_fresh_names() {
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t").unwrap();
+        let once = harden_tmr(&c, &[c.find("y").unwrap()]).unwrap();
+        // The voter keeps `y`: hardening it again takes the next stem.
+        let twice = harden_tmr(&once, &[once.find("y").unwrap()]).unwrap();
+        assert_eq!(twice.num_gates(), 7 + 6);
+        for suffix in TMR_SUFFIXES {
+            assert!(twice.find(&format!("y__{suffix}")).is_some(), "{suffix}");
+            assert!(twice.find(&format!("y__2__{suffix}")).is_some(), "{suffix}");
+        }
+        // The second voter reads the first one's output through its
+        // replicas, and still drives the output.
+        let y = twice.find("y").unwrap();
+        assert_eq!(twice.node(y).kind(), GateKind::Or);
+        assert_eq!(twice.outputs(), &[y]);
+        let r0 = twice.find("y__2__r0").unwrap();
+        assert_eq!(
+            twice.node(r0).kind(),
+            GateKind::Or,
+            "a copy of the first voter"
+        );
+        // A third round, and a circuit that already holds a `y__2__*`
+        // name, move on to the next free stem.
+        let thrice = harden_tmr(&twice, &[y]).unwrap();
+        assert!(thrice.find("y__3__v02").is_some());
+        let clash = parse_bench(
+            "INPUT(a)\nOUTPUT(y)\nOUTPUT(y__r1)\ny = NOT(a)\ny__r1 = NOT(a)\n",
+            "clash",
+        )
+        .unwrap();
+        let h = harden_tmr(&clash, &[clash.find("y").unwrap()]).unwrap();
+        assert!(h.find("y__2__r1").is_some());
+        assert!(h.find("y__r0").is_none(), "the whole stem moves on");
     }
 
     #[test]

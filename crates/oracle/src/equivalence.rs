@@ -174,7 +174,9 @@ fn satisfying_assignment(m: &Bdd, f: BddRef) -> Vec<(usize, bool)> {
 /// The nodes TMR'd by [`harden_tmr`](ser_netlist::harden_tmr) keep
 /// their pre-transform ids only in the original circuit; this helper
 /// maps a hardening plan's node choices to the replica names whose SER
-/// vanishes after the transform.
+/// vanishes after the transform. It names the replicas of a gate
+/// hardened for the first time, whose stem is the gate's own name; a
+/// gate hardened again (its voter) gets the next free stem instead.
 #[must_use]
 pub fn tmr_replica_names(circuit: &Circuit, node: NodeId) -> [String; 3] {
     let name = circuit.node(node).name();

@@ -8,9 +8,12 @@
 //! - [`CorrelationSp`] — pairwise-correlation SP propagation (an
 //!   accuracy ablation between independent and exact SP),
 //! - [`check_equivalence`] — BDD proof that a hardening transform kept
-//!   the circuit's function.
+//!   the circuit's function,
+//! - [`ReferenceEpp`] — the paper's per-site EPP pass (cone DFS, sort,
+//!   one propagation pass) with no compiled plans: the definition the
+//!   planned sweep kernel must match bit for bit.
 //!
-//! Every oracle treats flip-flop outputs as free 0.5-probability
+//! The exact oracles treat flip-flop outputs as free 0.5-probability
 //! sources: the combinational single-cycle view the analytical engines
 //! take.
 //!
@@ -40,9 +43,11 @@ mod correlation;
 mod equivalence;
 mod exact;
 mod exact_bdd;
+mod reference;
 
 pub use bdd_engine::BddSp;
 pub use correlation::CorrelationSp;
 pub use equivalence::{check_equivalence, tmr_replica_names, Equivalence};
 pub use exact::{ExactEpp, ExactSiteEpp, ExactSp};
 pub use exact_bdd::BddExactEpp;
+pub use reference::ReferenceEpp;

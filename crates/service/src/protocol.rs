@@ -1706,10 +1706,13 @@ impl ProtocolEngine {
             sink.send(&frame)?;
             chunks = seq + 1;
         }
+        // `resweep_reference` stays on the frame as a constant 0: every
+        // dirty site now re-derives on the edited circuit's plans, and
+        // clients that read the key keep parsing the same frame.
         sink.send(&format!(
             "{}, \"op\": \"whatif\", \"circuit\": \"{}\", \"netlist_hash\": \"{:016x}\", \
              \"edit\": \"{}\", \"total_ser\": {}, \"previous_ser\": {}, \"dirty_sites\": {}, \
-             \"resweep_planned\": {}, \"resweep_reference\": {}, \"total_sites\": {}, \
+             \"resweep_planned\": {}, \"resweep_reference\": 0, \"total_sites\": {}, \
              \"depth\": {}, \"elapsed_us\": {}, \"chunks\": {chunks}}}",
             frame_head("result", id),
             json_escape(circuit.name()),
@@ -1719,7 +1722,6 @@ impl ProtocolEngine {
             fmt_f64(outcome.previous_total),
             outcome.dirty_sites,
             outcome.resweep_planned,
-            outcome.resweep_reference,
             outcome.total_sites,
             outcome.depth,
             outcome.elapsed.as_micros()

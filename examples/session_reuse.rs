@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nworkspace pool: {} scratch buffers served every sweep",
-        session.workspace_pool().idle()
+        session.workspace_pool().idle_sweep()
     );
     Ok(())
 }

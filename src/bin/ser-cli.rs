@@ -29,6 +29,8 @@
 //! unknown `--flag` is an error, so a typo never silently falls back to
 //! a default.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -166,7 +168,7 @@ fn cmd_advise(
     );
     println!(
         "{:>5} {:<20} {:>8} {:>12} {:>12} {:>12} {:>14} {:>10}",
-        "round", "gate", "cost", "predicted", "measured", "total", "dirty/total", "resweep"
+        "round", "gate", "cost", "predicted", "measured", "total", "dirty/total", "elapsed"
     );
     println!("{}", "-".repeat(100));
 
@@ -201,7 +203,7 @@ fn cmd_advise(
         // and every reconvergent site whose P_sensitized shifted.
         let measured = outcome.previous_total - outcome.total;
         println!(
-            "{:>5} {:<20} {:>8.2} {:>12.6} {:>12.6} {:>12.6} {:>9}/{:<5} {:>4}p+{:<4}r {:>6.1?}",
+            "{:>5} {:<20} {:>8.2} {:>12.6} {:>12.6} {:>12.6} {:>9}/{:<5} {:>10.1?}",
             round,
             name,
             choice.cost,
@@ -210,8 +212,6 @@ fn cmd_advise(
             outcome.total,
             outcome.dirty_sites,
             outcome.total_sites,
-            outcome.resweep_planned,
-            outcome.resweep_reference,
             outcome.elapsed
         );
     }

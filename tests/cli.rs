@@ -54,6 +54,34 @@ fn gen_info_analyze_epp_pipeline() {
     let _ = std::fs::remove_file(&bench);
 }
 
+/// `advise` re-ranks after every edit, so a later round can pick a
+/// voter an earlier round inserted (it keeps the hardened gate's name);
+/// hardening it again must not collide on replica names. On s1423
+/// seed 1 round 2 picks such a voter.
+#[test]
+fn advise_runs_every_round() {
+    let bench = temp_path("s1423.bench");
+    let out = cli()
+        .args(["gen", "s1423", "--seed", "1", "-o"])
+        .arg(&bench)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let out = cli()
+        .arg("advise")
+        .arg(&bench)
+        .args(["--rounds", "5", "--threads", "2"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "advise failed: {out:?}");
+    assert!(
+        text.contains("after 5 hardening edits"),
+        "advise said: {text}"
+    );
+    let _ = std::fs::remove_file(&bench);
+}
+
 #[test]
 fn convert_round_trips_formats() {
     let bench = temp_path("rt.bench");

@@ -10,8 +10,13 @@
 //! tails once as bitset windows, and its materialized plans must be
 //! indistinguishable from the oracle's.
 //!
-//! (The downstream identity — the 4-wide plan kernel vs
-//! `site_with_workspace` — is proptest-enforced separately in
+//! Plans built per batch of sites ([`ConePlans::for_sites`], what a
+//! sweep runs on when the byte budget declines the whole-circuit
+//! plans) meet the same oracle site by site, and the batch size
+//! [`ConePlans::sites_per_batch`] picks keeps them within the budget.
+//!
+//! (The downstream identity — the plan kernel vs `ser-oracle`'s
+//! per-site reference kernel — is proptest-enforced separately in
 //! `tests/sweep_equivalence.rs`.)
 
 use proptest::prelude::*;
@@ -80,8 +85,8 @@ fn oracle_plan(circuit: &Circuit, topo: &TopoArtifacts, site: NodeId) -> SitePla
 
 /// Asserts the suffix-shared arena plans every site of `circuit`
 /// exactly as [`oracle_plan`] does, that its whole-circuit totals are
-/// the oracle's, and that its byte-budget decision is exact and
-/// deterministic.
+/// the oracle's, that its byte-budget decision is exact and
+/// deterministic, and that per-batch plans agree with the oracle too.
 fn assert_builders_agree(circuit: &Circuit) {
     let topo = TopoArtifacts::compute(circuit).unwrap();
     let shared = ConePlans::build(circuit, &topo, usize::MAX, None)
@@ -142,6 +147,26 @@ fn assert_builders_agree(circuit: &Circuit) {
         .expect("no cancel token to trip")
         .expect("exact budget fits");
     assert_eq!(at_budget, shared, "{} at budget", circuit.name());
+
+    // Per-batch plans, in batches of one site, of seven and of the
+    // whole circuit, plan every site of their batch as the oracle does.
+    // The sites go in reverse id order, so a batch is not a prefix of
+    // the topological order.
+    let mut sites: Vec<NodeId> = circuit.node_ids().collect();
+    sites.reverse();
+    for batch in [1, 7, sites.len().max(1)] {
+        for chunk in sites.chunks(batch) {
+            let plans = ConePlans::for_sites(circuit, &topo, chunk);
+            for &site in chunk {
+                assert_eq!(
+                    &plans.plan(site).materialize(circuit),
+                    &oracle[site.index()],
+                    "{}: site {site}, batches of {batch}",
+                    circuit.name()
+                );
+            }
+        }
+    }
 }
 
 /// The paper's Fig. 1 circuit (H = OR(C, D, G): C off-path, D and G
@@ -178,6 +203,46 @@ fn sequential_circuits_identical_plans() {
         assert_builders_agree(&parse_bench(src, name).unwrap());
     }
     assert_builders_agree(&CircuitBuilder::new("empty").finish().unwrap());
+}
+
+/// Under a budget too small for one batch of the whole circuit, the
+/// batch size [`ConePlans::sites_per_batch`] picks cuts several
+/// batches, and the plans of as many batches as there are workers
+/// never exceed the budget together. Every batch still plans its
+/// sites as the oracle does.
+#[test]
+fn per_batch_plans_stay_within_budget() {
+    let c = ser_suite::gen::iscas89_like("s953").unwrap();
+    let topo = TopoArtifacts::compute(&c).unwrap();
+    let sites: Vec<NodeId> = c.node_ids().collect();
+    let frame = ConePlans::for_sites(&c, &topo, &[]).arena_bytes();
+    for workers in [1usize, 3] {
+        let budget = workers * (frame + 4096);
+        let k = ConePlans::sites_per_batch(&c, &topo, budget, workers);
+        assert!(
+            k > 1 && k < c.len(),
+            "{workers} workers: {k} sites per batch"
+        );
+        let mut largest = 0;
+        for chunk in sites.chunks(k) {
+            let plans = ConePlans::for_sites(&c, &topo, chunk);
+            largest = largest.max(plans.arena_bytes());
+            for &site in chunk {
+                assert_eq!(
+                    plans.plan(site).materialize(&c),
+                    oracle_plan(&c, &topo, site),
+                    "site {site}"
+                );
+            }
+        }
+        assert!(
+            workers * largest <= budget,
+            "{workers} workers x {largest} B exceed {budget} B"
+        );
+    }
+    // A share smaller than the circuit-sized tables still sweeps, one
+    // site per batch.
+    assert_eq!(ConePlans::sites_per_batch(&c, &topo, frame, 2), 1);
 }
 
 /// The member accounting of the bitset windows matches the sorted

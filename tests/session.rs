@@ -2,8 +2,8 @@
 //! session must be *bit-identical* to building everything from scratch,
 //! and SP-only invalidation must match a full rebuild exactly.
 
-use ser_oracle::ExactEpp;
-use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, EppAnalysis};
+use ser_oracle::{ExactEpp, ReferenceEpp};
+use ser_suite::epp::{AnalysisSession, CircuitSerAnalysis, EppAnalysis, PolarityMode};
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::Circuit;
 use ser_suite::sim::{BitSim, MonteCarlo};
@@ -37,8 +37,12 @@ fn session_reuse_is_bit_identical_to_fresh_construction() {
             assert_eq!(cached, session.site(id), "{}: re-query {id}", c.name());
         }
 
-        // The per-site reference path is the sweep's oracle.
-        let sweep_fresh: Vec<_> = c.node_ids().map(|id| fresh.site(id)).collect();
+        // The per-site reference kernel is the sweep's oracle.
+        let mut oracle = ReferenceEpp::new(&fresh);
+        let sweep_fresh: Vec<_> = c
+            .node_ids()
+            .map(|id| oracle.site(id, PolarityMode::Tracked))
+            .collect();
         for threads in [1, 4] {
             let sweep_cached = session.sweep(threads).to_site_epps().expect("a kept sweep");
             assert_eq!(
@@ -138,30 +142,27 @@ fn shared_simulator_matches_private_construction() {
     }
 }
 
-/// A session whose plan arena was declined (primed with `None` before
-/// the first query) answers `site` through the per-site reference
-/// kernel, bit-identical to a planned session.
+/// The declined-plans fallback: a session whose plan arena was
+/// declined (primed with `None` before the first query) answers `site`
+/// on plans built for that site alone, bit-identical to a planned
+/// session and to the per-site reference kernel.
 #[test]
 fn site_reference_fallback_matches_planned_site() {
     for c in circuits().into_iter().chain([s27()]) {
         let planned = AnalysisSession::new(&c).unwrap();
         let declined = AnalysisSession::new(&c).unwrap();
         assert!(declined.topo().prime_cone_plans(None));
+        let mut oracle = ReferenceEpp::new(&planned.epp());
         for id in c.node_ids() {
-            assert_eq!(
-                declined.site(id),
-                planned.site(id),
-                "{}: site {id}",
-                c.name()
-            );
+            let want = oracle.site(id, PolarityMode::Tracked);
+            assert_eq!(declined.site(id), want, "{}: site {id}", c.name());
+            assert_eq!(planned.site(id), want, "{}: site {id}", c.name());
         }
-        // The declined session never built plans and ran on per-site
-        // scratch; the planned one built them and ran on sweep scratch.
+        // The declined session never settled whole-circuit plans; both
+        // ran on one pooled sweep scratch.
         assert!(declined.topo().cone_plans_primed().is_none());
-        assert_eq!(declined.workspace_pool().idle(), 1);
-        assert_eq!(declined.workspace_pool().idle_sweep(), 0);
         assert!(planned.topo().cone_plans_primed().is_some());
-        assert_eq!(planned.workspace_pool().idle(), 0);
+        assert_eq!(declined.workspace_pool().idle_sweep(), 1);
         assert_eq!(planned.workspace_pool().idle_sweep(), 1);
     }
 }

@@ -1,15 +1,15 @@
-//! The batched cone-plan sweep must be **bit-identical** to the
-//! retained per-site reference path (`site_with_workspace`) — same
+//! The batched cone-plan sweep must be **bit-identical** to
+//! `ser-oracle`'s per-site reference kernel ([`ReferenceEpp`]) — same
 //! `P_sensitized`, same per-point tuples, same gate counts, for every
-//! site, in both polarity modes, regardless of thread count. This is
-//! the contract that lets the whole product run on the fast engine
-//! while the slow engine stays the semantic definition.
+//! site, in both polarity modes, regardless of thread count, and
+//! whether it runs on the circuit's whole plans or, once the byte
+//! budget declines those, on per-batch plans. This is the contract
+//! that lets the whole product run on the fast engine while the slow
+//! engine stays the semantic definition.
 
 use proptest::prelude::*;
-use ser_suite::epp::{
-    Arrivals, EppAnalysis, PlanPolicy, PolarityMode, RunCtx, SiteWorkspace, SweepResults,
-    WorkspacePool,
-};
+use ser_oracle::ReferenceEpp;
+use ser_suite::epp::{Arrivals, EppAnalysis, PolarityMode, RunCtx, SweepResults, WorkspacePool};
 use ser_suite::gen::RandomDag;
 use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
@@ -31,6 +31,27 @@ fn build(inputs: usize, gates: usize, reconv: f64, xf: f64, seed: u64) -> Circui
         .build(seed)
 }
 
+/// Where a sweep's cone plans come from.
+#[derive(Debug, Clone, Copy)]
+enum Plans {
+    /// The circuit's plans, built once and cached on its artifacts.
+    Whole,
+    /// Plans built per batch of sites: the plan slot is primed
+    /// declined, as the byte budget leaves an oversized circuit.
+    PerBatch,
+}
+
+/// The analysis of `circuit` under `probs`, on fresh artifacts whose
+/// plan slot `plans` decides.
+fn analysis_on(circuit: &Circuit, probs: &InputProbs, plans: Plans) -> EppAnalysis {
+    let sp = IndependentSp::new().compute(circuit, probs).unwrap();
+    let analysis = EppAnalysis::new(circuit, sp).unwrap();
+    if let Plans::PerBatch = plans {
+        assert!(analysis.artifacts().prime_cone_plans(None));
+    }
+    analysis
+}
+
 /// Asserts one sweep against per-site reference passes, bit for bit.
 fn assert_sweep_matches_reference(
     circuit: &Circuit,
@@ -39,9 +60,9 @@ fn assert_sweep_matches_reference(
     polarity: PolarityMode,
 ) {
     assert_eq!(sweep.len(), circuit.len());
-    let mut ws = SiteWorkspace::new(analysis);
+    let mut oracle = ReferenceEpp::new(analysis);
     for id in circuit.node_ids() {
-        let reference = analysis.site_with_workspace(id, polarity, &mut ws);
+        let reference = oracle.site(id, polarity);
         let batched = sweep.site(id);
         assert_eq!(batched.site(), reference.site());
         // `==` on f64 and on the tuple types: exact bit-identity, no
@@ -56,21 +77,23 @@ fn assert_sweep_matches_reference(
     }
 }
 
-/// Runs one full-circuit sweep forced onto each kernel a sweep can run
-/// (the planned kernel under [`PlanPolicy::Auto`], the per-site
-/// reference kernel under [`PlanPolicy::Reference`]) and asserts the
-/// two runs and the per-site reference all agree bit for bit.
-fn assert_backends_agree(circuit: &Circuit, analysis: &EppAnalysis, polarity: PolarityMode) {
+/// Runs one full-circuit sweep on each plan source a sweep can run on
+/// (the circuit's whole plans, per-batch plans once the slot is
+/// declined), on one and on three threads, and asserts every run
+/// agrees with the per-site reference bit for bit.
+fn assert_backends_agree(circuit: &Circuit, probs: &InputProbs, polarity: PolarityMode) {
     let pool = WorkspacePool::new();
     let sites: Vec<_> = circuit.node_ids().collect();
-    let forced = |plans| RunCtx {
-        plans,
-        ..RunCtx::new(1, &pool)
-    };
-    let planned = analysis.sweep(&sites, polarity, &forced(PlanPolicy::Auto));
-    let reference_kernel = analysis.sweep(&sites, polarity, &forced(PlanPolicy::Reference));
-    assert_eq!(planned, reference_kernel, "kernels diverged ({polarity:?})");
-    assert_sweep_matches_reference(circuit, analysis, &planned, polarity);
+    for plans in [Plans::Whole, Plans::PerBatch] {
+        let analysis = analysis_on(circuit, probs, plans);
+        for threads in [1usize, 3] {
+            let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(threads, &pool));
+            assert_sweep_matches_reference(circuit, &analysis, &sweep, polarity);
+        }
+        if let Plans::PerBatch = plans {
+            assert!(analysis.artifacts().cone_plans_primed().is_none());
+        }
+    }
 }
 
 /// Sequential circuits (DFF-clipped cones, flip-flop observe points)
@@ -94,9 +117,9 @@ fn sequential_circuits_bit_identical() {
             let single = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
             let multi = analysis.sweep(&sites, polarity, &RunCtx::new(4, &pool));
             assert_eq!(single, multi, "{} ({polarity:?})", c.name());
-            let mut ws = SiteWorkspace::new(&analysis);
+            let mut oracle = ReferenceEpp::new(&analysis);
             for id in c.node_ids() {
-                let reference = analysis.site_with_workspace(id, polarity, &mut ws);
+                let reference = oracle.site(id, polarity);
                 let batched = single.site(id);
                 assert_eq!(batched.p_sensitized(), reference.p_sensitized());
                 assert_eq!(batched.per_point(), Some(reference.per_point()));
@@ -106,9 +129,10 @@ fn sequential_circuits_bit_identical() {
     }
 }
 
-/// Both forced kernels on sequential circuits: the chain/tail kernel
-/// sees DFF-clipped cones and flip-flop observe points, and the
-/// per-site reference kernel must return the same bits.
+/// Both plan sources on sequential circuits: the chain/tail kernel
+/// sees DFF-clipped cones and flip-flop observe points on whole and
+/// on per-batch plans, and the per-site reference kernel must return
+/// the same bits.
 #[test]
 fn sequential_circuits_backend_invariant() {
     use ser_suite::gen::{accumulator, iscas89_like, lfsr, shift_register};
@@ -118,12 +142,8 @@ fn sequential_circuits_backend_invariant() {
         accumulator(4),
         iscas89_like("s298").unwrap(),
     ] {
-        let sp = IndependentSp::new()
-            .compute(&c, &InputProbs::default())
-            .unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            assert_backends_agree(&c, &analysis, polarity);
+            assert_backends_agree(&c, &InputProbs::default(), polarity);
         }
     }
 }
@@ -132,8 +152,9 @@ fn sequential_circuits_backend_invariant() {
 /// kernels: inputs pinned to exact 0, exact 1, the smallest normal,
 /// the smallest subnormal and 1−ε drive the rule cores into gradual
 /// underflow (long AND/OR products collapse toward subnormals and
-/// zero) and into the 0/1 clamp, and the planned sweep must still
-/// match the per-site reference bit for bit.
+/// zero) and into the 0/1 clamp, and the planned sweep, on whole and
+/// on per-batch plans, must still match the per-site reference bit for
+/// bit.
 #[test]
 fn denormal_and_clamp_edge_inputs_bit_identical() {
     let edges = [
@@ -153,13 +174,8 @@ fn denormal_and_clamp_edge_inputs_bit_identical() {
         for (i, &id) in c.inputs().iter().enumerate() {
             probs = probs.with(id, edges[i % edges.len()]);
         }
-        let sp = IndependentSp::new().compute(&c, &probs).unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let pool = WorkspacePool::new();
-        let sites: Vec<_> = c.node_ids().collect();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(1, &pool));
-            assert_sweep_matches_reference(&c, &analysis, &sweep, polarity);
+            assert_backends_agree(&c, &probs, polarity);
         }
     }
 }
@@ -167,18 +183,16 @@ fn denormal_and_clamp_edge_inputs_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Planned sweep vs forced reference-kernel sweep vs per-site
-    /// reference on random DAGs: the three must agree bit for bit in
-    /// both polarity modes. This is the kernel-forcing companion of
-    /// `sweep_bit_identical_to_reference` — it pins each run's kernel
-    /// through `RunCtx::plans` instead of trusting `PlanPolicy::Auto`.
+    /// Sweeps on whole plans and on per-batch plans vs the per-site
+    /// reference on random DAGs: all must agree bit for bit in both
+    /// polarity modes. This is the plan-forcing companion of
+    /// `sweep_bit_identical_to_reference` — it pins each run's plans
+    /// through the artifacts' plan slot instead of trusting the budget.
     #[test]
     fn forced_backends_bit_identical((inputs, gates, reconv, xf, seed) in dag_strategy()) {
         let c = build(inputs, gates, reconv, xf, seed);
-        let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            assert_backends_agree(&c, &analysis, polarity);
+            assert_backends_agree(&c, &InputProbs::default(), polarity);
         }
     }
 
@@ -230,9 +244,9 @@ proptest! {
             .sweep(&sites, PolarityMode::Tracked, &RunCtx::new(3, &WorkspacePool::new()))
             .to_site_epps()
             .expect("a kept sweep");
-        let mut ws = SiteWorkspace::new(&analysis);
+        let mut oracle = ReferenceEpp::new(&analysis);
         for (id, got) in c.node_ids().zip(&owned) {
-            let reference = analysis.site_with_workspace(id, PolarityMode::Tracked, &mut ws);
+            let reference = oracle.site(id, PolarityMode::Tracked);
             prop_assert_eq!(got, &reference, "site {}", id);
         }
     }
@@ -283,29 +297,25 @@ proptest! {
 
     /// The threaded stitch on the site lists production sends: a
     /// shuffled, non-dense subset large enough to cross the threshold,
-    /// under every thread count and both plan policies, must return
+    /// under every thread count and both plan sources, must return
     /// each site's reference result bit for bit, in request order.
     #[test]
     fn shuffled_subset_sweep_matches_reference(
         (inputs, gates, reconv, seed, subset_seed) in subset_dag_strategy()
     ) {
         let c = build(inputs, gates, reconv, 0.2, seed);
-        let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
+        let probs = InputProbs::default();
         let sites = shuffled_subset(&c, subset_seed);
         prop_assert!(sites.len() >= ser_suite::epp::SINGLE_THREAD_SWEEP_THRESHOLD);
         prop_assert!(sites.len() < c.len());
         let pool = WorkspacePool::new();
-        let mut ws = SiteWorkspace::new(&analysis);
+        let analyses = [Plans::Whole, Plans::PerBatch].map(|p| (p, analysis_on(&c, &probs, p)));
+        let mut oracle = ReferenceEpp::new(&analyses[0].1);
         for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-            let reference: Vec<_> = sites
-                .iter()
-                .map(|&s| analysis.site_with_workspace(s, polarity, &mut ws))
-                .collect();
-            for threads in [1usize, 2, 5] {
-                for plans in [PlanPolicy::Auto, PlanPolicy::Reference] {
-                    let ctx = RunCtx { plans, ..RunCtx::new(threads, &pool) };
-                    let sweep = analysis.sweep(&sites, polarity, &ctx);
+            let reference: Vec<_> = sites.iter().map(|&s| oracle.site(s, polarity)).collect();
+            for threads in [1usize, 2, 3, 5] {
+                for (plans, analysis) in &analyses {
+                    let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(threads, &pool));
                     prop_assert_eq!(sweep.sites(), sites.as_slice());
                     for (pos, want) in reference.iter().enumerate() {
                         prop_assert_eq!(
@@ -325,7 +335,7 @@ proptest! {
 
     /// A folded sweep keeps the per-site numbers and nothing else: on
     /// the shuffled subset and on the whole circuit, under every thread
-    /// count, both polarities and both plan policies, its sites,
+    /// count, both polarities and both plan sources, its sites,
     /// `p_sensitized` and `on_path_gates` equal the kept sweep's bit
     /// for bit, and no per-point read answers.
     #[test]
@@ -333,15 +343,15 @@ proptest! {
         (inputs, gates, reconv, seed, subset_seed) in subset_dag_strategy()
     ) {
         let c = build(inputs, gates, reconv, 0.2, seed);
-        let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
-        let analysis = EppAnalysis::new(&c, sp).unwrap();
+        let probs = InputProbs::default();
+        let analyses = [Plans::Whole, Plans::PerBatch].map(|p| (p, analysis_on(&c, &probs, p)));
         let whole: Vec<NodeId> = c.node_ids().collect();
         let pool = WorkspacePool::new();
         for sites in [shuffled_subset(&c, subset_seed), whole] {
             for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
-                for threads in [1usize, 2, 5] {
-                    for plans in [PlanPolicy::Auto, PlanPolicy::Reference] {
-                        let kept_ctx = RunCtx { plans, ..RunCtx::new(threads, &pool) };
+                for threads in [1usize, 2, 3, 5] {
+                    for (plans, analysis) in &analyses {
+                        let kept_ctx = RunCtx::new(threads, &pool);
                         let fold_ctx = RunCtx { arrivals: Arrivals::Fold, ..kept_ctx };
                         let kept = analysis.sweep(&sites, polarity, &kept_ctx);
                         let folded = analysis.sweep(&sites, polarity, &fold_ctx);

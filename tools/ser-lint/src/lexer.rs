@@ -1,12 +1,12 @@
 //! A lossless Rust lexer — just enough of the language to make the
 //! rule engine sound.
 //!
-//! The rules in this tool are all token-shaped ("an `unsafe` keyword
-//! without a `// SAFETY:` comment", "an identifier named `HashMap`"),
-//! so a full parser would be wasted weight — but a naive
-//! `line.contains("unsafe")` scan would be *wrong*: the workspace is
-//! full of doc comments discussing `unsafe`, strings containing
-//! `// SAFETY:`, and raw-string fixtures that quote the very patterns
+//! The rules in this tool are all token-shaped ("an identifier named
+//! `HashMap`", "a crate root without `#![forbid(unsafe_code)]`"), so a
+//! full parser would be wasted weight — but a naive
+//! `line.contains("HashMap")` scan would be *wrong*: the workspace is
+//! full of doc comments discussing `HashMap`, strings quoting
+//! attributes, and raw-string fixtures that quote the very patterns
 //! the rules forbid. The lexer's job is to classify every byte of a
 //! source file into exactly one token so the rule engine can tell
 //! *code* from *prose*:
@@ -26,7 +26,7 @@
 //! comments, raw strings) can be attributed to every line they cover.
 
 /// What a token is. Comments are *kept* (hence "lossless") — the
-/// `SAFETY:` and `ser-lint: allow` conventions live in them.
+/// `ser-lint: allow` convention lives in them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword (`unsafe`, `HashMap`, `fn`, …).

@@ -1,10 +1,10 @@
 //! `ser-lint` — the workspace invariant checker.
 //!
 //! The suite's correctness story rests on contracts no compiler
-//! checks: the AVX2 kernel must stay **bit-identical** to its scalar
-//! twin (no FMA, no reassociation, no order-nondeterministic
+//! checks: the sweep kernel must stay **bit-identical** to its
+//! reference oracle (no FMA, no reassociation, no order-nondeterministic
 //! iteration in plan or sweep code), the daemon's request path must be
-//! **panic-free**, every `unsafe` site must justify itself, a threaded
+//! **panic-free**, every crate root must forbid `unsafe`, a threaded
 //! `CancelToken` must actually be polled, the wire protocol's error
 //! codes and ops must stay documented, and a `pub` item must have a
 //! user outside its own file. Until this tool, those

@@ -7,8 +7,7 @@
 //! |---|---|
 //! | `no-fma` | float bit-identity: no fused/reassociating intrinsics |
 //! | `no-hash-iter` | plan/sweep determinism: no `HashMap`/`HashSet` in bitwise-contract modules |
-//! | `unsafe-allowlist` | `unsafe` stays confined to the SIMD dispatch path |
-//! | `safety-comment` | every `unsafe` site justifies itself in writing |
+//! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `no-panic-path` | the daemon's request path never panics |
 //! | `dead-cancel-token` | a `CancelToken` parameter is honored, not decorative |
 //! | `wire-doc-sync` | wire error codes and ops are documented in README |
@@ -56,18 +55,11 @@ pub const RULES: &[RuleInfo] = &[
                     allow stating they are never iterated.",
     },
     RuleInfo {
-        id: "unsafe-allowlist",
-        scope: "workspace (allowlist: crates/core/src/{simd,sweep,rules}.rs)",
-        rationale: "unsafe is confined to the AVX2 kernel dispatch path; every other \
-                    crate carries #![forbid(unsafe_code)] and this rule keeps the \
-                    allowlist from silently growing.",
-    },
-    RuleInfo {
-        id: "safety-comment",
-        scope: "files where unsafe is allowed",
-        rationale: "every unsafe block or fn must be immediately preceded by a \
-                    // SAFETY: comment (or carry a # Safety doc section) stating the \
-                    invariant that makes it sound.",
+        id: "forbid-unsafe",
+        scope: "crate roots: src/lib.rs, src/main.rs and src/bin/*.rs of every walked package",
+        rationale: "the workspace has no unsafe code, and #![forbid(unsafe_code)] at each \
+                    crate root makes the compiler refuse any; a new library or binary \
+                    without the attribute would quietly opt out of that guarantee.",
     },
     RuleInfo {
         id: "no-panic-path",
@@ -149,14 +141,6 @@ const HASH_SCOPE: &[&str] = &[
     "crates/core/src/rules.rs",
 ];
 const HASH_SCOPE_PREFIXES: &[&str] = &["crates/sp/src/", "crates/oracle/src/"];
-
-/// The only files where `unsafe` may appear: the AVX2 `LaneVec`
-/// implementation and the two dispatch shims that call into it.
-const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/core/src/simd.rs",
-    "crates/core/src/sweep.rs",
-    "crates/core/src/rules.rs",
-];
 
 /// The daemon's request-handling path (`no-panic-path`).
 const PANIC_FREE_FILES: &[&str] = &[
@@ -359,39 +343,15 @@ pub fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         }
     }
 
-    // --- unsafe-allowlist + safety-comment ------------------------
-    let unsafe_ok = UNSAFE_ALLOWLIST.contains(&rel_path);
-    let lines = LineTable::new(&tokens);
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if !unsafe_ok {
-            diag(
-                "unsafe-allowlist",
-                t.line,
-                format!(
-                    "`unsafe` outside the allowlist ({}) — keep unsafe code on the \
-                     SIMD dispatch path or extend the allowlist deliberately",
-                    UNSAFE_ALLOWLIST.join(", ")
-                ),
-            );
-            continue;
-        }
-        if !lines.has_safety_justification(t.line) {
-            // `unsafe fn` declarations may justify themselves with a
-            // `# Safety` doc section instead of a `// SAFETY:` comment.
-            let is_fn_decl = tokens
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokenKind::Ident && n.text == "fn");
-            let what = if is_fn_decl {
-                "`unsafe fn` without a preceding `// SAFETY:` comment or a \
-                 `# Safety` doc section"
-            } else {
-                "`unsafe` without an immediately preceding `// SAFETY:` comment"
-            };
-            diag("safety-comment", t.line, what.to_string());
-        }
+    // --- forbid-unsafe --------------------------------------------
+    if is_crate_root(rel_path) && !forbids_unsafe(&tokens) {
+        diag(
+            "forbid-unsafe",
+            1,
+            "crate root without `#![forbid(unsafe_code)]` — add the attribute so the \
+             compiler refuses unsafe code in this crate"
+                .to_string(),
+        );
     }
 
     // --- no-panic-path --------------------------------------------
@@ -450,88 +410,30 @@ pub fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Line classification (for SAFETY-comment adjacency)
+// Crate roots (forbid-unsafe)
 // ---------------------------------------------------------------------
 
-/// Per-line facts derived from the token stream — *not* from raw text,
-/// so a string literal containing `// SAFETY:` can never satisfy the
-/// rule and a comment inside a raw-string fixture never triggers it.
-struct LineTable {
-    /// For each 1-based line: (has code, has attr start, safety text).
-    facts: Vec<LineFacts>,
+/// Whether `rel_path` is a package's crate root: its `src/lib.rs`,
+/// `src/main.rs` or a `src/bin/*.rs` binary.
+fn is_crate_root(rel_path: &str) -> bool {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    match parts.as_slice() {
+        [.., "src", "lib.rs" | "main.rs"] => true,
+        [.., "src", "bin", file] => file.ends_with(".rs"),
+        _ => false,
+    }
 }
 
-#[derive(Default, Clone)]
-struct LineFacts {
-    /// A non-comment token starts on or spans this line.
-    code: bool,
-    /// The line's first token is `#` (attribute); SAFETY scanning may
-    /// step over it.
-    attr_start: bool,
-    /// A comment on this line contains `SAFETY:` or a doc comment
-    /// contains `# Safety`.
-    safety: bool,
-    /// Any token at all touches this line.
-    any: bool,
-}
-
-impl LineTable {
-    fn new(tokens: &[Token]) -> Self {
-        let max_line = tokens.last().map_or(0, |t| t.end_line) as usize;
-        let mut facts = vec![LineFacts::default(); max_line + 2];
-        let mut first_on_line: Vec<Option<&Token>> = vec![None; max_line + 2];
-        for t in tokens {
-            for line in t.line..=t.end_line {
-                let f = &mut facts[line as usize];
-                f.any = true;
-                if !t.is_comment() {
-                    f.code = true;
-                }
-                if first_on_line[line as usize].is_none() {
-                    first_on_line[line as usize] = Some(t);
-                }
-            }
-            if t.is_comment() {
-                let safety = t.text.contains("SAFETY:")
-                    || (t.is_doc_comment() && t.text.contains("# Safety"));
-                if safety {
-                    for line in t.line..=t.end_line {
-                        facts[line as usize].safety = true;
-                    }
-                }
-            }
-        }
-        for (line, f) in facts.iter_mut().enumerate() {
-            if let Some(t) = first_on_line[line] {
-                f.attr_start = t.kind == TokenKind::Punct && t.text == "#";
-            }
-        }
-        LineTable { facts }
-    }
-
-    /// Whether the `unsafe` on `line` is justified: a `SAFETY:`
-    /// comment on the same line, or on a run of comment/attribute
-    /// lines immediately above (doc comments with `# Safety` count;
-    /// blank lines and unrelated code break the run).
-    fn has_safety_justification(&self, line: u32) -> bool {
-        let line = line as usize;
-        if self.facts.get(line).is_some_and(|f| f.safety) {
-            return true;
-        }
-        let mut l = line.saturating_sub(1);
-        while l >= 1 {
-            let f = &self.facts[l];
-            if f.safety {
-                return true;
-            }
-            let steppable = f.any && (!f.code || f.attr_start);
-            if !steppable {
-                return false;
-            }
-            l -= 1;
-        }
-        false
-    }
+/// Whether the token stream holds the inner attribute
+/// `#![forbid(unsafe_code)]` (comments and strings cannot fake it).
+fn forbids_unsafe(tokens: &[Token]) -> bool {
+    const ATTR: [&str; 8] = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
+    let code: Vec<&str> = tokens
+        .iter()
+        .filter(|t| !t.is_comment())
+        .map(|t| t.text.as_str())
+        .collect();
+    code.windows(ATTR.len()).any(|w| w == ATTR)
 }
 
 // ---------------------------------------------------------------------

@@ -48,8 +48,8 @@ fn fma_avx2_intrinsic_flagged() {
 #[test]
 fn fma_outside_scope_is_fine() {
     let src = "fn f(a: f64) -> f64 { a.mul_add(2.0, 1.0) }";
-    assert!(lint_file("tools/fake/src/main.rs", src).is_empty());
-    assert!(lint_file("crates/bench/src/lib.rs", src).is_empty());
+    assert!(lint_file("tools/fake/src/cli.rs", src).is_empty());
+    assert!(lint_file("crates/bench/src/table.rs", src).is_empty());
 }
 
 #[test]
@@ -117,7 +117,7 @@ use std::collections::HashMap;
 #[test]
 fn allow_naming_unknown_rule_is_flagged() {
     let src = "// ser-lint: allow(no-such-rule) — because reasons here.\n";
-    let diags = lint_file("tools/fake/src/main.rs", src);
+    let diags = lint_file("tools/fake/src/cli.rs", src);
     assert_eq!(rules_hit(&diags), ["bare-allow"], "{diags:?}");
 }
 
@@ -132,45 +132,50 @@ use std::collections::HashMap;
 }
 
 // -----------------------------------------------------------------
-// unsafe-allowlist + safety-comment
+// forbid-unsafe
 // -----------------------------------------------------------------
 
 #[test]
-fn unsafe_outside_allowlist_flagged() {
-    let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-    let diags = lint_file("crates/sim/src/fake.rs", src);
-    assert!(
-        diags.iter().any(|d| d.rule == "unsafe-allowlist"),
-        "{diags:?}"
-    );
+fn crate_root_without_forbid_unsafe_flagged() {
+    let src = "//! A crate.\n\n#![warn(missing_docs)]\n\npub fn f() {}\n";
+    for root in [
+        "crates/fake/src/lib.rs",
+        "tools/fake/src/main.rs",
+        "crates/fake/src/bin/tool.rs",
+        "src/bin/cli.rs",
+    ] {
+        let diags = lint_file(root, src);
+        assert_eq!(rules_hit(&diags), ["forbid-unsafe"], "{root}: {diags:?}");
+    }
 }
 
 #[test]
-fn unsafe_without_safety_comment_flagged_in_allowlisted_file() {
-    let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-    let diags = lint_file("crates/core/src/simd.rs", src);
-    assert_eq!(rules_hit(&diags), ["safety-comment"], "{diags:?}");
+fn crate_root_with_forbid_unsafe_passes() {
+    let src = "//! A crate.\n\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
+    assert!(lint_file("crates/fake/src/lib.rs", src).is_empty());
+    assert!(lint_file("src/bin/cli.rs", src).is_empty());
 }
 
 #[test]
-fn safety_comment_satisfies_rule() {
+fn forbid_unsafe_in_comment_or_string_does_not_count() {
     let src = "\
-fn f(p: *const u8) -> u8 {
-    // SAFETY: caller guarantees `p` is valid for reads.
-    unsafe { *p }
-}
+// #![forbid(unsafe_code)]
+const DECOY: &str = \"#![forbid(unsafe_code)]\";
 ";
-    assert!(lint_file("crates/core/src/simd.rs", src).is_empty());
+    let diags = lint_file("crates/fake/src/lib.rs", src);
+    assert_eq!(rules_hit(&diags), ["forbid-unsafe"], "{diags:?}");
 }
 
 #[test]
-fn safety_comment_inside_string_does_not_satisfy() {
-    let src = "\
-const DECOY: &str = \"// SAFETY: not a real comment\";
-fn f(p: *const u8) -> u8 { unsafe { *p } }
-";
-    let diags = lint_file("crates/core/src/simd.rs", src);
-    assert_eq!(rules_hit(&diags), ["safety-comment"], "{diags:?}");
+fn modules_and_tests_are_not_crate_roots() {
+    let src = "pub fn f() {}\n";
+    for path in [
+        "crates/fake/src/plan.rs",
+        "crates/fake/src/bin/helpers/mod_like.rs",
+        "tests/cli.rs",
+    ] {
+        assert!(lint_file(path, src).is_empty(), "{path}");
+    }
 }
 
 // -----------------------------------------------------------------
@@ -499,16 +504,16 @@ fn justified_allow_suppresses_orphan_and_bare_one_is_flagged() {
 // ser-lint: allow(orphan) — FromStr::Err: callers get it from parse().
 pub struct ParseError;
 ";
-    assert!(orphans(&[("crates/x/src/lib.rs", justified)]).is_empty());
-    assert!(lint_file("crates/x/src/lib.rs", justified).is_empty());
+    assert!(orphans(&[("crates/x/src/parse.rs", justified)]).is_empty());
+    assert!(lint_file("crates/x/src/parse.rs", justified).is_empty());
 
     let bare = "// ser-lint: allow(orphan)\npub struct ParseError;\n";
     assert_eq!(
-        orphans(&[("crates/x/src/lib.rs", bare)]),
+        orphans(&[("crates/x/src/parse.rs", bare)]),
         ["ParseError"],
         "a bare allow suppresses nothing"
     );
-    let diags = lint_file("crates/x/src/lib.rs", bare);
+    let diags = lint_file("crates/x/src/parse.rs", bare);
     assert_eq!(rules_hit(&diags), ["bare-allow"], "{diags:?}");
 }
 
