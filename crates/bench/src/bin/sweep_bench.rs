@@ -31,18 +31,20 @@
 //!   across every subsequent sweep of the session).
 //! - `whatif_resweep_ms` / `whatif_dirty_site_fraction` /
 //!   `whatif_full_recompute_ms`: the incremental what-if engine on a
-//!   single-gate TMR of a fanout-free gate — dirty-region re-sweep cost
-//!   and dirty fraction vs the from-scratch recompute an edit used to
-//!   require (the run also asserts the incremental state matches that
-//!   oracle bitwise).
-//! - `whatif_general_ms`: the same engine on a TMR of a gate *with*
-//!   fanout — plan compile of the edited circuit plus the dirty-site
-//!   re-sweep (asserted bitwise against the oracle as well).
+//!   TMR of the fanout-free logic gate with the smallest combinational
+//!   fan-in cone — plan compile of the edited circuit plus the re-sweep
+//!   of the dirty sites (the gate's fan-in closure and the six inserted
+//!   gates), and the dirty fraction, vs the from-scratch recompute an
+//!   edit would otherwise cost (the run also asserts the incremental
+//!   state matches that oracle bitwise).
+//! - `whatif_general_ms`: the same one path on a TMR of a gate *with*
+//!   fanout, whose voter's signal probability moves the dirty region
+//!   through everything downstream (asserted bitwise against the
+//!   oracle as well).
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ser_epp::{
@@ -294,14 +296,14 @@ fn main() {
         // --- What-if: single-gate TMR, incremental vs from-scratch. ---
         // Sink row: a fanout-free logic gate (a PO driver) with the
         // smallest combinational fan-in cone. Fanout-free keeps the
-        // dirty region at the gate's own fan-in closure and takes the
-        // engine's arena-patch shortcut; small-cone makes the record
-        // measure blast-radius-proportional cost, the property the
-        // engine sells. General row: the logic gate *with* fanout
-        // whose fan-in cone is smallest — its voter's signal
-        // probability moves, so the edit dirties everything that
-        // perturbation reaches through the DFF fixed point, and the
-        // engine compiles the edited circuit's plans and re-sweeps the
+        // dirty region at the gate's own fan-in closure plus the six
+        // inserted gates; small-cone makes the record measure
+        // blast-radius-proportional cost, the property the engine
+        // sells. General row: the logic gate *with* fanout whose
+        // fan-in cone is smallest — its voter's signal probability
+        // moves, so the edit dirties everything that perturbation
+        // reaches through the DFF fixed point. Both rows take the one
+        // path: compile the edited circuit's plans and re-sweep the
         // dirty sites on them.
         let smallest_cone = |with_fanout: bool| {
             circuit
@@ -314,7 +316,7 @@ fn main() {
         };
         let sink = smallest_cone(false).expect("bench circuits have fanout-free logic gates");
         let general = smallest_cone(true).expect("bench circuits have logic gates with fanout");
-        let mut wf = WhatIfSession::with_base_results(session.clone(), Arc::new(sweep1.clone()), 1);
+        let mut wf = WhatIfSession::new(session.clone(), 1);
         let TmrTiming {
             best_ms: whatif_ms,
             dirty: whatif_dirty,

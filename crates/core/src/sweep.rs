@@ -361,22 +361,19 @@ impl SweepResults {
         }
     }
 
-    /// A dense arena over `n_sites` sites that keeps its arrivals in
-    /// one segment, reserved for `points_capacity` arrivals.
-    fn dense_kept(n_sites: usize, points_capacity: usize) -> Self {
-        SweepResults::empty(
-            (0..n_sites).map(NodeId::from_index).collect(),
-            true,
-            Some(ArrivalStore::one_segment(n_sites, points_capacity)),
-        )
-    }
-
-    /// The open segment of an arena being assembled with its arrivals.
-    fn kept_segment(&mut self) -> &mut Vec<PointEpp> {
-        self.arrivals
-            .as_mut()
-            .expect("assembled arenas keep their arrivals")
-            .open_segment()
+    /// A dense folded arena over every node of a circuit, in id order,
+    /// from its per-site numbers: the state the what-if splice builds.
+    /// It equals a folded whole-circuit sweep with the same numbers.
+    pub(crate) fn dense_folded(p_sensitized: Vec<f64>, on_path_gates: Vec<u32>) -> Self {
+        debug_assert_eq!(p_sensitized.len(), on_path_gates.len());
+        SweepResults {
+            sites: (0..p_sensitized.len()).map(NodeId::from_index).collect(),
+            dense: true,
+            p_sensitized,
+            on_path_gates,
+            arrivals: None,
+            threads_used: 1,
+        }
     }
 
     /// Records the next site, whose `n_points` arrivals were just
@@ -523,155 +520,21 @@ impl SweepResults {
         out.dense = is_dense(&out.sites);
         out
     }
-
-    /// Assembles a dense whole-circuit arena site by site — the splice
-    /// primitive the what-if engine uses to merge re-swept dirty sites
-    /// into a cached base sweep. `fill` is called once per node in id
-    /// order; it appends the site's per-point arrivals to the shared
-    /// arena and returns `(p_sensitized, on_path_gates)`. The result
-    /// keeps its arrivals and is indistinguishable from a fresh
-    /// [`EppAnalysis::sweep`] producing the same per-site payloads
-    /// (`threads_used` is 1; equality ignores it). `points_capacity`
-    /// pre-sizes the shared arrival arena (a hint — the arena still
-    /// grows if `fill` overshoots); splice callers pass the base
-    /// arena's [`total_points`](Self::total_points), which is within a
-    /// few sites of exact.
-    #[must_use]
-    pub fn assemble_dense(
-        n_sites: usize,
-        points_capacity: usize,
-        mut fill: impl FnMut(NodeId, &mut Vec<PointEpp>) -> (f64, u32),
-    ) -> SweepResults {
-        let mut out = SweepResults::dense_kept(n_sites, points_capacity);
-        for i in 0..n_sites {
-            let points = out.kept_segment();
-            let before = points.len();
-            let (p_sens, gates) = fill(NodeId::from_index(i), points);
-            let n_points = u32::try_from(points.len() - before).expect("points fit u32");
-            out.push_site(p_sens, gates, n_points);
-        }
-        out
-    }
-
-    /// The sink-TMR splice, specialized from
-    /// [`assemble_dense`](Self::assemble_dense) into bulk copies: `self`
-    /// is the dense pre-edit arena, the gate at old index `g_idx` was
-    /// hardened in place (six inserted nodes, so every id at or above
-    /// `g_idx` shifts up by 6) and `struct_res` holds the seven freshly
-    /// swept replacement sites in id order. Both keep their arrivals.
-    ///
-    /// The arena is its own probe: a fanout-free gate is observed as
-    /// its own primary output, and a stored arrival at a primary
-    /// output *is* the [`PolarityMode::Tracked`] four-value state of
-    /// that node — exactly the state the three replicas reproduce
-    /// bitwise after hardening (same kinds, same fanins, same
-    /// on/off-path classification). So each `fast` site's new arrival
-    /// at the gate's observe point is `voter_of` (the TMR voter rule)
-    /// applied to the arrival the site already has on record, and no
-    /// cone is re-walked at all. The patch runs in one pass per site:
-    /// bulk `extend_from_slice`, voter substitution at the gate's
-    /// point, id shift, and the sensitization fold re-run in observe
-    /// order (plus the six voter-tree gates on the site's path count).
-    ///
-    /// Bit-for-bit equal to re-sweeping every `fast` site on the
-    /// edited circuit: the copies, patches, and folds perform the same
-    /// float operations in the same order as the kernel's own observe
-    /// emission.
-    #[must_use]
-    pub(crate) fn splice_tmr_sink(
-        &self,
-        g_idx: usize,
-        struct_res: &SweepResults,
-        fast: &[bool],
-        voter_of: impl Fn(FourValue) -> FourValue,
-    ) -> SweepResults {
-        debug_assert!(self.dense, "splice requires the dense base arena");
-        debug_assert_eq!(struct_res.len(), 7, "replicas, voter pairs, voter");
-        let base = self
-            .arrivals
-            .as_ref()
-            .expect("the what-if base sweep keeps its arrivals");
-        let fresh = struct_res
-            .arrivals
-            .as_ref()
-            .expect("the what-if re-sweep keeps its arrivals");
-        let n_old = self.sites.len();
-        let g_point = ObservePoint::PrimaryOutput(NodeId::from_index(g_idx));
-        let g_span = base.points_of(g_idx).len();
-        let mut out = SweepResults::dense_kept(n_old + 6, base.total() - g_span + fresh.total());
-        let shift = |id: NodeId| {
-            if id.index() >= g_idx {
-                NodeId::from_index(id.index() + 6)
-            } else {
-                id
-            }
-        };
-        let copy_patched = |out: &mut SweepResults, old: usize| {
-            let points = out.kept_segment();
-            let start = points.len();
-            points.extend_from_slice(base.points_of(old));
-            let mut patched = false;
-            for p in &mut points[start..] {
-                if fast[old] && p.point == g_point {
-                    p.value = voter_of(p.value);
-                    patched = true;
-                }
-                p.point = match p.point {
-                    ObservePoint::PrimaryOutput(id) => ObservePoint::PrimaryOutput(shift(id)),
-                    ObservePoint::FlipFlop { dff, data } => ObservePoint::FlipFlop {
-                        dff: shift(dff),
-                        data: shift(data),
-                    },
-                };
-            }
-            let p_sens = if patched {
-                combine_sensitization(points[start..].iter().map(PointEpp::p_arrival))
-            } else {
-                self.p_sensitized[old]
-            };
-            let n = u32::try_from(points.len() - start).expect("points fit u32");
-            out.push_site(
-                p_sens,
-                self.on_path_gates[old] + if fast[old] { 6 } else { 0 },
-                n,
-            );
-        };
-        for old in 0..g_idx {
-            copy_patched(&mut out, old);
-        }
-        for s in 0..struct_res.len() {
-            debug_assert_eq!(
-                struct_res.sites[s].index(),
-                g_idx + s,
-                "struct splice order"
-            );
-            let points = fresh.points_of(s);
-            out.kept_segment().extend_from_slice(points);
-            out.push_site(
-                struct_res.p_sensitized[s],
-                struct_res.on_path_gates[s],
-                u32::try_from(points.len()).expect("points fit u32"),
-            );
-        }
-        for old in g_idx + 1..n_old {
-            copy_patched(&mut out, old);
-        }
-        out
-    }
 }
 
 /// Whether a sweep stores each site's per-point arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrivals {
     /// Store every site's arrival at every observe point it reaches,
-    /// for the readers that need them: multi-cycle expansion, the
-    /// what-if splice and single-site reports.
+    /// for the readers that need them: multi-cycle expansion and
+    /// single-site reports.
     Keep,
     /// Fold each site's arrivals into its `P_sensitized` through a
     /// per-batch scratch and store none, for callers that read only
-    /// the per-site numbers (the daemon's sweeps). `p_sensitized` and
-    /// `on_path_gates` are bit-identical to [`Keep`](Self::Keep)'s;
-    /// every per-point read of the result returns `None`.
+    /// the per-site numbers (the daemon's sweeps and every what-if
+    /// state). `p_sensitized` and `on_path_gates` are bit-identical to
+    /// [`Keep`](Self::Keep)'s; every per-point read of the result
+    /// returns `None`.
     Fold,
 }
 

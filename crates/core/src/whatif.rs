@@ -24,21 +24,21 @@
 //!    cone enumeration.
 //! 3. **Re-sweep.** The edited circuit's [`ConePlans`] are compiled
 //!    (a SetInputs edit keeps the current circuit and its plans), and
-//!    the dirty sites are swept on them with the planned kernel. TMR
-//!    of a *fanout-free* gate takes a shortcut instead: only the
-//!    hardened gate's own observe point can change, and the cached
-//!    arena already records each dirty site's four-value state there,
-//!    so the new arrival is one TMR-voter rule application per site,
-//!    patched in during the splice (`SweepResults::splice_tmr_sink`)
-//!    with no cone walk at all; the seven inserted gates alone are
-//!    swept, on the same plans.
-//! 4. **Splice.** Clean sites are copied from the cached arena
-//!    (observe-point ids remapped where the arena ids shifted); the
-//!    re-swept sites are spliced in by site id. Because every kernel
-//!    involved is bit-identical and untouched cones read untouched
-//!    inputs, the spliced arena equals a from-scratch sweep
-//!    bit-for-bit — [`full_recompute`](WhatIfSession::full_recompute)
-//!    is the enforcing oracle.
+//!    the dirty sites are swept on them with the planned kernel, under
+//!    [`Arrivals::Fold`](crate::Arrivals::Fold). Every edit takes this
+//!    one path, TMR of a fanout-free gate included: its dirty region is
+//!    the gate's combinational fan-in closure plus the six inserted
+//!    gates.
+//! 4. **Splice.** Each state stores only the per-site numbers
+//!    (`P_sensitized` and the on-path gate count, ~16 B per site), so
+//!    the next state is two per-site arrays: a dirty site takes its
+//!    numbers from the re-sweep, a clean site carries them from the
+//!    previous state by name (ids shift where TMR inserts nodes).
+//!    Because every kernel involved is bit-identical and untouched
+//!    cones read untouched inputs, the spliced arena equals a
+//!    from-scratch folded sweep bit-for-bit —
+//!    [`full_recompute`](WhatIfSession::full_recompute) is the
+//!    enforcing oracle.
 //!
 //! Edits stack: each [`apply`](WhatIfSession::apply) pushes a state,
 //! [`revert`](WhatIfSession::revert) pops one — the service's
@@ -53,16 +53,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ser_netlist::{
-    harden_tmr, swap_kind, CancelCause, CancelToken, Circuit, GateKind, NodeId, ObservePoint,
-    TopoArtifacts,
+    harden_tmr, swap_kind, CancelCause, CancelToken, Circuit, GateKind, NodeId, TopoArtifacts,
 };
 use ser_sp::{IndependentSp, InputProbs, SpError, SpVector};
 
-use crate::engine::{EppAnalysis, PointEpp, PolarityMode};
-use crate::rules::propagate;
+use crate::engine::{EppAnalysis, PolarityMode, WorkspacePool};
 use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
-use crate::sweep::{RunCtx, SweepResults};
+use crate::sweep::{Arrivals, RunCtx, SweepResults};
 
 /// One circuit edit the what-if engine understands.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,15 +122,9 @@ pub struct WhatIfOutcome {
     pub previous_total: f64,
     /// Total SER after the edit.
     pub total: f64,
-    /// Sites whose results were re-derived (dirty region size).
+    /// Sites whose results were re-derived (dirty region size), all
+    /// re-swept on the edited circuit's cone plans.
     pub dirty_sites: usize,
-    /// Dirty sites re-derived on the edited circuit's cone plans: every
-    /// dirty site, re-swept — or, for a fanout-free TMR edit, the seven
-    /// gates the edit inserts or changes, re-swept, plus the surviving
-    /// dirty sites, patched directly from the arrival the cached arena
-    /// already holds at the hardened gate's observe point. Always
-    /// equal to [`dirty_sites`](Self::dirty_sites).
-    pub resweep_planned: usize,
     /// Sites in the edited circuit (`dirty_sites / total_sites` is the
     /// dirty fraction the bench reports).
     pub total_sites: usize,
@@ -172,9 +164,9 @@ struct State {
 }
 
 /// An interactive what-if session: a base [`AnalysisSession`] plus its
-/// cached whole-circuit [`SweepResults`], and a stack of edited states
-/// each derived incrementally from the one below (module docs for the
-/// algorithm).
+/// cached whole-circuit [`SweepResults`], folded to the per-site
+/// numbers, and a stack of edited states each derived incrementally
+/// from the one below (module docs for the algorithm).
 ///
 /// Signal probabilities are maintained with the paper's default
 /// [`IndependentSp`] engine; a base session compiled with a different
@@ -189,44 +181,17 @@ pub struct WhatIfSession {
 }
 
 impl WhatIfSession {
-    /// Opens a session, paying one whole-circuit sweep to fill the
-    /// base results cache (this also builds the circuit's cone plans,
-    /// which SetInputs edits then reuse).
-    #[must_use]
-    pub fn new(session: AnalysisSession, threads: usize) -> Self {
-        let results = Arc::new(session.sweep(threads));
-        Self::with_base_results(session, results, threads)
-    }
-
-    /// Opens a session around a sweep the caller already ran, without
-    /// re-sweeping.
+    /// Opens a session, paying one whole-circuit folded sweep to fill
+    /// the base results cache (this also builds the circuit's cone
+    /// plans, which SetInputs edits then reuse).
     ///
     /// # Panics
     ///
-    /// Panics if `results` is not a dense whole-circuit sweep of the
-    /// session's circuit (every node a site, in id order), or if it
-    /// folded its arrivals ([`Arrivals::Fold`](crate::Arrivals::Fold)):
-    /// the what-if splice copies them.
+    /// Panics if `threads` is 0.
     #[must_use]
-    pub fn with_base_results(
-        session: AnalysisSession,
-        results: Arc<SweepResults>,
-        threads: usize,
-    ) -> Self {
+    pub fn new(session: AnalysisSession, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread");
-        assert!(
-            results.len() == session.circuit().len()
-                && results
-                    .sites()
-                    .iter()
-                    .enumerate()
-                    .all(|(i, s)| s.index() == i),
-            "base results must be a dense whole-circuit sweep"
-        );
-        assert!(
-            results.total_points().is_some(),
-            "base results must keep their arrivals"
-        );
+        let results = Arc::new(fold_all(&session, threads));
         let total = Self::total_of(session.circuit(), &results);
         let state = State {
             circuit: Arc::clone(session.circuit_arc()),
@@ -282,7 +247,8 @@ impl WhatIfSession {
         &self.current().sp
     }
 
-    /// The whole-circuit sweep results of the current state.
+    /// The whole-circuit sweep results of the current state: folded,
+    /// so they hold the per-site numbers and no per-point arrivals.
     #[must_use]
     pub fn results(&self) -> &Arc<SweepResults> {
         &self.current().results
@@ -313,8 +279,7 @@ impl WhatIfSession {
     ///
     /// Returns the wrapped netlist error if the edit is invalid for
     /// the current circuit (non-logic TMR/swap target, arity-breaking
-    /// kind, duplicate replica names from re-TMR of a hardened gate),
-    /// or the SP engine's error if the edited circuit cannot be
+    /// kind), or the SP engine's error if the edited circuit cannot be
     /// ordered or its sequential fixed point does not converge.
     pub fn apply(&mut self, edit: Edit) -> Result<WhatIfOutcome, SpError> {
         self.apply_cancellable(edit, None).map_err(|e| match e {
@@ -445,150 +410,61 @@ impl WhatIfSession {
         for old in cur.circuit.node_ids() {
             rev[fwd[old.index()].index()] = Some(old);
         }
-        let remap_point = |p: ObservePoint| match p {
-            ObservePoint::PrimaryOutput(id) => ObservePoint::PrimaryOutput(fwd[id.index()]),
-            ObservePoint::FlipFlop { dff, data } => ObservePoint::FlipFlop {
-                dff: fwd[dff.index()],
-                data: fwd[data.index()],
-            },
-        };
-        let pool = self.base.workspace_pool();
 
         // The edited circuit's plans, built under the token (a SetInputs
-        // edit shares the current circuit's, already built), for either
-        // arm below. Re-sweep boundary after it.
+        // edit shares the current circuit's, already built). Re-sweep
+        // boundary after it.
         topo.cone_plans_cancellable(&circuit, cancel)?;
         checkpoint()?;
         let analysis =
             EppAnalysis::from_artifacts(Arc::clone(&circuit), Arc::clone(&topo), Arc::clone(&sp));
 
-        // --- 3a. Sink-TMR fast path. --------------------------------
-        // TMR of a fanout-free gate `g` changes no surviving node's SP
-        // (the inserted gates have no old consumers), so the dirty
-        // region is exactly g's combinational fan-in closure, and a
-        // dirty site's per-point arrivals change **only** at g's own
-        // primary-output observe point. No cone is re-walked: a stored
-        // arrival at a primary output is the Tracked four-value state
-        // of that node, the replicas reproduce that state bitwise
-        // (same kind, same fanins, same on/off-path classification),
-        // and the voter tree is two O(1) rule applications — so the
-        // new arrival is the TMR voter rule applied to the arrival
-        // each dirty site already has on record, substituted during
-        // the splice with the paper's sensitization fold re-run in
-        // observe order ([`SweepResults::splice_tmr_sink`]).
-        let fast_target = match &edit {
-            Edit::Tmr(node) if cur.circuit.node(*node).fanout().is_empty() => Some(*node),
-            _ => None,
-        };
-        let (results, dirty, resweep_planned) = if let Some(g) = fast_target {
-            // No surviving node is downstream of the insertion, so
-            // every carried SP value is bitwise intact — except g
-            // itself, whose slot the voter (a different function)
-            // takes over; nothing consumes it.
-            debug_assert!(cur.circuit.node_ids().filter(|&old| old != g).all(|old| cur
-                .sp
-                .get(old)
-                .to_bits()
-                == sp.get(fwd[old.index()]).to_bits()));
-            let g_idx = g.index();
-            debug_assert_eq!(fwd[g_idx].index(), g_idx + 6, "voter follows its 6 inserts");
-
-            // Region over old ids; the dirty mask over new ids.
-            let region_old = cur.topo.comb_ancestors(&cur.circuit, std::iter::once(g));
-            let mut fast = region_old.clone();
-            fast[g_idx] = false;
-            let mut dirty = vec![false; circuit.len()];
-            for v in cur.circuit.node_ids() {
-                if region_old[v.index()] {
-                    dirty[fwd[v.index()].index()] = true;
-                }
+        // --- 3. Dirty region and one re-sweep on the edited circuit's
+        // plans. Seeds = changed structure ∪ SP-changed nodes ∪ their
+        // direct consumers (off-path pins read SP). -------------------
+        let mut seeds: Vec<NodeId> = structural_new;
+        for old in cur.circuit.node_ids() {
+            let new = fwd[old.index()];
+            if cur.sp.get(old).to_bits() != sp.get(new).to_bits() {
+                seeds.push(new);
+                seeds.extend_from_slice(circuit.node(new).fanout());
             }
-            for n in &structural_new {
-                dirty[n.index()] = true;
-            }
-            let fast_count = fast.iter().filter(|&&f| f).count();
+        }
+        let dirty = topo.comb_ancestors(&circuit, seeds.iter().copied());
+        let sites: Vec<NodeId> = circuit.node_ids().filter(|id| dirty[id.index()]).collect();
+        let resweep = analysis.sweep(
+            &sites,
+            PolarityMode::Tracked,
+            &folding(self.threads, self.base.workspace_pool()),
+        );
 
-            // The 7 structurally new/changed sites (replicas, voter
-            // pairs, voter) re-sweep on the edited circuit's plans;
-            // their cones are the insertion itself.
-            let struct_sites: Vec<NodeId> = (g_idx..g_idx + 7).map(NodeId::from_index).collect();
-            let struct_res = analysis.sweep(
-                &struct_sites,
-                PolarityMode::Tracked,
-                &RunCtx::new(self.threads, pool),
-            );
+        // Splice boundary: the last chance to abort before the new
+        // state is assembled.
+        checkpoint()?;
+        // --- 4. Splice the per-site numbers: a dirty site's from the
+        // re-sweep, whose sites ascend in new id order like this walk,
+        // so a plain cursor lines them up; a clean site's from the
+        // previous state. ---------------------------------------------
+        let mut p_sensitized = Vec::with_capacity(circuit.len());
+        let mut on_path_gates = Vec::with_capacity(circuit.len());
+        let mut cursor = 0usize;
+        for id in circuit.node_ids() {
+            let site = if dirty[id.index()] {
+                let site = resweep.get(cursor);
+                cursor += 1;
+                debug_assert_eq!(site.site(), id, "re-sweep splice order");
+                site
+            } else {
+                let old = rev[id.index()].expect("a clean site survives the edit");
+                cur.results.get(old.index())
+            };
+            p_sensitized.push(site.p_sensitized());
+            on_path_gates
+                .push(u32::try_from(site.on_path_gates()).expect("on-path gate count fits u32"));
+        }
+        let results = SweepResults::dense_folded(p_sensitized, on_path_gates);
 
-            // Splice: bulk copy + in-place patch (the voter rule over
-            // each dirty site's recorded arrival at g, one refold per
-            // dirty site), the seven fresh sites in the gap.
-            let results = cur
-                .results
-                .splice_tmr_sink(g_idx, &struct_res, &fast, |vr| {
-                    let vt = propagate(GateKind::And, &[vr, vr]);
-                    propagate(GateKind::Or, &[vt, vt, vt])
-                });
-            (results, dirty, fast_count + struct_sites.len())
-        } else {
-            // --- 3b. General path: dirty region, one re-sweep on the
-            // edited circuit's plans, splice. Seeds = changed structure
-            // ∪ SP-changed nodes ∪ their direct consumers (off-path
-            // pins read SP). -------------------------------------------
-            let mut seeds: Vec<NodeId> = structural_new.clone();
-            for old in cur.circuit.node_ids() {
-                let new = fwd[old.index()];
-                if cur.sp.get(old).to_bits() != sp.get(new).to_bits() {
-                    seeds.push(new);
-                    seeds.extend_from_slice(circuit.node(new).fanout());
-                }
-            }
-            let dirty = topo.comb_ancestors(&circuit, seeds.iter().copied());
-            let sites: Vec<NodeId> = circuit.node_ids().filter(|id| dirty[id.index()]).collect();
-            let resweep = analysis.sweep(
-                &sites,
-                PolarityMode::Tracked,
-                &RunCtx::new(self.threads, pool),
-            );
-
-            // Splice boundary: the last chance to abort before the
-            // new arena is assembled.
-            checkpoint()?;
-            // Splice into a fresh dense arena. The re-sweep's sites and
-            // the splice walk both ascend in new id order, so a plain
-            // cursor lines results up with sites.
-            let mut cursor = 0usize;
-            let results = SweepResults::assemble_dense(
-                circuit.len(),
-                cur.results
-                    .total_points()
-                    .expect("what-if states keep their arrivals"),
-                |id, points| {
-                    let i = id.index();
-                    if dirty[i] {
-                        let site = resweep.get(cursor);
-                        cursor += 1;
-                        debug_assert_eq!(site.site(), id, "re-sweep splice order");
-                        points.extend_from_slice(
-                            site.per_point().expect("the re-sweep keeps its arrivals"),
-                        );
-                        (site.p_sensitized(), gates_u32(site.on_path_gates()))
-                    } else {
-                        let old = rev[i].expect("a clean site survives the edit");
-                        let site = cur.results.get(old.index());
-                        let kept = site
-                            .per_point()
-                            .expect("what-if states keep their arrivals");
-                        points.extend(kept.iter().map(|p| PointEpp {
-                            point: remap_point(p.point),
-                            value: p.value,
-                        }));
-                        (site.p_sensitized(), gates_u32(site.on_path_gates()))
-                    }
-                },
-            );
-            (results, dirty, sites.len())
-        };
-
-        // --- 4. Totals, deltas, push. --------------------------------
+        // --- 5. Totals, deltas, push. --------------------------------
         let total = Self::total_of(&circuit, &results);
         let dirty_sites = dirty.iter().filter(|&&d| d).count();
         let deltas: Vec<SiteDelta> = circuit
@@ -605,7 +481,6 @@ impl WhatIfSession {
             previous_total: cur.total,
             total,
             dirty_sites,
-            resweep_planned,
             total_sites: circuit.len(),
             depth: self.stack.len(),
             elapsed: t0.elapsed(),
@@ -636,7 +511,7 @@ impl WhatIfSession {
     }
 
     /// The oracle: analyzes the current state's circuit from scratch —
-    /// fresh session, fresh plans, whole-circuit sweep — and returns
+    /// fresh session, fresh plans, whole-circuit folded sweep — and returns
     /// `(results, total SER)`. The incremental state must agree
     /// bit-for-bit ([`SweepResults`] equality plus total bits); the
     /// proptests enforce it.
@@ -648,14 +523,29 @@ impl WhatIfSession {
     pub fn full_recompute(&self) -> Result<(SweepResults, f64), SpError> {
         let cur = self.current();
         let session = AnalysisSession::with_inputs(Arc::clone(&cur.circuit), cur.inputs.clone())?;
-        let results = session.sweep(self.threads);
+        let results = fold_all(&session, self.threads);
         let total = Self::total_of(&cur.circuit, &results);
         Ok((results, total))
     }
 }
 
-fn gates_u32(gates: usize) -> u32 {
-    u32::try_from(gates).expect("on-path gate count fits u32")
+/// A [`RunCtx`] on `threads` workers over `pool` that folds its
+/// arrivals: every sweep a what-if state holds.
+fn folding(threads: usize, pool: &WorkspacePool) -> RunCtx<'_> {
+    RunCtx {
+        arrivals: Arrivals::Fold,
+        ..RunCtx::new(threads, pool)
+    }
+}
+
+/// `session`'s whole-circuit sweep, folded.
+fn fold_all(session: &AnalysisSession, threads: usize) -> SweepResults {
+    let sites: Vec<NodeId> = session.circuit().node_ids().collect();
+    session.epp().sweep(
+        &sites,
+        PolarityMode::Tracked,
+        &folding(threads, session.workspace_pool()),
+    )
 }
 
 /// Rebuilds an input assignment against a re-built circuit: ids

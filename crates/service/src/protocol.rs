@@ -1706,9 +1706,10 @@ impl ProtocolEngine {
             sink.send(&frame)?;
             chunks = seq + 1;
         }
-        // `resweep_reference` stays on the frame as a constant 0: every
-        // dirty site now re-derives on the edited circuit's plans, and
-        // clients that read the key keep parsing the same frame.
+        // Both re-sweep counters stay on the frame so clients that read
+        // them keep parsing the same frame: every dirty site re-derives
+        // on the edited circuit's plans, so `resweep_planned` repeats
+        // `dirty_sites` and `resweep_reference` is a constant 0.
         sink.send(&format!(
             "{}, \"op\": \"whatif\", \"circuit\": \"{}\", \"netlist_hash\": \"{:016x}\", \
              \"edit\": \"{}\", \"total_ser\": {}, \"previous_ser\": {}, \"dirty_sites\": {}, \
@@ -1721,7 +1722,7 @@ impl ProtocolEngine {
             fmt_f64(outcome.total),
             fmt_f64(outcome.previous_total),
             outcome.dirty_sites,
-            outcome.resweep_planned,
+            outcome.dirty_sites,
             outcome.total_sites,
             outcome.depth,
             outcome.elapsed.as_micros()

@@ -71,9 +71,11 @@ pub struct SerServiceConfig {
     /// for. Same up-front rejection discipline. Must be ≥ 1.
     pub max_runs: u64,
     /// What-if sessions kept warm, one per base netlist (LRU, keyed by
-    /// [`Circuit::structural_hash`]). Each holds the edit stack and the
-    /// dense base sweep that make incremental re-analysis cheap. Must
-    /// be ≥ 1.
+    /// [`Circuit::structural_hash`]). Each holds the edit stack that
+    /// makes incremental re-analysis cheap. A state holds its circuit,
+    /// artifacts (cone plans included) and SP, plus a folded
+    /// whole-circuit sweep of ~16 B per site (~94 KB on s9234). Must be
+    /// ≥ 1.
     pub max_whatif_sessions: usize,
 }
 
@@ -414,8 +416,7 @@ impl SerService {
     /// [`whatif_revert`](Self::whatif_revert). Created on first use by
     /// cloning the warm [`AnalysisSession`] (so the what-if loop never
     /// pays a cold compile while the analysis session is cached) and
-    /// running its own base sweep: the cached sweep responses fold
-    /// their arrivals, and the what-if splice needs them.
+    /// running its own folded base sweep.
     fn whatif_session(
         &self,
         circuit: &Arc<Circuit>,
@@ -451,10 +452,10 @@ impl SerService {
 
     /// Applies one incremental edit to `circuit`'s what-if stack and
     /// returns the engine's outcome: new total SER, per-site deltas
-    /// over the dirty region, and the re-sweep tier split. The first
-    /// call against a netlist creates the stack by cloning the warm
-    /// analysis session and sweeping it once; later calls pay only the
-    /// dirty-region re-analysis.
+    /// over the dirty region, and the dirty and total site counts. The
+    /// first call against a netlist creates the stack by cloning the
+    /// warm analysis session and sweeping it once; later calls pay only
+    /// the dirty-region re-analysis.
     ///
     /// `edit` is a *resolver*, not an [`Edit`]: it receives the stack's
     /// **current** (possibly already-edited) circuit, because that is

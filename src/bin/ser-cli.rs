@@ -141,7 +141,8 @@ fn cmd_epp(path: &str, node_name: &str) -> Result<(), String> {
 }
 
 /// `advise`: the rank → harden → re-rank loop. Each round takes the
-/// greedy [`HardeningPlan`]'s top affordable pick, applies the TMR
+/// greedy [`HardeningPlan`]'s top affordable pick among the loaded
+/// netlist's logic gates that no earlier round hardened, applies the TMR
 /// **for real** through the incremental what-if engine, and reports the
 /// *measured* SER change next to the plan's stale single-shot
 /// prediction — then re-ranks on the edited circuit, so round `k+1`
@@ -152,7 +153,7 @@ fn cmd_epp(path: &str, node_name: &str) -> Result<(), String> {
 fn cmd_advise(
     path: &str,
     rounds: usize,
-    budget: f64,
+    budget: Option<f64>,
     cost: HardeningCost,
     threads: usize,
 ) -> Result<(), String> {
@@ -172,23 +173,39 @@ fn cmd_advise(
     );
     println!("{}", "-".repeat(100));
 
-    let mut remaining = budget;
-    let mut applied = 0usize;
+    // Without `--budget` only the rounds bound the loop.
+    let bound = budget.unwrap_or(f64::INFINITY);
+    let mut spent = 0.0;
+    // Gates an earlier round hardened: each voter keeps its gate's name.
+    let mut hardened: Vec<String> = Vec::new();
     for round in 1..=rounds {
         // Re-rank against the *current* (already hardened) circuit.
         let report = wf.report();
         let circuit = Arc::clone(wf.circuit());
-        let plan = HardeningPlan::greedy(&circuit, &report, cost, remaining);
+        // Every candidate, best benefit/cost first: one round applies
+        // one pick, so the budget filters picks instead of packing a
+        // plan.
+        let plan = HardeningPlan::greedy(&circuit, &report, cost, f64::MAX);
         // TMR applies to logic gates; the plan may also rank inputs
-        // and flip-flops, so skip to the best protectable pick.
+        // and flip-flops, and the voters and replicas of earlier rounds
+        // (a voter keeps its gate's name; a replica or voter-tree gate
+        // has a name the loaded netlist lacks), so skip to the best
+        // affordable gate of the loaded netlist not yet protected.
         let Some(choice) = plan
             .choices()
             .iter()
-            .find(|ch| circuit.node(ch.node).kind().is_logic())
+            .find(|ch| {
+                let name = circuit.node(ch.node).name();
+                spent + ch.cost <= bound
+                    && circuit.node(ch.node).kind().is_logic()
+                    && c.find(name).is_some()
+                    && !hardened.iter().any(|h| h == name)
+            })
             .copied()
         else {
             println!(
-                "round {round}: no affordable logic gate left (budget {remaining:.2}); stopping"
+                "round {round}: no affordable unhardened logic gate left (budget left {}); stopping",
+                budget_text(budget.map(|b| b - spent))
             );
             break;
         };
@@ -196,8 +213,7 @@ fn cmd_advise(
         let outcome = wf
             .apply(Edit::Tmr(choice.node))
             .map_err(|e| e.to_string())?;
-        applied += 1;
-        remaining -= choice.cost;
+        spent += choice.cost;
         // The measured change re-evaluates everything the plan's
         // per-entry estimate ignores: the voter tree's own exposure
         // and every reconvergent site whose P_sensitized shifted.
@@ -214,17 +230,24 @@ fn cmd_advise(
             outcome.total_sites,
             outcome.elapsed
         );
+        hardened.push(name);
     }
     let final_total = wf.total_ser();
     println!("{}", "-".repeat(100));
     println!(
-        "after {applied} hardening edits: total SER {:.6} ({:+.2}% vs base), budget spent {:.2} of {:.2}",
+        "after {} hardening edits: total SER {:.6} ({:+.2}% vs base), budget spent {spent:.2} of {}",
+        hardened.len(),
         final_total,
         (final_total - base_total) / base_total * 100.0,
-        budget - remaining,
-        budget
+        budget_text(budget)
     );
     Ok(())
+}
+
+/// A hardening budget as `advise` prints it: two decimals, or
+/// `unbounded` when none was given.
+fn budget_text(budget: Option<f64>) -> String {
+    budget.map_or_else(|| "unbounded".to_owned(), |b| format!("{b:.2}"))
 }
 
 fn service_config(args: &[String]) -> Result<SerServiceConfig, String> {
@@ -497,8 +520,7 @@ fn run() -> Result<(), String> {
                         .filter(|&b: &f64| b.is_finite() && b > 0.0)
                         .ok_or_else(|| "bad --budget value (need a positive number)".to_owned())
                 })
-                .transpose()?
-                .unwrap_or(f64::from(u32::MAX));
+                .transpose()?;
             let cost = match flag_value(&args, "--cost").as_deref() {
                 None | Some("unit") => HardeningCost::Unit,
                 Some("area") => HardeningCost::AreaProxy,

@@ -79,6 +79,24 @@ fn advise_runs_every_round() {
         text.contains("after 5 hardening edits"),
         "advise said: {text}"
     );
+    // Each round hardens a different gate of the loaded netlist: a
+    // voter keeps its gate's name and is never picked again.
+    let mut gates: Vec<&str> = text
+        .lines()
+        .filter_map(|line| {
+            let mut cols = line.split_whitespace();
+            cols.next()?.parse::<usize>().ok()?;
+            cols.next()
+        })
+        .collect();
+    assert_eq!(gates.len(), 5, "advise said: {text}");
+    gates.sort_unstable();
+    gates.dedup();
+    assert_eq!(gates.len(), 5, "a gate was hardened twice: {text}");
+    assert!(
+        text.contains("budget spent 5.00 of unbounded"),
+        "advise said: {text}"
+    );
     let _ = std::fs::remove_file(&bench);
 }
 

@@ -479,9 +479,17 @@ fn write_dff_netlist(name: &str) -> PathBuf {
     path
 }
 
+/// TMR of `u` (which feeds `y`) and of `y` (fanout-free) both take the
+/// one what-if path; the frame keys do not change.
 #[test]
 fn whatif_and_revert_round_trip_bitwise() {
-    let netlist = write_netlist("whatif");
+    for node in ["u", "y"] {
+        whatif_and_revert_round_trip(node);
+    }
+}
+
+fn whatif_and_revert_round_trip(node: &str) {
+    let netlist = write_netlist(&format!("whatif_{node}"));
     let path = netlist.to_str().unwrap();
     let engine = engine();
     let replies = run_lines(
@@ -489,7 +497,7 @@ fn whatif_and_revert_round_trip_bitwise() {
         vec![
             format!(r#"{{"v": 2, "id": "q0", "op": "sweep", "netlist": "{path}", "top": 0}}"#),
             format!(
-                r#"{{"v": 2, "id": "q1", "op": "whatif", "netlist": "{path}", "edit": "tmr", "node": "u", "chunk_sites": 4}}"#
+                r#"{{"v": 2, "id": "q1", "op": "whatif", "netlist": "{path}", "edit": "tmr", "node": "{node}", "chunk_sites": 4}}"#
             ),
             format!(r#"{{"v": 2, "id": "q2", "op": "whatif_revert", "netlist": "{path}"}}"#),
             format!(r#"{{"v": 2, "id": "q3", "op": "sweep", "netlist": "{path}", "top": 0}}"#),
@@ -544,6 +552,19 @@ fn whatif_and_revert_round_trip_bitwise() {
         result.get("chunks").and_then(JsonValue::as_count),
         Some(whatif_frames.len() as u64)
     );
+    // Both re-sweep counters stay on the frame: every dirty site is
+    // re-swept on the edited circuit's plans.
+    assert_eq!(
+        result.get("resweep_planned").and_then(JsonValue::as_count),
+        Some(deltas as u64),
+        "TMR of {node}"
+    );
+    assert_eq!(
+        result
+            .get("resweep_reference")
+            .and_then(JsonValue::as_count),
+        Some(0)
+    );
     assert_eq!(
         result
             .get("previous_ser")
@@ -559,8 +580,8 @@ fn whatif_and_revert_round_trip_bitwise() {
     let circuit =
         ser_suite::netlist::parse_bench(&std::fs::read_to_string(&netlist).unwrap(), "whatif")
             .unwrap();
-    let u = circuit.find("u").unwrap();
-    let hardened = ser_suite::netlist::harden_tmr(&circuit, &[u]).unwrap();
+    let target = circuit.find(node).unwrap();
+    let hardened = ser_suite::netlist::harden_tmr(&circuit, &[target]).unwrap();
     let direct: f64 = AnalysisSession::new(&hardened)
         .unwrap()
         .sweep(1)
@@ -572,7 +593,7 @@ fn whatif_and_revert_round_trip_bitwise() {
         result.get("total_sites").and_then(JsonValue::as_count),
         Some(11)
     );
-    assert_eq!(edited_total.to_bits(), direct.to_bits());
+    assert_eq!(edited_total.to_bits(), direct.to_bits(), "TMR of {node}");
     assert_ne!(edited_total.to_bits(), baseline_total.to_bits());
 
     // Revert pops back to the base payload bitwise, and a fresh sweep

@@ -520,7 +520,6 @@ fn whatif_after_a_sweep_matches_a_fresh_service() {
         assert_eq!(got.previous_total.to_bits(), want.previous_total.to_bits());
         assert_eq!(got.total.to_bits(), want.total.to_bits());
         assert_eq!(got.dirty_sites, want.dirty_sites);
-        assert_eq!(got.resweep_planned, want.resweep_planned);
         assert_eq!(got.total_sites, want.total_sites);
         assert_eq!(got.depth, want.depth);
         assert_eq!(got.deltas, want.deltas);

@@ -7,9 +7,13 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ser_suite::epp::{AnalysisSession, Edit, WhatIfAbort, WhatIfSession};
+use ser_suite::epp::{
+    AnalysisSession, Arrivals, Edit, PolarityMode, RunCtx, SweepResults, WhatIfAbort, WhatIfSession,
+};
 use ser_suite::gen::{lfsr, s27, RandomDag};
-use ser_suite::netlist::{CancelCause, CancelToken, Circuit, GateKind, NodeId};
+use ser_suite::netlist::{
+    parse_bench, write_bench, CancelCause, CancelToken, Circuit, GateKind, NodeId, TopoArtifacts,
+};
 use ser_suite::sp::InputProbs;
 
 /// Picks the `i`-th TMR-able gate (cyclically) — deterministic from
@@ -64,17 +68,29 @@ fn decode_edit(c: &Circuit, op: u8, pick: usize, knob: u64) -> Option<Edit> {
     }
 }
 
+/// `session`'s whole-circuit sweep under [`Arrivals::Fold`].
+fn folded_sweep(session: &AnalysisSession, threads: usize) -> SweepResults {
+    let sites: Vec<NodeId> = session.circuit().node_ids().collect();
+    let ctx = RunCtx {
+        arrivals: Arrivals::Fold,
+        ..RunCtx::new(threads, session.workspace_pool())
+    };
+    session.epp().sweep(&sites, PolarityMode::Tracked, &ctx)
+}
+
 /// Applies a raw edit script and checks the oracle after every step,
 /// then unwinds via revert and checks the base state survived intact.
+/// Every state holds folded results: no per-point arrivals.
 fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
     let session = AnalysisSession::new(circuit).expect("base session compiles");
-    let base_results = session.sweep(threads);
+    let base_results = folded_sweep(&session, threads);
     let mut wf = WhatIfSession::new(session, threads);
     assert_eq!(
         *wf.results().as_ref(),
         base_results,
-        "base cache equals a direct sweep"
+        "base cache equals a direct folded sweep"
     );
+    assert_eq!(wf.results().total_points(), None);
 
     let mut applied = 0usize;
     for &(op, pick, knob) in script {
@@ -92,11 +108,8 @@ fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
         applied += 1;
         assert_eq!(outcome.depth, wf.depth());
         assert_eq!(outcome.total_sites, wf.circuit().len());
-        assert_eq!(
-            outcome.dirty_sites, outcome.resweep_planned,
-            "every dirty site, a fanout-free TMR's included, re-derives on the edited circuit's plans"
-        );
         assert_eq!(outcome.deltas.len(), outcome.dirty_sites);
+        assert_eq!(wf.results().total_points(), None, "depth {}", wf.depth());
 
         let (full, full_total) = wf.full_recompute().expect("oracle compiles");
         assert_eq!(
@@ -113,6 +126,7 @@ fn check_script(circuit: Circuit, script: &[(u8, usize, u64)], threads: usize) {
 
     for _ in 0..applied {
         assert!(wf.revert().is_some());
+        assert_eq!(wf.results().total_points(), None, "depth {}", wf.depth());
     }
     assert!(wf.revert().is_none(), "base cannot be reverted");
     assert_eq!(
@@ -209,8 +223,8 @@ fn whatif_s27_all_edit_kinds_stacked() {
 /// TMR of one gate twice: the second edit hardens the voter, which
 /// keeps the gate's name, so its replicas take the next free stem
 /// instead of colliding with the first edit's. Both a gate with fanout
-/// (the general path) and a fanout-free gate (the sink path) stack,
-/// and every state matches the from-scratch oracle.
+/// and a fanout-free gate stack, and every state matches the
+/// from-scratch oracle.
 #[test]
 fn tmr_twice_on_one_gate_matches_oracle() {
     let c = s27();
@@ -228,8 +242,7 @@ fn tmr_twice_on_one_gate_matches_oracle() {
         let mut wf = WhatIfSession::new(session, 2);
         for round in 1..=2 {
             let target = wf.circuit().find(&name).expect("the voter keeps the name");
-            let outcome = wf.apply(Edit::Tmr(target)).expect("TMR applies again");
-            assert_eq!(outcome.resweep_planned, outcome.dirty_sites);
+            wf.apply(Edit::Tmr(target)).expect("TMR applies again");
             let (full, full_total) = wf.full_recompute().expect("oracle compiles");
             assert_eq!(*wf.results().as_ref(), full, "{name} round {round}");
             assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
@@ -240,8 +253,8 @@ fn tmr_twice_on_one_gate_matches_oracle() {
     }
 }
 
-/// A tripped token aborts a general-path edit (TMR of a gate with
-/// fanout, on a sequential circuit) before any state is pushed: depth,
+/// A tripped token aborts an edit (TMR of a gate with fanout, on a
+/// sequential circuit) before any state is pushed: depth,
 /// results and total are bitwise what they were, and the next
 /// uncancelled apply still matches the from-scratch oracle.
 #[test]
@@ -272,8 +285,58 @@ fn cancelled_apply_leaves_the_session_untouched() {
 
     let outcome = wf.apply(Edit::Tmr(gate)).expect("tmr applies");
     assert_eq!(outcome.depth, 1);
-    assert_eq!(outcome.resweep_planned, outcome.dirty_sites);
     let (full, full_total) = wf.full_recompute().expect("oracle compiles");
     assert_eq!(*wf.results().as_ref(), full);
     assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
+}
+
+/// An `lfsr` plus one fanout-free logic gate: a primary output reading
+/// the register and its feedback (the bare `lfsr` has none).
+fn lfsr_with_sink() -> Circuit {
+    let mut text = write_bench(&lfsr(&[1, 3]));
+    text.push_str("OUTPUT(z)\nz = AND(q0, fb)\n");
+    parse_bench(&text, "lfsr_sink").expect("valid netlist")
+}
+
+/// TMR of a fanout-free gate takes the one what-if path and dirties
+/// exactly the gate's combinational fan-in closure on the old circuit,
+/// mapped to the new ids, plus the six gates the edit inserts; the
+/// edited state matches the from-scratch oracle.
+#[test]
+fn fanout_free_tmr_dirties_its_fan_in_closure_and_the_inserts() {
+    for c in [s27(), lfsr_with_sink()] {
+        let topo = TopoArtifacts::compute(&c).expect("the circuit orders");
+        let sinks: Vec<NodeId> = c
+            .node_ids()
+            .filter(|&id| c.node(id).kind().is_logic() && c.node(id).fanout().is_empty())
+            .collect();
+        assert!(!sinks.is_empty(), "{} has a fanout-free gate", c.name());
+        for gate in sinks {
+            let name = c.node(gate).name();
+            let closure = topo.comb_ancestors(&c, std::iter::once(gate));
+            let session = AnalysisSession::new(c.clone()).expect("base compiles");
+            let mut wf = WhatIfSession::new(session, 2);
+            let outcome = wf.apply(Edit::Tmr(gate)).expect("TMR applies");
+            let edited = wf.circuit();
+            let mut want: Vec<NodeId> = c
+                .node_ids()
+                .filter(|id| closure[id.index()])
+                .map(|id| edited.find(c.node(id).name()).expect("names survive TMR"))
+                .collect();
+            let inserted: Vec<NodeId> = edited
+                .node_ids()
+                .filter(|&id| c.find(edited.node(id).name()).is_none())
+                .collect();
+            assert_eq!(inserted.len(), 6, "{name}");
+            want.extend(inserted);
+            want.sort_unstable();
+            let got: Vec<NodeId> = outcome.deltas.iter().map(|d| d.node).collect();
+            assert_eq!(got, want, "{}: TMR of {name}", c.name());
+            assert_eq!(outcome.dirty_sites, want.len());
+
+            let (full, full_total) = wf.full_recompute().expect("oracle compiles");
+            assert_eq!(*wf.results().as_ref(), full, "{}: TMR of {name}", c.name());
+            assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
+        }
+    }
 }
