@@ -140,12 +140,17 @@ impl FourValue {
             sp.is_finite() && (0.0..=1.0).contains(&sp),
             "signal probability {sp} outside [0,1]"
         );
-        FourValue {
-            pa: 0.0,
-            pa_bar: 0.0,
-            p0: 1.0 - sp,
-            p1: sp,
-        }
+        FourValue::from_lanes(FourValue::off_path_lanes(sp))
+    }
+
+    /// The lanes of [`from_signal_probability`](Self::from_signal_probability)
+    /// without its range check: `[0, 0, 1 − sp, sp]`, bit for bit. For
+    /// callers that checked `sp` once already (the sweep kernel's
+    /// position-plane restore).
+    #[inline]
+    #[must_use]
+    pub(crate) fn off_path_lanes(sp: f64) -> [f64; 4] {
+        [0.0, 0.0, 1.0 - sp, sp]
     }
 
     /// Probability the signal carries the erroneous value `a`

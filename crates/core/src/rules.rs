@@ -28,36 +28,56 @@
 //! the compiler independent lanes to schedule. No core uses FMA or
 //! reassociates a sum, so every rounding step is the one written here.
 //!
+//! # Pin rows
+//!
+//! The AND and OR cores read their fanins as fixed rows of four, the
+//! last row padded with the rule's identity tuple: `(0, 0, 0, 1)` for
+//! AND ([`AND_IDENTITY`]) and `(0, 0, 1, 0)` for OR ([`OR_IDENTITY`]).
+//! Either one's three factors are exactly `1.0`, and `x × 1.0 == x`
+//! for every finite `f64`, so a padded row multiplies the same values
+//! in the same order as the unpadded pins: bit-identical, with a
+//! fixed trip count and no per-gate pin count. The copy rule reads its
+//! one pin; XOR reads its true pins.
+//!
 //! These are the only rule cores: the planned sweep kernel drives them
-//! through [`RuleOp`] + [`propagate_fused`], gathering fanin lanes
-//! lazily so no intermediate tuple buffer is materialized, and the
-//! public [`propagate`] wraps the same function for slice callers (the
-//! per-site reference kernel in `ser-oracle` among them).
+//! through [`RuleOp`] + [`propagate_pins`], reading each pin straight
+//! off its value plane (whose pin rows the plans pad with the
+//! identities' positions), and the public [`propagate`] feeds the
+//! same cores padded rows of a slice (the per-site reference kernel in
+//! `ser-oracle` calls it).
 
 use ser_netlist::GateKind;
 
 use crate::four_value::FourValue;
 
 /// The compiled dispatch of one on-path gate: which fused rule core to
-/// run, and whether the output is seen through an inverter. Resolved
-/// **once per gate** — the per-fanin inner loops below are
-/// dispatch-free.
+/// run, which of the AND and OR rules it is, and whether the output is
+/// seen through an inverter. Resolved **once per gate** by a table
+/// lookup — the per-pin inner loops below are dispatch-free. The AND/OR
+/// choice and the inverter are bit masks ([`pick`]) rather than flags,
+/// so neither is a branch: a gate mix that changes from member to
+/// member would mispredict one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RuleOp {
     class: RuleClass,
-    invert: bool,
+    /// All ones for the OR rule, whose blocking value is read off `P0`;
+    /// zero for the AND rule, which reads it off `P1`.
+    or_mask: u64,
+    /// All ones where the AND/OR product lands in `P0` rather than
+    /// `P1`: OR and NAND.
+    blocked_low_mask: u64,
+    /// All ones behind an inverter (NAND, NOR, NOT, XNOR).
+    invert_mask: u64,
 }
 
-/// The four fused rule cores (NAND/NOR/XNOR/NOT are the base class
+/// The three fused rule cores (NAND/NOR/XNOR/NOT are the base class
 /// composed with the NOT swap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RuleClass {
+enum RuleClass {
     /// BUF and the flip-flop D pin: the tuple passes through.
     Copy,
-    /// Table 1, AND row.
-    And,
-    /// Table 1, OR row (the AND rule's dual).
-    Or,
+    /// Table 1, AND row, and its dual, the OR row.
+    AndOr,
     /// The exact GF(2) symbol addition.
     Xor,
 }
@@ -70,51 +90,128 @@ impl RuleOp {
     /// Panics if `kind` is a source ([`GateKind::Input`],
     /// [`GateKind::Const0`], [`GateKind::Const1`]) — an error cannot
     /// propagate *into* a source.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn of(kind: GateKind) -> RuleOp {
-        let (class, invert) = match kind {
-            GateKind::Input | GateKind::Const0 | GateKind::Const1 => {
-                panic!("{kind} cannot be an on-path gate")
-            }
+        // A table load rather than a `match`: a gate mix that changes
+        // from member to member then costs no mispredicted jump.
+        RuleOp::TABLE[kind as usize].unwrap_or_else(|| panic!("{kind} cannot be an on-path gate"))
+    }
+
+    /// [`classify`](Self::classify) of every gate kind, indexed by the
+    /// kind's discriminant.
+    const TABLE: [Option<RuleOp>; 12] = {
+        let kinds = [
+            GateKind::Input,
+            GateKind::Dff,
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Not,
+            GateKind::Buf,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Const0,
+            GateKind::Const1,
+        ];
+        let mut table = [None; 12];
+        let mut i = 0;
+        while i < kinds.len() {
+            table[kinds[i] as usize] = RuleOp::classify(kinds[i]);
+            i += 1;
+        }
+        table
+    };
+
+    /// The dispatch of `kind`, or `None` for a source.
+    const fn classify(kind: GateKind) -> Option<RuleOp> {
+        let (class, or, invert) = match kind {
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 => return None,
             // The D pin passes the tuple through; latching is accounted
             // for by `P_latched`, not by the propagation rules.
-            GateKind::Buf | GateKind::Dff => (RuleClass::Copy, false),
-            GateKind::Not => (RuleClass::Copy, true),
-            GateKind::And => (RuleClass::And, false),
-            GateKind::Nand => (RuleClass::And, true),
-            GateKind::Or => (RuleClass::Or, false),
-            GateKind::Nor => (RuleClass::Or, true),
-            GateKind::Xor => (RuleClass::Xor, false),
-            GateKind::Xnor => (RuleClass::Xor, true),
+            GateKind::Buf | GateKind::Dff => (RuleClass::Copy, false, false),
+            GateKind::Not => (RuleClass::Copy, false, true),
+            GateKind::And => (RuleClass::AndOr, false, false),
+            GateKind::Nand => (RuleClass::AndOr, false, true),
+            GateKind::Or => (RuleClass::AndOr, true, false),
+            GateKind::Nor => (RuleClass::AndOr, true, true),
+            GateKind::Xor => (RuleClass::Xor, false, false),
+            GateKind::Xnor => (RuleClass::Xor, false, true),
         };
-        RuleOp { class, invert }
+        const fn mask(on: bool) -> u64 {
+            0u64.wrapping_sub(on as u64)
+        }
+        Some(RuleOp {
+            class,
+            or_mask: mask(or),
+            blocked_low_mask: mask(or != invert),
+            invert_mask: mask(invert),
+        })
+    }
+
+    /// The rule's output seen through the gate's inverter, if any.
+    #[inline(always)]
+    fn finish(self, out: FourValue) -> FourValue {
+        let [pa, pa_bar, p0, p1] = out.lanes();
+        let m = self.invert_mask;
+        FourValue::from_lanes([
+            pick(m, pa_bar, pa),
+            pick(m, pa, pa_bar),
+            pick(m, p1, p0),
+            pick(m, p0, p1),
+        ])
     }
 }
 
-/// Runs a pre-dispatched rule over lazily gathered fanin lanes — the
-/// sweep kernel's entry point: the dispatch happened in
-/// [`RuleOp::of`], outside the per-fanin loop, and the iterator lets
-/// the caller resolve on-path/off-path fanins straight into lanes with
-/// no intermediate buffer.
+/// `a` where `mask` is all ones, `b` where it is zero: a bitwise blend,
+/// exact for every value. The masks come from [`RuleOp::TABLE`], data
+/// the compiler cannot see through, so the blend stays mask operations
+/// where a `bool` select would be compiled back into a branch (the
+/// x86-64 baseline has no `blendv`).
+#[inline(always)]
+fn pick(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// The AND rule's padding tuple, `from_signal_probability(1.0)`: its
+/// factors `[P1, P1 + Pa, P1 + Pā]` are exactly `[1, 1, 1]`.
+pub(crate) const AND_IDENTITY: [f64; 4] = [0.0, 0.0, 0.0, 1.0];
+
+/// The OR rule's padding tuple, `from_signal_probability(0.0)`: its
+/// factors `[P0, P0 + Pa, P0 + Pā]` are exactly `[1, 1, 1]`.
+pub(crate) const OR_IDENTITY: [f64; 4] = [0.0, 0.0, 1.0, 0.0];
+
+/// Four fanin tuples of an AND or OR gate, the last row of a gate
+/// padded with its rule's identity.
+type Row = [[f64; 4]; 4];
+
+/// Runs a pre-dispatched rule over a gate's pin positions, reading
+/// each pin's lanes through `lane` — the sweep kernel's entry point:
+/// the dispatch happened in [`RuleOp::of`], outside the per-pin loop.
+/// An AND/OR gate's `pins` are whole rows of four, padded with
+/// positions whose lanes are [`AND_IDENTITY`] or [`OR_IDENTITY`]; any
+/// other gate's are its true pins. The three rule classes are a branch;
+/// within the AND/OR class, the rule and the inverter are not.
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty.
-#[inline]
-pub(crate) fn propagate_fused<I: Iterator<Item = [f64; 4]>>(
+/// Panics if `pins` is empty.
+#[inline(always)]
+pub(crate) fn propagate_pins(
     op: RuleOp,
-    mut inputs: I,
+    pins: &[u32],
+    lane: impl Fn(u32) -> [f64; 4],
 ) -> FourValue {
-    let out = match op.class {
-        RuleClass::Copy => FourValue::from_lanes(inputs.next().expect("gate has a fanin")),
-        RuleClass::And => and_core(inputs),
-        RuleClass::Or => or_core(inputs),
-        RuleClass::Xor => xor_core(inputs),
-    };
-    if op.invert {
-        out.invert()
-    } else {
-        out
+    match op.class {
+        RuleClass::Copy => op.finish(FourValue::from_lanes(lane(pins[0]))),
+        RuleClass::AndOr => {
+            let (rows, _) = pins.as_chunks::<4>();
+            and_or_core(op, rows.len(), |i| {
+                let [a, b, c, d] = rows[i];
+                [lane(a), lane(b), lane(c), lane(d)]
+            })
+        }
+        RuleClass::Xor => op.finish(xor_core(pins.len(), |i| lane(pins[i]))),
     }
 }
 
@@ -135,52 +232,75 @@ pub fn propagate(kind: GateKind, inputs: &[FourValue]) -> FourValue {
         "{kind} cannot take {} inputs",
         inputs.len()
     );
-    propagate_fused(RuleOp::of(kind), inputs.iter().map(|x| x.lanes()))
+    let op = RuleOp::of(kind);
+    let identity = if op.or_mask == 0 {
+        AND_IDENTITY
+    } else {
+        OR_IDENTITY
+    };
+    let row = |i: usize| {
+        let mut row = [identity; 4];
+        for (slot, x) in row
+            .iter_mut()
+            .zip(&inputs[4 * i..inputs.len().min(4 * i + 4)])
+        {
+            *slot = x.lanes();
+        }
+        row
+    };
+    match op.class {
+        RuleClass::Copy => op.finish(inputs[0]),
+        RuleClass::AndOr => and_or_core(op, inputs.len().div_ceil(4), row),
+        RuleClass::Xor => op.finish(xor_core(inputs.len(), |i| inputs[i].lanes())),
+    }
 }
 
-/// Table 1, AND row, fused:
+/// Table 1's AND row, fused, over `rows` padded rows (at least one):
 /// `P1 = Π P1(Xi)`,
 /// `Pa = Π [P1(Xi) + Pa(Xi)] − P1`,
 /// `Pā = Π [P1(Xi) + Pā(Xi)] − P1`,
-/// `P0 = 1 − (P1 + Pa + Pā)`.
+/// `P0 = 1 − (P1 + Pa + Pā)`;
+/// or, for an OR-class `op`, its dual, the OR row, with the roles of
+/// `P1` and `P0` swapped. The blocking lane and the output lanes are
+/// picked by `op`'s masks, so AND, NAND, OR and NOR gates run the same
+/// instructions.
 ///
-/// The three products run as independent accumulator lanes in one pass
-/// over the fanins; each lane multiplies in fanin order, exactly as the
-/// one-product-per-traversal form did — bit-identical, three times
-/// fewer traversals. The lanes start from the first fanin's factors
-/// rather than from `1.0`: `1.0 × x == x` exactly for every finite
-/// `f64`, so the unit seed's three multiplies could not change a bit.
-#[inline]
-fn and_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
-    let factors = |[pa, pa_bar, _p0, p1]: [f64; 4]| [p1, p1 + pa, p1 + pa_bar];
-    let mut acc = factors(inputs.next().expect("gate has a fanin"));
-    for f in inputs.map(factors) {
-        acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
+/// The three products run as independent accumulator lanes in one
+/// pass over the pins, each multiplying in pin order, exactly as the
+/// one-product-per-traversal form did. The lanes start from the first
+/// pin's factors rather than from `1.0`: `1.0 × x == x` exactly for
+/// every finite `f64`, so a unit seed could not change a bit, and a
+/// padded pin's factors are exactly `1.0` for the same reason.
+#[inline(always)]
+fn and_or_core(op: RuleOp, rows: usize, row: impl Fn(usize) -> Row) -> FourValue {
+    let factors = |x: [f64; 4]| {
+        let blocking = pick(op.or_mask, x[2], x[3]);
+        [blocking, blocking + x[0], blocking + x[1]]
+    };
+    let mul = |acc: [f64; 3], x: [f64; 4]| {
+        let f = factors(x);
+        [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]]
+    };
+    let [x0, x1, x2, x3] = row(0);
+    let mut acc = mul(mul(mul(factors(x0), x1), x2), x3);
+    for i in 1..rows {
+        let [x0, x1, x2, x3] = row(i);
+        acc = mul(mul(mul(mul(acc, x0), x1), x2), x3);
     }
-    let p1 = acc[0];
-    let pa = acc[1] - p1;
-    let pa_bar = acc[2] - p1;
-    let p0 = 1.0 - (p1 + pa + pa_bar);
-    FourValue::new_clamped(pa, pa_bar, p0, p1)
-}
-
-/// Table 1, OR row (the AND rule's dual), fused the same way:
-/// `P0 = Π P0(Xi)`,
-/// `Pa = Π [P0(Xi) + Pa(Xi)] − P0`,
-/// `Pā = Π [P0(Xi) + Pā(Xi)] − P0`,
-/// `P1 = 1 − (P0 + Pa + Pā)`.
-#[inline]
-fn or_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
-    let factors = |[pa, pa_bar, p0, _p1]: [f64; 4]| [p0, p0 + pa, p0 + pa_bar];
-    let mut acc = factors(inputs.next().expect("gate has a fanin"));
-    for f in inputs.map(factors) {
-        acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
-    }
-    let p0 = acc[0];
-    let pa = acc[1] - p0;
-    let pa_bar = acc[2] - p0;
-    let p1 = 1.0 - (p0 + pa + pa_bar);
-    FourValue::new_clamped(pa, pa_bar, p0, p1)
+    let [blocked, with_a, with_a_bar] = acc;
+    let pa = with_a - blocked;
+    let pa_bar = with_a_bar - blocked;
+    let rest = 1.0 - (blocked + pa + pa_bar);
+    // Clamped as AND lays it out, then placed: the product goes to `P0`
+    // for OR and NAND, and an inverter swaps `Pa` and `Pā`.
+    let [pa, pa_bar, rest, blocked] = FourValue::new_clamped(pa, pa_bar, rest, blocked).lanes();
+    let (inv, low) = (op.invert_mask, op.blocked_low_mask);
+    FourValue::from_lanes([
+        pick(inv, pa_bar, pa),
+        pick(inv, pa, pa_bar),
+        pick(low, blocked, rest),
+        pick(low, rest, blocked),
+    ])
 }
 
 /// Exact XOR rule: fold the inputs pairwise through the GF(2) symbol
@@ -198,11 +318,11 @@ fn or_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
 /// Note `a ⊕ a = 0` and `a ⊕ ā = 1`: two copies of the error meeting at
 /// an XOR cancel *regardless of the error's actual value* — the
 /// polarity bookkeeping that motivates the paper's four-value tuple.
-#[inline]
-fn xor_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
-    let mut acc = inputs.next().expect("XOR has at least one input");
-    for x in inputs {
-        acc = xor2(acc, x);
+#[inline(always)]
+fn xor_core(pins: usize, pin: impl Fn(usize) -> [f64; 4]) -> FourValue {
+    let mut acc = pin(0);
+    for i in 1..pins {
+        acc = xor2(acc, pin(i));
     }
     FourValue::from_lanes(acc)
 }
@@ -396,6 +516,7 @@ mod property_tests {
     //! `value = c ⊕ d·x` with `x` the (unknown) erroneous value.
 
     use super::*;
+    use crate::engine::PolarityMode;
     use crate::four_value::FourValue;
     use proptest::prelude::*;
 
@@ -514,6 +635,111 @@ mod property_tests {
             let inverted: Vec<FourValue> = inputs.iter().map(FourValue::invert).collect();
             let or_via_and = propagate(GateKind::And, &inverted).invert();
             prop_assert!(or_direct.max_abs_diff(&or_via_and) < 1e-9);
+        }
+    }
+
+    /// Today's AND rule as it was before pin rows: the three products
+    /// seeded from the first fanin's factors, one multiply per further
+    /// fanin. Kept as the oracle the padded row core must match bit for
+    /// bit.
+    fn per_fanin_and_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
+        let factors = |[pa, pa_bar, _p0, p1]: [f64; 4]| [p1, p1 + pa, p1 + pa_bar];
+        let mut acc = factors(inputs.next().expect("gate has a fanin"));
+        for f in inputs.map(factors) {
+            acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
+        }
+        let p1 = acc[0];
+        let pa = acc[1] - p1;
+        let pa_bar = acc[2] - p1;
+        let p0 = 1.0 - (p1 + pa + pa_bar);
+        FourValue::new_clamped(pa, pa_bar, p0, p1)
+    }
+
+    /// The OR rule before pin rows, the oracle's dual.
+    fn per_fanin_or_core(mut inputs: impl Iterator<Item = [f64; 4]>) -> FourValue {
+        let factors = |[pa, pa_bar, p0, _p1]: [f64; 4]| [p0, p0 + pa, p0 + pa_bar];
+        let mut acc = factors(inputs.next().expect("gate has a fanin"));
+        for f in inputs.map(factors) {
+            acc = [acc[0] * f[0], acc[1] * f[1], acc[2] * f[2]];
+        }
+        let p0 = acc[0];
+        let pa = acc[1] - p0;
+        let pa_bar = acc[2] - p0;
+        let p1 = 1.0 - (p0 + pa + pa_bar);
+        FourValue::new_clamped(pa, pa_bar, p0, p1)
+    }
+
+    /// The edge lane values: exact 0 and 1, the smallest subnormal and
+    /// normal, 1 − ε, and two plain values.
+    const EDGES: [f64; 7] = [
+        0.0,
+        1.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        1.0 - f64::EPSILON,
+        0.5,
+        0.25,
+    ];
+
+    /// Strategy: a tuple that puts an edge value in one lane and the
+    /// rest of the mass in another, or a random normalized tuple.
+    fn edge_lanes() -> impl Strategy<Value = [f64; 4]> {
+        (0usize..EDGES.len() + 1, 0usize..4, 0usize..3, four_value()).prop_map(
+            |(e, i, j, random)| {
+                let Some(&edge) = EDGES.get(e) else {
+                    return random.lanes();
+                };
+                let mut lanes = [0.0; 4];
+                lanes[i] = edge;
+                lanes[(i + 1 + j) % 4] = 1.0 - edge;
+                lanes
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The padded 4-wide row core, through both of its entry
+        /// points — the slice form and the kernel's pin form over a
+        /// plane holding the two identities — equals the per-fanin fold
+        /// bit for bit: 1 to 9 pins (so rows continue past the first),
+        /// duplicate pins, edge lanes, AND/NAND/OR/NOR, both polarity
+        /// modes.
+        #[test]
+        fn padded_rows_match_per_fanin_fold(
+            pool in proptest::collection::vec(edge_lanes(), 1..10),
+            picks in proptest::collection::vec(0usize..9, 1..10),
+            kind_idx in 0usize..4,
+        ) {
+            let kind = [GateKind::And, GateKind::Nand, GateKind::Or, GateKind::Nor][kind_idx];
+            let op = RuleOp::of(kind);
+            let or = matches!(kind, GateKind::Or | GateKind::Nor);
+            // Picks index the pool modulo its size: pins repeat.
+            let pins: Vec<u32> = picks.iter().map(|&i| (i % pool.len()) as u32).collect();
+            let inputs = || pins.iter().map(|&p| pool[p as usize]);
+            let per_fanin = if or {
+                per_fanin_or_core(inputs())
+            } else {
+                per_fanin_and_core(inputs())
+            };
+            let per_fanin = if kind_idx % 2 == 1 { per_fanin.invert() } else { per_fanin };
+
+            let values: Vec<FourValue> = inputs().map(FourValue::from_lanes).collect();
+            let slice = propagate(kind, &values);
+
+            let mut plane = pool.clone();
+            let and_pad = u32::try_from(plane.len()).unwrap();
+            plane.extend([AND_IDENTITY, OR_IDENTITY]);
+            let mut padded = pins.clone();
+            padded.resize(pins.len().div_ceil(4) * 4, if or { and_pad + 1 } else { and_pad });
+            let rows = propagate_pins(op, &padded, |p| plane[p as usize]);
+
+            for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
+                let bits = |v: FourValue| polarity.apply(v).lanes().map(f64::to_bits);
+                prop_assert_eq!(bits(slice), bits(per_fanin), "{} slice {:?}", kind, polarity);
+                prop_assert_eq!(bits(rows), bits(per_fanin), "{} rows {:?}", kind, polarity);
+            }
         }
     }
 }

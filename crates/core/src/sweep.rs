@@ -15,12 +15,14 @@
 //!   the byte budget, each batch of sites is swept on plans built for
 //!   that batch alone ([`ConePlans::for_sites`]), sized so that the
 //!   plans alive on every worker stay within the same budget.
-//! - **Lane planes** ([`SweepWorkspace`]): one 4-wide tuple per
-//!   cone-local position. As the kernel evaluates a member it stamps
-//!   the member's topological position with the site's epoch and its
-//!   cone-local index, so a fanin whose position carries the current
-//!   stamp reads the plane (on-path) and any other fanin reads the
-//!   precomputed signal-probability plane (off-path).
+//! - **Position plane** ([`SweepWorkspace`]): one 4-wide tuple per
+//!   topological position of the circuit, plus two padding positions
+//!   holding the AND and OR identities. At rest each position holds
+//!   its signal's off-path (signal-probability) tuple. A site's walk
+//!   writes each cone member's tuple at the member's position, so a
+//!   pin reads its on-path value if the walk wrote its position and
+//!   its signal probability otherwise, with one load and no branch.
+//!   The walk restores every position it wrote before the next site.
 //! - **Scheduler**: the site list is cut into contiguous,
 //!   cone-cost-balanced batches, and workers claim the next batch
 //!   through an atomic cursor when they finish their current one.
@@ -50,16 +52,16 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use ser_netlist::{ConePlans, FaninRef, NodeId, ObservePoint};
+use ser_netlist::{ConePlans, NodeId, ObservePoint, TopoArtifacts};
 use ser_sp::SpVector;
 
 use crate::engine::{
     combine_sensitization, EppAnalysis, PointEpp, PolarityMode, SiteEpp, WorkspacePool,
 };
 use crate::four_value::FourValue;
-use crate::rules::{propagate_fused, RuleOp};
+use crate::rules::{propagate_pins, RuleOp, AND_IDENTITY, OR_IDENTITY};
 
 /// Below this many sites a parallel sweep is all coordination and no
 /// work: the scheduler runs single-threaded instead. (The old engine
@@ -72,95 +74,75 @@ pub const SINGLE_THREAD_SWEEP_THRESHOLD: usize = 64;
 const BATCHES_PER_THREAD: usize = 8;
 
 /// One `(Pa, Pā, P0, P1)` tuple as a 32-byte-aligned lane array: the
-/// slot type of every sweep plane, so a slot never straddles a cache
+/// slot type of the position plane, so a slot never straddles a cache
 /// line.
 #[derive(Debug, Clone, Copy, Default)]
 #[repr(C, align(32))]
 struct Lane4([f64; 4]);
 
-/// Per-thread scratch for the batched sweep: the `(Pa, Pā, P0, P1)`
-/// value planes indexed by cone-local position, stored as one
-/// `Lane4` per position — so reading or writing one tuple is a
-/// single bounds check and one aligned 32-byte copy. Grows to the
-/// largest cone it evaluates and is reused across sites, sweeps and
-/// circuits (pool it via [`WorkspacePool::checkout_sweep`]).
+/// Per-thread scratch for the batched sweep: the **position plane**,
+/// one `Lane4` per topological position of the circuit plus the two
+/// padding positions the plans' AND and OR pin rows read
+/// ([`ConePlans::pins_at`]), holding the AND identity `(0, 0, 0, 1)`
+/// and the OR identity `(0, 0, 1, 0)`. At rest, position `q` holds the
+/// off-path tuple `from_signal_probability(sp)` of the signal at `q`;
+/// the kernel writes a cone member's tuple at its position while it
+/// walks a site and restores the SP tuple afterwards, so reading or
+/// writing one tuple is a single bounds check and one aligned 32-byte
+/// copy. Reused across sites, sweeps and circuits (pool it via
+/// [`WorkspacePool::checkout_sweep`]).
 #[derive(Debug, Default)]
 pub struct SweepWorkspace {
-    lanes: Vec<Lane4>,
-    /// Per-site gather buffer for the chain path's observe refs —
-    /// sorted by observe index, then merged with the shared tail's
-    /// (already sorted) refs so points are emitted in the reference
+    plane: Vec<Lane4>,
+    /// Per-site gather buffer for the chain path's observed tuples,
+    /// copied out as the walk restores their positions — sorted by
+    /// observe index, then merged with the shared tail's (already
+    /// sorted) observes so points are emitted in the reference
     /// kernel's observe order.
-    path_obs: Vec<(u32, u32)>,
-    /// Per-topological-position membership stamps for the tail walk:
-    /// `epoch << 32 | cone_local_index`, where the epoch is bumped
-    /// once per site. A tail pin whose position carries the current
-    /// epoch is on-path and its lanes sit at the stored cone-local
-    /// index; anything else resolves off-path by signal probability.
-    /// Stamps survive across sites/circuits (the epoch invalidates
-    /// them in O(1); on wrap the table is cleared).
-    pos_stamp: Vec<u64>,
-    stamp_epoch: u32,
-    /// The off-path **SP lane plane**: one precomputed
-    /// `from_signal_probability` tuple per circuit position, so every
-    /// off-path gather in the kernel is a single aligned 32-byte load
-    /// instead of a recomputed (and re-range-checked) tuple.
-    sp_lanes: Vec<Lane4>,
-    /// The SP vector `sp_lanes` was built from, pinned so the plane
+    path_obs: Vec<(u32, Lane4)>,
+    /// The SP vector `plane` was laid out from, pinned so the plane
     /// survives across sweeps: an SP allocation is immutable and its
     /// address unique for as long as anything references it, so
     /// `Arc::ptr_eq` is a sound cache key (the same invariant the
     /// session's multi-cycle cache relies on).
     sp_pin: Option<Arc<SpVector>>,
+    /// The artifacts whose topological order `plane` was laid out in.
+    /// A weak pin keeps the allocation, and so its address, from being
+    /// reused without keeping the artifacts (and their cached plans)
+    /// alive: a what-if edit's circuit has new artifacts and a new
+    /// order.
+    order_pin: Weak<TopoArtifacts>,
 }
 
 impl SweepWorkspace {
-    /// Fresh, empty scratch (planes grow on first use).
+    /// Fresh, empty scratch (the plane is laid out on first use).
     #[must_use]
     pub fn new() -> Self {
         SweepWorkspace::default()
     }
 
-    fn ensure(&mut self, len: usize) {
-        if self.lanes.len() < len {
-            self.lanes.resize(len, Lane4::default());
-        }
-    }
-
-    /// Builds (or reuses) the SP lane plane for `sp`. Validation
-    /// happens here, once per distribution per workspace — a bad SP
-    /// panics at plane build exactly as `from_signal_probability`
-    /// would have panicked at first gather, instead of corrupting the
-    /// sweep.
-    fn ensure_sp_plane(&mut self, sp: &Arc<SpVector>) {
-        if let Some(pin) = &self.sp_pin {
-            if Arc::ptr_eq(pin, sp) {
-                return;
-            }
+    /// Lays out (or reuses) the position plane for `sp` in `topo`'s
+    /// order. Validation happens here, once per distribution and order
+    /// per workspace — a bad SP panics at plane build exactly as
+    /// `from_signal_probability` would have panicked at first gather,
+    /// instead of corrupting the sweep.
+    fn ensure_plane(&mut self, sp: &Arc<SpVector>, topo: &Arc<TopoArtifacts>) {
+        let same_sp = self.sp_pin.as_ref().is_some_and(|pin| Arc::ptr_eq(pin, sp));
+        if same_sp && std::ptr::eq(self.order_pin.as_ptr(), Arc::as_ptr(topo)) {
+            return;
         }
         self.sp_pin = None;
-        self.sp_lanes.clear();
-        self.sp_lanes.extend(
-            sp.as_slice()
+        let sp_of = sp.as_slice();
+        self.plane.clear();
+        self.plane.extend(
+            topo.order()
                 .iter()
-                .map(|&x| Lane4(FourValue::from_signal_probability(x).lanes())),
+                .map(|id| Lane4(FourValue::from_signal_probability(sp_of[id.index()]).lanes())),
         );
+        self.plane.push(Lane4(AND_IDENTITY));
+        self.plane.push(Lane4(OR_IDENTITY));
         self.sp_pin = Some(Arc::clone(sp));
-    }
-
-    /// Sizes the position-stamp table for a circuit of `n` positions
-    /// and starts a fresh stamp epoch for the next site. Returns the
-    /// epoch already shifted into the stamp's high half.
-    fn next_epoch(&mut self, n: usize) -> u64 {
-        if self.pos_stamp.len() < n {
-            self.pos_stamp.resize(n, 0);
-        }
-        self.stamp_epoch = self.stamp_epoch.wrapping_add(1);
-        if self.stamp_epoch == 0 {
-            self.pos_stamp.fill(0);
-            self.stamp_epoch = 1;
-        }
-        u64::from(self.stamp_epoch) << 32
+        self.order_pin = Arc::downgrade(topo);
     }
 }
 
@@ -744,11 +726,12 @@ impl EppAnalysis {
         };
         let mut results = SweepResults::empty(sites.to_vec(), is_dense(sites), store);
         let mut ws = ctx.pool.checkout_sweep();
-        // One plane build per workspace per SP vector — and usually
-        // none: pooled workspaces keep their plane pinned to the exact
-        // SP allocation, so repeat sweeps, later batches and the
-        // service's single-site requests skip straight through.
-        ws.ensure_sp_plane(self.sp_arc());
+        // One plane build per workspace per SP vector and order — and
+        // usually none: pooled workspaces keep their plane pinned to
+        // the exact SP allocation and artifacts, so repeat sweeps,
+        // later batches and the service's single-site requests skip
+        // straight through.
+        ws.ensure_plane(self.sp_arc(), self.artifacts());
         let mut folded: Vec<PointEpp> = Vec::new();
         for &site in sites {
             let points_out = match &mut results.arrivals {
@@ -768,28 +751,30 @@ impl EppAnalysis {
 
     /// The allocation-free plan-driven kernel for one site: evaluates
     /// the suffix-shared cone — the chain path, then the shared tail —
-    /// over the 4-wide lane planes, appends the per-point arrivals to
-    /// `points_out`, and returns
+    /// on the workspace's position plane, appends the per-point
+    /// arrivals to `points_out`, and returns
     /// `(p_sensitized, on-path gates, points appended)`.
     ///
-    /// **Path members** (cone positions `1..=prefix_len`) carry no
-    /// packed refs at all: a chain node's only possible on-path fanin
-    /// is its path predecessor (anything else reading it would make it
-    /// an anchor), so each pin resolves by comparing the pin's node id
-    /// against the previously walked node — the anchor at position
-    /// `prefix_len` included. **Tail members** are the set bits of the
-    /// anchor's window, walked in ascending position order; a pin is
-    /// on-path iff its position carries this site's epoch stamp, which
-    /// also holds its cone-local index. Observe points are the sorted
-    /// path observes merged with the tail's observe row (ascending
-    /// observe indices), so emission order matches the reference
-    /// kernel's observe order exactly.
+    /// Every member, on the path or in the tail, is one step
+    /// `plane[q] = rule(q, plane[pins of q])`: the pins are positions,
+    /// and a position the walk wrote holds the on-path tuple while any
+    /// other holds its signal-probability tuple, so no pin is
+    /// classified (the `plan.rs` module docs give the three facts that
+    /// make this exact). **Path members** are reached by `next_of`
+    /// hops; a chain node's value is read only by the next path
+    /// member, so the walk restores its position right after that
+    /// member is written, copying its observed tuples out first.
+    /// **Tail members** are the set bits of the anchor's window, walked
+    /// in ascending position order. Observe points are the sorted path
+    /// observes merged with the tail's observe row (ascending observe
+    /// indices), so emission order matches the reference kernel's
+    /// observe order exactly. A second pass over the window then
+    /// restores the tail's positions, leaving the plane at rest.
     ///
     /// Per gate, the rule is dispatched **once** ([`RuleOp::of`],
-    /// outside the per-fanin loop) and the fused rule core consumes
-    /// fanin lanes straight off the planes / SP vector — no
-    /// intermediate tuple buffer, no per-fanin re-dispatch, one fused
-    /// traversal where the slice-based rules made three.
+    /// outside the per-pin loop), and AND/OR gates read fixed rows of
+    /// four pins padded with the identity positions, so their loop has
+    /// no per-gate trip count.
     ///
     /// Performs the exact same float operations in the exact same order
     /// as `ser-oracle`'s per-site reference kernel: both call the same
@@ -806,146 +791,93 @@ impl EppAnalysis {
         let plan = plans.plan(site);
         let l = plan.prefix_len();
         let tail = plan.tail();
-        let len = l + tail.len();
-        ws.ensure(len);
-        let epoch = ws.next_epoch(plans.len());
-        debug_assert_eq!(
-            ws.sp_lanes.len(),
-            self.circuit().len(),
-            "SP lane plane prepared at scratch checkout"
-        );
-
-        let circuit = self.circuit();
-        // Split the workspace borrows once: the gather closures read
-        // the SP plane while the value plane is written between gates.
+        let topo = self.artifacts();
+        let sp = self.sp_arc().as_slice();
         let SweepWorkspace {
-            lanes,
-            path_obs,
-            pos_stamp,
-            sp_lanes,
-            ..
+            plane, path_obs, ..
         } = ws;
-        let sp_lanes: &[Lane4] = sp_lanes;
+        debug_assert_eq!(
+            plane.len(),
+            plans.len() + 2,
+            "position plane laid out at scratch checkout"
+        );
+        let at_rest = |id: NodeId| Lane4(FourValue::off_path_lanes(sp[id.index()]));
 
-        lanes[0] = Lane4(FourValue::error_site().lanes());
-
-        // Chain path: walk `next_of` hops; position `l` is the anchor
-        // (the tail's first member), whose pins — like every path
-        // member's — resolve by predecessor comparison. When `l == 0`
-        // the site *is* the anchor and the walk is empty. Path observe
-        // refs (positions `0..l`) gather into the sort buffer; the
-        // anchor's observes live in the tail's presorted refs.
+        // Chain path: walk `next_of` hops from the site; the last hop
+        // lands on the anchor (the tail's first member). When `l == 0`
+        // the site *is* the anchor and the walk is empty. The path's
+        // observes (the site and the chain nodes before the anchor)
+        // gather into the sort buffer; the anchor's live in the tail's
+        // observe row.
         path_obs.clear();
-        if l > 0 {
-            for &obs in plan.observes_of(site) {
-                path_obs.push((obs, 0));
-            }
-        }
         let mut prev = site;
-        for pos in 1..=l {
-            let id = plan.next_of(prev);
-            let node = circuit.node(id);
-            let op = RuleOp::of(node.kind());
-            let prev_lanes = lanes[pos - 1].0;
-            let out = propagate_fused(
-                op,
-                node.fanin().iter().map(|&pin| {
-                    if pin == prev {
-                        prev_lanes
-                    } else {
-                        // Off-path: one aligned load off the SP plane
-                        // (the tuple — and its range check — was
-                        // computed once at plane build).
-                        sp_lanes[pin.index()].0
-                    }
-                }),
-            );
-            lanes[pos] = Lane4(polarity.apply(out).lanes());
-            if pos < l {
-                for &obs in plan.observes_of(id) {
-                    path_obs.push((obs, u32::try_from(pos).expect("cone fits u32")));
-                }
+        let mut prev_pos = topo.position(site) as usize;
+        plane[prev_pos] = Lane4(FourValue::error_site().lanes());
+        for _ in 0..l {
+            for &obs in plan.observes_of(prev) {
+                path_obs.push((obs, plane[prev_pos]));
             }
+            let id = plan.next_of(prev);
+            let q = topo.position(id);
+            plane[q as usize] = eval(plans, plane, q, polarity);
+            plane[prev_pos] = at_rest(prev);
             prev = id;
+            prev_pos = q as usize;
         }
 
-        // Shared tail: member `k` sits at cone position `l + k`. The
-        // tail is a bitset window over topological positions, walked
-        // set bit by set bit in ascending order; kinds and pins come
-        // off the plans' per-position tables, and each pin classifies
-        // on the fly against the walked cone: positions are stamped
-        // with the site's epoch as their members are evaluated, every
-        // fanin position is strictly below its consumer's, and no tail
-        // member can read a path node (a path node's single successor
-        // is the next path node) — so a current-epoch stamp is exactly
-        // the old packed on-path ref, and anything else resolves by
-        // signal probability. Same values, same order: bit-identical.
+        // Shared tail: the window's set bits in ascending position
+        // order, the anchor (already written) first.
         let mut positions = tail.positions();
         let anchor = positions.next().expect("a tail holds its anchor");
-        pos_stamp[anchor as usize] = epoch | l as u64;
-        let mut local = l;
+        debug_assert_eq!(anchor as usize, prev_pos, "the path ends at the anchor");
         for q in positions {
-            local += 1;
-            let op = RuleOp::of(plans.kind_at(q));
-            let lanes_now: &[Lane4] = lanes;
-            let stamp: &[u64] = pos_stamp;
-            // Branchless fanin gather: whether a fanin is on-path is
-            // data-dependent (the shared tail serves every site), so an
-            // `if` here mispredicts constantly. Both candidate slots
-            // are always safely indexable — stamps only ever hold
-            // positions below the workspace high-water mark, and the
-            // packed ref of an on-path fanin decodes to a harmless
-            // in-range placeholder — so we resolve both and let a
-            // conditional move pick the address.
-            let gather = move |&(pf, off): &(u32, u32)| -> [f64; 4] {
-                let s = stamp[pf as usize];
-                let on_path = s & !0xFFFF_FFFF == epoch;
-                let off_idx = match FaninRef::decode(off) {
-                    FaninRef::OffPath(idx) => idx,
-                    // Packed tail refs are always off-path; this arm
-                    // only fires when `on_path` already won the select.
-                    FaninRef::OnPath(_) => 0,
-                };
-                let src = std::hint::select_unpredictable(
-                    on_path,
-                    &lanes_now[(s as u32) as usize],
-                    &sp_lanes[off_idx],
-                );
-                src.0
-            };
-            let out = propagate_fused(op, plans.fanins_at(q).iter().map(gather));
-            lanes[local] = Lane4(polarity.apply(out).lanes());
-            pos_stamp[q as usize] = epoch | local as u64;
+            plane[q as usize] = eval(plans, plane, q, polarity);
         }
 
         // Emit points in observe order: merge the sorted path observes
         // with the tail's observe row (indices are unique per site, so
         // the merge is a strict interleave — the reference emission
-        // order). A tail observe's lanes sit at the cone-local index the
-        // walk stamped on its signal's position.
-        path_obs.sort_unstable();
-        let observe: &[ObservePoint] = self.artifacts().observe_points();
+        // order). A tail observe's tuple sits at its signal's position.
+        path_obs.sort_unstable_by_key(|&(obs, _)| obs);
+        let observe: &[ObservePoint] = topo.observe_points();
         let first = points_out.len();
-        let mut emit = |(obs, local): (u32, u32)| {
+        let mut emit = |obs: u32, lanes: Lane4| {
             points_out.push(PointEpp {
                 point: observe[obs as usize],
-                value: FourValue::from_lanes(lanes[local as usize].0),
+                value: FourValue::from_lanes(lanes.0),
             });
         };
         let mut path = path_obs.iter().copied().peekable();
         for obs in tail.observes() {
-            while let Some(r) = path.next_if(|r| r.0 < obs) {
-                emit(r);
+            while let Some((o, lanes)) = path.next_if(|r| r.0 < obs) {
+                emit(o, lanes);
             }
-            emit((obs, pos_stamp[plans.observe_pos(obs) as usize] as u32));
+            emit(obs, plane[plans.observe_pos(obs) as usize]);
         }
-        path.for_each(emit);
+        path.for_each(|(o, lanes)| emit(o, lanes));
+
+        // Put the tail's positions back at rest for the next site.
+        let order = topo.order();
+        for q in tail.positions() {
+            plane[q as usize] = at_rest(order[q as usize]);
+        }
+
         let p_sensitized =
             combine_sensitization(points_out[first..].iter().map(PointEpp::p_arrival));
-        let gates = u32::try_from(len - 1).expect("cone fits u32");
+        let gates = u32::try_from(l + tail.len() - 1).expect("cone fits u32");
         let n_points = u32::try_from(points_out.len() - first).expect("points fit u32");
         (p_sensitized, gates, n_points)
     }
+}
+
+/// One member's step of the kernel: the rule of the gate at position
+/// `q`, over its pins' tuples on the position plane, seen through the
+/// polarity mode.
+#[inline(always)]
+fn eval(plans: &ConePlans, plane: &[Lane4], q: u32, polarity: PolarityMode) -> Lane4 {
+    let op = RuleOp::of(plans.kind_at(q));
+    let out = propagate_pins(op, plans.pins_at(q), |p| plane[p as usize].0);
+    Lane4(polarity.apply(out).lanes())
 }
 
 #[cfg(test)]
@@ -1066,7 +998,11 @@ H = OR(C, D, G)
                 .sp_pin
                 .as_ref()
                 .is_some_and(|p| Arc::ptr_eq(p, epp.sp_arc())));
-            assert_eq!(slots.sp_lanes.len(), c.len());
+            assert!(std::ptr::eq(
+                slots.order_pin.as_ptr(),
+                Arc::as_ptr(epp.artifacts())
+            ));
+            assert_eq!(slots.plane.len(), c.len() + 2);
             pool.give_back_sweep(slots);
         }
         // A different SP allocation (same values) must rebuild the plane.
@@ -1082,6 +1018,25 @@ H = OR(C, D, G)
             .sp_pin
             .as_ref()
             .is_some_and(|p| Arc::ptr_eq(p, epp2.sp_arc())));
+        pool.give_back_sweep(slots);
+
+        // The same SP allocation over another circuit of as many nodes
+        // (so another position order) must lay the plane out again:
+        // the order is pinned too.
+        // Gates declared consumers first, so its order is not FIG1's.
+        let other = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(h)\nh = NOR(g, d)\ng = NAND(f, c)\nf = XOR(e, a)\ne = OR(d, b)\nd = AND(a, c)\nc = NOT(b)\n",
+            "other",
+        )
+        .unwrap();
+        assert_eq!(other.len(), c.len());
+        let topo = Arc::new(ser_netlist::TopoArtifacts::compute(&other).unwrap());
+        assert_ne!(topo.order(), epp.artifacts().order());
+        let epp3 = EppAnalysis::from_artifacts(other, Arc::clone(&topo), Arc::clone(epp2.sp_arc()));
+        let shared = sweep_all(&epp3, 1, &pool);
+        assert_eq!(shared, sweep_all(&epp3, 1, &WorkspacePool::new()));
+        let slots = pool.checkout_sweep();
+        assert!(std::ptr::eq(slots.order_pin.as_ptr(), Arc::as_ptr(&topo)));
         pool.give_back_sweep(slots);
     }
 

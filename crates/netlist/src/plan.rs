@@ -26,7 +26,7 @@
 //!   anchor's own bit is the lowest bit set, and walking the set bits
 //!   upward yields the members in topological order. A tail stores no
 //!   per-member kinds or fanin refs: those live in circuit-sized
-//!   **per-position tables** (`pos_kind`, `pos_fanin_off`/`pos_fanins`)
+//!   **per-position tables** (`pos_kind`, `pos_pin_off`/`pos_pins`)
 //!   shared by every tail. Its observe points are one row of bits over
 //!   the observe indices (set bits walk in observe order, the order a
 //!   sweep emits points in); a point's signal position comes from the
@@ -43,33 +43,40 @@
 //! store is 1.6 MB as windows and was 27.7 MB as lists.
 //!
 //! On-path/off-path fanin classification is *not* precomputed per tail
-//! member. Each `pos_fanins` entry carries the fanin's topological
-//! position plus its packed **off-path** reference; the sweep kernel
-//! decides on-path membership at evaluation time with an epoch-stamped
-//! position scratch: as it evaluates a cone it stamps each member's
-//! position with the member's cone-local index, and a fanin whose
-//! position carries the current epoch's stamp is on-path at the
-//! stamped index. Three facts make this exact (proptest-enforced in
-//! `tests/plan_builder.rs` against an oracle built from
-//! [`FanoutCone::extract`](crate::FanoutCone::extract)):
+//! member. A `pos_pins` row holds only fanin **positions**, and the
+//! sweep kernel reads every pin from one value plane indexed by
+//! topological position: each position holds its signal's off-path
+//! (signal-probability) tuple until the site's walk writes the
+//! member's four-value tuple there, and the walk restores it
+//! afterwards. A pin is therefore on-path exactly when its position
+//! was written earlier in the same walk. Three facts make this exact
+//! (proptest-enforced in `tests/plan_builder.rs` against an oracle
+//! built from [`FanoutCone::extract`](crate::FanoutCone::extract)):
 //!
 //! 1. A path member's only possible on-path fanin is its path
 //!    predecessor (a chain node has exactly one combinational
 //!    successor, so any other cone member reading it would make it an
-//!    anchor) — the kernel resolves path fanins by comparing the pin
-//!    against the previously walked node, and no tail member can read
-//!    a path chain node for the same reason.
+//!    anchor), and no tail member can read a path chain node for the
+//!    same reason. So a path member's value is read once, by the next
+//!    path member, and the walk may restore its position right after.
 //! 2. Every fanin sits at a strictly lower topological position than
 //!    its consumer and cone members are evaluated in ascending
-//!    position order, so stamping members as they are written covers
-//!    every on-path pin before it is read.
+//!    position order, so every on-path pin is written before it is
+//!    read, and every position not in the cone still holds its
+//!    signal-probability tuple.
 //! 3. Cone order is path positions ascending followed by the anchor's
 //!    cone (all at strictly greater topological positions), which is
 //!    exactly the cone sorted by topological position; observe
 //!    indices are unique per site, so merging the sorted path observes
 //!    with the tail's observe row preserves the reference emission
-//!    order. A tail observe's cone-local index is the stamp the walk
-//!    left on its signal's position.
+//!    order. A tail observe's value sits at its signal's position.
+//!
+//! AND/NAND and OR/NOR rows are padded to a multiple of four pins with
+//! two sentinel positions past the circuit's own: `n` (the node count)
+//! pads AND-class rows and `n + 1` OR-class rows. A consumer's plane
+//! holds the rule's identity tuple there, so a padded row reads as
+//! exactly its real pins (see [`ConePlans::pins_at`]). XOR/XNOR,
+//! BUF/NOT and the flip-flop D pin hold their true pin count.
 //!
 //! # How the plans are built
 //!
@@ -105,10 +112,6 @@ use crate::cancel::{CancelCause, CancelToken};
 use crate::circuit::{Circuit, NodeId};
 use crate::gate::GateKind;
 
-/// Bit marking a fanin reference as off-path (node index) rather than
-/// on-path (cone-local index).
-const OFF_PATH_BIT: u32 = 1 << 31;
-
 /// Sentinel for "no next chain hop" (the node is an anchor).
 const NO_NEXT: u32 = u32::MAX;
 
@@ -129,22 +132,24 @@ pub enum FaninRef {
     OffPath(usize),
 }
 
-impl FaninRef {
-    /// Decodes a packed reference.
-    #[inline]
-    #[must_use]
-    pub fn decode(raw: u32) -> Self {
-        if raw & OFF_PATH_BIT == 0 {
-            FaninRef::OnPath(raw as usize)
-        } else {
-            FaninRef::OffPath((raw & !OFF_PATH_BIT) as usize)
-        }
+/// The sentinel position that pads a gate's pin row to a multiple of
+/// four, relative to the circuit's node count `n`: `n` for AND/NAND,
+/// `n + 1` for OR/NOR, and `None` for the kinds whose rows hold their
+/// true pin count.
+fn pad_position(kind: GateKind, n: u32) -> Option<u32> {
+    match kind {
+        GateKind::And | GateKind::Nand => Some(n),
+        GateKind::Or | GateKind::Nor => Some(n + 1),
+        _ => None,
     }
+}
 
-    fn encode_off_path(node: NodeId) -> u32 {
-        let idx = u32::try_from(node.index()).expect("node index fits u32");
-        debug_assert_eq!(idx & OFF_PATH_BIT, 0, "circuit larger than 2^31 nodes");
-        idx | OFF_PATH_BIT
+/// Slots a gate of `kind` with `pins` fanin pins takes in the pin
+/// table: its pins rounded up to whole rows of four when the kind pads.
+fn stored_pins(kind: GateKind, pins: usize) -> usize {
+    match pad_position(kind, 0) {
+        Some(_) => pins.div_ceil(4) * 4,
+        None => pins,
     }
 }
 
@@ -226,13 +231,12 @@ pub struct ConePlans {
     pos_node: Vec<NodeId>,
     /// Gate kind at each position.
     pos_kind: Vec<GateKind>,
-    /// CSR offsets per position into `pos_fanins`. Length `n + 1`.
-    pos_fanin_off: Vec<u32>,
-    /// Fanin pins in declaration order (duplicates preserved) as
-    /// `(fanin topological position, packed off-path ref)` — the
-    /// off-path encoding of a pin is cone-independent, so it is
-    /// computed exactly once here.
-    pos_fanins: Vec<(u32, u32)>,
+    /// CSR offsets per position into `pos_pins`. Length `n + 1`.
+    pos_pin_off: Vec<u32>,
+    /// Fanin pin positions in declaration order (duplicates
+    /// preserved), AND/OR-class rows padded to a multiple of four with
+    /// their sentinel position (see [`pins_at`](Self::pins_at)).
+    pos_pins: Vec<u32>,
     // ---- shared tail table, one entry per anchor, in build order
     //      (descending anchor position) ----
     /// Per tail: the anchor's topological position. The window's first
@@ -258,7 +262,7 @@ pub struct ConePlans {
     /// order.
     obs_pos: Vec<u32>,
     // ---- global ----
-    /// Largest *logical* cone size over all sites (workspace sizing).
+    /// Largest *logical* cone size over all sites.
     max_cone_len: usize,
     /// Sum of logical cone sizes over all sites — what the flat arena
     /// used to store.
@@ -458,7 +462,10 @@ impl ConePlans {
         workers: usize,
     ) -> usize {
         let (n, observes) = (circuit.len(), topo.observe_points().len());
-        let pins: usize = circuit.iter().map(|(_, node)| node.fanin().len()).sum();
+        let pins: usize = circuit
+            .iter()
+            .map(|(_, node)| stored_pins(node.kind(), node.fanin().len()))
+            .sum();
         let per_tail =
             4 * U32 + (n.div_ceil(64) + observes.div_ceil(64)) * std::mem::size_of::<u64>();
         let share = max_bytes / workers.max(1);
@@ -467,12 +474,13 @@ impl ConePlans {
 
     /// Bytes of the tables every build holds whatever its tails: five
     /// per-node chain tables, the node observe CSR, the per-position
-    /// tables, the observe positions and the tail offsets' leading 0.
+    /// tables (`pins` stored pin slots, padding included), the observe
+    /// positions and the tail offsets' leading 0.
     fn frame_bytes(n: usize, observes: usize, pins: usize) -> usize {
         U32 * (5 * n + (n + 1) + observes)
             + n * (std::mem::size_of::<NodeId>() + std::mem::size_of::<GateKind>())
             + U32 * (n + 1)
-            + pins * std::mem::size_of::<(u32, u32)>()
+            + pins * U32
             + U32 * (observes + 1)
     }
 
@@ -543,8 +551,8 @@ impl ConePlans {
             node_obs,
             pos_node: order.to_vec(),
             pos_kind: tables.kind,
-            pos_fanin_off: tables.fanin_off,
-            pos_fanins: tables.fanins,
+            pos_pin_off: tables.pin_off,
+            pos_pins: tables.pins,
             tail_anchor: Vec::new(),
             tail_len: Vec::new(),
             tail_pins: Vec::new(),
@@ -603,7 +611,7 @@ impl ConePlans {
             len += w.count_ones();
         }
         // The anchor's own pins belong to the paths that reach it.
-        pins -= self.pos_fanin_off[p + 1] - self.pos_fanin_off[p];
+        pins -= frame.pins_at(p);
 
         self.tail_words.extend_from_slice(window);
         self.tail_anchor[t] = u32::try_from(p).expect("node count fits u32");
@@ -639,8 +647,7 @@ impl ConePlans {
         self.len() == 0
     }
 
-    /// Largest logical cone size over all sites — the capacity a
-    /// cone-local value plane needs.
+    /// Largest logical cone size over all sites.
     #[must_use]
     pub fn max_cone_len(&self) -> usize {
         self.max_cone_len
@@ -690,21 +697,24 @@ impl ConePlans {
         self.pos_kind[pos as usize]
     }
 
-    /// Fanin pins of the node at position `pos`, in declaration order
-    /// (duplicates preserved), as `(fanin position, packed off-path
-    /// ref)` pairs. The packed ref decodes via [`FaninRef::decode`] to
-    /// the pin's [`FaninRef::OffPath`] form; whether the pin is
-    /// actually on-path for a given cone is decided by the consumer
-    /// (membership of the fanin position in the cone walked so far).
+    /// Fanin pin positions of the node at position `pos`, in
+    /// declaration order (duplicates preserved). AND/NAND rows are
+    /// padded to a multiple of four with position `len()`, OR/NOR rows
+    /// with `len() + 1`: a value plane that holds the AND identity
+    /// `(0, 0, 0, 1)` and the OR identity `(0, 0, 1, 0)` at those two
+    /// positions makes each padded pin a factor of exactly 1. Every
+    /// other kind's row holds its true pin count. Whether a pin is
+    /// on-path for a given cone is decided by the consumer (see the
+    /// `plan` module docs).
     ///
     /// # Panics
     ///
     /// Panics if `pos` is out of range.
     #[inline]
     #[must_use]
-    pub fn fanins_at(&self, pos: u32) -> &[(u32, u32)] {
+    pub fn pins_at(&self, pos: u32) -> &[u32] {
         let pos = pos as usize;
-        &self.pos_fanins[self.pos_fanin_off[pos] as usize..self.pos_fanin_off[pos + 1] as usize]
+        &self.pos_pins[self.pos_pin_off[pos] as usize..self.pos_pin_off[pos + 1] as usize]
     }
 
     /// Topological position of observe point `obs`'s signal (`obs`
@@ -743,8 +753,8 @@ impl ConePlans {
             + bytes(&self.node_obs)
             + bytes(&self.pos_node)
             + bytes(&self.pos_kind)
-            + bytes(&self.pos_fanin_off)
-            + bytes(&self.pos_fanins)
+            + bytes(&self.pos_pin_off)
+            + bytes(&self.pos_pins)
             + bytes(&self.tail_anchor)
             + bytes(&self.tail_len)
             + bytes(&self.tail_pins)
@@ -882,10 +892,12 @@ impl<'a> ConePlan<'a> {
     }
 
     /// Decodes the plan into owned, self-contained [`SitePlan`] form —
-    /// resolving path fanins by predecessor comparison and rebasing
-    /// tail-local references, exactly as the sweep kernel does. This
-    /// is the representation `tests/plan_builder.rs` compares against
-    /// its [`FanoutCone`](crate::FanoutCone)-based oracle.
+    /// resolving path fanins by predecessor comparison and each tail
+    /// pin by whether its position is a tail member, the membership
+    /// the sweep kernel's position plane encodes (see the `plan`
+    /// module docs). This is the representation `tests/plan_builder.rs`
+    /// compares against its [`FanoutCone`](crate::FanoutCone)-based
+    /// oracle.
     ///
     /// # Panics
     ///
@@ -938,18 +950,21 @@ impl<'a> ConePlan<'a> {
         // Tail members at cone positions l..len. A tail pin is on-path
         // iff its position is in the tail itself (a path node's single
         // successor is the next path node, so no tail member can read
-        // one); the cone-local index of tail member k is l + k.
+        // one); the cone-local index of tail member k is l + k. Padding
+        // positions (at or past the node count) are no pins.
         let positions: Vec<u32> = tail.positions().collect();
         members.extend(positions.iter().map(|&q| self.plans.node_at(q)));
         kinds.extend(positions.iter().map(|&q| self.plans.kind_at(q)));
+        let n = self.plans.len();
         for &q in &positions[1..] {
             fanin_refs.push(
                 self.plans
-                    .fanins_at(q)
+                    .pins_at(q)
                     .iter()
-                    .map(|&(pf, off)| match positions.binary_search(&pf) {
+                    .filter(|&&pf| (pf as usize) < n)
+                    .map(|&pf| match positions.binary_search(&pf) {
                         Ok(k) => FaninRef::OnPath(l + k),
-                        Err(_) => FaninRef::decode(off),
+                        Err(_) => FaninRef::OffPath(self.plans.node_at(pf).index()),
                     })
                     .collect(),
             );
@@ -1079,7 +1094,7 @@ impl<'a> TailView<'a> {
     /// Tail members as ascending topological positions (the window's
     /// set bits); the first is the anchor. Resolve a member's gate kind
     /// and fanin pins through [`ConePlans::kind_at`] and
-    /// [`ConePlans::fanins_at`]; a pin is
+    /// [`ConePlans::pins_at`]; a pin is
     /// on-path iff its position is a tail member (tail-local index =
     /// rank among the members, cone-local index = that plus the site's
     /// path length).
@@ -1159,24 +1174,35 @@ struct Frame {
     pin_planes: Vec<Vec<u64>>,
 }
 
-/// Per-topo-position tables compiled once per build. The kind and
-/// fanin tables become [`ConePlans`]' own; the rest only serve the
-/// window pass:
+impl Frame {
+    /// The true fanin count of the node at position `p`, padding
+    /// excluded, read back off the bit planes.
+    fn pins_at(&self, p: usize) -> u32 {
+        (0..)
+            .zip(&self.pin_planes)
+            .map(|(b, plane)| ((plane[p / 64] >> (p % 64)) as u32 & 1) << b)
+            .sum()
+    }
+}
+
+/// Per-topo-position tables compiled once per build. The kind and pin
+/// tables become [`ConePlans`]' own; the rest only serve the window
+/// pass:
 ///
 /// - the gate kind,
-/// - each fanin pin as `(fanin topo position, pre-packed off-path
-///   ref)` — the off-path encoding of a pin is site-independent, so it
-///   is computed exactly once here,
+/// - each fanin pin's topo position, AND/OR-class rows padded to whole
+///   rows of four with their sentinel position,
 /// - a bitset of the positions whose signals are observed,
-/// - the fanin counts as bit planes: plane `b` holds bit `b` of every
-///   position's count, so a window's pin total is
+/// - the true fanin counts as bit planes: plane `b` holds bit `b` of
+///   every position's count, so a window's pin total is
 ///   `Σ_b popcount(window & plane_b) << b`.
 struct PosTables {
     kind: Vec<GateKind>,
-    /// CSR offsets per position into `fanins`. Length `n + 1`.
-    fanin_off: Vec<u32>,
-    /// Fanin pins in declaration order, duplicates preserved.
-    fanins: Vec<(u32, u32)>,
+    /// CSR offsets per position into `pins`. Length `n + 1`.
+    pin_off: Vec<u32>,
+    /// Fanin pin positions in declaration order, duplicates preserved,
+    /// padded per [`pad_position`].
+    pins: Vec<u32>,
     /// Bit `q` set iff position `q` has an observe point.
     observed: Vec<u64>,
     /// Fanin-count bit planes, one bit per position each.
@@ -1186,26 +1212,30 @@ struct PosTables {
 impl PosTables {
     fn build(circuit: &Circuit, topo: &TopoArtifacts, obs_of_signal: &[Vec<u32>]) -> Self {
         let n = circuit.len();
+        let n32 = u32::try_from(n).expect("node count fits u32");
         let words = n.div_ceil(64);
         let mut tables = PosTables {
             kind: Vec::with_capacity(n),
-            fanin_off: Vec::with_capacity(n + 1),
-            fanins: Vec::new(),
+            pin_off: Vec::with_capacity(n + 1),
+            pins: Vec::new(),
             observed: vec![0; words],
             pin_planes: Vec::new(),
         };
-        tables.fanin_off.push(0);
+        tables.pin_off.push(0);
         for (p, &id) in topo.order().iter().enumerate() {
             let node = circuit.node(id);
             tables.kind.push(node.kind());
-            for &f in node.fanin() {
-                tables
-                    .fanins
-                    .push((topo.position(f), FaninRef::encode_off_path(f)));
+            let row_start = tables.pins.len();
+            tables
+                .pins
+                .extend(node.fanin().iter().map(|&f| topo.position(f)));
+            if let Some(pad) = pad_position(node.kind(), n32) {
+                let padded = row_start + stored_pins(node.kind(), node.fanin().len());
+                tables.pins.resize(padded, pad);
             }
             tables
-                .fanin_off
-                .push(u32::try_from(tables.fanins.len()).expect("edge count fits u32"));
+                .pin_off
+                .push(u32::try_from(tables.pins.len()).expect("edge count fits u32"));
             let pins = node.fanin().len();
             let planes = (usize::BITS - pins.leading_zeros()) as usize;
             if tables.pin_planes.len() < planes {
@@ -1548,7 +1578,10 @@ H = OR(C, D, G)
         // The batch bound's circuit-sized tables are exactly what a
         // build with no tail holds.
         let none = ConePlans::for_sites(&c, &topo, &[]);
-        let pins = c.iter().map(|(_, n)| n.fanin().len()).sum();
+        let pins = c
+            .iter()
+            .map(|(_, n)| stored_pins(n.kind(), n.fanin().len()))
+            .sum();
         let frame = ConePlans::frame_bytes(c.len(), topo.observe_points().len(), pins);
         assert_eq!(none.arena_bytes(), frame);
         // H is its own anchor: one tail, which also serves every chain

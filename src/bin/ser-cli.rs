@@ -50,6 +50,38 @@ use ser_suite::service::{
     StdioTransport, TcpTransport,
 };
 
+/// Why a command stopped early.
+enum Failure {
+    /// A message for standard error; the exit code is 1.
+    Message(String),
+    /// Standard output was closed before everything was written; the
+    /// exit is quiet and successful.
+    ClosedPipe,
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Failure::ClosedPipe,
+            _ => Failure::Message(format!("cannot write to standard output: {e}")),
+        }
+    }
+}
+
+/// `println!` through the one standard-output handle, returning a
+/// write error from the enclosing command instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*).map_err(Failure::from)?
+    };
+}
+
 fn load(path: &str) -> Result<Circuit, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let stem = std::path::Path::new(path)
@@ -63,7 +95,7 @@ fn load(path: &str) -> Result<Circuit, String> {
     }
 }
 
-fn cmd_convert(input: &str, output: &str) -> Result<(), String> {
+fn cmd_convert(input: &str, output: &str) -> Result<(), Failure> {
     let c = load(input)?;
     let text = if output.ends_with(".v") || output.ends_with(".sv") {
         write_verilog(&c)
@@ -75,18 +107,18 @@ fn cmd_convert(input: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(path: &str) -> Result<(), String> {
+fn cmd_info(path: &str) -> Result<(), Failure> {
     let c = load(path)?;
     let stats = CircuitStats::compute(&c).map_err(|e| e.to_string())?;
-    println!("{stats}");
-    println!("  gate mix:");
+    say!("{stats}");
+    say!("  gate mix:");
     for (kind, count) in &stats.by_kind {
-        println!("    {kind:<6} {count}");
+        say!("    {kind:<6} {count}");
     }
     Ok(())
 }
 
-fn cmd_analyze(path: &str, top: usize, threads: usize) -> Result<(), String> {
+fn cmd_analyze(path: &str, top: usize, threads: usize) -> Result<(), Failure> {
     let c = load(path)?;
     // One compiled session per invocation: topo order, observe points
     // and SP are computed once and shared by the whole sweep.
@@ -94,18 +126,18 @@ fn cmd_analyze(path: &str, top: usize, threads: usize) -> Result<(), String> {
     let outcome = CircuitSerAnalysis::new()
         .with_threads(threads)
         .run_with_session(&session);
-    println!(
+    say!(
         "analyzed {} nodes in {:?} (SP: {:?}, {} of {threads} requested threads used)",
         c.len(),
         outcome.epp_time(),
         outcome.sp_time(),
         outcome.threads_used(),
     );
-    println!("total SER (unit models): {:.4}\n", outcome.report().total());
-    println!("{:<16} {:>12} {:>12}", "node", "P_sens", "SER");
-    println!("{}", "-".repeat(42));
+    say!("total SER (unit models): {:.4}\n", outcome.report().total());
+    say!("{:<16} {:>12} {:>12}", "node", "P_sens", "SER");
+    say!("{}", "-".repeat(42));
     for e in outcome.report().ranking().iter().take(top) {
-        println!(
+        say!(
             "{:<16} {:>12.4} {:>12.4}",
             c.node(e.node).name(),
             e.p_sensitized,
@@ -115,7 +147,7 @@ fn cmd_analyze(path: &str, top: usize, threads: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_epp(path: &str, node_name: &str) -> Result<(), String> {
+fn cmd_epp(path: &str, node_name: &str) -> Result<(), Failure> {
     let c = load(path)?;
     let site = c
         .find(node_name)
@@ -124,14 +156,14 @@ fn cmd_epp(path: &str, node_name: &str) -> Result<(), String> {
     // Single-site query: the per-site path costs one DFS; compiling the
     // whole circuit's cone plans only pays off for sweeps.
     let r = session.site(site);
-    println!(
+    say!(
         "site `{node_name}`: {} on-path gates, P_sensitized = {:.4}",
         r.on_path_gates(),
         r.p_sensitized()
     );
     for p in r.per_point() {
         let kind = if p.point.is_flip_flop() { "FF" } else { "PO" };
-        println!(
+        say!(
             "  {kind} at `{}`: {}",
             c.node(p.point.signal()).name(),
             p.value
@@ -156,22 +188,29 @@ fn cmd_advise(
     budget: Option<f64>,
     cost: HardeningCost,
     threads: usize,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let c = load(path)?;
     let session = AnalysisSession::new(&c).map_err(|e| e.to_string())?;
     let mut wf = WhatIfSession::new(session, threads);
     let base_total = wf.total_ser();
-    println!(
+    say!(
         "{}: base total SER (unit models) {:.6} over {} sites",
         c.name(),
         base_total,
         wf.circuit().len()
     );
-    println!(
+    say!(
         "{:>5} {:<20} {:>8} {:>12} {:>12} {:>12} {:>14} {:>10}",
-        "round", "gate", "cost", "predicted", "measured", "total", "dirty/total", "elapsed"
+        "round",
+        "gate",
+        "cost",
+        "predicted",
+        "measured",
+        "total",
+        "dirty/total",
+        "elapsed"
     );
-    println!("{}", "-".repeat(100));
+    say!("{}", "-".repeat(100));
 
     // Without `--budget` only the rounds bound the loop.
     let bound = budget.unwrap_or(f64::INFINITY);
@@ -203,7 +242,7 @@ fn cmd_advise(
             })
             .copied()
         else {
-            println!(
+            say!(
                 "round {round}: no affordable unhardened logic gate left (budget left {}); stopping",
                 budget_text(budget.map(|b| b - spent))
             );
@@ -218,7 +257,7 @@ fn cmd_advise(
         // per-entry estimate ignores: the voter tree's own exposure
         // and every reconvergent site whose P_sensitized shifted.
         let measured = outcome.previous_total - outcome.total;
-        println!(
+        say!(
             "{:>5} {:<20} {:>8.2} {:>12.6} {:>12.6} {:>12.6} {:>9}/{:<5} {:>10.1?}",
             round,
             name,
@@ -233,8 +272,8 @@ fn cmd_advise(
         hardened.push(name);
     }
     let final_total = wf.total_ser();
-    println!("{}", "-".repeat(100));
-    println!(
+    say!("{}", "-".repeat(100));
+    say!(
         "after {} hardening edits: total SER {:.6} ({:+.2}% vs base), budget spent {spent:.2} of {}",
         hardened.len(),
         final_total,
@@ -298,7 +337,7 @@ impl Write for ErrorTally {
 /// Exits non-zero when any `error` frame was written (the other frames
 /// still print, so a pipeline sees both the partial results and the
 /// failure).
-fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
+fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), Failure> {
     let file = fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let service = Arc::new(SerService::new(config));
     let engine = ProtocolEngine::new(Arc::clone(&service), EngineConfig::default());
@@ -326,7 +365,7 @@ fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
     );
     match errors.load(Ordering::Relaxed) {
         0 => Ok(()),
-        n => Err(format!("{n} error frame(s) written")),
+        n => Err(format!("{n} error frame(s) written").into()),
     }
 }
 
@@ -339,14 +378,14 @@ fn cmd_serve(
     engine_config: EngineConfig,
     tcp: Option<String>,
     idle_timeout: Option<Duration>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let service = Arc::new(SerService::new(config));
     let reap_counter = service.idle_reap_counter();
     let engine = Arc::new(ProtocolEngine::new(service, engine_config));
     match tcp {
         None => {
             let mut transport = StdioTransport::new();
-            serve(&mut transport, &engine).map_err(|e| e.to_string())
+            serve(&mut transport, &engine).map_err(|e| Failure::Message(e.to_string()))
         }
         Some(addr) => {
             let mut transport =
@@ -356,7 +395,7 @@ fn cmd_serve(
                 transport = transport.with_idle_timeout(timeout, reap_counter);
             }
             eprintln!("ser-service listening on {}", transport.local_addr());
-            serve(&mut transport, &engine).map_err(|e| e.to_string())
+            serve(&mut transport, &engine).map_err(|e| Failure::Message(e.to_string()))
         }
     }
 }
@@ -403,7 +442,7 @@ fn engine_config(args: &[String]) -> Result<EngineConfig, String> {
     Ok(config)
 }
 
-fn cmd_gen(name: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
+fn cmd_gen(name: &str, seed: u64, out: Option<&str>) -> Result<(), Failure> {
     let p = profile(name).ok_or_else(|| {
         format!("unknown profile `{name}` (try s953, s1196, ..., s38417, s298, s344, s386, s526)")
     })?;
@@ -414,7 +453,7 @@ fn cmd_gen(name: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
             fs::write(path, &text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote {} ({} nodes) to {path}", c.name(), c.len());
         }
-        None => print!("{text}"),
+        None => write!(io::stdout(), "{text}").map_err(Failure::from)?,
     }
     Ok(())
 }
@@ -468,7 +507,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str);
     if let Some(&(name, accepted)) = FLAGS.iter().find(|&&(name, _)| Some(name) == cmd) {
@@ -524,7 +563,9 @@ fn run() -> Result<(), String> {
             let cost = match flag_value(&args, "--cost").as_deref() {
                 None | Some("unit") => HardeningCost::Unit,
                 Some("area") => HardeningCost::AreaProxy,
-                Some(other) => return Err(format!("bad --cost value `{other}` (unit or area)")),
+                Some(other) => {
+                    return Err(format!("bad --cost value `{other}` (unit or area)").into())
+                }
             };
             let threads = flag_value(&args, "--threads")
                 .map(|v| {
@@ -565,14 +606,16 @@ fn run() -> Result<(), String> {
             let out = flag_value(&args, "-o");
             cmd_gen(name, seed, out.as_deref())
         }
-        _ => Err(usage()),
-    }
+        _ => Err(usage().into()),
+    }?;
+    io::stdout().flush().map_err(Failure::from)
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // A reader that stops early (`| head`) has all it wanted.
+        Ok(()) | Err(Failure::ClosedPipe) => ExitCode::SUCCESS,
+        Err(Failure::Message(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }

@@ -158,6 +158,54 @@ fn bad_usage_fails_with_message() {
     assert!(!out.status.success());
 }
 
+/// A reader that closes the pipe early (`ser-cli ... | head -1`) ends
+/// the command quietly and successfully, never with a panic (exit
+/// 101). `gen` without `-o` prints far more than a pipe buffer holds,
+/// so the write meets the closed pipe whatever the timing; `analyze`
+/// is read for one line and then cut off.
+#[test]
+fn closed_stdout_is_a_quiet_success() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = cli()
+        .args(["gen", "s9234"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    assert_ne!(out.status.code(), Some(101), "gen panicked: {out:?}");
+    assert!(out.status.success(), "gen: {out:?}");
+    assert!(out.stderr.is_empty(), "gen: {out:?}");
+
+    let bench = temp_path("closed_pipe.bench");
+    let out = cli()
+        .args(["gen", "s1423", "-o"])
+        .arg(&bench)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let mut child = cli()
+        .arg("analyze")
+        .arg(&bench)
+        .args(["--top", "1000", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("analyzed"), "first line: {first}");
+    let out = child.wait_with_output().unwrap();
+    assert_ne!(out.status.code(), Some(101), "analyze panicked: {out:?}");
+    assert!(out.status.success(), "analyze: {out:?}");
+    let _ = std::fs::remove_file(&bench);
+}
+
 /// A misspelled or retired flag is an error, not a silent default: a
 /// typo'd `--thraeds` must not run with the default thread count, and a
 /// flag `serve` no longer accepts must not be ignored.

@@ -180,6 +180,70 @@ fn denormal_and_clamp_edge_inputs_bit_identical() {
     }
 }
 
+/// A deterministic circuit of wide gates: every AND/NAND/OR/NOR/
+/// XOR/XNOR kind at 1, 4, 5 and 9 pins (so pin rows are exactly full,
+/// padded, and continued past the first row), pins drawn from the last
+/// dozen signals so cones reconverge, and a repeated first pin on about
+/// one pin in five.
+fn wide_gate_circuit(seed: u64) -> Circuit {
+    const KINDS: [&str; 6] = ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"];
+    const ARITIES: [usize; 4] = [1, 4, 5, 9];
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
+    };
+    let mut signals: Vec<String> = (0..10).map(|i| format!("i{i}")).collect();
+    let mut src: String = signals.iter().map(|s| format!("INPUT({s})\n")).collect();
+    let gates = 5 * KINDS.len() * ARITIES.len();
+    for g in 0..gates {
+        let kind = KINDS[g % KINDS.len()];
+        let arity = ARITIES[(g / KINDS.len()) % ARITIES.len()];
+        let mut pins: Vec<&str> = Vec::with_capacity(arity);
+        for p in 0..arity {
+            let pin = if p > 0 && next() % 5 == 0 {
+                pins[0]
+            } else {
+                &signals[signals.len() - 1 - next() % signals.len().min(12)]
+            };
+            pins.push(pin);
+        }
+        src.push_str(&format!("g{g} = {kind}({})\n", pins.join(", ")));
+        signals.push(format!("g{g}"));
+    }
+    for g in (gates - 8..gates).chain([gates / 2, gates / 3]) {
+        src.push_str(&format!("OUTPUT(g{g})\n"));
+    }
+    ser_suite::netlist::parse_bench(&src, "wide").unwrap()
+}
+
+/// Gates of 1, 4, 5 and 9 pins, duplicate pins included, on whole and
+/// per-batch plans, on one and four threads, in both polarity modes:
+/// every site matches the per-site reference bit for bit. Random DAGs
+/// and the synthetic profiles draw at most four pins, so this is what
+/// covers the padded rows and their continuation.
+#[test]
+fn wide_gates_bit_identical() {
+    for seed in [1u64, 2, 3] {
+        let c = wide_gate_circuit(seed);
+        for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
+            let pool = WorkspacePool::new();
+            let sites: Vec<_> = c.node_ids().collect();
+            assert!(sites.len() >= ser_suite::epp::SINGLE_THREAD_SWEEP_THRESHOLD);
+            for plans in [Plans::Whole, Plans::PerBatch] {
+                let analysis = analysis_on(&c, &InputProbs::default(), plans);
+                for threads in [1usize, 4] {
+                    let sweep = analysis.sweep(&sites, polarity, &RunCtx::new(threads, &pool));
+                    assert_sweep_matches_reference(&c, &analysis, &sweep, polarity);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -372,6 +436,82 @@ proptest! {
                         prop_assert_eq!(folded.total_points(), None, "{}", what);
                         prop_assert!(folded.to_site_epps().is_none(), "{}", what);
                         prop_assert!(folded != kept, "{}", what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Asserts two sweeps of the same sites agree bit for bit: sites,
+/// `P_sensitized` bits, gate counts and every per-point tuple.
+fn assert_bitwise_eq(got: &SweepResults, want: &SweepResults, what: &str) {
+    assert_eq!(got.sites(), want.sites(), "{what}");
+    for (g, w) in got.iter().zip(want.iter()) {
+        assert_eq!(
+            g.p_sensitized().to_bits(),
+            w.p_sensitized().to_bits(),
+            "site {} ({what})",
+            g.site()
+        );
+        assert_eq!(g.on_path_gates(), w.on_path_gates(), "{what}");
+        let bits = |r: &ser_suite::epp::SweepSiteRef<'_>| -> Vec<[u64; 4]> {
+            r.per_point()
+                .expect("a kept sweep")
+                .iter()
+                .map(|p| {
+                    [p.value.pa(), p.value.pa_bar(), p.value.p0(), p.value.p1()].map(f64::to_bits)
+                })
+                .collect()
+        };
+        assert_eq!(bits(&g), bits(&w), "site {} ({what})", g.site());
+    }
+}
+
+/// One pool serves alternating circuits: two unrelated circuits, then
+/// a circuit and its TMR-edited twin (new artifacts, a new position
+/// order and a new SP vector). Every round sweeps a shuffled site
+/// subset and makes single-site calls on the shared pool, on whole and
+/// on per-batch plans, and every result must equal a fresh pool's bit
+/// for bit: a pooled workspace's position plane is back at rest after
+/// every site and laid out again whenever its SP vector or its order
+/// changes.
+#[test]
+fn shared_pool_alternating_circuits_matches_fresh_pools() {
+    use ser_suite::netlist::harden_tmr;
+    let a = build(5, 150, 0.6, 0.2, 11);
+    let b = build(7, 130, 0.4, 0.3, 12);
+    let gate = a
+        .node_ids()
+        .filter(|&id| a.node(id).kind().is_logic())
+        .nth(20)
+        .expect("a has logic gates");
+    let twin = harden_tmr(&a, &[gate]).unwrap();
+    assert_ne!(twin.len(), a.len());
+    let probs = InputProbs::default();
+    for (x, y) in [(&a, &b), (&a, &twin)] {
+        for plans in [Plans::Whole, Plans::PerBatch] {
+            let pair = [
+                (x, analysis_on(x, &probs, plans)),
+                (y, analysis_on(y, &probs, plans)),
+            ];
+            let shared = WorkspacePool::new();
+            for round in 0..3u64 {
+                for (circuit, analysis) in &pair {
+                    let sites = shuffled_subset(circuit, round);
+                    for polarity in [PolarityMode::Tracked, PolarityMode::Merged] {
+                        let what =
+                            format!("{} round {round}, {plans:?}, {polarity:?}", circuit.len());
+                        let fresh = WorkspacePool::new();
+                        let got = analysis.sweep(&sites, polarity, &RunCtx::new(2, &shared));
+                        let want = analysis.sweep(&sites, polarity, &RunCtx::new(2, &fresh));
+                        assert_bitwise_eq(&got, &want, &what);
+                        for &site in sites.iter().take(8) {
+                            let got = analysis.sweep(&[site], polarity, &RunCtx::new(1, &shared));
+                            let fresh = WorkspacePool::new();
+                            let want = analysis.sweep(&[site], polarity, &RunCtx::new(1, &fresh));
+                            assert_bitwise_eq(&got, &want, &what);
+                        }
                     }
                 }
             }
