@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ser_epp::PolarityMode;
 use ser_gen::iscas89_like;
 use ser_service::{Request, SerService, SerServiceConfig, SiteRequest, SweepRequest};
 
@@ -14,8 +15,6 @@ fn warm_service(threads: usize) -> (SerService, Arc<ser_netlist::Circuit>) {
         max_sessions: 4,
         threads,
         sweep_batch_sites: 64,
-        // Exercise the kernel path, not the response cache.
-        max_sweep_responses: 0,
         ..SerServiceConfig::default()
     });
     service.session(&circuit, None).unwrap();
@@ -37,10 +36,16 @@ fn bench_warm_site_request(c: &mut Criterion) {
 
 fn bench_warm_sweep_request(c: &mut Criterion) {
     let (service, circuit) = warm_service(2);
+    // Every site named: the kernel path, not the session's sweep memo
+    // that answers a repeated whole-circuit sweep.
+    let every_site = SweepRequest {
+        sites: Some(circuit.node_ids().collect()),
+        polarity: PolarityMode::Tracked,
+    };
     c.bench_function("service_warm_sweep_s298", |b| {
         b.iter(|| {
             let r = service
-                .submit(&circuit, Request::Sweep(SweepRequest::default()))
+                .submit(&circuit, Request::Sweep(every_site.clone()))
                 .unwrap();
             criterion::black_box(r.as_sweep().unwrap().len())
         })

@@ -62,10 +62,18 @@ fn fresh_service(threads: usize) -> SerService {
         max_sessions: 8,
         threads,
         sweep_batch_sites: 256,
-        // The warm-sweep rows measure the *kernel* path; response
-        // caching would short-circuit every repeat to a map lookup.
-        max_sweep_responses: 0,
         ..SerServiceConfig::default()
+    })
+}
+
+/// A sweep of every node of `circuit`, named one by one: the work of a
+/// whole-circuit sweep, but not a request the session's sweep memo
+/// answers, so every repeat runs the kernel. The warm-sweep and
+/// interleave rows time that path, not a memo read.
+fn every_site(circuit: &Circuit) -> Request {
+    Request::Sweep(SweepRequest {
+        sites: Some(circuit.node_ids().collect()),
+        polarity: PolarityMode::Tracked,
     })
 }
 
@@ -116,7 +124,7 @@ fn main() {
         for _ in 0..warm_runs {
             let t = Instant::now();
             let r = service
-                .submit(circuit, Request::Sweep(SweepRequest::default()))
+                .submit(circuit, every_site(circuit))
                 .expect("valid circuit");
             warm_samples.push(t.elapsed().as_secs_f64());
             assert!(r.meta.warm_session);
@@ -171,28 +179,14 @@ fn main() {
     service.session(b, None).expect("compiles");
     // Serialized: one sweep fully drains before the next is submitted.
     let t = Instant::now();
-    let ra = service
-        .submit(a, Request::Sweep(SweepRequest::default()))
-        .expect("valid");
-    let rb = service
-        .submit(b, Request::Sweep(SweepRequest::default()))
-        .expect("valid");
+    let ra = service.submit(a, every_site(a)).expect("valid");
+    let rb = service.submit(b, every_site(b)).expect("valid");
     let serialized_ms = t.elapsed().as_secs_f64() * 1e3;
     // Interleaved: both sweeps' batches share the executor queue.
     let t = Instant::now();
     let both = service.submit_batch(vec![
-        (
-            Arc::clone(a),
-            Request::Sweep(SweepRequest::default()),
-            None,
-            None,
-        ),
-        (
-            Arc::clone(b),
-            Request::Sweep(SweepRequest::default()),
-            None,
-            None,
-        ),
+        (Arc::clone(a), every_site(a), None, None),
+        (Arc::clone(b), every_site(b), None, None),
     ]);
     let interleaved_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
@@ -292,17 +286,18 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
         line.clone()
     };
 
-    // Warm the session (pays compile + plan build once).
-    let reply = round_trip(&format!(
-        "{{\"v\": 2, \"op\": \"sweep\", \"netlist\": \"{path}\", \"top\": 1}}"
-    ));
-    assert!(reply.contains("\"frame\": \"result\""), "{reply}");
-
-    // Warm single-site round trips.
+    // Warm single-site round trips. The first pays the session compile
+    // and plan build, outside the clock; it leaves the session's sweep
+    // memo empty for the timed sweep below.
     let sites: Vec<String> = circuit
         .node_ids()
         .map(|id| circuit.node(id).name().to_owned())
         .collect();
+    let reply = round_trip(&format!(
+        "{{\"v\": 2, \"op\": \"site\", \"netlist\": \"{path}\", \"node\": \"{}\"}}",
+        sites[0]
+    ));
+    assert!(reply.contains("\"frame\": \"result\""), "{reply}");
     let mut latencies_us: Vec<f64> = Vec::with_capacity(site_requests);
     let mut replies: Vec<String> = Vec::with_capacity(site_requests);
     let t = Instant::now();
@@ -344,8 +339,8 @@ fn bench_tcp(circuit: &Arc<Circuit>, threads: usize, site_requests: usize) -> Tc
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p50_us = latencies_us[latencies_us.len() / 2];
 
-    // One warm whole-circuit sweep over the wire (response cache is
-    // off in `fresh_service`, so this is kernel + serialization).
+    // One warm whole-circuit sweep over the wire: the session's first,
+    // so its memo is empty and this is kernel + serialization.
     let t = Instant::now();
     let reply = round_trip(&format!(
         "{{\"v\": 2, \"op\": \"sweep\", \"netlist\": \"{path}\", \"top\": 1}}"
@@ -381,7 +376,6 @@ fn bench_cancel_latency(circuit: &Arc<Circuit>, threads: usize, samples: usize) 
         max_sessions: 8,
         threads,
         sweep_batch_sites: 8,
-        max_sweep_responses: 0,
         ..SerServiceConfig::default()
     });
     let engine = Arc::new(ProtocolEngine::new(
@@ -417,6 +411,13 @@ fn bench_cancel_latency(circuit: &Arc<Circuit>, threads: usize, samples: usize) 
     swept_reader.read_line(&mut line).expect("warm reply");
     assert!(line.contains("\"frame\": \"result\""), "{line}");
 
+    // Every node named: a whole-circuit sweep's work in a request the
+    // session's sweep memo never answers, so each attempt runs.
+    let sites: Vec<String> = circuit
+        .node_ids()
+        .map(|id| format!("\"{}\"", json::json_escape(circuit.node(id).name())))
+        .collect();
+    let sites = sites.join(", ");
     let mut latencies: Vec<f64> = Vec::with_capacity(samples);
     let mut attempt = 0;
     while latencies.len() < samples && attempt < samples * 4 {
@@ -425,7 +426,7 @@ fn bench_cancel_latency(circuit: &Arc<Circuit>, threads: usize, samples: usize) 
         send(
             &mut swept,
             format!(
-                "{{\"v\": 2, \"id\": \"{id}\", \"op\": \"sweep\", \"netlist\": \"{path}\", \"progress\": true}}"
+                "{{\"v\": 2, \"id\": \"{id}\", \"op\": \"sweep\", \"netlist\": \"{path}\", \"sites\": [{sites}], \"progress\": true}}"
             ),
         );
         // Wait until the sweep is demonstrably in flight (or already

@@ -8,9 +8,10 @@ use std::time::{Duration, Instant};
 use ser_netlist::{Circuit, NodeId};
 use ser_sp::{InputProbs, SpError};
 
+use crate::engine::PolarityMode;
 use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
-use crate::sweep::{SweepResults, SweepSiteRef};
+use crate::sweep::{Arrivals, RunCtx, SweepResults, SweepSiteRef};
 
 /// Configuration for a whole-circuit analysis run.
 ///
@@ -107,10 +108,22 @@ impl CircuitSerAnalysis {
     /// builder's [`with_inputs`](Self::with_inputs) configuration
     /// applies only to entry points that compile the session
     /// themselves.
+    ///
+    /// The sweep folds its arrivals ([`Arrivals::Fold`]): the report
+    /// needs only each site's `P_sensitized`, and the per-point
+    /// arrivals a kept sweep stores would dominate the run's memory.
     #[must_use]
     pub fn run_with_session(&self, session: &AnalysisSession) -> AnalysisOutcome {
         let epp_start = Instant::now();
-        let sweep = session.sweep(self.threads);
+        let sites: Vec<NodeId> = session.circuit().node_ids().collect();
+        let sweep = session.epp().sweep(
+            &sites,
+            PolarityMode::Tracked,
+            &RunCtx {
+                arrivals: Arrivals::Fold,
+                ..RunCtx::new(self.threads, session.workspace_pool())
+            },
+        );
         let epp_time = epp_start.elapsed();
         let report = SerReport::assemble(
             session.circuit(),
@@ -134,8 +147,11 @@ impl Default for CircuitSerAnalysis {
 }
 
 /// Everything a whole-circuit analysis produces. Per-site results live
-/// in one flat [`SweepResults`] arena; [`site`](Self::site) hands out
-/// borrowed views.
+/// in one flat, folded [`SweepResults`] arena: each site's
+/// `P_sensitized` and on-path gate count, no per-point arrivals.
+/// [`site`](Self::site) hands out borrowed views, whose
+/// [`per_point`](SweepSiteRef::per_point) is `None`; read one site's
+/// arrivals with [`AnalysisSession::site`].
 #[derive(Debug, Clone)]
 pub struct AnalysisOutcome {
     sweep: SweepResults,
@@ -145,7 +161,8 @@ pub struct AnalysisOutcome {
 }
 
 impl AnalysisOutcome {
-    /// The sweep arena holding every per-site result, in arena order.
+    /// The folded sweep arena holding every per-site result, in arena
+    /// order.
     #[must_use]
     pub fn sweep(&self) -> &SweepResults {
         &self.sweep
@@ -195,7 +212,8 @@ impl AnalysisOutcome {
         self.sweep.threads_used()
     }
 
-    /// The site result for one node (a borrowed view into the arena).
+    /// The site result for one node (a borrowed view into the folded
+    /// arena: `P_sensitized` and the on-path gate count).
     ///
     /// # Panics
     ///

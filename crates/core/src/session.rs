@@ -14,9 +14,12 @@
 //! probabilities ([`set_inputs`](AnalysisSession::set_inputs)) re-runs
 //! only the SP computation — reusing the cached topological order — and
 //! bumps the session revision; the structural artifacts and the
-//! compiled simulator survive untouched. The circuit is held immutably
-//! behind an `Arc`, so structural edits require a new session by
-//! construction.
+//! compiled simulator survive untouched. The memos that depend on the
+//! signal probabilities (the whole-circuit sweeps and the multi-cycle
+//! tables) follow one rule: clones share them, and `set_inputs` — the
+//! only writer of the SP vector — gives the session fresh, empty ones.
+//! The circuit is held immutably behind an `Arc`, so structural edits
+//! require a new session by construction.
 //!
 //! The session **owns** everything it caches (`Arc<Circuit>` plus the
 //! already-`Arc`-shared artifacts): there is no lifetime parameter, a
@@ -26,7 +29,7 @@
 //! into worker threads — the substrate the multi-circuit `SerService`
 //! batch front-end builds on.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ser_netlist::{Circuit, NodeId, TopoArtifacts};
@@ -35,16 +38,8 @@ use ser_sp::{IndependentSp, InputProbs, SpEngine, SpError, SpVector};
 
 use crate::engine::{EppAnalysis, SiteEpp, WorkspacePool};
 
-/// One cached [`MultiCycleEpp`](crate::MultiCycleEpp) compilation,
-/// pinned to the exact SP vector it was compiled under. Identity
-/// (`Arc::ptr_eq`), not the numeric revision, is the cache key: clones
-/// of one session each count revisions independently, so two diverged
-/// clones can share a revision *number* while holding different SP
-/// vectors — the pinned `Arc` cannot be confused that way (and keeps
-/// its allocation alive, so pointer reuse is impossible while the
-/// entry exists).
-type MultiCycleSlot = Arc<Mutex<Option<(Arc<SpVector>, Arc<crate::MultiCycleEpp>)>>>;
 use crate::sweep::{RunCtx, SweepResults};
+use crate::PolarityMode;
 
 /// A compiled per-circuit analysis context: topological artifacts,
 /// signal probabilities, a bit-parallel simulator and a workspace pool,
@@ -85,13 +80,15 @@ pub struct AnalysisSession {
     /// `Arc` so clones taken *before* the first use still share the one
     /// eventual compilation.
     sim: Arc<OnceLock<BitSim>>,
-    /// The compiled multi-cycle frame-expansion tables, pinned to the
-    /// SP vector they were compiled under — repeated multi-cycle
-    /// queries reuse them instead of re-running one EPP sweep per
-    /// flip-flop, and any [`set_inputs`](Self::set_inputs) invalidates
-    /// them by construction (it installs a fresh SP `Arc`, so the
-    /// identity check fails). Shared by clones.
-    multi_cycle: MultiCycleSlot,
+    /// The folded whole-circuit sweep of each [`PolarityMode`] under
+    /// `sp`, indexed by `PolarityMode as usize`. Shared by clones;
+    /// [`set_inputs`](Self::set_inputs) installs an empty one.
+    whole_sweeps: Arc<[OnceLock<Arc<SweepResults>>; 2]>,
+    /// The compiled multi-cycle frame-expansion tables under `sp`:
+    /// repeated multi-cycle queries reuse them instead of re-running
+    /// one EPP sweep per flip-flop. Same sharing and invalidation rule
+    /// as `whole_sweeps`.
+    multi_cycle: Arc<OnceLock<Arc<crate::MultiCycleEpp>>>,
     /// Shared by clones, so a cloned session reuses the same scratch.
     pool: Arc<WorkspacePool>,
 }
@@ -148,7 +145,8 @@ impl AnalysisSession {
             sp_time,
             revision: 1,
             sim: Arc::new(OnceLock::new()),
-            multi_cycle: Arc::new(Mutex::new(None)),
+            whole_sweeps: Arc::default(),
+            multi_cycle: Arc::default(),
             pool: Arc::new(WorkspacePool::new()),
         })
     }
@@ -208,7 +206,9 @@ impl AnalysisSession {
     /// Re-derives signal probabilities for a new input distribution
     /// with the default engine — the SP-only invalidation hook: the
     /// topological artifacts, compiled simulator and workspace pool are
-    /// all kept.
+    /// all kept, and the session gets empty
+    /// [`whole_sweep_memo`](Self::whole_sweep_memo)s and multi-cycle
+    /// slot.
     ///
     /// # Errors
     ///
@@ -235,6 +235,9 @@ impl AnalysisSession {
         self.revision += 1;
         self.sp = Arc::new(sp.with_tag(self.revision));
         self.inputs = inputs;
+        // Clones taken before this call keep the memos of their own SP.
+        self.whole_sweeps = Arc::default();
+        self.multi_cycle = Arc::default();
         Ok(())
     }
 
@@ -337,14 +340,12 @@ impl AnalysisSession {
     }
 
     /// The multi-cycle frame-expansion tables, compiled **at most once
-    /// per SP vector** and shared: repeated multi-cycle requests skip
-    /// the per-flip-flop EPP sweep entirely. The cached tables are
-    /// pinned to the exact `Arc<SpVector>` they were compiled under
-    /// (identity-checked, not revision-numbered — diverged clones can
-    /// share a revision number but never an SP allocation), so a
-    /// [`set_inputs`](Self::set_inputs) on this session or any clone
-    /// invalidates automatically — the next call recompiles against
-    /// the caller's own signal probabilities.
+    /// per SP vector** and shared by clones: repeated multi-cycle
+    /// requests skip the per-flip-flop EPP sweep entirely. A
+    /// [`set_inputs`](Self::set_inputs) gives this session an empty
+    /// slot, so its next call compiles against its new signal
+    /// probabilities, while clones taken before keep the tables of
+    /// theirs.
     ///
     /// # Examples
     ///
@@ -361,15 +362,44 @@ impl AnalysisSession {
     /// ```
     #[must_use]
     pub fn multi_cycle_cached(&self) -> Arc<crate::MultiCycleEpp> {
-        let mut slot = self.multi_cycle.lock().expect("multi-cycle cache lock");
-        if let Some((sp, tables)) = slot.as_ref() {
-            if Arc::ptr_eq(sp, &self.sp) {
-                return Arc::clone(tables);
-            }
-        }
-        let tables = Arc::new(crate::MultiCycleEpp::with_analysis(self.epp()));
-        *slot = Some((Arc::clone(&self.sp), Arc::clone(&tables)));
-        tables
+        Arc::clone(
+            self.multi_cycle
+                .get_or_init(|| Arc::new(crate::MultiCycleEpp::with_analysis(self.epp()))),
+        )
+    }
+
+    /// The memo of `polarity`'s folded whole-circuit sweep under this
+    /// session's signal probabilities: every node as a site, in id
+    /// order, under [`Arrivals::Fold`](crate::Arrivals::Fold) — the
+    /// paper's per-site EPP values, from which the SER total follows.
+    /// Whoever computes that sweep first stores it here (any other
+    /// value breaks the readers); later readers share the `Arc`.
+    ///
+    /// The memo is shared by clones, and
+    /// [`set_inputs`](Self::set_inputs) gives the session an empty one,
+    /// so a stored sweep always belongs to the signal probabilities in
+    /// force.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use ser_netlist::parse_bench;
+    /// use ser_epp::{AnalysisSession, PolarityMode, WhatIfSession};
+    ///
+    /// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "t")?;
+    /// let session = AnalysisSession::new(&c)?;
+    /// assert!(session.whole_sweep_memo(PolarityMode::Tracked).get().is_none());
+    /// // A what-if stack's base is that sweep: opening one on a clone
+    /// // fills the memo the clone shares with `session`.
+    /// let whatif = WhatIfSession::new(session.clone(), 1);
+    /// let memo = session.whole_sweep_memo(PolarityMode::Tracked).get().unwrap();
+    /// assert!(Arc::ptr_eq(memo, whatif.results()));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    #[must_use]
+    pub fn whole_sweep_memo(&self, polarity: PolarityMode) -> &OnceLock<Arc<SweepResults>> {
+        &self.whole_sweeps[polarity as usize]
     }
 
     /// The shared handle to the current SP vector. Its **identity** is
@@ -495,6 +525,46 @@ mod tests {
         assert_eq!(session.workspace_pool().idle_sweep(), 1);
         let _ = session.site(c.find("a").unwrap());
         assert_eq!(session.workspace_pool().idle_sweep(), 1);
+    }
+
+    #[test]
+    fn whole_sweep_memo_is_shared_by_clones_and_emptied_by_set_inputs() {
+        let c = toy();
+        let mut session = AnalysisSession::new(&c).unwrap();
+        let computed = std::cell::Cell::new(0);
+        let fill = |s: &AnalysisSession| {
+            Arc::clone(s.whole_sweep_memo(PolarityMode::Tracked).get_or_init(|| {
+                computed.set(computed.get() + 1);
+                Arc::new(s.sweep(1))
+            }))
+        };
+        let first = fill(&session);
+        assert!(Arc::ptr_eq(&first, &fill(&session)), "computed once");
+        let before = session.clone();
+        assert!(Arc::ptr_eq(&first, &fill(&before)), "shared by clones");
+        assert_eq!(computed.get(), 1);
+        assert!(session
+            .whole_sweep_memo(PolarityMode::Merged)
+            .get()
+            .is_none());
+
+        let a = c.find("a").unwrap();
+        session
+            .set_inputs(InputProbs::uniform(0.5).with(a, 0.9))
+            .unwrap();
+        assert!(session
+            .whole_sweep_memo(PolarityMode::Tracked)
+            .get()
+            .is_none());
+        let memo = before.whole_sweep_memo(PolarityMode::Tracked).get();
+        assert!(
+            Arc::ptr_eq(&first, memo.unwrap()),
+            "the clone keeps its own"
+        );
+        let fresh = fill(&session);
+        assert_eq!(computed.get(), 2);
+        assert_ne!(*fresh, *first, "new inputs, new sweep");
+        assert!(Arc::ptr_eq(&first, &fill(&before)));
     }
 
     #[test]

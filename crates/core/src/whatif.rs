@@ -181,9 +181,13 @@ pub struct WhatIfSession {
 }
 
 impl WhatIfSession {
-    /// Opens a session, paying one whole-circuit folded sweep to fill
-    /// the base results cache (this also builds the circuit's cone
-    /// plans, which SetInputs edits then reuse).
+    /// Opens a session on `session`'s Tracked whole-circuit folded
+    /// sweep, taken from its
+    /// [`whole_sweep_memo`](AnalysisSession::whole_sweep_memo). Only
+    /// when the memo is empty does this pay the sweep (on `threads`
+    /// workers, building the circuit's cone plans, which SetInputs
+    /// edits then reuse), and it stores the result there for the
+    /// session and its clones.
     ///
     /// # Panics
     ///
@@ -191,7 +195,11 @@ impl WhatIfSession {
     #[must_use]
     pub fn new(session: AnalysisSession, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread");
-        let results = Arc::new(fold_all(&session, threads));
+        let results = Arc::clone(
+            session
+                .whole_sweep_memo(PolarityMode::Tracked)
+                .get_or_init(|| Arc::new(fold_all(&session, threads))),
+        );
         let total = Self::total_of(session.circuit(), &results);
         let state = State {
             circuit: Arc::clone(session.circuit_arc()),

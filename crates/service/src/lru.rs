@@ -1,6 +1,6 @@
 //! The one bounded least-recently-used map every daemon cache uses:
-//! warm sessions, sweep responses and what-if stacks in the service,
-//! parsed netlists in the protocol engine.
+//! warm sessions (which hold their sweep memos) and what-if stacks in
+//! the service, parsed netlists in the protocol engine.
 //!
 //! A `HashMap` plus a logical clock. Every [`get`](Lru::get) and
 //! [`insert`](Lru::insert) advances the clock and stamps the entry it
@@ -80,9 +80,10 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.entries.remove(key).map(|(value, _)| value)
     }
 
-    /// Keeps only the entries `keep` accepts.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        self.entries.retain(|k, (v, _)| keep(k, v));
+    /// The entries, in no particular order, without marking any of
+    /// them used.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|(value, _)| value)
     }
 
     /// Number of entries.
@@ -134,17 +135,23 @@ mod tests {
         assert_eq!(lru.len(), 1);
     }
 
+    /// `values` reads every entry and counts as no use: the entry it
+    /// passed over first is still the eviction candidate.
     #[test]
-    fn remove_and_retain_drop_entries() {
+    fn remove_drops_entries_and_values_reads_them_all() {
         let mut lru: Lru<u64, u64> = Lru::new(4);
         for k in 0..4 {
             lru.insert(k, k * 10);
         }
         assert_eq!(lru.remove(&1), Some(10));
         assert_eq!(lru.remove(&1), None);
-        lru.retain(|&k, _| k != 2);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(&0), Some(&0));
+        assert_eq!(lru.len(), 3);
+        let mut values: Vec<u64> = lru.values().copied().collect();
+        values.sort_unstable();
+        assert_eq!(values, [0, 20, 30]);
+        assert!(!lru.insert(4, 40));
+        assert!(lru.insert(5, 50));
+        assert_eq!(lru.get(&0), None, "values did not refresh the oldest");
         assert_eq!(lru.get(&3), Some(&30));
     }
 }

@@ -252,8 +252,12 @@ pub enum WireOp {
         /// The shared secret, if the client presents one.
         token: Option<String>,
     },
-    /// Service counters (sessions, caches) — closes the ROADMAP's
-    /// "expose `stats` on the wire" item.
+    /// Service counters ([`ServiceStats`](crate::ServiceStats)):
+    /// sessions, the sessions' whole-sweep memos (`sweep_cache_hits`
+    /// and `sweep_cache_misses` count whole-circuit sweeps answered
+    /// from and missing their session's memo; `sweep_responses_cached`
+    /// counts the filled memos of the cached sessions), what-if
+    /// stacks, cancels and idle reaps.
     Stats,
     /// Re-derive a circuit's input distribution (the wire form of
     /// [`SerService::set_inputs`]).
@@ -1285,8 +1289,8 @@ enum Flow {
 /// dispatches them onto a shared [`SerService`], and writes the
 /// framed reply — including mid-request progress frames — through the
 /// connection's [`FrameSink`]. One engine serves every connection of a
-/// server, so the session/response caches and the netlist cache are
-/// shared across clients.
+/// server, so the session cache (with each session's sweep memos) and
+/// the netlist cache are shared across clients.
 #[derive(Debug)]
 pub struct ProtocolEngine {
     service: Arc<SerService>,

@@ -124,8 +124,8 @@ pub struct Response {
 #[derive(Debug, Clone)]
 pub enum ResponsePayload {
     /// Sweep results, arena-backed (one allocation pool for all sites),
-    /// behind an `Arc` so the service's cross-request response cache
-    /// serves repeat whole-circuit sweeps without copying the arena.
+    /// behind an `Arc` so a session's whole-sweep memo serves repeat
+    /// whole-circuit sweeps without copying the arena.
     /// The service sweeps with
     /// [`Arrivals::Fold`](ser_epp::Arrivals::Fold): the per-site
     /// numbers are there, and every per-point read returns `None`.

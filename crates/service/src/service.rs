@@ -25,7 +25,7 @@ use ser_epp::{
 };
 use ser_netlist::{CancelToken, Circuit, NodeId};
 use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
-use ser_sp::{InputProbs, SpVector};
+use ser_sp::InputProbs;
 
 use crate::executor::Executor;
 use crate::lru::Lru;
@@ -39,6 +39,11 @@ use crate::sync::lock_clean;
 pub struct SerServiceConfig {
     /// Warm sessions kept in the LRU; the least-recently-used session
     /// is evicted when a new circuit arrives at capacity. Must be ≥ 1.
+    ///
+    /// A session also holds its whole-circuit sweep responses, one per
+    /// polarity once asked for: a folded sweep ([`Arrivals::Fold`]) of
+    /// a node id, `p_sensitized` and a gate count per site, ~16 B, so
+    /// ~94 KB on s9234. Evicting the session drops them.
     pub max_sessions: usize,
     /// Executor worker threads. Must be ≥ 1.
     pub threads: usize,
@@ -46,18 +51,6 @@ pub struct SerServiceConfig {
     /// batches interleave better with concurrent requests; larger
     /// batches have less queue overhead. Must be ≥ 1.
     pub sweep_batch_sites: usize,
-    /// Whole-circuit sweep responses kept in the cross-request cache
-    /// (LRU, keyed by `(netlist hash, polarity)` and valid only for
-    /// the SP vector it was computed under). `0` disables response
-    /// caching.
-    ///
-    /// An entry is a folded sweep ([`Arrivals::Fold`]): per site, a
-    /// node id, `p_sensitized` and a gate count, ~16 B, so a cached
-    /// s9234 sweep is ~94 KB. That is why the cache has no byte budget
-    /// beside this count: at 32 entries even a 100k-node netlist's
-    /// sweeps stay near 50 MB, and the per-point arrivals that made
-    /// an s9234 entry 44 MB are never stored.
-    pub max_sweep_responses: usize,
     /// Largest Monte-Carlo vector count one request may ask for
     /// (fixed-count or sequential-rule cap alike). Requests over the
     /// ceiling are rejected with [`ServiceError::CapExceeded`] *before*
@@ -87,7 +80,6 @@ impl Default for SerServiceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             sweep_batch_sites: 256,
-            max_sweep_responses: 32,
             // Permissive but finite: far above anything the benches or
             // the paper's experiments ask for, low enough that a typo'd
             // `1e18` cannot wedge a worker.
@@ -110,13 +102,16 @@ pub struct ServiceStats {
     pub evictions: u64,
     /// Sessions currently cached.
     pub sessions_cached: usize,
-    /// Whole-circuit sweep requests served straight from the
-    /// cross-request response cache (no executor jobs at all).
+    /// Whole-circuit sweep requests answered from their session's
+    /// memo ([`AnalysisSession::whole_sweep_memo`]) with no executor
+    /// jobs at all.
     pub sweep_cache_hits: u64,
-    /// Cacheable sweep requests that had to run (and then populated
-    /// the cache).
+    /// Whole-circuit sweep requests that found their session's memo
+    /// empty and ran (filling it unless cancelled or failed). Subset
+    /// sweeps count in neither counter.
     pub sweep_cache_misses: u64,
-    /// Sweep responses currently cached.
+    /// Filled memos of the cached sessions: one per session and
+    /// polarity whose whole-circuit sweep is held.
     pub sweep_responses_cached: usize,
     /// What-if sessions currently warm (one per base netlist).
     pub whatif_sessions_cached: usize,
@@ -128,26 +123,6 @@ pub struct ServiceStats {
     /// configured idle timeout (see
     /// [`TcpTransport::with_idle_timeout`](crate::TcpTransport::with_idle_timeout)).
     pub idle_reaped: u64,
-}
-
-/// Cross-request sweep-response cache key: `(netlist hash, polarity)`.
-/// The *inputs* dimension is not part of the key — every entry pins
-/// the exact `Arc<SpVector>` its sweep was computed under, and lookups
-/// require pointer identity with the resolved session's current SP
-/// vector. That is what makes invalidation airtight: session revision
-/// numbers are per-clone counters that diverged clones (or an
-/// evict-recompile cycle) can collide on, but an SP *allocation* is
-/// unique per distribution for as long as anything references it —
-/// and the entry itself keeps it alive, so pointer reuse is
-/// impossible. [`SerService::set_inputs`] additionally purges the
-/// hash's entries so stale arenas don't linger until overwritten.
-type SweepKey = (u64, PolarityMode);
-
-struct SweepCacheEntry {
-    /// The SP vector the cached sweep was computed under (identity is
-    /// the validity check — see [`SweepKey`]).
-    sp: Arc<SpVector>,
-    results: Arc<SweepResults>,
 }
 
 /// One warm what-if session per base netlist. The entry is an
@@ -192,7 +167,6 @@ pub struct SerService {
     config: SerServiceConfig,
     executor: Executor,
     cache: Mutex<Lru<u64, Arc<AnalysisSession>>>,
-    sweep_cache: Mutex<Lru<SweepKey, SweepCacheEntry>>,
     /// Last `set_inputs` distribution per netlist hash — consulted when
     /// a session is (re)compiled, so eviction cannot silently revert a
     /// circuit to default inputs.
@@ -270,11 +244,9 @@ struct Prepared {
     /// Number of executor jobs this request fans out to.
     parts: usize,
     request: Request,
-    /// A response served straight from the sweep cache (no parts).
+    /// A response served straight from the session's sweep memo (no
+    /// parts).
     cached: Option<ResponsePayload>,
-    /// When set, the assembled sweep response populates the cache
-    /// under this key, pinned to this SP vector.
-    cache_key: Option<(SweepKey, Arc<SpVector>)>,
     /// Progress sink, when the submitter asked for streaming.
     progress: Option<ProgressFn>,
     /// Total sweep sites (for [`Progress::Sweep`] events; 0 for
@@ -305,7 +277,6 @@ impl SerService {
         SerService {
             executor: Executor::new(config.threads),
             cache: Mutex::new(Lru::new(config.max_sessions)),
-            sweep_cache: Mutex::new(Lru::new(config.max_sweep_responses)),
             whatif: Mutex::new(Lru::new(config.max_whatif_sessions)),
             config,
             inputs_overrides: Mutex::new(HashMap::new()),
@@ -334,14 +305,25 @@ impl SerService {
     /// Current cache/request counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
+        let (sessions_cached, sweep_responses_cached) = {
+            let cache = lock_clean(&self.cache);
+            let filled = cache
+                .values()
+                .flat_map(|s| {
+                    [PolarityMode::Tracked, PolarityMode::Merged].map(|p| s.whole_sweep_memo(p))
+                })
+                .filter(|memo| memo.get().is_some())
+                .count();
+            (cache.len(), filled)
+        };
         ServiceStats {
             session_hits: self.hits.load(Ordering::Relaxed),
             session_misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            sessions_cached: lock_clean(&self.cache).len(),
+            sessions_cached,
             sweep_cache_hits: self.sweep_hits.load(Ordering::Relaxed),
             sweep_cache_misses: self.sweep_misses.load(Ordering::Relaxed),
-            sweep_responses_cached: lock_clean(&self.sweep_cache).len(),
+            sweep_responses_cached,
             whatif_sessions_cached: lock_clean(&self.whatif).len(),
             requests_cancelled: self.cancelled.load(Ordering::Relaxed),
             idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
@@ -356,36 +338,23 @@ impl SerService {
         Arc::clone(&self.idle_reaped)
     }
 
-    /// Looks up a cached whole-circuit sweep response, refreshing its
-    /// LRU recency on hit. `sp` must be the resolved session's current
-    /// SP vector: an entry computed under any other vector — stale
-    /// inputs, a diverged clone, even a hash-colliding circuit — fails
-    /// the pointer-identity check and reads as a miss (the miss's own
-    /// insert then replaces the stale entry).
-    fn sweep_cache_get(&self, key: &SweepKey, sp: &Arc<SpVector>) -> Option<Arc<SweepResults>> {
-        let mut cache = lock_clean(&self.sweep_cache);
-        let entry = cache.get(key)?;
-        Arc::ptr_eq(&entry.sp, sp).then(|| Arc::clone(&entry.results))
-    }
-
     /// Re-derives the signal probabilities of `circuit`'s warm session
     /// under a new input distribution — the service-level
     /// `set_inputs`: the session keeps its structural artifacts, cone
     /// plans, compiled simulator and scratch pool, its revision is
-    /// bumped, and every cached sweep response for this netlist is
-    /// dropped. The distribution is also **recorded per netlist hash**,
+    /// bumped, and it starts with empty sweep memos, so no sweep of the
+    /// old inputs is served again. The distribution is also **recorded
+    /// per netlist hash**,
     /// so if the session is later LRU-evicted, its recompilation
     /// restores the same inputs instead of silently reverting to the
-    /// defaults. Returns the new session revision (informational —
-    /// response-cache validity is keyed by SP-vector identity, not by
-    /// this number).
+    /// defaults. Returns the new session revision (informational).
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Compile`] when the session cannot be
     /// compiled or the new probabilities do not converge; the warm
-    /// session, the response cache and the recorded inputs are left
-    /// untouched in that case.
+    /// session and the recorded inputs are left untouched in that
+    /// case.
     pub fn set_inputs(
         &self,
         circuit: &Arc<Circuit>,
@@ -400,9 +369,6 @@ impl SerService {
         // Record the distribution so eviction + recompile restores it…
         lock_clean(&self.inputs_overrides).insert(key, inputs);
 
-        // …purge this netlist's cached sweep responses…
-        lock_clean(&self.sweep_cache).retain(|&(hash, _), _| hash != key);
-
         // …then swap the updated session in (same eviction discipline
         // as `session`, in case the entry vanished between the locks).
         if lock_clean(&self.cache).insert(key, Arc::new(updated)) {
@@ -415,8 +381,10 @@ impl SerService {
     /// stack behind [`whatif_apply`](Self::whatif_apply) /
     /// [`whatif_revert`](Self::whatif_revert). Created on first use by
     /// cloning the warm [`AnalysisSession`] (so the what-if loop never
-    /// pays a cold compile while the analysis session is cached) and
-    /// running its own folded base sweep.
+    /// pays a cold compile while the analysis session is cached); its
+    /// base is the session's Tracked whole-circuit sweep memo, so after
+    /// a whole sweep of the netlist it runs no base sweep, and without
+    /// one it runs the sweep once and fills the memo for later sweeps.
     fn whatif_session(
         &self,
         circuit: &Arc<Circuit>,
@@ -453,9 +421,10 @@ impl SerService {
     /// Applies one incremental edit to `circuit`'s what-if stack and
     /// returns the engine's outcome: new total SER, per-site deltas
     /// over the dirty region, and the dirty and total site counts. The
-    /// first call against a netlist creates the stack by cloning the
-    /// warm analysis session and sweeping it once; later calls pay only
-    /// the dirty-region re-analysis.
+    /// first call against a netlist creates the stack from the warm
+    /// analysis session and its whole-circuit sweep (swept now unless
+    /// a sweep request already did); later calls pay only the
+    /// dirty-region re-analysis.
     ///
     /// `edit` is a *resolver*, not an [`Edit`]: it receives the stack's
     /// **current** (possibly already-edited) circuit, because that is
@@ -635,7 +604,7 @@ impl SerService {
     /// the worker at doubling vector thresholds (first at 256 vectors,
     /// so short runs stay quiet and long runs emit O(log n) events). Progress
     /// reporting observes the run, it never reshapes it. Requests
-    /// served straight from the response cache complete without any
+    /// served straight from a session's sweep memo complete without any
     /// progress events.
     ///
     /// A job's cancel token is polled between executor parts (sweep
@@ -723,16 +692,15 @@ impl SerService {
                         }
                         parts.sort_unstable_by_key(|&(idx, _)| idx);
                         let payload = assemble(&prep.request, parts)?;
-                        if let (Some((key, sp)), ResponsePayload::Sweep(results)) =
-                            (prep.cache_key, &payload)
+                        if let (Some(polarity), ResponsePayload::Sweep(results)) =
+                            (whole_sweep(&prep.request), &payload)
                         {
-                            lock_clean(&self.sweep_cache).insert(
-                                key,
-                                SweepCacheEntry {
-                                    sp,
-                                    results: Arc::clone(results),
-                                },
-                            );
+                            // A sweep that raced this one may have
+                            // stored first; both are the same numbers.
+                            let _ = prep
+                                .session
+                                .whole_sweep_memo(polarity)
+                                .set(Arc::clone(results));
                         }
                         payload
                     }
@@ -781,31 +749,24 @@ impl SerService {
         validate(circuit, &request, &self.config)?;
         let (session, warm) = self.session(circuit, cancel.as_ref())?;
 
-        // Whole-circuit sweeps are a pure function of the netlist, the
-        // SP vector and the polarity — serve repeats straight from the
-        // response cache, enqueueing nothing.
-        let mut cache_key = None;
-        if let Request::Sweep(req) = &request {
-            if req.sites.is_none() && self.config.max_sweep_responses > 0 {
-                let key = (circuit.structural_hash(), req.polarity);
-                let sp = Arc::clone(session.signal_probabilities_arc());
-                if let Some(results) = self.sweep_cache_get(&key, &sp) {
-                    self.sweep_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Prepared {
-                        session,
-                        warm,
-                        started,
-                        parts: 0,
-                        request,
-                        cached: Some(ResponsePayload::Sweep(results)),
-                        cache_key: None,
-                        progress: None,
-                        sweep_sites_total: 0,
-                    });
-                }
-                self.sweep_misses.fetch_add(1, Ordering::Relaxed);
-                cache_key = Some((key, sp));
+        // A whole-circuit sweep is a pure function of the session —
+        // serve it from the session's memo, enqueueing nothing.
+        if let Some(polarity) = whole_sweep(&request) {
+            if let Some(results) = session.whole_sweep_memo(polarity).get() {
+                self.sweep_hits.fetch_add(1, Ordering::Relaxed);
+                let cached = Some(ResponsePayload::Sweep(Arc::clone(results)));
+                return Ok(Prepared {
+                    session,
+                    warm,
+                    started,
+                    parts: 0,
+                    request,
+                    cached,
+                    progress: None,
+                    sweep_sites_total: 0,
+                });
             }
+            self.sweep_misses.fetch_add(1, Ordering::Relaxed);
         }
 
         let mut sweep_sites_total = 0;
@@ -917,10 +878,18 @@ impl SerService {
             parts,
             request,
             cached: None,
-            cache_key,
             progress,
             sweep_sites_total,
         })
+    }
+}
+
+/// The polarity of a whole-circuit sweep request — the requests a
+/// session's sweep memo answers — or `None` for any other request.
+fn whole_sweep(request: &Request) -> Option<PolarityMode> {
+    match request {
+        Request::Sweep(req) if req.sites.is_none() => Some(req.polarity),
+        _ => None,
     }
 }
 

@@ -336,7 +336,8 @@ impl Write for ErrorTally {
 /// engine path `serve` uses on stdin, printing every reply frame.
 /// Exits non-zero when any `error` frame was written (the other frames
 /// still print, so a pipeline sees both the partial results and the
-/// failure).
+/// failure). A closed stdout ends it quietly, like every printing
+/// subcommand.
 fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), Failure> {
     let file = fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let service = Arc::new(SerService::new(config));
@@ -351,7 +352,10 @@ fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), Failure> {
             }),
             peer: path.to_owned(),
         })
-        .map_err(|e| format!("batch: {e}"))?;
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe => Failure::ClosedPipe,
+            _ => Failure::Message(format!("batch: {e}")),
+        })?;
     let stats = service.stats();
     eprintln!(
         "{} warm hits, {} compiles, {} evictions, {} sessions cached; sweep cache {} hits / {} misses, {} cached",

@@ -83,7 +83,6 @@ fn engine() -> Arc<ProtocolEngine> {
             max_sessions: 4,
             threads: 2,
             sweep_batch_sites: 4,
-            max_sweep_responses: 8,
             ..SerServiceConfig::default()
         })),
         EngineConfig::default(),

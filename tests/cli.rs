@@ -206,6 +206,51 @@ fn closed_stdout_is_a_quiet_success() {
     let _ = std::fs::remove_file(&bench);
 }
 
+#[test]
+fn batch_on_a_closed_stdout_is_a_quiet_success() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let bench = temp_path("closed_pipe_batch.bench");
+    let jobs = temp_path("closed_pipe_jobs.jsonl");
+    let out = cli()
+        .args(["gen", "s298", "--seed", "3", "-o"])
+        .arg(&bench)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    // Far more reply bytes than a pipe buffers, so the replies after
+    // the reader leaves must hit the closed pipe.
+    let line = format!(
+        "{{\"v\": 2, \"op\": \"site\", \"netlist\": \"{}\", \"node\": \"G0\"}}\n",
+        bench.to_str().unwrap()
+    );
+    std::fs::write(&jobs, line.repeat(4_000)).unwrap();
+
+    let mut child = cli()
+        .arg("batch")
+        .arg(&jobs)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(
+        first.contains("\"frame\": \"result\""),
+        "first line: {first}"
+    );
+    let out = child.wait_with_output().unwrap();
+    assert_ne!(out.status.code(), Some(101), "batch panicked: {out:?}");
+    assert!(out.status.success(), "batch: {out:?}");
+    assert!(out.stderr.is_empty(), "batch: {out:?}");
+    for p in [&bench, &jobs] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 /// A misspelled or retired flag is an error, not a silent default: a
 /// typo'd `--thraeds` must not run with the default thread count, and a
 /// flag `serve` no longer accepts must not be ignored.

@@ -30,7 +30,6 @@ impl Server {
             max_sessions: 4,
             threads: 2,
             sweep_batch_sites: 8,
-            max_sweep_responses: 8,
             ..SerServiceConfig::default()
         }));
         let engine = Arc::new(ProtocolEngine::new(Arc::clone(&service), config));

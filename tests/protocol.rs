@@ -71,7 +71,6 @@ fn engine_with(config: EngineConfig) -> ProtocolEngine {
             max_sessions: 4,
             threads: 2,
             sweep_batch_sites: 4, // many parts per sweep
-            max_sweep_responses: 8,
             ..SerServiceConfig::default()
         })),
         config,

@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use ser_oracle::ReferenceEpp;
 use ser_suite::epp::{
-    AnalysisSession, Arrivals, Edit, EppAnalysis, PolarityMode, RunCtx, SweepResults,
+    AnalysisSession, Arrivals, Edit, EppAnalysis, PlatchedModel, PolarityMode, RseuModel, RunCtx,
+    SerReport, SweepResults,
 };
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder, s27};
 use ser_suite::netlist::{Circuit, NodeId};
@@ -122,7 +123,6 @@ fn service_sweep_is_bit_identical_to_direct_session() {
             max_sessions: 4,
             threads: 4,
             sweep_batch_sites: 10, // force many parts per sweep
-            max_sweep_responses: 32,
             ..SerServiceConfig::default()
         });
         let response = service
@@ -211,7 +211,6 @@ fn lru_reuses_and_evicts_sessions() {
         max_sessions: 2,
         threads: 2,
         sweep_batch_sites: 64,
-        max_sweep_responses: 32,
         ..SerServiceConfig::default()
     });
 
@@ -252,7 +251,6 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
         max_sessions: 4,
         threads: 4,
         sweep_batch_sites: 16,
-        max_sweep_responses: 32,
         ..SerServiceConfig::default()
     }));
     // Warm both circuits.
@@ -379,10 +377,11 @@ fn subset_sweep_with_polarity() {
     assert_service_sweep(sweep, &direct, "subset sweep");
 }
 
-/// The cross-request sweep-response cache: repeat whole-circuit sweeps
-/// are served from the cache (same `Arc`, no copy), the key includes
-/// polarity, subset sweeps bypass it, and `set_inputs` both purges the
-/// netlist's entries and yields new (correct) results.
+/// The session's whole-sweep memo: repeat whole-circuit sweeps are
+/// served from it (same `Arc`, no copy), each polarity has its own,
+/// subset sweeps bypass it, and `set_inputs` both empties it (the
+/// updated session starts with a fresh memo) and yields new (correct)
+/// results.
 #[test]
 fn sweep_response_cache_hits_and_invalidates() {
     use ser_suite::sp::InputProbs;
@@ -410,7 +409,7 @@ fn sweep_response_cache_hits_and_invalidates() {
     };
     assert!(Arc::ptr_eq(a1, a2), "cache hit shares the arena");
 
-    // Polarity is part of the key: a merged sweep is its own entry.
+    // Each polarity has its own memo: a merged sweep is its own entry.
     let merged = service
         .submit(
             &circuit,
@@ -424,7 +423,7 @@ fn sweep_response_cache_hits_and_invalidates() {
     assert_eq!(service.stats().sweep_responses_cached, 2);
     assert_ne!(merged.as_sweep().unwrap(), r1.as_sweep().unwrap());
 
-    // Subset sweeps bypass the cache entirely.
+    // Subset sweeps bypass the memo entirely.
     let sites: Vec<_> = circuit.node_ids().take(3).collect();
     let _ = service
         .submit(
@@ -439,8 +438,8 @@ fn sweep_response_cache_hits_and_invalidates() {
     assert_eq!(stats.sweep_cache_misses, 2, "subset sweep not counted");
     assert_eq!(stats.sweep_responses_cached, 2);
 
-    // set_inputs: bumps the revision, purges the netlist's entries and
-    // the next sweep reflects the new distribution.
+    // set_inputs: bumps the revision, swaps in a session with empty
+    // memos and the next sweep reflects the new distribution.
     let revision = service
         .set_inputs(&circuit, InputProbs::uniform(0.9))
         .unwrap();
@@ -490,9 +489,10 @@ fn cached_sweep_responses_hold_no_arrivals() {
     }
 }
 
-/// A what-if stack builds its own base sweep, so sweeping the netlist
-/// first changes no what-if outcome: the same edits give the same
-/// outcomes, bit for bit, as on a service that never swept.
+/// A what-if stack takes its base from the sweep the netlist's session
+/// already holds, so sweeping the netlist first changes no what-if
+/// outcome: the same edits give the same outcomes, bit for bit, as on
+/// a service that never swept.
 #[test]
 fn whatif_after_a_sweep_matches_a_fresh_service() {
     let circuit = arc(iscas89_like("s298").unwrap());
@@ -526,6 +526,93 @@ fn whatif_after_a_sweep_matches_a_fresh_service() {
     }
 }
 
+/// A what-if after a whole sweep of the same netlist runs no base
+/// sweep: its stack holds the very arena the sweep response holds.
+#[test]
+fn whatif_after_a_whole_sweep_reuses_its_arena() {
+    let circuit = arc(iscas89_like("s298").unwrap());
+    let gate = circuit
+        .node_ids()
+        .find(|&id| circuit.node(id).kind().is_logic())
+        .unwrap();
+    let service = SerService::with_defaults();
+    let response = service
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    let ResponsePayload::Sweep(arena) = &response.payload else {
+        panic!("sweep payload expected");
+    };
+    // Held by the session's memo and by this response.
+    assert_eq!(Arc::strong_count(arena), 2);
+    let base_total = SerReport::assemble(
+        &circuit,
+        arena.p_sensitized(),
+        &RseuModel::default(),
+        &PlatchedModel::default(),
+    )
+    .total();
+
+    let outcome = service
+        .whatif_apply(&circuit, |_| Ok(Edit::Tmr(gate)))
+        .unwrap();
+    assert_eq!(outcome.previous_total.to_bits(), base_total.to_bits());
+    assert_eq!(
+        Arc::strong_count(arena),
+        3,
+        "the what-if base state is the swept arena, not a sweep of its own"
+    );
+    let stats = service.stats();
+    assert_eq!(stats.sweep_cache_misses, 1);
+    assert_eq!(stats.sweep_cache_hits, 0);
+    assert_eq!(stats.session_misses, 1, "one compile for both");
+}
+
+/// A what-if fills the session's whole-sweep memo, so the first whole
+/// sweep after it is a memo hit that shares the what-if's base arena,
+/// and equals what a fresh service computes.
+#[test]
+fn whole_sweep_after_a_whatif_is_a_memo_hit() {
+    let circuit = arc(iscas89_like("s298").unwrap());
+    let gate = circuit
+        .node_ids()
+        .find(|&id| circuit.node(id).kind().is_logic())
+        .unwrap();
+    let service = SerService::with_defaults();
+    service
+        .whatif_apply(&circuit, |_| Ok(Edit::Tmr(gate)))
+        .unwrap();
+    assert_eq!(service.stats().sweep_responses_cached, 1);
+
+    let response = service
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.sweep_cache_hits, 1);
+    assert_eq!(stats.sweep_cache_misses, 0);
+    let ResponsePayload::Sweep(arena) = &response.payload else {
+        panic!("sweep payload expected");
+    };
+    // The memo, the what-if base state and this response.
+    assert_eq!(Arc::strong_count(arena), 3);
+    let fresh = SerService::with_defaults()
+        .submit(&circuit, Request::Sweep(SweepRequest::default()))
+        .unwrap();
+    assert_eq!(response.as_sweep().unwrap(), fresh.as_sweep().unwrap());
+
+    // The merged polarity has a memo of its own: still a miss.
+    service
+        .submit(
+            &circuit,
+            Request::Sweep(SweepRequest {
+                sites: None,
+                polarity: PolarityMode::Merged,
+            }),
+        )
+        .unwrap();
+    assert_eq!(service.stats().sweep_cache_misses, 1);
+    assert_eq!(service.stats().sweep_responses_cached, 2);
+}
+
 /// LRU eviction must not silently revert `set_inputs`: the service
 /// records the distribution per netlist hash and recompiles under it.
 #[test]
@@ -538,7 +625,6 @@ fn set_inputs_survives_session_eviction() {
         max_sessions: 1, // any second circuit evicts the first
         threads: 2,
         sweep_batch_sites: 64,
-        max_sweep_responses: 8,
         ..SerServiceConfig::default()
     });
 
@@ -577,9 +663,14 @@ fn streaming_progress_observes_without_perturbing() {
     let service = SerService::new(SerServiceConfig {
         max_sessions: 2,
         threads: 2,
-        sweep_batch_sites: 16,  // force several parts
-        max_sweep_responses: 0, // keep the cache out of the comparison
+        sweep_batch_sites: 16, // force several parts
         ..SerServiceConfig::default()
+    });
+    // Every site named: both sweeps below run, since no session memo
+    // answers an explicit list — the memo stays out of the comparison.
+    let every_site = Request::Sweep(SweepRequest {
+        sites: Some(circuit.node_ids().collect()),
+        polarity: PolarityMode::Tracked,
     });
 
     // Sweep: one Progress::Sweep event per part, cumulative, ending at
@@ -592,15 +683,13 @@ fn streaming_progress_observes_without_perturbing() {
     let streamed = service
         .submit_batch(vec![(
             Arc::clone(&circuit),
-            Request::Sweep(SweepRequest::default()),
+            every_site.clone(),
             Some(sink),
             None,
         )])
         .remove(0)
         .unwrap();
-    let direct = service
-        .submit(&circuit, Request::Sweep(SweepRequest::default()))
-        .unwrap();
+    let direct = service.submit(&circuit, every_site).unwrap();
     assert_eq!(streamed.as_sweep().unwrap(), direct.as_sweep().unwrap());
     let events = std::mem::take(&mut *events.lock().unwrap());
     let expected_parts = circuit.len().div_ceil(16);
